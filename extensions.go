@@ -37,7 +37,6 @@ func (s *Simulation) RunWithCapacities(capacities []int) *Report {
 	pr.MinD, pr.MaxD = s.params.MinD, s.params.MaxD
 	pr.PhaseSerial = s.params.PhaseSerial
 	pr.PhaseWorkers = s.params.PhaseWorkers
-	pr.PeelSerial = s.params.PeelSerial
 	pr.NeighborIndex = s.params.NeighborIndex
 	res := budgets.Run(s.w, s.rng.Split(14), pr)
 	es := metrics.Error(s.w, res.Output)

@@ -1,0 +1,108 @@
+package collabscore
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+)
+
+// goldenCase is one fixed scenario of the cross-version pin, with the
+// digest its report must hash to.
+type goldenCase struct {
+	name string
+	sc   Scenario
+	// minD/maxD, when set, restrict the diameter guesses through the
+	// simulation's parameters (Build/Execute) instead of FixedDiameter.
+	minD, maxD int
+	want       string
+}
+
+// goldenCases covers every production clustering and selection path at
+// n = 256: the honest protocol over the exact dense and the LSH sparse
+// lazy-truth configurations, the Byzantine wrapper under cluster hijackers,
+// the capacity peel over several diameter guesses (so the final spot check
+// runs), and the Byzantine rating protocol.
+func goldenCases() []goldenCase {
+	const n = 256
+	return []goldenCase{
+		{
+			name: "run/exact+dense",
+			sc:   Scenario{Config: Config{Players: n, Seed: 101, FixedDiameter: 16}, ClusterSize: 32, Diameter: 16},
+			want: "00b03d56415ae5470f5f05ba8d025b573e2320f0ba88cb1a3d598ddcfd3edab0",
+		},
+		{
+			name: "run/lsh+sparse+lazy",
+			sc: Scenario{Config: Config{Players: n, Seed: 102, FixedDiameter: 16, NeighborIndex: "lsh+sparse", TruthSource: "lazy"},
+				ClusterSize: 32, Diameter: 16},
+			want: "d0d9decec4b0d2cbe1b622e7a3d20c8bdab6b01a6d05c121576050c1f6c18d73",
+		},
+		{
+			name: "byzantine/hijackers",
+			sc: Scenario{Config: Config{Players: n, Seed: 103, FixedDiameter: 16}, ClusterSize: 32, Diameter: 16,
+				Dishonest: n / 24, Strategy: ClusterHijackers, Protocol: ProtoByzantine},
+			want: "7250bda4be667439eb6262f42f06ed9bcb5aa5e934e0648810bbb658cad648a6",
+		},
+		{
+			name: "budgets/two-tier",
+			sc: Scenario{Config: Config{Players: n, Seed: 104}, ClusterSize: 32, Diameter: 16,
+				Protocol: ProtoBudgets, CapSmall: 32, CapBig: 256, CapBigFrac: 0.5},
+			minD: 8, maxD: 32,
+			want: "fe63a62619a08b2b55bb3b4eff9734bd61f29101f5de348d0365689e34a52f0d",
+		},
+		{
+			name: "ratings/exaggerators",
+			sc: Scenario{Config: Config{Players: n, Seed: 105, FixedDiameter: 16}, ClusterSize: 32, Diameter: 16,
+				Scale: 5, Dishonest: n / 24, Strategy: Exaggerators, Protocol: ProtoRatings},
+			want: "0646e0e9eda36cd5418650faaccb7a218f7f60ed55256b4e6b7e2e1f0e2c9353",
+		},
+	}
+}
+
+// goldenDigest runs the case and returns the hex SHA-256 of its outputs,
+// MaxError, TotalProbes and MaxProbes.
+func goldenDigest(c goldenCase) string {
+	h := sha256.New()
+	put := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
+	var maxErr, total, maxProbes int64
+	if c.sc.Protocol == ProtoRatings {
+		// Scenario.Run drops rating rows from its Report; hash them from the
+		// rating report it is built from.
+		rr := c.sc.ratingSimulation(nil).RunByzantine(0)
+		for _, row := range rr.Outputs {
+			for _, v := range row {
+				put(int64(v))
+			}
+		}
+		maxErr, total, maxProbes = int64(rr.MaxL1Error), rr.TotalProbes, int64(rr.MaxProbes)
+	} else {
+		sim := c.sc.Build(nil)
+		if c.minD > 0 {
+			sim.Params().MinD, sim.Params().MaxD = c.minD, c.maxD
+		}
+		rep := c.sc.Execute(sim)
+		for _, v := range rep.Outputs {
+			for wi := 0; wi < v.Words(); wi++ {
+				put(int64(v.Word(wi)))
+			}
+		}
+		maxErr, total, maxProbes = int64(rep.MaxError), rep.TotalProbes, rep.MaxProbes
+	}
+	put(maxErr)
+	put(total)
+	put(maxProbes)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenDigests pins fixed-seed reports to digests recorded once and
+// committed: unlike the byte-identity pins, which compare two
+// implementations inside one version of the code, it fails when the
+// surviving implementation itself drifts between versions. A deliberate
+// output change must re-record the digests and say so in its change notes.
+func TestGoldenDigests(t *testing.T) {
+	for _, c := range goldenCases() {
+		if got := goldenDigest(c); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}

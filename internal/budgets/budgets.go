@@ -60,13 +60,6 @@ type Params struct {
 	// byte-identical under every schedule.
 	PhaseSerial  bool
 	PhaseWorkers int
-
-	// PeelSerial forces the capacity peel onto the verbatim greedy loop
-	// (buildByCapacity) instead of the batched peel
-	// (cluster.BuildByWeightOn); the two are pinned byte-identical, so
-	// this mirrors core.Params.PeelSerial as a pure execution knob
-	// (DESIGN.md §17).
-	PeelSerial bool
 }
 
 // Scaled returns simulation-scale parameters with the given capacities.
@@ -107,7 +100,8 @@ func TwoTier(rng *xrand.Stream, n, smallCap, bigCap int, bigFrac float64) []int 
 type Result struct {
 	Output []bitvec.Vector
 	// ClusterCapacity[j] is the total capacity of cluster j in the last
-	// diameter guess that formed clusters.
+	// diameter guess run — empty when that guess formed no clusters, even
+	// if an earlier guess did. NumClusters counts the same guess.
 	ClusterCapacity []int
 	NumClusters     int
 }
@@ -232,16 +226,8 @@ func runIteration(rc *world.Run, d, red int, lnn float64, shared *xrand.Stream, 
 
 	// Capacity-validated peeling: a seed player and its alive neighbors
 	// form a cluster only when their total capacity can absorb the work.
-	// The batched peel prescans the capacity sums on the run's executor;
-	// PeelSerial selects the verbatim greedy loop it is pinned
-	// byte-identical to.
 	needed := m * red // total probes the cluster must provide
-	var cl *cluster.Clustering
-	if pr.PeelSerial {
-		cl = buildByCapacity(g, pr.Capacity, needed)
-	} else {
-		cl = cluster.BuildByWeightOn(rc.Exec(), g, pr.Capacity, needed)
-	}
+	cl := buildByCapacity(g, pr.Capacity, needed)
 	res.NumClusters = len(cl.Clusters)
 	res.ClusterCapacity = res.ClusterCapacity[:0]
 	for _, members := range cl.Clusters {
@@ -313,9 +299,11 @@ func weightedPick(rng *xrand.Stream, cumWeights []int, total int) int {
 }
 
 // buildByCapacity peels clusters like §6.5 but admits a seed's neighborhood
-// as a cluster only when its total capacity reaches needed. It is the
-// verbatim serial reference the batched cluster.BuildByWeightOn is pinned
-// byte-identical to (Params.PeelSerial selects it).
+// as a cluster only when its total capacity reaches needed. It stays
+// separate from cluster.Build rather than sharing one loop: the unit peel
+// qualifies a seed by a word-parallel LiveDegree count, while this one sums
+// its neighbors' capacities, so a shared loop would branch on the caller.
+// With unit capacities the two agree (TestCapacityPeelUnitMatchesBuild).
 func buildByCapacity(g cluster.Graph, capacity []int, needed int) *cluster.Clustering {
 	n := g.N()
 	alive := make([]bool, n)

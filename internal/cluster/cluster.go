@@ -284,194 +284,12 @@ func Build(g Graph, minSize int) *Clustering {
 	return &Clustering{Clusters: clusters, Of: of}
 }
 
-// BuildOn is the batched twin of Build: the same peel, restructured so the
-// per-candidate qualification scans — the serial tail of the clustering
-// step — run on the given executor (nil means parallel; Build is the
-// byte-identity reference oracle, selected at the protocol layer by
-// Params.PeelSerial).
+// BuildOn is Build; the executor is ignored.
 //
-// The restructuring rests on the peel's monotonicity: removals only ever
-// shrink a candidate's surviving neighborhood, so qualification can only
-// decay. BuildOn walks the positions in word-aligned chunks: each chunk's
-// surviving candidates are prescanned in parallel against the
-// chunk-entry alive set, then the serial commit scan replays over the
-// chunk keeping a dirty set of players whose neighborhood lost a member
-// since that prescan. A candidate that is still clean when the scan
-// reaches it has exactly its chunk-entry neighborhood, so the prescan
-// verdict is the serial verdict; a dirty candidate whose prescan verdict
-// was already negative stays negative by monotonicity; only dirty
-// candidates with a positive prescan verdict need an exact serial
-// recompute. Every decision the commit scan makes is thus the decision
-// Build makes at the same position, and the output clustering is
-// byte-identical under every schedule (TestBuildOnMatchesBuild).
-//
-// Chunking is what keeps the batching from over-scanning: positions peeled
-// away before their chunk starts are never prescanned (the serial cursor
-// gets the same skip for free), and dirty marking only has to cover the
-// current chunk's word range instead of whole adjacency rows.
-func BuildOn(exec *par.Runner, g Graph, minSize int) *Clustering {
-	if minSize < 1 {
-		minSize = 1
-	}
-	return peelBatched(exec, g, nil, minSize)
-}
-
-// BuildByWeightOn is the weighted batched peel used by the budgets
-// extension: a candidate seed qualifies when the total weight of its closed
-// surviving neighborhood (itself plus its live neighbors) reaches needed.
-// Unit weights reduce to BuildOn with minSize = needed. Weights must be
-// positive — that is what keeps qualification monotone under removals,
-// which the batching depends on (and what the serial capacity peel's
-// cursor already depended on).
-func BuildByWeightOn(exec *par.Runner, g Graph, weight []int, needed int) *Clustering {
-	return peelBatched(exec, g, weight, needed)
-}
-
-// liveMarker is the optional word-level fast path for the batched peel's
-// dirty marking: mark into dst every surviving neighbor of p whose id lies
-// in the word range [wLo·64, wHi·64). BitGraph does it with a word-parallel
-// OR-AND over the adjacency row; implementations without it fall back to
-// VisitNeighbors.
-type liveMarker interface {
-	markLive(dst bitvec.Vector, p int, alive bitvec.Vector, wLo, wHi int)
-}
-
-func (g *BitGraph) markLive(dst bitvec.Vector, p int, alive bitvec.Vector, wLo, wHi int) {
-	row := g.adj[p]
-	for wi := wLo; wi < wHi; wi++ {
-		if x := row.Word(wi) & alive.Word(wi); x != 0 {
-			dst.OrWord(wi, x)
-		}
-	}
-}
-
-// peelChunk is the batched peel's prescan granularity in positions — a
-// multiple of 64 so chunk boundaries are word-aligned, which keeps each
-// chunk's dirty bits in words no other chunk touches.
-const peelChunk = 256
-
-// peelBatched is the engine behind BuildOn and BuildByWeightOn. weight nil
-// means unit weights (needed = minSize). See BuildOn for why its output is
-// byte-identical to the serial greedy.
-func peelBatched(exec *par.Runner, g Graph, weight []int, needed int) *Clustering {
-	n := g.N()
-	alive := bitvec.New(n)
-	for p := 0; p < n; p++ {
-		alive.Set(p, true)
-	}
-	of := make([]int, n)
-	for p := range of {
-		of[p] = -1
-	}
-	var clusters [][]int
-
-	marker, _ := g.(liveMarker)
-	dirty := bitvec.New(n)
-	var live []int
-	qual := make([]bool, peelChunk)
-	for base := 0; base < n; base += peelChunk {
-		hi := base + peelChunk
-		if hi > n {
-			hi = n
-		}
-		// Parallel prescan of the chunk's surviving candidates against the
-		// chunk-entry alive set. Positions peeled by earlier chunks cost
-		// nothing — exactly the skip the serial cursor gets.
-		exec.For(hi-base, func(i int) {
-			p := base + i
-			if !alive.Get(p) {
-				qual[i] = false
-				return
-			}
-			if weight == nil {
-				qual[i] = g.LiveDegree(p, alive) >= needed-1
-				return
-			}
-			sum := weight[p]
-			g.VisitNeighbors(p, func(q int) bool {
-				if alive.Get(q) {
-					sum += weight[q]
-				}
-				return true
-			})
-			qual[i] = sum >= needed
-		})
-
-		// Serial commit scan of the chunk. dirty marks players whose
-		// neighborhood has lost a member since this chunk's prescan; only
-		// those can disagree with it.
-		wLo, wHi := base/64, (hi+63)/64
-		for p := base; p < hi; p++ {
-			if !alive.Get(p) || !qual[p-base] {
-				continue
-			}
-			if dirty.Get(p) {
-				// Stale verdict: recompute exactly as the serial peel would.
-				if weight == nil {
-					if g.LiveDegree(p, alive) < needed-1 {
-						continue
-					}
-				} else {
-					sum := weight[p]
-					g.VisitNeighbors(p, func(q int) bool {
-						if alive.Get(q) {
-							sum += weight[q]
-						}
-						return true
-					})
-					if sum < needed {
-						continue
-					}
-				}
-			}
-			live = g.AppendLiveNeighbors(live[:0], p, alive)
-			members := make([]int, 0, 1+len(live))
-			members = append(members, p)
-			members = append(members, live...)
-			j := len(clusters)
-			for _, q := range members {
-				alive.Set(q, false)
-				of[q] = j
-			}
-			clusters = append(clusters, members)
-			// Mark survivors that just lost a neighbor — only within this
-			// chunk's word range; later chunks get a fresh prescan. The seed
-			// needs no marking pass: any survivor adjacent to it would have
-			// been live, hence a member, hence not a survivor.
-			for _, q := range members[1:] {
-				if marker != nil {
-					marker.markLive(dirty, q, alive, wLo, wHi)
-					continue
-				}
-				g.VisitNeighbors(q, func(r int) bool {
-					if r >= hi {
-						return false
-					}
-					if r >= base && alive.Get(r) {
-						dirty.Set(r, true)
-					}
-					return true
-				})
-			}
-		}
-	}
-
-	// Attachment phase, verbatim from Build: leftovers join the cluster of
-	// their first assigned original neighbor.
-	for p := 0; p < n; p++ {
-		if of[p] >= 0 {
-			continue
-		}
-		g.VisitNeighbors(p, func(q int) bool {
-			if of[q] < 0 {
-				return true
-			}
-			of[p] = of[q]
-			clusters[of[q]] = append(clusters[of[q]], p)
-			return false
-		})
-	}
-	return &Clustering{Clusters: clusters, Of: of}
+// Deprecated: BuildOn stays only so the benchmark replay (bench/replay.go)
+// compiles, and is removed together with that replay. Call Build.
+func BuildOn(_ *par.Runner, g Graph, minSize int) *Clustering {
+	return Build(g, minSize)
 }
 
 // Diameter computes the exact maximum pairwise Hamming distance of the

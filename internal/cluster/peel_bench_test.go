@@ -8,14 +8,12 @@ import (
 	"collabscore/internal/xrand"
 )
 
-// BenchmarkPeel compares the serial greedy peel (Build) against the batched
-// peel (BuildOn) on both graph representations and two qualification
-// regimes. "planted" peels 128 clusters — the serial cursor's best case,
-// since it row-scans only the seeds it commits, so the chunked prescan's
-// extra scans are pure single-core overhead. "scan" sets minSize just past
-// every degree, making the peel one full qualification sweep over all n
-// rows — the regime the prescan parallelizes; single-core it must hold
-// parity, multicore it divides by the worker count.
+// BenchmarkPeel times the greedy peel (Build) on both graph
+// representations and two qualification regimes. "planted" peels 128
+// clusters — the cursor's best case, since it row-scans only the seeds it
+// commits. "scan" sets minSize just past every degree, making the peel one
+// full qualification sweep over all n rows. Sub-benchmark names match the
+// greedy rows of BENCH_PR10.json.
 func BenchmarkPeel(b *testing.B) {
 	const n, m, size, d = 4096, 512, 32, 4
 	in := prefgen.DiameterClusters(xrand.New(4096), n, m, size, d)
@@ -25,17 +23,11 @@ func BenchmarkPeel(b *testing.B) {
 		"sparse": buildCSROn(nil, in.Truth, threshold),
 	}
 	regimes := map[string]int{"planted": size, "scan": size + 2}
-	exec := par.Parallel()
 	for name, g := range graphs {
 		for regime, minSize := range regimes {
 			b.Run(name+"/"+regime+"/serial", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					Build(g, minSize)
-				}
-			})
-			b.Run(name+"/"+regime+"/batched", func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					BuildOn(exec, g, minSize)
 				}
 			})
 		}

@@ -94,21 +94,6 @@ func (g *CSRGraph) AppendLiveNeighbors(dst []int, p int, alive bitvec.Vector) []
 	return dst
 }
 
-// markLive marks p's surviving neighbors with ids in [wLo·64, wHi·64) in
-// dst — the batched peel's dirty marking (see liveMarker), as a contiguous
-// row scan. Rows are sorted ascending, so the scan stops at the range end.
-func (g *CSRGraph) markLive(dst bitvec.Vector, p int, alive bitvec.Vector, wLo, wHi int) {
-	lo, hi := int32(wLo*64), int32(wHi*64)
-	for _, q := range g.row(p) {
-		if q >= hi {
-			return
-		}
-		if q >= lo && alive.Get(int(q)) {
-			dst.Set(int(q), true)
-		}
-	}
-}
-
 // graphSink is the construction seam between edge producers and graph
 // representations: producers discover pairs p < q within threshold (in
 // whatever order their schedule yields) and flush them in batches; finish
@@ -158,10 +143,11 @@ func (s *bitSink) finish(*par.Runner) Graph { return s.g }
 // csrBuilder accumulates the raw edge stream and compacts it into a
 // CSRGraph at finish: count per-vertex degrees (duplicates included),
 // prefix-sum into offsets, scatter each edge in both directions, then sort
-// every row and deduplicate in place, rewriting the offsets to the
-// compacted bounds. Sorting makes the result independent of emission
-// order; deduplication makes it independent of multiplicity — together
-// the CSR rows are exactly the BitGraph's bit rows read in id order.
+// and deduplicate every row and gather the compacted rows into fresh,
+// exactly-sized offsets and targets. Sorting makes the result independent
+// of emission order; deduplication makes it independent of multiplicity —
+// together the CSR rows are exactly the BitGraph's bit rows read in id
+// order.
 type csrBuilder struct {
 	mu    sync.Mutex
 	n     int
@@ -178,15 +164,16 @@ func (b *csrBuilder) flush(edges [][2]int32) {
 
 func (b *csrBuilder) finish(exec *par.Runner) Graph { return b.buildOn(exec) }
 
-// buildOn is the parallel finish: the scatter pass is unchanged, but the
-// per-row sort + dedup — each row is a disjoint slice of tgt, so rows are
-// embarrassingly parallel — fans out on the executor, followed by a serial
-// prefix sum of the compacted lengths and a parallel copy into a
+// buildOn is the finish: after the serial scatter pass, the per-row sort +
+// dedup — each row is a disjoint slice of the scattered targets, so rows
+// are embarrassingly parallel — fans out on the executor, followed by a
+// serial prefix sum of the compacted lengths and a parallel copy into a
 // fresh, exactly-sized targets slice (rows cannot be compacted left in
 // place concurrently: a row's destination overlaps its left neighbor's
 // source). Sorting and deduplication make each row a pure function of its
-// edge multiset, so the graph is byte-identical to the serial build()
-// under every schedule (TestCSRFinishMatchesSerial pins it).
+// edge multiset, so the graph is byte-identical to the serial in-place
+// reference finish under every schedule (TestCSRFinishMatchesSerial pins
+// it).
 func (b *csrBuilder) buildOn(exec *par.Runner) *CSRGraph {
 	n := b.n
 	off := make([]int64, n+1)
@@ -236,61 +223,6 @@ func (b *csrBuilder) buildOn(exec *par.Runner) *CSRGraph {
 		copy(tgt[newOff[p]:newOff[p+1]], raw[off[p]:off[p]+newLen[p]])
 	})
 	return &CSRGraph{n: n, off: newOff, tgt: tgt}
-}
-
-// build is the serial reference finish the parallel buildOn is pinned
-// against: one pass sorts, dedups, and compacts rows left in place.
-func (b *csrBuilder) build() *CSRGraph {
-	n := b.n
-	off := make([]int64, n+1)
-	for _, e := range b.edges {
-		off[e[0]+1]++
-		off[e[1]+1]++
-	}
-	for p := 0; p < n; p++ {
-		off[p+1] += off[p]
-	}
-	tgt := make([]int32, off[n])
-	cur := make([]int64, n)
-	copy(cur, off[:n])
-	for _, e := range b.edges {
-		tgt[cur[e[0]]] = e[1]
-		cur[e[0]]++
-		tgt[cur[e[1]]] = e[0]
-		cur[e[1]]++
-	}
-	b.edges = nil // release the raw stream before the graph outlives us
-
-	// Sort and deduplicate each row in place. The write cursor w never
-	// passes the read position (compaction only shrinks rows), so the
-	// compacted prefix of tgt can be rebuilt while the tail is still being
-	// read.
-	var w int64
-	lo := int64(0)
-	for p := 0; p < n; p++ {
-		hi := off[p+1]
-		row := tgt[lo:hi]
-		slices.Sort(row)
-		off[p] = w
-		prev := int32(-1)
-		for _, q := range row {
-			if q != prev {
-				tgt[w] = q
-				w++
-				prev = q
-			}
-		}
-		lo = hi
-	}
-	off[n] = w
-	if w <= int64(len(tgt))-int64(len(tgt))/8 {
-		// Heavy duplication: reallocate to the compact size rather than
-		// retaining the oversized backing array for the graph's lifetime.
-		tgt = append(make([]int32, 0, w), tgt[:w]...)
-	} else {
-		tgt = tgt[:w]
-	}
-	return &CSRGraph{n: n, off: off, tgt: tgt}
 }
 
 // sinkFlushAt bounds producers' per-worker edge buffers: big enough to

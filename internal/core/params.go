@@ -85,13 +85,11 @@ type Params struct {
 	// to every other schedule (DESIGN.md §9).
 	PhaseWorkers int
 
-	// PeelSerial forces the clustering step's peel onto the verbatim
-	// one-at-a-time greedy loop (cluster.Build) instead of the batched
-	// peel that prescans candidate qualification on the run's executor
-	// (cluster.BuildOn, DESIGN.md §17). The two are pinned byte-identical
-	// on every graph, so like PhaseSerial this is a pure execution knob:
-	// it exists as the reference oracle for those pins and for
-	// benchmarking the batched peel against its predecessor.
+	// PeelSerial has no effect: the clustering step always runs the greedy
+	// peel (cluster.Build).
+	//
+	// Deprecated: PeelSerial stays only so the benchmark replay
+	// (bench/replay.go) compiles, and is removed together with that replay.
 	PeelSerial bool
 
 	// NeighborIndex selects the neighbor-discovery implementation of the

@@ -159,17 +159,10 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 	// (exact block sweep by default, LSH banding when the knob is set; the
 	// index stream is split from the shared coins — a pure read of their
 	// state, so the default path consumes exactly the same coins as before
-	// the seam existed). The peel prescans candidate qualification on the
-	// run's executor (cluster.BuildOn); PeelSerial selects the verbatim
-	// greedy loop it is pinned byte-identical to.
+	// the seam existed).
 	start = time.Now()
 	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, pr.EdgeThreshold(n), shared.Split(0x5D))
-	var cl *cluster.Clustering
-	if pr.PeelSerial {
-		cl = cluster.Build(g, pr.MinClusterSize(n))
-	} else {
-		cl = cluster.BuildOn(rc.Exec(), g, pr.MinClusterSize(n))
-	}
+	cl := cluster.Build(g, pr.MinClusterSize(n))
 	rc.Pub.Clusters = cl.Clusters
 	stats.NumClusters = len(cl.Clusters)
 	stats.MinCluster = cl.MinClusterSize()

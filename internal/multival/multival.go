@@ -524,12 +524,6 @@ type Params struct {
 	// after another instead of concurrently, mirroring core.Params.
 	ByzSerial bool
 
-	// PeelSerial forces the clustering step's peel onto the verbatim
-	// greedy loop (cluster.Build) instead of the batched peel
-	// (cluster.BuildOn); the two are pinned byte-identical, mirroring
-	// core.Params.PeelSerial (DESIGN.md §17).
-	PeelSerial bool
-
 	// NeighborIndex selects the neighbor graph's representation
 	// ("+dense"/"+sparse"/"+auto"), mirroring core.Params.NeighborIndex.
 	// Only the representation half of the spec applies here: L1 neighbor
@@ -671,21 +665,16 @@ func runIteration(w *World, exec *par.Runner, d, minSize int, lnn float64, share
 	// binary path — block-partitioned over the executor, each pair's
 	// bit-sliced L1 computed once (the engine's private [][]int adjacency
 	// build computed every distance twice), filling the representation the
-	// NeighborIndex spec picks — and the peel is the shared batched one,
-	// with PeelSerial selecting the verbatim greedy loop. The scalar
-	// slice-of-slices peel this replaced survives in the tests as the
-	// reference oracle (TestGraphSeamMatchesScalarPeel).
+	// NeighborIndex spec picks — and the peel is the shared greedy one
+	// (cluster.Build). The scalar slice-of-slices peel this replaced
+	// survives in the tests as the reference oracle
+	// (TestGraphSeamMatchesScalarPeel).
 	threshold := int(pr.EdgeFactor * rate * float64(d))
 	if threshold < 1 {
 		threshold = 1
 	}
 	g := cluster.BuildGraphL1On(exec, published, threshold, pr.NeighborIndex.Rep())
-	var cl *cluster.Clustering
-	if pr.PeelSerial {
-		cl = cluster.Build(g, minSize)
-	} else {
-		cl = cluster.BuildOn(exec, g, minSize)
-	}
+	cl := cluster.Build(g, minSize)
 	res.NumClusters = append(res.NumClusters, len(cl.Clusters))
 
 	// Median work sharing over (cluster, word-block) cells — 64 objects per
@@ -844,69 +833,6 @@ func clampRating(r, scale int) int {
 		return scale
 	}
 	return r
-}
-
-// peel is the scalar §6.5 peeling over a plain adjacency list — the
-// engine's pre-seam clustering, kept as the reference oracle the
-// graph-seam path (BuildGraphL1On + cluster.Build/BuildOn) is pinned
-// byte-identical to (TestGraphSeamMatchesScalarPeel).
-func peel(adj [][]int, n, minSize int) *cluster.Clustering {
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	of := make([]int, n)
-	for i := range of {
-		of[i] = -1
-	}
-	var clusters [][]int
-	for {
-		found := -1
-		for p := 0; p < n; p++ {
-			if !alive[p] {
-				continue
-			}
-			deg := 0
-			for _, q := range adj[p] {
-				if alive[q] {
-					deg++
-				}
-			}
-			if deg >= minSize-1 {
-				found = p
-				break
-			}
-		}
-		if found < 0 {
-			break
-		}
-		members := []int{found}
-		for _, q := range adj[found] {
-			if alive[q] {
-				members = append(members, q)
-			}
-		}
-		j := len(clusters)
-		for _, q := range members {
-			alive[q] = false
-			of[q] = j
-		}
-		clusters = append(clusters, members)
-	}
-	for p := 0; p < n; p++ {
-		if !alive[p] {
-			continue
-		}
-		for _, q := range adj[p] {
-			if of[q] >= 0 {
-				of[p] = of[q]
-				clusters[of[q]] = append(clusters[of[q]], p)
-				alive[p] = false
-				break
-			}
-		}
-	}
-	return &cluster.Clustering{Clusters: clusters, Of: of}
 }
 
 // Errors returns per-honest-player L1 errors of the outputs, word-level.

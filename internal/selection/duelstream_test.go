@@ -1,11 +1,91 @@
 package selection
 
 import (
+	"math/bits"
 	"testing"
 
 	"collabscore/internal/bitvec"
+	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
+
+// duelProbesSerial is the bit-at-a-time reference implementation of the
+// duel probes, kept verbatim as the byte-identity oracle for the streaming
+// path (TestDuelStreamMatchesSerial). It probes up to budget objects on
+// which a and b differ — all of them when there are at most budget,
+// otherwise a uniform distinct sample — and returns how many probed
+// objects agreed with a, plus the number probed. The differing positions
+// stream directly from the XOR of the candidates' words and the sample
+// ranks live in a fixed stack buffer (budgets beyond maxPairBudget spill
+// to a heap buffer and are honored in full), so a duel normally allocates
+// nothing. The rank sample is Floyd's algorithm with the same draws
+// xrand.Stream.Sample makes, so the probed set is bit-for-bit the one the
+// list-based implementation chose.
+func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
+	d := a.Hamming(b)
+	if d == 0 {
+		return 0, 0
+	}
+	nw := a.Words()
+	if d <= budget {
+		// Probe every differing position.
+		for wi := 0; wi < nw; wi++ {
+			for x := a.Word(wi) ^ b.Word(wi); x != 0; x &= x - 1 {
+				j := wi*64 + bits.TrailingZeros64(x)
+				if w.Probe(p, objs[j]) == a.Get(j) {
+					agreeA++
+				}
+			}
+		}
+		return agreeA, d
+	}
+	// Floyd's sample of budget distinct ranks in [0,d), identical to
+	// xrand.Stream.Sample(d, budget) draw for draw.
+	var buf [maxPairBudget]int
+	ranks := buf[:]
+	if budget > maxPairBudget {
+		ranks = make([]int, budget)
+	}
+	cnt := 0
+	for j := d - budget; j < d; j++ {
+		t := rng.Intn(j + 1)
+		for i := 0; i < cnt; i++ {
+			if ranks[i] == t {
+				t = j
+				break
+			}
+		}
+		ranks[cnt] = t
+		cnt++
+	}
+	// Insertion sort: probe in ascending rank (= ascending position) order,
+	// matching the sorted sample of the list-based implementation.
+	for i := 1; i < cnt; i++ {
+		for k := i; k > 0 && ranks[k] < ranks[k-1]; k-- {
+			ranks[k], ranks[k-1] = ranks[k-1], ranks[k]
+		}
+	}
+	// Walk the XOR words once, selecting the positions with the sampled
+	// ranks among the set bits.
+	ri, seen := 0, 0
+	for wi := 0; wi < nw && ri < cnt; wi++ {
+		x := a.Word(wi) ^ b.Word(wi)
+		c := bits.OnesCount64(x)
+		for ri < cnt && ranks[ri]-seen < c {
+			y := x
+			for k := ranks[ri] - seen; k > 0; k-- {
+				y &= y - 1
+			}
+			j := wi*64 + bits.TrailingZeros64(y)
+			if w.Probe(p, objs[j]) == a.Get(j) {
+				agreeA++
+			}
+			ri++
+		}
+		seen += c
+	}
+	return agreeA, cnt
+}
 
 // stridedObjs returns m positions spread over a larger object space with
 // the given stride — the shape of SmallRadius's per-group object lists,
@@ -58,10 +138,9 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 				wb := buildWorld(21, n, tc.worldM)
 				rs := xrand.New(77)
 				rb := xrand.New(77)
-				ctxS := duelCtx{w: ws, p: 0, objs: tc.objs, ident: identObjs(tc.objs), serial: true}
 				ctxB := duelCtx{w: wb, p: 0, objs: tc.objs, ident: identObjs(tc.objs)}
-				agreeS, totalS := duelProbes(&ctxS, a, b, rs, budget)
-				agreeB, totalB := duelProbes(&ctxB, a, b, rb, budget)
+				agreeS, totalS := duelProbesSerial(ws, 0, tc.objs, a, b, rs, budget)
+				agreeB, totalB := duelProbesStream(&ctxB, a, b, rb, budget)
 				if agreeS != agreeB || totalS != totalB {
 					t.Fatalf("%s/%s budget=%d: stream (%d,%d) != serial (%d,%d)",
 						tc.name, pb.name, budget, agreeB, totalB, agreeS, totalS)
@@ -79,44 +158,6 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestRSelectStreamMatchesSerial: whole tournaments agree — winner index
-// and per-player probe totals — between the streaming and serial duel
-// paths, over identity and strided object mappings.
-func TestRSelectStreamMatchesSerial(t *testing.T) {
-	for _, objs := range [][]int{identityObjs(700), stridedObjs(100, 5)} {
-		worldM := objs[len(objs)-1] + 1
-		ws := buildWorld(33, 6, worldM)
-		wb := buildWorld(33, 6, worldM)
-		truth := ws.TruthVector(2).Gather(objs)
-		rng := xrand.New(9)
-		var cands []bitvec.Vector
-		for i := 0; i < 7; i++ {
-			cands = append(cands, flipped(truth, rng.Split(uint64(i)), 11*i*i))
-		}
-		serialPr := Scaled()
-		serialPr.DuelSerial = true
-		gotS := RSelect(ws, 2, objs, cands, xrand.New(55), serialPr)
-		gotB := RSelect(wb, 2, objs, cands, xrand.New(55), Scaled())
-		if gotS != gotB {
-			t.Fatalf("RSelect winner: stream %d != serial %d", gotB, gotS)
-		}
-		if ws.Probes(2) != wb.Probes(2) {
-			t.Fatalf("RSelect probes: stream %d != serial %d", wb.Probes(2), ws.Probes(2))
-		}
-		// Select (the champion tournament) over the same candidates.
-		ws2 := buildWorld(33, 6, worldM)
-		wb2 := buildWorld(33, 6, worldM)
-		gotS = Select(ws2, 2, objs, cands, 9, xrand.New(56), serialPr)
-		gotB = Select(wb2, 2, objs, cands, 9, xrand.New(56), Scaled())
-		if gotS != gotB {
-			t.Fatalf("Select champion: stream %d != serial %d", gotB, gotS)
-		}
-		if ws2.Probes(2) != wb2.Probes(2) {
-			t.Fatalf("Select probes: stream %d != serial %d", wb2.Probes(2), ws2.Probes(2))
 		}
 	}
 }

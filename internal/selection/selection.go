@@ -15,9 +15,9 @@
 // up instead — SmallRadius and the final CalculatePreferences step run one
 // independent Select/RSelect per player on the run's executor (DESIGN.md
 // §9) — while inside a duel the probes stream whole 64-object word-blocks
-// (duelProbesStream, DESIGN.md §17), with the bit-at-a-time loop kept as
-// the byte-identity oracle behind Params.DuelSerial. Both functions take the read-only
-// *world.World rather than a *world.Run because they only probe (a
+// (duelProbesStream, DESIGN.md §17); the bit-at-a-time loop it replaced
+// is kept in the tests as its byte-identity oracle. Both functions take the
+// read-only *world.World rather than a *world.Run because they only probe (a
 // player's private act) and never publish protocol state.
 package selection
 
@@ -48,13 +48,6 @@ type Params struct {
 	// current champion is skipped — either is acceptable under the
 	// diameter promise.
 	KeepWithin int
-	// DuelSerial selects the bit-at-a-time reference implementation of the
-	// duel probes instead of the word-block streaming one. The two are
-	// pinned byte-identical — same coins, same probed objects, same
-	// charges, same verdicts (TestDuelStreamMatchesSerial) — so this knob
-	// exists purely as the oracle for those pins and for benchmarking the
-	// streaming path against its predecessor.
-	DuelSerial bool
 }
 
 // Defaults returns the paper's constants.
@@ -96,7 +89,7 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 		return 0
 	}
 	budget := pairBudget(pr.SampleFactor, w.N())
-	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs), serial: pr.DuelSerial}
+	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
 	alive := make([]bool, k)
 	for i := range alive {
 		alive[i] = true
@@ -128,14 +121,12 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 
 // duelCtx carries one tournament's duel state: the prober's identity, the
 // object mapping (with its identity-ness precomputed once — an identity
-// mapping lets the streaming path probe whole aligned words), and the
-// serial-oracle knob.
+// mapping lets the streaming path probe whole aligned words).
 type duelCtx struct {
-	w      *world.World
-	p      int
-	objs   []int
-	ident  bool
-	serial bool
+	w     *world.World
+	p     int
+	objs  []int
+	ident bool
 }
 
 // identObjs reports whether objs is the identity mapping (objs[j] == j) —
@@ -150,19 +141,10 @@ func identObjs(objs []int) bool {
 	return true
 }
 
-// duelProbes dispatches between the word-block streaming implementation
-// and the bit-at-a-time reference it is pinned against (Params.DuelSerial).
-func duelProbes(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
-	if ctx.serial {
-		return duelProbesSerial(ctx.w, ctx.p, ctx.objs, a, b, rng, budget)
-	}
-	return duelProbesStream(ctx, a, b, rng, budget)
-}
-
 // duel probes up to budget objects where a and b differ and returns
 // 0 if b should be eliminated, 1 if a should be eliminated, -1 to keep both.
 func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac float64) int {
-	agreeA, total := duelProbes(ctx, a, b, rng, budget)
+	agreeA, total := duelProbesStream(ctx, a, b, rng, budget)
 	if total == 0 {
 		return -1
 	}
@@ -193,87 +175,13 @@ const (
 	minBitmapBudget = 24
 )
 
-// duelProbesSerial is the bit-at-a-time reference implementation of the
-// duel probes, kept verbatim as the byte-identity oracle for the streaming
-// path (Params.DuelSerial selects it). It probes up to budget objects on
-// which a and b differ — all of them when there are at most budget,
-// otherwise a uniform distinct sample — and returns how many probed
-// objects agreed with a, plus the number probed. The differing positions
-// stream directly from the XOR of the candidates' words and the sample
-// ranks live in a fixed stack buffer (budgets beyond maxPairBudget spill
-// to a heap buffer and are honored in full), so a duel normally allocates
-// nothing. The rank sample is Floyd's algorithm with the same draws
-// xrand.Stream.Sample makes, so the probed set is bit-for-bit the one the
-// list-based implementation chose.
-func duelProbesSerial(w *world.World, p int, objs []int, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
-	d := a.Hamming(b)
-	if d == 0 {
-		return 0, 0
-	}
-	nw := a.Words()
-	if d <= budget {
-		// Probe every differing position.
-		for wi := 0; wi < nw; wi++ {
-			for x := a.Word(wi) ^ b.Word(wi); x != 0; x &= x - 1 {
-				j := wi*64 + bits.TrailingZeros64(x)
-				if w.Probe(p, objs[j]) == a.Get(j) {
-					agreeA++
-				}
-			}
-		}
-		return agreeA, d
-	}
-	// Floyd's sample of budget distinct ranks in [0,d), identical to
-	// xrand.Stream.Sample(d, budget) draw for draw.
-	var buf [maxPairBudget]int
-	ranks := buf[:]
-	if budget > maxPairBudget {
-		ranks = make([]int, budget)
-	}
-	cnt := 0
-	for j := d - budget; j < d; j++ {
-		t := rng.Intn(j + 1)
-		for i := 0; i < cnt; i++ {
-			if ranks[i] == t {
-				t = j
-				break
-			}
-		}
-		ranks[cnt] = t
-		cnt++
-	}
-	// Insertion sort: probe in ascending rank (= ascending position) order,
-	// matching the sorted sample of the list-based implementation.
-	for i := 1; i < cnt; i++ {
-		for k := i; k > 0 && ranks[k] < ranks[k-1]; k-- {
-			ranks[k], ranks[k-1] = ranks[k-1], ranks[k]
-		}
-	}
-	// Walk the XOR words once, selecting the positions with the sampled
-	// ranks among the set bits.
-	ri, seen := 0, 0
-	for wi := 0; wi < nw && ri < cnt; wi++ {
-		x := a.Word(wi) ^ b.Word(wi)
-		c := bits.OnesCount64(x)
-		for ri < cnt && ranks[ri]-seen < c {
-			y := x
-			for k := ranks[ri] - seen; k > 0; k-- {
-				y &= y - 1
-			}
-			j := wi*64 + bits.TrailingZeros64(y)
-			if w.Probe(p, objs[j]) == a.Get(j) {
-				agreeA++
-			}
-			ri++
-		}
-		seen += c
-	}
-	return agreeA, cnt
-}
-
-// duelProbesStream is the word-block streaming duel (DESIGN.md §17): the
-// same probed objects, coins, and charges as duelProbesSerial, restructured
-// so probes leave in 64-object blocks instead of one memo CAS per bit.
+// duelProbesStream probes up to budget objects on which a and b differ —
+// all of them when there are at most budget, otherwise a uniform distinct
+// sample — and returns how many probed objects agreed with a, plus the
+// number probed. It is the word-block streaming duel (DESIGN.md §17): the
+// same probed objects, coins, and charges as the bit-at-a-time reference
+// loop it replaced (kept in the tests as its oracle), restructured so
+// probes leave in 64-object blocks instead of one memo CAS per bit.
 //
 // The pass structure mirrors the serial oracle exactly — the word-parallel
 // Hamming count that sizes the rank sample, then one early-exiting walk of
@@ -483,7 +391,7 @@ func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int
 		d = 1
 	}
 	budget := pairBudget(pr.SelectSampleFactor, w.N())
-	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs), serial: pr.DuelSerial}
+	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
 	near := pr.KeepWithin * d
 	champ := 0
 	for i := 1; i < k; i++ {
@@ -500,7 +408,7 @@ func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int
 // duelMajority probes up to budget differing objects and returns 0 if a
 // wins the majority, 1 if b does (ties to the incumbent a).
 func duelMajority(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) int {
-	agreeA, total := duelProbes(ctx, a, b, rng, budget)
+	agreeA, total := duelProbesStream(ctx, a, b, rng, budget)
 	if total == 0 {
 		return 0
 	}

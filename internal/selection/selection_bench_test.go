@@ -7,21 +7,20 @@ import (
 	"collabscore/internal/xrand"
 )
 
-// BenchmarkRSelect compares the serial bit-at-a-time duel loop
-// (Params.DuelSerial) against the word-block streaming path on full
-// tournaments, over the shapes the protocol actually runs:
+// BenchmarkRSelect times full tournaments on the word-block streaming duel,
+// over the shapes the protocol actually runs:
 //
 //   - final4096: the final whole-vector selection — identity mapping over a
 //     large object set, simulation-scale probe budgets (Scaled), duels
-//     dominated by the XOR walks both paths share.
+//     dominated by the XOR walks.
 //   - group512: the per-group Select regime at the paper's constants
 //     (Defaults, budget ≈ 50) — a group-sized object set where most duel
-//     cost is probe traffic, which the streaming path collapses 64 objects
+//     cost is probe traffic, which the streaming duel collapses 64 objects
 //     per memo CAS.
 //   - strided512x7: group512's shape through the general (non-identity)
 //     object mapping, exercising the wordProber batching.
 //
-// Both paths draw identical coins and charge identical probes.
+// Sub-benchmark names match the stream rows of BENCH_PR10.json.
 func BenchmarkRSelect(b *testing.B) {
 	shapes := []struct {
 		name string
@@ -44,17 +43,10 @@ func BenchmarkRSelect(b *testing.B) {
 		for _, flips := range []int{0, 3, m / 64, m / 10, m / 6, m / 4, m / 3, m / 2} {
 			cands = append(cands, flipped(truth, rng.Split(uint64(flips)), flips))
 		}
-		for _, mode := range []struct {
-			name   string
-			serial bool
-		}{{"serial", true}, {"stream", false}} {
-			pr := sh.pr
-			pr.DuelSerial = mode.serial
-			b.Run(sh.name+"/"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					RSelect(w, 0, sh.objs, cands, xrand.New(55), pr)
-				}
-			})
-		}
+		b.Run(sh.name+"/stream", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				RSelect(w, 0, sh.objs, cands, xrand.New(55), sh.pr)
+			}
+		})
 	}
 }
