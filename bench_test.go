@@ -197,19 +197,44 @@ func buildGraphForBench(z []bitvec.Vector) any {
 }
 
 // BenchmarkProbeWord measures the bulk probe path: up to 64 probes settled
-// per op with one CAS and one atomic add (DESIGN.md §10). Compare with
-// BenchmarkProbeThroughput, which pays the per-bit path once per probe.
+// per op with one CAS and one atomic add (DESIGN.md §10), on dense truth
+// and on cacheless lazy truth, for a full word and for the one-bit masks
+// Select's scattered duel probes send. A lazy read hashes only the mask's
+// bits (DESIGN.md §14), so lazy/one-bit should cost a fraction of
+// lazy/word. Compare with BenchmarkProbeThroughput, which pays the per-bit
+// path once per probe.
 func BenchmarkProbeWord(b *testing.B) {
-	rng := xrand.New(4)
-	in := prefgen.Uniform(rng, 4, 1<<16)
-	w := world.New(in.Truth)
-	words := w.ProbeWords()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += w.ProbeWord(i%4, i%words, ^uint64(0))
+	const n, m = 4, 1 << 16
+	worlds := []struct {
+		name string
+		w    *world.World
+	}{
+		{"dense", world.New(prefgen.Uniform(xrand.New(4), n, m).Truth)},
+		{"lazy", world.NewFrom(prefgen.LazyUniform(xrand.New(4), n, m, 0).Source())},
 	}
-	_ = sink
+	masks := []struct {
+		name string
+		mask func(i int) uint64
+	}{
+		{"word", func(int) uint64 { return ^uint64(0) }},
+		{"bit", func(i int) uint64 { return 1 << (uint(i) % 64) }},
+	}
+	for _, wc := range worlds {
+		for p := 0; p < n; p++ {
+			wc.w.ProbeWord(p, 0, 1) // install the probe memos outside the timer
+		}
+		for _, mc := range masks {
+			b.Run(wc.name+"/"+mc.name, func(b *testing.B) {
+				w := wc.w
+				words := w.ProbeWords()
+				var sink uint64
+				for i := 0; i < b.N; i++ {
+					sink += w.ProbeWord(i%n, i%words, mc.mask(i))
+				}
+				_ = sink
+			})
+		}
+	}
 }
 
 // BenchmarkFrozenMajorityWord measures the word-level workshare tally: one

@@ -25,6 +25,8 @@ package prefgen
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/lru"
@@ -85,18 +87,19 @@ func (lz *Lazy) rowID(p int) int {
 	return lz.clusterOf[p]
 }
 
-// rawWord generates word wi of generation row `row` straight from the coin
-// stream: bit b is coin row·m + wi·64 + b, exactly the coin fillRandom
-// spent on it. Bits past the last object stay zero.
-func (lz *Lazy) rawWord(row, wi int) uint64 {
-	base := uint64(row)*uint64(lz.m) + uint64(wi)*64
-	nbits := lz.m - wi*64
-	if nbits > 64 {
-		nbits = 64
+// rawBits generates the bits of mask in word wi of generation row `row`
+// straight from the coin stream: bit b is coin row·m + wi·64 + b, exactly
+// the coin fillRandom spent on it. It hashes only the mask's bits — one
+// SplitMix step each — and bits past the last object stay zero.
+func (lz *Lazy) rawBits(row, wi int, mask uint64) uint64 {
+	if nbits := lz.m - wi*64; nbits < 64 {
+		mask &= 1<<uint(nbits) - 1
 	}
+	base := uint64(row)*uint64(lz.m) + uint64(wi)*64
 	var w uint64
-	for b := 0; b < nbits; b++ {
-		w |= (lz.base.At(base+uint64(b)) & 1) << uint(b)
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		b := uint(bits.TrailingZeros64(rest))
+		w |= (lz.base.At(base+uint64(b)) & 1) << b
 	}
 	return w
 }
@@ -107,17 +110,18 @@ func (lz *Lazy) genTile(row, ti int) []uint64 {
 	tile := make([]uint64, lazyTileWords)
 	for i := range tile {
 		if wi := ti*lazyTileWords + i; wi < lz.words {
-			tile[i] = lz.rawWord(row, wi)
+			tile[i] = lz.rawBits(row, wi, ^uint64(0))
 		}
 	}
 	return tile
 }
 
-// rowWord returns word wi of generation row `row`, through the tile cache
-// when one is configured.
-func (lz *Lazy) rowWord(row, wi int) uint64 {
+// rowBits returns the bits of mask in word wi of generation row `row`.
+// Cacheless, it hashes only those bits; with a tile cache it reads (and on
+// a miss generates) the whole tile, so hot rows stay warm.
+func (lz *Lazy) rowBits(row, wi int, mask uint64) uint64 {
 	if lz.tiles == nil {
-		return lz.rawWord(row, wi)
+		return lz.rawBits(row, wi, mask)
 	}
 	ti := wi / lazyTileWords
 	key := uint64(row)<<32 | uint64(ti)
@@ -126,46 +130,39 @@ func (lz *Lazy) rowWord(row, wi int) uint64 {
 		tile = lz.genTile(row, ti)
 		lz.tiles.Put(key, tile)
 	}
-	return tile[wi%lazyTileWords]
+	return tile[wi%lazyTileWords] & mask
 }
 
 // flipMaskAt returns the XOR mask of player p's flip edits in word wi
-// (zero for the uniform kind and for players without edits there).
+// (zero for the uniform kind and for players without edits there). A
+// player's entries are word-ascending with one entry per word, so a binary
+// search finds the edit in O(log edits): planted radii reach hundreds of
+// edits per player at large m, where a scan dominated the probe path.
 func (lz *Lazy) flipMaskAt(p, wi int) uint64 {
 	if lz.flipStart == nil {
 		return 0
 	}
 	lo, hi := lz.flipStart[p], lz.flipStart[p+1]
-	// Entries are word-ascending; players have at most radius edits, so a
-	// scan beats a binary search at real sizes.
-	for i := lo; i < hi; i++ {
-		if int(lz.flipWord[i]) == wi {
-			return lz.flipMask[i]
-		}
+	if i, ok := slices.BinarySearch(lz.flipWord[lo:hi], int32(wi)); ok {
+		return lz.flipMask[int(lo)+i]
 	}
 	return 0
 }
 
-// TruthWord implements TruthSource: the center/row word XOR the player's
-// flip edits. It panics on an out-of-range word index exactly like
-// bitvec.Vector.WordMask, so lazy and dense worlds fail identically.
-func (lz *Lazy) TruthWord(p, wi int) uint64 {
+// TruthWord implements TruthSource: the full word, TruthBits with every
+// bit requested.
+func (lz *Lazy) TruthWord(p, wi int) uint64 { return lz.TruthBits(p, wi, ^uint64(0)) }
+
+// TruthBits implements TruthSource: the center/row bits XOR the player's
+// flip edits, masked. A cacheless read costs one hash per requested object
+// plus the O(log edits) flip lookup. It panics on an out-of-range word
+// index exactly like bitvec.Vector.WordMask, so lazy and dense worlds fail
+// identically.
+func (lz *Lazy) TruthBits(p, wi int, mask uint64) uint64 {
 	if wi < 0 || wi >= lz.words {
 		panic(fmt.Sprintf("prefgen: word %d out of range [0,%d)", wi, lz.words))
 	}
-	return lz.rowWord(lz.rowID(p), wi) ^ lz.flipMaskAt(p, wi)
-}
-
-// TruthBit implements TruthSource. Cacheless reads cost one hash (plus the
-// flip scan); cached reads ride the tile path so hot rows stay warm.
-func (lz *Lazy) TruthBit(p, o int) bool {
-	if lz.tiles != nil {
-		return lz.TruthWord(p, o/64)>>(uint(o)%64)&1 == 1
-	}
-	row := lz.rowID(p)
-	bit := lz.base.At(uint64(row)*uint64(lz.m)+uint64(o)) & 1
-	bit ^= lz.flipMaskAt(p, o/64) >> (uint(o) % 64) & 1
-	return bit == 1
+	return (lz.rowBits(lz.rowID(p), wi, mask) ^ lz.flipMaskAt(p, wi)) & mask
 }
 
 // MaterializeRow builds player p's full row (oracle tests, measurement).

@@ -47,7 +47,7 @@ func lazyCases(clusterSize, numClusters, diameter int, alpha float64) []lazyCase
 
 // requireLazyMatchesDense pins the whole lazy contract against the dense
 // oracle for one (generator, size, seed, tiles) point: identical planted
-// metadata, every TruthWord and TruthBit equal to the materialized matrix,
+// metadata, every TruthWord and one-bit TruthBits equal to the materialized matrix,
 // and identical post-generation stream state (so downstream split/draw
 // sequences cannot diverge between representations).
 func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, tiles int) {
@@ -94,8 +94,8 @@ func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, ti
 	probe := xrand.New(seed ^ 0xbeef)
 	for i := 0; i < 200; i++ {
 		p, o := probe.Intn(n), probe.Intn(m)
-		if src.TruthBit(p, o) != dense.Truth[p].Get(o) {
-			t.Fatalf("%s seed=%d: TruthBit(%d,%d) mismatch", c.name, seed, p, o)
+		if got := src.TruthBits(p, o/64, 1<<(uint(o)%64)) != 0; got != dense.Truth[p].Get(o) {
+			t.Fatalf("%s seed=%d: one-bit TruthBits(%d,%d) mismatch", c.name, seed, p, o)
 		}
 	}
 }

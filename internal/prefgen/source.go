@@ -5,7 +5,7 @@ package prefgen
 // how truth is represented is an implementation choice, exactly like
 // neighbor discovery (cluster.NeighborIndex, §13). Dense is the
 // materialized reference oracle and the default; Lazy computes any cell on
-// demand as a pure function of the generation seed, in O(1) per word,
+// demand as a pure function of the generation seed, one hash per cell read,
 // dropping the O(n·m) memory wall. Both are bit-identical for the same
 // generation stream: the oracle test layer pins every probe-path output.
 
@@ -30,8 +30,10 @@ type TruthSource interface {
 	// TruthWord returns the 64 truth bits of player p's object word wi
 	// (objects wi·64 … wi·64+63; bits past Objects() are zero).
 	TruthWord(p, wi int) uint64
-	// TruthBit returns the single truth bit v(p)_o.
-	TruthBit(p, o int) bool
+	// TruthBits returns TruthWord(p, wi) & mask: the truth bits of the
+	// objects whose bits are set in mask. Probes read through it, so a
+	// source may skip computing the bits the mask leaves out.
+	TruthBits(p, wi int, mask uint64) uint64
 }
 
 // Dense is the materialized truth source: a wrapper over the generated
@@ -58,8 +60,8 @@ func (d *Dense) Objects() int {
 // TruthWord returns word wi of row p.
 func (d *Dense) TruthWord(p, wi int) uint64 { return d.rows[p].Word(wi) }
 
-// TruthBit returns bit o of row p.
-func (d *Dense) TruthBit(p, o int) bool { return d.rows[p].Get(o) }
+// TruthBits returns the bits of mask in word wi of row p.
+func (d *Dense) TruthBits(p, wi int, mask uint64) uint64 { return d.rows[p].Word(wi) & mask }
 
 // Rows exposes the backing vectors (world fast paths and Renew reuse).
 func (d *Dense) Rows() []bitvec.Vector { return d.rows }

@@ -166,8 +166,8 @@ func TestLazyWorldMillionPlayers(t *testing.T) {
 				t.Fatalf("ProbeWord(%d,%d) unstable across probes", p, wi)
 			}
 			for b := 0; b < 64 && wi*64+b < m; b += 13 {
-				if src.TruthBit(p, wi*64+b) != (w1>>uint(b)&1 == 1) {
-					t.Fatalf("TruthBit(%d,%d) disagrees with its word", p, wi*64+b)
+				if bit := uint64(1) << uint(b); src.TruthBits(p, wi, bit) != w1&bit {
+					t.Fatalf("TruthBits(%d,%d,bit %d) disagrees with its word", p, wi, b)
 				}
 			}
 		}

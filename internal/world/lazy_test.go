@@ -126,19 +126,63 @@ func TestLazyWorldRenewFromReusesMemos(t *testing.T) {
 
 // TestLazyProbeWordAllocFree guards the lazy probe hot path: once a
 // player's memo is installed, cacheless word probes must not allocate
-// (warm-up run installs the memo).
+// (warm-up run installs the memo), for full words and for the one-bit
+// masks Select's scattered duel probes send.
 func TestLazyProbeWordAllocFree(t *testing.T) {
 	in := prefgen.LazyDiameterClusters(xrand.New(3), 2, 4096, 2, 8, 0)
 	w := NewFrom(in.Source())
-	var sink uint64
-	wi := 0
-	if n := testing.AllocsPerRun(200, func() {
-		sink += w.ProbeWord(0, wi%w.ProbeWords(), ^uint64(0))
-		wi++
-	}); n != 0 {
-		t.Fatalf("lazy ProbeWord allocates %v times per run", n)
+	for _, mask := range []func(i int) uint64{
+		func(int) uint64 { return ^uint64(0) },
+		func(i int) uint64 { return 1 << (uint(i*7) % 64) },
+	} {
+		var sink uint64
+		wi := 0
+		if n := testing.AllocsPerRun(200, func() {
+			sink += w.ProbeWord(0, wi%w.ProbeWords(), mask(wi))
+			wi++
+		}); n != 0 {
+			t.Fatalf("lazy ProbeWord allocates %v times per run", n)
+		}
+		_ = sink
 	}
-	_ = sink
+}
+
+// TestProbeVectorMatchesProbe pins ProbeVector, which fills its output from
+// the words ProbeWord returns, against per-object truth on dense and lazy
+// worlds (cacheless and tile-cached): identical vectors and per-player
+// charges on unsorted, duplicate and cross-word object lists, each distinct
+// object charged once.
+func TestProbeVectorMatchesProbe(t *testing.T) {
+	lists := [][]int{
+		{299, 0, 64, 63, 128, 5, 200},   // unsorted, crossing words
+		{7, 7, 70, 7, 70, 70},           // duplicates, revisited words
+		{64, 65, 66, 127, 128, 129, 10}, // word-boundary runs
+		{},
+	}
+	for _, tiles := range []int{0, 3} {
+		dw, lw := lazyDensePair(11, 6, 300, 3, 12, tiles)
+		for i, objs := range lists {
+			p := i % dw.N()
+			dv, lv := dw.ProbeVector(p, objs), lw.ProbeVector(p, objs)
+			if dv.Len() != len(objs) || !lv.Equal(dv) {
+				t.Fatalf("tiles=%d list %d: lazy vector differs from dense", tiles, i)
+			}
+			for j, o := range objs {
+				if dv.Get(j) != dw.PeekTruth(p, o) {
+					t.Fatalf("tiles=%d list %d: bit %d (object %d) is not the truth", tiles, i, j, o)
+				}
+			}
+		}
+		for p := 0; p < dw.N(); p++ {
+			if lw.Probes(p) != dw.Probes(p) {
+				t.Fatalf("tiles=%d: player %d charged %d (lazy) vs %d (dense)", tiles, p, lw.Probes(p), dw.Probes(p))
+			}
+		}
+		if dw.Probes(0) != 7 || dw.Probes(1) != 2 || dw.Probes(2) != 7 {
+			t.Fatalf("tiles=%d: charges %d/%d/%d, want one per distinct object 7/2/7",
+				tiles, dw.Probes(0), dw.Probes(1), dw.Probes(2))
+		}
+	}
 }
 
 // TestLazyWorldWordMaskPanics pins that lazy worlds reject out-of-range

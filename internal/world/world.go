@@ -326,10 +326,16 @@ func (w *World) Probe(p, o int) bool {
 	if !w.memo(p).TestAndSet(o) {
 		w.probes[p].Add(1)
 	}
+	return w.truthBit(p, o)
+}
+
+// truthBit reads v(p)_o: the dense row directly, or a one-bit masked read
+// of the truth source, which a lazy source answers with one hash.
+func (w *World) truthBit(p, o int) bool {
 	if w.truth != nil {
 		return w.truth[p].Get(o)
 	}
-	return w.src.TruthBit(p, o)
+	return w.src.TruthBits(p, o/64, 1<<(uint(o)%64)) != 0
 }
 
 // ProbeWords returns the number of 64-bit words spanning the object set:
@@ -354,7 +360,7 @@ func (w *World) ProbeWord(p, wi int, mask uint64) uint64 {
 	if w.truth != nil {
 		return w.truth[p].Word(wi) & mask
 	}
-	return w.src.TruthWord(p, wi) & mask
+	return w.src.TruthBits(p, wi, mask)
 }
 
 // wordMask returns the valid-bit mask for object word wi, panicking on an
@@ -373,55 +379,43 @@ func (w *World) wordMask(wi int) uint64 {
 // ProbeVector probes, as player p, every object in objs and returns the
 // true preferences as a vector indexed like objs (bit j is the truth for
 // objs[j]). Runs of objects sharing a 64-bit word — the common case, since
-// protocol object lists are sorted — collapse into single ProbeWord calls,
-// and the only allocation is the returned vector. Probe charging is
+// protocol object lists are sorted — collapse into single ProbeWord calls
+// whose returned truth bits fill the run's outputs, so truth is read once
+// per run and the only allocation is the returned vector. Probe charging is
 // identical to calling Probe per object.
 func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
 	out := bitvec.New(len(objs))
-	curW := -1
-	var curMask uint64
-	for _, o := range objs {
-		if o < 0 || o >= w.m {
-			panic(fmt.Sprintf("world: object %d out of range [0,%d)", o, w.m))
+	for start := 0; start < len(objs); {
+		wi := w.objectWord(objs[start])
+		mask := uint64(0)
+		end := start
+		for ; end < len(objs) && w.objectWord(objs[end]) == wi; end++ {
+			mask |= 1 << (uint(objs[end]) % 64)
 		}
-		wi := o / 64
-		if wi != curW {
-			if curMask != 0 {
-				w.ProbeWord(p, curW, curMask)
-			}
-			curW, curMask = wi, 0
-		}
-		curMask |= 1 << (uint(o) % 64)
-	}
-	if curMask != 0 {
-		w.ProbeWord(p, curW, curMask)
-	}
-	if w.truth != nil {
-		truth := w.truth[p]
-		for j, o := range objs {
-			if truth.Get(o) {
+		truth := w.ProbeWord(p, wi, mask)
+		for j := start; j < end; j++ {
+			if truth>>(uint(objs[j])%64)&1 == 1 {
 				out.Set(j, true)
 			}
 		}
-		return out
-	}
-	for j, o := range objs {
-		if w.src.TruthBit(p, o) {
-			out.Set(j, true)
-		}
+		start = end
 	}
 	return out
+}
+
+// objectWord returns the object word holding o, panicking on an
+// out-of-range object.
+func (w *World) objectWord(o int) int {
+	if o < 0 || o >= w.m {
+		panic(fmt.Sprintf("world: object %d out of range [0,%d)", o, w.m))
+	}
+	return o / 64
 }
 
 // PeekTruth returns v(p)_o without charging a probe. It exists for the
 // full-information adversary and for measurement code; protocol logic must
 // use Probe.
-func (w *World) PeekTruth(p, o int) bool {
-	if w.truth != nil {
-		return w.truth[p].Get(o)
-	}
-	return w.src.TruthBit(p, o)
-}
+func (w *World) PeekTruth(p, o int) bool { return w.truthBit(p, o) }
 
 // TruthVector returns a copy of player p's full truth vector (measurement
 // use only). For lazy sources this materializes the row.

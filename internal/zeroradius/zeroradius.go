@@ -274,19 +274,28 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vec
 	return out
 }
 
+// eliminateStack is the candidate count up to which eliminate keeps its
+// survivor buffer on the stack; larger candidate sets (rare: the set is
+// O(B')) fall back to the heap.
+const eliminateStack = 128
+
 // eliminate runs the probe-to-disambiguate loop of Figure 1 step 5 for one
 // player: while surviving candidates disagree somewhere, probe such an
-// object and drop the candidates that contradict the probe. Each probe
-// removes at least one candidate.
+// object and drop the candidates that contradict the probe.
 //
-// Under an exact zero-radius assumption the player's own vector is always
-// among the survivors. In practice (SmallRadius feeds groups whose clusters
-// have diameter ≈1, not 0) the player may personally deviate from its
-// cluster's modal vector on a probed object, which would eliminate every
-// candidate. A probe that would empty the survivor set is therefore treated
-// as the player's own idiosyncrasy: the probe result is recorded but the
-// survivors are kept. The final survivor is the one agreeing best with all
-// recorded probes.
+// Each probe is taken at a position where two survivors disagree, so it
+// keeps at least one survivor and drops at least one: the loop ends after
+// at most len(cands)-1 probes with one survivor, or with survivors that are
+// identical on objs, and the first of them is the answer. Under an exact
+// zero-radius assumption that is the player's own vector. A player that
+// matches no candidate (SmallRadius feeds groups whose clusters have
+// diameter ≈1, not 0, so it may deviate from its cluster's modal vector)
+// still ends with exactly one: the candidate its probes lead to.
+//
+// The winner is returned as-is: candidate vectors are shared, immutable
+// inputs, and every downstream consumer only reads them. eliminate runs
+// once per learner per merge and allocates nothing up to eliminateStack
+// candidates.
 func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
 	if len(objs) == 0 {
 		return bitvec.New(0)
@@ -294,18 +303,18 @@ func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.V
 	if len(cands) == 0 {
 		return bitvec.New(len(objs))
 	}
-	// One survivor buffer filtered in place per probe — the per-iteration
-	// `next` slice was an allocation per elimination probe per learner.
-	survivors := make([]bitvec.Vector, len(cands))
-	copy(survivors, cands)
-	probed := make(map[int]bool, 8) // position → probed truth
+	var buf [eliminateStack]bitvec.Vector
+	survivors := buf[:]
+	if len(cands) > eliminateStack {
+		survivors = make([]bitvec.Vector, len(cands))
+	}
+	survivors = survivors[:copy(survivors, cands)]
 	for len(survivors) > 1 {
 		j := firstDisagreement(survivors)
 		if j < 0 {
 			break // all survivors identical on objs
 		}
 		truth := rc.Probe(p, objs[j])
-		probed[j] = truth
 		k := 0
 		for _, c := range survivors {
 			if c.Get(j) == truth {
@@ -313,30 +322,9 @@ func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.V
 				k++
 			}
 		}
-		if k == 0 {
-			// Own deviation from every candidate at j: keep the survivors
-			// minus one arbitrary loser to guarantee progress. (No matches
-			// means no in-place writes happened, so the prefix is intact.)
-			k = len(survivors) - 1
-		}
 		survivors = survivors[:k]
 	}
-	// Pick the survivor that agrees best with everything probed. The
-	// winner is returned as-is: candidate vectors are shared, immutable
-	// inputs, and every downstream consumer only reads them.
-	best, bestScore := survivors[0], -1
-	for _, c := range survivors {
-		score := 0
-		for j, truth := range probed {
-			if c.Get(j) == truth {
-				score++
-			}
-		}
-		if score > bestScore {
-			best, bestScore = c, score
-		}
-	}
-	return best
+	return survivors[0]
 }
 
 // firstDisagreement returns an index where at least two of the vectors
