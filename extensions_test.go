@@ -86,3 +86,34 @@ func TestReportPrefers(t *testing.T) {
 		t.Fatalf("Prefers matched truth on only %d/256 objects", match)
 	}
 }
+
+// TestOffLadderDiameterRunsOneGuess: a fixed diameter that is not a power
+// of two runs exactly that one guess in the budget and rating variants, as
+// in core: the run probes and its error stays within D. With m = 384
+// objects, D = 24 is well inside the separable range
+// (core.Params.SeparableDiameter(384) = 38).
+func TestOffLadderDiameterRunsOneGuess(t *testing.T) {
+	const n, m, d = 256, 384, 24
+	for _, planted := range []int{16, 24} {
+		sim := NewSimulation(Config{Players: n, Objects: m, Budget: 8, Seed: 1, FixedDiameter: d})
+		sim.PlantClusters(32, planted)
+		rep := sim.RunWithCapacities(sim.TwoTierCapacities(32, 256, 0.5))
+		if rep.TotalProbes == 0 || rep.MaxError > d {
+			t.Errorf("planted %d: budgets probes %d, max error %d (want > 0 probes, error ≤ %d)",
+				planted, rep.TotalProbes, rep.MaxError, d)
+		}
+		for _, byz := range []bool{false, true} {
+			rs := NewRatingSimulation(RatingConfig{Players: n, Objects: m, Scale: 5, Budget: 8, Seed: 1, FixedDiameter: d}, 32, planted)
+			var rr *RatingReport
+			if byz {
+				rr = rs.RunByzantine(3)
+			} else {
+				rr = rs.Run()
+			}
+			if len(rr.NumClusters) != 1 || rr.TotalProbes == 0 || rr.MaxL1Error > d {
+				t.Errorf("planted %d, byzantine %v: ratings ran %d guesses, probes %d, max L1 error %d (want 1, > 0, ≤ %d)",
+					planted, byz, len(rr.NumClusters), rr.TotalProbes, rr.MaxL1Error, d)
+			}
+		}
+	}
+}

@@ -13,16 +13,22 @@ type goldenCase struct {
 	name string
 	sc   Scenario
 	// minD/maxD, when set, restrict the diameter guesses through the
-	// simulation's parameters (Build/Execute) instead of FixedDiameter.
+	// simulation's parameters (Build/Execute, or the rating parameters)
+	// instead of FixedDiameter.
 	minD, maxD int
-	want       string
+	// trusted runs a rating case with trusted shared coins
+	// (RatingSimulation.Run) instead of the Byzantine wrapper.
+	trusted bool
+	want    string
 }
 
 // goldenCases covers every production clustering and selection path at
 // n = 256: the honest protocol over the exact dense and the LSH sparse
 // lazy-truth configurations, the Byzantine wrapper under cluster hijackers,
 // the capacity peel over several diameter guesses (so the final spot check
-// runs), and the Byzantine rating protocol.
+// runs), the Byzantine rating protocol, and the honest binary and rating
+// protocols over several diameter guesses (so RSelect and the L1 spot check
+// choose across guesses).
 func goldenCases() []goldenCase {
 	const n = 256
 	return []goldenCase{
@@ -56,6 +62,19 @@ func goldenCases() []goldenCase {
 				Scale: 5, Dishonest: n / 24, Strategy: Exaggerators, Protocol: ProtoRatings},
 			want: "0646e0e9eda36cd5418650faaccb7a218f7f60ed55256b4e6b7e2e1f0e2c9353",
 		},
+		{
+			name: "run/multi-guess",
+			sc:   Scenario{Config: Config{Players: n, Seed: 106}, ClusterSize: 32, Diameter: 16},
+			minD: 8, maxD: 64,
+			want: "236899c9272e543295b0cfe768c6b4ea8cea6b024bf8ae09b53f20be6219d190",
+		},
+		{
+			name: "ratings/trusted-multi-guess",
+			sc: Scenario{Config: Config{Players: n, Seed: 107}, ClusterSize: 32, Diameter: 16,
+				Scale: 5, Protocol: ProtoRatings},
+			minD: 8, maxD: 64, trusted: true,
+			want: "4a3d954e906e5970c59caad10bcc6f27b2b194c2abb062a5485b18555dec90ca",
+		},
 	}
 }
 
@@ -68,7 +87,16 @@ func goldenDigest(c goldenCase) string {
 	if c.sc.Protocol == ProtoRatings {
 		// Scenario.Run drops rating rows from its Report; hash them from the
 		// rating report it is built from.
-		rr := c.sc.ratingSimulation(nil).RunByzantine(0)
+		rs := c.sc.ratingSimulation(nil)
+		if c.minD > 0 {
+			rs.Params().MinD, rs.Params().MaxD = c.minD, c.maxD
+		}
+		var rr *RatingReport
+		if c.trusted {
+			rr = rs.Run()
+		} else {
+			rr = rs.RunByzantine(0)
+		}
 		for _, row := range rr.Outputs {
 			for _, v := range row {
 				put(int64(v))

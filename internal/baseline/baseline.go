@@ -82,17 +82,16 @@ func AASP(w *world.World, shared *xrand.Stream, pr AASPParams) []bitvec.Vector {
 	return out
 }
 
-// ProbeAll has every honest player probe every object and output the truth.
+// ProbeAll has every honest player probe every object and output the truth
+// — the B = Ω(n/log n) easy case of §6.1 — a full word at a time.
 func ProbeAll(w *world.World) []bitvec.Vector {
 	n, m := w.N(), w.M()
 	out := make([]bitvec.Vector, n)
 	par.For(n, func(p int) {
 		v := bitvec.New(m)
 		if w.IsHonest(p) {
-			for o := 0; o < m; o++ {
-				if w.Probe(p, o) {
-					v.Set(o, true)
-				}
+			for wi := 0; wi < w.ProbeWords(); wi++ {
+				v.SetWord(wi, w.ProbeWord(p, wi, ^uint64(0)))
 			}
 		}
 		out[p] = v

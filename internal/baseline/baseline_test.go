@@ -3,22 +3,29 @@ package baseline
 import (
 	"testing"
 
+	"collabscore/internal/adversary"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
 
+// TestProbeAllIsExact: the probe-everything easy case outputs the truth
+// exactly and charges every honest player exactly m probes — on a word
+// multiple and on a ragged tail word — while dishonest players stay
+// uncharged.
 func TestProbeAllIsExact(t *testing.T) {
-	in := prefgen.Uniform(xrand.New(1), 16, 64)
-	w := world.New(in.Truth)
-	out := ProbeAll(w)
-	es := metrics.Error(w, out)
-	if es.Max != 0 {
-		t.Fatalf("ProbeAll max error %d", es.Max)
-	}
-	if ps := metrics.Probes(w); ps.Max != 64 {
-		t.Fatalf("ProbeAll probes %d, want 64", ps.Max)
+	for _, m := range []int{64, 100} {
+		in := prefgen.Uniform(xrand.New(1), 16, m)
+		w := world.New(in.Truth)
+		w.SetBehavior(3, adversary.FlipAll{})
+		out := ProbeAll(w)
+		if es := metrics.Error(w, out); es.Max != 0 {
+			t.Fatalf("m=%d: ProbeAll max error %d", m, es.Max)
+		}
+		if ps := metrics.Probes(w); ps.Max != int64(m) || ps.Total != int64(15*m) {
+			t.Fatalf("m=%d: ProbeAll probes max %d total %d, want %d and %d", m, ps.Max, ps.Total, m, 15*m)
+		}
 	}
 }
 

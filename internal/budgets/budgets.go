@@ -21,10 +21,9 @@
 package budgets
 
 import (
-	"math"
-
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
+	"collabscore/internal/core"
 	"collabscore/internal/par"
 	"collabscore/internal/smallradius"
 	"collabscore/internal/world"
@@ -124,96 +123,49 @@ func meanCapacity(capacity []int) int {
 
 // Run executes the capacity-aware protocol: diameter doubling, sampling,
 // SmallRadius on the sample, capacity-validated clustering, and
-// capacity-weighted work sharing, with a final RSelect-style spot check.
+// capacity-weighted work sharing, with a final spot check among the
+// guesses (core.SpotCheck, the RSelect analogue).
 func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
 	n, m := w.N(), w.M()
 	if len(pr.Capacity) != n {
 		panic("budgets: capacity vector must have one entry per player")
 	}
-	lnn := math.Log(float64(n))
-	if lnn < 1 {
-		lnn = 1
-	}
-	red := int(math.Ceil(pr.RedundancyFactor * lnn))
-	if red < 3 {
-		red = 3
-	}
+	// The sample, SmallRadius diameter, edge threshold and redundancy use
+	// core's formulas over these factors.
+	cp := core.Params{SampleFactor: pr.SampleFactor, SampleDiamFactor: 2,
+		EdgeFactor: pr.EdgeFactor, RedundancyFactor: pr.RedundancyFactor}
 	res := &Result{}
 	rc := world.NewRunOn(w, par.Sched(pr.PhaseSerial, pr.PhaseWorkers))
-	lo, hi := pr.MinD, pr.MaxD
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi <= 0 {
-		hi = n
-	}
 	var candidates [][]bitvec.Vector
-	gi := 0
-	for d := 1; d <= n; d *= 2 {
-		if d < lo || d > hi {
-			continue
-		}
-		iterRng := shared.Split(uint64(gi), uint64(d))
-		gi++
-		out := runIteration(rc, d, red, lnn, iterRng, pr, res)
-		candidates = append(candidates, out)
-	}
-	if len(candidates) == 0 {
-		res.Output = zeroOutputs(n, m)
-		return res
+	for gi, d := range core.Guesses(pr.MinD, pr.MaxD, n) {
+		candidates = append(candidates, runIteration(rc, d, shared.Split(uint64(gi), uint64(d)), cp, pr, res))
 	}
 	res.Output = par.MapOn(rc.Exec(), n, func(p int) bitvec.Vector {
 		if !w.IsHonest(p) {
 			return bitvec.New(m)
 		}
-		if len(candidates) == 1 {
-			return candidates[0][p]
-		}
-		// Spot-check selection among guesses (RSelect analogue).
-		rng := shared.Split(0xFE11, uint64(p))
-		check := rng.Sample(m, minInt(m, 8*int(lnn)))
-		best, bestScore := 0, -1
-		for ci := range candidates {
-			score := 0
-			for _, o := range check {
-				if w.Probe(p, o) == candidates[ci][p].Get(o) {
-					score++
-				}
+		best := core.SpotCheck(shared.Split(0xFE11, uint64(p)), n, m, len(candidates), func(ci, o int) int {
+			if w.Probe(p, o) != candidates[ci][p].Get(o) {
+				return 1
 			}
-			if score > bestScore {
-				best, bestScore = ci, score
-			}
-		}
+			return 0
+		})
 		return candidates[best][p]
 	})
 	return res
 }
 
-func zeroOutputs(n, m int) []bitvec.Vector {
-	out := make([]bitvec.Vector, n)
-	for p := range out {
-		out[p] = bitvec.New(m)
-	}
-	return out
-}
-
-func runIteration(rc *world.Run, d, red int, lnn float64, shared *xrand.Stream, pr Params, res *Result) []bitvec.Vector {
+func runIteration(rc *world.Run, d int, shared *xrand.Stream, cp core.Params, pr Params, res *Result) []bitvec.Vector {
 	n, m := rc.N(), rc.M()
+	red := cp.Redundancy(n)
 
 	// Sample and estimate sample preferences (same machinery as core).
-	rate := pr.SampleFactor * lnn / float64(d)
-	if rate > 1 {
-		rate = 1
-	}
 	rc.Pub.Phase = "sample"
-	sample := shared.Split(0x5A).BernoulliSubset(m, rate)
-	if len(sample) == 0 {
-		sample = []int{0}
-	}
+	sample := core.DrawSample(shared.Split(0x5A), m, cp.SampleProb(n, d))
 	rc.Pub.SetSample(sample)
 	rc.Pub.Phase = "smallradius"
-	srBudget := maxInt(1, n/maxInt(1, m*red/maxInt(1, meanCapacity(pr.Capacity))))
-	zMap := smallradius.Run(rc, sample, int(math.Ceil(2*lnn)), srBudget, shared.Split(0x5B), pr.SR)
+	srBudget := max(1, n/max(1, m*red/meanCapacity(pr.Capacity)))
+	zMap := smallradius.Run(rc, sample, cp.SampleDiameter(n), srBudget, shared.Split(0x5B), pr.SR)
 	z := make([]bitvec.Vector, n)
 	for p := 0; p < n; p++ {
 		z[p] = zMap[p]
@@ -222,7 +174,7 @@ func runIteration(rc *world.Run, d, red int, lnn float64, shared *xrand.Stream, 
 	// Neighbor graph as in core, through the NeighborIndex seam (the index
 	// stream split is a pure read of the shared coins, so the default exact
 	// path consumes exactly the coins it always did).
-	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, int(math.Ceil(pr.EdgeFactor*lnn)), shared.Split(0x5D))
+	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, cp.EdgeThreshold(n), shared.Split(0x5D))
 
 	// Capacity-validated peeling: a seed player and its alive neighbors
 	// form a cluster only when their total capacity can absorb the work.
@@ -239,9 +191,14 @@ func runIteration(rc *world.Run, d, red int, lnn float64, shared *xrand.Stream, 
 	}
 	rc.Pub.Clusters = cl.Clusters
 
-	// Capacity-weighted work sharing.
+	// Capacity-weighted work sharing. Players in no cluster share one zero
+	// vector; candidates are never mutated downstream.
 	rc.Pub.Phase = "workshare"
-	out := zeroOutputs(n, m)
+	out := make([]bitvec.Vector, n)
+	zero := bitvec.New(m)
+	for p := range out {
+		out[p] = zero
+	}
 	for j, members := range cl.Clusters {
 		clusterRng := shared.Split(0x5C, uint64(j))
 		// Build the sampling weights once per cluster.
@@ -375,18 +332,4 @@ func buildByCapacity(g cluster.Graph, capacity []int, needed int) *cluster.Clust
 		})
 	}
 	return &cluster.Clustering{Clusters: clusters, Of: of}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,7 +19,7 @@ import (
 func TestCapacityPeelUnitMatchesBuild(t *testing.T) {
 	rng := xrand.New(63)
 	for _, n := range []int{1, 40, 256} {
-		in := prefgen.DiameterClusters(rng.Split(uint64(n)), n, 200, maxInt(n/8, 1), 8)
+		in := prefgen.DiameterClusters(rng.Split(uint64(n)), n, 200, max(n/8, 1), 8)
 		g := cluster.BuildGraph(in.Truth, 12)
 		unit := Uniform(n, 1)
 		for _, needed := range []int{1, 3, n / 8, n/4 + 1} {

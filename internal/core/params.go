@@ -21,6 +21,7 @@ import (
 	"collabscore/internal/election"
 	"collabscore/internal/selection"
 	"collabscore/internal/smallradius"
+	"collabscore/internal/xrand"
 )
 
 // Params carries every constant of CalculatePreferences. Paper returns the
@@ -150,8 +151,9 @@ func Scaled(n, b int) Params {
 	return p
 }
 
-// lnN returns ln(n) guarded away from zero for tiny n.
-func lnN(n int) float64 {
+// LnN returns ln(n) guarded away from zero for tiny n: the one ln n that
+// every protocol variant (core, budgets, ratings) scales its constants by.
+func LnN(n int) float64 {
 	v := math.Log(float64(n))
 	if v < 1 {
 		v = 1
@@ -159,10 +161,69 @@ func lnN(n int) float64 {
 	return v
 }
 
+// Guesses returns the diameter-doubling ladder every protocol variant runs:
+// the powers of two up to top that lie in [minD, maxD], where a
+// non-positive minD means 1 and a non-positive maxD means top. A range
+// holding no power of two runs its lower end alone, so a fixed off-ladder
+// diameter (MinD = MaxD = 24) runs exactly that guess.
+func Guesses(minD, maxD, top int) []int {
+	lo, hi := minD, maxD
+	if lo <= 0 {
+		lo = 1
+	}
+	if hi <= 0 {
+		hi = top
+	}
+	var out []int
+	for d := 1; d <= top; d *= 2 {
+		if d >= lo && d <= hi {
+			out = append(out, d)
+		}
+	}
+	if len(out) == 0 {
+		out = []int{lo}
+	}
+	return out
+}
+
+// DrawSample draws one guess's shared sample set: each of the m objects
+// independently with probability rate (capped at 1), and object 0 alone if
+// the draw comes out empty, so later phases always have a sample to work on.
+func DrawSample(rng *xrand.Stream, m int, rate float64) []int {
+	s := rng.BernoulliSubset(m, min(rate, 1))
+	if len(s) == 0 {
+		s = []int{0}
+	}
+	return s
+}
+
+// SpotCheck is the per-player selection among k candidates shared by the
+// budget and rating variants (their RSelect analogue): it samples
+// min(m, 8·⌊ln n⌋) objects from rng and returns the candidate with the least
+// total miss(ci, o) over them, ties to the lowest index. A lone candidate
+// is returned without drawing or probing.
+func SpotCheck(rng *xrand.Stream, n, m, k int, miss func(ci, o int) int) int {
+	if k == 1 {
+		return 0
+	}
+	check := rng.Sample(m, min(m, 8*int(LnN(n))))
+	best, bestMiss := 0, math.MaxInt
+	for ci := 0; ci < k; ci++ {
+		total := 0
+		for _, o := range check {
+			total += miss(ci, o)
+		}
+		if total < bestMiss {
+			best, bestMiss = ci, total
+		}
+	}
+	return best
+}
+
 // SampleProb returns the per-object sample inclusion probability for
 // diameter guess d.
 func (pr Params) SampleProb(n, d int) float64 {
-	p := pr.SampleFactor * lnN(n) / float64(d)
+	p := pr.SampleFactor * LnN(n) / float64(d)
 	if p > 1 {
 		p = 1
 	}
@@ -171,17 +232,17 @@ func (pr Params) SampleProb(n, d int) float64 {
 
 // SampleDiameter returns the diameter bound used on the sample set.
 func (pr Params) SampleDiameter(n int) int {
-	return int(math.Ceil(pr.SampleDiamFactor * lnN(n)))
+	return int(math.Ceil(pr.SampleDiamFactor * LnN(n)))
 }
 
 // EdgeThreshold returns the neighbor-graph distance threshold.
 func (pr Params) EdgeThreshold(n int) int {
-	return int(math.Ceil(pr.EdgeFactor * lnN(n)))
+	return int(math.Ceil(pr.EdgeFactor * LnN(n)))
 }
 
 // Redundancy returns the number of probers assigned per (cluster, object).
 func (pr Params) Redundancy(n int) int {
-	r := int(math.Ceil(pr.RedundancyFactor * lnN(n)))
+	r := int(math.Ceil(pr.RedundancyFactor * LnN(n)))
 	if r < 3 {
 		r = 3
 	}
@@ -203,26 +264,8 @@ func (pr Params) MinClusterSize(n int) int {
 }
 
 // DiameterGuesses returns the list of diameter guesses the doubling loop
-// will try, honoring MinD/MaxD.
-func (pr Params) DiameterGuesses(n int) []int {
-	lo, hi := pr.MinD, pr.MaxD
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi <= 0 {
-		hi = n
-	}
-	var out []int
-	for d := 1; d <= n; d *= 2 {
-		if d >= lo && d <= hi {
-			out = append(out, d)
-		}
-	}
-	if len(out) == 0 {
-		out = []int{lo}
-	}
-	return out
-}
+// will try, honoring MinD/MaxD (Guesses over 1..n).
+func (pr Params) DiameterGuesses(n int) []int { return Guesses(pr.MinD, pr.MaxD, n) }
 
 // MaxDishonest returns the paper's dishonesty tolerance n/(3B) (§7.2).
 func (pr Params) MaxDishonest(n int) int { return n / (3 * pr.B) }

@@ -123,7 +123,7 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 
 	// Easy case (§6.1): small diameter guesses run SmallRadius directly on
 	// the full object set.
-	if float64(d) < pr.SmallDThreshold*lnN(n) {
+	if float64(d) < pr.SmallDThreshold*LnN(n) {
 		stats.UsedFullSR = true
 		rc.Pub.Phase = "smallradius-full"
 		z := smallradius.Run(rc, allObjs, d, pr.B, shared.Split(0xF0), pr.SR)
@@ -137,10 +137,7 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 	// Step 1.b: shared random sample set S.
 	rc.Pub.Phase = "sample"
 	start := time.Now()
-	sample := shared.Split(0x5A).BernoulliSubset(m, pr.SampleProb(n, d))
-	if len(sample) == 0 {
-		sample = []int{0}
-	}
+	sample := DrawSample(shared.Split(0x5A), m, pr.SampleProb(n, d))
 	rc.Pub.SetSample(sample)
 	stats.SampleSize = len(sample)
 	stats.SampleTime = time.Since(start)
@@ -331,23 +328,6 @@ func finalSelect(w *world.World, exec *par.Runner, shared *xrand.Stream, candida
 		out[p] = cands[idx]
 	})
 	return out
-}
-
-// RunTrivial implements the B = Ω(n/log n) easy case: every player probes
-// every object (§6.1), a full word at a time.
-func RunTrivial(w *world.World) *Result {
-	n, m := w.N(), w.M()
-	out := make([]bitvec.Vector, n)
-	par.For(n, func(p int) {
-		v := bitvec.New(m)
-		if w.IsHonest(p) {
-			for wi := 0; wi < w.ProbeWords(); wi++ {
-				v.SetWord(wi, w.ProbeWord(p, wi, ^uint64(0)))
-			}
-		}
-		out[p] = v
-	})
-	return &Result{Output: out}
 }
 
 // RunByzantine executes the full §7 protocol: ByzIterations repetitions,

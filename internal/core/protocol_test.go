@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"collabscore/internal/adversary"
+	"collabscore/internal/baseline"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -85,13 +87,15 @@ func TestIdenticalClustersNearExact(t *testing.T) {
 	}
 }
 
-// TestRunTrivial: the B = Ω(n/log n) easy case probes everything exactly.
+// TestRunTrivial pins the B = Ω(n/log n) trivial case of §6.1, served by
+// baseline.ProbeAll: every player probes every object and outputs its exact
+// preferences.
 func TestRunTrivial(t *testing.T) {
 	rng := xrand.New(4)
 	in := prefgen.Uniform(rng.Split(1), 32, 64)
 	w := world.New(in.Truth)
-	res := RunTrivial(w)
-	if es := metrics.Error(w, res.Output); es.Max != 0 {
+	out := baseline.ProbeAll(w)
+	if es := metrics.Error(w, out); es.Max != 0 {
 		t.Fatalf("trivial run error %d", es.Max)
 	}
 	if metrics.Probes(w).Max != 64 {
@@ -213,25 +217,31 @@ func TestDeterminism(t *testing.T) {
 // TestDiameterGuesses covers the doubling-loop arithmetic.
 func TestDiameterGuesses(t *testing.T) {
 	pr := Scaled(64, 4)
-	gs := pr.DiameterGuesses(64)
-	want := []int{1, 2, 4, 8, 16, 32, 64}
-	if len(gs) != len(want) {
-		t.Fatalf("guesses = %v", gs)
+	if gs, want := pr.DiameterGuesses(64), []int{1, 2, 4, 8, 16, 32, 64}; !slices.Equal(gs, want) {
+		t.Fatalf("DiameterGuesses = %v, want %v", gs, want)
 	}
-	for i := range want {
-		if gs[i] != want[i] {
-			t.Fatalf("guesses = %v, want %v", gs, want)
+	for _, c := range []struct {
+		minD, maxD, top int
+		want            []int
+	}{
+		{0, 0, 64, []int{1, 2, 4, 8, 16, 32, 64}},
+		{8, 16, 64, []int{8, 16}},
+		{0, 0, 100, []int{1, 2, 4, 8, 16, 32, 64}},
+		{0, 0, 64 * 5, []int{1, 2, 4, 8, 16, 32, 64, 128, 256}}, // top = n·scale
+		{8, 64, 64 * 5, []int{8, 16, 32, 64}},
+		{100, 0, 64 * 5, []int{128, 256}},
+		{100, 100, 64, []int{100}}, // out of doubling range: fallback
+		{24, 24, 256, []int{24}},   // off-ladder fixed diameter: fallback
+		{17, 31, 256, []int{17}},   // range holding no power of two
+		{-3, 0, 4, []int{1, 2, 4}},
+	} {
+		if gs := Guesses(c.minD, c.maxD, c.top); !slices.Equal(gs, c.want) {
+			t.Errorf("Guesses(%d, %d, %d) = %v, want %v", c.minD, c.maxD, c.top, gs, c.want)
 		}
-	}
-	pr.MinD, pr.MaxD = 8, 16
-	gs = pr.DiameterGuesses(64)
-	if len(gs) != 2 || gs[0] != 8 || gs[1] != 16 {
-		t.Fatalf("restricted guesses = %v", gs)
-	}
-	pr.MinD, pr.MaxD = 100, 100 // out of doubling range
-	gs = pr.DiameterGuesses(64)
-	if len(gs) != 1 || gs[0] != 100 {
-		t.Fatalf("fallback guesses = %v", gs)
+		pr.MinD, pr.MaxD = c.minD, c.maxD
+		if gs := pr.DiameterGuesses(c.top); !slices.Equal(gs, c.want) {
+			t.Errorf("DiameterGuesses(%d) with MinD..MaxD %d..%d = %v, want %v", c.top, c.minD, c.maxD, gs, c.want)
+		}
 	}
 }
 
@@ -269,5 +279,41 @@ func TestMixtureInstanceRuns(t *testing.T) {
 	res := Run(w, rng.Split(2), pr)
 	if len(res.Output) != 256 {
 		t.Fatal("missing outputs")
+	}
+}
+
+// TestSpotCheckAndDrawSample pins the shared selection and sample helpers:
+// a lone candidate is returned without calling miss; otherwise every
+// candidate is scored on the same min(m, 8·⌊ln n⌋) distinct objects and
+// the least total miss wins, ties to the lowest index. DrawSample caps the
+// rate at 1 and never returns an empty sample.
+func TestSpotCheckAndDrawSample(t *testing.T) {
+	rng := xrand.New(5)
+	if got := SpotCheck(rng, 1000, 500, 1, func(int, int) int { panic("probed a lone candidate") }); got != 0 {
+		t.Fatalf("lone candidate: got %d", got)
+	}
+	const n, m = 1000, 500 // 8·⌊ln 1000⌋ = 48 checked objects
+	seen := make([]map[int]bool, 4)
+	for i := range seen {
+		seen[i] = map[int]bool{}
+	}
+	misses := []int{3, 1, 2, 1}
+	got := SpotCheck(rng, n, m, 4, func(ci, o int) int {
+		seen[ci][o] = true
+		return misses[ci]
+	})
+	if got != 1 {
+		t.Fatalf("SpotCheck = %d, want 1 (least miss, lowest index)", got)
+	}
+	for ci := range seen {
+		if len(seen[ci]) != 48 {
+			t.Fatalf("candidate %d scored on %d objects, want 48", ci, len(seen[ci]))
+		}
+	}
+	if s := DrawSample(rng, 10, 5); len(s) != 10 {
+		t.Fatalf("rate above 1: sample size %d, want all 10", len(s))
+	}
+	if s := DrawSample(rng, 10, 0); len(s) != 1 || s[0] != 0 {
+		t.Fatalf("empty draw: sample %v, want [0]", s)
 	}
 }

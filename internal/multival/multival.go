@@ -38,15 +38,15 @@ package multival
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
+	"collabscore/internal/core"
 	"collabscore/internal/metrics"
 	"collabscore/internal/par"
+	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
 
@@ -116,28 +116,22 @@ type Honest struct{}
 func (Honest) Report(w *World, p, o int) int { return w.Probe(p, o) }
 
 // World is the rating-scale game substrate: hidden bit-sliced rating
-// matrix, lock-free probe accounting, pluggable behaviors. It mirrors
-// world.World for the non-binary setting: truth rows are bitvec.Planes
-// (⌈log₂(scale+1)⌉ bit-planes over the object set), the probe memo is a
-// CAS bitset charging each (player, object) pair exactly once under any
-// schedule, and ProbePlaneWords is the bulk whole-word probe.
+// matrix, pluggable behaviors, and the binary world's probe accounting
+// (world.Ledger, embedded: one CAS memo charging each (player, object)
+// pair exactly once under any schedule, installed on a player's first
+// probe so lazy rating worlds stay O(centers + edits) until probed). Truth
+// rows are bitvec.Planes (⌈log₂(scale+1)⌉ bit-planes over the object set),
+// and ProbePlaneWords is the bulk whole-word probe.
 type World struct {
-	n, m, words int
-	scale       int
-	k           int // bit-planes per rating, PlaneBits(scale)
+	world.Ledger
+	scale int
+	k     int // bit-planes per rating, PlaneBits(scale)
 	// src is the pluggable truth representation (DESIGN.md §14); truth is
 	// the dense fast path, aliasing src's rows when src is *DensePlanes and
 	// nil for lazy sources.
 	src       RatingSource
 	truth     []bitvec.Planes
-	tailMask  uint64
-	honest    []bool
 	behaviors []Behavior
-	probes    []atomic.Int64
-	// known is the per-player probe memo, installed on a player's first
-	// probe (memo) rather than at construction — mirroring world.World, so
-	// lazy rating worlds stay O(centers + edits) until probed.
-	known []atomic.Pointer[bitvec.Atomic]
 }
 
 // NewWorld builds a rating world from a bit-sliced truth matrix with
@@ -158,22 +152,15 @@ func NewWorldFrom(src RatingSource, scale int) *World {
 	}
 	n, m := src.Players(), src.Objects()
 	w := &World{
-		n:         n,
-		m:         m,
-		words:     (m + 63) / 64,
+		Ledger:    world.NewLedger(n, m),
 		scale:     scale,
 		k:         bitvec.PlaneBits(scale),
 		src:       src,
 		truth:     densePlaneRows(src),
-		tailMask:  planesTailMask(m),
-		honest:    make([]bool, n),
 		behaviors: make([]Behavior, n),
-		probes:    make([]atomic.Int64, n),
-		known:     make([]atomic.Pointer[bitvec.Atomic], n),
 	}
 	w.checkRows()
-	for p := range w.honest {
-		w.honest[p] = true
+	for p := range w.behaviors {
 		w.behaviors[p] = Honest{}
 	}
 	return w
@@ -193,7 +180,7 @@ func Renew(w *World, truth []bitvec.Planes, scale int) *World {
 
 // RenewFrom is Renew over any rating source; see Renew and NewWorldFrom.
 func RenewFrom(w *World, src RatingSource, scale int) *World {
-	if w == nil || src.Players() != w.n || src.Players() == 0 || src.Objects() != w.m || scale < 1 {
+	if w == nil || src.Players() != w.N() || src.Players() == 0 || src.Objects() != w.M() || scale < 1 {
 		return NewWorldFrom(src, scale)
 	}
 	w.src = src
@@ -201,9 +188,8 @@ func RenewFrom(w *World, src RatingSource, scale int) *World {
 	w.scale = scale
 	w.k = bitvec.PlaneBits(scale)
 	w.checkRows()
-	for p := range w.honest {
-		w.honest[p] = true
-		w.behaviors[p] = Honest{}
+	for p := range w.behaviors {
+		w.SetBehavior(p, Honest{})
 	}
 	w.ResetProbes()
 	return w
@@ -218,15 +204,6 @@ func densePlaneRows(src RatingSource) []bitvec.Planes {
 	return nil
 }
 
-// planesTailMask returns the valid-bit mask of the last word of an m-object
-// plane.
-func planesTailMask(m int) uint64 {
-	if r := m % 64; r != 0 {
-		return (1 << uint(r)) - 1
-	}
-	return ^uint64(0)
-}
-
 func (w *World) checkRows() {
 	if w.truth == nil {
 		if w.src.Bits() != w.k {
@@ -235,69 +212,24 @@ func (w *World) checkRows() {
 		return
 	}
 	for p, row := range w.truth {
-		if row.Len() != w.m || row.Bits() != w.k {
+		if row.Len() != w.M() || row.Bits() != w.k {
 			panic(fmt.Sprintf("multival: truth row %d has shape %d×%d, want %d×%d",
-				p, row.Len(), row.Bits(), w.m, w.k))
+				p, row.Len(), row.Bits(), w.M(), w.k))
 		}
 	}
 }
 
-// N returns the number of players; M the number of objects; Scale the
-// rating scale; Bits the number of bit-planes per rating.
-func (w *World) N() int     { return w.n }
-func (w *World) M() int     { return w.m }
+// Scale returns the rating scale; Bits the number of bit-planes per
+// rating.
 func (w *World) Scale() int { return w.scale }
 func (w *World) Bits() int  { return w.k }
-
-// ProbeWords returns the number of 64-bit words spanning the object set:
-// the word index range valid for ProbePlaneWords. Object o lives in word
-// o/64, bit o%64 of every plane.
-func (w *World) ProbeWords() int { return (w.m + 63) / 64 }
-
-// memo returns player p's probe memo, installing it on first use (the CAS
-// race is settled exactly as in world.World.memo).
-func (w *World) memo(p int) *bitvec.Atomic {
-	if k := w.known[p].Load(); k != nil {
-		return k
-	}
-	fresh := bitvec.NewAtomic(w.m)
-	if w.known[p].CompareAndSwap(nil, &fresh) {
-		return &fresh
-	}
-	return w.known[p].Load()
-}
-
-// chargeWord marks every bit of mask probed in object word wi and charges
-// the newly learned bits — one CAS and one atomic add for up to 64
-// (player, object) pairs, with per-pair exactly-once charging under any
-// schedule (the memo's CAS settles races).
-func (w *World) chargeWord(p, wi int, mask uint64) {
-	if nb := w.memo(p).OrWord(wi, mask); nb != 0 {
-		w.probes[p].Add(int64(bits.OnesCount64(nb)))
-	}
-}
-
-// wordMask returns the valid-bit mask for object word wi, panicking on an
-// out-of-range index like bitvec.Planes.WordMask does — representation-
-// independent, so dense and lazy worlds fail identically.
-func (w *World) wordMask(wi int) uint64 {
-	if wi < 0 || wi >= w.words {
-		panic(fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, w.words))
-	}
-	if wi == w.words-1 {
-		return w.tailMask
-	}
-	return ^uint64(0)
-}
 
 // Probe returns the true rating and charges a probe for the first visit.
 // It is safe and lock-free under concurrent use: the memo's CAS ensures
 // exactly one caller charges each (player, object) pair, so probe counters
 // are schedule-independent.
 func (w *World) Probe(p, o int) int {
-	if !w.memo(p).TestAndSet(o) {
-		w.probes[p].Add(1)
-	}
+	w.ChargeBit(p, o)
 	if w.truth != nil {
 		return w.truth[p].Get(o)
 	}
@@ -310,8 +242,7 @@ func (w *World) Probe(p, o int) int {
 // have Bits() entries). Bits of mask past the last object are ignored.
 // Charging is identical to per-object Probe calls on the mask's objects.
 func (w *World) ProbePlaneWords(p, wi int, mask uint64, dst []uint64) {
-	mask &= w.wordMask(wi)
-	w.chargeWord(p, wi, mask)
+	mask = w.ChargeWord(p, wi, mask)
 	if w.truth != nil {
 		row := w.truth[p]
 		for l := 0; l < w.k; l++ {
@@ -335,20 +266,20 @@ func (w *World) ProbeValues(p int, objs []int) bitvec.Planes {
 	curW := -1
 	var curMask uint64
 	for _, o := range objs {
-		if o < 0 || o >= w.m {
-			panic(fmt.Sprintf("multival: object %d out of range [0,%d)", o, w.m))
+		if o < 0 || o >= w.M() {
+			panic(fmt.Sprintf("multival: object %d out of range [0,%d)", o, w.M()))
 		}
 		wi := o / 64
 		if wi != curW {
 			if curMask != 0 {
-				w.chargeWord(p, curW, curMask)
+				w.ChargeWord(p, curW, curMask)
 			}
 			curW, curMask = wi, 0
 		}
 		curMask |= 1 << (uint(o) % 64)
 	}
 	if curMask != 0 {
-		w.chargeWord(p, curW, curMask)
+		w.ChargeWord(p, curW, curMask)
 	}
 	if w.truth != nil {
 		return w.truth[p].Gather(objs)
@@ -387,69 +318,13 @@ func (w *World) TruthRow(p int) Ratings { return Ratings(w.truthRow(p).Ints()) }
 // accounting).
 func (w *World) TruthMirror(p int) bitvec.Planes { return w.truthRow(p).SubFrom(w.scale) }
 
-// Probes returns the probe count of player p.
-func (w *World) Probes(p int) int64 { return w.probes[p].Load() }
-
-// MaxHonestProbes returns the probe complexity measure: the worst probe
-// count over honest players.
-func (w *World) MaxHonestProbes() int64 {
-	var mx int64
-	for p := 0; p < w.n; p++ {
-		if w.honest[p] {
-			if c := w.probes[p].Load(); c > mx {
-				mx = c
-			}
-		}
-	}
-	return mx
-}
-
-// MeanHonestProbes returns the average probe count over honest players.
-func (w *World) MeanHonestProbes() float64 {
-	var total int64
-	cnt := 0
-	for p := 0; p < w.n; p++ {
-		if w.honest[p] {
-			total += w.probes[p].Load()
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(total) / float64(cnt)
-}
-
-// TotalProbes returns the total probes charged across all players.
-func (w *World) TotalProbes() int64 {
-	var t int64
-	for p := range w.probes {
-		t += w.probes[p].Load()
-	}
-	return t
-}
-
-// ResetProbes zeroes all probe counters and forgets all memoized probes.
-// It must not run concurrently with Probe calls (a between-runs operation).
-func (w *World) ResetProbes() {
-	for p := range w.probes {
-		w.probes[p].Store(0)
-		if k := w.known[p].Load(); k != nil {
-			k.Reset() // keep the allocation for pooled reuse
-		}
-	}
-}
-
 // SetBehavior installs a behavior; non-Honest behaviors mark the player
 // dishonest.
 func (w *World) SetBehavior(p int, b Behavior) {
 	w.behaviors[p] = b
 	_, isHonest := b.(Honest)
-	w.honest[p] = isHonest
+	w.SetHonest(p, isHonest)
 }
-
-// IsHonest reports whether p follows the protocol.
-func (w *World) IsHonest(p int) bool { return w.honest[p] }
 
 // Report asks p's behavior for its published rating of o.
 func (w *World) Report(p, o int) int { return w.behaviors[p].Report(w, p, o) }
@@ -460,7 +335,7 @@ func (w *World) Report(p, o int) int { return w.behaviors[p].Report(w, p, o) }
 // players are asked per object through their behavior, with out-of-scale
 // reports clamped — the bulletin board validates writes.
 func (w *World) ReportValues(p int, objs []int) bitvec.Planes {
-	if w.honest[p] {
+	if w.IsHonest(p) {
 		return w.ProbeValues(p, objs)
 	}
 	out := bitvec.NewPlanes(len(objs), w.k)
@@ -476,8 +351,8 @@ func (w *World) ReportValues(p int, objs []int) bitvec.Planes {
 // the whole word); dishonest players are asked per object through their
 // behavior, in ascending object order, clamped into scale.
 func (w *World) ReportPlaneWords(p, wi int, mask uint64, dst []uint64) {
-	mask &= w.wordMask(wi)
-	if w.honest[p] {
+	mask &= w.WordMask(wi)
+	if w.IsHonest(p) {
 		w.ProbePlaneWords(p, wi, mask, dst)
 		return
 	}
@@ -563,94 +438,50 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 		panic("multival: NeighborIndex kind " + pr.NeighborIndex.Kind +
 			" is Hamming-only; L1 discovery supports representation specs only")
 	}
-	n, m := w.N(), w.M()
 	exec := phaseExec(pr)
-	lnn := lnN(n)
-	minSize := n/pr.B - n/(3*pr.B)
-	if minSize < 1 {
-		minSize = 1
-	}
 	res := &Result{}
-
-	lo, hi := pr.MinD, pr.MaxD
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi <= 0 {
-		hi = n * w.scale
-	}
 	var candidates [][]bitvec.Planes // per guess: one vector per player
-	gi := 0
-	for d := 1; d <= n*w.scale; d *= 2 {
-		if d < lo || d > hi {
-			continue
-		}
-		iterRng := shared.Split(uint64(gi), uint64(d))
-		gi++
+	for gi, d := range core.Guesses(pr.MinD, pr.MaxD, w.N()*w.scale) {
 		res.Ds = append(res.Ds, d)
-		candidates = append(candidates, runIteration(w, exec, d, minSize, lnn, iterRng, pr, res))
+		candidates = append(candidates, runIteration(w, exec, d, shared.Split(uint64(gi), uint64(d)), pr, res))
 	}
-	if len(candidates) == 0 {
-		zero := bitvec.NewPlanes(m, w.k)
-		res.Output = make([]bitvec.Planes, n)
-		for p := range res.Output {
-			res.Output[p] = zero // shared zero vector, never mutated
-		}
-		return res
-	}
-
-	// Final selection per player: probe a few random objects and keep the
-	// candidate with the smallest L1 disagreement (the RSelect analogue;
-	// sampling L1 distances concentrates the same way). Selection coins are
-	// split per player, so the outcome is schedule-independent.
-	zero := bitvec.NewPlanes(m, w.k)
-	res.Output = make([]bitvec.Planes, n)
-	exec.For(n, func(p int) {
-		if !w.IsHonest(p) {
-			res.Output[p] = zero
-			return
-		}
-		if len(candidates) == 1 {
-			res.Output[p] = candidates[0][p]
-			return
-		}
-		rng := shared.Split(0xFE11, uint64(p))
-		check := rng.Sample(m, minInt(m, 8*int(lnn)))
-		best, bestScore := 0, 1<<60
-		for ci := range candidates {
-			cand := candidates[ci][p]
-			score := 0
-			for _, o := range check {
-				truth := w.Probe(p, o)
-				r := cand.Get(o)
-				if r > truth {
-					score += r - truth
-				} else {
-					score += truth - r
-				}
-			}
-			if score < bestScore {
-				best, bestScore = ci, score
-			}
-		}
-		res.Output[p] = candidates[best][p]
+	res.Output = selectL1(w, exec, candidates, func(p int) *xrand.Stream {
+		return shared.Split(0xFE11, uint64(p))
 	})
 	return res
+}
+
+// selectL1 is the final selection of Run and RunByzantine (the RSelect
+// analogue; sampled L1 distances concentrate the same way): each honest
+// player keeps the candidate whose ratings disagree least, in probed L1
+// distance, with its own on a core.SpotCheck sample drawn from rng(p).
+// cands is indexed [candidate][player]; dishonest players get the zero
+// vector. Coins are per player, so the outcome is schedule-independent.
+func selectL1(w *World, exec *par.Runner, cands [][]bitvec.Planes, rng func(p int) *xrand.Stream) []bitvec.Planes {
+	n, m := w.N(), w.M()
+	zero := bitvec.NewPlanes(m, w.k)
+	out := make([]bitvec.Planes, n)
+	exec.For(n, func(p int) {
+		if !w.IsHonest(p) {
+			out[p] = zero
+			return
+		}
+		best := core.SpotCheck(rng(p), n, m, len(cands), func(ci, o int) int {
+			d := cands[ci][p].Get(o) - w.Probe(p, o)
+			return max(d, -d)
+		})
+		out[p] = cands[best][p]
+	})
+	return out
 }
 
 // runIteration performs one diameter guess: sample, publish, cluster,
 // median work-share — all on the run's executor and the word-level data
 // path.
-func runIteration(w *World, exec *par.Runner, d, minSize int, lnn float64, shared *xrand.Stream, pr Params, res *Result) []bitvec.Planes {
+func runIteration(w *World, exec *par.Runner, d int, shared *xrand.Stream, pr Params, res *Result) []bitvec.Planes {
 	n, m := w.N(), w.M()
-	rate := pr.SampleFactor * lnn * float64(w.scale) / float64(d)
-	if rate > 1 {
-		rate = 1
-	}
-	sample := shared.Split(0x5A).BernoulliSubset(m, rate)
-	if len(sample) == 0 {
-		sample = []int{0}
-	}
+	rate := min(pr.SampleFactor*core.LnN(n)*float64(w.scale)/float64(d), 1)
+	sample := core.DrawSample(shared.Split(0x5A), m, rate)
 
 	// Every player publishes its (claimed) ratings on the sample,
 	// bit-sliced; honest rows ride the bulk probe path.
@@ -674,7 +505,7 @@ func runIteration(w *World, exec *par.Runner, d, minSize int, lnn float64, share
 		threshold = 1
 	}
 	g := cluster.BuildGraphL1On(exec, published, threshold, pr.NeighborIndex.Rep())
-	cl := cluster.Build(g, minSize)
+	cl := cluster.Build(g, core.Params{B: pr.B}.MinClusterSize(n))
 	res.NumClusters = append(res.NumClusters, len(cl.Clusters))
 
 	// Median work sharing over (cluster, word-block) cells — 64 objects per
@@ -687,7 +518,7 @@ func runIteration(w *World, exec *par.Runner, d, minSize int, lnn float64, share
 	// accumulated a plane word at a time. Every member of a cluster shares
 	// the cluster's one immutable median vector; candidates are never
 	// mutated downstream, so a per-member clone would be pure allocation.
-	red := int(pr.RedundancyFactor*lnn) + 1
+	red := int(pr.RedundancyFactor*core.LnN(n)) + 1
 	out := make([]bitvec.Planes, n)
 	zero := bitvec.NewPlanes(m, w.k)
 	for p := range out {
@@ -992,19 +823,4 @@ type Inverter struct{}
 // Report returns the mirrored rating.
 func (Inverter) Report(w *World, p, o int) int {
 	return w.Scale() - w.PeekTruth(p, o)
-}
-
-func lnN(n int) float64 {
-	v := math.Log(float64(n))
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -46,12 +46,11 @@ type ByzResult struct {
 // Repetitions execute concurrently unless pr.ByzSerial is set, with
 // deterministic repetition-order merges either way.
 func RunByzantine(w *World, trueRng *xrand.Stream, binStrategy election.BinStrategy, repetitions int, pr Params) *ByzResult {
-	n, m := w.N(), w.M()
+	n := w.N()
 	if repetitions < 1 {
 		repetitions = 1
 	}
 	res := &ByzResult{Repetitions: repetitions}
-	lnn := lnN(n)
 
 	outputs, reps := core.RunByzantineOver(w, trueRng, core.ByzProtocol[bitvec.Planes]{
 		Repetitions: repetitions,
@@ -78,42 +77,11 @@ func RunByzantine(w *World, trueRng *xrand.Stream, binStrategy election.BinStrat
 			return worst
 		},
 		SelectFinal: func(rng *xrand.Stream, byRep [][]bitvec.Planes) []bitvec.Planes {
-			// Per-player selection among repetitions by probed L1
-			// disagreement; each player's coins split from the wrapper's
-			// selection stream by player id (schedule-independent).
-			out := make([]bitvec.Planes, n)
-			zero := bitvec.NewPlanes(m, w.Bits())
-			phaseExec(pr).For(n, func(p int) {
-				if !w.IsHonest(p) {
-					out[p] = zero
-					return
-				}
-				if repetitions == 1 {
-					out[p] = byRep[0][p]
-					return
-				}
-				prng := rng.Split(uint64(p))
-				check := prng.Sample(m, minInt(m, 8*int(lnn)))
-				best, bestScore := 0, 1<<60
-				for it := 0; it < repetitions; it++ {
-					cand := byRep[it][p]
-					score := 0
-					for _, o := range check {
-						truth := w.Probe(p, o)
-						r := cand.Get(o)
-						if r > truth {
-							score += r - truth
-						} else {
-							score += truth - r
-						}
-					}
-					if score < bestScore {
-						best, bestScore = it, score
-					}
-				}
-				out[p] = byRep[best][p]
+			// The same L1 spot check as Run, among repetitions, with each
+			// player's coins split from the selection stream by player id.
+			return selectL1(w, phaseExec(pr), byRep, func(p int) *xrand.Stream {
+				return rng.Split(uint64(p))
 			})
-			return out
 		},
 	})
 

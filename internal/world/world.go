@@ -15,7 +15,6 @@ package world
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
@@ -184,29 +183,14 @@ func (rc *Run) ReportWord(p, wi int, mask uint64) uint64 {
 // World is read-only during protocol execution: all mutable published state
 // lives in the per-execution Run.
 type World struct {
-	n, m, words int
+	// Ledger is the probe accounting and honest roster (ledger.go).
+	Ledger
 	// src is the pluggable truth representation (DESIGN.md §14); truth is
 	// the dense fast path, aliasing src's rows when src is *prefgen.Dense
 	// and nil for lazy sources.
-	src   prefgen.TruthSource
-	truth []bitvec.Vector
-	// tailMask masks the valid bits of the last object word.
-	tailMask  uint64
-	honest    []bool
+	src       prefgen.TruthSource
+	truth     []bitvec.Vector
 	behaviors []Behavior
-	probes    []atomic.Int64
-	// known is the per-player probe memo: a lock-free atomic bitset
-	// (bitvec.Atomic) so that concurrent probes of one (player, object)
-	// pair charge exactly once under any schedule. Once a player has
-	// probed an object it knows the answer forever, so re-probing is
-	// free: the paper's probe complexity counts distinct objects examined.
-	//
-	// Memos are installed on a player's FIRST probe (memo), not at
-	// construction: eagerly allocating n bitsets of m bits is itself the
-	// O(n·m) wall the lazy truth sources remove, and protocols only ever
-	// probe a vanishing fraction of players at the scales where that wall
-	// matters.
-	known []atomic.Pointer[bitvec.Atomic]
 }
 
 // New creates a world from a truth matrix. All players start honest; use
@@ -224,19 +208,12 @@ func NewFrom(src prefgen.TruthSource) *World {
 	}
 	m := src.Objects()
 	w := &World{
-		n:         n,
-		m:         m,
-		words:     (m + 63) / 64,
+		Ledger:    NewLedger(n, m),
 		src:       src,
 		truth:     denseRows(src, m),
-		tailMask:  tailMask(m),
-		honest:    make([]bool, n),
 		behaviors: make([]Behavior, n),
-		probes:    make([]atomic.Int64, n),
-		known:     make([]atomic.Pointer[bitvec.Atomic], n),
 	}
-	for p := range w.honest {
-		w.honest[p] = true
+	for p := range w.behaviors {
 		w.behaviors[p] = Honest{}
 	}
 	return w
@@ -256,14 +233,6 @@ func denseRows(src prefgen.TruthSource, m int) []bitvec.Vector {
 		}
 	}
 	return rows
-}
-
-// tailMask returns the valid-bit mask of the last word of an m-bit row.
-func tailMask(m int) uint64 {
-	if r := m % 64; r != 0 {
-		return (1 << uint(r)) - 1
-	}
-	return ^uint64(0)
 }
 
 // Renew re-initializes a world for a new truth matrix, reusing w's
@@ -288,33 +257,11 @@ func RenewFrom(w *World, src prefgen.TruthSource) *World {
 	}
 	w.src = src
 	w.truth = denseRows(src, w.m)
-	for p := range w.honest {
-		w.honest[p] = true
-		w.behaviors[p] = Honest{}
+	for p := range w.behaviors {
+		w.SetBehavior(p, Honest{})
 	}
 	w.ResetProbes()
 	return w
-}
-
-// N returns the number of players.
-func (w *World) N() int { return w.n }
-
-// M returns the number of objects.
-func (w *World) M() int { return w.m }
-
-// memo returns player p's probe memo, installing it on first use. The
-// install is a CAS race any number of concurrent probers may enter; losers
-// adopt the winner's bitset, so exactly one memo ever serves a player and
-// the charge-once guarantee below is unaffected.
-func (w *World) memo(p int) *bitvec.Atomic {
-	if k := w.known[p].Load(); k != nil {
-		return k
-	}
-	fresh := bitvec.NewAtomic(w.m)
-	if w.known[p].CompareAndSwap(nil, &fresh) {
-		return &fresh
-	}
-	return w.known[p].Load()
 }
 
 // Probe returns the true preference v(p)_o and charges one probe to player
@@ -323,9 +270,7 @@ func (w *World) memo(p int) *bitvec.Atomic {
 // concurrent use: the memo's CAS ensures exactly one caller charges each
 // (player, object) pair, so probe counters are schedule-independent.
 func (w *World) Probe(p, o int) bool {
-	if !w.memo(p).TestAndSet(o) {
-		w.probes[p].Add(1)
-	}
+	w.ChargeBit(p, o)
 	return w.truthBit(p, o)
 }
 
@@ -338,42 +283,18 @@ func (w *World) truthBit(p, o int) bool {
 	return w.src.TruthBits(p, o/64, 1<<(uint(o)%64)) != 0
 }
 
-// ProbeWords returns the number of 64-bit words spanning the object set:
-// the word index range valid for ProbeWord. Object o lives in word o/64,
-// bit o%64.
-func (w *World) ProbeWords() int { return (w.m + 63) / 64 }
-
 // ProbeWord probes, as player p, every object whose bit is set in mask
 // within object word wi (object ids wi*64 … wi*64+63), and returns the
 // true preference bits for exactly those objects. Bits of mask past the
-// last object are ignored. It is the word-level Probe: one CAS marks all
-// the mask's objects known and one atomic add charges popcount of the
-// newly learned bits, so a full word costs the same two atomics a single
-// bit used to — with per-player totals identical to bit-at-a-time Probe
-// under every schedule (each (player, object) pair is charged exactly
-// once, by whichever caller's CAS learns it first).
+// last object are ignored. It is the word-level Probe, charged through
+// Ledger.ChargeWord: two atomics for the whole word, with per-player totals
+// identical to bit-at-a-time Probe under every schedule.
 func (w *World) ProbeWord(p, wi int, mask uint64) uint64 {
-	mask &= w.wordMask(wi)
-	if nb := w.memo(p).OrWord(wi, mask); nb != 0 {
-		w.probes[p].Add(int64(bits.OnesCount64(nb)))
-	}
+	mask = w.ChargeWord(p, wi, mask)
 	if w.truth != nil {
 		return w.truth[p].Word(wi) & mask
 	}
 	return w.src.TruthBits(p, wi, mask)
-}
-
-// wordMask returns the valid-bit mask for object word wi, panicking on an
-// out-of-range index like bitvec.Vector.WordMask does — representation-
-// independent, so dense and lazy worlds fail identically.
-func (w *World) wordMask(wi int) uint64 {
-	if wi < 0 || wi >= w.words {
-		panic(fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, w.words))
-	}
-	if wi == w.words-1 {
-		return w.tailMask
-	}
-	return ^uint64(0)
 }
 
 // ProbeVector probes, as player p, every object in objs and returns the
@@ -429,81 +350,7 @@ func (w *World) Source() prefgen.TruthSource { return w.src }
 func (w *World) SetBehavior(p int, b Behavior) {
 	w.behaviors[p] = b
 	_, isHonest := b.(Honest)
-	w.honest[p] = isHonest
-}
-
-// IsHonest reports whether player p follows the protocol.
-func (w *World) IsHonest(p int) bool { return w.honest[p] }
-
-// HonestPlayers returns the ids of all honest players, ascending.
-func (w *World) HonestPlayers() []int {
-	var out []int
-	for p := 0; p < w.n; p++ {
-		if w.honest[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// DishonestPlayers returns the ids of all dishonest players, ascending.
-func (w *World) DishonestPlayers() []int {
-	var out []int
-	for p := 0; p < w.n; p++ {
-		if !w.honest[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// NumDishonest returns the number of dishonest players.
-func (w *World) NumDishonest() int {
-	c := 0
-	for _, h := range w.honest {
-		if !h {
-			c++
-		}
-	}
-	return c
-}
-
-// Probes returns the number of probes charged to player p so far.
-func (w *World) Probes(p int) int64 { return w.probes[p].Load() }
-
-// MaxHonestProbes returns the maximum probe count over honest players —
-// the paper's per-player probe complexity measure.
-func (w *World) MaxHonestProbes() int64 {
-	var mx int64
-	for p := 0; p < w.n; p++ {
-		if w.honest[p] {
-			if c := w.probes[p].Load(); c > mx {
-				mx = c
-			}
-		}
-	}
-	return mx
-}
-
-// TotalProbes returns the total probes charged across all players.
-func (w *World) TotalProbes() int64 {
-	var t int64
-	for p := range w.probes {
-		t += w.probes[p].Load()
-	}
-	return t
-}
-
-// ResetProbes zeroes all probe counters and forgets all memoized probes.
-// It must not run concurrently with Probe calls (it is a between-runs
-// operation, not a phase operation).
-func (w *World) ResetProbes() {
-	for p := range w.probes {
-		w.probes[p].Store(0)
-		if k := w.known[p].Load(); k != nil {
-			k.Reset() // keep the allocation for pooled reuse
-		}
-	}
+	w.SetHonest(p, isHonest)
 }
 
 // HonestError returns, for honest player p, the Hamming distance between
