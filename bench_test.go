@@ -198,7 +198,7 @@ func buildGraphForBench(z []bitvec.Vector) any {
 
 // BenchmarkProbeWord measures the bulk probe path: up to 64 probes settled
 // per op with one CAS and one atomic add (DESIGN.md §10), on dense truth
-// and on cacheless lazy truth, for a full word and for the one-bit masks
+// and on lazy truth, for a full word and for the one-bit masks
 // Select's scattered duel probes send. A lazy read hashes only the mask's
 // bits (DESIGN.md §14), so lazy/one-bit should cost a fraction of
 // lazy/word. Compare with BenchmarkProbeThroughput, which pays the per-bit
@@ -210,7 +210,7 @@ func BenchmarkProbeWord(b *testing.B) {
 		w    *world.World
 	}{
 		{"dense", world.New(prefgen.Uniform(xrand.New(4), n, m).Truth)},
-		{"lazy", world.NewFrom(prefgen.LazyUniform(xrand.New(4), n, m, 0).Source())},
+		{"lazy", world.NewFrom(prefgen.LazyUniform(xrand.New(4), n, m).Source())},
 	}
 	masks := []struct {
 		name string

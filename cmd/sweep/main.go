@@ -84,7 +84,7 @@ func main() {
 		scales  = flag.String("scales", "", "rating-scale axis for the ratings protocol (0 = 5), comma-separated")
 		tiers   = flag.String("captiers", "", "capacity-tier axis for the budgets protocol, small:big:frac entries comma-separated")
 		nidx    = flag.String("nidx", "", "neighbor-index axis for the clustering protocols (exact, lsh, lsh:BANDS:ROWS; optional +dense/+sparse/+auto graph suffix), comma-separated")
-		truth   = flag.String("truth", "", "truth-representation axis (dense, lazy, lazy:TILES), comma-separated; paired seeds, byte-identical reports")
+		truth   = flag.String("truth", "", "truth-representation axis (dense, lazy), comma-separated; paired seeds, byte-identical reports")
 		trials  = flag.Int("trials", 1, "independent trials per coordinate")
 		seed    = flag.Uint64("seed", 2010, "root seed")
 		fixd    = flag.Bool("fixd", false, "fix the doubling loop to each point's planted diameter")

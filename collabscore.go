@@ -76,12 +76,11 @@ type Config struct {
 	NeighborIndex string
 	// TruthSource selects how the hidden truth matrix is represented: "" or
 	// "dense" (the materialized O(n·m) matrix, the default and the reference
-	// oracle bit for bit), "lazy" (cells recomputed from the seed stream at
-	// probe time, O(n) memory), or "lazy:TILES" (lazy plus a fixed-capacity
-	// LRU cache of TILES generated tiles). Every representation exposes the
-	// same truth — outputs, probe counts, and iteration stats are
-	// byte-identical — so worlds far larger than memory can be simulated.
-	// See DESIGN.md §14.
+	// oracle bit for bit) or "lazy" (cells recomputed from the seed stream
+	// at probe time, O(n) memory); any other value panics at construction.
+	// Both representations expose the same truth — outputs, probe counts,
+	// and iteration stats are byte-identical — so worlds far larger than
+	// memory can be simulated. See DESIGN.md §14.
 	TruthSource string
 }
 
@@ -227,7 +226,7 @@ func (s *Simulation) PlantClusters(clusterSize, diameter int) *Simulation {
 	if s.truth.IsDense() {
 		s.instance = s.pg().DiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter)
 	} else {
-		s.instance = s.pg().LazyDiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter, s.truth.Tiles)
+		s.instance = s.pg().LazyDiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter)
 	}
 	s.rebuild()
 	return s
@@ -239,7 +238,7 @@ func (s *Simulation) PlantZipf(numClusters int, alpha float64, diameter int) *Si
 	if s.truth.IsDense() {
 		s.instance = s.pg().ZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter)
 	} else {
-		s.instance = s.pg().LazyZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter, s.truth.Tiles)
+		s.instance = s.pg().LazyZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter)
 	}
 	s.rebuild()
 	return s

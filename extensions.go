@@ -76,9 +76,8 @@ type RatingConfig struct {
 	// TruthSource selects the rating-matrix representation, mirroring
 	// Config.TruthSource: "" or "dense" materializes the bit-sliced matrix,
 	// "lazy" keeps only the cluster centers plus per-player sparse edits.
-	// Tile counts ("lazy:TILES") are accepted and ignored — the rating
-	// source has no tile cache; its centers are already materialized. All
-	// representations are bit-identical. See DESIGN.md §14.
+	// Any other value panics at construction. Both representations are
+	// bit-identical. See DESIGN.md §14.
 	TruthSource string
 }
 

@@ -356,19 +356,6 @@ func (v Vector) Scatter(idx []int, src Vector) {
 	}
 }
 
-// HammingOn returns the number of positions in idx on which v and w differ.
-// It is equivalent to v.Gather(idx).Hamming(w.Gather(idx)) without the
-// allocations.
-func (v Vector) HammingOn(w Vector, idx []int) int {
-	d := 0
-	for _, i := range idx {
-		if v.Get(i) != w.Get(i) {
-			d++
-		}
-	}
-	return d
-}
-
 // Key returns a compact string usable as a map key: two vectors have equal
 // keys iff they are Equal. The encoding is the raw little-endian words plus
 // the length, so it is cheap to compute and collision-free.
@@ -403,48 +390,4 @@ func (v Vector) String() string {
 		fmt.Fprintf(&sb, "…(+%d)", v.n-128)
 	}
 	return sb.String()
-}
-
-// Majority returns the bitwise majority of the given vectors: bit i of the
-// result is 1 iff strictly more than half of the vectors have bit i set.
-// Ties (possible with an even number of vectors) resolve to 0. It panics if
-// vs is empty or lengths differ.
-func Majority(vs []Vector) Vector {
-	if len(vs) == 0 {
-		panic("bitvec: majority of no vectors")
-	}
-	n := vs[0].n
-	counts := make([]int, n)
-	for _, v := range vs {
-		if v.n != n {
-			panic("bitvec: majority length mismatch")
-		}
-		for _, i := range v.OnesIndices() {
-			counts[i]++
-		}
-	}
-	out := New(n)
-	for i, c := range counts {
-		if 2*c > len(vs) {
-			out.Set(i, true)
-		}
-	}
-	return out
-}
-
-// Concat returns the concatenation of the given vectors.
-func Concat(vs ...Vector) Vector {
-	total := 0
-	for _, v := range vs {
-		total += v.n
-	}
-	out := New(total)
-	pos := 0
-	for _, v := range vs {
-		for _, i := range v.OnesIndices() {
-			out.Set(pos+i, true)
-		}
-		pos += v.n
-	}
-	return out
 }

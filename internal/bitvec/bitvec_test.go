@@ -216,61 +216,6 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHammingOn(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 100; trial++ {
-		n := 10 + r.Intn(100)
-		a, b := randVec(r, n), randVec(r, n)
-		idx := r.Perm(n)[:1+r.Intn(n)]
-		want := a.Gather(idx).Hamming(b.Gather(idx))
-		if got := a.HammingOn(b, idx); got != want {
-			t.Fatalf("HammingOn = %d, want %d", got, want)
-		}
-	}
-}
-
-func TestMajority(t *testing.T) {
-	a := FromBits([]int{1, 1, 0, 0})
-	b := FromBits([]int{1, 0, 1, 0})
-	c := FromBits([]int{1, 0, 0, 1})
-	m := Majority([]Vector{a, b, c})
-	want := FromBits([]int{1, 0, 0, 0})
-	if !m.Equal(want) {
-		t.Fatalf("Majority = %v, want %v", m, want)
-	}
-}
-
-func TestMajorityTieIsZero(t *testing.T) {
-	a := FromBits([]int{1, 0})
-	b := FromBits([]int{0, 1})
-	m := Majority([]Vector{a, b})
-	if m.Count() != 0 {
-		t.Fatalf("tie should resolve to 0, got %v", m)
-	}
-}
-
-func TestMajorityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty input")
-		}
-	}()
-	Majority(nil)
-}
-
-func TestConcat(t *testing.T) {
-	a := FromBits([]int{1, 0})
-	b := FromBits([]int{0, 1, 1})
-	c := Concat(a, b)
-	want := FromBits([]int{1, 0, 0, 1, 1})
-	if !c.Equal(want) {
-		t.Fatalf("Concat = %v, want %v", c, want)
-	}
-	if Concat().Len() != 0 {
-		t.Fatal("empty Concat should have length 0")
-	}
-}
-
 func TestKeyUniqueness(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	seen := map[string]Vector{}

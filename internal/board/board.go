@@ -348,28 +348,6 @@ func (t *wordTally) majority() uint64 {
 	return maj
 }
 
-// VotesWord tallies, for every object of word wi (objects wi*64 …
-// wi*64+63), the published values among the given players, storing the
-// value-1 count in ones[b] and the total published count in total[b] for
-// object bit b. It is the word-level Votes: instead of one Read per
-// (object, player) cell it loads two lane words per player, so a full
-// 64-object tally costs O(players·log players) word operations and
-// allocates nothing. Reads are charged as one per consulted lane word
-// (each player's lane is read once), in a single counter update.
-func (f *Frozen) VotesWord(wi int, players []int, ones, total *[64]int32) {
-	var t wordTally
-	for _, p := range players {
-		ln := &f.b.lanes[p]
-		w := ln.written.Word(wi)
-		t.add(w, ln.values.Word(wi)&w)
-	}
-	f.b.reads.addN(wi, int64(len(players)))
-	for b := 0; b < 64; b++ {
-		o, c := t.counts(b)
-		ones[b], total[b] = int32(o), int32(c)
-	}
-}
-
 // MajorityWord returns, for object word wi, the word whose bit b is set
 // iff strictly more than half of the players that published for object
 // wi*64+b published a 1 — the per-object ones > zeros rule of the

@@ -216,3 +216,22 @@ func TestLazyRatingProbeAllocFree(t *testing.T) {
 		t.Fatalf("lazy ProbePlaneWords allocates %v times per run", n)
 	}
 }
+
+// TestNewDensePlanesShapePanics pins the row-shape check DensePlanes owns:
+// rows disagreeing with the first row in object count or plane count are
+// rejected at construction.
+func TestNewDensePlanesShapePanics(t *testing.T) {
+	for name, rows := range map[string][]bitvec.Planes{
+		"objects": {bitvec.NewPlanes(70, 3), bitvec.NewPlanes(69, 3)},
+		"planes":  {bitvec.NewPlanes(70, 3), bitvec.NewPlanes(70, 2)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: NewDensePlanes accepted mismatched rows", name)
+				}
+			}()
+			NewDensePlanes(rows)
+		}()
+	}
+}

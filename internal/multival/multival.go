@@ -126,11 +126,9 @@ type World struct {
 	world.Ledger
 	scale int
 	k     int // bit-planes per rating, PlaneBits(scale)
-	// src is the pluggable truth representation (DESIGN.md §14); truth is
-	// the dense fast path, aliasing src's rows when src is *DensePlanes and
-	// nil for lazy sources.
+	// src is the pluggable truth representation (DESIGN.md §14), the only
+	// way the world reads truth.
 	src       RatingSource
-	truth     []bitvec.Planes
 	behaviors []Behavior
 }
 
@@ -156,10 +154,9 @@ func NewWorldFrom(src RatingSource, scale int) *World {
 		scale:     scale,
 		k:         bitvec.PlaneBits(scale),
 		src:       src,
-		truth:     densePlaneRows(src),
 		behaviors: make([]Behavior, n),
 	}
-	w.checkRows()
+	w.checkPlanes()
 	for p := range w.behaviors {
 		w.behaviors[p] = Honest{}
 	}
@@ -184,10 +181,9 @@ func RenewFrom(w *World, src RatingSource, scale int) *World {
 		return NewWorldFrom(src, scale)
 	}
 	w.src = src
-	w.truth = densePlaneRows(src)
 	w.scale = scale
 	w.k = bitvec.PlaneBits(scale)
-	w.checkRows()
+	w.checkPlanes()
 	for p := range w.behaviors {
 		w.SetBehavior(p, Honest{})
 	}
@@ -195,27 +191,10 @@ func RenewFrom(w *World, src RatingSource, scale int) *World {
 	return w
 }
 
-// densePlaneRows returns the fast-path rows of a dense source, nil for any
-// other source.
-func densePlaneRows(src RatingSource) []bitvec.Planes {
-	if d, ok := src.(*DensePlanes); ok {
-		return d.Rows()
-	}
-	return nil
-}
-
-func (w *World) checkRows() {
-	if w.truth == nil {
-		if w.src.Bits() != w.k {
-			panic(fmt.Sprintf("multival: truth source has %d planes, want %d", w.src.Bits(), w.k))
-		}
-		return
-	}
-	for p, row := range w.truth {
-		if row.Len() != w.M() || row.Bits() != w.k {
-			panic(fmt.Sprintf("multival: truth row %d has shape %d×%d, want %d×%d",
-				p, row.Len(), row.Bits(), w.M(), w.k))
-		}
+// checkPlanes panics unless the source's plane count matches the scale.
+func (w *World) checkPlanes() {
+	if w.src.Bits() != w.k {
+		panic(fmt.Sprintf("multival: truth source has %d planes, want %d", w.src.Bits(), w.k))
 	}
 }
 
@@ -230,9 +209,6 @@ func (w *World) Bits() int  { return w.k }
 // are schedule-independent.
 func (w *World) Probe(p, o int) int {
 	w.ChargeBit(p, o)
-	if w.truth != nil {
-		return w.truth[p].Get(o)
-	}
 	return w.src.Rating(p, o)
 }
 
@@ -243,13 +219,6 @@ func (w *World) Probe(p, o int) int {
 // Charging is identical to per-object Probe calls on the mask's objects.
 func (w *World) ProbePlaneWords(p, wi int, mask uint64, dst []uint64) {
 	mask = w.ChargeWord(p, wi, mask)
-	if w.truth != nil {
-		row := w.truth[p]
-		for l := 0; l < w.k; l++ {
-			dst[l] = row.PlaneWord(l, wi) & mask
-		}
-		return
-	}
 	w.src.PlaneWords(p, wi, dst[:w.k])
 	for l := 0; l < w.k; l++ {
 		dst[l] &= mask
@@ -281,9 +250,6 @@ func (w *World) ProbeValues(p int, objs []int) bitvec.Planes {
 	if curMask != 0 {
 		w.ChargeWord(p, curW, curMask)
 	}
-	if w.truth != nil {
-		return w.truth[p].Gather(objs)
-	}
 	out := bitvec.NewPlanes(len(objs), w.k)
 	for j, o := range objs {
 		out.Set(j, w.src.Rating(p, o))
@@ -293,30 +259,16 @@ func (w *World) ProbeValues(p int, objs []int) bitvec.Planes {
 
 // PeekTruth returns the true rating without accounting (adversary and
 // measurement use).
-func (w *World) PeekTruth(p, o int) int {
-	if w.truth != nil {
-		return w.truth[p].Get(o)
-	}
-	return w.src.Rating(p, o)
-}
-
-// truthRow returns p's bit-sliced truth row, materializing it for lazy
-// sources (measurement paths only).
-func (w *World) truthRow(p int) bitvec.Planes {
-	if w.truth != nil {
-		return w.truth[p]
-	}
-	return materializeRow(w.src, p)
-}
+func (w *World) PeekTruth(p, o int) int { return w.src.Rating(p, o) }
 
 // TruthRow returns a copy of p's true ratings as a scalar row
 // (measurement use only).
-func (w *World) TruthRow(p int) Ratings { return Ratings(w.truthRow(p).Ints()) }
+func (w *World) TruthRow(p int) Ratings { return Ratings(materializeRow(w.src, p).Ints()) }
 
 // TruthMirror returns scale − truth for player p, word-parallel — the §7
 // worst-case repetition output (adversary and measurement use; no probe
 // accounting).
-func (w *World) TruthMirror(p int) bitvec.Planes { return w.truthRow(p).SubFrom(w.scale) }
+func (w *World) TruthMirror(p int) bitvec.Planes { return materializeRow(w.src, p).SubFrom(w.scale) }
 
 // SetBehavior installs a behavior; non-Honest behaviors mark the player
 // dishonest.
@@ -673,7 +625,7 @@ func Errors(w *World, out []bitvec.Planes) []int {
 		if !w.IsHonest(p) {
 			continue
 		}
-		errs = append(errs, w.truthRow(p).L1(out[p]))
+		errs = append(errs, materializeRow(w.src, p).L1(out[p]))
 	}
 	return errs
 }

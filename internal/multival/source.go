@@ -11,6 +11,7 @@ package multival
 // cell stays bit-identical to the dense matrix.
 
 import (
+	"fmt"
 	"sort"
 
 	"collabscore/internal/bitvec"
@@ -40,8 +41,17 @@ type DensePlanes struct {
 	rows []bitvec.Planes
 }
 
-// NewDensePlanes wraps materialized rating rows as a RatingSource.
-func NewDensePlanes(rows []bitvec.Planes) *DensePlanes { return &DensePlanes{rows: rows} }
+// NewDensePlanes wraps materialized rating rows as a RatingSource. It
+// panics unless every row has the first row's shape (objects × planes).
+func NewDensePlanes(rows []bitvec.Planes) *DensePlanes {
+	for p, row := range rows {
+		if row.Len() != rows[0].Len() || row.Bits() != rows[0].Bits() {
+			panic(fmt.Sprintf("multival: truth row %d has shape %d×%d, want %d×%d",
+				p, row.Len(), row.Bits(), rows[0].Len(), rows[0].Bits()))
+		}
+	}
+	return &DensePlanes{rows: rows}
+}
 
 // Players returns the number of rows.
 func (d *DensePlanes) Players() int { return len(d.rows) }
@@ -72,9 +82,6 @@ func (d *DensePlanes) PlaneWords(p, wi int, dst []uint64) {
 		dst[l] = row.PlaneWord(l, wi)
 	}
 }
-
-// Rows exposes the backing planes (world fast paths and Renew reuse).
-func (d *DensePlanes) Rows() []bitvec.Planes { return d.rows }
 
 // LazyPlanes is the on-demand rating source: materialized cluster centers
 // plus per-player sorted sparse edits. A player's row is its center's
@@ -239,9 +246,6 @@ func (b *Buffer) LazyGenerate(rng *xrand.Stream, n, m, clusterSize, diameter, sc
 
 // materializeRow builds player p's full bit-sliced row from any source.
 func materializeRow(src RatingSource, p int) bitvec.Planes {
-	if d, ok := src.(*DensePlanes); ok {
-		return d.rows[p].Clone()
-	}
 	m, k := src.Objects(), src.Bits()
 	row := bitvec.NewPlanes(m, k)
 	dst := make([]uint64, k)

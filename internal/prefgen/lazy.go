@@ -28,18 +28,8 @@ import (
 	"math/bits"
 	"slices"
 
-	"collabscore/internal/bitvec"
-	"collabscore/internal/lru"
 	"collabscore/internal/xrand"
 )
-
-// lazyTileWords is the tile width: one cached tile spans 16 object words
-// (1024 objects). Tile t of row r covers words [t·16, t·16+16); the tile
-// key packs (row, tile index) into one uint64. Rows are players for the
-// uniform family and cluster centers for the planted families — planted
-// members share their center's tiles, so a cached tile serves a whole
-// cluster's probes.
-const lazyTileWords = 16
 
 type lazyKind uint8
 
@@ -51,7 +41,7 @@ const (
 
 // Lazy is the on-demand TruthSource. It holds the generation stream
 // snapshot (read via xrand.At only — never advanced, so concurrent reads
-// are safe), the replayed sparse metadata, and an optional tile cache.
+// are safe) and the replayed sparse metadata.
 type Lazy struct {
 	n, m, words int
 	base        xrand.Stream // entry-state snapshot; At-only after construction
@@ -66,10 +56,6 @@ type Lazy struct {
 	flipStart []int32
 	flipWord  []int32
 	flipMask  []uint64
-	// tiles caches generated center/row tiles; nil means recompute every
-	// read (the cacheless "lazy" spec). Hits are bit-identical to
-	// recomputation because tile generation is pure.
-	tiles *lru.Cache[uint64, []uint64]
 }
 
 // Players returns n.
@@ -104,35 +90,6 @@ func (lz *Lazy) rawBits(row, wi int, mask uint64) uint64 {
 	return w
 }
 
-// genTile generates the whole tile (row, ti) — lazyTileWords words, the
-// last tile zero-padded past the object range.
-func (lz *Lazy) genTile(row, ti int) []uint64 {
-	tile := make([]uint64, lazyTileWords)
-	for i := range tile {
-		if wi := ti*lazyTileWords + i; wi < lz.words {
-			tile[i] = lz.rawBits(row, wi, ^uint64(0))
-		}
-	}
-	return tile
-}
-
-// rowBits returns the bits of mask in word wi of generation row `row`.
-// Cacheless, it hashes only those bits; with a tile cache it reads (and on
-// a miss generates) the whole tile, so hot rows stay warm.
-func (lz *Lazy) rowBits(row, wi int, mask uint64) uint64 {
-	if lz.tiles == nil {
-		return lz.rawBits(row, wi, mask)
-	}
-	ti := wi / lazyTileWords
-	key := uint64(row)<<32 | uint64(ti)
-	tile, ok := lz.tiles.Get(key)
-	if !ok {
-		tile = lz.genTile(row, ti)
-		lz.tiles.Put(key, tile)
-	}
-	return tile[wi%lazyTileWords] & mask
-}
-
 // flipMaskAt returns the XOR mask of player p's flip edits in word wi
 // (zero for the uniform kind and for players without edits there). A
 // player's entries are word-ascending with one entry per word, so a binary
@@ -154,19 +111,15 @@ func (lz *Lazy) flipMaskAt(p, wi int) uint64 {
 func (lz *Lazy) TruthWord(p, wi int) uint64 { return lz.TruthBits(p, wi, ^uint64(0)) }
 
 // TruthBits implements TruthSource: the center/row bits XOR the player's
-// flip edits, masked. A cacheless read costs one hash per requested object
-// plus the O(log edits) flip lookup. It panics on an out-of-range word
-// index exactly like bitvec.Vector.WordMask, so lazy and dense worlds fail
-// identically.
+// flip edits, masked. A read costs one hash per requested object plus the
+// O(log edits) flip lookup. It panics on an out-of-range word index exactly
+// like bitvec.Vector.WordMask, so lazy and dense worlds fail identically.
 func (lz *Lazy) TruthBits(p, wi int, mask uint64) uint64 {
 	if wi < 0 || wi >= lz.words {
 		panic(fmt.Sprintf("prefgen: word %d out of range [0,%d)", wi, lz.words))
 	}
-	return (lz.rowBits(lz.rowID(p), wi, mask) ^ lz.flipMaskAt(p, wi)) & mask
+	return (lz.rawBits(lz.rowID(p), wi, mask) ^ lz.flipMaskAt(p, wi)) & mask
 }
-
-// MaterializeRow builds player p's full row (oracle tests, measurement).
-func (lz *Lazy) MaterializeRow(p int) bitvec.Vector { return Materialize(lz, p) }
 
 // lazyFlipEnt is one replayed flip edit before the per-player flatten.
 type lazyFlipEnt struct {
@@ -176,9 +129,8 @@ type lazyFlipEnt struct {
 }
 
 // lazyInstance prepares the shared parts of a lazy construction: the buffer
-// arenas (fresh allocation for a nil receiver), the stream snapshot, and a
-// tile cache per SourceSpec tile count.
-func (b *Buffer) lazyInstance(rng *xrand.Stream, n, m, tiles int) (*Instance, *Lazy) {
+// arenas (fresh allocation for a nil receiver) and the stream snapshot.
+func (b *Buffer) lazyInstance(rng *xrand.Stream, n, m int) (*Instance, *Lazy) {
 	var in *Instance
 	var lz *Lazy
 	if b == nil {
@@ -191,25 +143,24 @@ func (b *Buffer) lazyInstance(rng *xrand.Stream, n, m, tiles int) (*Instance, *L
 		b.inst = Instance{ClusterOf: b.clusterOf[:n]}
 		in = &b.inst
 		lz = &b.lz
-		*lz = Lazy{} // drop the previous point's metadata and tile cache
+		*lz = Lazy{} // drop the previous point's metadata
 	}
 	lz.n, lz.m, lz.words = n, m, (m+63)/64
 	lz.base = *rng // pure At reads from here on; rng itself keeps advancing
-	lz.tiles = lru.New[uint64, []uint64](tiles)
 	lz.clusterOf = in.ClusterOf
 	in.src = lz
 	return in, lz
 }
 
 // LazyUniform is the lazy Uniform: identical truth and stream consumption,
-// O(1) memory. tiles > 0 adds a tile cache (SourceSpec.Tiles).
-func LazyUniform(rng *xrand.Stream, n, m, tiles int) *Instance {
-	return (*Buffer)(nil).LazyUniform(rng, n, m, tiles)
+// O(1) memory.
+func LazyUniform(rng *xrand.Stream, n, m int) *Instance {
+	return (*Buffer)(nil).LazyUniform(rng, n, m)
 }
 
 // LazyUniform is the pooled lazy Uniform; see Buffer.
-func (b *Buffer) LazyUniform(rng *xrand.Stream, n, m, tiles int) *Instance {
-	in, lz := b.lazyInstance(rng, n, m, tiles)
+func (b *Buffer) LazyUniform(rng *xrand.Stream, n, m int) *Instance {
+	in, lz := b.lazyInstance(rng, n, m)
 	in.PlantedDiameter = -1
 	lz.kind = lazyUniform
 	for p := range in.ClusterOf {
@@ -224,12 +175,16 @@ func (b *Buffer) LazyUniform(rng *xrand.Stream, n, m, tiles int) *Instance {
 // LazyDiameterClusters is the lazy DiameterClusters: identical truth and
 // stream consumption, O(n + flips) memory. Centers are never materialized —
 // a member's row is its center's coin words XOR its replayed flip edits.
+//
+// Deprecated: the trailing tiles argument is ignored — lazy sources have no
+// tile cache. It stays only so the benchmark replay (bench/layers.go)
+// compiles, and is removed together with that replay.
 func LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter, tiles int) *Instance {
-	return (*Buffer)(nil).LazyDiameterClusters(rng, n, m, clusterSize, diameter, tiles)
+	return (*Buffer)(nil).LazyDiameterClusters(rng, n, m, clusterSize, diameter)
 }
 
 // LazyDiameterClusters is the pooled lazy DiameterClusters; see Buffer.
-func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter, tiles int) *Instance {
+func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter int) *Instance {
 	if clusterSize <= 0 || clusterSize > n {
 		panic(fmt.Sprintf("prefgen: bad cluster size %d for n=%d", clusterSize, n))
 	}
@@ -237,11 +192,11 @@ func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diam
 	if numClusters == 0 {
 		numClusters = 1
 	}
-	in, lz := b.lazyInstance(rng, n, m, tiles)
+	in, lz := b.lazyInstance(rng, n, m)
 	in.PlantedDiameter = diameter
 	lz.kind = lazyCluster
 	lz.numCenters = numClusters
-	// Dense draws numClusters·m center coins first; skip them — rawWord
+	// Dense draws numClusters·m center coins first; skip them — rawBits
 	// regenerates any of them on demand.
 	rng.Skip(uint64(numClusters) * uint64(m))
 	perm := rng.Perm(n)
@@ -266,16 +221,16 @@ func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diam
 
 // LazyZipfClusters is the lazy ZipfClusters: identical truth and stream
 // consumption, O(n + flips) memory.
-func LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter, tiles int) *Instance {
-	return (*Buffer)(nil).LazyZipfClusters(rng, n, m, numClusters, alpha, diameter, tiles)
+func LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
+	return (*Buffer)(nil).LazyZipfClusters(rng, n, m, numClusters, alpha, diameter)
 }
 
 // LazyZipfClusters is the pooled lazy ZipfClusters; see Buffer.
-func (b *Buffer) LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter, tiles int) *Instance {
+func (b *Buffer) LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
 	if numClusters <= 0 {
 		panic("prefgen: numClusters must be positive")
 	}
-	in, lz := b.lazyInstance(rng, n, m, tiles)
+	in, lz := b.lazyInstance(rng, n, m)
 	in.PlantedDiameter = diameter
 	lz.kind = lazyZipf
 	lz.numCenters = numClusters

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"collabscore/internal/bitvec"
 	"collabscore/internal/xrand"
 )
 
@@ -12,7 +13,7 @@ import (
 type lazyCase struct {
 	name  string
 	dense func(rng *xrand.Stream, n, m int) *Instance
-	lazy  func(rng *xrand.Stream, n, m, tiles int) *Instance
+	lazy  func(rng *xrand.Stream, n, m int) *Instance
 }
 
 func lazyCases(clusterSize, numClusters, diameter int, alpha float64) []lazyCase {
@@ -20,17 +21,15 @@ func lazyCases(clusterSize, numClusters, diameter int, alpha float64) []lazyCase
 		{
 			name:  "uniform",
 			dense: func(rng *xrand.Stream, n, m int) *Instance { return Uniform(rng, n, m) },
-			lazy: func(rng *xrand.Stream, n, m, tiles int) *Instance {
-				return LazyUniform(rng, n, m, tiles)
-			},
+			lazy:  func(rng *xrand.Stream, n, m int) *Instance { return LazyUniform(rng, n, m) },
 		},
 		{
 			name: fmt.Sprintf("cluster/size=%d,d=%d", clusterSize, diameter),
 			dense: func(rng *xrand.Stream, n, m int) *Instance {
 				return DiameterClusters(rng, n, m, clusterSize, diameter)
 			},
-			lazy: func(rng *xrand.Stream, n, m, tiles int) *Instance {
-				return LazyDiameterClusters(rng, n, m, clusterSize, diameter, tiles)
+			lazy: func(rng *xrand.Stream, n, m int) *Instance {
+				return LazyDiameterClusters(rng, n, m, clusterSize, diameter, 0)
 			},
 		},
 		{
@@ -38,23 +37,23 @@ func lazyCases(clusterSize, numClusters, diameter int, alpha float64) []lazyCase
 			dense: func(rng *xrand.Stream, n, m int) *Instance {
 				return ZipfClusters(rng, n, m, numClusters, alpha, diameter)
 			},
-			lazy: func(rng *xrand.Stream, n, m, tiles int) *Instance {
-				return LazyZipfClusters(rng, n, m, numClusters, alpha, diameter, tiles)
+			lazy: func(rng *xrand.Stream, n, m int) *Instance {
+				return LazyZipfClusters(rng, n, m, numClusters, alpha, diameter)
 			},
 		},
 	}
 }
 
 // requireLazyMatchesDense pins the whole lazy contract against the dense
-// oracle for one (generator, size, seed, tiles) point: identical planted
+// oracle for one (generator, size, seed) point: identical planted
 // metadata, every TruthWord and one-bit TruthBits equal to the materialized matrix,
 // and identical post-generation stream state (so downstream split/draw
 // sequences cannot diverge between representations).
-func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, tiles int) {
+func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64) {
 	t.Helper()
 	dRng, lRng := xrand.New(seed), xrand.New(seed)
 	dense := c.dense(dRng, n, m)
-	lz := c.lazy(lRng, n, m, tiles)
+	lz := c.lazy(lRng, n, m)
 
 	if dRng.Uint64() != lRng.Uint64() {
 		t.Fatalf("%s n=%d m=%d seed=%d: lazy generator left the stream in a different state", c.name, n, m, seed)
@@ -90,7 +89,7 @@ func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, ti
 			t.Fatalf("%s seed=%d: materialized row %d differs from dense", c.name, seed, p)
 		}
 	}
-	// Spot-check the single-bit path (it has its own cacheless fast path).
+	// Spot-check the single-bit path (it hashes only the requested bit).
 	probe := xrand.New(seed ^ 0xbeef)
 	for i := 0; i < 200; i++ {
 		p, o := probe.Intn(n), probe.Intn(m)
@@ -101,9 +100,8 @@ func requireLazyMatchesDense(t *testing.T, c lazyCase, n, m int, seed uint64, ti
 }
 
 // TestLazyMatchesDense is the core oracle pin: for every generator family,
-// word-unaligned m, zero and positive planted diameters, several seeds, and
-// cached vs cacheless tile configurations, the lazy truth source must
-// reproduce the dense matrix bit for bit.
+// word-unaligned m, zero and positive planted diameters, and several seeds,
+// the lazy truth source must reproduce the dense matrix bit for bit.
 func TestLazyMatchesDense(t *testing.T) {
 	sizes := []struct{ n, m int }{
 		{17, 63},  // sub-word row
@@ -114,10 +112,8 @@ func TestLazyMatchesDense(t *testing.T) {
 	for _, diameter := range []int{0, 10} {
 		for _, sz := range sizes {
 			for _, c := range lazyCases(7, 5, diameter, 1.1) {
-				for _, tiles := range []int{0, 4} {
-					for seed := uint64(1); seed <= 3; seed++ {
-						requireLazyMatchesDense(t, c, sz.n, sz.m, seed, tiles)
-					}
+				for seed := uint64(1); seed <= 3; seed++ {
+					requireLazyMatchesDense(t, c, sz.n, sz.m, seed)
 				}
 			}
 		}
@@ -144,14 +140,14 @@ func TestLazyPooledMatchesFresh(t *testing.T) {
 			var want, got *Instance
 			switch mode {
 			case "uniform":
-				want = LazyUniform(fresh, pt.n, pt.m, 2)
-				got = buf.LazyUniform(pooled, pt.n, pt.m, 2)
+				want = LazyUniform(fresh, pt.n, pt.m)
+				got = buf.LazyUniform(pooled, pt.n, pt.m)
 			case "cluster":
-				want = LazyDiameterClusters(fresh, pt.n, pt.m, 6, pt.diameter, 2)
-				got = buf.LazyDiameterClusters(pooled, pt.n, pt.m, 6, pt.diameter, 2)
+				want = LazyDiameterClusters(fresh, pt.n, pt.m, 6, pt.diameter, 0)
+				got = buf.LazyDiameterClusters(pooled, pt.n, pt.m, 6, pt.diameter)
 			case "zipf":
-				want = LazyZipfClusters(fresh, pt.n, pt.m, 4, 1.2, pt.diameter, 0)
-				got = buf.LazyZipfClusters(pooled, pt.n, pt.m, 4, 1.2, pt.diameter, 0)
+				want = LazyZipfClusters(fresh, pt.n, pt.m, 4, 1.2, pt.diameter)
+				got = buf.LazyZipfClusters(pooled, pt.n, pt.m, 4, 1.2, pt.diameter)
 			case "dense-interleave":
 				// A dense generation between lazy points must not corrupt
 				// the arenas (the paired dense/lazy sweep alternates them).
@@ -175,62 +171,39 @@ func TestLazyPooledMatchesFresh(t *testing.T) {
 
 // TestLazyReadsAreReproducible is the determinism-contract meta-test for
 // TruthSource: any (seed, player, word) read returns the same bits on every
-// call, regardless of read order, interleaving, or cache state. quick.Check
-// drives random read schedules against first-read snapshots.
+// call, regardless of read order or interleaving. quick.Check drives random
+// read schedules against first-read snapshots.
 func TestLazyReadsAreReproducible(t *testing.T) {
 	const n, m = 30, 200
 	words := (m + 63) / 64
-	build := func(seed uint64, tiles int) *Instance {
-		return LazyDiameterClusters(xrand.New(seed), n, m, 5, 12, tiles)
+	build := func(seed uint64) *Instance {
+		return LazyDiameterClusters(xrand.New(seed), n, m, 5, 12, 0)
 	}
-	err := quick.Check(func(seed uint64, rawP, rawWi uint16, tiles uint8) bool {
+	err := quick.Check(func(seed uint64, rawP, rawWi uint16) bool {
 		p, wi := int(rawP)%n, int(rawWi)%words
-		cached := build(seed, int(tiles)%8)
-		first := cached.Source().TruthWord(p, wi)
-		// Re-read after unrelated reads have churned the tile cache.
+		src := build(seed).Source()
+		first := src.TruthWord(p, wi)
+		// Re-read after unrelated reads.
 		for i := 0; i < 50; i++ {
-			cached.Source().TruthWord((p*7+i)%n, (wi+i)%words)
+			src.TruthWord((p*7+i)%n, (wi+i)%words)
 		}
-		if cached.Source().TruthWord(p, wi) != first {
+		if src.TruthWord(p, wi) != first {
 			return false
 		}
 		// A separately constructed source over the same seed agrees too.
-		return build(seed, 0).Source().TruthWord(p, wi) == first
+		return build(seed).Source().TruthWord(p, wi) == first
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLazyTileCacheMatchesCacheless pins hit ≡ recompute: reading the same
-// cells through a tiny (thrashing) cache, a large cache, and no cache at
-// all yields identical words, in whatever order the reads arrive.
-func TestLazyTileCacheMatchesCacheless(t *testing.T) {
-	const n, m = 50, 1500 // 24 words per row: several tiles
-	mk := func(tiles int) TruthSource {
-		return LazyDiameterClusters(xrand.New(99), n, m, 10, 20, tiles).Source()
-	}
-	cacheless, tiny, big := mk(0), mk(1), mk(1024)
-	order := xrand.New(7)
-	for i := 0; i < 5000; i++ {
-		p, wi := order.Intn(n), order.Intn((m+63)/64)
-		want := cacheless.TruthWord(p, wi)
-		if got := tiny.TruthWord(p, wi); got != want {
-			t.Fatalf("tiny cache: TruthWord(%d,%d) = %#x, want %#x", p, wi, got, want)
-		}
-		if got := big.TruthWord(p, wi); got != want {
-			t.Fatalf("big cache: TruthWord(%d,%d) = %#x, want %#x", p, wi, got, want)
-		}
-	}
-}
-
-// TestLazyConcurrentProbes hammers one cached lazy source from several
-// goroutines under the race detector: the tile cache is the only shared
-// mutable state, and every read must stay bit-identical to a recompute.
+// TestLazyConcurrentProbes hammers one lazy source from several goroutines
+// under the race detector: reads share the source, and every read must stay
+// bit-identical to a separately constructed source's.
 func TestLazyConcurrentProbes(t *testing.T) {
 	const n, m = 40, 2000
-	in := LazyDiameterClusters(xrand.New(5), n, m, 8, 16, 4)
-	src := in.Source()
+	src := LazyDiameterClusters(xrand.New(5), n, m, 8, 16, 0).Source()
 	oracle := LazyDiameterClusters(xrand.New(5), n, m, 8, 16, 0).Source()
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -257,7 +230,7 @@ func TestLazyConcurrentProbes(t *testing.T) {
 // every lazy word, exactly as bitvec.Vector.Word guarantees for dense rows.
 func TestLazyWordTailMasking(t *testing.T) {
 	const n, m = 10, 70 // last word has 6 live bits
-	src := LazyUniform(xrand.New(3), n, m, 0).Source()
+	src := LazyUniform(xrand.New(3), n, m).Source()
 	var mask uint64 = (1 << (m % 64)) - 1
 	for p := 0; p < n; p++ {
 		if w := src.TruthWord(p, 1); w&^mask != 0 {
@@ -269,7 +242,7 @@ func TestLazyWordTailMasking(t *testing.T) {
 // TestLazyWordPanicsLikeDense pins that an out-of-range word read fails the
 // same way on both representations (the world layer relies on it).
 func TestLazyWordPanicsLikeDense(t *testing.T) {
-	src := LazyUniform(xrand.New(1), 4, 100, 0).Source()
+	src := LazyUniform(xrand.New(1), 4, 100).Source()
 	for _, wi := range []int{-1, 2} {
 		func() {
 			defer func() {
@@ -282,8 +255,8 @@ func TestLazyWordPanicsLikeDense(t *testing.T) {
 	}
 }
 
-// TestMaterializeDense pins the Dense fast path of Materialize: a clone,
-// not an alias.
+// TestMaterializeDense pins that Materialize over a Dense source returns a
+// copy, not an alias.
 func TestMaterializeDense(t *testing.T) {
 	in := Uniform(xrand.New(2), 5, 90)
 	row := Materialize(in.Source(), 3)
@@ -294,6 +267,17 @@ func TestMaterializeDense(t *testing.T) {
 	if row.Equal(in.Truth[3]) {
 		t.Fatal("Materialize aliased the dense row")
 	}
+}
+
+// TestNewDenseRaggedPanics pins the row-shape check Dense owns: the worlds
+// read truth only through the source, so a ragged matrix must fail here.
+func TestNewDenseRaggedPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewDense accepted ragged rows")
+		}
+	}()
+	NewDense([]bitvec.Vector{bitvec.New(64), bitvec.New(64), bitvec.New(65)})
 }
 
 // TestParseSourceSpec pins the spec grammar: canonical forms round-trip
@@ -307,8 +291,6 @@ func TestParseSourceSpec(t *testing.T) {
 		{"", SourceSpec{}, "dense"},
 		{"dense", SourceSpec{}, "dense"},
 		{"lazy", SourceSpec{Kind: "lazy"}, "lazy"},
-		{"lazy:1", SourceSpec{Kind: "lazy", Tiles: 1}, "lazy:1"},
-		{"lazy:4096", SourceSpec{Kind: "lazy", Tiles: 4096}, "lazy:4096"},
 	}
 	for _, g := range good {
 		sp, err := ParseSourceSpec(g.in)
@@ -326,7 +308,7 @@ func TestParseSourceSpec(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"Dense", "LAZY", "lazy:", "lazy:0", "lazy:-3", "lazy:2.5", "lazy:x",
+		"Dense", "LAZY", "lazy:", "lazy:0", "lazy:1", "lazy:4096", "lazy:-3", "lazy:2.5", "lazy:x",
 		"lazy:1:2", "eager", "dense:4", ":4", "lazy :4", " lazy", "lazy ",
 	}
 	for _, s := range bad {
@@ -337,8 +319,8 @@ func TestParseSourceSpec(t *testing.T) {
 }
 
 // FuzzTruthSpec fuzzes the -truth parser: no panics, and every accepted
-// spec must be canonical under a String round-trip with consistent
-// IsDense/Tiles invariants.
+// spec must be canonical under a String round-trip, and no accepted spec
+// carries a tile count.
 func FuzzTruthSpec(f *testing.F) {
 	for _, s := range []string{"", "dense", "lazy", "lazy:16", "lazy:0", "lazy:-1", "exact", "lsh:8:4", "lazy:99999999999999999999"} {
 		f.Add(s)
@@ -351,10 +333,10 @@ func FuzzTruthSpec(f *testing.F) {
 			}
 			return
 		}
-		if sp.IsDense() && sp.Tiles != 0 {
-			t.Fatalf("dense spec with tiles: %+v", sp)
+		if sp.Tiles != 0 {
+			t.Fatalf("accepted spec with a tile count: %+v", sp)
 		}
-		if !sp.IsDense() && (sp.Kind != "lazy" || sp.Tiles < 0) {
+		if !sp.IsDense() && sp.Kind != "lazy" {
 			t.Fatalf("accepted non-canonical spec: %+v", sp)
 		}
 		rt, err := ParseSourceSpec(sp.String())
@@ -362,28 +344,4 @@ func FuzzTruthSpec(f *testing.F) {
 			t.Fatalf("accepted spec %q does not round-trip: %+v, %v", s, rt, err)
 		}
 	})
-}
-
-// TestLazyTileCacheSteadyStateAllocFree: once every tile of a row's working
-// set is cached, TruthWord reads are pure cache hits and must not allocate.
-func TestLazyTileCacheSteadyStateAllocFree(t *testing.T) {
-	const n, m, tiles = 4, 2048, 64 // 2 tiles per row, 8 tiles total — all fit
-	in := LazyDiameterClusters(xrand.New(6), n, m, 2, 8, tiles)
-	src := in.Source()
-	words := (m + 63) / 64
-	var warm uint64
-	for p := 0; p < n; p++ {
-		for wi := 0; wi < words; wi++ {
-			warm ^= src.TruthWord(p, wi)
-		}
-	}
-	var sink uint64
-	i := 0
-	if got := testing.AllocsPerRun(200, func() {
-		sink ^= src.TruthWord(i%n, (i/n)%words)
-		i++
-	}); got != 0 {
-		t.Fatalf("warm tile-cache TruthWord allocates %v times per run", got)
-	}
-	_ = warm + sink
 }

@@ -11,8 +11,6 @@ package prefgen
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"collabscore/internal/bitvec"
 )
@@ -43,8 +41,16 @@ type Dense struct {
 	rows []bitvec.Vector
 }
 
-// NewDense wraps materialized truth rows as a TruthSource.
-func NewDense(rows []bitvec.Vector) *Dense { return &Dense{rows: rows} }
+// NewDense wraps materialized truth rows as a TruthSource. It panics if the
+// rows have unequal lengths.
+func NewDense(rows []bitvec.Vector) *Dense {
+	for p, v := range rows {
+		if v.Len() != rows[0].Len() {
+			panic(fmt.Sprintf("prefgen: truth row %d has length %d, want %d", p, v.Len(), rows[0].Len()))
+		}
+	}
+	return &Dense{rows: rows}
+}
 
 // Players returns the number of rows.
 func (d *Dense) Players() int { return len(d.rows) }
@@ -63,16 +69,10 @@ func (d *Dense) TruthWord(p, wi int) uint64 { return d.rows[p].Word(wi) }
 // TruthBits returns the bits of mask in word wi of row p.
 func (d *Dense) TruthBits(p, wi int, mask uint64) uint64 { return d.rows[p].Word(wi) & mask }
 
-// Rows exposes the backing vectors (world fast paths and Renew reuse).
-func (d *Dense) Rows() []bitvec.Vector { return d.rows }
-
 // Materialize builds player p's full truth row from any source. It is the
 // bridge measurement code uses (world.TruthVector) and the oracle tests'
 // workhorse: a lazy row materialized this way must equal the dense row.
 func Materialize(src TruthSource, p int) bitvec.Vector {
-	if d, ok := src.(*Dense); ok {
-		return d.rows[p].Clone()
-	}
 	m := src.Objects()
 	v := bitvec.New(m)
 	for wi := 0; wi < (m+63)/64; wi++ {
@@ -84,14 +84,16 @@ func Materialize(src TruthSource, p int) bitvec.Vector {
 // SourceSpec is the serializable truth-source knob carried by configs and
 // sweep grids, mirroring cluster.IndexSpec. The zero value selects Dense —
 // the default, so unset knobs keep the historical behavior bit for bit.
-// Kind "lazy" selects on-demand generation; Tiles > 0 adds a fixed-capacity
-// LRU of generated truth tiles (lru.Cache), whose hits are bit-identical to
-// recomputation.
+// Kind "lazy" selects on-demand generation.
 type SourceSpec struct {
 	// Kind is "" or "dense" for the materialized oracle, "lazy" for
 	// on-demand generation.
 	Kind string
-	// Tiles is the tile-cache capacity for lazy sources (0 = cacheless).
+	// Tiles is always zero.
+	//
+	// Deprecated: lazy sources have no tile cache. Tiles stays only so the
+	// benchmark replay (bench/layers.go) compiles, and is removed together
+	// with that replay.
 	Tiles int
 }
 
@@ -99,24 +101,20 @@ type SourceSpec struct {
 // representation.
 func (sp SourceSpec) IsDense() bool { return sp.Kind == "" || sp.Kind == "dense" }
 
-// String returns the canonical flag/axis form: "dense", "lazy", or
-// "lazy:TILES". ParseSourceSpec inverts it.
+// String returns the canonical flag/axis form, "dense" or "lazy".
+// ParseSourceSpec inverts it.
 func (sp SourceSpec) String() string {
 	if sp.IsDense() {
 		return "dense"
 	}
-	if sp.Tiles == 0 {
-		return sp.Kind
-	}
-	return fmt.Sprintf("%s:%d", sp.Kind, sp.Tiles)
+	return sp.Kind
 }
 
-// ParseSourceSpec parses the "dense" | "lazy" | "lazy:TILES" forms used by
+// ParseSourceSpec parses the "dense" | "lazy" forms used by
 // Config.TruthSource, sweep specs, and cmd/sweep's -truth flag ("" and
 // "dense" both yield the zero spec, so the default stays canonical).
-// Parsing is strict — wrong field counts and non-positive tile counts are
-// rejected rather than silently running a wrong experiment, matching
-// cluster.ParseIndexSpec.
+// Parsing is strict — anything else is rejected rather than silently
+// running a wrong experiment, matching cluster.ParseIndexSpec.
 func ParseSourceSpec(s string) (SourceSpec, error) {
 	switch s {
 	case "", "dense":
@@ -124,16 +122,5 @@ func ParseSourceSpec(s string) (SourceSpec, error) {
 	case "lazy":
 		return SourceSpec{Kind: "lazy"}, nil
 	}
-	bad := func() (SourceSpec, error) {
-		return SourceSpec{}, fmt.Errorf("prefgen: bad truth source %q (want dense, lazy, or lazy:TILES with positive tile count)", s)
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 || parts[0] != "lazy" {
-		return bad()
-	}
-	tiles, err := strconv.Atoi(parts[1])
-	if err != nil || tiles < 1 {
-		return bad()
-	}
-	return SourceSpec{Kind: "lazy", Tiles: tiles}, nil
+	return SourceSpec{}, fmt.Errorf("prefgen: bad truth source %q (want \"\", \"dense\", or \"lazy\")", s)
 }

@@ -30,44 +30,42 @@ func panics(f func()) (did bool) {
 }
 
 // TestLazyTruthBitsMatchesWord pins the masked read: for every lazy family,
-// cacheless and tile-cached, TruthBits(p, wi, mask) equals
-// TruthWord(p, wi) & mask equals the dense oracle's masked word, for random
-// masks and for the empty, full, one-bit and tail-word masks. Out-of-range
-// word reads panic on both representations.
+// TruthBits(p, wi, mask) equals TruthWord(p, wi) & mask equals the dense
+// oracle's masked word, for random masks and for the empty, full, one-bit
+// and tail-word masks. Out-of-range word reads panic on both
+// representations.
 func TestLazyTruthBitsMatchesWord(t *testing.T) {
 	const n, m = 24, 333 // 6 words, 13 live bits in the tail word
 	words := (m + 63) / 64
 	for _, c := range lazyCases(6, 4, 40, 1.1) {
-		for _, tiles := range []int{0, 16} {
-			dense := NewDense(c.dense(xrand.New(77), n, m).Truth)
-			src := c.lazy(xrand.New(77), n, m, tiles).Source()
-			err := quick.Check(func(rawP, rawWi uint8, mask uint64, shape uint8) bool {
-				p, wi := int(rawP)%n, int(rawWi)%words
-				switch shape % 5 {
-				case 0:
-					mask = 0
-				case 1:
-					mask = ^uint64(0)
-				case 2:
-					mask = 1 << (mask % 64)
-				case 3:
-					wi = words - 1 // tail word: bits past m must read zero
-				}
-				got := src.TruthBits(p, wi, mask)
-				if got != src.TruthWord(p, wi)&mask || got != dense.TruthBits(p, wi, mask) {
-					t.Logf("%s tiles=%d: TruthBits(%d,%d,%#x) = %#x, word&mask %#x, dense %#x",
-						c.name, tiles, p, wi, mask, got, src.TruthWord(p, wi)&mask, dense.TruthBits(p, wi, mask))
-					return false
-				}
-				return true
-			}, &quick.Config{MaxCount: 400})
-			if err != nil {
-				t.Fatalf("%s tiles=%d: %v", c.name, tiles, err)
+		dense := NewDense(c.dense(xrand.New(77), n, m).Truth)
+		src := c.lazy(xrand.New(77), n, m).Source()
+		err := quick.Check(func(rawP, rawWi uint8, mask uint64, shape uint8) bool {
+			p, wi := int(rawP)%n, int(rawWi)%words
+			switch shape % 5 {
+			case 0:
+				mask = 0
+			case 1:
+				mask = ^uint64(0)
+			case 2:
+				mask = 1 << (mask % 64)
+			case 3:
+				wi = words - 1 // tail word: bits past m must read zero
 			}
-			for _, wi := range []int{-1, words} {
-				if !panics(func() { src.TruthBits(0, wi, 1) }) || !panics(func() { dense.TruthBits(0, wi, 1) }) {
-					t.Fatalf("%s tiles=%d: TruthBits(0,%d) must panic on both representations", c.name, tiles, wi)
-				}
+			got := src.TruthBits(p, wi, mask)
+			if got != src.TruthWord(p, wi)&mask || got != dense.TruthBits(p, wi, mask) {
+				t.Logf("%s: TruthBits(%d,%d,%#x) = %#x, word&mask %#x, dense %#x",
+					c.name, p, wi, mask, got, src.TruthWord(p, wi)&mask, dense.TruthBits(p, wi, mask))
+				return false
+			}
+			return true
+		}, &quick.Config{MaxCount: 400})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, wi := range []int{-1, words} {
+			if !panics(func() { src.TruthBits(0, wi, 1) }) || !panics(func() { dense.TruthBits(0, wi, 1) }) {
+				t.Fatalf("%s: TruthBits(0,%d) must panic on both representations", c.name, wi)
 			}
 		}
 	}
@@ -80,7 +78,7 @@ func TestLazyFlipLookupMatchesScan(t *testing.T) {
 	const n, m = 16, 64 * 600
 	for _, in := range []*Instance{
 		LazyDiameterClusters(xrand.New(8), n, m, 4, 600, 0),
-		LazyZipfClusters(xrand.New(9), n, m, 3, 1.1, 600, 0),
+		LazyZipfClusters(xrand.New(9), n, m, 3, 1.1, 600),
 	} {
 		lz := in.Source().(*Lazy)
 		most := int32(0)

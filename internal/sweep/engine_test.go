@@ -480,7 +480,7 @@ func TestRunFileResumeTruthGrid(t *testing.T) {
 		Dishonest:    []int{0, 2},
 		Strategies:   []string{"random-liar"},
 		Protocols:    []string{"run", "byzantine", "ratings", "budgets"},
-		TruthSources: []string{"dense", "lazy", "lazy:8"},
+		TruthSources: []string{"dense", "lazy"},
 		FixDiameter:  true,
 	})
 	if err != nil {

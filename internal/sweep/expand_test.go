@@ -565,7 +565,7 @@ func TestExpandTruthSourceAxis(t *testing.T) {
 		ClusterSizes: []int{16},
 		Diameters:    []int{4},
 		Protocols:    []string{"run", "byzantine", "budgets", "baseline", "ratings"},
-		TruthSources: []string{"dense", "lazy", "lazy:16"},
+		TruthSources: []string{"dense", "lazy"},
 	}
 	pts, err := Expand(sp)
 	if err != nil {
@@ -583,8 +583,8 @@ func TestExpandTruthSourceAxis(t *testing.T) {
 		}
 	}
 	for _, proto := range []string{"run", "byzantine", "budgets", "baseline", "ratings"} {
-		if got := len(byProto[proto]); got != 3 {
-			t.Fatalf("%s points: %d, want 3 (dense, lazy, lazy:16)", proto, got)
+		if got := len(byProto[proto]); got != 2 {
+			t.Fatalf("%s points: %d, want 2 (dense, lazy)", proto, got)
 		}
 		seeds := map[uint64]bool{}
 		srcs := map[string]bool{}
@@ -596,7 +596,7 @@ func TestExpandTruthSourceAxis(t *testing.T) {
 		if len(seeds) != 1 {
 			t.Fatalf("%s: truth axis split seeds %v", proto, seeds)
 		}
-		if !srcs[""] || !srcs["lazy"] || !srcs["lazy:16"] {
+		if !srcs[""] || !srcs["lazy"] {
 			t.Fatalf("%s: canonical truth values %v", proto, srcs)
 		}
 	}
@@ -639,7 +639,7 @@ func TestExpandTruthSourceAxis(t *testing.T) {
 	}
 
 	// Invalid axis entries are rejected.
-	for _, bad := range []string{"lazy:0", "sparse", "lazy:", "lazy:-1", "LAZY"} {
+	for _, bad := range []string{"lazy:0", "lazy:16", "sparse", "lazy:", "lazy:-1", "LAZY"} {
 		sp := sp
 		sp.TruthSources = []string{bad}
 		if _, err := Expand(sp); err == nil {

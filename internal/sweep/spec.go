@@ -102,8 +102,8 @@ type Spec struct {
 	// and the exact+auto default keeps every existing key, seed, and JSONL
 	// record unchanged.
 	NeighborIndexes []string `json:"neighbor_indexes,omitempty"`
-	// TruthSources is the truth-representation axis ("dense", "lazy", or
-	// "lazy:TILES" — prefgen.ParseSourceSpec forms; see DESIGN.md §14).
+	// TruthSources is the truth-representation axis ("dense" or "lazy" —
+	// the prefgen.ParseSourceSpec forms; see DESIGN.md §14).
 	// The representation is observationally invisible — every source yields
 	// byte-identical reports — so like NeighborIndexes it is not
 	// instance-defining: points differing only in the source share a seed
@@ -206,8 +206,7 @@ type Point struct {
 	NeighborIndex string `json:"neighbor_index,omitempty"`
 	// TruthSource is the canonical truth-representation spec ("" means the
 	// dense default, keeping pre-axis records round-tripping unchanged;
-	// otherwise a prefgen.ParseSourceSpec form such as "lazy" or
-	// "lazy:4096").
+	// otherwise the prefgen.ParseSourceSpec form "lazy").
 	TruthSource string `json:"truth,omitempty"`
 
 	FixDiameter    bool `json:"fix_diameter,omitempty"`

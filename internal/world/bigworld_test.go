@@ -59,8 +59,8 @@ func TestLazyWorldBoundedMemorySmoke(t *testing.T) {
 // TestLazyWorldBoundedMemoryLarge is the tentpole acceptance run: an
 // n = m = 10⁵ world — a 1.25 GB truth matrix when materialized — built
 // lazily under a 96 MB retained-heap ceiling the dense representation
-// cannot possibly meet, then probed (serially and in parallel, with and
-// without a tile cache) with every word checked against the dense oracle.
+// cannot possibly meet, then probed (serially and in parallel) with every
+// word checked against the dense oracle.
 func TestLazyWorldBoundedMemoryLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1.25 GB dense oracle; skipped in -short (smoke test covers the bound)")
@@ -69,7 +69,6 @@ func TestLazyWorldBoundedMemoryLarge(t *testing.T) {
 		n, m        = 100_000, 100_000
 		clusterSize = 500
 		diameter    = 16
-		tiles       = 32_768
 		ceiling     = 96 << 20 // bytes of retained heap the lazy world may add
 	)
 	denseBytes := uint64(n) * uint64(m) / 8
@@ -77,13 +76,12 @@ func TestLazyWorldBoundedMemoryLarge(t *testing.T) {
 		t.Fatalf("ceiling %d does not exclude a dense world (%d bytes)", uint64(ceiling), denseBytes)
 	}
 
-	var lw, cw *World // cacheless and tile-cached lazy twins
+	var lw *World
 	lazyDelta := heapDelta(func() {
 		lw = NewFrom(prefgen.LazyDiameterClusters(xrand.New(2010), n, m, clusterSize, diameter, 0).Source())
-		cw = NewFrom(prefgen.LazyDiameterClusters(xrand.New(2010), n, m, clusterSize, diameter, tiles).Source())
 	})
 	if lazyDelta > ceiling {
-		t.Fatalf("two lazy worlds retain %d bytes, over the %d ceiling", lazyDelta, ceiling)
+		t.Fatalf("lazy world retains %d bytes, over the %d ceiling", lazyDelta, ceiling)
 	}
 
 	// The dense twin: same stream, same truth, three orders of magnitude
@@ -97,16 +95,13 @@ func TestLazyWorldBoundedMemoryLarge(t *testing.T) {
 		t.Fatalf("dense world retained only %d bytes — the %d ceiling no longer separates representations", denseDelta, uint64(ceiling))
 	}
 
-	// Probe-path oracle at full scale: scattered players, every word,
-	// cacheless and cached lazy worlds against the dense one.
+	// Probe-path oracle at full scale: scattered players, every word, the
+	// lazy world against the dense one.
 	for p := 0; p < n; p += 9973 {
 		for wi := 0; wi < dw.ProbeWords(); wi += 101 {
 			want := dw.ProbeWord(p, wi, ^uint64(0))
 			if got := lw.ProbeWord(p, wi, ^uint64(0)); got != want {
 				t.Fatalf("lazy ProbeWord(%d,%d) = %#x, want %#x", p, wi, got, want)
-			}
-			if got := cw.ProbeWord(p, wi, ^uint64(0)); got != want {
-				t.Fatalf("cached ProbeWord(%d,%d) = %#x, want %#x", p, wi, got, want)
 			}
 		}
 	}
@@ -126,7 +121,6 @@ func TestLazyWorldBoundedMemoryLarge(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(dw)
-	runtime.KeepAlive(cw)
 }
 
 // TestLazyWorldMillionPlayers is the skipped-by-default long run: an
@@ -143,13 +137,12 @@ func TestLazyWorldMillionPlayers(t *testing.T) {
 		n, m        = 1_000_000, 1_000_000
 		clusterSize = 1000
 		diameter    = 16
-		tiles       = 32_768
 		ceiling     = 1 << 30
 	)
 	var lw *World
 	var src prefgen.TruthSource
 	lazyDelta := heapDelta(func() {
-		in := prefgen.LazyDiameterClusters(xrand.New(1_000_003), n, m, clusterSize, diameter, tiles)
+		in := prefgen.LazyDiameterClusters(xrand.New(1_000_003), n, m, clusterSize, diameter, 0)
 		src = in.Source()
 		lw = NewFrom(src)
 	})

@@ -13,9 +13,9 @@ import (
 // lazyDensePair builds two worlds over the SAME generation stream: the
 // dense reference and its lazy twin. Everything observable about them must
 // agree; only memory layout differs.
-func lazyDensePair(seed uint64, n, m, clusterSize, diameter, tiles int) (dense, lazy *World) {
+func lazyDensePair(seed uint64, n, m, clusterSize, diameter int) (dense, lazy *World) {
 	d := prefgen.DiameterClusters(xrand.New(seed), n, m, clusterSize, diameter)
-	l := prefgen.LazyDiameterClusters(xrand.New(seed), n, m, clusterSize, diameter, tiles)
+	l := prefgen.LazyDiameterClusters(xrand.New(seed), n, m, clusterSize, diameter, 0)
 	return New(d.Truth), NewFrom(l.Source())
 }
 
@@ -24,45 +24,43 @@ func lazyDensePair(seed uint64, n, m, clusterSize, diameter, tiles int) (dense, 
 // must be byte-identical between a dense world and a lazy world built from
 // the same stream, with identical probe charging.
 func TestLazyWorldMatchesDense(t *testing.T) {
-	for _, tiles := range []int{0, 3} {
-		dw, lw := lazyDensePair(42, 20, 300, 4, 10, tiles)
-		if lw.N() != dw.N() || lw.M() != dw.M() {
-			t.Fatalf("dims (%d,%d), want (%d,%d)", lw.N(), lw.M(), dw.N(), dw.M())
+	dw, lw := lazyDensePair(42, 20, 300, 4, 10)
+	if lw.N() != dw.N() || lw.M() != dw.M() {
+		t.Fatalf("dims (%d,%d), want (%d,%d)", lw.N(), lw.M(), dw.N(), dw.M())
+	}
+	order := xrand.New(7)
+	for i := 0; i < 2000; i++ {
+		p, o := order.Intn(dw.N()), order.Intn(dw.M())
+		if lw.Probe(p, o) != dw.Probe(p, o) {
+			t.Fatalf("Probe(%d,%d) mismatch", p, o)
 		}
-		order := xrand.New(7)
-		for i := 0; i < 2000; i++ {
-			p, o := order.Intn(dw.N()), order.Intn(dw.M())
-			if lw.Probe(p, o) != dw.Probe(p, o) {
-				t.Fatalf("tiles=%d: Probe(%d,%d) mismatch", tiles, p, o)
-			}
-			if lw.PeekTruth(p, o) != dw.PeekTruth(p, o) {
-				t.Fatalf("tiles=%d: PeekTruth(%d,%d) mismatch", tiles, p, o)
-			}
+		if lw.PeekTruth(p, o) != dw.PeekTruth(p, o) {
+			t.Fatalf("PeekTruth(%d,%d) mismatch", p, o)
 		}
-		for wi := 0; wi < dw.ProbeWords(); wi++ {
-			if got, want := lw.ProbeWord(3, wi, ^uint64(0)), dw.ProbeWord(3, wi, ^uint64(0)); got != want {
-				t.Fatalf("tiles=%d: ProbeWord(3,%d) = %#x, want %#x", tiles, wi, got, want)
-			}
+	}
+	for wi := 0; wi < dw.ProbeWords(); wi++ {
+		if got, want := lw.ProbeWord(3, wi, ^uint64(0)), dw.ProbeWord(3, wi, ^uint64(0)); got != want {
+			t.Fatalf("ProbeWord(3,%d) = %#x, want %#x", wi, got, want)
 		}
-		objs := []int{5, 64, 65, 2, 299, 131, 64}
-		if !lw.ProbeVector(6, objs).Equal(dw.ProbeVector(6, objs)) {
-			t.Fatalf("tiles=%d: ProbeVector mismatch", tiles)
+	}
+	objs := []int{5, 64, 65, 2, 299, 131, 64}
+	if !lw.ProbeVector(6, objs).Equal(dw.ProbeVector(6, objs)) {
+		t.Fatal("ProbeVector mismatch")
+	}
+	for p := 0; p < dw.N(); p++ {
+		if lw.Probes(p) != dw.Probes(p) {
+			t.Fatalf("player %d charged %d (lazy) vs %d (dense)", p, lw.Probes(p), dw.Probes(p))
 		}
-		for p := 0; p < dw.N(); p++ {
-			if lw.Probes(p) != dw.Probes(p) {
-				t.Fatalf("tiles=%d: player %d charged %d (lazy) vs %d (dense)", tiles, p, lw.Probes(p), dw.Probes(p))
-			}
-			tv := lw.TruthVector(p)
-			if !tv.Equal(dw.TruthVector(p)) {
-				t.Fatalf("tiles=%d: TruthVector(%d) mismatch", tiles, p)
-			}
-			if lw.HonestError(p, bitvec.New(dw.M())) != dw.HonestError(p, bitvec.New(dw.M())) {
-				t.Fatalf("tiles=%d: HonestError(%d) mismatch", tiles, p)
-			}
+		tv := lw.TruthVector(p)
+		if !tv.Equal(dw.TruthVector(p)) {
+			t.Fatalf("TruthVector(%d) mismatch", p)
 		}
-		if lw.MaxHonestProbes() != dw.MaxHonestProbes() || lw.TotalProbes() != dw.TotalProbes() {
-			t.Fatalf("tiles=%d: probe totals diverge", tiles)
+		if lw.HonestError(p, bitvec.New(dw.M())) != dw.HonestError(p, bitvec.New(dw.M())) {
+			t.Fatalf("HonestError(%d) mismatch", p)
 		}
+	}
+	if lw.MaxHonestProbes() != dw.MaxHonestProbes() || lw.TotalProbes() != dw.TotalProbes() {
+		t.Fatal("probe totals diverge")
 	}
 }
 
@@ -72,7 +70,7 @@ func TestLazyWorldMatchesDense(t *testing.T) {
 // match the dense oracle.
 func TestLazyWorldConcurrentFirstProbe(t *testing.T) {
 	const n, m = 8, 1024
-	dw, lw := lazyDensePair(9, n, m, 2, 8, 4)
+	dw, lw := lazyDensePair(9, n, m, 2, 8)
 	par.Fixed(8).For(n*lw.ProbeWords(), func(i int) {
 		wi := i % lw.ProbeWords()
 		p := i / lw.ProbeWords()
@@ -118,14 +116,14 @@ func TestLazyWorldRenewFromReusesMemos(t *testing.T) {
 		}
 	}
 	// Shape change falls back to a fresh world.
-	small := RenewFrom(w, prefgen.LazyUniform(xrand.New(3), 4, 50, 0).Source())
+	small := RenewFrom(w, prefgen.LazyUniform(xrand.New(3), 4, 50).Source())
 	if small.N() != 4 || small.M() != 50 {
 		t.Fatalf("shape-change RenewFrom dims (%d,%d)", small.N(), small.M())
 	}
 }
 
 // TestLazyProbeWordAllocFree guards the lazy probe hot path: once a
-// player's memo is installed, cacheless word probes must not allocate
+// player's memo is installed, word probes must not allocate
 // (warm-up run installs the memo), for full words and for the one-bit
 // masks Select's scattered duel probes send.
 func TestLazyProbeWordAllocFree(t *testing.T) {
@@ -149,7 +147,7 @@ func TestLazyProbeWordAllocFree(t *testing.T) {
 
 // TestProbeVectorMatchesProbe pins ProbeVector, which fills its output from
 // the words ProbeWord returns, against per-object truth on dense and lazy
-// worlds (cacheless and tile-cached): identical vectors and per-player
+// worlds: identical vectors and per-player
 // charges on unsorted, duplicate and cross-word object lists, each distinct
 // object charged once.
 func TestProbeVectorMatchesProbe(t *testing.T) {
@@ -159,36 +157,34 @@ func TestProbeVectorMatchesProbe(t *testing.T) {
 		{64, 65, 66, 127, 128, 129, 10}, // word-boundary runs
 		{},
 	}
-	for _, tiles := range []int{0, 3} {
-		dw, lw := lazyDensePair(11, 6, 300, 3, 12, tiles)
-		for i, objs := range lists {
-			p := i % dw.N()
-			dv, lv := dw.ProbeVector(p, objs), lw.ProbeVector(p, objs)
-			if dv.Len() != len(objs) || !lv.Equal(dv) {
-				t.Fatalf("tiles=%d list %d: lazy vector differs from dense", tiles, i)
-			}
-			for j, o := range objs {
-				if dv.Get(j) != dw.PeekTruth(p, o) {
-					t.Fatalf("tiles=%d list %d: bit %d (object %d) is not the truth", tiles, i, j, o)
-				}
+	dw, lw := lazyDensePair(11, 6, 300, 3, 12)
+	for i, objs := range lists {
+		p := i % dw.N()
+		dv, lv := dw.ProbeVector(p, objs), lw.ProbeVector(p, objs)
+		if dv.Len() != len(objs) || !lv.Equal(dv) {
+			t.Fatalf("list %d: lazy vector differs from dense", i)
+		}
+		for j, o := range objs {
+			if dv.Get(j) != dw.PeekTruth(p, o) {
+				t.Fatalf("list %d: bit %d (object %d) is not the truth", i, j, o)
 			}
 		}
-		for p := 0; p < dw.N(); p++ {
-			if lw.Probes(p) != dw.Probes(p) {
-				t.Fatalf("tiles=%d: player %d charged %d (lazy) vs %d (dense)", tiles, p, lw.Probes(p), dw.Probes(p))
-			}
+	}
+	for p := 0; p < dw.N(); p++ {
+		if lw.Probes(p) != dw.Probes(p) {
+			t.Fatalf("player %d charged %d (lazy) vs %d (dense)", p, lw.Probes(p), dw.Probes(p))
 		}
-		if dw.Probes(0) != 7 || dw.Probes(1) != 2 || dw.Probes(2) != 7 {
-			t.Fatalf("tiles=%d: charges %d/%d/%d, want one per distinct object 7/2/7",
-				tiles, dw.Probes(0), dw.Probes(1), dw.Probes(2))
-		}
+	}
+	if dw.Probes(0) != 7 || dw.Probes(1) != 2 || dw.Probes(2) != 7 {
+		t.Fatalf("charges %d/%d/%d, want one per distinct object 7/2/7",
+			dw.Probes(0), dw.Probes(1), dw.Probes(2))
 	}
 }
 
 // TestLazyWorldWordMaskPanics pins that lazy worlds reject out-of-range
 // word probes exactly like dense ones.
 func TestLazyWorldWordMaskPanics(t *testing.T) {
-	dw, lw := lazyDensePair(1, 4, 100, 2, 0, 0)
+	dw, lw := lazyDensePair(1, 4, 100, 2, 0)
 	for _, w := range []*World{dw, lw} {
 		for _, wi := range []int{-1, w.ProbeWords()} {
 			func() {

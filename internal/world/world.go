@@ -185,54 +185,34 @@ func (rc *Run) ReportWord(p, wi int, mask uint64) uint64 {
 type World struct {
 	// Ledger is the probe accounting and honest roster (ledger.go).
 	Ledger
-	// src is the pluggable truth representation (DESIGN.md §14); truth is
-	// the dense fast path, aliasing src's rows when src is *prefgen.Dense
-	// and nil for lazy sources.
+	// src is the pluggable truth representation (DESIGN.md §14), the only
+	// way the world reads truth.
 	src       prefgen.TruthSource
-	truth     []bitvec.Vector
 	behaviors []Behavior
 }
 
 // New creates a world from a truth matrix. All players start honest; use
 // SetBehavior/SetDishonest to corrupt some of them. It panics if truth is
-// empty or rows have unequal lengths.
+// empty or rows have unequal lengths (prefgen.NewDense).
 func New(truth []bitvec.Vector) *World { return NewFrom(prefgen.NewDense(truth)) }
 
 // NewFrom creates a world over any truth source — the materialized Dense
 // wrapper (New) or a lazy on-demand source. It panics if the source is
-// empty or (for dense sources) rows have unequal lengths.
+// empty.
 func NewFrom(src prefgen.TruthSource) *World {
 	n := src.Players()
 	if n == 0 {
 		panic("world: no players")
 	}
-	m := src.Objects()
 	w := &World{
-		Ledger:    NewLedger(n, m),
+		Ledger:    NewLedger(n, src.Objects()),
 		src:       src,
-		truth:     denseRows(src, m),
 		behaviors: make([]Behavior, n),
 	}
 	for p := range w.behaviors {
 		w.behaviors[p] = Honest{}
 	}
 	return w
-}
-
-// denseRows returns the fast-path row slice for a dense source (validating
-// row lengths exactly as New always has), nil for any other source.
-func denseRows(src prefgen.TruthSource, m int) []bitvec.Vector {
-	d, ok := src.(*prefgen.Dense)
-	if !ok {
-		return nil
-	}
-	rows := d.Rows()
-	for p, v := range rows {
-		if v.Len() != m {
-			panic(fmt.Sprintf("world: truth row %d has length %d, want %d", p, v.Len(), m))
-		}
-	}
-	return rows
 }
 
 // Renew re-initializes a world for a new truth matrix, reusing w's
@@ -256,7 +236,6 @@ func RenewFrom(w *World, src prefgen.TruthSource) *World {
 		return NewFrom(src)
 	}
 	w.src = src
-	w.truth = denseRows(src, w.m)
 	for p := range w.behaviors {
 		w.SetBehavior(p, Honest{})
 	}
@@ -274,12 +253,9 @@ func (w *World) Probe(p, o int) bool {
 	return w.truthBit(p, o)
 }
 
-// truthBit reads v(p)_o: the dense row directly, or a one-bit masked read
-// of the truth source, which a lazy source answers with one hash.
+// truthBit reads v(p)_o as a one-bit masked read of the truth source,
+// which a lazy source answers with one hash.
 func (w *World) truthBit(p, o int) bool {
-	if w.truth != nil {
-		return w.truth[p].Get(o)
-	}
 	return w.src.TruthBits(p, o/64, 1<<(uint(o)%64)) != 0
 }
 
@@ -290,11 +266,7 @@ func (w *World) truthBit(p, o int) bool {
 // Ledger.ChargeWord: two atomics for the whole word, with per-player totals
 // identical to bit-at-a-time Probe under every schedule.
 func (w *World) ProbeWord(p, wi int, mask uint64) uint64 {
-	mask = w.ChargeWord(p, wi, mask)
-	if w.truth != nil {
-		return w.truth[p].Word(wi) & mask
-	}
-	return w.src.TruthBits(p, wi, mask)
+	return w.src.TruthBits(p, wi, w.ChargeWord(p, wi, mask))
 }
 
 // ProbeVector probes, as player p, every object in objs and returns the
@@ -357,9 +329,6 @@ func (w *World) SetBehavior(p int, b Behavior) {
 // the supplied output vector (over all m objects) and p's truth. It panics
 // if the lengths differ.
 func (w *World) HonestError(p int, out bitvec.Vector) int {
-	if w.truth != nil {
-		return w.truth[p].Hamming(out)
-	}
 	if out.Len() != w.m {
 		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", w.m, out.Len()))
 	}

@@ -393,15 +393,16 @@ func TestProbeWordAllocFree(t *testing.T) {
 // TestReportWordHonestAndDishonest: honest players ride the bulk path;
 // dishonest reports still flow through their behavior per object.
 func TestReportWordHonestAndDishonest(t *testing.T) {
-	w := New(randTruth(2, 100, 5))
+	truth := randTruth(2, 100, 5)
+	w := New(truth)
 	w.SetBehavior(1, flipBehavior{})
 	rc := NewRun(w)
 	gotHonest := rc.ReportWord(0, 0, ^uint64(0))
-	if want := w.truth[0].Word(0); gotHonest != want {
+	if want := truth[0].Word(0); gotHonest != want {
 		t.Fatalf("honest ReportWord = %#x, want truth %#x", gotHonest, want)
 	}
 	gotLiar := rc.ReportWord(1, 0, ^uint64(0))
-	if want := ^w.truth[1].Word(0) & w.truth[1].WordMask(0); gotLiar != want {
+	if want := ^truth[1].Word(0) & truth[1].WordMask(0); gotLiar != want {
 		t.Fatalf("dishonest ReportWord = %#x, want flipped %#x", gotLiar, want)
 	}
 	if w.Probes(1) != 0 {

@@ -284,24 +284,3 @@ func (z *Zipf) Draw() int {
 	}
 	return lo
 }
-
-// Binomial returns a draw from Binomial(n, p) by direct simulation for
-// small n and a normal approximation fallback is deliberately avoided to
-// keep determinism simple; n in this codebase is at most a few thousand.
-func (s *Stream) Binomial(n int, p float64) int {
-	c := 0
-	for i := 0; i < n; i++ {
-		if s.Bernoulli(p) {
-			c++
-		}
-	}
-	return c
-}
-
-// Shuffle permutes the given slice in place.
-func Shuffle[T any](s *Stream, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
-}

@@ -267,41 +267,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestBinomialMean(t *testing.T) {
-	s := New(53)
-	const n, p, trials = 50, 0.4, 2000
-	total := 0
-	for i := 0; i < trials; i++ {
-		v := s.Binomial(n, p)
-		if v < 0 || v > n {
-			t.Fatalf("Binomial out of range: %d", v)
-		}
-		total += v
-	}
-	mean := float64(total) / trials
-	if math.Abs(mean-n*p) > 1 {
-		t.Fatalf("Binomial mean = %v, want ≈%v", mean, n*p)
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(59)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	orig := append([]int(nil), xs...)
-	Shuffle(s, xs)
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	wantSum := 0
-	for _, x := range orig {
-		wantSum += x
-	}
-	if sum != wantSum {
-		t.Fatal("Shuffle changed elements")
-	}
-}
-
 // TestSplitValueMatchesSplit: the value-type split must derive exactly the
 // stream Split does for the same tags — protocol code mixes the two freely
 // (heap streams at phase granularity, stack streams per hot-loop cell).

@@ -220,19 +220,19 @@ func (sc Scenario) simulation(pl *Pool) *Simulation {
 		if spec.IsDense() {
 			s.instance = s.pg().DiameterClusters(s.rng.Split(2), cfg.Players, cfg.Objects, sc.ClusterSize, sc.Diameter)
 		} else {
-			s.instance = s.pg().LazyDiameterClusters(s.rng.Split(2), cfg.Players, cfg.Objects, sc.ClusterSize, sc.Diameter, spec.Tiles)
+			s.instance = s.pg().LazyDiameterClusters(s.rng.Split(2), cfg.Players, cfg.Objects, sc.ClusterSize, sc.Diameter)
 		}
 	case sc.ZipfClusters > 0:
 		if spec.IsDense() {
 			s.instance = s.pg().ZipfClusters(s.rng.Split(3), cfg.Players, cfg.Objects, sc.ZipfClusters, sc.ZipfAlpha, sc.Diameter)
 		} else {
-			s.instance = s.pg().LazyZipfClusters(s.rng.Split(3), cfg.Players, cfg.Objects, sc.ZipfClusters, sc.ZipfAlpha, sc.Diameter, spec.Tiles)
+			s.instance = s.pg().LazyZipfClusters(s.rng.Split(3), cfg.Players, cfg.Objects, sc.ZipfClusters, sc.ZipfAlpha, sc.Diameter)
 		}
 	default:
 		if spec.IsDense() {
 			s.instance = s.pg().Uniform(s.rng.Split(1), cfg.Players, cfg.Objects)
 		} else {
-			s.instance = s.pg().LazyUniform(s.rng.Split(1), cfg.Players, cfg.Objects, spec.Tiles)
+			s.instance = s.pg().LazyUniform(s.rng.Split(1), cfg.Players, cfg.Objects)
 		}
 	}
 	s.rebuild()

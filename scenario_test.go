@@ -33,14 +33,14 @@ func scenarioMatrix() []Scenario {
 		{Config: Config{Players: 128, Seed: 13, FixedDiameter: 8, NeighborIndex: "lsh"}, ClusterSize: 16, Diameter: 8, Protocol: ProtoRun},
 		{Config: Config{Players: 96, Seed: 14, FixedDiameter: 8, NeighborIndex: "lsh:8:6"}, ClusterSize: 12, Diameter: 8, Protocol: ProtoBudgets, CapSmall: 8, CapBig: 48, CapBigFrac: 0.5},
 		// Truth-source knob: lazy worlds recompute truth cells from the seed
-		// stream at probe time (with and without a tile cache), across every
-		// planting family and substrate. Reports must be byte-identical to
-		// the dense default, pooled and fresh alike.
+		// stream at probe time, across every planting family and substrate.
+		// Reports must be byte-identical to the dense default, pooled and
+		// fresh alike.
 		{Config: Config{Players: 128, Seed: 15, FixedDiameter: 8, TruthSource: "lazy"}, ClusterSize: 16, Diameter: 8, Protocol: ProtoRun},
-		{Config: Config{Players: 96, Seed: 16, FixedDiameter: 4, TruthSource: "lazy:8"}, ZipfClusters: 4, ZipfAlpha: 1.2, Diameter: 4, Dishonest: 4, Strategy: RandomLiar, Protocol: ProtoByzantine},
+		{Config: Config{Players: 96, Seed: 16, FixedDiameter: 4, TruthSource: "lazy"}, ZipfClusters: 4, ZipfAlpha: 1.2, Diameter: 4, Dishonest: 4, Strategy: RandomLiar, Protocol: ProtoByzantine},
 		{Config: Config{Players: 64, Objects: 128, Seed: 17, TruthSource: "lazy"}, Protocol: ProtoProbeAll},
 		{Config: Config{Players: 96, Seed: 18, FixedDiameter: 16, TruthSource: "lazy"}, ClusterSize: 12, Diameter: 16, Scale: 5, Dishonest: 3, Strategy: Exaggerators, Protocol: ProtoRatings},
-		{Config: Config{Players: 96, Seed: 19, FixedDiameter: 8, TruthSource: "lazy:4"}, ClusterSize: 12, Diameter: 8, Protocol: ProtoBudgets, CapSmall: 8, CapBig: 48, CapBigFrac: 0.5},
+		{Config: Config{Players: 96, Seed: 19, FixedDiameter: 8, TruthSource: "lazy"}, ClusterSize: 12, Diameter: 8, Protocol: ProtoBudgets, CapSmall: 8, CapBig: 48, CapBigFrac: 0.5},
 	}
 }
 

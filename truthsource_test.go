@@ -7,9 +7,8 @@ import (
 )
 
 // TestTruthSourceMatchesDense is the public-API oracle for the truth-source
-// seam (DESIGN.md §14): for the same scenario, every representation —
-// materialized, lazy, lazy with a tile cache — must produce a byte-identical
-// report, across plantings, corruption, and protocol variants. The knob
+// seam (DESIGN.md §14): for the same scenario, both representations —
+// materialized and lazy — must produce a byte-identical report, across plantings, corruption, and protocol variants. The knob
 // changes how truth is stored, never what any probe returns.
 func TestTruthSourceMatchesDense(t *testing.T) {
 	scenarios := []Scenario{
@@ -26,13 +25,11 @@ func TestTruthSourceMatchesDense(t *testing.T) {
 		dense := sc
 		dense.Config.TruthSource = "dense"
 		want := dense.Run()
-		for _, src := range []string{"lazy", "lazy:16"} {
-			lazy := sc
-			lazy.Config.TruthSource = src
-			if got := lazy.Run(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("scenario %d (%v): TruthSource=%q report differs from dense\n got %+v\nwant %+v",
-					i, sc.Protocol, src, got, want)
-			}
+		lazy := sc
+		lazy.Config.TruthSource = "lazy"
+		if got := lazy.Run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("scenario %d (%v): lazy report differs from dense\n got %+v\nwant %+v",
+				i, sc.Protocol, got, want)
 		}
 	}
 }
@@ -48,11 +45,8 @@ func TestTruthSourceFluentMatchesDense(t *testing.T) {
 		sim.Corrupt(4, FlipAll)
 		return sim.RunByzantine()
 	}
-	want := build("")
-	for _, src := range []string{"lazy", "lazy:8"} {
-		if got := build(src); !reflect.DeepEqual(got, want) {
-			t.Fatalf("fluent TruthSource=%q report differs from dense", src)
-		}
+	if got, want := build("lazy"), build(""); !reflect.DeepEqual(got, want) {
+		t.Fatal("fluent lazy report differs from dense")
 	}
 
 	// PlantZipf re-planting on the lazy family.
@@ -68,7 +62,8 @@ func TestTruthSourceFluentMatchesDense(t *testing.T) {
 
 // TestTruthSourceInvalidPanics: malformed truth-source specs must fail fast
 // at construction with an actionable message — on the binary constructor,
-// the rating constructor, and the scenario path alike.
+// the rating constructor, and the scenario path alike. Tile-count specs
+// ("lazy:N") are malformed: lazy sources have no tile cache.
 func TestTruthSourceInvalidPanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -80,6 +75,10 @@ func TestTruthSourceInvalidPanics(t *testing.T) {
 		}},
 		{"scenario", func() {
 			Scenario{Config: Config{Players: 16, Seed: 1, TruthSource: "lazy:x"}}.Run()
+		}},
+		{"binary-tiles", func() { NewSimulation(Config{Players: 16, Seed: 1, TruthSource: "lazy:16"}) }},
+		{"rating-tiles", func() {
+			NewRatingSimulation(RatingConfig{Players: 16, Seed: 1, TruthSource: "lazy:16"}, 4, 2)
 		}},
 	}
 	for _, tc := range cases {
@@ -132,7 +131,7 @@ func TestTruthSourceScheduleMatrix(t *testing.T) {
 	}
 	for _, layer := range layers {
 		var ref *Report
-		for _, src := range []string{"", "lazy", "lazy:16"} {
+		for _, src := range []string{"", "lazy"} {
 			for _, sch := range schedules {
 				sim := build(src)
 				sch.apply(sim)
