@@ -1,7 +1,7 @@
 package collabscore_test
 
 // The benchmark harness regenerates every reproduction artifact (the
-// paper's formal claims E1–E12 — the paper is theoretical and publishes
+// paper's formal claims E1–E13 — the paper is theoretical and publishes
 // pseudocode figures and theorems rather than empirical tables; see
 // DESIGN.md §5) plus micro-benchmarks of the hot substrate paths.
 //

@@ -13,7 +13,8 @@
 //	-diameter   planted cluster diameter (clusters of size n/B)
 //	-fixed-d    restrict the protocol to the single (correct) diameter guess
 //	-dishonest  number of dishonest players (max tolerated: n/(3B))
-//	-strategy   random-liar | flip-all | colluders | hijackers | strange | zero-spam
+//	-strategy   random-liar | flip-all | colluders | cluster-hijackers |
+//	            strange-object | zero-spam (the names Strategy.String prints)
 //	-byzantine  run the full §7 protocol with leader election
 //	-baseline   also run the prior-art baseline and probe-all for comparison
 //	-seed       RNG seed
@@ -43,10 +44,18 @@ func main() {
 	)
 	flag.Parse()
 
-	strat, ok := parseStrategy(*strategy)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
-		os.Exit(2)
+	strat, err := collabscore.ParseStrategy(*strategy)
+	switch {
+	case err != nil:
+		usage("%v", err)
+	case !strat.BinaryCapable():
+		usage("strategy %s is rating-scale only", strat)
+	case *n < 1:
+		usage("-n must be at least 1")
+	case *b < 1 || *b > *n:
+		usage("-b must be between 1 and -n (clusters hold n/b players)")
+	case *m < 0:
+		usage("-m must not be negative")
 	}
 
 	cfg := collabscore.Config{Players: *n, Objects: *m, Budget: *b, Seed: *seed}
@@ -88,20 +97,9 @@ func main() {
 	}
 }
 
-func parseStrategy(s string) (collabscore.Strategy, bool) {
-	switch s {
-	case "random-liar":
-		return collabscore.RandomLiar, true
-	case "flip-all":
-		return collabscore.FlipAll, true
-	case "colluders":
-		return collabscore.Colluders, true
-	case "hijackers":
-		return collabscore.ClusterHijackers, true
-	case "strange":
-		return collabscore.StrangeObjectAttackers, true
-	case "zero-spam":
-		return collabscore.ZeroSpammers, true
-	}
-	return 0, false
+// usage reports a bad flag value and exits with status 2, as flag.Parse
+// does for a malformed flag.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

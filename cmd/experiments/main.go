@@ -1,6 +1,5 @@
-// Command experiments regenerates the paper-reproduction tables (E1–E12;
-// see DESIGN.md §5 for the claim → experiment mapping and EXPERIMENTS.md
-// for recorded results).
+// Command experiments regenerates the paper-reproduction tables (E1–E13;
+// see DESIGN.md §5 for the claim → experiment mapping).
 //
 // Usage:
 //
@@ -22,7 +21,7 @@ import (
 
 func main() {
 	var (
-		run    = flag.String("run", "", "experiment id (E1..E12) or 'all'")
+		run    = flag.String("run", "", "experiment id (E1..E13) or 'all'")
 		list   = flag.Bool("list", false, "list experiments")
 		n      = flag.Int("n", 1024, "base player count")
 		b      = flag.Int("b", 8, "base budget parameter")

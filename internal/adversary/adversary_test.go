@@ -195,8 +195,8 @@ func TestCorrupt(t *testing.T) {
 	if len(ids) != 3 {
 		t.Fatalf("corrupted %d, want 3", len(ids))
 	}
-	if w.NumDishonest() != 3 {
-		t.Fatalf("NumDishonest = %d", w.NumDishonest())
+	if got := w.DishonestPlayers(); len(got) != 3 {
+		t.Fatalf("DishonestPlayers = %v, want 3 players", got)
 	}
 	for _, p := range ids {
 		if w.IsHonest(p) {

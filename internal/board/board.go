@@ -55,8 +55,8 @@ type lane struct {
 const numStripes = 32
 
 // counter is a striped event counter. Each board belongs to one work-sharing
-// phase of one protocol run, but within that phase par.Map hammers the
-// write/read totals from every worker goroutine at once, so a single atomic
+// phase of one protocol run, but within that phase the parallel loop hammers
+// the write/read totals from every worker goroutine at once, so a single atomic
 // word becomes a cache-line ping-pong hotspot (and with concurrent Byzantine
 // repetitions, every core is busy doing the same to its own repetition's
 // board). Each stripe lives on its own cache line; callers spread increments
@@ -207,17 +207,6 @@ func (b *Board) Votes(o int, players []int) (ones, zeros int) {
 		}
 	}
 	return ones, zeros
-}
-
-// Snapshot returns a copy of player p's published (mask, values) pair. The
-// Snapshot call itself counts as one board read; examining the returned
-// copies is free (they share no storage with the board).
-func (b *Board) Snapshot(p int) (written, values bitvec.Vector) {
-	ln := &b.lanes[p]
-	ln.mu.RLock()
-	defer ln.mu.RUnlock()
-	b.reads.add(p)
-	return ln.written.Clone(), ln.values.Clone()
 }
 
 // Frozen is an immutable view of a sealed board, produced by Freeze at the
@@ -384,7 +373,7 @@ func (f *Frozen) MajorityInto(dst bitvec.Vector, players []int) {
 // WriteCount returns the total number of Write calls (communication cost).
 func (b *Board) WriteCount() int64 { return b.writes.total() }
 
-// ReadCount returns the total number of Read/Votes/Snapshot accesses.
+// ReadCount returns the total number of Read/Votes accesses.
 func (b *Board) ReadCount() int64 { return b.reads.total() }
 
 // Reset clears all lanes and counters and unseals the board, reusing the

@@ -61,25 +61,6 @@ func TestVotes(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	b := New(2, 8)
-	b.Write(0, 1, true)
-	b.Write(0, 3, false)
-	written, values := b.Snapshot(0)
-	if !written.Get(1) || !written.Get(3) || written.Get(0) {
-		t.Fatal("snapshot mask wrong")
-	}
-	if !values.Get(1) || values.Get(3) {
-		t.Fatal("snapshot values wrong")
-	}
-	// Snapshot must be a copy.
-	written.Set(0, true)
-	w2, _ := b.Snapshot(0)
-	if w2.Get(0) {
-		t.Fatal("snapshot shares storage with board")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	b := New(2, 2)
 	b.Write(0, 0, true)

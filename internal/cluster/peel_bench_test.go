@@ -13,7 +13,7 @@ import (
 // clusters — the cursor's best case, since it row-scans only the seeds it
 // commits. "scan" sets minSize just past every degree, making the peel one
 // full qualification sweep over all n rows. Sub-benchmark names match the
-// greedy rows of BENCH_PR10.json.
+// greedy rows of the historical BENCH_PR10.json snapshot.
 func BenchmarkPeel(b *testing.B) {
 	const n, m, size, d = 4096, 512, 32, 4
 	in := prefgen.DiameterClusters(xrand.New(4096), n, m, size, d)

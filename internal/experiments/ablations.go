@@ -5,7 +5,6 @@ import (
 	"collabscore/internal/core"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
-	"collabscore/internal/sim"
 	"collabscore/internal/tablefmt"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -38,7 +37,7 @@ func runA1(cfg Config) *tablefmt.Table {
 		factors = []float64{0.5, 1.5}
 	}
 	for _, rf := range factors {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(rf*100), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(rf*100), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 			w := world.New(in.Truth)
 			pr := core.Scaled(n, cfg.B)
@@ -52,7 +51,7 @@ func runA1(cfg Config) *tablefmt.Table {
 			es := metrics.Error(w, res.Output)
 			return map[string]float64{"max": float64(es.Max), "mean": es.Mean}
 		})
-		t.AddRow(rf, core.Params{RedundancyFactor: rf}.Redundancy(n), agg["max"].Mean, agg["mean"].Mean)
+		t.AddRow(rf, core.Params{RedundancyFactor: rf}.Redundancy(n), agg["max"], agg["mean"])
 	}
 	return t
 }
@@ -67,7 +66,7 @@ func runA2(cfg Config) *tablefmt.Table {
 		factors = []float64{2, 4}
 	}
 	for _, ef := range factors {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(ef), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(ef), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 			w := world.New(in.Truth)
 			pr := core.Scaled(n, cfg.B)
@@ -86,7 +85,7 @@ func runA2(cfg Config) *tablefmt.Table {
 		})
 		pr := core.Scaled(n, cfg.B)
 		pr.EdgeFactor = ef
-		t.AddRow(ef, pr.EdgeThreshold(n), agg["clusters"].Mean, agg["un"].Mean, agg["max"].Mean)
+		t.AddRow(ef, pr.EdgeThreshold(n), agg["clusters"], agg["un"], agg["max"])
 	}
 	return t
 }
@@ -145,7 +144,7 @@ func runA4(cfg Config) *tablefmt.Table {
 		factors = []float64{0.25, 1}
 	}
 	for _, sf := range factors {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(sf*100), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(sf*100), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 			w := world.New(in.Truth)
 			pr := core.Scaled(n, cfg.B)
@@ -160,7 +159,7 @@ func runA4(cfg Config) *tablefmt.Table {
 			}
 			return map[string]float64{"max": float64(es.Max), "s": s, "clusters": clusters}
 		})
-		t.AddRow(sf, agg["s"].Mean, agg["clusters"].Mean, agg["max"].Mean)
+		t.AddRow(sf, agg["s"], agg["clusters"], agg["max"])
 	}
 	return t
 }

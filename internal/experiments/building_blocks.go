@@ -9,7 +9,6 @@ import (
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/selection"
-	"collabscore/internal/sim"
 	"collabscore/internal/smallradius"
 	"collabscore/internal/tablefmt"
 	"collabscore/internal/world"
@@ -45,7 +44,7 @@ func runE1(cfg Config) *tablefmt.Table {
 		ds = []int{32}
 	}
 	for _, d := range ds {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in, special := prefgen.AdversarialClaim2(rng.Split(1), n, n, cfg.B, d)
 			p0 := in.ClusterMembers(0)[0]
 
@@ -90,7 +89,7 @@ func runE1(cfg Config) *tablefmt.Table {
 				"guess":  float64(w1.HonestError(p0, guess)),
 			}
 		})
-		t.AddRow(d, float64(d)/4, agg["budget"].Mean, agg["aug"].Mean, agg["guess"].Mean)
+		t.AddRow(d, float64(d)/4, agg["budget"], agg["aug"], agg["guess"])
 	}
 	return t
 }
@@ -109,7 +108,7 @@ func runE2(cfg Config) *tablefmt.Table {
 		ds = []int{64}
 	}
 	for _, d := range ds {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 			sample := rng.Split(2).BernoulliSubset(n, pr.SampleProb(n, d))
 			closeMax, farMin := 0, math.MaxInt
@@ -145,8 +144,8 @@ func runE2(cfg Config) *tablefmt.Table {
 		lnn := math.Log(float64(n))
 		closeBound := 2 * pr.SampleFactor * lnn // Lemma 6(1) analogue at scaled constants
 		farBound := pr.EdgeFactor * lnn         // the edge threshold the clustering uses
-		t.AddRow(d, agg["s"].Mean, agg["close"].Mean, closeBound, agg["far"].Mean, farBound,
-			agg["sep"].Mean)
+		t.AddRow(d, agg["s"], agg["close"], closeBound, agg["far"], farBound,
+			agg["sep"])
 	}
 	return t
 }
@@ -165,7 +164,7 @@ func runE3(cfg Config) *tablefmt.Table {
 	}
 	const dStar = 16
 	for _, k := range ks {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(k), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(k), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.Uniform(rng.Split(1), 2, n)
 			w := world.New(in.Truth)
 			truth := w.TruthVector(0)
@@ -189,7 +188,7 @@ func runE3(cfg Config) *tablefmt.Table {
 				"probes": float64(w.Probes(0)),
 			}
 		})
-		t.AddRow(k, dStar, agg["out"].Mean, agg["ratio"].Mean, agg["probes"].Mean,
+		t.AddRow(k, dStar, agg["out"], agg["ratio"], agg["probes"],
 			float64(k*k)*math.Log(float64(n)))
 	}
 	return t
@@ -208,7 +207,7 @@ func runE4(cfg Config) *tablefmt.Table {
 		bs = []int{2}
 	}
 	for _, b := range bs {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(b), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(b), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.IdenticalClusters(rng.Split(1), n, m, n/b)
 			w := world.New(in.Truth)
 			out := zeroradius.Run(world.NewRun(w), identityObjs(n), identityObjs(m), b, rng.Split(2), zeroradius.Scaled())
@@ -223,7 +222,7 @@ func runE4(cfg Config) *tablefmt.Table {
 				"probes": float64(w.MaxHonestProbes()),
 			}
 		})
-		t.AddRow(b, n/b, agg["exact"].Mean, agg["probes"].Mean,
+		t.AddRow(b, n/b, agg["exact"], agg["probes"],
 			float64(b)*math.Log(float64(n)), m)
 	}
 	return t
@@ -241,7 +240,7 @@ func runE5(cfg Config) *tablefmt.Table {
 		ds = []int{8}
 	}
 	for _, d := range ds {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.DiameterClusters(rng.Split(1), n, m, n/cfg.B, d)
 			w := world.New(in.Truth)
 			out := smallradius.Run(world.NewRun(w), identityObjs(m), d, cfg.B, rng.Split(2), smallradius.Scaled(n))
@@ -255,7 +254,7 @@ func runE5(cfg Config) *tablefmt.Table {
 				"probes": float64(w.MaxHonestProbes()),
 			}
 		})
-		t.AddRow(d, agg["max"].Mean, 5*d, agg["mean"].Mean, agg["probes"].Mean, m)
+		t.AddRow(d, agg["max"], 5*d, agg["mean"], agg["probes"], m)
 	}
 	return t
 }
@@ -272,7 +271,7 @@ func runE6(cfg Config) *tablefmt.Table {
 		ds = []int{32}
 	}
 	for _, d := range ds {
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 			w := world.New(in.Truth)
 			sample := rng.Split(2).BernoulliSubset(n, pr.SampleProb(n, d))
@@ -303,9 +302,9 @@ func runE6(cfg Config) *tablefmt.Table {
 				"diam":     float64(maxDiam),
 			}
 		})
-		t.AddRow(d, agg["s"].Mean, agg["zerr"].Mean, agg["clusters"].Mean,
-			agg["minsize"].Mean, pr.MinClusterSize(n), agg["diam"].Mean,
-			agg["diam"].Mean/float64(d))
+		t.AddRow(d, agg["s"], agg["zerr"], agg["clusters"],
+			agg["minsize"], pr.MinClusterSize(n), agg["diam"],
+			agg["diam"]/float64(d))
 	}
 	return t
 }

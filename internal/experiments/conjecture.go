@@ -6,7 +6,6 @@ import (
 	"collabscore/internal/core"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
-	"collabscore/internal/sim"
 	"collabscore/internal/tablefmt"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -53,7 +52,7 @@ func runE13(cfg Config) *tablefmt.Table {
 	}
 	for _, g := range gens {
 		g := g
-		agg := sim.RunSequential(cfg.Trials, cfg.Seed+uint64(len(g.name)), func(trial int, rng *xrand.Stream) map[string]float64 {
+		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(len(g.name)), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := g.gen(rng.Split(1))
 			w := world.New(in.Truth)
 
@@ -81,8 +80,8 @@ func runE13(cfg Config) *tablefmt.Table {
 				"p90":  ratios[len(ratios)*9/10],
 			}
 		})
-		t.AddRow(g.name, agg["medr"].Mean, agg["maxr"].Mean, agg["mede"].Mean,
-			agg["maxe"].Mean, agg["p90"].Mean)
+		t.AddRow(g.name, agg["medr"], agg["maxr"], agg["mede"],
+			agg["maxe"], agg["p90"])
 	}
 	return t
 }

@@ -1,7 +1,7 @@
 // Package experiments contains the reproduction harness: one experiment per
 // formal claim of the paper (the paper is theoretical and has no empirical
 // tables, so its theorems and lemmas are the artifacts to regenerate — see
-// DESIGN.md §5 for the mapping and EXPERIMENTS.md for recorded results).
+// DESIGN.md §5 for the mapping; cmd/experiments prints the tables).
 //
 // Each experiment builds planted-instance worlds, runs protocols, and
 // returns an ASCII table with the measured quantities next to the bound the
@@ -11,7 +11,9 @@ package experiments
 import (
 	"fmt"
 
+	"collabscore/internal/metrics"
 	"collabscore/internal/tablefmt"
+	"collabscore/internal/xrand"
 )
 
 // Config scales an experiment run.
@@ -28,14 +30,9 @@ type Config struct {
 	Quick bool
 }
 
-// Defaults returns the standard configuration used by EXPERIMENTS.md.
-func Defaults() Config {
-	return Config{N: 1024, B: 8, Trials: 3, Seed: 2010}
-}
-
 // Experiment is one reproducible claim-check.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E12).
+	// ID is the experiment identifier (E1..E13).
 	ID string
 	// Title is a short human-readable name.
 	Title string
@@ -78,4 +75,22 @@ func ByID(id string) (Experiment, bool) {
 func header(e string, cfg Config, cols ...string) *tablefmt.Table {
 	title := fmt.Sprintf("%s (n=%d, B=%d, trials=%d, seed=%d)", e, cfg.N, cfg.B, cfg.Trials, cfg.Seed)
 	return tablefmt.New(title, cols...)
+}
+
+// trialMeans runs k independent trials, trial i on xrand.New(seed).Split(i),
+// one at a time — the protocols inside a trial already use every core — and
+// returns the mean of each named measurement over the trials that report it.
+func trialMeans(k int, seed uint64, fn func(trial int, rng *xrand.Stream) map[string]float64) map[string]float64 {
+	root := xrand.New(seed)
+	byName := map[string][]float64{}
+	for i := 0; i < k; i++ {
+		for name, v := range fn(i, root.Split(uint64(i))) {
+			byName[name] = append(byName[name], v)
+		}
+	}
+	out := make(map[string]float64, len(byName))
+	for name, xs := range byName {
+		out[name] = metrics.Mean(xs)
+	}
+	return out
 }

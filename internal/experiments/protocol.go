@@ -10,7 +10,6 @@ import (
 	"collabscore/internal/metrics"
 	"collabscore/internal/multival"
 	"collabscore/internal/prefgen"
-	"collabscore/internal/sim"
 	"collabscore/internal/sweep"
 	"collabscore/internal/tablefmt"
 	"collabscore/internal/world"
@@ -259,7 +258,7 @@ func runE12(cfg Config) *tablefmt.Table {
 
 	// Non-binary ratings.
 	const scale = 5
-	aggM := sim.RunSequential(cfg.Trials, cfg.Seed+1, func(trial int, rng *xrand.Stream) map[string]float64 {
+	aggM := trialMeans(cfg.Trials, cfg.Seed+1, func(trial int, rng *xrand.Stream) map[string]float64 {
 		truth, _ := multival.Generate(rng.Split(1), n, n, n/cfg.B, d, scale)
 		w := multival.NewWorld(truth, scale)
 		pr := multival.Scaled(n, cfg.B)
@@ -268,10 +267,10 @@ func runE12(cfg Config) *tablefmt.Table {
 		es := multival.ErrorStats(w, res.Output)
 		return map[string]float64{"max": float64(es.Max), "probes": float64(w.MaxHonestProbes())}
 	})
-	t.AddRow("multival (L1, median)", d, aggM["max"].Mean, 3*d, aggM["probes"].Mean, "-")
+	t.AddRow("multival (L1, median)", d, aggM["max"], 3*d, aggM["probes"], "-")
 
 	// Heterogeneous budgets.
-	aggB := sim.RunSequential(cfg.Trials, cfg.Seed+2, func(trial int, rng *xrand.Stream) map[string]float64 {
+	aggB := trialMeans(cfg.Trials, cfg.Seed+2, func(trial int, rng *xrand.Stream) map[string]float64 {
 		in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 		w := world.New(in.Truth)
 		caps := budgets.TwoTier(rng.Split(3), n, 16, 256, 0.5)
@@ -294,6 +293,6 @@ func runE12(cfg Config) *tablefmt.Table {
 			"max": float64(es.Max), "probes": float64(metrics.Probes(w).Max), "ratio": ratio,
 		}
 	})
-	t.AddRow("budgets (two-tier)", d, aggB["max"].Mean, 2*d, aggB["probes"].Mean, aggB["ratio"].Mean)
+	t.AddRow("budgets (two-tier)", d, aggB["max"], 2*d, aggB["probes"], aggB["ratio"])
 	return t
 }

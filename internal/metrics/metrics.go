@@ -118,28 +118,6 @@ func Mean(xs []float64) float64 {
 	return t / float64(len(xs))
 }
 
-// Std returns the sample standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	t := 0.0
-	for _, x := range xs {
-		t += (x - m) * (x - m)
-	}
-	return math.Sqrt(t / float64(len(xs)-1))
-}
-
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval for the mean of xs.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Std(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // MaxInt returns the maximum of xs (0 for empty input).
 func MaxInt(xs []int) int {
 	mx := 0

@@ -48,7 +48,7 @@ func Parallel() *Runner { return &parallelRunner }
 // core.Params.PhaseSerial selects it for whole runs.
 func Serial() *Runner { return &serialRunner }
 
-// Fixed returns an executor whose For/ForChunked loops use exactly the
+// Fixed returns an executor whose For/ForWorker loops use exactly the
 // given number of worker goroutines, even when it exceeds GOMAXPROCS.
 // Race tests use it to get real goroutine interleavings on single-core
 // hosts; Fixed(1) is Serial. The worker count bounds loop fan-out only —
@@ -112,13 +112,7 @@ func (r *Runner) Workers(n int) int {
 // For runs fn(i) for every i in [0,n) under this runner's policy. It
 // returns after all iterations finish. fn must be safe to call concurrently
 // for distinct i unless the runner is serial.
-func (r *Runner) For(n int, fn func(i int)) { r.ForChunked(n, 0, fn) }
-
-// ForChunked is For with an explicit chunk size; chunk <= 0 selects a chunk
-// size that gives each worker several chunks for load balancing.
-func (r *Runner) ForChunked(n, chunk int, fn func(i int)) {
-	r.forWorkerChunked(n, chunk, func(_, i int) { fn(i) })
-}
+func (r *Runner) For(n int, fn func(i int)) { r.ForWorker(n, func(_, i int) { fn(i) }) }
 
 // ForWorker runs fn(worker, i) for every i in [0,n), where worker is the
 // stable id in [0, Workers(n)) of the goroutine executing iteration i. The
@@ -128,11 +122,11 @@ func (r *Runner) ForChunked(n, chunk int, fn func(i int)) {
 // arena reset before returning from each iteration, because which worker
 // runs which iteration is schedule-dependent. Results must therefore never
 // depend on the worker id — only scratch storage may.
+//
+// Each worker repeatedly claims the next contiguous chunk of
+// max(1, n/(4·workers)) indices, so every worker gets several chunks for
+// load balancing.
 func (r *Runner) ForWorker(n int, fn func(worker, i int)) {
-	r.forWorkerChunked(n, 0, fn)
-}
-
-func (r *Runner) forWorkerChunked(n, chunk int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -143,12 +137,7 @@ func (r *Runner) forWorkerChunked(n, chunk int, fn func(worker, i int)) {
 		}
 		return
 	}
-	if chunk <= 0 {
-		chunk = n / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
+	chunk := max(1, n/(workers*4))
 	var next int
 	var mu sync.Mutex
 	take := func() (lo, hi int, ok bool) {
@@ -221,13 +210,3 @@ func MapOn[T any](r *Runner, n int, fn func(i int) T) []T {
 // returns after all iterations finish. fn must be safe to call concurrently
 // for distinct i.
 func For(n int, fn func(i int)) { Parallel().For(n, fn) }
-
-// ForChunked is For with an explicit chunk size; chunk <= 0 selects a chunk
-// size that gives each worker several chunks for load balancing.
-func ForChunked(n, chunk int, fn func(i int)) { Parallel().ForChunked(n, chunk, fn) }
-
-// Do runs the given thunks concurrently and waits for all of them.
-func Do(fns ...func()) { Parallel().Do(fns...) }
-
-// Map applies fn to every index in [0,n) in parallel and collects results.
-func Map[T any](n int, fn func(i int) T) []T { return MapOn(Parallel(), n, fn) }

@@ -6,25 +6,35 @@ import (
 )
 
 func TestForCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100, 10000} {
-		hits := make([]atomic.Int32, n)
-		For(n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, hits[i].Load())
+	runners := map[string]*Runner{
+		"serial":   Serial(),
+		"fixed3":   Fixed(3),
+		"parallel": Parallel(),
+	}
+	for name, r := range runners {
+		for _, n := range []int{0, 1, 3, 1000} {
+			hits := make([]atomic.Int32, n)
+			r.For(n, func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if hits[i].Load() != 1 {
+					t.Fatalf("%s n=%d: index %d visited %d times", name, n, i, hits[i].Load())
+				}
 			}
 		}
 	}
 }
 
 func TestForChunkedCoversAllIndices(t *testing.T) {
+	// ForWorker hands out chunks of max(1, n/(4·workers)) indices; these
+	// worker counts give chunks that divide n, leave a short last chunk,
+	// shrink to one index, and outnumber the indices.
 	const n = 1000
-	for _, chunk := range []int{-1, 0, 1, 3, 1000, 5000} {
+	for _, workers := range []int{2, 3, 7, 250, 1001} {
 		hits := make([]atomic.Int32, n)
-		ForChunked(n, chunk, func(i int) { hits[i].Add(1) })
+		Fixed(workers).For(n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if hits[i].Load() != 1 {
-				t.Fatalf("chunk=%d: index %d visited %d times", chunk, i, hits[i].Load())
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, hits[i].Load())
 			}
 		}
 	}
@@ -32,7 +42,7 @@ func TestForChunkedCoversAllIndices(t *testing.T) {
 
 func TestDoRunsAll(t *testing.T) {
 	var count atomic.Int32
-	Do(
+	Parallel().Do(
 		func() { count.Add(1) },
 		func() { count.Add(1) },
 		func() { count.Add(1) },
@@ -40,18 +50,18 @@ func TestDoRunsAll(t *testing.T) {
 	if count.Load() != 3 {
 		t.Fatalf("Do ran %d thunks, want 3", count.Load())
 	}
-	Do() // no thunks: must not hang
+	Parallel().Do() // no thunks: must not hang
 }
 
 func TestMapOrder(t *testing.T) {
-	out := Map(100, func(i int) int { return i * i })
+	out := MapOn(nil, 100, func(i int) int { return i * i })
 	for i, v := range out {
 		if v != i*i {
-			t.Fatalf("Map[%d] = %d, want %d", i, v, i*i)
+			t.Fatalf("MapOn[%d] = %d, want %d", i, v, i*i)
 		}
 	}
-	if len(Map(0, func(i int) int { return i })) != 0 {
-		t.Fatal("Map(0) should be empty")
+	if len(MapOn(nil, 0, func(i int) int { return i })) != 0 {
+		t.Fatal("MapOn(nil, 0) should be empty")
 	}
 }
 
@@ -92,7 +102,7 @@ func TestFixedRunnerSpawnsWorkers(t *testing.T) {
 	const workers = 4
 	var started atomic.Int32
 	release := make(chan struct{})
-	Fixed(workers).ForChunked(workers, 1, func(i int) {
+	Fixed(workers).For(workers, func(i int) {
 		if started.Add(1) == workers {
 			close(release)
 		}

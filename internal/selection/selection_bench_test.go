@@ -20,7 +20,8 @@ import (
 //   - strided512x7: group512's shape through the general (non-identity)
 //     object mapping, exercising the wordProber batching.
 //
-// Sub-benchmark names match the stream rows of BENCH_PR10.json.
+// Sub-benchmark names match the stream rows of the historical
+// BENCH_PR10.json snapshot.
 func BenchmarkRSelect(b *testing.B) {
 	shapes := []struct {
 		name string

@@ -195,14 +195,3 @@ func (l *Ledger) roster(honest bool) []int {
 	}
 	return out
 }
-
-// NumDishonest returns the number of dishonest players.
-func (l *Ledger) NumDishonest() int {
-	c := 0
-	for _, h := range l.honest {
-		if !h {
-			c++
-		}
-	}
-	return c
-}

@@ -70,8 +70,8 @@ func TestHonestByDefault(t *testing.T) {
 	if !w.IsHonest(0) || !w.IsHonest(1) {
 		t.Fatal("players not honest by default")
 	}
-	if w.NumDishonest() != 0 {
-		t.Fatal("NumDishonest != 0 on fresh world")
+	if len(w.DishonestPlayers()) != 0 {
+		t.Fatal("fresh world has dishonest players")
 	}
 	if got := w.HonestPlayers(); len(got) != 2 {
 		t.Fatalf("HonestPlayers = %v", got)
@@ -87,9 +87,6 @@ func TestSetBehaviorMarksDishonest(t *testing.T) {
 	w.SetBehavior(1, liar{})
 	if w.IsHonest(1) {
 		t.Fatal("SetBehavior(liar) left player honest")
-	}
-	if w.NumDishonest() != 1 {
-		t.Fatalf("NumDishonest = %d, want 1", w.NumDishonest())
 	}
 	if got := w.DishonestPlayers(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("DishonestPlayers = %v", got)

@@ -8,8 +8,8 @@ package collabscore_test
 // data path — []int published rows, per-element L1 loops, a [][]bool probe
 // memo, and a freshly allocated report slice per (cluster, object) in the
 // median work-share — so `go test -bench Ratings -benchmem` reports the
-// allocs/op and ns/op trajectory of the refactor on every run (CI records
-// it into BENCH_PR5.json). Both engines execute the same single-guess
+// allocs/op and ns/op trajectory of the refactor on every run (the
+// committed BENCH_PR5.json is its historical record). Both engines execute the same single-guess
 // protocol (publish → neighbor graph → peel → median work-share) over the
 // same planted instance.
 
@@ -99,7 +99,7 @@ func legacyRatingsRun(truth [][]int, scale, budget, d int, shared *xrand.Stream)
 		sample = []int{0}
 	}
 
-	published := par.Map(n, func(p int) []int {
+	published := par.MapOn(nil, n, func(p int) []int {
 		row := make([]int, len(sample))
 		for j, o := range sample {
 			row[j] = probe(p, o)
@@ -111,7 +111,7 @@ func legacyRatingsRun(truth [][]int, scale, budget, d int, shared *xrand.Stream)
 	if threshold < 1 {
 		threshold = 1
 	}
-	adj := par.Map(n, func(p int) []int {
+	adj := par.MapOn(nil, n, func(p int) []int {
 		var nb []int
 		for q := 0; q < n; q++ {
 			if q == p {
@@ -140,7 +140,7 @@ func legacyRatingsRun(truth [][]int, scale, budget, d int, shared *xrand.Stream)
 	}
 	for j, members := range clusters {
 		clusterRng := iterRng.Split(0x5C, uint64(j))
-		ratings := par.Map(m, func(o int) int {
+		ratings := par.MapOn(nil, m, func(o int) int {
 			rng := clusterRng.Split(uint64(o))
 			reports := make([]int, 0, red)
 			for i := 0; i < red; i++ {

@@ -14,8 +14,8 @@ package collabscore_test
 //
 // All three produce byte-identical record sets (pinned by
 // sweep.TestEngineMatchesStandalone and TestPoolMatchesFresh); only the
-// time and allocation columns may differ. cmd/bench records the matrix as
-// BENCH_PR4.json.
+// time and allocation columns may differ. The committed BENCH_PR4.json is
+// the historical record of this matrix.
 
 import (
 	"testing"
