@@ -2,13 +2,15 @@ package bitvec
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
-// maxPlaneBits bounds the per-value bit width of a Planes. Rating scales in
+// MaxPlaneBits bounds the per-value bit width of a Planes. Rating scales in
 // this repository are small integers; 32 planes already cover scales past
-// 4·10⁹ while keeping the bit-sliced L1 scratch on the stack.
-const maxPlaneBits = 32
+// 4·10⁹ while keeping per-word plane scratch (the bit-sliced L1's, the
+// rating world's word gather) on the stack.
+const MaxPlaneBits = 32
 
 // Planes is a bit-sliced vector of k-bit unsigned integer values: element i
 // is stored as one bit in each of k planes, where plane ℓ holds bit ℓ of
@@ -23,9 +25,10 @@ const maxPlaneBits = 32
 // k. The zero value is an empty Planes of length 0; use NewPlanes or
 // PlanesForScale.
 type Planes struct {
-	n     int // number of values
-	k     int // bits per value
-	words []uint64
+	n      int // number of values
+	k      int // bits per value
+	stride int // words per plane, ⌈n/64⌉
+	words  []uint64
 }
 
 // PlaneBits returns the number of bit-planes needed for values in
@@ -47,11 +50,11 @@ func NewPlanes(n, k int) Planes {
 	if n < 0 {
 		panic("bitvec: negative length")
 	}
-	if k < 1 || k > maxPlaneBits {
-		panic(fmt.Sprintf("bitvec: plane count %d outside [1,%d]", k, maxPlaneBits))
+	if k < 1 || k > MaxPlaneBits {
+		panic(fmt.Sprintf("bitvec: plane count %d outside [1,%d]", k, MaxPlaneBits))
 	}
 	stride := (n + wordBits - 1) / wordBits
-	return Planes{n: n, k: k, words: make([]uint64, k*stride)}
+	return Planes{n: n, k: k, stride: stride, words: make([]uint64, k*stride)}
 }
 
 // PlanesForScale returns a zeroed Planes sized for n values in [0, scale].
@@ -65,24 +68,19 @@ func (pl Planes) Bits() int { return pl.k }
 
 // Stride returns the number of 64-bit words per plane, ⌈Len/64⌉. Word-level
 // code addresses value i as word i/64, bit i%64 of each plane.
-func (pl Planes) Stride() int {
-	if pl.k == 0 {
-		return 0
-	}
-	return len(pl.words) / pl.k
-}
+func (pl Planes) Stride() int { return pl.stride }
 
 // PlaneWord returns word wi of plane ℓ. Bits past Len are always zero.
-func (pl Planes) PlaneWord(l, wi int) uint64 { return pl.words[l*pl.Stride()+wi] }
+func (pl Planes) PlaneWord(l, wi int) uint64 { return pl.words[l*pl.stride+wi] }
 
 // SetPlaneWord assigns word wi of plane ℓ, masking off bits past Len.
 func (pl Planes) SetPlaneWord(l, wi int, w uint64) {
-	pl.words[l*pl.Stride()+wi] = w & pl.wordMask(wi)
+	pl.words[l*pl.stride+wi] = w & pl.wordMask(wi)
 }
 
 // wordMask returns the valid-bit mask for word wi of any plane.
 func (pl Planes) wordMask(wi int) uint64 {
-	if wi == pl.Stride()-1 && pl.n%wordBits != 0 {
+	if wi == pl.stride-1 && pl.n%wordBits != 0 {
 		return (1 << (uint(pl.n) % wordBits)) - 1
 	}
 	return ^uint64(0)
@@ -91,8 +89,8 @@ func (pl Planes) wordMask(wi int) uint64 {
 // WordMask returns the mask of valid (in-range) bits for word wi of any
 // plane: all ones except in the final word when Len is not a multiple of 64.
 func (pl Planes) WordMask(wi int) uint64 {
-	if wi < 0 || wi >= pl.Stride() {
-		panic(fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, pl.Stride()))
+	if wi < 0 || wi >= pl.stride {
+		panic(fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, pl.stride))
 	}
 	return pl.wordMask(wi)
 }
@@ -101,10 +99,9 @@ func (pl Planes) WordMask(wi int) uint64 {
 func (pl Planes) Get(i int) int {
 	pl.check(i)
 	wi, bit := i/wordBits, uint(i)%wordBits
-	stride := pl.Stride()
 	v := 0
 	for l := 0; l < pl.k; l++ {
-		v |= int(pl.words[l*stride+wi]>>bit&1) << l
+		v |= int(pl.words[l*pl.stride+wi]>>bit&1) << l
 	}
 	return v
 }
@@ -116,12 +113,11 @@ func (pl Planes) Set(i, v int) {
 		panic(fmt.Sprintf("bitvec: value %d does not fit in %d planes", v, pl.k))
 	}
 	wi, mask := i/wordBits, uint64(1)<<(uint(i)%wordBits)
-	stride := pl.Stride()
 	for l := 0; l < pl.k; l++ {
 		if v>>l&1 == 1 {
-			pl.words[l*stride+wi] |= mask
+			pl.words[l*pl.stride+wi] |= mask
 		} else {
-			pl.words[l*stride+wi] &^= mask
+			pl.words[l*pl.stride+wi] &^= mask
 		}
 	}
 }
@@ -140,29 +136,44 @@ func (pl Planes) check(i int) {
 // conditionally negating exactly those lanes (bit-sliced two's complement)
 // gives |a−b|, and the total is the plane-weighted popcount Σ_ℓ 2^ℓ·pop(rℓ).
 // It panics on shape mismatch.
-func (a Planes) L1(b Planes) int {
+func (a Planes) L1(b Planes) int { return a.l1(b, math.MaxInt) }
+
+// L1Within reports whether a.L1(b) ≤ limit. It runs L1's kernel but stops
+// after the first 64-value word whose running total exceeds limit, so a
+// pair far apart — most pairs of a neighbor-graph sweep — costs one word
+// instead of the whole row. It panics on shape mismatch.
+func (a Planes) L1Within(b Planes, limit int) bool { return a.l1(b, limit) <= limit }
+
+// l1 is the one L1 kernel: it returns the running total as soon as it
+// exceeds limit after a word, and the exact L1 distance otherwise.
+func (a Planes) l1(b Planes, limit int) int {
 	if a.n != b.n || a.k != b.k {
 		panic(fmt.Sprintf("bitvec: planes shape mismatch %d×%d vs %d×%d", a.n, a.k, b.n, b.k))
 	}
-	stride := a.Stride()
-	var diff [maxPlaneBits]uint64
+	aw, bw := a.words, b.words[:len(a.words)]
+	var diff [MaxPlaneBits]uint64
 	total := 0
-	for wi := 0; wi < stride; wi++ {
+	for wi := 0; wi < a.stride; wi++ {
+		// Plane ℓ's word wi sits at aw[ℓ·stride+wi].
 		var borrow uint64
-		for l := 0; l < a.k; l++ {
-			aw, bw := a.words[l*stride+wi], b.words[l*stride+wi]
-			x := aw ^ bw
-			diff[l] = x ^ borrow
-			borrow = (^aw & bw) | (^x & borrow)
+		l := 0
+		for i := wi; i < len(aw); i += a.stride {
+			x := aw[i] ^ bw[i]
+			diff[l&(MaxPlaneBits-1)] = x ^ borrow // l < k ≤ 32; the mask drops the bounds check
+			borrow = (^aw[i] & bw[i]) | (^x & borrow)
+			l++
 		}
 		// borrow now flags the lanes where a < b; negate exactly those.
 		neg := borrow
 		carry := neg
-		for l := 0; l < a.k; l++ {
-			t := diff[l] ^ neg
+		for l, d := range diff[:a.k] {
+			t := d ^ neg
 			r := t ^ carry
 			carry = t & carry
 			total += bits.OnesCount64(r) << l
+		}
+		if total > limit {
+			break
 		}
 	}
 	return total
@@ -178,7 +189,7 @@ func (pl Planes) SubFrom(c int) Planes {
 		panic(fmt.Sprintf("bitvec: minuend %d does not fit in %d planes", c, pl.k))
 	}
 	out := NewPlanes(pl.n, pl.k)
-	stride := pl.Stride()
+	stride := pl.stride
 	for wi := 0; wi < stride; wi++ {
 		valid := pl.wordMask(wi)
 		var borrow uint64
@@ -211,7 +222,7 @@ func (pl Planes) Gather(idx []int) Planes {
 
 // Clone returns a deep copy.
 func (pl Planes) Clone() Planes {
-	out := Planes{n: pl.n, k: pl.k, words: make([]uint64, len(pl.words))}
+	out := Planes{n: pl.n, k: pl.k, stride: pl.stride, words: make([]uint64, len(pl.words))}
 	copy(out.words, pl.words)
 	return out
 }
@@ -249,14 +260,14 @@ func (pl Planes) Equal(other Planes) bool {
 // worlds); otherwise it allocates like NewPlanes. The receiver must not be
 // in use elsewhere — Renew hands its storage to the returned Planes.
 func (pl Planes) Renew(n, k int) Planes {
-	if k < 1 || k > maxPlaneBits {
-		panic(fmt.Sprintf("bitvec: plane count %d outside [1,%d]", k, maxPlaneBits))
+	if k < 1 || k > MaxPlaneBits {
+		panic(fmt.Sprintf("bitvec: plane count %d outside [1,%d]", k, MaxPlaneBits))
 	}
 	stride := (n + wordBits - 1) / wordBits
 	if cap(pl.words) < k*stride {
 		return NewPlanes(n, k)
 	}
-	out := Planes{n: n, k: k, words: pl.words[:k*stride]}
+	out := Planes{n: n, k: k, stride: stride, words: pl.words[:k*stride]}
 	out.Zero()
 	return out
 }

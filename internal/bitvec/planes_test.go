@@ -93,6 +93,35 @@ func TestPlanesL1MatchesScalar(t *testing.T) {
 	}
 }
 
+// TestPlanesL1WithinMatchesL1: the early-exit kernel answers exactly
+// L1(b) ≤ limit, on random rows over k = 1..5 planes, lengths that are and
+// are not multiples of 64, and limits on both sides of the distance.
+func TestPlanesL1WithinMatchesL1(t *testing.T) {
+	lengths := []int{0, 1, 63, 64, 65, 128, 130, 200, 256}
+	f := func(seed uint64, kSel, lenSel uint8) bool {
+		k := 1 + int(kSel)%5
+		n := lengths[int(lenSel)%len(lengths)]
+		scale := 1<<k - 1
+		a, b := NewPlanes(n, k), NewPlanes(n, k)
+		for i := 0; i < n; i++ {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			a.Set(i, int(seed>>33)%(scale+1))
+			b.Set(i, int(seed>>13)%(scale+1))
+		}
+		d := a.L1(b)
+		for _, lim := range []int{-1, 0, d - 1, d, d + 1} {
+			if a.L1Within(b, lim) != (d <= lim) || b.L1Within(a, lim) != (d <= lim) {
+				t.Logf("k=%d n=%d L1=%d limit=%d: L1Within = %v", k, n, d, lim, a.L1Within(b, lim))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPlanesL1SelfAndPanic(t *testing.T) {
 	pl := FromInts([]int{1, 4, 2, 0, 5}, 5)
 	if pl.L1(pl) != 0 {

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"collabscore/internal/bitvec"
@@ -107,6 +109,22 @@ func TestCSRFinishMatchesSerial(t *testing.T) {
 				t.Fatalf("n=%d %s: parallel CSR finish differs from serial build", n, ename)
 			}
 		}
+	}
+}
+
+// TestBuildGraphL1RejectsMixedShapes: a row whose length or plane count
+// differs from row 0's panics before the sweep, naming the row.
+func TestBuildGraphL1RejectsMixedShapes(t *testing.T) {
+	for _, bad := range []bitvec.Planes{bitvec.NewPlanes(41, 3), bitvec.NewPlanes(40, 2)} {
+		rows := []bitvec.Planes{bitvec.NewPlanes(40, 3), bitvec.NewPlanes(40, 3), bad}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "row 2") {
+					t.Fatalf("%d×%d row: recovered %v, want a panic naming row 2", bad.Len(), bad.Bits(), r)
+				}
+			}()
+			BuildGraphL1On(nil, rows, 5, RepDense)
+		}()
 	}
 }
 

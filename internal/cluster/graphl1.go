@@ -9,6 +9,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
 )
@@ -21,11 +23,23 @@ import (
 // buffers into the sink for the chosen representation. The graph is a pure
 // function of (rows, threshold, rep) under every schedule.
 //
+// Row shapes are checked once, up front, so a malformed row panics on the
+// caller's goroutine naming the row. Each pair then runs
+// bitvec.Planes.L1Within, which stops at the first 64-value word whose
+// running total passes the threshold: most pairs lie in different
+// clusters, far above it, and cost one word instead of the whole row.
+//
 // This replaces the multival engine's private adjacency build, which
 // computed every distance twice (a full row scan per player) and
 // materialized a [][]int slice-of-slices graph.
 func BuildGraphL1On(exec *par.Runner, rows []bitvec.Planes, threshold int, rep GraphRep) Graph {
 	n := len(rows)
+	for p, row := range rows {
+		if row.Len() != rows[0].Len() || row.Bits() != rows[0].Bits() {
+			panic(fmt.Sprintf("cluster: row %d has shape %d×%d, want %d×%d",
+				p, row.Len(), row.Bits(), rows[0].Len(), rows[0].Bits()))
+		}
+	}
 	sink := newGraphSink(n, rep)
 	if n < 2 {
 		return sink.finish(exec)
@@ -50,7 +64,7 @@ func BuildGraphL1On(exec *par.Runner, rows []bitvec.Planes, threshold int, rep G
 				qLo = p + 1
 			}
 			for q := qLo; q < qHi; q++ {
-				if rows[p].L1(rows[q]) <= threshold {
+				if rows[p].L1Within(rows[q], threshold) {
 					buf = append(buf, [2]int32{int32(p), int32(q)})
 					if len(buf) >= sinkFlushAt {
 						sink.flush(buf)

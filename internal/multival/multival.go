@@ -228,31 +228,42 @@ func (w *World) ProbePlaneWords(p, wi int, mask uint64, dst []uint64) {
 // ProbeValues probes, as player p, every object in objs and returns the
 // true ratings bit-sliced and indexed like objs. Runs of objects sharing a
 // 64-bit word — the common case, since protocol object lists are sorted —
-// collapse into single whole-word memo updates, and the only allocation is
-// the returned Planes. Probe charging is identical to calling Probe per
-// object.
+// collapse into one ProbePlaneWords call, which charges the run and gathers
+// the word's planes; each object's bits are then shifted into the output
+// plane words, and the only allocation is the returned Planes. Probe charging is
+// identical to calling Probe per object. Every object is range-checked
+// before any is charged, so a bad list panics with the ledger untouched.
 func (w *World) ProbeValues(p int, objs []int) bitvec.Planes {
-	curW := -1
-	var curMask uint64
 	for _, o := range objs {
 		if o < 0 || o >= w.M() {
 			panic(fmt.Sprintf("multival: object %d out of range [0,%d)", o, w.M()))
 		}
-		wi := o / 64
-		if wi != curW {
-			if curMask != 0 {
-				w.ChargeWord(p, curW, curMask)
-			}
-			curW, curMask = wi, 0
-		}
-		curMask |= 1 << (uint(o) % 64)
-	}
-	if curMask != 0 {
-		w.ChargeWord(p, curW, curMask)
 	}
 	out := bitvec.NewPlanes(len(objs), w.k)
-	for j, o := range objs {
-		out.Set(j, w.src.Rating(p, o))
+	// in holds the charged truth words of the current object word; acc
+	// the output plane words being filled for objs[j&^63 : j+1].
+	var in, acc [bitvec.MaxPlaneBits]uint64
+	for j := 0; j < len(objs); {
+		wi := objs[j] / 64
+		end := j + 1
+		mask := uint64(1) << (uint(objs[j]) % 64)
+		for end < len(objs) && objs[end]/64 == wi {
+			mask |= 1 << (uint(objs[end]) % 64)
+			end++
+		}
+		w.ProbePlaneWords(p, wi, mask, in[:])
+		for ; j < end; j++ {
+			b, ob := uint(objs[j])%64, uint(j)%64
+			for l := 0; l < w.k; l++ {
+				acc[l] |= (in[l] >> b & 1) << ob
+			}
+			if ob == 63 || j == len(objs)-1 {
+				for l := 0; l < w.k; l++ {
+					out.SetPlaneWord(l, j/64, acc[l])
+					acc[l] = 0
+				}
+			}
+		}
 	}
 	return out
 }
