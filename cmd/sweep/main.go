@@ -1,8 +1,8 @@
-// Command sweep runs scenario grids through the pooled sweep engine
+// Command sweep runs scenario grids through the sweep engine
 // (internal/sweep; DESIGN.md §11): declarative axes expand into
-// deterministic per-point seeds, points run across a worker pool with
-// per-worker reused allocations, results stream to a JSONL file as points
-// complete, and an interrupted sweep resumes from its partial output.
+// deterministic per-point seeds, points run across a worker pool, results
+// stream to a JSONL file as points complete, and an interrupted sweep
+// resumes from its partial output.
 //
 // The grid comes from a JSON spec file (-grid, the internal/sweep.Spec
 // schema) or from axis flags (comma-separated values):

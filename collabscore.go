@@ -170,36 +170,45 @@ type Simulation struct {
 	// truth is the parsed Config.TruthSource spec; planting methods consult
 	// it to pick the dense or lazy generator family.
 	truth prefgen.SourceSpec
-	// pool, when non-nil, supplies reused allocations (truth buffers,
-	// world, bulletin boards) for this simulation; see Pool.
-	pool *Pool
 }
 
 // NewSimulation creates a simulation with uniform random preferences (no
 // planted structure). Call PlantClusters or PlantZipf to add structure
 // before running. It panics on nonsensical configs.
 func NewSimulation(cfg Config) *Simulation {
-	return Scenario{Config: cfg}.simulation(nil)
+	return Scenario{Config: cfg}.simulation()
 }
 
-// pg returns the prefgen buffer generators draw from: the pool's when this
-// simulation is pooled, otherwise nil (a nil *prefgen.Buffer allocates
-// fresh — the historical behavior — and draws the same coins).
-func (s *Simulation) pg() *prefgen.Buffer {
-	if s.pool == nil {
-		return nil
+// resolveConfig validates the shape fields Config and RatingConfig share,
+// fills their defaults (Objects 0 → players, Budget 0 → 8), and parses the
+// truth-source spec. It panics on nonsensical values, naming the field.
+func resolveConfig(players, objects, budget int, truthSource string) (int, int, prefgen.SourceSpec) {
+	if players < 1 {
+		panic("collabscore: Players must be ≥ 1")
 	}
-	return &s.pool.pg
+	if objects < 0 {
+		panic(fmt.Sprintf("collabscore: Objects must be ≥ 0 (0 defaults to Players), got %d", objects))
+	}
+	if budget < 0 {
+		panic(fmt.Sprintf("collabscore: Budget must be ≥ 0 (0 defaults to 8), got %d", budget))
+	}
+	if objects == 0 {
+		objects = players
+	}
+	if budget == 0 {
+		budget = 8
+	}
+	spec, err := prefgen.ParseSourceSpec(truthSource)
+	if err != nil {
+		panic(fmt.Sprintf("collabscore: %v", err))
+	}
+	return objects, budget, spec
 }
 
+// rebuild builds the world over the current instance and resolves the
+// protocol parameters, discarding any corruption installed earlier.
 func (s *Simulation) rebuild() {
-	src := s.instance.Source()
-	if s.pool != nil {
-		s.w = world.RenewFrom(s.pool.w, src)
-		s.pool.w = s.w
-	} else {
-		s.w = world.NewFrom(src)
-	}
+	s.w = world.NewFrom(s.instance.Source())
 	if s.cfg.PaperConstants {
 		s.params = core.Paper(s.cfg.Players, s.cfg.Budget)
 	} else {
@@ -214,9 +223,17 @@ func (s *Simulation) rebuild() {
 		panic(fmt.Sprintf("collabscore: %v", err))
 	}
 	s.params.NeighborIndex = spec
-	if s.pool != nil {
-		s.params.Mem = s.pool.mem
+}
+
+// plantUniform installs uniform random preferences (no planted structure),
+// the instance NewSimulation starts from.
+func (s *Simulation) plantUniform() {
+	if s.truth.IsDense() {
+		s.instance = prefgen.Uniform(s.rng.Split(1), s.cfg.Players, s.cfg.Objects)
+	} else {
+		s.instance = prefgen.LazyUniform(s.rng.Split(1), s.cfg.Players, s.cfg.Objects)
 	}
+	s.rebuild()
 }
 
 // PlantClusters replaces the preference matrix with planted clusters of the
@@ -224,9 +241,9 @@ func (s *Simulation) rebuild() {
 // corruption installed earlier is discarded.
 func (s *Simulation) PlantClusters(clusterSize, diameter int) *Simulation {
 	if s.truth.IsDense() {
-		s.instance = s.pg().DiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter)
+		s.instance = prefgen.DiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter)
 	} else {
-		s.instance = s.pg().LazyDiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter)
+		s.instance = prefgen.LazyDiameterClusters(s.rng.Split(2), s.cfg.Players, s.cfg.Objects, clusterSize, diameter, 0)
 	}
 	s.rebuild()
 	return s
@@ -236,9 +253,9 @@ func (s *Simulation) PlantClusters(clusterSize, diameter int) *Simulation {
 // clusters whose sizes follow a Zipf law with the given exponent.
 func (s *Simulation) PlantZipf(numClusters int, alpha float64, diameter int) *Simulation {
 	if s.truth.IsDense() {
-		s.instance = s.pg().ZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter)
+		s.instance = prefgen.ZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter)
 	} else {
-		s.instance = s.pg().LazyZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter)
+		s.instance = prefgen.LazyZipfClusters(s.rng.Split(3), s.cfg.Players, s.cfg.Objects, numClusters, alpha, diameter)
 	}
 	s.rebuild()
 	return s

@@ -112,3 +112,42 @@ func TestPanicsOnBadConfig(t *testing.T) {
 	}()
 	NewSimulation(Config{Players: 0})
 }
+
+// TestBadShapePanicsNameField: every constructor rejects a nonsensical
+// player, object or budget count at construction, with a message naming the
+// field, instead of failing later inside the protocol.
+func TestBadShapePanicsNameField(t *testing.T) {
+	rating := func(cfg RatingConfig) func() {
+		return func() { NewRatingSimulation(cfg, 4, 2) }
+	}
+	scenario := func(sc Scenario) func() { return func() { sc.Run() } }
+	cases := []struct {
+		name, want string
+		run        func()
+	}{
+		{"binary-players", "Players must be ≥ 1", func() { NewSimulation(Config{Players: 0}) }},
+		{"binary-objects", "Objects must be ≥ 0", func() { NewSimulation(Config{Players: 16, Objects: -3}) }},
+		{"binary-budget", "Budget must be ≥ 0", func() { NewSimulation(Config{Players: 16, Budget: -1}) }},
+		{"rating-players", "Players must be ≥ 1", rating(RatingConfig{Players: -1})},
+		{"rating-objects", "Objects must be ≥ 0", rating(RatingConfig{Players: 16, Objects: -3})},
+		{"rating-budget", "Budget must be ≥ 0", rating(RatingConfig{Players: 16, Budget: -1})},
+		{"scenario-objects", "Objects must be ≥ 0", scenario(Scenario{Config: Config{Players: 16, Objects: -3}, ClusterSize: 4})},
+		{"scenario-budget", "Budget must be ≥ 0", scenario(Scenario{Config: Config{Players: 16, Budget: -1}, ClusterSize: 4})},
+		{"scenario-ratings-objects", "Objects must be ≥ 0", scenario(Scenario{Config: Config{Players: 16, Objects: -3}, ClusterSize: 4, Protocol: ProtoRatings})},
+		{"scenario-ratings-budget", "Budget must be ≥ 0", scenario(Scenario{Config: Config{Players: 16, Budget: -1}, ClusterSize: 4, Protocol: ProtoRatings})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("constructor accepted the config")
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %v, want a message containing %q", r, tc.want)
+				}
+			}()
+			tc.run()
+		})
+	}
+}

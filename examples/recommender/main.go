@@ -8,7 +8,7 @@
 // (ProtoRatings), so instead of one hand-built simulation this example
 // expands a small grid over the RATING SCALE — the §8 axis the unified
 // engine opened — with paired honest/bot columns per scale, runs it
-// through the pooled sweep engine, and prints the table.
+// through the sweep engine, and prints the table.
 //
 // Run with:
 //

@@ -1,9 +1,9 @@
 // Sweep: generate the CSV series behind the paper's two headline plots —
 // error vs. dishonest fraction (Theorem 14) and probes vs. n (Lemma 11) —
 // ready for a plotting tool. Demonstrates driving scenario grids through
-// the pooled sweep engine (internal/sweep) instead of hand-rolled loops:
-// each series is a declarative Spec, expanded to deterministic per-point
-// seeds and run on a worker pool with reused allocations.
+// the sweep engine (internal/sweep) instead of hand-rolled loops: each
+// series is a declarative Spec, expanded to deterministic per-point seeds
+// and run on a worker pool.
 //
 // Run with:
 //

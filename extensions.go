@@ -2,12 +2,12 @@ package collabscore
 
 // This file exposes the §8 extensions — non-binary rating scales and
 // heterogeneous probe budgets — through the public API, wrapping the
-// internal/multival and internal/budgets implementations. Since PR 5 both
-// run on the same vectorized engine as the binary protocol (bit-plane
-// ratings, CAS probe memos, par.Runner schedules, pooled construction; see
-// DESIGN.md §12), and both are sweepable: Scenario/Pool run them through
-// ProtoRatings and ProtoBudgets, so grids can quantify over rating scales
-// and capacity tiers like any other axis.
+// internal/multival and internal/budgets implementations. Both run on the
+// same vectorized engine as the binary protocol (bit-plane ratings, CAS
+// probe memos, par.Runner schedules; see DESIGN.md §12), and both are
+// sweepable: Scenario runs them through ProtoRatings and ProtoBudgets, so
+// grids can quantify over rating scales and capacity tiers like any other
+// axis.
 
 import (
 	"fmt"
@@ -97,52 +97,24 @@ type RatingSimulation struct {
 // NewRatingSimulation creates a rating-scale simulation with planted taste
 // clusters of the given size and L1 diameter.
 func NewRatingSimulation(cfg RatingConfig, clusterSize, diameter int) *RatingSimulation {
-	return newRatingSimulation(cfg, clusterSize, diameter, nil)
-}
-
-// newRatingSimulation is the pool-aware constructor: pl non-nil draws the
-// truth planes and world from the pool's rating arena. The coins drawn are
-// identical either way, so pooled construction is bit-identical to fresh.
-func newRatingSimulation(cfg RatingConfig, clusterSize, diameter int, pl *Pool) *RatingSimulation {
-	if cfg.Players < 1 {
-		panic("collabscore: Players must be ≥ 1")
-	}
-	if cfg.Objects == 0 {
-		cfg.Objects = cfg.Players
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 8
-	}
+	var spec prefgen.SourceSpec
+	cfg.Objects, cfg.Budget, spec = resolveConfig(cfg.Players, cfg.Objects, cfg.Budget, cfg.TruthSource)
 	if cfg.Scale == 0 {
 		cfg.Scale = 5
 	}
-	spec, err := prefgen.ParseSourceSpec(cfg.TruthSource)
-	if err != nil {
-		panic(fmt.Sprintf("collabscore: %v", err))
-	}
 	rng := xrand.New(cfg.Seed)
-	var buf *multival.Buffer
-	if pl != nil {
-		buf = &pl.rpg
-	}
 	var src multival.RatingSource
 	if spec.IsDense() {
-		truth, _ := buf.Generate(rng.Split(1), cfg.Players, cfg.Objects, clusterSize, diameter, cfg.Scale)
+		truth, _ := multival.Generate(rng.Split(1), cfg.Players, cfg.Objects, clusterSize, diameter, cfg.Scale)
 		src = multival.NewDensePlanes(truth)
 	} else {
-		src, _ = buf.LazyGenerate(rng.Split(1), cfg.Players, cfg.Objects, clusterSize, diameter, cfg.Scale)
+		src, _ = multival.LazyGenerate(rng.Split(1), cfg.Players, cfg.Objects, clusterSize, diameter, cfg.Scale)
 	}
 	pr := multival.Scaled(cfg.Players, cfg.Budget)
 	if cfg.FixedDiameter > 0 {
 		pr.MinD, pr.MaxD = cfg.FixedDiameter, cfg.FixedDiameter
 	}
-	var w *multival.World
-	if pl != nil {
-		w = multival.RenewFrom(pl.rw, src, cfg.Scale)
-		pl.rw = w
-	} else {
-		w = multival.NewWorldFrom(src, cfg.Scale)
-	}
+	w := multival.NewWorldFrom(src, cfg.Scale)
 	return &RatingSimulation{cfg: cfg, rng: rng, w: w, pr: pr}
 }
 

@@ -87,7 +87,7 @@ func goldenDigest(c goldenCase) string {
 	if c.sc.Protocol == ProtoRatings {
 		// Scenario.Run drops rating rows from its Report; hash them from the
 		// rating report it is built from.
-		rs := c.sc.ratingSimulation(nil)
+		rs := c.sc.ratingSimulation()
 		if c.minD > 0 {
 			rs.Params().MinD, rs.Params().MaxD = c.minD, c.maxD
 		}

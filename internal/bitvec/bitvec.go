@@ -149,20 +149,6 @@ func (v Vector) CopyFrom(w Vector) {
 	copy(v.words, w.words)
 }
 
-// Renew returns a zeroed vector of length n, reusing v's backing words when
-// they already span n bits (allocation-free reuse for pooled simulation
-// state); otherwise it allocates like New. The receiver must not be in use
-// elsewhere — Renew hands its storage to the returned vector.
-func (v Vector) Renew(n int) Vector {
-	words := (n + wordBits - 1) / wordBits
-	if cap(v.words) < words {
-		return New(n)
-	}
-	w := Vector{n: n, words: v.words[:words]}
-	w.Zero()
-	return w
-}
-
 // Equal reports whether v and w have the same length and bits.
 func (v Vector) Equal(w Vector) bool {
 	if v.n != w.n {

@@ -481,28 +481,6 @@ func TestZeroCopyFromRenew(t *testing.T) {
 		t.Fatalf("Zero left %d bits set", v.Count())
 	}
 
-	// Renew at equal-or-smaller word footprint reuses storage and zeroes.
-	big := New(256)
-	for i := 0; i < 256; i += 3 {
-		big.Set(i, true)
-	}
-	reused := big.Renew(100)
-	if reused.Len() != 100 || reused.Count() != 0 {
-		t.Fatalf("Renew(100) = len %d count %d", reused.Len(), reused.Count())
-	}
-	reused.Set(0, true)
-	if big.Word(0) != 1 {
-		t.Fatal("Renew did not reuse the backing words")
-	}
-	// Renew past capacity allocates fresh.
-	grown := reused.Renew(1024)
-	if grown.Len() != 1024 || grown.Count() != 0 {
-		t.Fatalf("Renew(1024) = len %d count %d", grown.Len(), grown.Count())
-	}
-	grown.Set(700, true)
-	if reused.Count() != 1 || !reused.Get(0) {
-		t.Fatal("growing Renew should not alias the old storage")
-	}
 }
 
 func TestCopyFromLengthMismatchPanics(t *testing.T) {

@@ -227,13 +227,6 @@ func (pl Planes) Clone() Planes {
 	return out
 }
 
-// Zero clears every value in place.
-func (pl Planes) Zero() {
-	for i := range pl.words {
-		pl.words[i] = 0
-	}
-}
-
 // CopyFrom overwrites pl's values with src's. It panics on shape mismatch.
 func (pl Planes) CopyFrom(src Planes) {
 	if pl.n != src.n || pl.k != src.k {
@@ -253,23 +246,6 @@ func (pl Planes) Equal(other Planes) bool {
 		}
 	}
 	return true
-}
-
-// Renew returns a zeroed Planes of n values × k bits, reusing pl's backing
-// words when they are large enough (allocation-free reuse for pooled rating
-// worlds); otherwise it allocates like NewPlanes. The receiver must not be
-// in use elsewhere — Renew hands its storage to the returned Planes.
-func (pl Planes) Renew(n, k int) Planes {
-	if k < 1 || k > MaxPlaneBits {
-		panic(fmt.Sprintf("bitvec: plane count %d outside [1,%d]", k, MaxPlaneBits))
-	}
-	stride := (n + wordBits - 1) / wordBits
-	if cap(pl.words) < k*stride {
-		return NewPlanes(n, k)
-	}
-	out := Planes{n: n, k: k, stride: stride, words: pl.words[:k*stride]}
-	out.Zero()
-	return out
 }
 
 // Ints materializes the values as a plain []int row (public-API use).

@@ -161,24 +161,25 @@ func TestPlanesCloneRenewCopy(t *testing.T) {
 	if !cp.Equal(pl) {
 		t.Fatal("CopyFrom not equal")
 	}
+	if cp.Equal(NewPlanes(3, 3)) || cp.Equal(NewPlanes(4, 2)) {
+		t.Fatal("Equal ignores the shape")
+	}
+	for name, f := range map[string]func(){
+		"CopyFrom shape mismatch": func() { cp.CopyFrom(NewPlanes(3, 3)) },
+		"NewPlanes zero planes":   func() { NewPlanes(3, 0) },
+		"NewPlanes too many":      func() { NewPlanes(3, MaxPlaneBits+1) },
+		"NewPlanes negative":      func() { NewPlanes(-1, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 
-	// Renew in place: large enough backing is reused and zeroed.
-	big := NewPlanes(256, 4)
-	big.Set(17, 9)
-	re := big.Renew(128, 4)
-	if re.Len() != 128 || re.Bits() != 4 {
-		t.Fatalf("Renew shape %d×%d", re.Len(), re.Bits())
-	}
-	for i := 0; i < 128; i++ {
-		if re.Get(i) != 0 {
-			t.Fatalf("Renew left value at %d", i)
-		}
-	}
-	// Growing shape allocates fresh.
-	grown := re.Renew(1024, 5)
-	if grown.Len() != 1024 || grown.Bits() != 5 {
-		t.Fatal("Renew grow failed")
-	}
 }
 
 func TestPlanesWordLevelAccess(t *testing.T) {

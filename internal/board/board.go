@@ -29,11 +29,11 @@ import (
 // dishonest player gains nothing by flip-flopping because honest readers
 // snapshot).
 //
-// A board alternates between a publish phase (concurrent Writes, each
-// taking its lane's lock) and a tally phase. Calling Freeze at the barrier
-// between them seals the board and returns an immutable view whose reads
-// need no locks at all — the cheap fan-out read path of the work-sharing
-// tally (DESIGN.md §7).
+// A board alternates between a publish phase (concurrent WriteWord calls,
+// each taking its lane's lock) and a tally phase. Calling Freeze at the
+// barrier between them seals the board and returns an immutable view whose
+// reads need no locks at all — the cheap fan-out read path of the
+// work-sharing tally (DESIGN.md §7).
 type Board struct {
 	n, m   int
 	lanes  []lane
@@ -44,7 +44,7 @@ type Board struct {
 
 // lane is one player's region of the board.
 type lane struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	written bitvec.Vector
 	values  bitvec.Vector
 }
@@ -73,12 +73,8 @@ type paddedCount struct {
 	_ [56]byte
 }
 
-// add increments the stripe selected by key.
-func (c *counter) add(key int) { c.stripes[key&(numStripes-1)].n.Add(1) }
-
-// addN adds n events to the stripe selected by key — the bulk-path
-// counterpart of add: a word-level write or tally accounts all its cells
-// with one atomic instead of one per cell.
+// addN adds n events to the stripe selected by key: a word-level write or
+// tally accounts all its cells with one atomic instead of one per cell.
 func (c *counter) addN(key int, n int64) { c.stripes[key&(numStripes-1)].n.Add(n) }
 
 // total sums all stripes.
@@ -88,13 +84,6 @@ func (c *counter) total() int64 {
 		t += c.stripes[i].n.Load()
 	}
 	return t
-}
-
-// reset zeroes all stripes.
-func (c *counter) reset() {
-	for i := range c.stripes {
-		c.stripes[i].n.Store(0)
-	}
 }
 
 // New creates an empty board for n players and m objects.
@@ -113,40 +102,18 @@ func (b *Board) Players() int { return b.n }
 // Objects returns the number of object columns.
 func (b *Board) Objects() int { return b.m }
 
-// Write publishes player p's value for object o. The first write to a cell
-// sticks; later writes to the same cell are ignored. Write is safe for
-// concurrent use. It panics if the board has been sealed by Freeze —
-// publishing after the tally barrier is a protocol-phase ordering bug.
-// The sealed check happens under the lane lock, so a write racing Freeze
-// either completes before the seal or panics; it can never mutate a lane
-// the frozen view is already reading.
-func (b *Board) Write(p, o int, v bool) {
-	ln := &b.lanes[p]
-	ln.mu.Lock()
-	if b.sealed.Load() {
-		ln.mu.Unlock()
-		panic("board: Write after Freeze")
-	}
-	if !ln.written.Get(o) {
-		ln.written.Set(o, true)
-		ln.values.Set(o, v)
-	}
-	ln.mu.Unlock()
-	b.writes.add(p)
-}
-
 // WriteWord publishes player p's values for every object whose bit is set
 // in written, within object word wi (objects wi*64 … wi*64+63); bit j of
 // values is the value for object wi*64+j (bits of values outside written
 // are ignored). Cells keep first-write-wins semantics per object, and the
 // whole word costs one lane lock acquisition and one counter update: the
-// write count charges popcount(written) — one write per distinct cell in
-// the mask, the same as writing those cells through per-object Write
-// calls. (A caller that would have issued duplicate Write calls for one
-// cell and instead collapses them into a mask bit charges the duplicates
-// only once; the workshare does exactly that, so its write counts are
-// lower than the pre-word-level implementation's for the same seed.)
-// Like Write it is safe for concurrent use and panics after Freeze.
+// write count charges popcount(written), one write per cell in the mask
+// (bits past Objects() excluded). WriteWord is safe for concurrent use. It
+// panics if the board has been sealed by Freeze — publishing after the
+// tally barrier is a protocol-phase ordering bug. The sealed check happens
+// under the lane lock, so a write racing Freeze either completes before
+// the seal or panics; it can never mutate a lane the frozen view is
+// already reading.
 func (b *Board) WriteWord(p, wi int, written, values uint64) {
 	written &= b.lanes[p].written.WordMask(wi)
 	if written == 0 {
@@ -165,50 +132,6 @@ func (b *Board) WriteWord(p, wi int, written, values uint64) {
 	b.writes.addN(p, int64(bits.OnesCount64(written)))
 }
 
-// WriteVector publishes player p's values for every object whose bit is
-// set in written, across the whole lane; values is read on written's
-// positions only. Both vectors must have length Objects(). It is WriteWord
-// applied to every non-empty word.
-func (b *Board) WriteVector(p int, written, values bitvec.Vector) {
-	if written.Len() != b.m || values.Len() != b.m {
-		panic("board: WriteVector length mismatch")
-	}
-	for wi := 0; wi < written.Words(); wi++ {
-		if w := written.Word(wi); w != 0 {
-			b.WriteWord(p, wi, w, values.Word(wi))
-		}
-	}
-}
-
-// Read returns player p's published value for object o and whether p has
-// published one.
-func (b *Board) Read(p, o int) (value, ok bool) {
-	ln := &b.lanes[p]
-	ln.mu.RLock()
-	ok = ln.written.Get(o)
-	value = ln.values.Get(o)
-	ln.mu.RUnlock()
-	b.reads.add(p)
-	return value, ok
-}
-
-// Votes tallies the published values for object o among the given players.
-// Players that have not published for o are skipped.
-func (b *Board) Votes(o int, players []int) (ones, zeros int) {
-	for _, p := range players {
-		v, ok := b.Read(p, o)
-		if !ok {
-			continue
-		}
-		if v {
-			ones++
-		} else {
-			zeros++
-		}
-	}
-	return ones, zeros
-}
-
 // Frozen is an immutable view of a sealed board, produced by Freeze at the
 // barrier between a publish phase and a tally phase. Its reads take no
 // locks: the underlying lanes cannot change once the board is sealed, so
@@ -221,10 +144,10 @@ type Frozen struct {
 
 // Freeze seals the board against further writes and returns the immutable
 // view. Sealing is permanent for the board's lifetime (boards are
-// per-phase objects; Reset unseals for reuse). Freeze is the phase
-// barrier: after setting the seal it acquires and releases every lane
-// lock, so any write that slipped in before the seal has fully completed
-// before Freeze returns, and any later write panics under its lane lock.
+// per-phase objects). Freeze is the phase barrier: after setting the seal
+// it acquires and releases every lane lock, so any write that slipped in
+// before the seal has fully completed before Freeze returns, and any later
+// write panics under its lane lock.
 func (b *Board) Freeze() *Frozen {
 	b.sealed.Store(true)
 	for i := range b.lanes {
@@ -234,33 +157,6 @@ func (b *Board) Freeze() *Frozen {
 		b.lanes[i].mu.Unlock() //nolint:staticcheck // SA2001: intentional
 	}
 	return &Frozen{b: b}
-}
-
-// Read returns player p's published value for object o and whether p has
-// published one, without locking. It counts as one board read.
-func (f *Frozen) Read(p, o int) (value, ok bool) {
-	ln := &f.b.lanes[p]
-	ok = ln.written.Get(o)
-	value = ln.values.Get(o)
-	f.b.reads.add(p)
-	return value, ok
-}
-
-// Votes tallies the published values for object o among the given players,
-// lock-free. Players that have not published for o are skipped.
-func (f *Frozen) Votes(o int, players []int) (ones, zeros int) {
-	for _, p := range players {
-		v, ok := f.Read(p, o)
-		if !ok {
-			continue
-		}
-		if v {
-			ones++
-		} else {
-			zeros++
-		}
-	}
-	return ones, zeros
 }
 
 // tallyPlanes is the maximum number of bit planes a word tally carries:
@@ -319,8 +215,7 @@ func (t *wordTally) counts(b int) (ones, total int) {
 }
 
 // majority returns the word whose bit b is set iff strictly more than half
-// of the votes for object bit b are ones (no votes → 0, matching the
-// ones > zeros rule of Votes).
+// of the votes for object bit b are ones (no votes → 0).
 func (t *wordTally) majority() uint64 {
 	var any uint64
 	for k := 0; k <= t.hiTot; k++ {
@@ -342,11 +237,10 @@ func (t *wordTally) majority() uint64 {
 // wi*64+b published a 1 — the per-object ones > zeros rule of the
 // workshare tally, computed from whole lane words. Objects nobody
 // published for get 0. Allocation-free; reads are charged as one per
-// consulted lane word in a single counter update — note the consulted
-// set is every player passed in (each lane word is loaded whether or not
-// that player published), not the per-object publishers a cell-level
-// Votes loop would have charged, so read counts measure the word-level
-// protocol's communication, not the cell-level one.
+// consulted lane word in a single counter update. The consulted set is
+// every player passed in (each lane word is loaded whether or not that
+// player published), so read counts measure the word-level protocol's
+// communication.
 func (f *Frozen) MajorityWord(wi int, players []int) uint64 {
 	var t wordTally
 	for _, p := range players {
@@ -358,38 +252,10 @@ func (f *Frozen) MajorityWord(wi int, players []int) uint64 {
 	return t.majority()
 }
 
-// MajorityInto fills dst (length Objects()) with the per-object majority
-// of the given players' published values, word by word — the whole-board
-// MajorityWord. It allocates nothing.
-func (f *Frozen) MajorityInto(dst bitvec.Vector, players []int) {
-	if dst.Len() != f.b.m {
-		panic("board: MajorityInto length mismatch")
-	}
-	for wi := 0; wi < dst.Words(); wi++ {
-		dst.SetWord(wi, f.MajorityWord(wi, players))
-	}
-}
-
-// WriteCount returns the total number of Write calls (communication cost).
+// WriteCount returns the total number of cells written (communication
+// cost): WriteWord charges one write per cell in its mask.
 func (b *Board) WriteCount() int64 { return b.writes.total() }
 
-// ReadCount returns the total number of Read/Votes accesses.
+// ReadCount returns the total number of lane words read: MajorityWord
+// charges one read per player it consults.
 func (b *Board) ReadCount() int64 { return b.reads.total() }
-
-// Reset clears all lanes and counters and unseals the board, reusing the
-// allocated storage: lanes are zeroed in place, so a reset costs no
-// allocations (board pooling across protocol runs depends on this). Any
-// Frozen views taken before Reset must be discarded — they would read the
-// new phase's lanes, not a snapshot of the old one.
-func (b *Board) Reset() {
-	b.sealed.Store(false)
-	for i := range b.lanes {
-		ln := &b.lanes[i]
-		ln.mu.Lock()
-		ln.written.Zero()
-		ln.values.Zero()
-		ln.mu.Unlock()
-	}
-	b.writes.reset()
-	b.reads.reset()
-}

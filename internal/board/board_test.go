@@ -7,28 +7,67 @@ import (
 	"collabscore/internal/bitvec"
 )
 
+// write publishes one cell through WriteWord.
+func write(b *Board, p, o int, v bool) {
+	bit := uint64(1) << uint(o%64)
+	var val uint64
+	if v {
+		val = bit
+	}
+	b.WriteWord(p, o/64, bit, val)
+}
+
+// cell reads player p's published value for object o straight from the
+// lane, uncounted: the per-cell reference the word-level API is checked
+// against.
+func cell(b *Board, p, o int) (value, ok bool) {
+	ln := &b.lanes[p]
+	return ln.values.Get(o), ln.written.Get(o)
+}
+
+// votes is the per-cell tally reference: the published values for object o
+// among players, skipping players that did not publish for o.
+func votes(b *Board, o int, players []int) (ones, zeros int) {
+	for _, p := range players {
+		v, ok := cell(b, p, o)
+		switch {
+		case !ok:
+		case v:
+			ones++
+		default:
+			zeros++
+		}
+	}
+	return ones, zeros
+}
+
+// majorityBit reports MajorityWord's verdict for object o.
+func majorityBit(f *Frozen, o int, players []int) bool {
+	return f.MajorityWord(o/64, players)&(1<<uint(o%64)) != 0
+}
+
 func TestWriteRead(t *testing.T) {
 	b := New(3, 5)
-	if _, ok := b.Read(0, 0); ok {
+	if _, ok := cell(b, 0, 0); ok {
 		t.Fatal("fresh board has data")
 	}
-	b.Write(0, 0, true)
-	v, ok := b.Read(0, 0)
+	write(b, 0, 0, true)
+	v, ok := cell(b, 0, 0)
 	if !ok || !v {
-		t.Fatalf("Read = (%v,%v), want (true,true)", v, ok)
+		t.Fatalf("cell = (%v,%v), want (true,true)", v, ok)
 	}
-	b.Write(1, 4, false)
-	v, ok = b.Read(1, 4)
+	write(b, 1, 4, false)
+	v, ok = cell(b, 1, 4)
 	if !ok || v {
-		t.Fatalf("Read = (%v,%v), want (false,true)", v, ok)
+		t.Fatalf("cell = (%v,%v), want (false,true)", v, ok)
 	}
 }
 
 func TestFirstWriteWins(t *testing.T) {
 	b := New(1, 1)
-	b.Write(0, 0, true)
-	b.Write(0, 0, false) // attempt to flip-flop
-	v, ok := b.Read(0, 0)
+	write(b, 0, 0, true)
+	write(b, 0, 0, false) // attempt to flip-flop
+	v, ok := cell(b, 0, 0)
 	if !ok || !v {
 		t.Fatal("second write overrode the first")
 	}
@@ -37,47 +76,47 @@ func TestFirstWriteWins(t *testing.T) {
 func TestLaneIsolation(t *testing.T) {
 	// Player 1's writes must never affect player 0's lane.
 	b := New(2, 4)
-	b.Write(0, 2, true)
-	b.Write(1, 2, false)
-	v, ok := b.Read(0, 2)
+	write(b, 0, 2, true)
+	b.WriteWord(1, 0, 0b1111, 0)
+	v, ok := cell(b, 0, 2)
 	if !ok || !v {
 		t.Fatal("player 1 corrupted player 0's lane")
 	}
+	if _, ok := cell(b, 0, 1); ok {
+		t.Fatal("player 1's word write reached player 0's lane")
+	}
 }
 
+// TestVotes: the frozen majority counts only publishers, and needs a strict
+// majority of ones.
 func TestVotes(t *testing.T) {
 	b := New(5, 1)
-	b.Write(0, 0, true)
-	b.Write(1, 0, true)
-	b.Write(2, 0, false)
+	write(b, 0, 0, true)
+	write(b, 1, 0, true)
+	write(b, 2, 0, false)
 	// players 3,4 abstain
-	ones, zeros := b.Votes(0, []int{0, 1, 2, 3, 4})
-	if ones != 2 || zeros != 1 {
-		t.Fatalf("Votes = (%d,%d), want (2,1)", ones, zeros)
+	f := b.Freeze()
+	if !majorityBit(f, 0, []int{0, 1, 2, 3, 4}) {
+		t.Fatal("2 ones vs 1 zero (2 abstaining) is not a majority")
 	}
-	ones, zeros = b.Votes(0, []int{3, 4})
-	if ones != 0 || zeros != 0 {
-		t.Fatalf("abstainers counted: (%d,%d)", ones, zeros)
+	if majorityBit(f, 0, []int{3, 4}) {
+		t.Fatal("abstainers produced a majority")
+	}
+	if majorityBit(f, 0, []int{0, 2}) {
+		t.Fatal("a 1-1 tie produced a majority")
 	}
 }
 
 func TestCounters(t *testing.T) {
 	b := New(2, 2)
-	b.Write(0, 0, true)
-	b.Write(0, 1, true)
-	b.Read(0, 0)
+	b.WriteWord(0, 0, 0b11, 0b11)
+	f := b.Freeze()
+	f.MajorityWord(0, []int{0})
 	if b.WriteCount() != 2 {
 		t.Fatalf("WriteCount = %d, want 2", b.WriteCount())
 	}
 	if b.ReadCount() != 1 {
 		t.Fatalf("ReadCount = %d, want 1", b.ReadCount())
-	}
-	b.Reset()
-	if b.WriteCount() != 0 || b.ReadCount() != 0 {
-		t.Fatal("Reset did not clear counters")
-	}
-	if _, ok := b.Read(0, 0); ok {
-		t.Fatal("Reset did not clear data")
 	}
 }
 
@@ -90,14 +129,14 @@ func TestConcurrentWrites(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for o := 0; o < m; o++ {
-				b.Write(p, o, (p+o)%2 == 0)
+				write(b, p, o, (p+o)%2 == 0)
 			}
 		}(p)
 	}
 	wg.Wait()
 	for p := 0; p < n; p++ {
 		for o := 0; o < m; o++ {
-			v, ok := b.Read(p, o)
+			v, ok := cell(b, p, o)
 			if !ok || v != ((p+o)%2 == 0) {
 				t.Fatalf("cell (%d,%d) = (%v,%v)", p, o, v, ok)
 			}
@@ -108,60 +147,49 @@ func TestConcurrentWrites(t *testing.T) {
 	}
 }
 
+// TestFrozenReadsMatchBoard: a one-player frozen tally reads that player's
+// lane back — its published ones, and zero where it published 0 or nothing.
 func TestFrozenReadsMatchBoard(t *testing.T) {
-	b := New(4, 16)
-	b.Write(0, 3, true)
-	b.Write(1, 3, false)
-	b.Write(2, 7, true)
+	b := New(4, 70)
+	write(b, 0, 3, true)
+	write(b, 1, 3, false)
+	write(b, 2, 7, true)
+	b.WriteWord(3, 1, 0b101, 0b100)
 	f := b.Freeze()
 	for p := 0; p < 4; p++ {
-		for o := 0; o < 16; o++ {
-			wantV, wantOK := b.Read(p, o)
-			gotV, gotOK := f.Read(p, o)
-			if wantV != gotV || wantOK != gotOK {
-				t.Fatalf("cell (%d,%d): frozen (%v,%v) vs board (%v,%v)", p, o, gotV, gotOK, wantV, wantOK)
+		for o := 0; o < 70; o++ {
+			v, ok := cell(b, p, o)
+			if got := majorityBit(f, o, []int{p}); got != (ok && v) {
+				t.Fatalf("cell (%d,%d): frozen tally %v, lane (%v,%v)", p, o, got, v, ok)
 			}
 		}
-	}
-	ones, zeros := f.Votes(3, []int{0, 1, 2, 3})
-	if ones != 1 || zeros != 1 {
-		t.Fatalf("frozen Votes = (%d,%d), want (1,1)", ones, zeros)
 	}
 }
 
 func TestFrozenReadsAreCounted(t *testing.T) {
 	b := New(2, 2)
-	b.Write(0, 0, true)
+	write(b, 0, 0, true)
 	before := b.ReadCount()
 	f := b.Freeze()
-	f.Read(0, 0)
-	f.Votes(0, []int{0, 1})
+	f.MajorityWord(0, []int{0})
+	f.MajorityWord(0, []int{0, 1})
 	if got := b.ReadCount() - before; got != 3 {
 		t.Fatalf("frozen reads counted %d, want 3", got)
 	}
 }
 
+// TestWriteAfterFreezePanics: the seal is checked before first-write-wins,
+// so even re-publishing an already written cell panics after Freeze.
 func TestWriteAfterFreezePanics(t *testing.T) {
 	b := New(1, 1)
-	b.Write(0, 0, true)
+	write(b, 0, 0, true)
 	b.Freeze()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Write after Freeze did not panic")
+			t.Fatal("write after Freeze did not panic")
 		}
 	}()
-	b.Write(0, 0, false)
-}
-
-func TestResetUnseals(t *testing.T) {
-	b := New(1, 2)
-	b.Write(0, 0, true)
-	b.Freeze()
-	b.Reset()
-	b.Write(0, 1, true) // must not panic
-	if v, ok := b.Read(0, 1); !ok || !v {
-		t.Fatal("write after Reset lost")
-	}
+	write(b, 0, 0, false)
 }
 
 // TestFrozenConcurrentReads exercises the lock-free tally path under the
@@ -176,7 +204,7 @@ func TestFrozenConcurrentReads(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for o := 0; o < m; o++ {
-				b.Write(p, o, (p*o)%3 == 0)
+				write(b, p, o, (p*o)%3 == 0)
 			}
 		}(p)
 	}
@@ -188,12 +216,12 @@ func TestFrozenConcurrentReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for o := 0; o < m; o++ {
-				if v, ok := f.Read(o%n, o); !ok || v != ((o%n)*o%3 == 0) {
-					t.Errorf("frozen cell (%d,%d) wrong: (%v,%v)", o%n, o, v, ok)
+				if got := majorityBit(f, o, []int{o % n}); got != ((o%n)*o%3 == 0) {
+					t.Errorf("frozen cell (%d,%d) = %v", o%n, o, got)
 				}
-				ones, zeros := f.Votes(o, players)
-				if ones+zeros != n {
-					t.Errorf("object %d: %d votes, want %d", o, ones+zeros, n)
+				ones, zeros := votes(b, o, players)
+				if got := majorityBit(f, o, players); got != (ones > zeros) {
+					t.Errorf("object %d: majority %v, votes %d/%d", o, got, ones, zeros)
 				}
 			}
 		}()
@@ -209,40 +237,42 @@ func TestDims(t *testing.T) {
 }
 
 // TestWriteWordSemantics: word writes keep per-cell first-write-wins
-// against both earlier word writes and earlier bit writes, mask the tail,
-// and count one write per cell published.
+// against earlier word writes, mask the tail, and count one write per cell
+// published.
 func TestWriteWordSemantics(t *testing.T) {
 	b := New(2, 70) // two words, 6-bit tail
-	b.Write(0, 1, true)
+	write(b, 0, 1, true)
 	b.WriteWord(0, 0, 0b0110, 0b0000) // cell 1 already written true: must stick
-	if v, ok := b.Read(0, 1); !ok || !v {
+	if v, ok := cell(b, 0, 1); !ok || !v {
 		t.Fatalf("cell (0,1) = (%v,%v), want first write (true,true)", v, ok)
 	}
-	if v, ok := b.Read(0, 2); !ok || v {
+	if v, ok := cell(b, 0, 2); !ok || v {
 		t.Fatalf("cell (0,2) = (%v,%v), want (false,true)", v, ok)
 	}
 	// Values outside written must be ignored.
 	b.WriteWord(0, 0, 0b1000, ^uint64(0))
-	if v, ok := b.Read(0, 3); !ok || !v {
+	if v, ok := cell(b, 0, 3); !ok || !v {
 		t.Fatalf("cell (0,3) = (%v,%v), want (true,true)", v, ok)
 	}
-	if _, ok := b.Read(0, 4); ok {
+	if _, ok := cell(b, 0, 4); ok {
 		t.Fatal("cell (0,4) written despite written mask bit clear")
 	}
 	// Tail word: bits past Objects() are masked off.
 	b.WriteWord(1, 1, ^uint64(0), ^uint64(0))
 	for o := 64; o < 70; o++ {
-		if v, ok := b.Read(1, o); !ok || !v {
+		if v, ok := cell(b, 1, o); !ok || !v {
 			t.Fatalf("tail cell (1,%d) = (%v,%v)", o, v, ok)
 		}
 	}
-	// writes: 1 (bit) + 2 (word cells) + 1 (word cell) + 6 (valid tail cells)
+	// writes: 1 (single cell) + 2 (word cells) + 1 (word cell) + 6 (valid tail cells)
 	if got := b.WriteCount(); got != 10 {
 		t.Fatalf("WriteCount = %d, want 10", got)
 	}
 }
 
-// TestWriteVector covers the whole-lane vector write.
+// TestWriteVector publishes a whole sparse lane word by word, the way the
+// workshare flushes a prober's assignment, and rejects a word index past
+// the lane.
 func TestWriteVector(t *testing.T) {
 	b := New(2, 130)
 	written := make([]bool, 130)
@@ -251,9 +281,12 @@ func TestWriteVector(t *testing.T) {
 		written[o] = true
 		values[o] = o%2 == 0
 	}
-	b.WriteVector(1, bitvec.FromBools(written), bitvec.FromBools(values))
+	wv, vv := bitvec.FromBools(written), bitvec.FromBools(values)
+	for wi := 0; wi < wv.Words(); wi++ {
+		b.WriteWord(1, wi, wv.Word(wi), vv.Word(wi))
+	}
 	for o := 0; o < 130; o++ {
-		v, ok := b.Read(1, o)
+		v, ok := cell(b, 1, o)
 		if ok != written[o] {
 			t.Fatalf("cell (1,%d): ok = %v, want %v", o, ok, written[o])
 		}
@@ -261,15 +294,19 @@ func TestWriteVector(t *testing.T) {
 			t.Fatalf("cell (1,%d): value = %v, want %v", o, v, values[o])
 		}
 	}
+	if got, want := b.WriteCount(), int64(wv.Count()); got != want {
+		t.Fatalf("WriteCount = %d, want %d", got, want)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("length-mismatched WriteVector did not panic")
+			t.Fatal("out-of-range WriteWord did not panic")
 		}
 	}()
-	b.WriteVector(0, bitvec.FromBools(written[:10]), bitvec.FromBools(values[:10]))
+	b.WriteWord(0, wv.Words(), 1, 1)
 }
 
-// TestWriteWordAfterFreezePanics mirrors the Write ordering contract.
+// TestWriteWordAfterFreezePanics: the publish/tally ordering contract on an
+// empty sealed board.
 func TestWriteWordAfterFreezePanics(t *testing.T) {
 	b := New(1, 64)
 	b.Freeze()
@@ -282,8 +319,8 @@ func TestWriteWordAfterFreezePanics(t *testing.T) {
 }
 
 // TestWordTallyMatchesVotes pins the word-level tally against the
-// per-object reference on randomized boards: MajorityWord bits and
-// MajorityInto vectors must agree with Votes.
+// per-object reference on randomized boards: MajorityWord bits must agree
+// with the per-cell votes majority.
 func TestWordTallyMatchesVotes(t *testing.T) {
 	const n, m = 37, 200
 	s := uint64(42)
@@ -293,7 +330,7 @@ func TestWordTallyMatchesVotes(t *testing.T) {
 		for o := 0; o < m; o++ {
 			switch next() % 3 {
 			case 0:
-				b.Write(p, o, next()&1 == 1)
+				write(b, p, o, next()&1 == 1)
 			case 1: // leave unwritten
 			case 2:
 				if o%64 == 0 {
@@ -308,8 +345,6 @@ func TestWordTallyMatchesVotes(t *testing.T) {
 	for i := range players {
 		players[i] = i
 	}
-	maj := bitvec.New(m)
-	f.MajorityInto(maj, players)
 	for wi := 0; wi < (m+63)/64; wi++ {
 		mw := f.MajorityWord(wi, players)
 		for bpos := 0; bpos < 64; bpos++ {
@@ -320,20 +355,16 @@ func TestWordTallyMatchesVotes(t *testing.T) {
 				}
 				continue
 			}
-			wantOnes, wantZeros := f.Votes(o, players)
+			wantOnes, wantZeros := votes(b, o, players)
 			wantMaj := wantOnes > wantZeros
 			if gotMaj := mw&(1<<uint(bpos)) != 0; gotMaj != wantMaj {
-				t.Fatalf("object %d: MajorityWord bit = %v, Votes majority = %v", o, gotMaj, wantMaj)
-			}
-			if maj.Get(o) != wantMaj {
-				t.Fatalf("object %d: MajorityInto bit = %v, want %v", o, maj.Get(o), wantMaj)
+				t.Fatalf("object %d: MajorityWord bit = %v, votes majority = %v", o, gotMaj, wantMaj)
 			}
 		}
 	}
 }
 
-// TestMajorityWordAllocFree: the frozen word tally must not allocate
-// (satellite regression guard).
+// TestMajorityWordAllocFree: the frozen word tally must not allocate.
 func TestMajorityWordAllocFree(t *testing.T) {
 	const n, m = 64, 1024
 	b := New(n, m)
@@ -347,45 +378,13 @@ func TestMajorityWordAllocFree(t *testing.T) {
 	for i := range players {
 		players[i] = i
 	}
-	maj := bitvec.New(m)
 	var sink uint64
 	if a := testing.AllocsPerRun(100, func() {
-		sink += f.MajorityWord(3, players)
-		f.MajorityInto(maj, players)
+		for wi := 0; wi < (m+63)/64; wi++ {
+			sink += f.MajorityWord(wi, players)
+		}
 	}); a != 0 {
 		t.Fatalf("word tally allocates %v times per run", a)
 	}
 	_ = sink
-}
-
-// TestResetReusesStorage: Reset clears lanes in place — no allocations —
-// so boards can be pooled across protocol runs (core.Mem), and a reset
-// board behaves exactly like a new one.
-func TestResetReusesStorage(t *testing.T) {
-	b := New(4, 130)
-	b.Write(1, 5, true)
-	b.WriteWord(2, 1, 0xF0, 0x50)
-	f := b.Freeze()
-	if _, ok := f.Read(1, 5); !ok {
-		t.Fatal("write lost before reset")
-	}
-
-	allocs := testing.AllocsPerRun(10, func() { b.Reset() })
-	if allocs != 0 {
-		t.Fatalf("Reset allocates %v times; board pooling depends on 0", allocs)
-	}
-
-	if b.WriteCount() != 0 || b.ReadCount() != 0 {
-		t.Fatal("Reset did not clear counters")
-	}
-	if _, ok := b.Read(1, 5); ok {
-		t.Fatal("Reset did not clear lanes")
-	}
-	// Unsealed again: writes work and tally like a fresh board.
-	b.Write(0, 7, true)
-	fz := b.Freeze()
-	ones, zeros := fz.Votes(7, []int{0, 1, 2, 3})
-	if ones != 1 || zeros != 0 {
-		t.Fatalf("votes after reset = %d/%d", ones, zeros)
-	}
 }

@@ -105,14 +105,6 @@ type Params struct {
 	// schedule-independent either way (DESIGN.md §13).
 	NeighborIndex cluster.IndexSpec
 
-	// Mem, when non-nil, supplies pooled per-run allocations (the
-	// workshare bulletin boards) to the protocol. Pooling changes where
-	// storage comes from, never what is computed: fixed-seed output and
-	// every counter are byte-identical with and without a Mem. The sweep
-	// engine threads one Mem per worker so grid points reuse board storage
-	// across simulations.
-	Mem *Mem
-
 	SR       smallradius.Params
 	Sel      selection.Params
 	Election election.Params

@@ -167,41 +167,6 @@ func TestPropertyProbeConservation(t *testing.T) {
 	}
 }
 
-// TestPropertyPooledRunConserves: the pooled allocation path (Params.Mem
-// board pool) conserves probe accounting and output exactly — a recycled
-// board must be indistinguishable from a fresh one.
-func TestPropertyPooledRunConserves(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := xrand.New(seed)
-		const n, b, d = 96, 8, 16
-		in := prefgen.DiameterClusters(rng.Split(1), n, n, n/b, d)
-		pr := Scaled(n, b)
-		pr.MinD, pr.MaxD = d, d
-
-		wRef := world.New(in.Truth)
-		ref := Run(wRef, rng.Split(2), pr)
-
-		mem := NewMem()
-		pr.Mem = mem
-		for round := 0; round < 2; round++ { // second round reuses pooled boards
-			w := world.New(in.Truth)
-			res := Run(w, rng.Split(2), pr)
-			for p := 0; p < n; p++ {
-				if !res.Output[p].Equal(ref.Output[p]) || w.Probes(p) != wRef.Probes(p) {
-					return false
-				}
-			}
-			if res.BoardWrites != ref.BoardWrites || res.BoardReads != ref.BoardReads {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropertyProbesNeverExceedObjects: probe memoization caps any player's
 // probe count at m, whatever the protocol does.
 func TestPropertyProbesCapped(t *testing.T) {

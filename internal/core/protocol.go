@@ -171,12 +171,11 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 	// every cluster member tallies the published votes.
 	rc.Pub.Phase = "workshare"
 	start = time.Now()
-	bd := pr.Mem.acquire(n, m)
+	bd := board.New(n, m)
 	out := workShare(rc, bd, cl, shared.Split(0x5C), pr)
 	stats.WorkshareTime = time.Since(start)
 	stats.BoardWrites = bd.WriteCount()
 	stats.BoardReads = bd.ReadCount()
-	pr.Mem.release(bd)
 	rc.Pub.SetSample(nil)
 	rc.Pub.Clusters = nil
 	return out, stats

@@ -26,7 +26,7 @@ func expandGrid(sp sweep.Spec) []sweep.Point {
 	return pts
 }
 
-// runGrid executes grid points through the pooled sweep engine.
+// runGrid executes grid points through the sweep engine.
 func runGrid(pts []sweep.Point, opt sweep.Options) []sweep.Record {
 	recs, err := sweep.Run(pts, opt)
 	if err != nil {
@@ -56,7 +56,7 @@ func protoRecs(recs []sweep.Record, proto string) []sweep.Record {
 // baseline and to probe-everything. The paper's claim: O(B·polylog n) vs
 // O(B²·polylog n) vs n. The grid — one spec per n since cluster size and
 // diameter track n, the protocol axis giving core and baseline the same
-// planted worlds — runs through the pooled sweep engine.
+// planted worlds — runs through the sweep engine.
 func runE7(cfg Config) *tablefmt.Table {
 	t := header("E7 Lemmas 10–11 probe complexity", cfg,
 		"n", "core max probes", "baseline max probes", "probe-all", "core/probe-all", "core max err", "D")

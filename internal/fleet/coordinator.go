@@ -47,8 +47,8 @@ type CoordinatorOptions struct {
 	LocalWorkers int
 	// FailReports is how many per-worker persistent-failure reports a point
 	// accumulates before the coordinator marks it failed and stops
-	// re-dispatching it (each report already represents a run-and-retry on
-	// that worker). Default 2.
+	// re-dispatching it (each report is one failed run on that worker).
+	// Default 2.
 	FailReports int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -263,7 +263,7 @@ func (c *Coordinator) runLocal(ctx context.Context) {
 			Stop:       ctx.Done(),
 			OnFailure: func(pt sweep.Point, err error) {
 				// Local execution is the authority of last resort: a point
-				// that panics through the retry here is abandoned outright.
+				// that panics here is abandoned outright.
 				c.fail(pt.Key(), true)
 			},
 			Progress: func(completed, scheduled int, rec sweep.Record) {

@@ -1,7 +1,7 @@
 // Package fleet distributes a sweep grid across worker processes with a
 // lease-based coordinator/worker protocol over HTTP (DESIGN.md §15). The
 // coordinator expands the grid once and hands out point leases; workers run
-// leased points through the pooled sweep engine and stream records back.
+// leased points through the sweep engine and stream records back.
 // Robustness is the design center: leases carry deadlines and lapse when a
 // worker stops heartbeating (its points silently re-enter the queue —
 // at-least-once dispatch made exactly-once in the output by the queue's
@@ -54,15 +54,14 @@ type LeaseGrant struct {
 }
 
 // CompleteRequest delivers one finished point — or reports one that
-// persistently failed on this worker (Failed set, Record nil).
+// failed on this worker (Failed set, Record nil).
 type CompleteRequest struct {
 	Worker  string `json:"worker"`
 	LeaseID uint64 `json:"lease_id"`
 	// Record is the completed record. Exactly one of Record and Failed is
 	// set.
 	Record *sweep.Record `json:"record,omitempty"`
-	// Failed is the key of a point whose runner panicked through the
-	// per-point retry on this worker.
+	// Failed is the key of a point whose runner panicked on this worker.
 	Failed string `json:"failed,omitempty"`
 }
 

@@ -82,8 +82,8 @@ type WorkerStats struct {
 	// Leases counts granted leases; Retries counts retried HTTP calls.
 	Leases  int
 	Retries int
-	// Failures counts points whose runner panicked through the per-point
-	// retry on this worker (reported to the coordinator).
+	// Failures counts points whose runner panicked on this worker
+	// (reported to the coordinator).
 	Failures int
 }
 
@@ -98,7 +98,7 @@ type worker struct {
 }
 
 // RunWorker leases batches from the coordinator at opt.URL and runs them on
-// the pooled sweep engine until the grid is done (nil error), Stop closes
+// the sweep engine until the grid is done (nil error), Stop closes
 // (nil error), or the coordinator stays unreachable through the retry
 // budget (ErrCoordinatorGone). Any other error is a protocol-level
 // integrity failure (e.g. the coordinator rejected a record as
@@ -206,7 +206,7 @@ func (w *worker) run() error {
 	}
 }
 
-// runBatch executes one leased batch on the pooled engine, streaming each
+// runBatch executes one leased batch on the sweep engine, streaming each
 // record to /complete as it finishes and heartbeating the lease from a
 // side goroutine. A lapsed lease does not abort the batch — the records
 // remain deliverable and the queue deduplicates — but it is logged.

@@ -47,39 +47,6 @@ func TestLazyGenerateMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestLazyGeneratePooledMatchesFresh pins Buffer.LazyGenerate against the
-// package-level function across reused, shape-changing calls, interleaved
-// with dense Generate calls on the same buffer.
-func TestLazyGeneratePooledMatchesFresh(t *testing.T) {
-	var buf Buffer
-	points := []struct {
-		n, m, diameter, scale int
-	}{
-		{18, 90, 8, 5},
-		{30, 64, 0, 3},
-		{12, 150, 12, 7},
-	}
-	for _, pt := range points {
-		seed := uint64(pt.n*1000 + pt.m)
-		fresh, pooled := xrand.New(seed), xrand.New(seed)
-		want, wantCl := LazyGenerate(fresh, pt.n, pt.m, 3, pt.diameter, pt.scale)
-		got, gotCl := buf.LazyGenerate(pooled, pt.n, pt.m, 3, pt.diameter, pt.scale)
-		if fresh.Uint64() != pooled.Uint64() {
-			t.Fatalf("%+v: pooled stream diverged", pt)
-		}
-		for p := 0; p < pt.n; p++ {
-			if gotCl[p] != wantCl[p] {
-				t.Fatalf("%+v: clusterOf[%d] mismatch", pt, p)
-			}
-			if !materializeRow(got, p).Equal(materializeRow(want, p)) {
-				t.Fatalf("%+v: pooled row %d differs from fresh", pt, p)
-			}
-		}
-		// Interleave a dense generation; the buffer arenas must stay sound.
-		buf.Generate(xrand.New(seed^1), pt.n, pt.m, 3, pt.diameter, pt.scale)
-	}
-}
-
 // TestLazyRatingWorldMatchesDense pins the world layer: Probe,
 // ProbePlaneWords, ProbeValues, PeekTruth, TruthRow, TruthMirror, and
 // Errors must agree between dense and lazy rating worlds over the same

@@ -163,34 +163,6 @@ func NewWorldFrom(src RatingSource, scale int) *World {
 	return w
 }
 
-// Renew re-initializes a world for a new truth matrix and scale, reusing
-// w's allocations (role slices, probe counters, probe memos) when the
-// player/object shape matches; a nil w or a shape change falls back to
-// NewWorld. All players start honest and all counters start at zero,
-// exactly as NewWorld leaves them, so a renewed world is observationally
-// identical to a fresh one — it is the pooled constructor the sweep
-// engine's rating arenas use (DESIGN.md §12). The previous truth matrix
-// and any outstanding references to the old world must no longer be in use.
-func Renew(w *World, truth []bitvec.Planes, scale int) *World {
-	return RenewFrom(w, NewDensePlanes(truth), scale)
-}
-
-// RenewFrom is Renew over any rating source; see Renew and NewWorldFrom.
-func RenewFrom(w *World, src RatingSource, scale int) *World {
-	if w == nil || src.Players() != w.N() || src.Players() == 0 || src.Objects() != w.M() || scale < 1 {
-		return NewWorldFrom(src, scale)
-	}
-	w.src = src
-	w.scale = scale
-	w.k = bitvec.PlaneBits(scale)
-	w.checkPlanes()
-	for p := range w.behaviors {
-		w.SetBehavior(p, Honest{})
-	}
-	w.ResetProbes()
-	return w
-}
-
 // checkPlanes panics unless the source's plane count matches the scale.
 func (w *World) checkPlanes() {
 	if w.src.Bits() != w.k {
@@ -646,32 +618,11 @@ func ErrorStats(w *World, out []bitvec.Planes) metrics.ErrorStats {
 	return metrics.Summarize(Errors(w, out))
 }
 
-// Buffer is a reusable allocation arena for rating-instance generation,
-// mirroring prefgen.Buffer: its Generate draws exactly the same random
-// streams as the package-level Generate — for a given rng the generated
-// instance is bit-identical — but builds the truth planes in pooled
-// storage. Each call invalidates the rows returned by the previous call on
-// the same Buffer. A Buffer is not safe for concurrent use: pool one per
-// worker. The zero value is ready; a nil *Buffer allocates fresh on every
-// call, which is how the package-level Generate is implemented.
-type Buffer struct {
-	truth     []bitvec.Planes
-	centers   []bitvec.Planes
-	clusterOf []int
-	// lz is the pooled LazyPlanes value LazyGenerate hands out (source.go).
-	lz LazyPlanes
-}
-
 // Generate plants clusters of the given size whose members are within L1
 // diameter of each other on a 0..scale rating scale, mirroring
 // prefgen.DiameterClusters. The returned rows are bit-sliced
 // (PlaneBits(scale) planes each).
 func Generate(rng *xrand.Stream, n, m, clusterSize, diameter, scale int) ([]bitvec.Planes, []int) {
-	return (*Buffer)(nil).Generate(rng, n, m, clusterSize, diameter, scale)
-}
-
-// Generate is the pooled Generate; see Buffer.
-func (b *Buffer) Generate(rng *xrand.Stream, n, m, clusterSize, diameter, scale int) ([]bitvec.Planes, []int) {
 	if clusterSize <= 0 || clusterSize > n {
 		panic("multival: bad cluster size")
 	}
@@ -683,20 +634,9 @@ func (b *Buffer) Generate(rng *xrand.Stream, n, m, clusterSize, diameter, scale 
 		numClusters = 1
 	}
 	k := bitvec.PlaneBits(scale)
-	var centers, truth []bitvec.Planes
-	var clusterOf []int
-	if b == nil {
-		centers = zeroPlanes(nil, numClusters, m, k)
-		truth = zeroPlanes(nil, n, m, k)
-		clusterOf = make([]int, n)
-	} else {
-		b.centers = zeroPlanes(b.centers, numClusters, m, k)
-		b.truth = zeroPlanes(b.truth, n, m, k)
-		if cap(b.clusterOf) < n {
-			b.clusterOf = make([]int, n)
-		}
-		centers, truth, clusterOf = b.centers, b.truth, b.clusterOf[:n]
-	}
+	centers := newPlanes(numClusters, m, k)
+	truth := newPlanes(n, m, k)
+	clusterOf := make([]int, n)
 	for c := range centers {
 		row := centers[c]
 		for o := 0; o < m; o++ {
@@ -729,18 +669,11 @@ func (b *Buffer) Generate(rng *xrand.Stream, n, m, clusterSize, diameter, scale 
 	return truth, clusterOf
 }
 
-// zeroPlanes resizes ps to count zeroed Planes of m values × k bits,
-// reusing both the slice and each row's backing words when capacities
-// allow (mirroring prefgen.zeroVecs).
-func zeroPlanes(ps []bitvec.Planes, count, m, k int) []bitvec.Planes {
-	if cap(ps) < count {
-		grown := make([]bitvec.Planes, count)
-		copy(grown, ps[:cap(ps)]) // keep old rows' storage for Renew
-		ps = grown
-	}
-	ps = ps[:count]
+// newPlanes returns count zeroed Planes of m values × k bits.
+func newPlanes(count, m, k int) []bitvec.Planes {
+	ps := make([]bitvec.Planes, count)
 	for i := range ps {
-		ps[i] = ps[i].Renew(m, k)
+		ps[i] = bitvec.NewPlanes(m, k)
 	}
 	return ps
 }

@@ -95,29 +95,6 @@ func TestGenerateDiameterBound(t *testing.T) {
 	}
 }
 
-// TestGeneratePooledMatchesFresh: Buffer.Generate draws the same coins into
-// pooled storage — bit-identical rows to the package-level Generate, even
-// after the buffer has been used for other shapes.
-func TestGeneratePooledMatchesFresh(t *testing.T) {
-	var buf Buffer
-	buf.Generate(xrand.New(9), 40, 64, 8, 6, 3) // dirty the arena
-	for _, shape := range []struct{ n, m, size, d, scale int }{
-		{60, 100, 20, 10, 10},
-		{24, 130, 6, 4, 5}, // smaller: exercises shrink-in-place reuse
-	} {
-		fresh, freshOf := Generate(xrand.New(2), shape.n, shape.m, shape.size, shape.d, shape.scale)
-		pooled, pooledOf := buf.Generate(xrand.New(2), shape.n, shape.m, shape.size, shape.d, shape.scale)
-		for p := range fresh {
-			if !fresh[p].Equal(pooled[p]) {
-				t.Fatalf("pooled row %d differs from fresh", p)
-			}
-			if freshOf[p] != pooledOf[p] {
-				t.Fatalf("pooled cluster assignment differs at %d", p)
-			}
-		}
-	}
-}
-
 func TestWorldProbeAccounting(t *testing.T) {
 	truth, _ := Generate(xrand.New(2), 8, 16, 4, 2, 5)
 	w := NewWorld(truth, 5)

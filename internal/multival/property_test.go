@@ -134,41 +134,6 @@ func TestPropertyRatingProbeConservation(t *testing.T) {
 	}
 }
 
-// TestPropertyPooledRatingRunConserves: the pooled construction path
-// (Buffer.Generate into reused planes + World Renew) conserves outputs and
-// probe accounting exactly — a recycled rating arena is indistinguishable
-// from fresh construction, including across shape and scale changes.
-func TestPropertyPooledRatingRunConserves(t *testing.T) {
-	shapes := []struct{ n, m, b, d, scale int }{
-		{96, 96, 8, 16, 5},
-		{64, 96, 8, 8, 9},
-		{96, 96, 8, 16, 5}, // full-reuse pass
-	}
-	var buf Buffer
-	var w *World
-	for round, sh := range shapes {
-		freshTruth, _ := Generate(xrand.New(uint64(70+round)), sh.n, sh.m, sh.n/sh.b, sh.d, sh.scale)
-		fw := NewWorld(freshTruth, sh.scale)
-		pr := Scaled(sh.n, sh.b)
-		pr.MinD, pr.MaxD = sh.d, sh.d
-		ref := Run(fw, xrand.New(uint64(80+round)), pr)
-
-		pooledTruth, _ := buf.Generate(xrand.New(uint64(70+round)), sh.n, sh.m, sh.n/sh.b, sh.d, sh.scale)
-		w = Renew(w, pooledTruth, sh.scale)
-		res := Run(w, xrand.New(uint64(80+round)), pr)
-
-		for p := 0; p < sh.n; p++ {
-			if !res.Output[p].Equal(ref.Output[p]) {
-				t.Fatalf("round %d: pooled output differs for player %d", round, p)
-			}
-			if w.Probes(p) != fw.Probes(p) {
-				t.Fatalf("round %d: pooled probes differ for player %d: %d vs %d",
-					round, p, w.Probes(p), fw.Probes(p))
-			}
-		}
-	}
-}
-
 // TestByzantineClusterReporting pins the PR 5 bugfix: the wrapper's
 // NumClusters follows the documented convention (per-guess counts of the
 // last honest-leader repetition, merged in repetition order) and is empty

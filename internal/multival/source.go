@@ -143,11 +143,6 @@ func (lz *LazyPlanes) PlaneWords(p, wi int, dst []uint64) {
 // O(centers + edits) memory. It returns the source and the cluster
 // assignment, mirroring Generate's ([]bitvec.Planes, []int).
 func LazyGenerate(rng *xrand.Stream, n, m, clusterSize, diameter, scale int) (*LazyPlanes, []int) {
-	return (*Buffer)(nil).LazyGenerate(rng, n, m, clusterSize, diameter, scale)
-}
-
-// LazyGenerate is the pooled lazy Generate; see Buffer.
-func (b *Buffer) LazyGenerate(rng *xrand.Stream, n, m, clusterSize, diameter, scale int) (*LazyPlanes, []int) {
 	if clusterSize <= 0 || clusterSize > n {
 		panic("multival: bad cluster size")
 	}
@@ -159,21 +154,10 @@ func (b *Buffer) LazyGenerate(rng *xrand.Stream, n, m, clusterSize, diameter, sc
 		numClusters = 1
 	}
 	k := bitvec.PlaneBits(scale)
-	var lz *LazyPlanes
-	if b == nil {
-		lz = &LazyPlanes{clusterOf: make([]int, n)}
-	} else {
-		if cap(b.clusterOf) < n {
-			b.clusterOf = make([]int, n)
-		}
-		lz = &b.lz
-		*lz = LazyPlanes{clusterOf: b.clusterOf[:n]}
-		b.centers = zeroPlanes(b.centers, numClusters, m, k)
-		lz.centers = b.centers
-	}
-	lz.n, lz.m, lz.k = n, m, k
-	if lz.centers == nil {
-		lz.centers = zeroPlanes(nil, numClusters, m, k)
+	lz := &LazyPlanes{
+		n: n, m: m, k: k,
+		centers:   newPlanes(numClusters, m, k),
+		clusterOf: make([]int, n),
 	}
 	// Center draws are identical to Generate's (Intn per cell, in order).
 	for c := range lz.centers {

@@ -128,26 +128,15 @@ type lazyFlipEnt struct {
 	mask uint64
 }
 
-// lazyInstance prepares the shared parts of a lazy construction: the buffer
-// arenas (fresh allocation for a nil receiver) and the stream snapshot.
-func (b *Buffer) lazyInstance(rng *xrand.Stream, n, m int) (*Instance, *Lazy) {
-	var in *Instance
-	var lz *Lazy
-	if b == nil {
-		in = &Instance{ClusterOf: make([]int, n)}
-		lz = &Lazy{}
-	} else {
-		if cap(b.clusterOf) < n {
-			b.clusterOf = make([]int, n)
-		}
-		b.inst = Instance{ClusterOf: b.clusterOf[:n]}
-		in = &b.inst
-		lz = &b.lz
-		*lz = Lazy{} // drop the previous point's metadata
+// lazyInstance prepares the shared parts of a lazy construction: the
+// instance, its cluster assignment, and the stream snapshot.
+func lazyInstance(rng *xrand.Stream, n, m int) (*Instance, *Lazy) {
+	in := &Instance{ClusterOf: make([]int, n)}
+	lz := &Lazy{
+		n: n, m: m, words: (m + 63) / 64,
+		base:      *rng, // pure At reads from here on; rng itself keeps advancing
+		clusterOf: in.ClusterOf,
 	}
-	lz.n, lz.m, lz.words = n, m, (m+63)/64
-	lz.base = *rng // pure At reads from here on; rng itself keeps advancing
-	lz.clusterOf = in.ClusterOf
 	in.src = lz
 	return in, lz
 }
@@ -155,12 +144,7 @@ func (b *Buffer) lazyInstance(rng *xrand.Stream, n, m int) (*Instance, *Lazy) {
 // LazyUniform is the lazy Uniform: identical truth and stream consumption,
 // O(1) memory.
 func LazyUniform(rng *xrand.Stream, n, m int) *Instance {
-	return (*Buffer)(nil).LazyUniform(rng, n, m)
-}
-
-// LazyUniform is the pooled lazy Uniform; see Buffer.
-func (b *Buffer) LazyUniform(rng *xrand.Stream, n, m int) *Instance {
-	in, lz := b.lazyInstance(rng, n, m)
+	in, lz := lazyInstance(rng, n, m)
 	in.PlantedDiameter = -1
 	lz.kind = lazyUniform
 	for p := range in.ClusterOf {
@@ -180,11 +164,6 @@ func (b *Buffer) LazyUniform(rng *xrand.Stream, n, m int) *Instance {
 // tile cache. It stays only so the benchmark replay (bench/layers.go)
 // compiles, and is removed together with that replay.
 func LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter, tiles int) *Instance {
-	return (*Buffer)(nil).LazyDiameterClusters(rng, n, m, clusterSize, diameter)
-}
-
-// LazyDiameterClusters is the pooled lazy DiameterClusters; see Buffer.
-func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter int) *Instance {
 	if clusterSize <= 0 || clusterSize > n {
 		panic(fmt.Sprintf("prefgen: bad cluster size %d for n=%d", clusterSize, n))
 	}
@@ -192,7 +171,7 @@ func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diam
 	if numClusters == 0 {
 		numClusters = 1
 	}
-	in, lz := b.lazyInstance(rng, n, m)
+	in, lz := lazyInstance(rng, n, m)
 	in.PlantedDiameter = diameter
 	lz.kind = lazyCluster
 	lz.numCenters = numClusters
@@ -201,9 +180,6 @@ func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diam
 	rng.Skip(uint64(numClusters) * uint64(m))
 	perm := rng.Perm(n)
 	var ents []lazyFlipEnt
-	if b != nil {
-		ents = b.lzEnts[:0]
-	}
 	for rank, p := range perm {
 		c := rank / clusterSize
 		if c >= numClusters {
@@ -212,42 +188,28 @@ func (b *Buffer) LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diam
 		in.ClusterOf[p] = c
 		ents = replayFlips(rng, ents, int32(p), m, diameter)
 	}
-	if b != nil {
-		b.lzEnts = ents
-	}
-	b.flattenFlips(lz, ents)
+	lz.flattenFlips(ents)
 	return in
 }
 
 // LazyZipfClusters is the lazy ZipfClusters: identical truth and stream
 // consumption, O(n + flips) memory.
 func LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
-	return (*Buffer)(nil).LazyZipfClusters(rng, n, m, numClusters, alpha, diameter)
-}
-
-// LazyZipfClusters is the pooled lazy ZipfClusters; see Buffer.
-func (b *Buffer) LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
 	if numClusters <= 0 {
 		panic("prefgen: numClusters must be positive")
 	}
-	in, lz := b.lazyInstance(rng, n, m)
+	in, lz := lazyInstance(rng, n, m)
 	in.PlantedDiameter = diameter
 	lz.kind = lazyZipf
 	lz.numCenters = numClusters
 	rng.Skip(uint64(numClusters) * uint64(m))
 	z := xrand.NewZipf(rng, numClusters, alpha)
 	var ents []lazyFlipEnt
-	if b != nil {
-		ents = b.lzEnts[:0]
-	}
 	for p := 0; p < n; p++ {
 		in.ClusterOf[p] = z.Draw()
 		ents = replayFlips(rng, ents, int32(p), m, diameter)
 	}
-	if b != nil {
-		b.lzEnts = ents
-	}
-	b.flattenFlips(lz, ents)
+	lz.flattenFlips(ents)
 	return in
 }
 
@@ -273,26 +235,12 @@ func replayFlips(rng *xrand.Stream, ents []lazyFlipEnt, p int32, m, diameter int
 }
 
 // flattenFlips counting-sorts the replayed entries by player into the
-// Lazy's flat per-player ranges (stable, so word order is preserved),
-// reusing the buffer's arenas when pooled.
-func (b *Buffer) flattenFlips(lz *Lazy, ents []lazyFlipEnt) {
+// Lazy's flat per-player ranges (stable, so word order is preserved).
+func (lz *Lazy) flattenFlips(ents []lazyFlipEnt) {
 	n := lz.n
-	var start []int32
-	var words []int32
-	var masks []uint64
-	if b != nil {
-		start = growInt32(b.lzStart, n+1)
-		words = growInt32(b.lzWord, len(ents))
-		masks = growUint64(b.lzMask, len(ents))
-		b.lzStart, b.lzWord, b.lzMask = start, words, masks
-	} else {
-		start = make([]int32, n+1)
-		words = make([]int32, len(ents))
-		masks = make([]uint64, len(ents))
-	}
-	for i := range start {
-		start[i] = 0
-	}
+	start := make([]int32, n+1)
+	words := make([]int32, len(ents))
+	masks := make([]uint64, len(ents))
 	for _, e := range ents {
 		start[e.p+1]++
 	}
@@ -308,18 +256,4 @@ func (b *Buffer) flattenFlips(lz *Lazy, ents []lazyFlipEnt) {
 		words[pos], masks[pos] = e.word, e.mask
 	}
 	lz.flipStart, lz.flipWord, lz.flipMask = start, words, masks
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growUint64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
 }

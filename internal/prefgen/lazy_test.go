@@ -120,55 +120,6 @@ func TestLazyMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLazyPooledMatchesFresh pins that the pooled (Buffer) lazy generators
-// are draw-for-draw identical to the package-level ones, including when the
-// buffer is reused across points of different shapes and modes — the sweep
-// pool's usage pattern.
-func TestLazyPooledMatchesFresh(t *testing.T) {
-	var buf Buffer
-	points := []struct {
-		n, m, diameter int
-	}{
-		{24, 100, 6},
-		{40, 65, 0},
-		{12, 200, 8},
-	}
-	for _, pt := range points {
-		for _, mode := range []string{"uniform", "cluster", "zipf", "dense-interleave"} {
-			fresh := xrand.New(uint64(pt.n)*1000 + uint64(pt.m))
-			pooled := xrand.New(uint64(pt.n)*1000 + uint64(pt.m))
-			var want, got *Instance
-			switch mode {
-			case "uniform":
-				want = LazyUniform(fresh, pt.n, pt.m)
-				got = buf.LazyUniform(pooled, pt.n, pt.m)
-			case "cluster":
-				want = LazyDiameterClusters(fresh, pt.n, pt.m, 6, pt.diameter, 0)
-				got = buf.LazyDiameterClusters(pooled, pt.n, pt.m, 6, pt.diameter)
-			case "zipf":
-				want = LazyZipfClusters(fresh, pt.n, pt.m, 4, 1.2, pt.diameter)
-				got = buf.LazyZipfClusters(pooled, pt.n, pt.m, 4, 1.2, pt.diameter)
-			case "dense-interleave":
-				// A dense generation between lazy points must not corrupt
-				// the arenas (the paired dense/lazy sweep alternates them).
-				want = DiameterClusters(fresh, pt.n, pt.m, 6, pt.diameter)
-				got = buf.DiameterClusters(pooled, pt.n, pt.m, 6, pt.diameter)
-			}
-			if fresh.Uint64() != pooled.Uint64() {
-				t.Fatalf("%s %v: pooled generator consumed a different stream", mode, pt)
-			}
-			for p := 0; p < pt.n; p++ {
-				if got.ClusterOf[p] != want.ClusterOf[p] {
-					t.Fatalf("%s %v: ClusterOf[%d] = %d, want %d", mode, pt, p, got.ClusterOf[p], want.ClusterOf[p])
-				}
-				if !Materialize(got.Source(), p).Equal(Materialize(want.Source(), p)) {
-					t.Fatalf("%s %v: pooled row %d differs from fresh", mode, pt, p)
-				}
-			}
-		}
-	}
-}
-
 // TestLazyReadsAreReproducible is the determinism-contract meta-test for
 // TruthSource: any (seed, player, word) read returns the same bits on every
 // call, regardless of read order or interleaving. quick.Check drives random

@@ -94,70 +94,24 @@ func (in *Instance) MaxPlantedClusterDiameter() int {
 	return mx
 }
 
-// Buffer is a reusable allocation arena for instance generation. Its
-// generator methods (Uniform, DiameterClusters, ZipfClusters) draw exactly
-// the same random streams as the package-level functions — for a given rng
-// the generated instance is bit-identical — but build the result in pooled
-// storage instead of fresh allocations, so a worker sweeping thousands of
-// grid points pays the O(n·m) truth-matrix allocation once.
-//
-// Each generator call invalidates the Instance returned by the previous
-// call on the same Buffer (the truth vectors are reused in place). A Buffer
-// is not safe for concurrent use: pool one per worker. The zero value is
-// ready to use, and a nil *Buffer falls back to fresh allocation on every
-// call, which is how the package-level generators are implemented.
-type Buffer struct {
-	truth     []bitvec.Vector
-	centers   []bitvec.Vector
-	clusterOf []int
-	inst      Instance
-	// Lazy-generation arenas (see lazy.go). lz is the pooled Lazy value the
-	// instance's Source() points at; the rest are replay scratch.
-	lz      Lazy
-	lzEnts  []lazyFlipEnt
-	lzStart []int32
-	lzWord  []int32
-	lzMask  []uint64
+// newInstance returns an Instance with n zeroed truth vectors of length m,
+// numCenters zeroed center vectors, and a ClusterOf slice of length n.
+func newInstance(n, m, numCenters int) *Instance {
+	in := &Instance{
+		Truth:     newVecs(n, m),
+		ClusterOf: make([]int, n),
+	}
+	if numCenters > 0 {
+		in.Centers = newVecs(numCenters, m)
+	}
+	return in
 }
 
-// instance returns an Instance with n zeroed truth vectors of length m,
-// numCenters zeroed center vectors, and a ClusterOf slice of length n,
-// drawn from the buffer's pools (or freshly allocated for a nil receiver).
-func (b *Buffer) instance(n, m, numCenters int) *Instance {
-	if b == nil {
-		in := &Instance{
-			Truth:     zeroVecs(nil, n, m),
-			ClusterOf: make([]int, n),
-		}
-		if numCenters > 0 {
-			in.Centers = zeroVecs(nil, numCenters, m)
-		}
-		return in
-	}
-	b.truth = zeroVecs(b.truth, n, m)
-	b.centers = zeroVecs(b.centers, numCenters, m)
-	if cap(b.clusterOf) < n {
-		b.clusterOf = make([]int, n)
-	}
-	b.inst = Instance{
-		Truth:     b.truth,
-		ClusterOf: b.clusterOf[:n],
-		Centers:   b.centers,
-	}
-	return &b.inst
-}
-
-// zeroVecs resizes vs to k zeroed vectors of length m, reusing both the
-// slice and each vector's backing words when capacities allow.
-func zeroVecs(vs []bitvec.Vector, k, m int) []bitvec.Vector {
-	if cap(vs) < k {
-		grown := make([]bitvec.Vector, k)
-		copy(grown, vs[:cap(vs)]) // keep old vectors' storage for Renew
-		vs = grown
-	}
-	vs = vs[:k]
+// newVecs returns k zeroed vectors of length m.
+func newVecs(k, m int) []bitvec.Vector {
+	vs := make([]bitvec.Vector, k)
 	for i := range vs {
-		vs[i] = vs[i].Renew(m)
+		vs[i] = bitvec.New(m)
 	}
 	return vs
 }
@@ -165,12 +119,7 @@ func zeroVecs(vs []bitvec.Vector, k, m int) []bitvec.Vector {
 // Uniform generates n players with independent uniform preference vectors
 // over m objects. No structure is planted.
 func Uniform(rng *xrand.Stream, n, m int) *Instance {
-	return (*Buffer)(nil).Uniform(rng, n, m)
-}
-
-// Uniform is the pooled Uniform; see Buffer.
-func (b *Buffer) Uniform(rng *xrand.Stream, n, m int) *Instance {
-	in := b.instance(n, m, 0)
+	in := newInstance(n, m, 0)
 	in.PlantedDiameter = -1
 	for p := 0; p < n; p++ {
 		fillRandom(rng, in.Truth[p])
@@ -209,11 +158,6 @@ func IdenticalClusters(rng *xrand.Stream, n, m, clusterSize int) *Instance {
 // diameter = 0 yields identical clusters. Players are assigned to clusters
 // in a random permutation so cluster membership is uncorrelated with id.
 func DiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter int) *Instance {
-	return (*Buffer)(nil).DiameterClusters(rng, n, m, clusterSize, diameter)
-}
-
-// DiameterClusters is the pooled DiameterClusters; see Buffer.
-func (b *Buffer) DiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter int) *Instance {
 	if clusterSize <= 0 || clusterSize > n {
 		panic(fmt.Sprintf("prefgen: bad cluster size %d for n=%d", clusterSize, n))
 	}
@@ -221,7 +165,7 @@ func (b *Buffer) DiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter
 	if numClusters == 0 {
 		numClusters = 1
 	}
-	in := b.instance(n, m, numClusters)
+	in := newInstance(n, m, numClusters)
 	in.PlantedDiameter = diameter
 	for c := range in.Centers {
 		fillRandom(rng, in.Centers[c])
@@ -251,15 +195,10 @@ func (b *Buffer) DiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter
 // diameter at most diameter. This models the skewed taste populations of
 // recommender workloads.
 func ZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
-	return (*Buffer)(nil).ZipfClusters(rng, n, m, numClusters, alpha, diameter)
-}
-
-// ZipfClusters is the pooled ZipfClusters; see Buffer.
-func (b *Buffer) ZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
 	if numClusters <= 0 {
 		panic("prefgen: numClusters must be positive")
 	}
-	in := b.instance(n, m, numClusters)
+	in := newInstance(n, m, numClusters)
 	in.PlantedDiameter = diameter
 	for c := range in.Centers {
 		fillRandom(rng, in.Centers[c])

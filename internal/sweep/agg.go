@@ -29,10 +29,10 @@ type Summary struct {
 	// CommWrites/CommReads sum bulletin-board traffic over all points.
 	CommWrites int64 `json:"comm_writes"`
 	CommReads  int64 `json:"comm_reads"`
-	// Failures counts points that persistently failed (their runner
-	// panicked through the per-point retry) and so have no record;
-	// FailedPoints lists their keys. Aggregate only sees records, so the
-	// caller fills these from its Options.OnFailure tally (cmd/sweep does).
+	// Failures counts points that failed (their runner panicked) and so
+	// have no record; FailedPoints lists their keys. Aggregate only sees
+	// records, so the caller fills these from its Options.OnFailure tally
+	// (cmd/sweep does).
 	Failures     int      `json:"failures,omitempty"`
 	FailedPoints []string `json:"failed_points,omitempty"`
 }

@@ -13,10 +13,8 @@ import (
 
 // Options configures a sweep run.
 type Options struct {
-	// Workers bounds the worker pool; ≤ 0 means up to GOMAXPROCS. Each
-	// worker owns one collabscore.Pool, so truth matrices, probe memos and
-	// bulletin boards are reused across the points that worker executes
-	// instead of rebuilt per point.
+	// Workers bounds the worker pool; ≤ 0 means up to GOMAXPROCS. Every
+	// point builds its simulation on fresh allocations.
 	Workers int
 	// Sink, when non-nil, receives one JSONL line per completed point, as
 	// points complete (schedule order; records themselves are order-
@@ -39,19 +37,19 @@ type Options struct {
 	// with the JSONL sink this is what makes an interrupted sweep always
 	// resumable — the tail is flushed, never torn mid-batch.
 	Stop <-chan struct{}
-	// OnFailure, when non-nil, receives each point that persistently failed:
-	// a panic in protocol code is recovered per point (it no longer takes
-	// down the worker pool), the point is retried once on fresh allocations
-	// (pool state that a panic unwound through is suspect), and only a second
-	// panic reports here. Failed points produce no record and are excluded
-	// from Run's results. When OnFailure is nil the sweep still completes
-	// every other point — the failures are returned as one error at the end
-	// instead of silently dropped. Calls are serialized.
+	// OnFailure, when non-nil, receives each point that failed: a panic in
+	// protocol code is recovered per point (it does not take down the
+	// worker pool) and reported here. A point's run is deterministic, so a
+	// point that panics once panics every time and is not retried. Failed
+	// points produce no record and are excluded from Run's results. When
+	// OnFailure is nil the sweep still completes every other point — the
+	// failures are returned as one error at the end instead of silently
+	// dropped. Calls are serialized.
 	OnFailure func(pt Point, err error)
 }
 
-// PointError is the persistent per-point failure OnFailure receives: the
-// point's key and the recovered panic value of the second (retried) attempt.
+// PointError is the per-point failure OnFailure receives: the point's key
+// and the recovered panic value.
 type PointError struct {
 	Key string
 	// Panic is the recovered panic value.
@@ -59,7 +57,7 @@ type PointError struct {
 }
 
 func (e *PointError) Error() string {
-	return fmt.Sprintf("sweep: point %s panicked twice: %v", e.Key, e.Panic)
+	return fmt.Sprintf("sweep: point %s panicked: %v", e.Key, e.Panic)
 }
 
 // stopRequested reports whether the options' stop channel is closed.
@@ -80,9 +78,9 @@ func stopRequested(stop <-chan struct{}) bool {
 // point (see the package comment); only completion order varies with the
 // schedule. Malformed points (unknown strategy/protocol names on points
 // that did not come from Expand) and sink write failures abort the run;
-// panics in protocol code are recovered per point, retried once, and
-// surfaced through Options.OnFailure (or one aggregate error when it is
-// nil) — never by crashing the pool. When Options.Stop closes mid-run the
+// panics in protocol code are recovered per point and surfaced through
+// Options.OnFailure (or one aggregate error when it is nil) — never by
+// crashing the pool. When Options.Stop closes mid-run the
 // completed subset is returned with no error.
 func Run(points []Point, opt Options) ([]Record, error) {
 	pending := make([]int, 0, len(points))
@@ -101,11 +99,6 @@ func Run(points []Point, opt Options) ([]Record, error) {
 	} else {
 		runner = par.Parallel()
 	}
-	pools := make([]*collabscore.Pool, runner.Workers(len(pending)))
-	for i := range pools {
-		pools[i] = collabscore.NewPool()
-	}
-
 	recs := make([]Record, len(pending))
 	ran := make([]bool, len(pending))
 	errs := make([]error, len(pending))
@@ -113,7 +106,7 @@ func Run(points []Point, opt Options) ([]Record, error) {
 	var sinkErr error
 	var failures []*PointError
 	completed := 0
-	runner.ForWorker(len(pending), func(wk, i int) {
+	runner.For(len(pending), func(i int) {
 		// A failed sink (disk full, closed file) makes every further
 		// record unrecordable — stop burning CPU on points whose results
 		// would be discarded and let the caller resume after fixing it.
@@ -126,7 +119,7 @@ func Run(points []Point, opt Options) ([]Record, error) {
 			return
 		}
 		pt := points[pending[i]]
-		rec, err := runPointRetry(pools[wk], pt, opt.ComputeOpt)
+		rec, err := runPointRecover(pt, opt.ComputeOpt)
 		if perr, ok := err.(*PointError); ok {
 			mu.Lock()
 			failures = append(failures, perr)
@@ -165,7 +158,7 @@ func Run(points []Point, opt Options) ([]Record, error) {
 		// No failure hook: every other point has completed and flushed, so
 		// surface the failures without discarding that work — the caller
 		// still has a resumable file and the full error list.
-		errFail := fmt.Errorf("sweep: %d point(s) failed persistently", len(failures))
+		errFail := fmt.Errorf("sweep: %d point(s) failed", len(failures))
 		for _, f := range failures {
 			errFail = fmt.Errorf("%w; %v", errFail, f)
 		}
@@ -174,31 +167,21 @@ func Run(points []Point, opt Options) ([]Record, error) {
 	return out, sinkErr
 }
 
-// runPointRetry runs one point with per-point panic containment: a panic in
-// protocol code is recovered and the point retried once on fresh
-// allocations (nil pool — reused arenas a panic unwound through may hold
-// torn state). A second panic returns a *PointError.
-func runPointRetry(pl *collabscore.Pool, pt Point, computeOpt bool) (Record, error) {
-	rec, err := runPointRecover(pl, pt, computeOpt)
-	if _, panicked := err.(*PointError); panicked {
-		rec, err = runPointRecover(nil, pt, computeOpt)
-	}
-	return rec, err
-}
-
-func runPointRecover(pl *collabscore.Pool, pt Point, computeOpt bool) (rec Record, err error) {
+// runPointRecover runs one point with per-point panic containment: a panic
+// in protocol code is recovered and returned as a *PointError.
+func runPointRecover(pt Point, computeOpt bool) (rec Record, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PointError{Key: pt.Key(), Panic: r}
 		}
 	}()
-	return runPoint(pl, pt, computeOpt)
+	return runPoint(pt, computeOpt)
 }
 
-// runPoint executes one grid point on the worker's pool. Rating points
-// have no binary Simulation (and no planted-optimum oracle); they run
-// through the pooled Scenario path directly.
-func runPoint(pl *collabscore.Pool, pt Point, computeOpt bool) (Record, error) {
+// runPoint executes one grid point. Rating points have no binary
+// Simulation (and no planted-optimum oracle); they run through
+// Scenario.Run directly.
+func runPoint(pt Point, computeOpt bool) (Record, error) {
 	sc, err := pt.Scenario()
 	if err != nil {
 		return Record{}, err
@@ -206,13 +189,9 @@ func runPoint(pl *collabscore.Pool, pt Point, computeOpt bool) (Record, error) {
 	var rep *collabscore.Report
 	optErr := -1
 	if sc.Protocol == collabscore.ProtoRatings {
-		if pl != nil {
-			rep = pl.Run(sc)
-		} else {
-			rep = sc.Run()
-		}
+		rep = sc.Run()
 	} else {
-		sim := sc.Build(pl)
+		sim := sc.Build(nil)
 		// The planted-optimum oracle scans the materialized truth matrix;
 		// lazy instances (Truth == nil) skip it — by design, the whole point
 		// of the lazy representation is never holding that matrix.

@@ -30,8 +30,8 @@ func testGrid(t *testing.T) []Point {
 }
 
 // TestEngineMatchesStandalone pins the acceptance property: every record
-// the pooled multi-worker engine produces is identical to running that
-// point's scenario standalone (fresh allocations, no engine).
+// the multi-worker engine produces is identical to running that point's
+// scenario standalone (no engine).
 func TestEngineMatchesStandalone(t *testing.T) {
 	pts := testGrid(t)
 	var sink bytes.Buffer
@@ -43,7 +43,7 @@ func TestEngineMatchesStandalone(t *testing.T) {
 		t.Fatalf("engine returned %d records for %d points", len(recs), len(pts))
 	}
 	for i, rec := range recs {
-		want, err := runPoint(nil, pts[i], true)
+		want, err := runPoint(pts[i], true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,12 +366,19 @@ func TestAggregate(t *testing.T) {
 	if empty := Aggregate(nil); empty.Points != 0 {
 		t.Fatalf("bad empty aggregation: %+v", empty)
 	}
+	maxErr := func(r Record) float64 { return float64(r.MaxError) }
+	if got := MeanOf(recs, maxErr); got != 6 {
+		t.Fatalf("MeanOf max error = %v, want 6", got)
+	}
+	if got := MeanOf(nil, maxErr); got != 0 {
+		t.Fatalf("MeanOf of no records = %v, want 0", got)
+	}
 }
 
 // TestRunFileResumeRatingsGrid is the §8 acceptance path: a grid over a
-// rating-scale axis (plus a budgets column) runs through the pooled
-// engine, is killed mid-file (torn tail), and resumes with exactly the
-// missing points recomputed — record-equal to the uninterrupted sweep.
+// rating-scale axis (plus a budgets column) runs through the engine, is
+// killed mid-file (torn tail), and resumes with exactly the missing points
+// recomputed — record-equal to the uninterrupted sweep.
 func TestRunFileResumeRatingsGrid(t *testing.T) {
 	pts, err := Expand(Spec{
 		Seed:          17,
@@ -432,9 +439,8 @@ func TestRunFileResumeRatingsGrid(t *testing.T) {
 	}
 }
 
-// TestEngineRatingsMatchStandalone: pooled rating/budget records equal the
-// standalone (fresh-allocation) scenario runs — the sweep-side half of the
-// pooling contract for the §8 extensions.
+// TestEngineRatingsMatchStandalone: the engine's rating/budget records
+// equal the standalone scenario runs for the §8 extensions.
 func TestEngineRatingsMatchStandalone(t *testing.T) {
 	pts, err := Expand(Spec{
 		Seed:         19,
@@ -455,12 +461,12 @@ func TestEngineRatingsMatchStandalone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rec := range recs {
-		want, err := runPoint(nil, pts[i], false)
+		want, err := runPoint(pts[i], false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(rec, want) {
-			t.Fatalf("point %s: pooled record differs from standalone\n got %+v\nwant %+v",
+			t.Fatalf("point %s: engine record differs from standalone\n got %+v\nwant %+v",
 				pts[i].Key(), rec, want)
 		}
 	}

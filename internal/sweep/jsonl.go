@@ -13,7 +13,7 @@ import (
 // deterministic measurements of its report. Records are streamed to the
 // sink as one JSON object per line (JSONL); every field is a pure function
 // of the point's seed and coordinates, so a record is byte-comparable
-// across runs, workers, pooled and unpooled execution, and resumes.
+// across runs, worker counts, and resumes.
 type Record struct {
 	Point
 	// Key is the point's canonical identity (Point.Key) — the resume key.

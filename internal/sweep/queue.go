@@ -248,9 +248,9 @@ func (q *Queue) Release(key string) error {
 	return nil
 }
 
-// Fail marks a point as persistently failed (its runner panicked through
-// the per-point retry on several holders), removing it from dispatch so the
-// grid can finish around it. Failing an already-done point is a no-op.
+// Fail marks a point as persistently failed (its runner panicked on
+// several holders), removing it from dispatch so the grid can finish
+// around it. Failing an already-done point is a no-op.
 func (q *Queue) Fail(key string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

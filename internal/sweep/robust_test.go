@@ -20,8 +20,8 @@ func panicPoint(seed uint64) Point {
 }
 
 // TestRunRecoversPointPanic: a panicking point no longer takes down the
-// pool — it is retried once, reported through OnFailure, and every other
-// point completes normally with records identical to a clean run.
+// pool — it is reported through OnFailure, and every other point completes
+// normally with records identical to a clean run.
 func TestRunRecoversPointPanic(t *testing.T) {
 	good := testGrid(t)
 	ref, err := Run(good, Options{Workers: 2})

@@ -1,7 +1,7 @@
 // Package sweep is the scenario-grid engine: it expands declarative axis
 // specifications into deterministic grid points, schedules the points
-// across a worker pool with per-worker reused allocations
-// (collabscore.Pool), streams results to a JSONL sink as points complete,
+// across a worker pool (each point builds its simulation on fresh
+// allocations), streams results to a JSONL sink as points complete,
 // supports resuming an interrupted sweep from its partial output file, and
 // aggregates results through internal/metrics. See DESIGN.md §11.
 //

@@ -90,38 +90,6 @@ func TestLazyWorldConcurrentFirstProbe(t *testing.T) {
 	}
 }
 
-// TestLazyWorldRenewFromReusesMemos pins the pooling contract: renewing a
-// lazy world onto a new same-shape source resets counters and memos but
-// behaves observationally like a fresh NewFrom.
-func TestLazyWorldRenewFromReusesMemos(t *testing.T) {
-	mk := func(seed uint64) prefgen.TruthSource {
-		return prefgen.LazyDiameterClusters(xrand.New(seed), 10, 200, 2, 6, 0).Source()
-	}
-	w := NewFrom(mk(1))
-	w.Probe(3, 7)
-	w.SetBehavior(4, flipBehavior{})
-	w = RenewFrom(w, mk(2))
-	fresh := NewFrom(mk(2))
-	if w.Probes(3) != 0 || !w.IsHonest(4) {
-		t.Fatal("RenewFrom did not reset probe counters and roles")
-	}
-	for p := 0; p < 10; p++ {
-		for o := 0; o < 200; o += 7 {
-			if w.Probe(p, o) != fresh.Probe(p, o) {
-				t.Fatalf("renewed world diverges from fresh at (%d,%d)", p, o)
-			}
-		}
-		if w.Probes(p) != fresh.Probes(p) {
-			t.Fatalf("renewed world charges %d, fresh %d", w.Probes(p), fresh.Probes(p))
-		}
-	}
-	// Shape change falls back to a fresh world.
-	small := RenewFrom(w, prefgen.LazyUniform(xrand.New(3), 4, 50).Source())
-	if small.N() != 4 || small.M() != 50 {
-		t.Fatalf("shape-change RenewFrom dims (%d,%d)", small.N(), small.M())
-	}
-}
-
 // TestLazyProbeWordAllocFree guards the lazy probe hot path: once a
 // player's memo is installed, word probes must not allocate
 // (warm-up run installs the memo), for full words and for the one-bit

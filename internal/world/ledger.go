@@ -161,7 +161,8 @@ func (l *Ledger) TotalProbes() int64 {
 }
 
 // ResetProbes zeroes all probe counters and forgets all memoized probes,
-// keeping the memo allocations for pooled reuse. It must not run
+// keeping the memo allocations, so the next protocol run on the same world
+// starts from zero probes. It must not run
 // concurrently with probes (a between-runs operation, not a phase
 // operation).
 func (l *Ledger) ResetProbes() {

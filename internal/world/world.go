@@ -215,34 +215,6 @@ func NewFrom(src prefgen.TruthSource) *World {
 	return w
 }
 
-// Renew re-initializes a world for a new truth matrix, reusing w's
-// allocations (role slices, probe counters, probe memos) when the shape
-// matches; a nil w or a shape change falls back to New. All players start
-// honest and all counters start at zero, exactly as New leaves them, so
-//
-//	w = world.Renew(w, truth)
-//
-// is observationally identical to world.New(truth) — it is the pooled
-// constructor the sweep engine's per-worker arenas use to avoid rebuilding
-// O(n·m/64) memo storage on every grid point. The previous truth matrix and
-// any outstanding Runs over the old world must no longer be in use.
-func Renew(w *World, truth []bitvec.Vector) *World {
-	return RenewFrom(w, prefgen.NewDense(truth))
-}
-
-// RenewFrom is Renew over any truth source; see Renew and NewFrom.
-func RenewFrom(w *World, src prefgen.TruthSource) *World {
-	if w == nil || src.Players() != w.n || src.Players() == 0 || src.Objects() != w.m {
-		return NewFrom(src)
-	}
-	w.src = src
-	for p := range w.behaviors {
-		w.SetBehavior(p, Honest{})
-	}
-	w.ResetProbes()
-	return w
-}
-
 // Probe returns the true preference v(p)_o and charges one probe to player
 // p unless p has probed o before (probing teaches the answer permanently,
 // so only distinct objects count). It is safe and lock-free under

@@ -132,6 +132,39 @@ func TestReportVector(t *testing.T) {
 	}
 }
 
+// TestReportVectorDishonest: a dishonest player's vector is its behavior's
+// per-object reports, indexed like objs, and charges no probes.
+func TestReportVectorDishonest(t *testing.T) {
+	w := twoByThree()
+	w.SetBehavior(1, liar{})
+	v := NewRun(w).ReportVector(1, []int{2, 0, 1})
+	// truth of player 1 on objects 2, 0, 1 is 1, 0, 1; the liar flips it.
+	if v.Len() != 3 || v.Get(0) || !v.Get(1) || v.Get(2) {
+		t.Fatalf("dishonest ReportVector = %v", v)
+	}
+	if w.Probes(1) != 0 {
+		t.Fatalf("dishonest ReportVector charged %d probes", w.Probes(1))
+	}
+}
+
+// TestMeanHonestProbes averages probe counts over honest players only, and
+// is 0 when nobody is honest.
+func TestMeanHonestProbes(t *testing.T) {
+	w := New(randTruth(3, 10, 1))
+	w.Probe(0, 1)
+	w.Probe(0, 2)
+	w.Probe(2, 3)
+	w.SetBehavior(1, liar{})
+	if got := w.MeanHonestProbes(); got != 1.5 {
+		t.Fatalf("MeanHonestProbes = %v, want 1.5", got)
+	}
+	w.SetBehavior(0, liar{})
+	w.SetBehavior(2, liar{})
+	if got := w.MeanHonestProbes(); got != 0 {
+		t.Fatalf("MeanHonestProbes with no honest player = %v, want 0", got)
+	}
+}
+
 func TestHonestError(t *testing.T) {
 	w := twoByThree()
 	out := bitvec.FromBits([]int{1, 1, 1}) // truth for p0 is 101
@@ -411,70 +444,3 @@ func TestReportWordHonestAndDishonest(t *testing.T) {
 type flipBehavior struct{}
 
 func (flipBehavior) Report(rc *Run, p, o int) bool { return !rc.PeekTruth(p, o) }
-
-// rows builds an n×m truth matrix whose bits derive from seed.
-func rows(n, m int, seed uint64) []bitvec.Vector {
-	out := make([]bitvec.Vector, n)
-	for p := range out {
-		v := bitvec.New(m)
-		for o := 0; o < m; o++ {
-			if (uint64(p)*31+uint64(o)*7+seed)%3 == 0 {
-				v.Set(o, true)
-			}
-		}
-		out[p] = v
-	}
-	return out
-}
-
-// TestRenewMatchesNew: a renewed world is observationally identical to a
-// fresh one — roles, counters, memos all reset — while reusing storage at
-// a stable shape, and falling back to allocation on shape changes.
-func TestRenewMatchesNew(t *testing.T) {
-	truthA := rows(8, 16, 3)
-	truthB := rows(8, 16, 4)
-
-	w := New(truthA)
-	w.SetBehavior(2, ZeroSpam{})
-	w.Probe(1, 5)
-	w.Probe(1, 5)
-	if w.Probes(1) != 1 {
-		t.Fatalf("probes = %d", w.Probes(1))
-	}
-
-	renewed := Renew(w, truthB)
-	if renewed != w {
-		t.Fatal("same-shape Renew should reuse the World")
-	}
-	for p := 0; p < renewed.N(); p++ {
-		if !renewed.IsHonest(p) {
-			t.Fatalf("player %d still dishonest after Renew", p)
-		}
-		if renewed.Probes(p) != 0 {
-			t.Fatalf("player %d keeps %d probes after Renew", p, renewed.Probes(p))
-		}
-	}
-	// The memo was cleared: re-probing charges again.
-	renewed.Probe(1, 5)
-	if renewed.Probes(1) != 1 {
-		t.Fatalf("memo survived Renew: probes = %d", renewed.Probes(1))
-	}
-	if renewed.PeekTruth(0, 0) != truthB[0].Get(0) {
-		t.Fatal("Renew did not install the new truth")
-	}
-
-	// Shape change falls back to New.
-	grown := Renew(renewed, rows(10, 16, 5))
-	if grown == renewed {
-		t.Fatal("shape-changing Renew must allocate a fresh World")
-	}
-	if Renew(nil, truthA) == nil {
-		t.Fatal("nil Renew must allocate")
-	}
-}
-
-// ZeroSpam-equivalent test behavior for Renew (world_test is package world;
-// keep the dependency local).
-type ZeroSpam struct{}
-
-func (ZeroSpam) Report(_ *Run, _, _ int) bool { return false }

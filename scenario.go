@@ -2,17 +2,14 @@ package collabscore
 
 // This file exposes the scenario point-runner: a declarative description of
 // one fully specified simulation (population, planted structure, corruption,
-// protocol variant) plus a Pool that runs successive scenarios on reused
-// allocations. The internal sweep engine (internal/sweep) expands scenario
-// grids and drives one Pool per worker; see DESIGN.md §11.
+// protocol variant) that builds and runs on fresh allocations. The internal
+// sweep engine (internal/sweep) expands scenario grids and runs their points
+// across a worker pool; see DESIGN.md §11.
 
 import (
 	"fmt"
 
-	"collabscore/internal/core"
-	"collabscore/internal/multival"
 	"collabscore/internal/prefgen"
-	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
 
@@ -99,7 +96,7 @@ func ParseStrategy(s string) (Strategy, error) {
 //
 // — same seed, same report, byte for byte. The declarative form exists so
 // scenario grids can be expanded, scheduled, serialized, and resumed by the
-// sweep engine, and so a Pool can run points on reused allocations.
+// sweep engine.
 type Scenario struct {
 	Config
 
@@ -134,15 +131,13 @@ type Scenario struct {
 	CapBigFrac float64
 }
 
-// ratingSimulation builds the scenario's RatingSimulation (ProtoRatings),
-// on pooled state when pl is non-nil; pooled construction draws identical
-// coins, so it is bit-identical to fresh.
-func (sc Scenario) ratingSimulation(pl *Pool) *RatingSimulation {
+// ratingSimulation builds the scenario's RatingSimulation (ProtoRatings).
+func (sc Scenario) ratingSimulation() *RatingSimulation {
 	if sc.ClusterSize <= 0 {
 		panic("collabscore: ProtoRatings requires a cluster planting (ClusterSize > 0)")
 	}
 	cfg := sc.Config
-	rs := newRatingSimulation(RatingConfig{
+	rs := NewRatingSimulation(RatingConfig{
 		Players:       cfg.Players,
 		Objects:       cfg.Objects,
 		Scale:         sc.Scale,
@@ -150,7 +145,7 @@ func (sc Scenario) ratingSimulation(pl *Pool) *RatingSimulation {
 		Seed:          cfg.Seed,
 		FixedDiameter: cfg.FixedDiameter,
 		TruthSource:   cfg.TruthSource,
-	}, sc.ClusterSize, sc.Diameter, pl)
+	}, sc.ClusterSize, sc.Diameter)
 	if sc.Dishonest > 0 {
 		rs.Corrupt(sc.Dishonest, sc.Strategy)
 	}
@@ -195,47 +190,23 @@ func (sc Scenario) ratingReport(rr *RatingReport) *Report {
 	}
 }
 
-// simulation builds the scenario's Simulation, on pooled state when pl is
-// non-nil. The RNG splits are identical to the fluent construction: Split
-// is a pure read of the root stream, so skipping the uniform instance that
-// NewSimulation would generate before planting changes no coins.
-func (sc Scenario) simulation(pl *Pool) *Simulation {
+// simulation builds the scenario's Simulation. The RNG splits are identical
+// to the fluent construction: Split is a pure read of the root stream, so
+// skipping the uniform instance that NewSimulation would generate before
+// planting changes no coins.
+func (sc Scenario) simulation() *Simulation {
 	cfg := sc.Config
-	if cfg.Players < 1 {
-		panic("collabscore: Players must be ≥ 1")
-	}
-	if cfg.Objects == 0 {
-		cfg.Objects = cfg.Players
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 8
-	}
-	spec, err := prefgen.ParseSourceSpec(cfg.TruthSource)
-	if err != nil {
-		panic(fmt.Sprintf("collabscore: %v", err))
-	}
-	s := &Simulation{cfg: cfg, rng: xrand.New(cfg.Seed), truth: spec, pool: pl}
+	var spec prefgen.SourceSpec
+	cfg.Objects, cfg.Budget, spec = resolveConfig(cfg.Players, cfg.Objects, cfg.Budget, cfg.TruthSource)
+	s := &Simulation{cfg: cfg, rng: xrand.New(cfg.Seed), truth: spec}
 	switch {
 	case sc.ClusterSize > 0:
-		if spec.IsDense() {
-			s.instance = s.pg().DiameterClusters(s.rng.Split(2), cfg.Players, cfg.Objects, sc.ClusterSize, sc.Diameter)
-		} else {
-			s.instance = s.pg().LazyDiameterClusters(s.rng.Split(2), cfg.Players, cfg.Objects, sc.ClusterSize, sc.Diameter)
-		}
+		s.PlantClusters(sc.ClusterSize, sc.Diameter)
 	case sc.ZipfClusters > 0:
-		if spec.IsDense() {
-			s.instance = s.pg().ZipfClusters(s.rng.Split(3), cfg.Players, cfg.Objects, sc.ZipfClusters, sc.ZipfAlpha, sc.Diameter)
-		} else {
-			s.instance = s.pg().LazyZipfClusters(s.rng.Split(3), cfg.Players, cfg.Objects, sc.ZipfClusters, sc.ZipfAlpha, sc.Diameter)
-		}
+		s.PlantZipf(sc.ZipfClusters, sc.ZipfAlpha, sc.Diameter)
 	default:
-		if spec.IsDense() {
-			s.instance = s.pg().Uniform(s.rng.Split(1), cfg.Players, cfg.Objects)
-		} else {
-			s.instance = s.pg().LazyUniform(s.rng.Split(1), cfg.Players, cfg.Objects)
-		}
+		s.plantUniform()
 	}
-	s.rebuild()
 	if sc.Dishonest > 0 {
 		s.Corrupt(sc.Dishonest, sc.Strategy)
 	}
@@ -259,75 +230,51 @@ func (sc Scenario) execute(s *Simulation) *Report {
 		small, big, frac := sc.capacities(s.cfg.Objects)
 		return s.RunWithCapacities(s.TwoTierCapacities(small, big, frac))
 	case ProtoRatings:
-		panic("collabscore: ProtoRatings has no binary Simulation; use Scenario.Run or Pool.Run")
+		panic("collabscore: ProtoRatings has no binary Simulation; use Scenario.Run")
 	default:
 		panic(fmt.Sprintf("collabscore: unknown protocol %v", sc.Protocol))
 	}
 }
 
-// run dispatches on the scenario's substrate: ProtoRatings points build a
-// rating simulation, every other protocol the binary one.
-func (sc Scenario) run(pl *Pool) *Report {
+// Run builds the scenario on fresh allocations, runs it, and returns its
+// report. ProtoRatings points build a rating simulation, every other
+// protocol the binary one.
+func (sc Scenario) Run() *Report {
 	if sc.Protocol == ProtoRatings {
-		return sc.ratingReport(sc.ratingSimulation(pl).RunByzantine(0))
+		return sc.ratingReport(sc.ratingSimulation().RunByzantine(0))
 	}
-	return sc.execute(sc.simulation(pl))
+	return sc.execute(sc.simulation())
 }
 
-// Run executes the scenario from scratch and returns its report. It is the
-// reference path: Pool.Run produces the identical report on reused
-// allocations.
-func (sc Scenario) Run() *Report { return sc.run(nil) }
-
 // Build constructs the scenario's configured Simulation — planted and
-// corrupted, protocol not yet run — fresh when pl is nil, pooled otherwise.
-// Most callers want Run or Pool.Run; the sweep engine uses Build/Execute to
-// measure the planted instance before running the protocol. ProtoRatings
-// scenarios have no binary Simulation; use Run or Pool.Run for those
-// (Build panics rather than constructing a wrong-substrate world).
+// corrupted, protocol not yet run. Most callers want Run; the sweep engine
+// uses Build/Execute to measure the planted instance before running the
+// protocol. ProtoRatings scenarios have no binary Simulation; use Run for
+// those (Build panics rather than constructing a wrong-substrate world).
+// The pl argument is ignored (pass nil); it is removed together with Pool.
 func (sc Scenario) Build(pl *Pool) *Simulation {
 	if sc.Protocol == ProtoRatings {
-		panic("collabscore: ProtoRatings has no binary Simulation; use Scenario.Run or Pool.Run")
+		panic("collabscore: ProtoRatings has no binary Simulation; use Scenario.Run")
 	}
-	return sc.simulation(pl)
+	return sc.simulation()
 }
 
 // Execute runs the scenario's protocol variant on a Simulation built by
 // Build.
 func (sc Scenario) Execute(s *Simulation) *Report { return sc.execute(s) }
 
-// Pool runs successive scenarios on reused allocations: the truth matrix
-// buffers (prefgen.Buffer), the world's probe memos and counters
-// (world.Renew), and the workshare bulletin boards (core.Mem) are recycled
-// across points instead of rebuilt each time, which is what makes
-// thousand-point scenario grids cheap. Reports are byte-identical to
-// Scenario.Run for the same scenario — pooling changes where memory comes
-// from, never what is computed (TestPoolMatchesFresh pins this).
+// Pool runs scenarios. It holds no state: Pool.Run(sc) is sc.Run().
 //
-// A Pool is NOT safe for concurrent use; the sweep engine gives each worker
-// its own. Each Run invalidates the previous Run's Simulation, World, and
-// Instance on the same Pool (their storage is reused); the returned Reports
-// stay valid.
-type Pool struct {
-	pg  prefgen.Buffer
-	w   *world.World
-	mem *core.Mem
-	// rpg/rw are the §8 rating arena: the bit-plane truth buffer and the
-	// rating world recycled across ProtoRatings points, mirroring pg/w.
-	rpg multival.Buffer
-	rw  *multival.World
-}
+// Deprecated: use Scenario.Run. Pool stays only so the benchmark module
+// (bench/layers.go) compiles, and is removed together with that replay.
+type Pool struct{}
 
-// NewPool returns an empty pool; allocations are adopted from the points it
-// runs.
-func NewPool() *Pool { return &Pool{mem: core.NewMem()} }
+// NewPool returns a Pool.
+//
+// Deprecated: use Scenario.Run.
+func NewPool() *Pool { return &Pool{} }
 
-// Run executes the scenario on the pool's reused allocations.
-func (pl *Pool) Run(sc Scenario) *Report { return sc.run(pl) }
-
-// NewSimulation creates a pooled simulation: like the package-level
-// NewSimulation (identical output for identical calls), but drawing its
-// allocations from the pool. The previous pooled simulation is invalidated.
-func (pl *Pool) NewSimulation(cfg Config) *Simulation {
-	return Scenario{Config: cfg}.simulation(pl)
-}
+// Run is sc.Run().
+//
+// Deprecated: use Scenario.Run.
+func (pl *Pool) Run(sc Scenario) *Report { return sc.Run() }

@@ -7,8 +7,7 @@ import (
 )
 
 // scenarioMatrix is a shape-diverse scenario list: different n, m, budgets,
-// plantings, corruption levels, strategies and protocol variants, so pooled
-// reuse is exercised across shape changes in both directions.
+// plantings, corruption levels, strategies and protocol variants.
 func scenarioMatrix() []Scenario {
 	return []Scenario{
 		{Config: Config{Players: 128, Seed: 1, FixedDiameter: 8}, ClusterSize: 16, Diameter: 8, Protocol: ProtoRun},
@@ -18,24 +17,21 @@ func scenarioMatrix() []Scenario {
 		{Config: Config{Players: 128, Seed: 5, FixedDiameter: 8}, ClusterSize: 16, Diameter: 8, Dishonest: 5, Strategy: ClusterHijackers, Protocol: ProtoByzantine},
 		{Config: Config{Players: 128, Seed: 1, FixedDiameter: 8}, ClusterSize: 16, Diameter: 8, Protocol: ProtoBaseline},
 		{Config: Config{Players: 64, Seed: 6}, Protocol: ProtoRandomGuess},
-		// Same shape twice in a row: the full-reuse path.
+		// Same shape twice in a row.
 		{Config: Config{Players: 128, Seed: 7, FixedDiameter: 8}, ClusterSize: 32, Diameter: 8, Dishonest: 4, Strategy: StrangeObjectAttackers, Protocol: ProtoByzantine},
 		{Config: Config{Players: 128, Seed: 8, FixedDiameter: 8}, ClusterSize: 32, Diameter: 8, Dishonest: 4, Strategy: RandomLiar, Protocol: ProtoByzantine},
-		// §8 extensions: rating-scale points (their own pooled arena, two
-		// scales so the bit-plane width changes shape), interleaved with a
-		// budgets point on the binary arena.
+		// §8 extensions: rating-scale points (two scales, so the bit-plane
+		// width changes shape), interleaved with a budgets point.
 		{Config: Config{Players: 96, Seed: 9, FixedDiameter: 16}, ClusterSize: 12, Diameter: 16, Scale: 5, Dishonest: 4, Strategy: Exaggerators, Protocol: ProtoRatings},
 		{Config: Config{Players: 96, Seed: 10, FixedDiameter: 8}, ClusterSize: 12, Diameter: 8, Protocol: ProtoBudgets, CapSmall: 8, CapBig: 48, CapBigFrac: 0.5},
 		{Config: Config{Players: 96, Seed: 11, FixedDiameter: 16}, ClusterSize: 12, Diameter: 16, Scale: 9, Dishonest: 3, Strategy: HarshShifters, Protocol: ProtoRatings},
 		{Config: Config{Players: 96, Seed: 12, FixedDiameter: 16}, ClusterSize: 12, Diameter: 16, Scale: 5, Protocol: ProtoRatings},
-		// Neighbor-index knob: LSH points on the clustering protocols,
-		// pooled and fresh alike.
+		// Neighbor-index knob: LSH points on the clustering protocols.
 		{Config: Config{Players: 128, Seed: 13, FixedDiameter: 8, NeighborIndex: "lsh"}, ClusterSize: 16, Diameter: 8, Protocol: ProtoRun},
 		{Config: Config{Players: 96, Seed: 14, FixedDiameter: 8, NeighborIndex: "lsh:8:6"}, ClusterSize: 12, Diameter: 8, Protocol: ProtoBudgets, CapSmall: 8, CapBig: 48, CapBigFrac: 0.5},
 		// Truth-source knob: lazy worlds recompute truth cells from the seed
 		// stream at probe time, across every planting family and substrate.
-		// Reports must be byte-identical to the dense default, pooled and
-		// fresh alike.
+		// Reports must be byte-identical to the dense default.
 		{Config: Config{Players: 128, Seed: 15, FixedDiameter: 8, TruthSource: "lazy"}, ClusterSize: 16, Diameter: 8, Protocol: ProtoRun},
 		{Config: Config{Players: 96, Seed: 16, FixedDiameter: 4, TruthSource: "lazy"}, ZipfClusters: 4, ZipfAlpha: 1.2, Diameter: 4, Dishonest: 4, Strategy: RandomLiar, Protocol: ProtoByzantine},
 		{Config: Config{Players: 64, Objects: 128, Seed: 17, TruthSource: "lazy"}, Protocol: ProtoProbeAll},
@@ -76,47 +72,18 @@ func TestScenarioMatchesFluent(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesFresh pins the pooled point-runner's contract: a Pool
-// running a shape-diverse scenario sequence produces reports byte-identical
-// to running every scenario from scratch — pooling reuses storage, it never
-// changes results.
+// TestPoolMatchesFresh pins the deprecated Pool shim: Pool.Run is
+// Scenario.Run, report for report, across a shape-diverse scenario
+// sequence run on one Pool.
 func TestPoolMatchesFresh(t *testing.T) {
 	pool := NewPool()
 	for i, sc := range scenarioMatrix() {
 		want := sc.Run()
 		got := pool.Run(sc)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scenario %d (%v on n=%d): pooled report differs from fresh\n got %+v\nwant %+v",
+			t.Fatalf("scenario %d (%v on n=%d): Pool.Run report differs from Scenario.Run\n got %+v\nwant %+v",
 				i, sc.Protocol, sc.Players, got, want)
 		}
-	}
-	// A second pass over the same pool: reuse after every shape has been
-	// seen once must still be exact.
-	for i, sc := range scenarioMatrix() {
-		want := sc.Run()
-		got := pool.Run(sc)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("scenario %d second pass: pooled report differs from fresh", i)
-		}
-	}
-}
-
-// TestPoolNewSimulationMatches pins Pool.NewSimulation to the package-level
-// constructor through the fluent API.
-func TestPoolNewSimulationMatches(t *testing.T) {
-	pool := NewPool()
-	cfg := Config{Players: 96, Seed: 9, FixedDiameter: 8}
-
-	sim := pool.NewSimulation(cfg)
-	sim.PlantClusters(12, 8)
-	got := sim.Run()
-
-	ref := NewSimulation(cfg)
-	ref.PlantClusters(12, 8)
-	want := ref.Run()
-
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pooled NewSimulation report differs from fresh")
 	}
 }
 
@@ -253,4 +220,29 @@ func TestRatingScenarioBuildPanics(t *testing.T) {
 		}
 	}()
 	sc.Build(nil)
+}
+
+// TestScenarioCapacityDefaults pins ProtoBudgets' two-tier defaults: m/32
+// and m/2 probes for a quarter of the players, with the small tier at
+// least 1 and the big tier never below the small one; explicit values pass
+// through.
+func TestScenarioCapacityDefaults(t *testing.T) {
+	cases := []struct {
+		sc          Scenario
+		m           int
+		small, big  int
+		bigFraction float64
+	}{
+		{Scenario{}, 256, 8, 128, 0.25},
+		{Scenario{}, 16, 1, 8, 0.25},
+		{Scenario{}, 1, 1, 1, 0.25},
+		{Scenario{CapSmall: 3, CapBig: 9, CapBigFrac: 0.5}, 256, 3, 9, 0.5},
+	}
+	for _, tc := range cases {
+		small, big, frac := tc.sc.capacities(tc.m)
+		if small != tc.small || big != tc.big || frac != tc.bigFraction {
+			t.Fatalf("%+v at m=%d: capacities (%d, %d, %v), want (%d, %d, %v)",
+				tc.sc, tc.m, small, big, frac, tc.small, tc.big, tc.bigFraction)
+		}
+	}
 }

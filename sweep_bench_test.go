@@ -1,21 +1,22 @@
 package collabscore_test
 
 // Sweep-engine throughput benchmarks: how fast a scenario grid runs, and
-// what the pooled point-runner saves over per-point fresh allocation. The
-// grid is fixed (32 points at n = 128, mixed honest/corrupt, run +
-// byzantine), so ns/op is the wall-clock of the whole grid:
+// what the engine adds over running its points one by one. The grid is
+// fixed (32 points at n = 128, mixed honest/corrupt, run + byzantine), so
+// ns/op is the wall-clock of the whole grid:
 //
 //   - fresh-serial     — every point standalone (Scenario.Run), one at a
-//     time: the baseline the engine must beat.
-//   - pooled-serial    — the engine with one worker: isolates the
-//     allocation-reuse win (truth buffers, probe memos, boards).
-//   - pooled-parallel  — the engine at GOMAXPROCS workers: adds the
+//     time: the baseline.
+//   - engine-serial    — the engine with one worker: isolates the engine's
+//     own overhead (scheduling, record building).
+//   - engine-parallel  — the engine at GOMAXPROCS workers: adds the
 //     scheduling win on multi-core hosts.
 //
-// All three produce byte-identical record sets (pinned by
-// sweep.TestEngineMatchesStandalone and TestPoolMatchesFresh); only the
-// time and allocation columns may differ. The committed BENCH_PR4.json is
-// the historical record of this matrix.
+// Every point allocates fresh in all three, and all three produce
+// byte-identical record sets (pinned by sweep.TestEngineMatchesStandalone);
+// only the time and allocation columns may differ. The committed
+// BENCH_PR4.json is an older record of this matrix, with the engine rows
+// named pooled-serial and pooled-parallel.
 
 import (
 	"testing"
@@ -72,8 +73,8 @@ func BenchmarkSweep(b *testing.B) {
 		name    string
 		workers int
 	}{
-		{"pooled-serial", 1},
-		{"pooled-parallel", 0},
+		{"engine-serial", 1},
+		{"engine-parallel", 0},
 	} {
 		b.Run(eng.name, func(b *testing.B) {
 			var maxErr int
