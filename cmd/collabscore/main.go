@@ -10,9 +10,9 @@
 //	-n          number of players (objects default to the same)
 //	-m          number of objects (0 = n)
 //	-b          budget parameter B
-//	-diameter   planted cluster diameter (clusters of size n/B)
+//	-diameter   planted cluster diameter (clusters of size n/B), at least 0
 //	-fixed-d    restrict the protocol to the single (correct) diameter guess
-//	-dishonest  number of dishonest players (max tolerated: n/(3B))
+//	-dishonest  number of dishonest players, 0..n (max tolerated: n/(3B))
 //	-strategy   random-liar | flip-all | colluders | cluster-hijackers |
 //	            strange-object | zero-spam (the names Strategy.String prints)
 //	-byzantine  run the full §7 protocol with leader election
@@ -56,6 +56,10 @@ func main() {
 		usage("-b must be between 1 and -n (clusters hold n/b players)")
 	case *m < 0:
 		usage("-m must not be negative")
+	case *dishonest < 0 || *dishonest > *n:
+		usage("-dishonest must be between 0 and -n")
+	case *diameter < 0:
+		usage("-diameter must not be negative")
 	}
 
 	cfg := collabscore.Config{Players: *n, Objects: *m, Budget: *b, Seed: *seed}

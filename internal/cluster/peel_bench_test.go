@@ -20,7 +20,7 @@ func BenchmarkPeel(b *testing.B) {
 	threshold := 2 * d
 	graphs := map[string]Graph{
 		"dense":  BuildGraph(in.Truth, threshold),
-		"sparse": buildCSROn(nil, in.Truth, threshold),
+		"sparse": sparseExact(in.Truth, threshold),
 	}
 	regimes := map[string]int{"planted": size, "scan": size + 2}
 	for name, g := range graphs {

@@ -4,9 +4,10 @@
 // neighborhood is essentially its cluster, Lemma 8). CSRGraph stores
 // exactly those edges in compressed-sparse-row form: one offsets slice and
 // one flat slice of sorted per-vertex neighbor lists. Construction goes
-// through graphSink, the small seam both edge producers (the exact
-// block-pair sweep and the LSH banding index) write through, so either
-// producer can fill either representation.
+// through graphSink, the small seam all three edge producers (the exact
+// Hamming sweep, the L1 sweep and the LSH banding index) write through by
+// one emission path (emitEdge, drainEdges), so any producer can fill
+// either representation.
 package cluster
 
 import (
@@ -20,11 +21,10 @@ import (
 // CSRGraph is the sparse neighbor-graph representation: per-vertex
 // neighbor lists sorted by id, compacted into one offsets slice (off, n+1
 // entries) and one targets slice (tgt). Memory is Θ(n + edges) instead of
-// the BitGraph's n² bits; neighbor iteration is a contiguous scan, and
-// Adjacent a binary search of the row. Rows are sorted and deduplicated at
-// build time, so iteration order — and therefore the clustering Build
-// produces — is a pure function of the edge set, byte-identical to the
-// BitGraph over the same edges.
+// the BitGraph's n² bits; neighbor iteration is a contiguous scan. Rows
+// are sorted and deduplicated at build time, so iteration order — and
+// therefore the clustering Build produces — is a pure function of the
+// edge set, byte-identical to the BitGraph over the same edges.
 type CSRGraph struct {
 	n   int
 	off []int64
@@ -39,27 +39,6 @@ func (g *CSRGraph) Degree(p int) int { return int(g.off[p+1] - g.off[p]) }
 
 // row returns p's sorted neighbor list (a view into tgt).
 func (g *CSRGraph) row(p int) []int32 { return g.tgt[g.off[p]:g.off[p+1]] }
-
-// Adjacent reports whether p and q share an edge, by binary search of p's
-// sorted row.
-func (g *CSRGraph) Adjacent(p, q int) bool {
-	_, found := slices.BinarySearch(g.row(p), int32(q))
-	return found
-}
-
-// Neighbors returns the neighbor ids of player p (nil when isolated,
-// matching the dense implementation).
-func (g *CSRGraph) Neighbors(p int) []int {
-	row := g.row(p)
-	if len(row) == 0 {
-		return nil
-	}
-	out := make([]int, len(row))
-	for i, q := range row {
-		out[i] = int(q)
-	}
-	return out
-}
 
 // VisitNeighbors calls fn on p's neighbors in increasing id order,
 // stopping early when fn returns false.
@@ -227,51 +206,28 @@ func (b *csrBuilder) buildOn(exec *par.Runner) *CSRGraph {
 
 // sinkFlushAt bounds producers' per-worker edge buffers: big enough to
 // amortize the sink mutex, small enough to keep peak buffer memory
-// negligible next to the graph itself.
+// negligible next to the graph itself. Unbounded per-worker lists, set
+// into the bitset at finish, cost measurably more peak memory on the
+// exact dense sweep (DESIGN.md §16).
 const sinkFlushAt = 1 << 14
 
-// buildCSROn is the exact all-pairs sweep emitting into a CSRGraph — the
-// same block-pair partition as BuildGraphOn (see blockRows), but since CSR
-// rows cannot be written word-disjointly in place, verified edges
-// accumulate in per-worker buffers and flush into the builder in batches.
-// The builder sorts and dedups at finish, so the schedule still cannot
-// affect the result.
-func buildCSROn(exec *par.Runner, z []bitvec.Vector, threshold int) *CSRGraph {
-	n := len(z)
-	b := newCSRBuilder(n)
-	nb := (n + blockRows - 1) / blockRows
-	type blockPair struct{ bi, bj int }
-	tasks := make([]blockPair, 0, nb*(nb+1)/2)
-	for bi := 0; bi < nb; bi++ {
-		for bj := bi; bj < nb; bj++ {
-			tasks = append(tasks, blockPair{bi, bj})
-		}
+// emitEdge appends the edge {p, q} to a producer's per-worker buffer and
+// flushes the buffer into the sink once it holds sinkFlushAt edges — the
+// one flush site of every producer. It returns the buffer to keep using.
+func emitEdge(sink graphSink, buf [][2]int32, p, q int) [][2]int32 {
+	buf = append(buf, [2]int32{int32(p), int32(q)})
+	if len(buf) >= sinkFlushAt {
+		sink.flush(buf)
+		buf = buf[:0]
 	}
-	bufs := make([][][2]int32, exec.Workers(len(tasks)))
-	exec.ForWorker(len(tasks), func(wk, t int) {
-		bi, bj := tasks[t].bi, tasks[t].bj
-		pHi := min(n, (bi+1)*blockRows)
-		qHi := min(n, (bj+1)*blockRows)
-		buf := bufs[wk]
-		for p := bi * blockRows; p < pHi; p++ {
-			qLo := bj * blockRows
-			if bi == bj {
-				qLo = p + 1
-			}
-			for q := qLo; q < qHi; q++ {
-				if z[p].Hamming(z[q]) <= threshold {
-					buf = append(buf, [2]int32{int32(p), int32(q)})
-					if len(buf) >= sinkFlushAt {
-						b.flush(buf)
-						buf = buf[:0]
-					}
-				}
-			}
-		}
-		bufs[wk] = buf
-	})
+	return buf
+}
+
+// drainEdges flushes what the per-worker buffers still hold, after the
+// producer's loop has returned, and finishes the graph on exec.
+func drainEdges(exec *par.Runner, sink graphSink, bufs [][][2]int32) Graph {
 	for _, buf := range bufs {
-		b.flush(buf)
+		sink.flush(buf)
 	}
-	return b.buildOn(exec)
+	return sink.finish(exec)
 }

@@ -2,11 +2,11 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"collabscore/internal/bitvec"
-	"collabscore/internal/par"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/xrand"
 )
@@ -14,7 +14,7 @@ import (
 // sparseExact builds the CSR graph through the exact sweep — the sparse
 // counterpart of BuildGraph for tests.
 func sparseExact(z []bitvec.Vector, threshold int) *CSRGraph {
-	return buildCSROn(nil, z, threshold)
+	return IndexSpec{Graph: "sparse"}.BuildGraph(nil, z, threshold, nil).(*CSRGraph)
 }
 
 // TestGraphRepPick pins the auto rule: dense below the cutoff, sparse at
@@ -52,9 +52,9 @@ func TestGraphRepPick(t *testing.T) {
 }
 
 // TestSparseMatchesDenseQuick is the representation-equivalence property:
-// on random worlds the CSR graph must answer N, Degree, Adjacent,
-// Neighbors, VisitNeighbors, LiveDegree and AppendLiveNeighbors exactly
-// like the dense oracle over the same edge set.
+// on random worlds the CSR graph must answer N, Degree, VisitNeighbors,
+// LiveDegree and AppendLiveNeighbors exactly like the dense oracle over
+// the same edge set.
 func TestSparseMatchesDenseQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
@@ -76,20 +76,7 @@ func TestSparseMatchesDenseQuick(t *testing.T) {
 			if sparse.Degree(p) != dense.Degree(p) {
 				return false
 			}
-			if !reflect.DeepEqual(sparse.Neighbors(p), dense.Neighbors(p)) {
-				return false
-			}
-			for q := 0; q < n; q++ {
-				if sparse.Adjacent(p, q) != dense.Adjacent(p, q) {
-					return false
-				}
-			}
-			var visited []int
-			sparse.VisitNeighbors(p, func(q int) bool {
-				visited = append(visited, q)
-				return true
-			})
-			if !reflect.DeepEqual(visited, dense.Neighbors(p)) {
+			if !slices.Equal(neighbors(sparse, p), neighbors(dense, p)) {
 				return false
 			}
 			if sparse.LiveDegree(p, alive) != dense.LiveDegree(p, alive) {
@@ -169,32 +156,6 @@ func TestBuildMatchesAcrossRepresentations(t *testing.T) {
 	}
 }
 
-// TestLSHSparseMatchesDense: the banding index filling a CSR sink yields
-// the same graph as filling the bitset sink, seed for seed — the sink seam
-// cannot perturb the discovered edge set.
-func TestLSHSparseMatchesDense(t *testing.T) {
-	for _, n := range []int{2, 64, 130, 257} {
-		rng := xrand.New(uint64(n) * 11)
-		in := prefgen.DiameterClusters(rng, n, 192, maxTestInt(2, n/4), 4)
-		dense := LSH{}.BuildGraph(nil, in.Truth, 8, xrand.New(uint64(n)), RepDense)
-		sparse := LSH{}.BuildGraph(nil, in.Truth, 8, xrand.New(uint64(n)), RepSparse)
-		if _, ok := dense.(*BitGraph); !ok {
-			t.Fatalf("n=%d: RepDense built %T", n, dense)
-		}
-		if _, ok := sparse.(*CSRGraph); !ok {
-			t.Fatalf("n=%d: RepSparse built %T", n, sparse)
-		}
-		if !graphsEqual(dense, sparse) {
-			t.Fatalf("n=%d: LSH edge set differs between representations", n)
-		}
-		// Schedule independence holds for the sparse sink too.
-		serial := LSH{}.BuildGraph(par.Serial(), in.Truth, 8, xrand.New(uint64(n)), RepSparse)
-		if !graphsEqual(sparse, serial) {
-			t.Fatalf("n=%d: sparse LSH graph differs between schedules", n)
-		}
-	}
-}
-
 // TestCSRBuilderDuplicateEdges: the builder must tolerate the duplicate
 // emissions multi-band LSH collisions can produce — duplicates and
 // emission order change nothing, and rows come out sorted and unique.
@@ -207,19 +168,12 @@ func TestCSRBuilderDuplicateEdges(t *testing.T) {
 	g := b.finish(nil).(*CSRGraph)
 	wantRows := [][]int{{1, 3}, {0}, {3}, {0, 2}, {}}
 	for p, want := range wantRows {
-		got := g.Neighbors(p)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Neighbors(%d) = %v, want %v", p, got, want)
+		if got := neighbors(g, p); !slices.Equal(got, want) {
+			t.Fatalf("neighbors(%d) = %v, want %v", p, got, want)
 		}
 	}
 	if g.Degree(0) != 2 || g.Degree(4) != 0 {
 		t.Fatalf("degrees: %d, %d", g.Degree(0), g.Degree(4))
-	}
-	if !g.Adjacent(0, 1) || g.Adjacent(1, 2) || g.Adjacent(4, 0) {
-		t.Fatal("adjacency wrong after duplicate ingestion")
 	}
 	if int(g.off[5]) != 6 {
 		t.Fatalf("compacted targets length %d, want 6 (duplicates kept?)", g.off[5])
@@ -238,7 +192,7 @@ func TestCSRTiny(t *testing.T) {
 		t.Fatalf("empty clustering %+v", cl)
 	}
 	one := sparseExact([]bitvec.Vector{bitvec.FromBits([]int{1, 0})}, 1)
-	if one.N() != 1 || one.Degree(0) != 0 || one.Adjacent(0, 0) {
+	if one.N() != 1 || one.Degree(0) != 0 {
 		t.Fatalf("single-player CSR N=%d deg=%d", one.N(), one.Degree(0))
 	}
 	cl = Build(one, 1)

@@ -152,7 +152,7 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 	}
 	stats.SRTime = time.Since(start)
 
-	// Step 1.d: neighbor graph and clusters, through the NeighborIndex seam
+	// Step 1.d: neighbor graph and clusters, through the NeighborIndex spec
 	// (exact block sweep by default, LSH banding when the knob is set; the
 	// index stream is split from the shared coins — a pure read of their
 	// state, so the default path consumes exactly the same coins as before

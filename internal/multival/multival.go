@@ -12,6 +12,9 @@
 //  2. every player probes S directly and publishes its ratings;
 //  3. players whose published sample ratings are L1-close become neighbors,
 //     and clusters of ≥ n/B − n/(3B) players are peeled greedily;
+//     the neighbor graph is always the exact L1 sweep
+//     (cluster.BuildGraphL1On) in the size rule's representation — the
+//     LSH banding index hashes Hamming lanes, so there is no index knob;
 //  4. the probing of all m objects is shared within each cluster with
 //     Θ(log n)-fold redundancy, aggregated by MEDIAN — the median of
 //     Θ(log n) reports from a ≥2/3-honest cluster is within the honest
@@ -333,15 +336,6 @@ type Params struct {
 	// ByzSerial forces the Byzantine wrapper's repetitions to execute one
 	// after another instead of concurrently, mirroring core.Params.
 	ByzSerial bool
-
-	// NeighborIndex selects the neighbor graph's representation
-	// ("+dense"/"+sparse"/"+auto"), mirroring core.Params.NeighborIndex.
-	// Only the representation half of the spec applies here: L1 neighbor
-	// discovery always runs the exact block-pair sweep
-	// (cluster.BuildGraphL1On) because the LSH banding index hashes
-	// Hamming lanes, not bit-sliced L1 rows; Run panics on Kind "lsh" to
-	// keep the knob honest.
-	NeighborIndex cluster.IndexSpec
 }
 
 // Scaled returns simulation-scale constants mirroring core.Scaled.
@@ -369,10 +363,6 @@ type Result struct {
 // given stream, so for a fixed seed the output is identical under every
 // schedule (PhaseSerial, fixed-width, parallel).
 func Run(w *World, shared *xrand.Stream, pr Params) *Result {
-	if !pr.NeighborIndex.IsExact() {
-		panic("multival: NeighborIndex kind " + pr.NeighborIndex.Kind +
-			" is Hamming-only; L1 discovery supports representation specs only")
-	}
 	exec := phaseExec(pr)
 	res := &Result{}
 	var candidates [][]bitvec.Planes // per guess: one vector per player
@@ -431,7 +421,7 @@ func runIteration(w *World, exec *par.Runner, d int, shared *xrand.Stream, pr Pa
 	// binary path — block-partitioned over the executor, each pair's
 	// bit-sliced L1 computed once (the engine's private [][]int adjacency
 	// build computed every distance twice), filling the representation the
-	// NeighborIndex spec picks — and the peel is the shared greedy one
+	// size rule picks (cluster.RepAuto) — and the peel is the shared greedy one
 	// (cluster.Build). The scalar slice-of-slices peel this replaced
 	// survives in the tests as the reference oracle
 	// (TestGraphSeamMatchesScalarPeel).
@@ -439,7 +429,7 @@ func runIteration(w *World, exec *par.Runner, d int, shared *xrand.Stream, pr Pa
 	if threshold < 1 {
 		threshold = 1
 	}
-	g := cluster.BuildGraphL1On(exec, published, threshold, pr.NeighborIndex.Rep())
+	g := cluster.BuildGraphL1On(exec, published, threshold, cluster.RepAuto)
 	cl := cluster.Build(g, core.Params{B: pr.B}.MinClusterSize(n))
 	res.NumClusters = append(res.NumClusters, len(cl.Clusters))
 

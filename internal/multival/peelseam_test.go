@@ -54,22 +54,6 @@ func TestGraphSeamMatchesScalarPeel(t *testing.T) {
 	}
 }
 
-// TestRunPanicsOnLSHIndex: the rating protocol only honors representation
-// specs — the banding index hashes Hamming lanes, so Kind "lsh" must panic
-// rather than silently fall back.
-func TestRunPanicsOnLSHIndex(t *testing.T) {
-	truth, _ := Generate(xrand.New(1), 8, 8, 2, 2, 3)
-	w := NewWorld(truth, 3)
-	pr := Scaled(8, 2)
-	pr.NeighborIndex = cluster.IndexSpec{Kind: "lsh"}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for LSH NeighborIndex on the rating path")
-		}
-	}()
-	Run(w, xrand.New(2), pr)
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -3,7 +3,7 @@ package prefgen
 // The truth-source seam (DESIGN.md §14). The paper's protocols only ever
 // PROBE truth bits — nothing needs the n×m matrix as a data structure — so
 // how truth is represented is an implementation choice, exactly like
-// neighbor discovery (cluster.NeighborIndex, §13). Dense is the
+// neighbor discovery (cluster.IndexSpec, §13). Dense is the
 // materialized reference oracle and the default; Lazy computes any cell on
 // demand as a pure function of the generation seed, one hash per cell read,
 // dropping the O(n·m) memory wall. Both are bit-identical for the same
