@@ -9,6 +9,10 @@ import (
 	"collabscore/internal/xrand"
 )
 
+// maxPairBudget is the size of the oracle's on-stack rank buffer; budgets
+// beyond it spill to a heap buffer and are honored in full.
+const maxPairBudget = 128
+
 // duelProbesSerial is the bit-at-a-time reference implementation of the
 // duel probes, kept verbatim as the byte-identity oracle for the streaming
 // path (TestDuelStreamMatchesSerial). It probes up to budget objects on
@@ -98,11 +102,39 @@ func stridedObjs(m, stride int) []int {
 	return out
 }
 
-// TestDuelStreamMatchesSerial: the word-block streaming duel is
-// byte-identical to the bit-at-a-time reference — same verdict, same
-// probe charges, and the same coins consumed — across object mappings
-// (identity and strided), distances (equal, below budget, above budget),
-// and budgets (including the heap-spill regime past maxPairBudget).
+// groupObjs returns a sorted random subset of about m of the first worldM
+// objects — SmallRadius's per-group object lists, where 32 objects spread
+// over 2048 put about one object in each world word.
+func groupObjs(seed uint64, m, worldM int) []int {
+	rng := xrand.New(seed)
+	var out []int
+	for o := 0; o < worldM; o++ {
+		if rng.Intn(worldM) < m {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// repeatedObjs returns an unsorted mapping over the first worldM objects
+// in which objects repeat, both adjacently and far apart.
+func repeatedObjs(seed uint64, m, worldM int) []int {
+	rng := xrand.New(seed)
+	out := make([]int, m)
+	for i := range out {
+		out[i] = rng.Intn(worldM)
+	}
+	out[1], out[m-1] = out[0], out[m/2]
+	return out
+}
+
+// TestDuelStreamMatchesSerial: the word-level duel is byte-identical to
+// the bit-at-a-time reference — same verdict, same probe charges, and the
+// same coins consumed — across object mappings (identity, strided,
+// SmallRadius-shaped groups, unsorted with repeats), distances (equal,
+// below budget, above budget, past maxRankBitmap onto the heap bitmap),
+// and budgets (inside one bitmap word, across the old 24-rank bookkeeping
+// switch, and the heap-spill regime past maxPairBudget).
 func TestDuelStreamMatchesSerial(t *testing.T) {
 	const n = 4
 	cases := []struct {
@@ -114,6 +146,10 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 		{"identity-odd", identityObjs(413), 413},
 		{"strided", stridedObjs(96, 7), 96 * 7},
 		{"tiny", identityObjs(40), 40},
+		{"group32of2048", groupObjs(5, 32, 2048), 2048},
+		{"group100of2048", groupObjs(6, 100, 2048), 2048},
+		{"repeated", repeatedObjs(7, 90, 200), 200},
+		{"wide", identityObjs(9000), 9000},
 	}
 	for _, tc := range cases {
 		mc := len(tc.objs)
@@ -128,17 +164,19 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 			{"mid", mc / 8},
 			{"far", mc / 2},
 		}
-		for _, pb := range pairs {
-			for _, budget := range []int{4, 13, 200} {
+		for _, budget := range []int{4, 9, 12, 13, 24, 200} {
+			// One tournament per budget: fresh, identical worlds and coin
+			// streams per path, then every pair dueled in turn on one
+			// duelCtx, so probe counters, memo state and the reused rank
+			// bitmap carry from duel to duel as they do in Select.
+			ws := buildWorld(21, n, tc.worldM)
+			wb := buildWorld(21, n, tc.worldM)
+			rs := xrand.New(77)
+			rb := xrand.New(77)
+			ctxB := newDuelCtx(wb, 0, tc.objs)
+			for _, pb := range pairs {
 				a := truth.Clone()
 				b := flipped(truth, xrand.New(uint64(pb.flips)*3+1), pb.flips)
-				// Fresh, identical worlds per path so probe counters and
-				// memo state compare exactly.
-				ws := buildWorld(21, n, tc.worldM)
-				wb := buildWorld(21, n, tc.worldM)
-				rs := xrand.New(77)
-				rb := xrand.New(77)
-				ctxB := duelCtx{w: wb, p: 0, objs: tc.objs, ident: identObjs(tc.objs)}
 				agreeS, totalS := duelProbesSerial(ws, 0, tc.objs, a, b, rs, budget)
 				agreeB, totalB := duelProbesStream(&ctxB, a, b, rb, budget)
 				if agreeS != agreeB || totalS != totalB {
@@ -162,27 +200,48 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDuelStreamAllocFree: the word-block duel allocates nothing, on both
+// TestDuelStreamAllocFree: the word-level duel allocates nothing, on both
 // the identity and the batching (strided) paths.
 func TestDuelStreamAllocFree(t *testing.T) {
-	objs := stridedObjs(128, 5)
+	strided := stridedObjs(128, 5)
+	ident := identityObjs(128*5 - 1)
 	w := buildWorld(41, 2, 128*5)
-	truth := w.TruthVector(0).Gather(objs)
-	far := flipped(truth, xrand.New(3), 60)
-	rng := xrand.New(4)
-	for name, ctx := range map[string]*duelCtx{
-		"strided":  {w: w, p: 0, objs: objs},
-		"identity": {w: w, p: 0, objs: identityObjs(128*5 - 1), ident: true},
-	} {
-		a, b := truth, far
-		if ctx.ident {
-			a = w.TruthVector(0).Gather(ctx.objs)
-			b = flipped(a, xrand.New(5), 60)
-		}
+	for name, objs := range map[string][]int{"strided": strided, "identity": ident} {
+		ctx := newDuelCtx(w, 0, objs)
+		a := w.TruthVector(0).Gather(objs)
+		b := flipped(a, xrand.New(5), 60)
+		rng := xrand.New(4)
 		if avg := testing.AllocsPerRun(50, func() {
-			duelProbesStream(ctx, a, b, rng, 13)
+			duelProbesStream(&ctx, a, b, rng, 13)
 		}); avg != 0 {
 			t.Fatalf("%s duel allocates %.1f times per run, want 0", name, avg)
+		}
+	}
+}
+
+// TestDepositMatchesPopLoop: deposit selects the same bits of x as the
+// per-rank pop loop the duel walk used before it.
+func TestDepositMatchesPopLoop(t *testing.T) {
+	rng := xrand.New(9)
+	for i := 0; i < 2000; i++ {
+		x := rng.Uint64() & rng.Uint64()
+		if i%7 == 0 {
+			x = ^uint64(0)
+		}
+		c := bits.OnesCount64(x)
+		r := rng.Uint64() & (1<<uint(c) - 1)
+		var want uint64
+		for k := 0; k < c; k++ {
+			if r>>uint(k)&1 != 0 {
+				y := x
+				for s := k; s > 0; s-- {
+					y &= y - 1
+				}
+				want |= y & -y
+			}
+		}
+		if got := deposit(r, x); got != want {
+			t.Fatalf("deposit(%#x, %#x) = %#x, want %#x", r, x, got, want)
 		}
 	}
 }

@@ -89,7 +89,7 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 		return 0
 	}
 	budget := pairBudget(pr.SampleFactor, w.N())
-	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
+	ctx := newDuelCtx(w, p, objs)
 	alive := make([]bool, k)
 	for i := range alive {
 		alive[i] = true
@@ -119,14 +119,20 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 	return 0 // unreachable: a duel never eliminates both
 }
 
-// duelCtx carries one tournament's duel state: the prober's identity, the
-// object mapping (with its identity-ness precomputed once — an identity
-// mapping lets the streaming path probe whole aligned words).
+// duelCtx carries one tournament's duel state: the player's probe handle
+// (inside the wordProber), the object mapping with its identity-ness
+// precomputed once — an identity mapping lets the duel probe whole aligned
+// words — and the stack bitmap Floyd's rank sample is drawn into.
 type duelCtx struct {
-	w     *world.World
-	p     int
+	bp    wordProber
 	objs  []int
 	ident bool
+	rank  [maxRankBitmap / 64]uint64
+}
+
+// newDuelCtx returns player p's duel state over the object mapping objs.
+func newDuelCtx(w *world.World, p int, objs []int) duelCtx {
+	return duelCtx{bp: wordProber{pb: w.Prober(p)}, objs: objs, ident: identObjs(objs)}
 }
 
 // identObjs reports whether objs is the identity mapping (objs[j] == j) —
@@ -157,211 +163,167 @@ func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac 
 	return -1
 }
 
-// maxPairBudget is the size of the on-stack rank buffer. Budgets are
-// Θ(log n), so real configurations fit (it would take n ≈ e^21 players to
-// exceed it at the paper's SampleFactor 6); a configured budget beyond it
-// is honored in full via a heap buffer rather than silently truncated.
-const maxPairBudget = 128
-
-// maxRankBitmap bounds the stack bitmap the streaming path uses to track
-// Floyd's chosen ranks: when the pair distance fits, membership is a bit
-// test and the ascending rank order falls out of bit order for free,
-// replacing the serial oracle's O(budget²) rescan-and-sort bookkeeping.
-// Larger distances fall back to the oracle's exact bookkeeping, as do
-// budgets below minBitmapBudget, where the quadratic bookkeeping is
-// cheaper than zeroing the 512-byte bitmap every far duel.
-const (
-	maxRankBitmap   = 4096
-	minBitmapBudget = 24
-)
+// maxRankBitmap bounds the pair distance whose Floyd rank sample fits the
+// duel's stack bitmap (512 bytes, zeroed once per tournament; a duel
+// clears only the ⌈d/64⌉ words it uses). Wider pairs draw into a heap
+// bitmap of the same shape.
+const maxRankBitmap = 4096
 
 // duelProbesStream probes up to budget objects on which a and b differ —
 // all of them when there are at most budget, otherwise a uniform distinct
 // sample — and returns how many probed objects agreed with a, plus the
-// number probed. It is the word-block streaming duel (DESIGN.md §17): the
-// same probed objects, coins, and charges as the bit-at-a-time reference
-// loop it replaced (kept in the tests as its oracle), restructured so
-// probes leave in 64-object blocks instead of one memo CAS per bit.
+// number probed. It is the word-level duel (DESIGN.md §17): the same
+// probed objects, coins, and charges as the bit-at-a-time reference loop
+// it replaced (kept in the tests as its oracle), with every step done a
+// 64-bit word at a time.
 //
-// The pass structure mirrors the serial oracle exactly — the word-parallel
+// The pass structure mirrors the serial oracle — the word-parallel
 // Hamming count that sizes the rank sample, then one early-exiting walk of
-// the XOR words — but where the serial path fetches each selected position
-// with its own Probe (an atomic memo update and a truth read per bit), the
-// streaming walk accumulates every selected position of a word into a mask
-// and fetches it with a single bulk ProbeWord: one CAS, one truth-word
-// read, and one popcount compare for up to 64 objects. Identity object
-// mappings (the final selection) map candidate words straight onto world
-// words; general mappings batch runs of positions sharing a world word
-// (wordProber). Probe charging is identical bit for bit: ProbeWord charges
-// exactly the newly learned objects of its mask, and the mask is exactly
-// the serial path's probe set. Coins are identical because the Floyd
-// sample below is draw-for-draw the serial one and no other branch
-// consumes randomness.
+// the XOR words — but each XOR word is handled whole: the sampled ranks
+// that fall inside it are cut out of the rank bitmap and deposited onto
+// its set bits (deposit), giving the word's probe mask at once. Identity
+// object mappings (the final selection) fetch that mask with one bulk
+// ProbeWord and count agreements with one popcount; general mappings
+// batch through the wordProber. Probe charging is identical bit for bit:
+// ProbeWord charges exactly the newly learned objects of its mask, and
+// the masks cover exactly the serial path's probe set. Coins are
+// identical because the Floyd sample is draw-for-draw the serial one and
+// no other branch consumes randomness.
 func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
 	d := a.Hamming(b)
 	if d == 0 {
 		return 0, 0
 	}
-	w, p := ctx.w, ctx.p
+	ctx.bp.agree = 0
 	nw := a.Words()
 	if d <= budget {
 		// Probe every differing position, a word-block at a time.
-		if ctx.ident {
-			for wi := 0; wi < nw; wi++ {
-				aw := a.Word(wi)
-				x := aw ^ b.Word(wi)
-				if x == 0 {
-					continue
-				}
-				tw := w.ProbeWord(p, wi, x)
-				agreeA += bits.OnesCount64(^(tw ^ aw) & x)
-			}
-			return agreeA, d
-		}
-		bp := wordProber{w: w, p: p, objs: ctx.objs, a: a, curW: -1}
 		for wi := 0; wi < nw; wi++ {
-			for x := a.Word(wi) ^ b.Word(wi); x != 0; x &= x - 1 {
-				bp.add(wi*64 + bits.TrailingZeros64(x))
-			}
-		}
-		bp.flush()
-		return bp.agree, d
-	}
-	// Floyd's sample of budget distinct ranks in [0,d) — draw-for-draw the
-	// serial implementation's coins. The chosen set is identical; only the
-	// bookkeeping differs: when d fits the stack bitmap, membership is one
-	// bit test instead of the serial path's linear rescan, and the ascending
-	// order falls out of bit order with no sort. (Floyd's invariant makes
-	// the fallback value j always fresh: earlier draws were bounded by
-	// earlier, smaller j.)
-	var buf [maxPairBudget]int
-	ranks := buf[:]
-	if budget > maxPairBudget {
-		ranks = make([]int, budget)
-	}
-	cnt := 0
-	if budget >= minBitmapBudget && d <= maxRankBitmap {
-		var rb [maxRankBitmap / 64]uint64
-		rw := (d + 63) / 64
-		for j := d - budget; j < d; j++ {
-			t := rng.Intn(j + 1)
-			if rb[t>>6]>>(uint(t)&63)&1 == 1 {
-				t = j
-			}
-			rb[t>>6] |= 1 << (uint(t) & 63)
-			cnt++
-		}
-		cnt = 0
-		for i := 0; i < rw; i++ {
-			for x := rb[i]; x != 0; x &= x - 1 {
-				ranks[cnt] = i*64 + bits.TrailingZeros64(x)
-				cnt++
-			}
-		}
-	} else {
-		for j := d - budget; j < d; j++ {
-			t := rng.Intn(j + 1)
-			for i := 0; i < cnt; i++ {
-				if ranks[i] == t {
-					t = j
-					break
-				}
-			}
-			ranks[cnt] = t
-			cnt++
-		}
-		for i := 1; i < cnt; i++ {
-			for k := i; k > 0 && ranks[k] < ranks[k-1]; k-- {
-				ranks[k], ranks[k-1] = ranks[k-1], ranks[k]
-			}
-		}
-	}
-	// Walk the XOR words once like the serial path, but collapse all ranks
-	// landing in one word into a single bulk fetch.
-	ri, seen := 0, 0
-	if ctx.ident {
-		for wi := 0; wi < nw && ri < cnt; wi++ {
 			aw := a.Word(wi)
-			x := aw ^ b.Word(wi)
-			c := bits.OnesCount64(x)
-			if ri < cnt && ranks[ri]-seen < c {
-				var mask uint64
-				for ; ri < cnt && ranks[ri]-seen < c; ri++ {
-					y := x
-					for k := ranks[ri] - seen; k > 0; k-- {
-						y &= y - 1
-					}
-					mask |= y & -y
-				}
-				tw := w.ProbeWord(p, wi, mask)
-				agreeA += bits.OnesCount64(^(tw ^ aw) & mask)
+			if x := aw ^ b.Word(wi); x != 0 {
+				ctx.probe(wi, x, aw)
 			}
-			seen += c
 		}
-		return agreeA, cnt
+		ctx.bp.flush()
+		return ctx.bp.agree, d
 	}
-	bp := wordProber{w: w, p: p, objs: ctx.objs, a: a, curW: -1}
-	for wi := 0; wi < nw && ri < cnt; wi++ {
-		x := a.Word(wi) ^ b.Word(wi)
+	rank := ctx.floyd(d, budget, rng)
+	// Rank r is the r-th differing position in ascending order, so the
+	// ranks landing in one XOR word are the next popcount(x) bits of the
+	// rank bitmap after the seen ones; the walk ends after the last rank.
+	left, seen := budget, 0
+	for wi := 0; left > 0; wi++ {
+		aw := a.Word(wi)
+		x := aw ^ b.Word(wi)
 		c := bits.OnesCount64(x)
-		for ; ri < cnt && ranks[ri]-seen < c; ri++ {
-			y := x
-			for k := ranks[ri] - seen; k > 0; k-- {
-				y &= y - 1
-			}
-			bp.add(wi*64 + bits.TrailingZeros64(y))
+		if r := rankBits(rank, seen, c); r != 0 {
+			ctx.probe(wi, deposit(r, x), aw)
+			left -= bits.OnesCount64(r)
 		}
 		seen += c
 	}
-	bp.flush()
-	return bp.agree, cnt
+	ctx.bp.flush()
+	return ctx.bp.agree, budget
 }
 
-// wordProber batches probes of a general (non-identity) object mapping:
-// consecutive candidate positions whose objects share a 64-bit world word
-// accumulate into one mask and fetch with a single ProbeWord. Pending
-// positions live in a fixed array, so the prober stays on the caller's
-// stack and the duel inner loop allocates nothing
-// (TestDuelStreamAllocFree).
-type wordProber struct {
-	w     *world.World
-	p     int
-	objs  []int
-	a     bitvec.Vector
-	curW  int
-	mask  uint64
-	pn    int
-	pjs   [64]int32
-	agree int
-}
-
-// add stages candidate position j (ascending across calls) for probing.
-func (bp *wordProber) add(j int) {
-	o := bp.objs[j]
-	wi := o >> 6
-	if wi != bp.curW || bp.pn == len(bp.pjs) {
-		bp.flush()
-		bp.curW = wi
+// floyd draws Floyd's sample of budget distinct ranks in [0,d) —
+// draw-for-draw the serial oracle's coins — into a bitmap of ⌈d/64⌉
+// words: the duel's stack bitmap when d fits it, a heap one beyond.
+// Membership is one bit test and ascending rank order is bit order, so no
+// rank list is kept, rescanned or sorted. (Floyd's invariant makes the
+// fallback value j always fresh: earlier draws were bounded by earlier,
+// smaller j.)
+func (ctx *duelCtx) floyd(d, budget int, rng *xrand.Stream) []uint64 {
+	var rank []uint64
+	if rw := (d + 63) / 64; rw <= len(ctx.rank) {
+		rank = ctx.rank[:rw]
+		clear(rank)
+	} else {
+		rank = make([]uint64, rw)
 	}
-	bp.mask |= 1 << (uint(o) & 63)
-	bp.pjs[bp.pn] = int32(j)
-	bp.pn++
+	for j := d - budget; j < d; j++ {
+		t := rng.Intn(j + 1)
+		if rank[t>>6]>>(uint(t)&63)&1 != 0 {
+			t = j
+		}
+		rank[t>>6] |= 1 << (uint(t) & 63)
+	}
+	return rank
 }
 
-// flush probes the staged word in bulk and tallies agreements with a.
-func (bp *wordProber) flush() {
-	if bp.curW < 0 {
+// rankBits returns the c ≤ 64 bits of rank starting at bit seen, as the
+// low bits of a word.
+func rankBits(rank []uint64, seen, c int) uint64 {
+	wi, sh := seen>>6, uint(seen)&63
+	r := rank[wi] >> sh
+	if sh != 0 && wi+1 < len(rank) {
+		r |= rank[wi+1] << (64 - sh)
+	}
+	return r & (1<<uint(c) - 1)
+}
+
+// deposit places the low bits of r, in order, onto the set bits of x: bit
+// k of r keeps the k-th lowest set bit of x (a pure-Go PDEP; r must have
+// no bit at or above popcount(x)). It turns the ranks sampled inside one
+// XOR word into that word's probe mask in one pass over x's set bits.
+func deposit(r, x uint64) (out uint64) {
+	for ; r != 0; r >>= 1 {
+		low := x & -x
+		if r&1 != 0 {
+			out |= low
+		}
+		x ^= low
+	}
+	return out
+}
+
+// probe charges the candidate positions set in mask within candidate word
+// wi and tallies how many agree with a, whose word wi is aw. A general
+// mapping stages each position's object in the wordProber: a new world
+// word, or an object already pending (a mapping that repeats an object),
+// flushes first, so every position is counted against its own bit of a.
+func (ctx *duelCtx) probe(wi int, mask, aw uint64) {
+	bp := &ctx.bp
+	if ctx.ident {
+		tw := bp.pb.ProbeWord(wi, mask)
+		bp.agree += bits.OnesCount64(^(tw ^ aw) & mask)
 		return
 	}
-	tw := bp.w.ProbeWord(bp.p, bp.curW, bp.mask)
-	for i := 0; i < bp.pn; i++ {
-		j := int(bp.pjs[i])
-		bit := uint(bp.objs[j]) & 63
-		if ((tw>>bit)&1 != 0) == bp.a.Get(j) {
-			bp.agree++
+	base := wi * 64
+	for ; mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
+		o := ctx.objs[base+k]
+		ow, sh := o>>6, uint(o)&63
+		if ow != bp.curW || bp.mask>>sh&1 != 0 {
+			bp.flush()
+			bp.curW = ow
 		}
+		bp.mask |= 1 << sh
+		bp.exp |= (aw >> uint(k) & 1) << sh
 	}
-	bp.curW, bp.mask, bp.pn = -1, 0, 0
+}
+
+// wordProber batches the probes of a general (non-identity) object
+// mapping: consecutive positions whose objects share a 64-bit world word
+// accumulate into mask, with a's bits for them in exp, and fetch with a
+// single ProbeWord whose agreements are one popcount. Nothing is staged
+// per position, so the prober lives in the caller's duelCtx and the duel
+// allocates nothing (TestDuelStreamAllocFree).
+type wordProber struct {
+	pb        world.Prober
+	curW      int
+	mask, exp uint64
+	agree     int
+}
+
+// flush probes the pending word in bulk and tallies agreements with a.
+func (bp *wordProber) flush() {
+	if bp.mask == 0 {
+		return
+	}
+	tw := bp.pb.ProbeWord(bp.curW, bp.mask)
+	bp.agree += bits.OnesCount64(^(tw ^ bp.exp) & bp.mask)
+	bp.mask, bp.exp = 0, 0
 }
 
 // Select is the diameter-bounded selection protocol used by SmallRadius:
@@ -391,7 +353,7 @@ func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int
 		d = 1
 	}
 	budget := pairBudget(pr.SelectSampleFactor, w.N())
-	ctx := duelCtx{w: w, p: p, objs: objs, ident: identObjs(objs)}
+	ctx := newDuelCtx(w, p, objs)
 	near := pr.KeepWithin * d
 	champ := 0
 	for i := 1; i < k; i++ {

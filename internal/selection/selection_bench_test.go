@@ -51,3 +51,27 @@ func BenchmarkRSelect(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSelectGroup times one SmallRadius per-group Select: Scaled
+// params (budget 12 at n = 2048), about 32 objects spread over a
+// 2048-object world — about one object per world word, so every probe is
+// its own word through the general mapping — and 8 candidates, the
+// nearest first so the far ones duel the incumbent. Players rotate, so
+// the first pass over them installs their memos and later passes re-probe
+// known objects, as the repetitions of SmallRadius do.
+func BenchmarkSelectGroup(b *testing.B) {
+	const n, worldM = 2048, 2048
+	objs := groupObjs(29, 32, worldM)
+	w := buildWorld(31, n, worldM)
+	truth := w.TruthVector(0).Gather(objs)
+	rng := xrand.New(37)
+	m := len(objs)
+	var cands []bitvec.Vector
+	for _, flips := range []int{1, m / 2, m / 3, 3, m / 2, m / 4, m / 2, m / 3} {
+		cands = append(cands, flipped(truth, rng.Split(uint64(len(cands))), flips))
+	}
+	pr := Scaled()
+	for i := 0; b.Loop(); i++ {
+		Select(w, i%n, objs, cands, 1, rng, pr)
+	}
+}

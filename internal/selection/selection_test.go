@@ -200,7 +200,7 @@ func TestDuelEliminatesFarCandidate(t *testing.T) {
 	truth := w.TruthVector(0)
 	far := truth.Clone().Not()
 	// truth vs its complement: truth must win every time.
-	ctx := duelCtx{w: w, p: 0, objs: objs, ident: true}
+	ctx := newDuelCtx(w, 0, objs)
 	for i := 0; i < 10; i++ {
 		if duel(&ctx, truth, far, rng.Split(uint64(i)), 20, 2.0/3.0) != 0 {
 			t.Fatal("truth lost a duel against its complement")
@@ -219,7 +219,7 @@ func TestDuelKeepsBothWhenAmbiguous(t *testing.T) {
 	w := buildWorld(17, 2, m)
 	objs := identityObjs(m)
 	truth := w.TruthVector(0)
-	ctx := duelCtx{w: w, p: 0, objs: objs, ident: true}
+	ctx := newDuelCtx(w, 0, objs)
 	if duel(&ctx, truth, truth, xrand.New(18), 20, 2.0/3.0) != -1 {
 		t.Fatal("identical candidates should be kept")
 	}

@@ -13,6 +13,7 @@ package smallradius
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"collabscore/internal/bitvec"
@@ -240,9 +241,10 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 				default:
 					chosen = bitvec.New(len(res.positions))
 				}
-				for k, j := range res.positions {
-					if chosen.Get(k) {
-						full.Set(j, true)
+				// Scatter the chosen vector into full, one Set per set bit.
+				for wi := 0; wi < chosen.Words(); wi++ {
+					for x := chosen.Word(wi); x != 0; x &= x - 1 {
+						full.Set(res.positions[wi*64+bits.TrailingZeros64(x)], true)
 					}
 				}
 			}

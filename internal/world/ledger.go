@@ -101,23 +101,38 @@ func (l *Ledger) ChargeBit(p, o int) {
 // first). It panics on an out-of-range word, like WordMask.
 func (l *Ledger) ChargeWord(p, wi int, mask uint64) uint64 {
 	mask &= l.WordMask(wi)
-	if nb := l.memo(p).OrWord(wi, mask); nb != 0 {
-		l.probes[p].Add(int64(bits.OnesCount64(nb)))
-	}
+	chargeWord(l.memo(p), &l.probes[p], wi, mask)
 	return mask
+}
+
+// chargeWord marks mask in word wi of a player's memo and adds the newly
+// learned bits to the player's probe counter: the one charging step of
+// ChargeWord and Prober.ProbeWord.
+func chargeWord(memo *bitvec.Atomic, probes *atomic.Int64, wi int, mask uint64) {
+	if nb := memo.OrWord(wi, mask); nb != 0 {
+		probes.Add(int64(bits.OnesCount64(nb)))
+	}
 }
 
 // WordMask returns the valid-bit mask for object word wi, panicking on an
 // out-of-range index like bitvec.Vector.WordMask does — representation-
 // independent, so dense and lazy worlds fail identically.
 func (l *Ledger) WordMask(wi int) uint64 {
-	if wi < 0 || wi >= l.words {
-		panic(fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, l.words))
+	if uint(wi) >= uint(l.words) {
+		l.wordOutOfRange(wi)
 	}
 	if wi == l.words-1 {
 		return l.tailMask
 	}
 	return ^uint64(0)
+}
+
+// wordOutOfRange panics for WordMask, out of line so that WordMask stays
+// small enough to inline into the probe paths.
+//
+//go:noinline
+func (l *Ledger) wordOutOfRange(wi int) {
+	panic(fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, l.words))
 }
 
 // Probes returns the number of probes charged to player p so far.

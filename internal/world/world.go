@@ -15,6 +15,7 @@ package world
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
@@ -239,6 +240,39 @@ func (w *World) truthBit(p, o int) bool {
 // identical to bit-at-a-time Probe under every schedule.
 func (w *World) ProbeWord(p, wi int, mask uint64) uint64 {
 	return w.src.TruthBits(p, wi, w.ChargeWord(p, wi, mask))
+}
+
+// Prober is player p's probe handle: ProbeWord with p's memo, probe
+// counter and truth source resolved once, for a caller that probes many
+// words as one player in a row (a selection tournament). It charges
+// through the same step as Ledger.ChargeWord — the same CAS on the same
+// memo and the same atomic add, so any mix of handles and direct probes,
+// from any goroutines, charges each (player, object) pair once — and it
+// panics on an out-of-range word the same way. The memo is installed on
+// the first ProbeWord, not when the handle is made, so a handle that
+// never probes leaves the player's memo uninstalled. A Prober is not safe
+// for concurrent use; give each goroutine its own.
+type Prober struct {
+	l      *Ledger
+	src    prefgen.TruthSource
+	p      int
+	memo   *bitvec.Atomic
+	probes *atomic.Int64
+}
+
+// Prober returns player p's probe handle.
+func (w *World) Prober(p int) Prober {
+	return Prober{l: &w.Ledger, src: w.src, p: p, probes: &w.probes[p]}
+}
+
+// ProbeWord is World.ProbeWord for the handle's player.
+func (pr *Prober) ProbeWord(wi int, mask uint64) uint64 {
+	mask &= pr.l.WordMask(wi)
+	if pr.memo == nil {
+		pr.memo = pr.l.memo(pr.p)
+	}
+	chargeWord(pr.memo, pr.probes, wi, mask)
+	return pr.src.TruthBits(pr.p, wi, mask)
 }
 
 // ProbeVector probes, as player p, every object in objs and returns the

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -374,6 +376,87 @@ func TestProbeWordConcurrentCharging(t *testing.T) {
 	})
 	if got := w.Probes(0); got != m {
 		t.Fatalf("player 0 charged %d probes, want exactly %d", got, m)
+	}
+	if got := w.Probes(1); got != 0 {
+		t.Fatalf("player 1 charged %d probes, want 0", got)
+	}
+}
+
+// TestProberMatchesProbeWord: a player's probe handle returns the same
+// bits and charges the same totals as World.ProbeWord, on dense and lazy
+// worlds, across overlapping and repeated masks, the tail word, and a mix
+// of handle and direct probes; it panics on an out-of-range word like
+// ProbeWord, installs no memo before its first probe, and two handles on
+// one player racing over the same words charge each object once.
+func TestProberMatchesProbeWord(t *testing.T) {
+	const n, m = 3, 300
+	dh, lh := lazyDensePair(31, n, m, 3, 12)
+	dw, lw := lazyDensePair(31, n, m, 3, 12)
+	masks := []struct {
+		wi   int
+		mask uint64
+	}{
+		{0, 0xF0F0F0F0F0F0F0F0},
+		{0, 0x00000000FFFFFFFF}, // overlaps the first mask
+		{0, 0x00000000FFFFFFFF}, // repeated: charges nothing
+		{3, 0x8000000000000001},
+		{4, ^uint64(0)}, // tail word: only 44 bits are valid
+		{4, 1 << 50},    // past the last object: ignored
+		{2, 0},
+		{1, ^uint64(0)},
+	}
+	for _, pair := range []struct {
+		name         string
+		handle, word *World
+	}{{"dense", dh, dw}, {"lazy", lh, lw}} {
+		for p := 0; p < n; p++ {
+			pr := pair.handle.Prober(p)
+			if pair.handle.known[p].Load() != nil {
+				t.Fatalf("%s p=%d: memo installed before the first probe", pair.name, p)
+			}
+			for i, mk := range masks {
+				var got uint64
+				if p == 1 && i%2 == 1 {
+					// Direct probes interleaved with the handle's share the
+					// player's one memo.
+					got = pair.handle.ProbeWord(p, mk.wi, mk.mask)
+				} else {
+					got = pr.ProbeWord(mk.wi, mk.mask)
+				}
+				if want := pair.word.ProbeWord(p, mk.wi, mk.mask); got != want {
+					t.Fatalf("%s p=%d word %d mask %#x: handle %#x, ProbeWord %#x", pair.name, p, mk.wi, mk.mask, got, want)
+				}
+				if a, b := pair.handle.Probes(p), pair.word.Probes(p); a != b {
+					t.Fatalf("%s p=%d after word %d: charged %d (handle) vs %d (ProbeWord)", pair.name, p, mk.wi, a, b)
+				}
+			}
+			for _, wi := range []int{-1, pair.handle.ProbeWords()} {
+				func() {
+					defer func() {
+						want := fmt.Sprintf("bitvec: word %d out of range [0,%d)", wi, pair.handle.ProbeWords())
+						if msg, _ := recover().(string); msg != want {
+							t.Fatalf("%s: handle panic %q, want %q", pair.name, msg, want)
+						}
+					}()
+					pr.ProbeWord(wi, 1)
+				}()
+			}
+		}
+	}
+
+	// Two handles on one player, probing overlapping words from separate
+	// goroutines, charge every object exactly once.
+	w := New(randTruth(2, 1024, 17))
+	par.Fixed(2).For(2, func(g int) {
+		pr := w.Prober(0)
+		for _, mask := range []uint64{0xAAAAAAAAAAAAAAAA, 0x0F0F0F0F0F0F0F0F, 0xFFFF0000FFFF0000, ^uint64(0)} {
+			for wi := 0; wi < w.ProbeWords(); wi++ {
+				pr.ProbeWord(wi, bits.RotateLeft64(mask, g))
+			}
+		}
+	})
+	if got := w.Probes(0); got != int64(w.M()) {
+		t.Fatalf("two concurrent handles charged player 0 %d probes, want exactly %d", got, w.M())
 	}
 	if got := w.Probes(1); got != 0 {
 		t.Fatalf("player 1 charged %d probes, want 0", got)

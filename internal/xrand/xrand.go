@@ -17,6 +17,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -124,21 +125,11 @@ func (s *Stream) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		x := s.Uint64()
-		hi, lo := mul128(x, bound)
+		hi, lo := bits.Mul64(x, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	ah, al := a>>32, a&mask
-	bh, bl := b>>32, b&mask
-	t := ah*bl + (al*bl)>>32
-	lo = a * b
-	hi = ah*bh + (t >> 32) + ((t&mask + al*bh) >> 32)
-	return hi, lo
 }
 
 // Float64 returns a uniform float in [0,1).

@@ -2,7 +2,10 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -97,6 +100,61 @@ func TestIntnUniformity(t *testing.T) {
 	for v, c := range counts {
 		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
 			t.Fatalf("value %d count %d too far from expected %.0f", v, c, want)
+		}
+	}
+}
+
+// mul128 is the 32-bit-limb 64×64→128 multiply Intn used before
+// math/bits.Mul64, kept as the oracle for it.
+func mul128(a, b uint64) (hi, lo uint64) {
+	const mask = 0xffffffff
+	ah, al := a>>32, a&mask
+	bh, bl := b>>32, b&mask
+	t := ah*bl + (al*bl)>>32
+	lo = a * b
+	hi = ah*bh + (t >> 32) + ((t&mask + al*bh) >> 32)
+	return hi, lo
+}
+
+// TestMul64MatchesLimbOracle: bits.Mul64 computes the same 128-bit
+// product as the limb formula, on random operands and on the edge bounds.
+func TestMul64MatchesLimbOracle(t *testing.T) {
+	same := func(a, b uint64) bool {
+		hi, lo := bits.Mul64(a, b)
+		ohi, olo := mul128(a, b)
+		return hi == ohi && lo == olo
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	edges := []uint64{0, 1, 2, 3, 1<<32 - 1, 1 << 32, 1 << 63, 1<<63 + 1, 1<<64 - 1}
+	for _, a := range edges {
+		for _, b := range edges {
+			if !same(a, b) {
+				t.Fatalf("Mul64(%#x, %#x) differs from the limb oracle", a, b)
+			}
+		}
+	}
+}
+
+// TestIntnPinnedDraws: Intn's draws for fixed seeds are the ones the
+// limb-multiply implementation produced, so every seeded run reproduces.
+func TestIntnPinnedDraws(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 1000, 1 << 40, 1<<62 + 12345, 1<<63 - 1}
+	want := map[uint64][]int{
+		1:    {0, 0, 0, 0, 1, 1, 1, 0, 2, 2, 4, 3, 530, 435, 167, 709552940727, 896487447127, 749542544944, 4078227225428362214, 304187700502226175, 2286842639562390492, 1135479065272746837, 2646290167137393871, 441810430377843579},
+		2010: {0, 0, 0, 0, 1, 1, 1, 0, 1, 2, 5, 6, 383, 989, 936, 428864443414, 857538156142, 1018056185036, 2929111104641870761, 1670559014568316794, 4260006570967619099, 9148931803200493751, 777473911201968446, 4213260815575387341},
+	}
+	for seed, w := range want {
+		s := New(seed)
+		var got []int
+		for _, n := range bounds {
+			for i := 0; i < 3; i++ {
+				got = append(got, s.Intn(n))
+			}
+		}
+		if !slices.Equal(got, w) {
+			t.Fatalf("seed %d: Intn draws %v, want %v", seed, got, w)
 		}
 	}
 }
