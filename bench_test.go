@@ -197,12 +197,15 @@ func buildGraphForBench(z []bitvec.Vector) any {
 }
 
 // BenchmarkProbeWord measures the bulk probe path: up to 64 probes settled
-// per op with one CAS and one atomic add (DESIGN.md §10), on dense truth
-// and on lazy truth, for a full word and for the one-bit masks
-// Select's scattered duel probes send. A lazy read hashes only the mask's
-// bits (DESIGN.md §14), so lazy/one-bit should cost a fraction of
-// lazy/word. Compare with BenchmarkProbeThroughput, which pays the per-bit
-// path once per probe.
+// per op with one CAS and one atomic add (DESIGN.md §10), on dense truth,
+// on lazy uniform truth and on a lazy planted world, for a full word and
+// for the one-bit masks Select's scattered duel probes send. A lazy uniform
+// read hashes only the mask's bits (DESIGN.md §14), so lazy/bit should cost
+// a fraction of lazy/word. A lazy planted read is a stored center word XOR
+// the player's flips, found through its flip filter (D = m/32 gives
+// 16-word buckets that collide), so its two masks cost about the same.
+// Compare with BenchmarkProbeThroughput, which pays the per-bit path once
+// per probe.
 func BenchmarkProbeWord(b *testing.B) {
 	const n, m = 4, 1 << 16
 	worlds := []struct {
@@ -211,6 +214,7 @@ func BenchmarkProbeWord(b *testing.B) {
 	}{
 		{"dense", world.New(prefgen.Uniform(xrand.New(4), n, m).Truth)},
 		{"lazy", world.NewFrom(prefgen.LazyUniform(xrand.New(4), n, m).Source())},
+		{"lazy-planted", world.NewFrom(prefgen.LazyDiameterClusters(xrand.New(4), n, m, 2, m/32, 0).Source())},
 	}
 	masks := []struct {
 		name string

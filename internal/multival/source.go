@@ -12,6 +12,7 @@ package multival
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"collabscore/internal/bitvec"
@@ -107,14 +108,21 @@ func (lz *LazyPlanes) Objects() int { return lz.m }
 // Bits returns the planes per rating.
 func (lz *LazyPlanes) Bits() int { return lz.k }
 
+// edits returns player p's edit range [lo, hi) clipped to objects
+// [from, to): a binary search on the object-ascending editObj.
+func (lz *LazyPlanes) edits(p, from, to int) (lo, hi int) {
+	lo, hi = int(lz.editStart[p]), int(lz.editStart[p+1])
+	objs := lz.editObj[lo:hi]
+	first, _ := slices.BinarySearch(objs, int32(from))
+	last, _ := slices.BinarySearch(objs[first:], int32(to))
+	return lo + first, lo + first + last
+}
+
 // Rating returns the rating of (p, o): the player's edit override if the
 // walk touched o, its center's cell otherwise.
 func (lz *LazyPlanes) Rating(p, o int) int {
-	lo, hi := lz.editStart[p], lz.editStart[p+1]
-	for i := lo; i < hi; i++ {
-		if int(lz.editObj[i]) == o {
-			return int(lz.editVal[i])
-		}
+	if lo, hi := lz.edits(p, o, o+1); lo < hi {
+		return int(lz.editVal[lo])
 	}
 	return lz.centers[lz.clusterOf[p]].Get(o)
 }
@@ -126,12 +134,9 @@ func (lz *LazyPlanes) PlaneWords(p, wi int, dst []uint64) {
 	for l := 0; l < lz.k; l++ {
 		dst[l] = row.PlaneWord(l, wi)
 	}
-	for i := lz.editStart[p]; i < lz.editStart[p+1]; i++ {
-		o := int(lz.editObj[i])
-		if o/64 != wi {
-			continue
-		}
-		b := uint(o) % 64
+	lo, hi := lz.edits(p, wi*64, wi*64+64)
+	for i := lo; i < hi; i++ {
+		b := uint(lz.editObj[i]) % 64
 		v := uint64(lz.editVal[i])
 		for l := 0; l < lz.k; l++ {
 			dst[l] = dst[l]&^(1<<b) | (v>>uint(l)&1)<<b

@@ -16,12 +16,14 @@ package prefgen
 //	ZipfClusters:      draw c·m + o        = coin for center bit (c, o)
 //	                   then per-player Zipf + flip draws (variable)
 //
-// The fixed-layout prefixes (uniform rows, cluster centers) are recomputed
-// on demand via At; the variable-draw suffixes (permutation, per-player
-// flips — Intn uses rejection sampling and is not randomly addressable) are
-// replayed ONCE at construction into O(n + flips) sparse metadata. A lazy
-// constructor advances the caller's stream to exactly the state the dense
-// generator leaves it in, and produces bit-identical truth.
+// Uniform rows are read on demand through At, one hash per requested bit.
+// Cluster centers are drawn once, at construction, into numCenters·⌈m/64⌉
+// words held in memory: B centers fit in kilobytes where a hash per probed
+// bit would dominate the read. The variable-draw suffixes (permutation,
+// per-player flips — Intn uses rejection sampling and is not randomly
+// addressable) are replayed ONCE at construction into O(n + flips) sparse
+// metadata. A lazy constructor advances the caller's stream to exactly the
+// state the dense generator leaves it in, and produces bit-identical truth.
 
 import (
 	"fmt"
@@ -31,22 +33,16 @@ import (
 	"collabscore/internal/xrand"
 )
 
-type lazyKind uint8
-
-const (
-	lazyUniform lazyKind = iota
-	lazyCluster
-	lazyZipf
-)
-
 // Lazy is the on-demand TruthSource. It holds the generation stream
 // snapshot (read via xrand.At only — never advanced, so concurrent reads
-// are safe) and the replayed sparse metadata.
+// are safe), the planted center rows, and the replayed sparse metadata.
 type Lazy struct {
 	n, m, words int
 	base        xrand.Stream // entry-state snapshot; At-only after construction
-	kind        lazyKind
-	numCenters  int
+	// centers holds the planted kinds' center rows, words-strided: center
+	// c's word wi is centers[c·words + wi]. It is nil for uniform truth,
+	// whose rows are hashed on demand.
+	centers []uint64
 	// clusterOf maps players to center rows (planted kinds; shared with the
 	// Instance's ClusterOf).
 	clusterOf []int
@@ -56,6 +52,11 @@ type Lazy struct {
 	flipStart []int32
 	flipWord  []int32
 	flipMask  []uint64
+	// flipSeen[p] is player p's flip filter: bit wi>>flipShift is set when
+	// p has an edit in word wi. flipShift is the smallest shift that maps
+	// every word into 64 buckets, so a bucket is one word when m ≤ 4096.
+	flipSeen  []uint64
+	flipShift uint
 }
 
 // Players returns n.
@@ -63,15 +64,6 @@ func (lz *Lazy) Players() int { return lz.n }
 
 // Objects returns m.
 func (lz *Lazy) Objects() int { return lz.m }
-
-// rowID returns the generation row of player p: itself for uniform truth,
-// its planted center for clustered truth.
-func (lz *Lazy) rowID(p int) int {
-	if lz.kind == lazyUniform {
-		return p
-	}
-	return lz.clusterOf[p]
-}
 
 // rawBits generates the bits of mask in word wi of generation row `row`
 // straight from the coin stream: bit b is coin row·m + wi·64 + b, exactly
@@ -90,18 +82,26 @@ func (lz *Lazy) rawBits(row, wi int, mask uint64) uint64 {
 	return w
 }
 
-// flipMaskAt returns the XOR mask of player p's flip edits in word wi
-// (zero for the uniform kind and for players without edits there). A
-// player's entries are word-ascending with one entry per word, so a binary
-// search finds the edit in O(log edits): planted radii reach hundreds of
-// edits per player at large m, where a scan dominated the probe path.
+// flipMaskAt returns the XOR mask of player p's flip edits in word wi of a
+// planted source (zero when p has none there). A clear filter bit answers
+// without touching the flip arrays. Otherwise the edit
+// sits in [start+rank, end−later): every non-empty bucket before wi's holds
+// at least one earlier edit and every later one at least one later edit.
+// When buckets are single words the lower end is the edit itself, so the
+// first compare hits; wider buckets binary-search the rest of the range.
 func (lz *Lazy) flipMaskAt(p, wi int) uint64 {
-	if lz.flipStart == nil {
+	seen := lz.flipSeen[p]
+	b := uint(wi) >> lz.flipShift
+	if seen>>b&1 == 0 {
 		return 0
 	}
-	lo, hi := lz.flipStart[p], lz.flipStart[p+1]
-	if i, ok := slices.BinarySearch(lz.flipWord[lo:hi], int32(wi)); ok {
-		return lz.flipMask[int(lo)+i]
+	lo := int(lz.flipStart[p]) + bits.OnesCount64(seen&(1<<b-1))
+	if lz.flipWord[lo] == int32(wi) {
+		return lz.flipMask[lo]
+	}
+	hi := int(lz.flipStart[p+1]) - bits.OnesCount64(seen>>b>>1)
+	if i, ok := slices.BinarySearch(lz.flipWord[lo+1:hi], int32(wi)); ok {
+		return lz.flipMask[lo+1+i]
 	}
 	return 0
 }
@@ -110,15 +110,40 @@ func (lz *Lazy) flipMaskAt(p, wi int) uint64 {
 // bit requested.
 func (lz *Lazy) TruthWord(p, wi int) uint64 { return lz.TruthBits(p, wi, ^uint64(0)) }
 
-// TruthBits implements TruthSource: the center/row bits XOR the player's
-// flip edits, masked. A read costs one hash per requested object plus the
-// O(log edits) flip lookup. It panics on an out-of-range word index exactly
-// like bitvec.Vector.WordMask, so lazy and dense worlds fail identically.
+// TruthBits implements TruthSource. Planted truth is the player's stored
+// center word XOR its flip edits, masked: O(1) and hash-free for a player
+// whose flip filter misses, plus a search of one bucket's edits otherwise.
+// Uniform truth hashes one coin per requested object. It panics on an
+// out-of-range word index exactly like bitvec.Vector.WordMask, so lazy and
+// dense worlds fail identically.
 func (lz *Lazy) TruthBits(p, wi int, mask uint64) uint64 {
 	if wi < 0 || wi >= lz.words {
 		panic(fmt.Sprintf("prefgen: word %d out of range [0,%d)", wi, lz.words))
 	}
-	return (lz.rawBits(lz.rowID(p), wi, mask) ^ lz.flipMaskAt(p, wi)) & mask
+	if lz.centers == nil {
+		return lz.rawBits(p, wi, mask)
+	}
+	return (lz.centers[lz.clusterOf[p]*lz.words+wi] ^ lz.flipMaskAt(p, wi)) & mask
+}
+
+// fillCenters draws the numCenters planted center rows from rng exactly as
+// the dense generator's fillRandom does, one coin per bit, row-major, so
+// the rows are bit-identical and rng ends where the dense generator leaves
+// it.
+func (lz *Lazy) fillCenters(rng *xrand.Stream, numCenters int) {
+	lz.centers = make([]uint64, numCenters*lz.words)
+	s := *rng // a local copy keeps the stream state in a register
+	for c := 0; c < numCenters; c++ {
+		row := lz.centers[c*lz.words : (c+1)*lz.words]
+		for wi := range row {
+			var w uint64
+			for b := range min(64, lz.m-wi*64) {
+				w |= (s.Uint64() & 1) << uint(b)
+			}
+			row[wi] = w
+		}
+	}
+	*rng = s
 }
 
 // lazyFlipEnt is one replayed flip edit before the per-player flatten.
@@ -144,9 +169,8 @@ func lazyInstance(rng *xrand.Stream, n, m int) (*Instance, *Lazy) {
 // LazyUniform is the lazy Uniform: identical truth and stream consumption,
 // O(1) memory.
 func LazyUniform(rng *xrand.Stream, n, m int) *Instance {
-	in, lz := lazyInstance(rng, n, m)
+	in, _ := lazyInstance(rng, n, m)
 	in.PlantedDiameter = -1
-	lz.kind = lazyUniform
 	for p := range in.ClusterOf {
 		in.ClusterOf[p] = -1
 	}
@@ -157,8 +181,8 @@ func LazyUniform(rng *xrand.Stream, n, m int) *Instance {
 }
 
 // LazyDiameterClusters is the lazy DiameterClusters: identical truth and
-// stream consumption, O(n + flips) memory. Centers are never materialized —
-// a member's row is its center's coin words XOR its replayed flip edits.
+// stream consumption, O(n + flips + numClusters·⌈m/64⌉) memory. A member's
+// row is its stored center row XOR its replayed flip edits.
 //
 // Deprecated: the trailing tiles argument is ignored — lazy sources have no
 // tile cache. It stays only so the benchmark replay (bench/layers.go)
@@ -173,11 +197,7 @@ func LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter, tiles 
 	}
 	in, lz := lazyInstance(rng, n, m)
 	in.PlantedDiameter = diameter
-	lz.kind = lazyCluster
-	lz.numCenters = numClusters
-	// Dense draws numClusters·m center coins first; skip them — rawBits
-	// regenerates any of them on demand.
-	rng.Skip(uint64(numClusters) * uint64(m))
+	lz.fillCenters(rng, numClusters)
 	perm := rng.Perm(n)
 	var ents []lazyFlipEnt
 	for rank, p := range perm {
@@ -193,16 +213,14 @@ func LazyDiameterClusters(rng *xrand.Stream, n, m, clusterSize, diameter, tiles 
 }
 
 // LazyZipfClusters is the lazy ZipfClusters: identical truth and stream
-// consumption, O(n + flips) memory.
+// consumption, O(n + flips + numClusters·⌈m/64⌉) memory.
 func LazyZipfClusters(rng *xrand.Stream, n, m, numClusters int, alpha float64, diameter int) *Instance {
 	if numClusters <= 0 {
 		panic("prefgen: numClusters must be positive")
 	}
 	in, lz := lazyInstance(rng, n, m)
 	in.PlantedDiameter = diameter
-	lz.kind = lazyZipf
-	lz.numCenters = numClusters
-	rng.Skip(uint64(numClusters) * uint64(m))
+	lz.fillCenters(rng, numClusters)
 	z := xrand.NewZipf(rng, numClusters, alpha)
 	var ents []lazyFlipEnt
 	for p := 0; p < n; p++ {
@@ -235,14 +253,18 @@ func replayFlips(rng *xrand.Stream, ents []lazyFlipEnt, p int32, m, diameter int
 }
 
 // flattenFlips counting-sorts the replayed entries by player into the
-// Lazy's flat per-player ranges (stable, so word order is preserved).
+// Lazy's flat per-player ranges (stable, so word order is preserved) and
+// sets each player's flip filter.
 func (lz *Lazy) flattenFlips(ents []lazyFlipEnt) {
 	n := lz.n
 	start := make([]int32, n+1)
 	words := make([]int32, len(ents))
 	masks := make([]uint64, len(ents))
+	seen := make([]uint64, n)
+	shift := uint(max(0, bits.Len(uint(lz.words-1))-6))
 	for _, e := range ents {
 		start[e.p+1]++
+		seen[e.p] |= 1 << (uint(e.word) >> shift)
 	}
 	for i := 1; i <= n; i++ {
 		start[i] += start[i-1]
@@ -256,4 +278,5 @@ func (lz *Lazy) flattenFlips(ents []lazyFlipEnt) {
 		words[pos], masks[pos] = e.word, e.mask
 	}
 	lz.flipStart, lz.flipWord, lz.flipMask = start, words, masks
+	lz.flipSeen, lz.flipShift = seen, shift
 }

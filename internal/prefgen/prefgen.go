@@ -27,7 +27,7 @@ type Instance struct {
 	// generated with independent random preferences.
 	ClusterOf []int
 	// Centers[c] is the prototype vector of planted cluster c. Lazy
-	// instances leave it nil (centers are regenerated on demand).
+	// instances leave it nil (their source keeps the center words).
 	Centers []bitvec.Vector
 	// PlantedDiameter is an upper bound on the diameter of each planted
 	// cluster (0 for identical clusters, -1 if no bound was planted).

@@ -1,6 +1,7 @@
 package prefgen
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -71,27 +72,96 @@ func TestLazyTruthBitsMatchesWord(t *testing.T) {
 	}
 }
 
-// TestLazyFlipLookupMatchesScan pins the binary-search flip lookup to the
-// linear scan on players with many edits (a large planted radius over many
-// words), for every word of every player, present or not.
+// TestLazyFlipLookupMatchesScan pins the filtered flip lookup to the linear
+// scan, for every word of every player, present or not, over both clustered
+// families and every filter shape: single-word buckets where the rank start
+// is exact (m ≤ 4096), 16-word buckets that collide (600 words), a 65-word
+// tail that makes buckets two words wide, players without edits, and D = 0,
+// where no player has any. Each filter bit must be set exactly when the scan
+// finds an edit in its bucket.
 func TestLazyFlipLookupMatchesScan(t *testing.T) {
-	const n, m = 16, 64 * 600
-	for _, in := range []*Instance{
-		LazyDiameterClusters(xrand.New(8), n, m, 4, 600, 0),
-		LazyZipfClusters(xrand.New(9), n, m, 3, 1.1, 600),
-	} {
-		lz := in.Source().(*Lazy)
-		most := int32(0)
-		for p := 0; p < n; p++ {
-			most = max(most, lz.flipStart[p+1]-lz.flipStart[p])
-			for wi := 0; wi < lz.words; wi++ {
-				if got, want := lz.flipMaskAt(p, wi), flipMaskAtScan(lz, p, wi); got != want {
-					t.Fatalf("flipMaskAt(%d,%d) = %#x, scan %#x", p, wi, got, want)
+	cases := []struct {
+		name        string
+		n, m        int
+		diameter    int
+		shift       uint
+		minEdits    int32 // the busiest player has at least this many entries
+		wantNoEdits bool  // some player has no edits
+	}{
+		{"exact-rank", 16, 4096, 600, 0, 50, false},
+		{"buckets-16", 16, 64 * 600, 600, 4, 100, false},
+		{"tail-65", 16, 4097, 600, 1, 50, false},
+		{"some-empty", 40, 4096, 2, 0, 1, true},
+		{"d=0", 16, 4097, 0, 1, 0, true},
+	}
+	for _, c := range cases {
+		for _, in := range []*Instance{
+			LazyDiameterClusters(xrand.New(8), c.n, c.m, 4, c.diameter, 0),
+			LazyZipfClusters(xrand.New(9), c.n, c.m, 3, 1.1, c.diameter),
+		} {
+			lz := in.Source().(*Lazy)
+			if lz.flipShift != c.shift {
+				t.Fatalf("%s: flipShift = %d, want %d", c.name, lz.flipShift, c.shift)
+			}
+			most, empty, collided := int32(0), 0, false
+			for p := 0; p < c.n; p++ {
+				ents := lz.flipStart[p+1] - lz.flipStart[p]
+				most = max(most, ents)
+				if ents == 0 {
+					empty++
 				}
+				var seen uint64
+				for wi := 0; wi < lz.words; wi++ {
+					want := flipMaskAtScan(lz, p, wi)
+					if got := lz.flipMaskAt(p, wi); got != want {
+						t.Fatalf("%s: flipMaskAt(%d,%d) = %#x, scan %#x", c.name, p, wi, got, want)
+					}
+					if want != 0 {
+						seen |= 1 << (uint(wi) >> lz.flipShift)
+					}
+				}
+				if lz.flipSeen[p] != seen {
+					t.Fatalf("%s: player %d filter %#x, scan buckets %#x", c.name, p, lz.flipSeen[p], seen)
+				}
+				buckets := int32(bits.OnesCount64(seen))
+				if c.shift == 0 && buckets != ents {
+					t.Fatalf("%s: player %d has %d edits in %d one-word buckets", c.name, p, ents, buckets)
+				}
+				collided = collided || buckets < ents
+			}
+			if most < c.minEdits {
+				t.Fatalf("%s: busiest player has %d flip entries, want ≥ %d", c.name, most, c.minEdits)
+			}
+			if c.wantNoEdits != (empty > 0) {
+				t.Fatalf("%s: %d players without edits, want some: %v", c.name, empty, c.wantNoEdits)
+			}
+			if c.shift > 0 && c.minEdits > 0 && !collided {
+				t.Fatalf("%s: no bucket holds two edits; the search past the rank start is untested", c.name)
 			}
 		}
-		if most < 100 {
-			t.Fatalf("busiest player has %d flip entries; the oracle needs many", most)
+	}
+}
+
+// TestLazyCentersMatchDense pins the stored center rows: every center word
+// of both clustered families equals the dense generator's Instance.Centers
+// word, tail words included. Uniform truth stores no centers.
+func TestLazyCentersMatchDense(t *testing.T) {
+	const n = 40
+	for _, m := range []int{63, 129, 4097} {
+		for _, c := range lazyCases(7, 5, 10, 1.1) {
+			dense := c.dense(xrand.New(21), n, m)
+			lz := c.lazy(xrand.New(21), n, m).Source().(*Lazy)
+			if len(lz.centers) != len(dense.Centers)*lz.words {
+				t.Fatalf("%s m=%d: %d center words, want %d centers × %d words",
+					c.name, m, len(lz.centers), len(dense.Centers), lz.words)
+			}
+			for ci, center := range dense.Centers {
+				for wi := 0; wi < lz.words; wi++ {
+					if got, want := lz.centers[ci*lz.words+wi], center.Word(wi); got != want {
+						t.Fatalf("%s m=%d: center %d word %d = %#x, want %#x", c.name, m, ci, wi, got, want)
+					}
+				}
+			}
 		}
 	}
 }

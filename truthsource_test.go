@@ -20,6 +20,9 @@ func TestTruthSourceMatchesDense(t *testing.T) {
 		{Config: Config{Players: 96, Seed: 36, FixedDiameter: 8}, ClusterSize: 12, Diameter: 8, Protocol: ProtoBudgets, CapSmall: 8, CapBig: 48, CapBigFrac: 0.5},
 		{Config: Config{Players: 96, Seed: 37, FixedDiameter: 16}, ClusterSize: 12, Diameter: 16, Scale: 5, Dishonest: 4, Strategy: HarshShifters, Protocol: ProtoRatings},
 		{Config: Config{Players: 128, Seed: 38, FixedDiameter: 8, NeighborIndex: "lsh"}, ClusterSize: 16, Diameter: 8, Protocol: ProtoRun},
+		// 128 words: the lazy flip filter's buckets are two words wide, and
+		// up to 256 flips per player make them collide.
+		{Config: Config{Players: 64, Objects: 8192, Seed: 39, FixedDiameter: 512}, ClusterSize: 16, Diameter: 512, Protocol: ProtoRun},
 	}
 	for i, sc := range scenarios {
 		dense := sc
