@@ -1,15 +1,11 @@
 package main
 
 import (
-	"context"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
-	"collabscore/internal/fleet"
 	"collabscore/internal/sweep"
 )
 
@@ -47,62 +43,6 @@ func smokePoints(t *testing.T) []sweep.Point {
 		t.Fatal(err)
 	}
 	return pts
-}
-
-// TestCoordinatorModeLocalOnly drives coordinatorMode end to end with no
-// workers: the local fallback drains the grid, the checkpoint lands, and
-// the function returns (no os.Exit on the happy path).
-func TestCoordinatorModeLocalOnly(t *testing.T) {
-	pts := smokePoints(t)
-	out := filepath.Join(t.TempDir(), "fleet.jsonl")
-	stop := make(chan struct{})
-	coordinatorMode(pts, "127.0.0.1:0", out, false, false, 1,
-		100*time.Millisecond, time.Millisecond, true, stop)
-
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, _, err := sweep.ReadRecords(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(pts) {
-		t.Fatalf("checkpoint holds %d records for %d points", len(recs), len(pts))
-	}
-}
-
-// TestWorkerModeAgainstCoordinator runs workerMode in-process against a
-// served coordinator until the grid completes.
-func TestWorkerModeAgainstCoordinator(t *testing.T) {
-	pts := smokePoints(t)
-	c, err := fleet.NewCoordinator(pts, fleet.CoordinatorOptions{
-		LeaseTTL: time.Second, LocalGrace: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	runDone := make(chan error, 1)
-	var recs []sweep.Record
-	go func() {
-		var err error
-		recs, err = c.Run(ctx)
-		runDone <- err
-	}()
-
-	workerMode(srv.URL+"/", 1, 2, 7, false, nil)
-
-	if err := <-runDone; err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(pts) {
-		t.Fatalf("coordinator finished with %d records for %d points", len(recs), len(pts))
-	}
 }
 
 // TestMergeModeAndSummary covers mergeMode's happy path plus the summary

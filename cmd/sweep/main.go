@@ -31,30 +31,22 @@
 // mid-write kill is discarded) and runs exactly the missing ones. A
 // summary aggregated over the whole grid prints at the end.
 //
-// Distributed modes (DESIGN.md §15). A grid can be split across processes
-// and machines three ways:
+// Splitting a grid across processes and machines (DESIGN.md §15):
 //
-//	sweep -n ... -shard 0/3 -out s0.jsonl    # coordinator-free: shard i of k
-//	sweep -n ... -shard 1/3 -out s1.jsonl    # (deterministic key-hash
-//	sweep -n ... -shard 2/3 -out s2.jsonl    #  partition; run anywhere)
+//	sweep -n ... -shard 0/3 -out s0.jsonl    # shard i of k: deterministic
+//	sweep -n ... -shard 1/3 -out s1.jsonl    # key-hash partition, no
+//	sweep -n ... -shard 2/3 -out s2.jsonl    # coordinator; run anywhere
+//	sweep -n ... -shard 1/3 -out s1.jsonl -resume   # re-run a killed shard
 //	sweep -merge s0.jsonl,s1.jsonl,s2.jsonl -out all.jsonl   # combine shards
 //
-//	sweep -n ... -coordinator :8123 -out fleet.jsonl   # lease coordinator
-//	sweep -worker http://host:8123                     # any number of workers
-//
-// The coordinator expands the grid once, hands out point leases over HTTP,
-// merges records exactly-once, and checkpoints them to -out (crash-safe:
-// restart with -resume and only missing points re-run). Workers heartbeat
-// their leases; a SIGKILLed worker's points lapse back to the queue, and a
-// coordinator that never hears from a worker finishes the grid locally.
-// All modes trap SIGINT/SIGTERM: in-flight points flush, the process exits
-// 0, and the JSONL file stays resumable.
+// Every record is a pure function of its point, so the merged file equals
+// a single-process run record for record. SIGINT/SIGTERM stop claiming new
+// points: in-flight points flush, the process exits 0, and the JSONL file
+// stays resumable.
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -62,9 +54,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
-	"collabscore/internal/fleet"
 	"collabscore/internal/sweep"
 )
 
@@ -96,13 +86,8 @@ func main() {
 		quiet   = flag.Bool("q", false, "suppress per-point progress lines")
 		expand  = flag.Bool("expand", false, "print the expanded grid as JSON and exit without running")
 
-		shard    = flag.String("shard", "", "run shard i of k of the grid (\"i/k\"): deterministic key-hash partition, no coordinator needed")
-		merge    = flag.String("merge", "", "merge the given JSONL shard files (comma-separated) into -out and exit")
-		coord    = flag.String("coordinator", "", "serve the grid as a fleet coordinator on this address (host:port); workers lease points over HTTP, records checkpoint to -out")
-		workerAt = flag.String("worker", "", "run as a fleet worker against this coordinator URL (http://host:port); no grid flags needed")
-		leaseTTL = flag.Duration("leasettl", 15*time.Second, "coordinator lease deadline; a worker silent this long forfeits its points")
-		grace    = flag.Duration("localgrace", 30*time.Second, "coordinator runs points itself after this long without worker contact (negative disables)")
-		batch    = flag.Int("batch", 4, "worker points per lease")
+		shard = flag.String("shard", "", "run shard i of k of the grid (\"i/k\"): deterministic key-hash partition, no coordinator needed")
+		merge = flag.String("merge", "", "merge the given JSONL shard files (comma-separated) into -out and exit")
 	)
 	flag.Parse()
 
@@ -110,10 +95,6 @@ func main() {
 
 	if *merge != "" {
 		mergeMode(strList(*merge), *out)
-		return
-	}
-	if *workerAt != "" {
-		workerMode(*workerAt, *workers, *batch, *seed, *quiet, stop)
 		return
 	}
 
@@ -177,11 +158,6 @@ func main() {
 		return
 	}
 
-	if *coord != "" {
-		coordinatorMode(points, *coord, *out, *resume, *opt, *workers, *leaseTTL, *grace, *quiet, stop)
-		return
-	}
-
 	fmt.Fprintf(os.Stderr, "sweep: %d grid points → %s\n", len(points), *out)
 	opts := sweep.Options{Workers: *workers, ComputeOpt: *opt, Stop: stop}
 	var failed []string
@@ -206,7 +182,7 @@ func main() {
 }
 
 // trapSignals converts the first SIGINT/SIGTERM into a closed stop channel:
-// every mode stops claiming new points, flushes in-flight records to the
+// the sweep stops claiming new points, flushes in-flight records to the
 // JSONL tail, and exits 0 so the file is always resumable. A second signal
 // kills the process the old-fashioned way.
 func trapSignals() <-chan struct{} {
@@ -233,7 +209,7 @@ func printSummary(recs []sweep.Record, failed []string) {
 	}
 }
 
-// mergeMode combines shard/fleet JSONL outputs into one deduplicated file
+// mergeMode combines -shard JSONL outputs into one deduplicated file
 // (identical duplicate records collapse; conflicting ones abort).
 func mergeMode(paths []string, out string) {
 	if len(paths) == 0 {
@@ -257,76 +233,6 @@ func mergeMode(paths []string, out string) {
 	}
 	fmt.Fprintf(os.Stderr, "sweep: merged %d records from %d files → %s\n", len(recs), len(paths), out)
 	printSummary(recs, nil)
-}
-
-// workerMode runs a fleet worker against a coordinator until the grid is
-// done, the coordinator goes away (clean exit — that is how fleets wind
-// down), or an interrupt asks it to stop.
-func workerMode(url string, poolWorkers, batch int, seed uint64, quiet bool, stop <-chan struct{}) {
-	name, _ := os.Hostname()
-	name = fmt.Sprintf("%s-%d", name, os.Getpid())
-	opt := fleet.WorkerOptions{
-		URL:         strings.TrimRight(url, "/"),
-		Name:        name,
-		PoolWorkers: poolWorkers,
-		Batch:       batch,
-		Seed:        seed,
-		Stop:        stop,
-	}
-	if !quiet {
-		opt.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
-		}
-	}
-	stats, err := fleet.RunWorker(opt)
-	switch {
-	case errors.Is(err, fleet.ErrCoordinatorGone):
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-	case err != nil:
-		fatal("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: worker %s done: %d completed, %d duplicates, %d leases, %d retries, %d failures\n",
-		name, stats.Completed, stats.Duplicates, stats.Leases, stats.Retries, stats.Failures)
-}
-
-// coordinatorMode serves the grid to fleet workers, checkpointing records
-// to out; an interrupt stops leasing and exits 0 with the checkpoint
-// resumable.
-func coordinatorMode(points []sweep.Point, addr, out string, resume, computeOpt bool, poolWorkers int, leaseTTL, grace time.Duration, quiet bool, stop <-chan struct{}) {
-	opt := fleet.CoordinatorOptions{
-		LeaseTTL:     leaseTTL,
-		ComputeOpt:   computeOpt,
-		Checkpoint:   out,
-		Resume:       resume,
-		LocalGrace:   grace,
-		LocalWorkers: poolWorkers,
-	}
-	if !quiet {
-		opt.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
-		}
-	}
-	c, err := fleet.NewCoordinator(points, opt)
-	if err != nil {
-		fatal("%v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-stop
-		cancel()
-	}()
-	recs, err := c.Serve(ctx, addr, func(bound string) {
-		// The bound address line is load-bearing: tests and scripts pass
-		// ":0" and parse the chosen port from it.
-		fmt.Fprintf(os.Stderr, "sweep: coordinator serving %d grid points on %s → %s\n", len(points), bound, out)
-	})
-	if err != nil && !errors.Is(err, context.Canceled) {
-		fatal("%v", err)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: interrupted with %d of %d points done — restart with -resume to finish\n", len(recs), len(points))
-	}
-	printSummary(recs, c.Failed())
 }
 
 func fatal(format string, args ...any) {

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -97,91 +97,10 @@ func assertFileMatchesReference(t *testing.T, path string, ref []sweep.Record) {
 	}
 }
 
-// TestFleetCLISmoke is the end-to-end drill from README "Distributed
-// sweeps": a real coordinator process, two real worker processes, one of
-// them SIGKILLed mid-sweep — the checkpoint must still end byte-identical
-// to a single-process run.
-func TestFleetCLISmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
-	ref := smokeReference(t)
-	bin := buildSweep(t)
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "fleet.jsonl")
-
-	args := append(append([]string{}, smokeFlags...),
-		"-coordinator", "127.0.0.1:0", "-out", ckpt,
-		"-leasettl", "500ms", "-localgrace", "5s", "-q")
-	coord := exec.Command(bin, args...)
-	stderr, err := coord.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Process.Kill()
-
-	// The bound-address line is the CLI's contract for :0 listeners.
-	addrRE := regexp.MustCompile(`coordinator serving \d+ grid points on ([^ ]+) `)
-	var addr string
-	sc := bufio.NewScanner(stderr)
-	for sc.Scan() {
-		if m := addrRE.FindStringSubmatch(sc.Text()); m != nil {
-			addr = m[1]
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatal("coordinator never announced its address")
-	}
-	go func() { // keep draining so the coordinator never blocks on stderr
-		for sc.Scan() {
-		}
-	}()
-	url := "http://" + addr
-
-	startWorker := func(name string) *exec.Cmd {
-		w := exec.Command(bin, "-worker", url, "-batch", "2", "-workers", "1", "-q")
-		w.Stderr = os.Stderr
-		if err := w.Start(); err != nil {
-			t.Fatalf("starting worker %s: %v", name, err)
-		}
-		return w
-	}
-	victim := startWorker("victim")
-	survivor := startWorker("survivor")
-	defer survivor.Process.Kill()
-
-	// SIGKILL the victim once records are flowing (mid-sweep if the grid is
-	// still going; the final pin holds either way).
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if st, err := os.Stat(ckpt); err == nil && st.Size() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no records checkpointed before the kill")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := victim.Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	victim.Wait()
-
-	if err := coord.Wait(); err != nil {
-		t.Fatalf("coordinator exited with %v", err)
-	}
-	survivor.Wait() // coordinator is gone; the worker exits 0 on its own
-
-	assertFileMatchesReference(t, ckpt, ref)
-}
-
-// TestShardCLISmoke: three coordinator-free shards plus -merge reproduce
-// the single-process records, and a SIGTERM mid-shard leaves a resumable
-// file that finishes under -resume.
+// TestShardCLISmoke is the README's shard drill: three coordinator-free
+// shards, one of them SIGTERMed mid-run and left with a torn final line (a
+// kill -9 mid-write), that shard finished under -resume, and -merge — the
+// merged file must equal a single-process run record for record.
 func TestShardCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
@@ -189,15 +108,25 @@ func TestShardCLISmoke(t *testing.T) {
 	ref := smokeReference(t)
 	bin := buildSweep(t)
 	dir := t.TempDir()
+	const victim = 1
 
 	var shardFiles []string
 	for i := 0; i < 3; i++ {
-		out := filepath.Join(dir, "s"+string(rune('0'+i))+".jsonl")
+		out := filepath.Join(dir, "s"+strconv.Itoa(i)+".jsonl")
 		shardFiles = append(shardFiles, out)
 		args := append(append([]string{}, smokeFlags...),
-			"-shard", string(rune('0'+i))+"/3", "-out", out, "-q")
-		if outb, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("shard %d: %v\n%s", i, err, outb)
+			"-shard", strconv.Itoa(i)+"/3", "-out", out, "-q")
+		if i != victim {
+			if outb, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+				t.Fatalf("shard %d: %v\n%s", i, err, outb)
+			}
+			continue
+		}
+		sigtermOnFirstRecord(t, bin, append(args[:len(args):len(args)], "-workers", "1"), out)
+		tearLastLine(t, out)
+		resume := append(args, "-resume")
+		if outb, err := exec.Command(bin, resume...).CombinedOutput(); err != nil {
+			t.Fatalf("resuming shard %d: %v\n%s", i, err, outb)
 		}
 	}
 	merged := filepath.Join(dir, "all.jsonl")
@@ -206,6 +135,49 @@ func TestShardCLISmoke(t *testing.T) {
 		t.Fatalf("merge: %v\n%s", err, outb)
 	}
 	assertFileMatchesReference(t, merged, ref)
+}
+
+// sigtermOnFirstRecord starts the binary, SIGTERMs it once out is
+// non-empty, and requires the clean exit 0 an interrupted sweep promises.
+func sigtermOnFirstRecord(t *testing.T, bin string, args []string, out string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if st, err := os.Stat(out); err == nil && st.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatal("no records written before the signal")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("signaled sweep exited with %v, want 0", err)
+	}
+}
+
+// tearLastLine cuts the file's last record in half, as a kill -9 in the
+// middle of its write leaves it: at least one point is then missing, and
+// -resume must truncate the torn tail before appending.
+func tearLastLine(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := b[:len(b)-1] // drop the final newline
+	last := bytes.LastIndexByte(body, '\n') + 1
+	if err := os.WriteFile(path, b[:last+(len(body)-last)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSigtermResume: SIGTERM a plain sweep mid-run; it must exit 0 with an
@@ -220,26 +192,7 @@ func TestSigtermResume(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "run.jsonl")
 
 	args := append(append([]string{}, smokeFlags...), "-out", out, "-workers", "1", "-q")
-	cmd := exec.Command(bin, args...)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if st, err := os.Stat(out); err == nil && st.Size() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no records written before the signal")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("signaled sweep exited with %v, want 0", err)
-	}
+	sigtermOnFirstRecord(t, bin, args, out)
 
 	resume := append(append([]string{}, smokeFlags...), "-out", out, "-resume", "-q")
 	if outb, err := exec.Command(bin, resume...).CombinedOutput(); err != nil {

@@ -221,7 +221,7 @@ func FuzzResume(f *testing.F) {
 		}
 
 		// The pending plan is exactly the complement of the intact records.
-		done := CompletedKeys(recs)
+		done := completedKeys(recs)
 		pending := 0
 		for _, pt := range pts {
 			if _, ok := done[pt.Key()]; !ok {

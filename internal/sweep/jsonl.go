@@ -46,8 +46,8 @@ type Record struct {
 
 // WriteRecord appends one JSONL line to w. The line is marshaled first and
 // written with a single Write call, so concurrent writers serialized by the
-// engine's mutex (or the fleet coordinator's) produce whole lines — a crash
-// can truncate only the tail, which ReadRecords tolerates.
+// engine's mutex produce whole lines — a crash can truncate only the tail,
+// which ReadRecords tolerates.
 func WriteRecord(w io.Writer, rec Record) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -89,8 +89,8 @@ func ReadRecords(r io.Reader) (recs []Record, intact int64, err error) {
 	}
 }
 
-// CompletedKeys returns the set of point keys present in recs.
-func CompletedKeys(recs []Record) map[string]struct{} {
+// completedKeys returns the set of point keys present in recs.
+func completedKeys(recs []Record) map[string]struct{} {
 	out := make(map[string]struct{}, len(recs))
 	for _, rec := range recs {
 		out[rec.Key] = struct{}{}
@@ -103,36 +103,69 @@ func CompletedKeys(recs []Record) map[string]struct{} {
 // optimum to compute (OptError -1 either way), and neither do lazy truth
 // sources (the oracle scans the materialized matrix); planted dense binary
 // points carry one iff ComputeOpt is on. This single predicate is the
-// opt-consistency rule every resume and merge path applies — a record's
-// opt_error presence must match what the current run would produce.
+// opt-consistency rule resume applies — a record's opt_error presence must
+// match what the current run would produce.
 func wantsOpt(pt Point, computeOpt bool) bool {
 	return computeOpt && pt.Plant.Kind != "uniform" && pt.Protocol != "ratings" && pt.TruthSource == ""
 }
 
-// FilePlan is the resume plan for a JSONL results file against a grid: the
-// prior records that satisfy grid points under this run's options, and how
-// the file must be opened to continue it. PlanFile is the single
-// stale-record gate shared by RunFile and the fleet coordinator's
-// checkpoint, so both apply identical rejection rules.
-type FilePlan struct {
-	// Valid holds the prior records that count as completing grid points:
-	// key AND seed equal the expanded point's (a record from a different
-	// root seed, or from a grid the file no longer describes, is another
-	// sweep's number), and opt_error presence matches this run's ComputeOpt
-	// (resuming a no-opt file with -opt, or vice versa, must recompute
-	// rather than mix).
-	Valid []Record
-
-	path    string
-	rewrite bool
+// openResume opens the results file at path for appending a run over
+// points, and returns it with the prior records that count as completing
+// grid points (priorRecords). Without resume the file is truncated and
+// there are none. When stale records were dropped, the file is rewritten
+// with the valid ones. The caller owns closing the file.
+func openResume(points []Point, path string, resume, computeOpt bool) (*os.File, []Record, error) {
+	var valid []Record
+	rewrite := !resume
+	if resume {
+		var err error
+		if valid, rewrite, err = priorRecords(points, path, computeOpt); err != nil {
+			return nil, nil, err
+		}
+	}
+	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	if rewrite {
+		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, flags, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rewrite {
+		for _, rec := range valid {
+			if err := WriteRecord(f, rec); err != nil {
+				f.Close()
+				return nil, nil, err
+			}
+		}
+	}
+	return f, valid, nil
 }
 
-// PlanFile reads the results file at path (when resume is set) and plans
-// how a run over points continues it: stale records are scheduled to be
-// dropped by rewriting the file with the valid ones, and a torn final line
-// from a mid-write kill is truncated away. Without resume the plan is a
-// fresh file. The file not existing is a valid plan (full grid runs).
-func PlanFile(points []Point, path string, resume, computeOpt bool) (*FilePlan, error) {
+// priorRecords reads the results file at path and returns the records that
+// count as completing points under this run's options: key AND seed equal
+// the expanded point's (a record from a different root seed, or from a
+// grid the file no longer describes, is another sweep's number), and
+// opt_error presence matches computeOpt (resuming a no-opt file with -opt,
+// or vice versa, must recompute rather than mix). stale reports that some
+// record was rejected, so the file must be rebuilt from the valid ones;
+// otherwise a torn final line from a mid-write kill is truncated away here.
+// A missing file has no prior records.
+func priorRecords(points []Point, path string, computeOpt bool) (valid []Record, stale bool, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	prev, intact, err := ReadRecords(f)
+	size, _ := f.Seek(0, 2)
+	f.Close()
+	if err != nil {
+		return nil, false, fmt.Errorf("sweep: reading %s: %w", path, err)
+	}
+
 	type want struct {
 		seed    uint64
 		withOpt bool
@@ -141,71 +174,27 @@ func PlanFile(points []Point, path string, resume, computeOpt bool) (*FilePlan, 
 	for _, pt := range points {
 		wants[pt.Key()] = want{seed: pt.Seed, withOpt: wantsOpt(pt, computeOpt)}
 	}
-
-	plan := &FilePlan{path: path, rewrite: !resume}
-	if !resume {
-		return plan, nil
-	}
-	f, err := os.Open(path)
-	switch {
-	case err == nil:
-		prev, intact, rerr := ReadRecords(f)
-		size, _ := f.Seek(0, 2)
-		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("sweep: reading %s: %w", path, rerr)
-		}
-		for _, rec := range prev {
-			w, ok := wants[rec.Key]
-			if ok && w.seed == rec.Seed && w.withOpt == (rec.OptError >= 0) {
-				plan.Valid = append(plan.Valid, rec)
-			}
-		}
-		switch {
-		case len(plan.Valid) != len(prev):
-			plan.rewrite = true // stale records: rebuild the file from the valid ones
-		case intact < size:
-			if err := os.Truncate(path, intact); err != nil {
-				return nil, fmt.Errorf("sweep: truncating %s to last intact record: %w", path, err)
-			}
-		}
-	case os.IsNotExist(err):
-		// Nothing to resume from; run the full grid.
-	default:
-		return nil, err
-	}
-	return plan, nil
-}
-
-// Open opens the planned file for appending fresh records: truncated and
-// re-seeded with the valid records when the plan calls for a rewrite,
-// append-at-tail otherwise. The caller owns closing the file.
-func (p *FilePlan) Open() (*os.File, error) {
-	flags := os.O_CREATE | os.O_WRONLY
-	if p.rewrite {
-		flags |= os.O_TRUNC
-	} else {
-		flags |= os.O_APPEND
-	}
-	f, err := os.OpenFile(p.path, flags, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if p.rewrite {
-		for _, rec := range p.Valid {
-			if err := WriteRecord(f, rec); err != nil {
-				f.Close()
-				return nil, err
-			}
+	for _, rec := range prev {
+		w, ok := wants[rec.Key]
+		if ok && w.seed == rec.Seed && w.withOpt == (rec.OptError >= 0) {
+			valid = append(valid, rec)
 		}
 	}
-	return f, nil
+	if len(valid) != len(prev) {
+		return valid, true, nil
+	}
+	if intact < size {
+		if err := os.Truncate(path, intact); err != nil {
+			return nil, false, fmt.Errorf("sweep: truncating %s to last intact record: %w", path, err)
+		}
+	}
+	return valid, false, nil
 }
 
 // RunFile executes the grid with results streamed to the JSONL file at
 // path. With resume set, points already recorded intact in the file are
-// skipped and exactly the missing ones run, under PlanFile's stale-seed and
-// opt-change rejection rules; without it the file is truncated and the
+// skipped and exactly the missing ones run, under priorRecords' stale-seed
+// and opt-change rejection rules; without it the file is truncated and the
 // whole grid runs. RunFile returns one record per grid point in point order
 // — previously recorded points contribute their stored records, so the
 // result is record-equal to an uninterrupted sweep with the same options.
@@ -213,11 +202,7 @@ func (p *FilePlan) Open() (*os.File, error) {
 // closed Options.Stop kept from running (the file stays resumable), and
 // points reported through Options.OnFailure (persistent panics).
 func RunFile(points []Point, path string, resume bool, opt Options) ([]Record, error) {
-	plan, err := PlanFile(points, path, resume, opt.ComputeOpt)
-	if err != nil {
-		return nil, err
-	}
-	f, err := plan.Open()
+	f, prior, err := openResume(points, path, resume, opt.ComputeOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +217,7 @@ func RunFile(points []Point, path string, resume bool, opt Options) ([]Record, e
 		}
 	}
 	opt.Sink = f
-	opt.Done = CompletedKeys(plan.Valid)
+	opt.Done = completedKeys(prior)
 	fresh, err := Run(points, opt)
 	if err != nil {
 		return nil, err
@@ -241,8 +226,8 @@ func RunFile(points []Point, path string, resume bool, opt Options) ([]Record, e
 		return nil, err
 	}
 
-	byKey := make(map[string]Record, len(plan.Valid)+len(fresh))
-	for _, rec := range plan.Valid {
+	byKey := make(map[string]Record, len(prior)+len(fresh))
+	for _, rec := range prior {
 		byKey[rec.Key] = rec
 	}
 	for _, rec := range fresh {
@@ -264,11 +249,11 @@ func RunFile(points []Point, path string, resume bool, opt Options) ([]Record, e
 	return out, nil
 }
 
-// MergeFiles reads several JSONL results files — shard or fleet worker
-// outputs — and merges their records into one key-deduplicated list in
+// MergeFiles reads several JSONL results files — the outputs of -shard
+// runs — and merges their records into one key-deduplicated list in
 // first-seen order. Duplicate keys are legal only when the records are
-// identical (the at-least-once dispatch case: the same deterministic point
-// run twice); conflicting records for the same key mean the files came from
+// identical (the same deterministic point run twice, as when a shard is
+// re-run into a second file); conflicting records for the same key mean the files came from
 // different sweeps and merging them would corrupt both, so that is an
 // error, as is an unreadable file. Torn tails are tolerated per file (the
 // torn point is simply absent, exactly as in a single-file resume).

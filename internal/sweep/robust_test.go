@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // panicPoint returns a syntactically valid point whose runner panics
@@ -304,167 +303,4 @@ func indexOf(b, sub []byte) int {
 		}
 	}
 	return -1
-}
-
-// TestQueueLifecycle drives a point through pending → leased → lapsed →
-// re-leased → done on a fake clock, including the duplicate-completion and
-// conflict rules.
-func TestQueueLifecycle(t *testing.T) {
-	pts := testGrid(t)[:4]
-	recs, err := Run(pts, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	q, err := NewQueue(pts, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	q.SetClock(func() time.Time { return now })
-
-	ls, ok := q.Lease("w1", 2, time.Second)
-	if !ok || len(ls.Points) != 2 {
-		t.Fatalf("lease granted %d points, want 2", len(ls.Points))
-	}
-	if pending, leased, done, _ := q.Counts(); pending != 2 || leased != 2 || done != 0 {
-		t.Fatalf("counts after lease: pending=%d leased=%d done=%d", pending, leased, done)
-	}
-
-	// Heartbeat extends; the lease survives its original deadline.
-	now = now.Add(900 * time.Millisecond)
-	if _, ok := q.Heartbeat(ls.ID, time.Second); !ok {
-		t.Fatal("live lease refused a heartbeat")
-	}
-	now = now.Add(900 * time.Millisecond)
-	if n := q.Expire(); n != 0 {
-		t.Fatalf("heartbeated lease lapsed (%d points re-queued)", n)
-	}
-
-	// Silence past the deadline lapses it and re-queues both points.
-	now = now.Add(2 * time.Second)
-	if n := q.Expire(); n != 2 {
-		t.Fatalf("lapse re-queued %d points, want 2", n)
-	}
-	if _, ok := q.Heartbeat(ls.ID, time.Second); ok {
-		t.Fatal("lapsed lease accepted a heartbeat")
-	}
-
-	// Both the lapsed holder and a new one run the points: first completion
-	// is fresh, the identical duplicate is absorbed, a conflicting one is
-	// rejected.
-	ls2, ok := q.Lease("w2", 4, time.Second)
-	if !ok || len(ls2.Points) != 4 {
-		t.Fatalf("re-lease granted %d points, want all 4", len(ls2.Points))
-	}
-	for i, rec := range recs {
-		fresh, err := q.Complete(rec)
-		if err != nil || !fresh {
-			t.Fatalf("completion %d: fresh=%v err=%v", i, fresh, err)
-		}
-	}
-	fresh, err := q.Complete(recs[0])
-	if err != nil || fresh {
-		t.Fatalf("identical duplicate: fresh=%v err=%v, want absorbed", fresh, err)
-	}
-	evil := recs[0]
-	evil.MaxProbes += 1000
-	if _, err := q.Complete(evil); err == nil {
-		t.Fatal("conflicting duplicate accepted")
-	}
-	stale := recs[1]
-	stale.Seed++
-	stale.Point.Seed++
-	if _, err := q.Complete(stale); err == nil {
-		t.Fatal("stale-seed record accepted")
-	}
-	unknown := recs[2]
-	unknown.Key = "n=1,m=1,b=1,plant=uniform,d=0,f=0,proto=run,trial=0"
-	if _, err := q.Complete(unknown); err == nil {
-		t.Fatal("unknown-point record accepted")
-	}
-
-	if !q.Done() {
-		t.Fatal("queue not done after all completions")
-	}
-	got := q.Records()
-	want := append([]Record(nil), recs...)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("queue records differ from the run's")
-	}
-}
-
-// TestQueueFailAndRelease: Release re-queues a leased point immediately,
-// Fail removes it from dispatch, and a later valid completion overrides
-// the failure verdict.
-func TestQueueFailAndRelease(t *testing.T) {
-	pts := testGrid(t)[:2]
-	recs, err := Run(pts, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := NewQueue(pts, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, ok := q.Lease("w", 2, time.Minute)
-	if !ok || len(ls.Points) != 2 {
-		t.Fatal("lease failed")
-	}
-	if err := q.Release(pts[0].Key()); err != nil {
-		t.Fatal(err)
-	}
-	if pending, _, _, _ := q.Counts(); pending != 1 {
-		t.Fatalf("release left %d pending, want 1", pending)
-	}
-	if err := q.Fail(pts[1].Key()); err != nil {
-		t.Fatal(err)
-	}
-	if q.Done() {
-		t.Fatal("queue done with a pending point")
-	}
-	if _, err := q.Complete(recs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if !q.Done() {
-		t.Fatal("queue not done: one completed, one failed")
-	}
-	if failed := q.Failed(); len(failed) != 1 || failed[0] != pts[1].Key() {
-		t.Fatalf("failed list %v", failed)
-	}
-	// A late success for the failed point reinstates it.
-	if fresh, err := q.Complete(recs[1]); err != nil || !fresh {
-		t.Fatalf("late success rejected: fresh=%v err=%v", fresh, err)
-	}
-	if failed := q.Failed(); len(failed) != 0 {
-		t.Fatalf("failure verdict survived a valid completion: %v", failed)
-	}
-	if len(q.Records()) != 2 {
-		t.Fatal("records missing after reinstated completion")
-	}
-}
-
-// TestQueueResumeFromPrior: a queue seeded with checkpoint records starts
-// with them done and only hands out the rest.
-func TestQueueResumeFromPrior(t *testing.T) {
-	pts := testGrid(t)
-	recs, err := Run(pts, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := NewQueue(pts, recs[:3], false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, ok := q.Lease("w", len(pts), time.Minute)
-	if !ok || len(ls.Points) != len(pts)-3 {
-		t.Fatalf("resumed queue leased %d points, want %d", len(ls.Points), len(pts)-3)
-	}
-	// A prior record that fails validation poisons construction.
-	bad := recs[0]
-	bad.Seed++
-	bad.Point.Seed++
-	if _, err := NewQueue(pts, []Record{bad}, false); err == nil {
-		t.Fatal("stale prior record accepted into a fresh queue")
-	}
 }

@@ -10,8 +10,8 @@ import (
 // Shard returns the sub-grid of points owned by shard i of k under the
 // deterministic key-hash partition (FNV-1a 64 of the canonical key, mod k):
 // k independent invocations of the same grid with shards 0/k … (k-1)/k
-// cover every point exactly once, with no coordinator — the coordinator-
-// free half of the distribution story. Points keep their full-grid Index,
+// cover every point exactly once, with no coordinator — the one way to
+// split a sweep across machines. Points keep their full-grid Index,
 // so shard outputs merged with MergeFiles are record-equal to a
 // single-process sweep. Shard(points, 0, 1) is the identity.
 func Shard(points []Point, i, k int) ([]Point, error) {
