@@ -40,7 +40,9 @@
 //	sweep -merge s0.jsonl,s1.jsonl,s2.jsonl -out all.jsonl   # combine shards
 //
 // Every record is a pure function of its point, so the merged file equals
-// a single-process run record for record. SIGINT/SIGTERM stop claiming new
+// a single-process run record for record. -resume refuses, leaving the
+// file untouched, when the file holds records for points outside this run
+// (another shard's, as in a merged file). SIGINT/SIGTERM stop claiming new
 // points: in-flight points flush, the process exits 0, and the JSONL file
 // stays resumable.
 package main

@@ -200,3 +200,41 @@ func TestSigtermResume(t *testing.T) {
 	}
 	assertFileMatchesReference(t, out, ref)
 }
+
+// TestShardResumeRefusesForeignRecords: resuming one shard into a file
+// that a full single-process run wrote must exit non-zero and leave the
+// file byte for byte as it was, not rewrite it down to that shard's
+// records.
+func TestShardResumeRefusesForeignRecords(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	bin := buildSweep(t)
+	out := filepath.Join(t.TempDir(), "full.jsonl")
+	grid := []string{"-n", "48,64", "-cluster", "16", "-d", "4", "-fixd",
+		"-protocols", "run,baseline", "-f", "0,2", "-out", out, "-q"}
+	if outb, err := exec.Command(bin, grid...).CombinedOutput(); err != nil {
+		t.Fatalf("full run: %v\n%s", err, outb)
+	}
+	before, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(before, []byte("\n")); n != 8 {
+		t.Fatalf("full run wrote %d records, want 8", n)
+	}
+	outb, err := exec.Command(bin, append(grid, "-shard", "1/3", "-resume")...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("shard resume over the full file exited 0\n%s", outb)
+	}
+	if !strings.Contains(string(outb), out) {
+		t.Fatalf("error does not name %s:\n%s", out, outb)
+	}
+	after, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("the refused shard resume changed the file")
+	}
+}

@@ -57,27 +57,25 @@ func AASP(w *world.World, shared *xrand.Stream, pr AASPParams) []bitvec.Vector {
 	if hi <= 0 {
 		hi = n
 	}
-	candidates := make([][]bitvec.Vector, n)
-	gi := 0
+	var candidates [][]bitvec.Vector // [diameter guess][player]
 	for d := 1; d <= n; d *= 2 {
 		if d < lo || d > hi {
 			continue
 		}
-		z := smallradius.Run(rc, allObjs, d, pr.B, shared.Split(uint64(gi)), pr.SR)
-		for p := 0; p < n; p++ {
-			candidates[p] = append(candidates[p], z[p])
-		}
-		gi++
+		candidates = append(candidates, smallradius.Run(rc, allObjs, d, pr.B, shared.Split(uint64(len(candidates))), pr.SR))
 	}
 	out := make([]bitvec.Vector, n)
 	par.For(n, func(p int) {
-		if !w.IsHonest(p) || len(candidates[p]) == 0 {
+		if !w.IsHonest(p) || len(candidates) == 0 {
 			out[p] = bitvec.New(m)
 			return
 		}
+		cands := make([]bitvec.Vector, len(candidates))
+		for ci := range candidates {
+			cands[ci] = candidates[ci][p]
+		}
 		rng := shared.Split(0xBA5E, uint64(p))
-		idx := selection.RSelect(w, p, allObjs, candidates[p], rng, pr.Sel)
-		out[p] = candidates[p][idx]
+		out[p] = cands[selection.RSelect(w, p, allObjs, cands, rng, pr.Sel)]
 	})
 	return out
 }

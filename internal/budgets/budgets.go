@@ -165,11 +165,7 @@ func runIteration(rc *world.Run, d int, shared *xrand.Stream, cp core.Params, pr
 	rc.Pub.SetSample(sample)
 	rc.Pub.Phase = "smallradius"
 	srBudget := max(1, n/max(1, m*red/meanCapacity(pr.Capacity)))
-	zMap := smallradius.Run(rc, sample, cp.SampleDiameter(n), srBudget, shared.Split(0x5B), pr.SR)
-	z := make([]bitvec.Vector, n)
-	for p := 0; p < n; p++ {
-		z[p] = zMap[p]
-	}
+	z := smallradius.Run(rc, sample, cp.SampleDiameter(n), srBudget, shared.Split(0x5B), pr.SR)
 
 	// Neighbor graph as in core, through the NeighborIndex spec (the index
 	// stream split is a pure read of the shared coins, so the default exact

@@ -18,8 +18,9 @@ import (
 // when selecting among repetitions. The binary protocol (RunByzantine,
 // Hamming distance over bitvec.Vector) and the §8 rating protocol
 // (multival.RunByzantine, L1 distance over bitvec.Planes) are the two
-// instantiations; there is deliberately no third copy of this loop
-// anywhere in the repository.
+// instantiations. The benchmark's traced replay, replayByzantine in
+// bench/replay.go, mirrors the binary instantiation's loop so it can time
+// each layer; its output is checked byte for byte against RunByzantine.
 type ByzProtocol[T any] struct {
 	// Repetitions is the number of leader-election + full-protocol
 	// repetitions k (values < 1 run one repetition).

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"collabscore/internal/bitvec"
 	"collabscore/internal/board"
 	"collabscore/internal/cluster"
@@ -27,11 +25,6 @@ type IterationStats struct {
 	// iteration's work-sharing phase.
 	BoardWrites int64
 	BoardReads  int64
-	// Phase wall-clock durations, for profiling protocol runs.
-	SampleTime    time.Duration
-	SRTime        time.Duration
-	ClusterTime   time.Duration
-	WorkshareTime time.Duration
 }
 
 // RepetitionStats records what one Byzantine repetition did.
@@ -93,22 +86,17 @@ func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
 }
 
 // runDoublingLoop executes the diameter-doubling loop of Figure 2 and
-// returns, for each player, the list of candidate vectors (one per guess).
+// returns the candidate table: candidates[gi][p] is player p's vector from
+// diameter guess gi.
 func runDoublingLoop(rc *world.Run, shared *xrand.Stream, pr Params, res *Result) [][]bitvec.Vector {
-	n, m := rc.N(), rc.M()
-	guesses := pr.DiameterGuesses(n)
-	candidates := make([][]bitvec.Vector, n)
-	allObjs := identity(m)
-
-	for gi, d := range guesses {
-		iterRng := shared.Split(uint64(gi), uint64(d))
-		cand, stats := runIteration(rc, allObjs, d, iterRng, pr)
+	allObjs := identity(rc.M())
+	var candidates [][]bitvec.Vector
+	for gi, d := range pr.DiameterGuesses(rc.N()) {
+		cand, stats := runIteration(rc, allObjs, d, shared.Split(uint64(gi), uint64(d)), pr)
 		res.Iterations = append(res.Iterations, stats)
 		res.BoardWrites += stats.BoardWrites
 		res.BoardReads += stats.BoardReads
-		for p := 0; p < n; p++ {
-			candidates[p] = append(candidates[p], cand[p])
-		}
+		candidates = append(candidates, cand)
 	}
 	return candidates
 }
@@ -126,54 +114,36 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 	if float64(d) < pr.SmallDThreshold*LnN(n) {
 		stats.UsedFullSR = true
 		rc.Pub.Phase = "smallradius-full"
-		z := smallradius.Run(rc, allObjs, d, pr.B, shared.Split(0xF0), pr.SR)
-		out := make([]bitvec.Vector, n)
-		for p := 0; p < n; p++ {
-			out[p] = z[p]
-		}
-		return out, stats
+		return smallradius.Run(rc, allObjs, d, pr.B, shared.Split(0xF0), pr.SR), stats
 	}
 
 	// Step 1.b: shared random sample set S.
 	rc.Pub.Phase = "sample"
-	start := time.Now()
 	sample := DrawSample(shared.Split(0x5A), m, pr.SampleProb(n, d))
 	rc.Pub.SetSample(sample)
 	stats.SampleSize = len(sample)
-	stats.SampleTime = time.Since(start)
 
 	// Step 1.c: SmallRadius on the sample.
 	rc.Pub.Phase = "smallradius"
-	start = time.Now()
-	zMap := smallradius.Run(rc, sample, pr.SampleDiameter(n), pr.B, shared.Split(0x5B), pr.SR)
-	z := make([]bitvec.Vector, n)
-	for p := 0; p < n; p++ {
-		z[p] = zMap[p]
-	}
-	stats.SRTime = time.Since(start)
+	z := smallradius.Run(rc, sample, pr.SampleDiameter(n), pr.B, shared.Split(0x5B), pr.SR)
 
 	// Step 1.d: neighbor graph and clusters, through the NeighborIndex spec
 	// (exact block sweep by default, LSH banding when the knob is set; the
-	// index stream is split from the shared coins — a pure read of their
-	// state, so the default path consumes exactly the same coins as before
-	// the seam existed).
-	start = time.Now()
+	// index stream is split from the shared coins, a pure read of their
+	// state).
 	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, pr.EdgeThreshold(n), shared.Split(0x5D))
 	cl := cluster.Build(g, pr.MinClusterSize(n))
 	rc.Pub.Clusters = cl.Clusters
 	stats.NumClusters = len(cl.Clusters)
 	stats.MinCluster = cl.MinClusterSize()
 	stats.Unassigned = len(cl.Unassigned())
-	stats.ClusterTime = time.Since(start)
 
 	// Step 1.e: share the probing work within each cluster. Reports travel
 	// through the bulletin board: probers publish to their own lanes and
 	// every cluster member tallies the published votes.
 	rc.Pub.Phase = "workshare"
-	start = time.Now()
 	bd := board.New(n, m)
 	out := workShare(rc, bd, cl, shared.Split(0x5C), pr)
-	stats.WorkshareTime = time.Since(start)
 	stats.BoardWrites = bd.WriteCount()
 	stats.BoardReads = bd.ReadCount()
 	rc.Pub.SetSample(nil)
@@ -305,22 +275,22 @@ func (sc *wsScratch) init(red, maxMembers int) {
 }
 
 // finalSelect runs RSelect per honest player over its candidate vectors
-// (Figure 2 step 2), fanning out over players on the given executor. Each
-// player's selection coins are split from the shared stream by player id,
-// so the outcome is schedule-independent.
+// (Figure 2 step 2), fanning out over players on the given executor.
+// candidates is indexed [candidate][player]; each player gathers its own
+// column. Each player's selection coins are split from the shared stream
+// by player id, so the outcome is schedule-independent.
 func finalSelect(w *world.World, exec *par.Runner, shared *xrand.Stream, candidates [][]bitvec.Vector, pr Params) []bitvec.Vector {
 	n, m := w.N(), w.M()
 	allObjs := identity(m)
 	out := make([]bitvec.Vector, n)
 	exec.For(n, func(p int) {
-		if !w.IsHonest(p) {
+		if !w.IsHonest(p) || len(candidates) == 0 {
 			out[p] = bitvec.New(m)
 			return
 		}
-		cands := candidates[p]
-		if len(cands) == 0 {
-			out[p] = bitvec.New(m)
-			return
+		cands := make([]bitvec.Vector, len(candidates))
+		for ci := range candidates {
+			cands[ci] = candidates[ci][p]
 		}
 		rng := shared.Split(0xFE11, uint64(p))
 		idx := selection.RSelect(w, p, allObjs, cands, rng, pr.Sel)
@@ -390,19 +360,11 @@ func RunByzantine(w *world.World, trueRng *xrand.Stream, binStrategy election.Bi
 			return advOut
 		},
 		SelectFinal: func(rng *xrand.Stream, outputs [][]bitvec.Vector) []bitvec.Vector {
-			candidates := make([][]bitvec.Vector, n)
-			for p := 0; p < n; p++ {
-				cands := make([]bitvec.Vector, k)
-				for it := 0; it < k; it++ {
-					cands[it] = outputs[it][p]
-				}
-				candidates[p] = cands
-			}
 			// If every leader was dishonest (probability vanishing in k at
 			// the tolerated corruption level) all candidates are adversarial
 			// and the final selection cannot help; res.HonestLeaders exposes
 			// this to experiments.
-			return finalSelect(w, phaseExec(pr), rng, candidates, pr)
+			return finalSelect(w, phaseExec(pr), rng, outputs, pr)
 		},
 	})
 	res.Output = output

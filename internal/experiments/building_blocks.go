@@ -278,11 +278,9 @@ func runE6(cfg Config) *tablefmt.Table {
 			if len(sample) == 0 {
 				sample = []int{0}
 			}
-			zMap := smallradius.Run(world.NewRun(w), sample, pr.SampleDiameter(n), cfg.B, rng.Split(3), pr.SR)
-			z := make([]bitvec.Vector, n)
+			z := smallradius.Run(world.NewRun(w), sample, pr.SampleDiameter(n), cfg.B, rng.Split(3), pr.SR)
 			zErrMax := 0
 			for p := 0; p < n; p++ {
-				z[p] = zMap[p]
 				if e := in.Truth[p].Gather(sample).Hamming(z[p]); e > zErrMax {
 					zErrMax = e
 				}

@@ -14,7 +14,6 @@ package smallradius
 import (
 	"math"
 	"math/bits"
-	"sort"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
@@ -104,31 +103,31 @@ func (pr Params) numGroups(d, numObjs int) int {
 }
 
 // Run executes SmallRadius for all players over the objects objs (global
-// ids), with diameter bound d and per-player budget b. It returns, for each
-// player id, an output vector indexed like objs. Honest players satisfying
-// the small-radius assumption receive vectors within O(d) of their truth
-// whp; dishonest players' entries hold the vectors they publish (their
-// strategies' claims), which downstream steps treat as their z-vectors.
+// ids), with diameter bound d and per-player budget b. It returns one
+// output vector per player, indexed by player id, each indexed like objs.
+// Honest players satisfying the small-radius assumption receive vectors
+// within O(d) of their truth whp; dishonest players' entries hold the
+// vectors they publish (their strategies' claims), which downstream steps
+// treat as their z-vectors.
 //
 // Within each repetition the per-group ZeroRadius runs and the per-player
 // select-and-concatenate loops fan out on rc's executor; group streams are
 // split per (repetition, group) and player streams per player id, so
 // fixed-seed output is byte-identical under any schedule (DESIGN.md §9).
-func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) map[int]bitvec.Vector {
+func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) []bitvec.Vector {
 	n := rc.N()
 	if b < 1 {
 		b = 1
 	}
-	out := make(map[int]bitvec.Vector, n)
+	exec := rc.Exec()
+	out := make([]bitvec.Vector, n)
 
 	// Dishonest players publish claims; compute once.
 	dishonest := rc.DishonestPlayers()
-	claims := par.MapOn(rc.Exec(), len(dishonest), func(i int) bitvec.Vector {
-		return rc.ReportVector(dishonest[i], objs)
+	exec.For(len(dishonest), func(i int) {
+		p := dishonest[i]
+		out[p] = rc.ReportVector(p, objs)
 	})
-	for i, p := range dishonest {
-		out[p] = claims[i]
-	}
 
 	honest := rc.HonestPlayers()
 	if len(objs) == 0 {
@@ -138,15 +137,15 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 		return out
 	}
 
-	// candidates[p] accumulates one concatenated vector per repetition.
-	candidates := make(map[int][]bitvec.Vector, len(honest))
-
 	allPlayers := make([]int, n)
 	for i := range allPlayers {
 		allPlayers[i] = i
 	}
 
-	for rep := 0; rep < pr.Repeats; rep++ {
+	// reps[rep][i] is honest player honest[i]'s concatenated vector from
+	// repetition rep.
+	reps := make([][]bitvec.Vector, pr.Repeats)
+	for rep := range reps {
 		repRng := shared.Split(uint64(rep))
 		s := pr.numGroups(d, len(objs))
 		// A diameter-d cluster restricted to one of s random groups has
@@ -172,9 +171,9 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 			positions []int
 			objs      []int           // global ids, computed once per group
 			ui        []bitvec.Vector // supported candidate vectors
-			outputs   map[int]bitvec.Vector
+			outputs   []bitvec.Vector // by player id
 		}
-		results := par.MapOn(rc.Exec(), s, func(g int) groupResult {
+		results := par.MapOn(exec, s, func(g int) groupResult {
 			positions := groupPositions[g]
 			if len(positions) == 0 {
 				return groupResult{}
@@ -185,34 +184,7 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 			}
 			zr := zeroradius.Run(rc, allPlayers, groupObjs, pr.BudgetMultiplier*b, repRng.Split(uint64(g)), pr.ZR)
 			// U_g: vectors output by at least n/(SupportDivisor·B) players.
-			threshold := float64(n) / (pr.SupportDivisor * float64(b))
-			if threshold < 1 {
-				threshold = 1
-			}
-			tally := make(map[string]int)
-			byKey := make(map[string]bitvec.Vector)
-			for _, v := range zr {
-				k := v.Key()
-				tally[k]++
-				byKey[k] = v
-			}
-			// Deterministic candidate order: support descending, then key.
-			keys := make([]string, 0, len(tally))
-			for k, c := range tally {
-				if float64(c) >= threshold {
-					keys = append(keys, k)
-				}
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				if tally[keys[i]] != tally[keys[j]] {
-					return tally[keys[i]] > tally[keys[j]]
-				}
-				return keys[i] < keys[j]
-			})
-			ui := make([]bitvec.Vector, 0, len(keys))
-			for _, k := range keys {
-				ui = append(ui, byKey[k])
-			}
+			ui := zeroradius.Supported(zr, float64(n)/(pr.SupportDivisor*float64(b)), 0)
 			return groupResult{positions: positions, objs: groupObjs, ui: ui, outputs: zr}
 		})
 
@@ -220,7 +192,7 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 		// The group object lists were computed once above (rebuilding them
 		// per (player, group) is pure allocation), and the per-player
 		// selection stream stays on the stack.
-		repCandidates := par.MapOn(rc.Exec(), len(honest), func(i int) bitvec.Vector {
+		reps[rep] = par.MapOn(exec, len(honest), func(i int) bitvec.Vector {
 			p := honest[i]
 			full := bitvec.New(len(objs))
 			selRng := repRng.SplitValue(0xC0FFEE, uint64(p))
@@ -229,17 +201,11 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 				if len(res.positions) == 0 {
 					continue
 				}
-				var chosen bitvec.Vector
-				switch {
-				case len(res.ui) > 0:
-					idx := selection.Select(rc.World, p, res.objs, res.ui, dGroup, &selRng, pr.Sel)
-					chosen = res.ui[idx]
-				case res.outputs[p].Len() > 0:
-					// No supported candidate (assumption violated for this
-					// group); fall back to the player's own ZeroRadius output.
-					chosen = res.outputs[p]
-				default:
-					chosen = bitvec.New(len(res.positions))
+				// With no supported candidate (assumption violated for
+				// this group) the player keeps its own ZeroRadius output.
+				chosen := res.outputs[p]
+				if len(res.ui) > 0 {
+					chosen = res.ui[selection.Select(rc.World, p, res.objs, res.ui, dGroup, &selRng, pr.Sel)]
 				}
 				// Scatter the chosen vector into full, one Set per set bit.
 				for wi := 0; wi < chosen.Words(); wi++ {
@@ -250,24 +216,22 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) m
 			}
 			return full
 		})
-		for i, p := range honest {
-			candidates[p] = append(candidates[p], repCandidates[i])
-		}
 	}
 
 	// Final per-player selection among the repetition candidates.
-	finals := par.MapOn(rc.Exec(), len(honest), func(i int) bitvec.Vector {
+	exec.For(len(honest), func(i int) {
 		p := honest[i]
-		cands := candidates[p]
+		cands := make([]bitvec.Vector, len(reps))
+		for rep := range reps {
+			cands[rep] = reps[rep][i]
+		}
 		selRng := shared.SplitValue(0xF1A7, uint64(p))
 		idx := selection.Select(rc.World, p, objs, cands, d, &selRng, pr.Sel)
 		if idx < 0 {
-			return bitvec.New(len(objs))
+			out[p] = bitvec.New(len(objs))
+			return
 		}
-		return cands[idx]
+		out[p] = cands[idx]
 	})
-	for i, p := range honest {
-		out[p] = finals[i]
-	}
 	return out
 }

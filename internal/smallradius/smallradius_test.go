@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"collabscore/internal/adversary"
+	"collabscore/internal/bitvec"
 	"collabscore/internal/metrics"
+	"collabscore/internal/par"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -187,5 +189,45 @@ func TestDeterminism(t *testing.T) {
 	}
 	if sig() != sig() {
 		t.Fatal("nondeterministic outputs")
+	}
+}
+
+// TestSmallRadiusScheduleMatrix: the serial reference, a fixed four-worker
+// schedule and the parallel default give byte-identical outputs, indexed
+// by player id, and identical probe counts (DESIGN.md §9), with dishonest
+// players publishing claims.
+func TestSmallRadiusScheduleMatrix(t *testing.T) {
+	const n, m, b, d = 128, 256, 4, 6
+	rng := xrand.New(29)
+	in := prefgen.DiameterClusters(rng.Split(1), n, m, n/b, d)
+	objs := rng.Split(2).Sample(m, 200)
+	var refOut []bitvec.Vector
+	var refProbes []int64
+	for _, sched := range []struct {
+		name string
+		exec *par.Runner
+	}{{"serial", par.Serial()}, {"fixed4", par.Fixed(4)}, {"parallel", par.Parallel()}} {
+		w := world.New(in.Truth)
+		adversary.Corrupt(w, 10, rng.Split(3).Perm(n), func(int) world.Behavior { return adversary.RandomLiar{Seed: 7} })
+		out := Run(world.NewRunOn(w, sched.exec), objs, d, b, xrand.New(31), Scaled(n))
+		if len(out) != n {
+			t.Fatalf("%s: got %d outputs for %d players", sched.name, len(out), n)
+		}
+		probes := make([]int64, n)
+		for p := range probes {
+			probes[p] = w.Probes(p)
+		}
+		if refOut == nil {
+			refOut, refProbes = out, probes
+			continue
+		}
+		for p := range out {
+			if !out[p].Equal(refOut[p]) {
+				t.Fatalf("player %d's output differs under %s", p, sched.name)
+			}
+			if probes[p] != refProbes[p] {
+				t.Fatalf("player %d probes %d under %s, %d serially", p, probes[p], sched.name, refProbes[p])
+			}
+		}
 	}
 }

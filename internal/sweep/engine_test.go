@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -271,6 +273,48 @@ func TestRunFileResumeRejectsStaleSeeds(t *testing.T) {
 	}
 	if reran != 0 {
 		t.Fatalf("complete file reran %d points on resume, want 0", reran)
+	}
+}
+
+// TestRunFileResumeRefusesForeignRecords: resuming one shard against a
+// file that also holds other shards' records (a single-process or merged
+// output) must fail and leave the file byte for byte as it was — those
+// records are results this run cannot recompute, not stale ones.
+func TestRunFileResumeRefusesForeignRecords(t *testing.T) {
+	pts := testGrid(t)
+	path := filepath.Join(t.TempDir(), "full.jsonl")
+	if _, err := RunFile(pts, path, false, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := Shard(pts, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	_, err = RunFile(shard, path, true, Options{
+		Workers:  1,
+		Progress: func(completed, scheduled int, rec Record) { ran = true },
+	})
+	if err == nil {
+		t.Fatal("resuming a shard over the full grid's file succeeded")
+	}
+	foreign := strconv.Itoa(len(pts) - len(shard))
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), " "+foreign+" ") {
+		t.Fatalf("error %q does not name the file and its %s foreign records", err, foreign)
+	}
+	if ran {
+		t.Fatal("a refused resume ran points")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a refused resume changed the file")
 	}
 }
 

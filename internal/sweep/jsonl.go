@@ -36,11 +36,10 @@ type Record struct {
 	// CommWrites/CommReads are the bulletin-board traffic totals.
 	CommWrites int64 `json:"comm_writes"`
 	CommReads  int64 `json:"comm_reads"`
-	// Rounds is the point's synchronous-round complexity under the §2
-	// round model (internal/rounds): each player performs exactly one
-	// probe per round, so the rounds a protocol needs equal the worst
-	// per-player probe count — the rounds axis every grid point carries
-	// for free.
+	// Rounds is the point's synchronous-round complexity under the
+	// paper's §2 round model: each player performs exactly one probe per
+	// round, so the rounds a protocol needs equal the worst
+	// per-player probe count (Report.MaxProbes).
 	Rounds int64 `json:"rounds"`
 }
 
@@ -144,13 +143,15 @@ func openResume(points []Point, path string, resume, computeOpt bool) (*os.File,
 
 // priorRecords reads the results file at path and returns the records that
 // count as completing points under this run's options: key AND seed equal
-// the expanded point's (a record from a different root seed, or from a
-// grid the file no longer describes, is another sweep's number), and
-// opt_error presence matches computeOpt (resuming a no-opt file with -opt,
-// or vice versa, must recompute rather than mix). stale reports that some
-// record was rejected, so the file must be rebuilt from the valid ones;
-// otherwise a torn final line from a mid-write kill is truncated away here.
-// A missing file has no prior records.
+// the expanded point's (a record from a different root seed is another
+// sweep's number), and opt_error presence matches computeOpt (resuming a
+// no-opt file with -opt, or vice versa, must recompute rather than mix).
+// stale reports that some record was rejected, so the file must be rebuilt
+// from the valid ones; otherwise a torn final line from a mid-write kill is
+// truncated away here. A record whose key is no point of this run (another
+// shard's, or another grid's) is an error, not a stale record: rebuilding
+// would delete results this run cannot recompute, so the file is left as
+// it is. A missing file has no prior records.
 func priorRecords(points []Point, path string, computeOpt bool) (valid []Record, stale bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -174,11 +175,17 @@ func priorRecords(points []Point, path string, computeOpt bool) (valid []Record,
 	for _, pt := range points {
 		wants[pt.Key()] = want{seed: pt.Seed, withOpt: wantsOpt(pt, computeOpt)}
 	}
+	foreign := 0
 	for _, rec := range prev {
 		w, ok := wants[rec.Key]
-		if ok && w.seed == rec.Seed && w.withOpt == (rec.OptError >= 0) {
+		if !ok {
+			foreign++
+		} else if w.seed == rec.Seed && w.withOpt == (rec.OptError >= 0) {
 			valid = append(valid, rec)
 		}
+	}
+	if foreign > 0 {
+		return nil, false, fmt.Errorf("sweep: %s holds %d records for points outside this run (another shard or grid); resume with the grid and -shard that wrote it, or combine shard files with -merge", path, foreign)
 	}
 	if len(valid) != len(prev) {
 		return valid, true, nil

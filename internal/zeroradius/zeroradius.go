@@ -64,38 +64,27 @@ func Scaled() Params { return Params{BaseFactor: 2, BaseObjects: 16, VoteDivisor
 // are split from it per player id, which is harmless because elimination
 // probes are verified against the player's own truth.
 //
-// The result maps player id → output vector indexed like objs. Honest
-// players in qualifying zero-radius clusters receive their true preferences
-// whp; other players receive best-effort vectors.
+// The result is aligned with P: out[i] is player P[i]'s output vector,
+// indexed like objs. Honest players in qualifying zero-radius clusters
+// receive their true preferences whp; other players receive best-effort
+// vectors.
 //
 // The recursion's two halves and every per-player loop (base-case reports,
 // cross-fill elimination, vector assembly) fan out on rc's executor with
 // per-branch split streams and index-ordered merges, so fixed-seed output
 // is byte-identical under any schedule (DESIGN.md §9).
-func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params) map[int]bitvec.Vector {
+func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params) []bitvec.Vector {
 	if bPrime < 1 {
 		bPrime = 1
 	}
-	out := make(map[int]bitvec.Vector, len(P))
-	var mu chanLock
-	run(rc, P, objs, bPrime, shared, pr, out, &mu, 0)
+	out := make([]bitvec.Vector, len(P))
+	run(rc, P, objs, bPrime, shared, pr, out, 0)
 	return out
 }
 
-// chanLock is a tiny mutex used to guard the shared output map during the
-// parallel recursion; a channel of capacity 1 keeps the dependency surface
-// stdlib-only and is uncontended in practice (writes are batched per call).
-type chanLock struct{ ch chan struct{} }
-
-func (l *chanLock) lock() {
-	if l.ch == nil {
-		l.ch = make(chan struct{}, 1)
-	}
-	l.ch <- struct{}{}
-}
-func (l *chanLock) unlock() { <-l.ch }
-
-func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params, out map[int]bitvec.Vector, mu *chanLock, depth int) {
+// run fills out, aligned with P. Every call writes only its own out slots,
+// and the two recursive halves write disjoint fresh slices.
+func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params, out []bitvec.Vector, depth int) {
 	n := rc.N()
 	basePlayers := int(math.Ceil(pr.BaseFactor * float64(bPrime) * math.Log(float64(n)+2)))
 	if basePlayers < 2 {
@@ -111,82 +100,57 @@ func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, p
 	if len(P) == 0 {
 		return
 	}
+	exec := rc.Exec()
 	if len(P) <= basePlayers || len(objs) <= baseObjects {
 		// Base case: every player reports every object directly.
-		results := par.MapOn(rc.Exec(), len(P), func(i int) bitvec.Vector {
-			return rc.ReportVector(P[i], objs)
-		})
-		mu.lock()
-		for i, p := range P {
-			out[p] = results[i]
-		}
-		mu.unlock()
+		exec.For(len(P), func(i int) { out[i] = rc.ReportVector(P[i], objs) })
 		return
 	}
 
-	// Shared random partition of players and objects into halves. Derive a
-	// child stream per recursion node so parallel branches do not race.
+	// Shared random partition of player and object positions into halves.
+	// Derive a child stream per recursion node so parallel branches do not
+	// race.
 	nodeRng := shared.Split(uint64(depth), uint64(len(P)), uint64(len(objs)))
-	p0, p1 := splitHalf(nodeRng, P)
-	o0, o1 := splitHalf(nodeRng, objs)
+	i0, i1 := splitHalf(nodeRng, len(P))
+	j0, j1 := splitHalf(nodeRng, len(objs))
+	p0, p1 := pick(P, i0), pick(P, i1)
+	o0, o1 := pick(objs, j0), pick(objs, j1)
 
 	// Recurse on both halves in parallel.
-	sub0 := make(map[int]bitvec.Vector, len(p0))
-	sub1 := make(map[int]bitvec.Vector, len(p1))
-	var mu0, mu1 chanLock
-	rc.Exec().Do(
-		func() { run(rc, p0, o0, bPrime, nodeRng.Split(0), pr, sub0, &mu0, depth+1) },
-		func() { run(rc, p1, o1, bPrime, nodeRng.Split(1), pr, sub1, &mu1, depth+1) },
+	sub0 := make([]bitvec.Vector, len(p0))
+	sub1 := make([]bitvec.Vector, len(p1))
+	exec.Do(
+		func() { run(rc, p0, o0, bPrime, nodeRng.Split(0), pr, sub0, depth+1) },
+		func() { run(rc, p1, o1, bPrime, nodeRng.Split(1), pr, sub1, depth+1) },
 	)
 
 	// Cross-fill: players of each half learn the other half's objects from
 	// the vectors published by the other half's players.
-	cross0 := crossFill(rc, p0, o1, sub1, p1, bPrime, pr) // P0 learns O1
-	cross1 := crossFill(rc, p1, o0, sub0, p0, bPrime, pr) // P1 learns O0
+	cross0 := crossFill(rc, p0, o1, sub1, bPrime, pr) // P0 learns O1
+	cross1 := crossFill(rc, p1, o0, sub0, bPrime, pr) // P1 learns O0
 
 	// Assemble full vectors over objs for every player.
-	pos := make(map[int]int, len(objs))
-	for j, o := range objs {
-		pos[o] = j
-	}
-	assemble := func(P []int, own map[int]bitvec.Vector, ownObjs []int, cross map[int]bitvec.Vector, crossObjs []int) {
-		results := par.MapOn(rc.Exec(), len(P), func(i int) bitvec.Vector {
-			p := P[i]
+	assemble := func(at []int, own []bitvec.Vector, ownPos []int, cross []bitvec.Vector, crossPos []int) {
+		exec.For(len(at), func(i int) {
 			v := bitvec.New(len(objs))
-			if ov, ok := own[p]; ok {
-				for j, o := range ownObjs {
-					if ov.Get(j) {
-						v.Set(pos[o], true)
-					}
-				}
-			}
-			if cv, ok := cross[p]; ok {
-				for j, o := range crossObjs {
-					if cv.Get(j) {
-						v.Set(pos[o], true)
-					}
-				}
-			}
-			return v
+			v.Scatter(ownPos, own[i])
+			v.Scatter(crossPos, cross[i])
+			out[at[i]] = v
 		})
-		mu.lock()
-		for i, p := range P {
-			out[p] = results[i]
-		}
-		mu.unlock()
 	}
-	assemble(p0, sub0, o0, cross0, o1)
-	assemble(p1, sub1, o1, cross1, o0)
+	assemble(i0, sub0, j0, cross0, j1)
+	assemble(i1, sub1, j1, cross1, j0)
 }
 
-// splitHalf partitions xs into two halves using independent fair coins,
-// guaranteeing both halves are non-empty (it moves one element if needed).
-func splitHalf(rng *xrand.Stream, xs []int) (a, b []int) {
-	for _, x := range xs {
+// splitHalf partitions the positions [0, n) into two halves using
+// independent fair coins, guaranteeing both halves are non-empty (it moves
+// one position if needed).
+func splitHalf(rng *xrand.Stream, n int) (a, b []int) {
+	for i := 0; i < n; i++ {
 		if rng.Bool() {
-			a = append(a, x)
+			a = append(a, i)
 		} else {
-			b = append(b, x)
+			b = append(b, i)
 		}
 	}
 	if len(a) == 0 && len(b) > 1 {
@@ -200,16 +164,56 @@ func splitHalf(rng *xrand.Stream, xs []int) (a, b []int) {
 	return a, b
 }
 
-// candidate is a distinct published vector with its supporter count.
-type candidate struct {
-	vec     bitvec.Vector
-	support int
-	key     string
+// pick returns xs[idx[0]], xs[idx[1]], ….
+func pick(xs, idx []int) []int {
+	out := make([]int, len(idx))
+	for k, i := range idx {
+		out[k] = xs[i]
+	}
+	return out
+}
+
+// Supported tallies the distinct vectors of pub and returns those that at
+// least threshold entries publish (threshold is clamped to ≥ 1), together
+// with the topK most supported ones whatever their support, ordered by
+// support descending, then Key. Equal vectors are one candidate; the one
+// returned is the first of them in pub.
+func Supported(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector {
+	type tally struct {
+		vec     bitvec.Vector
+		key     string
+		support int
+	}
+	var all []tally
+	at := make(map[string]int)
+	for _, v := range pub {
+		k := v.Key()
+		if i, ok := at[k]; ok {
+			all[i].support++
+			continue
+		}
+		at[k] = len(all)
+		all = append(all, tally{vec: v, key: k, support: 1})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].support != all[j].support {
+			return all[i].support > all[j].support
+		}
+		return all[i].key < all[j].key
+	})
+	threshold = max(threshold, 1)
+	var out []bitvec.Vector
+	for i, c := range all {
+		if float64(c.support) >= threshold || i < topK {
+			out = append(out, c.vec)
+		}
+	}
+	return out
 }
 
 // crossFill computes, for every player in learners, its vector over objs
-// from the vectors published by the players in publishers (whose outputs
-// over objs are in pub).
+// from the vectors pub that the other half's players published over objs.
+// The result is aligned with learners.
 //
 // Candidate selection: the paper admits vectors with support
 // ≥ |publishers|/(VoteDivisor·B'), which bounds the candidate count by
@@ -219,47 +223,9 @@ type candidate struct {
 // top 2B' vectors by support. The candidate count stays O(B') — the probe
 // budget of the elimination loop is unchanged — and the elimination probes
 // discard any junk this lets in.
-func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vector, publishers []int, bPrime int, pr Params) map[int]bitvec.Vector {
-	// Tally distinct published vectors.
-	tally := make(map[string]*candidate)
-	for _, q := range publishers {
-		v, ok := pub[q]
-		if !ok {
-			continue
-		}
-		k := v.Key()
-		if c, ok := tally[k]; ok {
-			c.support++
-		} else {
-			tally[k] = &candidate{vec: v, support: 1}
-		}
-	}
-	all := make([]*candidate, 0, len(tally))
-	for k, c := range tally {
-		c.key = k
-		all = append(all, c)
-	}
-	// Deterministic order: by support descending, then key.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].support != all[j].support {
-			return all[i].support > all[j].support
-		}
-		return all[i].key < all[j].key
-	})
-	threshold := float64(len(publishers)) / (pr.VoteDivisor * float64(bPrime))
-	if threshold < 1 {
-		threshold = 1
-	}
-	topK := 2 * bPrime
-	var cands []bitvec.Vector
-	for i, c := range all {
-		if float64(c.support) >= threshold || i < topK {
-			cands = append(cands, c.vec)
-		}
-	}
-
-	out := make(map[int]bitvec.Vector, len(learners))
-	results := par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
+func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, bPrime int, pr Params) []bitvec.Vector {
+	cands := Supported(pub, float64(len(pub))/(pr.VoteDivisor*float64(bPrime)), 2*bPrime)
+	return par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
 		p := learners[i]
 		if !rc.IsHonest(p) {
 			// A dishonest player publishes its strategy's claims rather
@@ -268,10 +234,6 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub map[int]bitvec.Vec
 		}
 		return eliminate(rc, p, objs, cands)
 	})
-	for i, p := range learners {
-		out[p] = results[i]
-	}
-	return out
 }
 
 // eliminateStack is the candidate count up to which eliminate keeps its

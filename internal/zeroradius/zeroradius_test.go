@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"collabscore/internal/adversary"
+	"collabscore/internal/bitvec"
+	"collabscore/internal/par"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -207,11 +209,7 @@ func TestSplitHalfNonEmpty(t *testing.T) {
 	rng := xrand.New(13)
 	for trial := 0; trial < 200; trial++ {
 		size := 2 + rng.Intn(50)
-		xs := make([]int, size)
-		for i := range xs {
-			xs[i] = i
-		}
-		a, b := splitHalf(rng, xs)
+		a, b := splitHalf(rng, size)
 		if len(a) == 0 || len(b) == 0 {
 			t.Fatalf("empty half for size %d", size)
 		}
@@ -231,5 +229,134 @@ func TestScaledParamsStillRecover(t *testing.T) {
 	frac, maxErr := exactFraction(t, w, in, b, 51, Scaled())
 	if frac < 0.99 {
 		t.Fatalf("scaled exact-recovery fraction %.3f (max err %d), want ≥0.99", frac, maxErr)
+	}
+}
+
+// TestSupported: the one support tally orders by support descending, then
+// Key; clamps the threshold to ≥ 1; and admits the topK most supported
+// vectors whatever their support. It returns pub's own vectors, the first
+// of each equal run.
+func TestSupported(t *testing.T) {
+	// Length-8 vectors whose keys order by their single word: d < b.
+	a := bitvec.FromBits([]int{1, 1, 0, 0, 0, 0, 0, 0})
+	b := bitvec.FromBits([]int{0, 1, 0, 0, 0, 0, 0, 0})
+	c := bitvec.FromBits([]int{0, 0, 1, 0, 0, 0, 0, 0})
+	d := bitvec.FromBits([]int{1, 0, 0, 0, 0, 0, 0, 0})
+	// Support: a 3, b 2, d 2, c 1.
+	pub := []bitvec.Vector{b, a, c, d, a.Clone(), b.Clone(), a.Clone(), d.Clone()}
+	cases := []struct {
+		name      string
+		threshold float64
+		topK      int
+		want      []bitvec.Vector
+	}{
+		{"threshold 2", 2, 0, []bitvec.Vector{a, d, b}},
+		{"threshold 3", 3, 0, []bitvec.Vector{a}},
+		{"fractional threshold", 2.5, 0, []bitvec.Vector{a}},
+		{"threshold 0 clamps to 1", 0, 0, []bitvec.Vector{a, d, b, c}},
+		{"negative threshold clamps to 1", -4, 0, []bitvec.Vector{a, d, b, c}},
+		{"nothing supported", 10, 0, nil},
+		{"topK alone", 10, 2, []bitvec.Vector{a, d}},
+		{"topK admits low support", 3, 4, []bitvec.Vector{a, d, b, c}},
+		{"topK past the tally", 10, 9, []bitvec.Vector{a, d, b, c}},
+	}
+	for _, tc := range cases {
+		got := Supported(pub, tc.threshold, tc.topK)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: got %d candidates, want %d", tc.name, len(got), len(tc.want))
+		}
+		for i := range got {
+			if !got[i].Equal(tc.want[i]) {
+				t.Fatalf("%s: candidate %d is %v, want %v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+	got := Supported(pub, 1, 0)
+	for i, first := range []int{1, 3, 0, 2} { // a, d, b, c first appear here
+		if !bitvec.SameStorage(got[i], pub[first]) {
+			t.Fatalf("candidate %d is not pub[%d], the first of its equals", i, first)
+		}
+	}
+	if got := Supported(nil, 1, 4); len(got) != 0 {
+		t.Fatalf("empty tally gave %d candidates", len(got))
+	}
+}
+
+// stridedPerm returns every stride-th entry of a random permutation of
+// [0, n): a player subset in no particular order.
+func stridedPerm(rng *xrand.Stream, n, stride int) []int {
+	perm := rng.Perm(n)
+	var P []int
+	for i := 0; i < n; i += stride {
+		P = append(P, perm[i])
+	}
+	return P
+}
+
+// TestOutputAlignedWithP: the output is aligned with P, not indexed by
+// player id. On a permuted, strided subset every honest P[i] of an
+// identical cluster finds its truth at out[i].
+func TestOutputAlignedWithP(t *testing.T) {
+	const n, m, b = 256, 1024, 2
+	rng := xrand.New(17)
+	in := prefgen.IdenticalClusters(rng.Split(1), n, m, n/b)
+	w := world.New(in.Truth)
+	adversary.Corrupt(w, 12, rng.Split(3).Perm(n), func(int) world.Behavior { return adversary.FlipAll{} })
+	P := stridedPerm(rng.Split(4), n, 2)
+	out := Run(world.NewRun(w), P, identityObjs(m), b, rng.Split(5), Defaults())
+	if len(out) != len(P) {
+		t.Fatalf("got %d outputs for %d players", len(out), len(P))
+	}
+	checked := 0
+	for i, p := range P {
+		if !w.IsHonest(p) {
+			continue
+		}
+		checked++
+		if d := in.Truth[p].Hamming(out[i]); d != 0 {
+			t.Fatalf("out[%d] is %d away from player %d's truth", i, d, p)
+		}
+	}
+	if checked < len(P)/2 {
+		t.Fatalf("only %d honest players checked", checked)
+	}
+}
+
+// TestZeroRadiusScheduleMatrix: the serial reference, a fixed four-worker
+// schedule and the parallel default give byte-identical outputs and probe
+// counts (DESIGN.md §9), on a permuted player subset with dishonest
+// publishers so the cross-fill and assembly paths all run.
+func TestZeroRadiusScheduleMatrix(t *testing.T) {
+	const n, m, b = 192, 512, 4
+	rng := xrand.New(19)
+	in := prefgen.IdenticalClusters(rng.Split(1), n, m, n/b)
+	P := stridedPerm(rng.Split(4), n, 1)
+	var refOut []bitvec.Vector
+	var refProbes []int64
+	for _, sched := range []struct {
+		name string
+		exec *par.Runner
+	}{{"serial", par.Serial()}, {"fixed4", par.Fixed(4)}, {"parallel", par.Parallel()}} {
+		w := world.New(in.Truth)
+		adversary.Corrupt(w, 16, rng.Split(3).Perm(n), func(int) world.Behavior { return adversary.RandomLiar{Seed: 5} })
+		out := Run(world.NewRunOn(w, sched.exec), P, identityObjs(m), b, rng.Split(5), Scaled())
+		probes := make([]int64, n)
+		for p := range probes {
+			probes[p] = w.Probes(p)
+		}
+		if refOut == nil {
+			refOut, refProbes = out, probes
+			continue
+		}
+		for i := range out {
+			if !out[i].Equal(refOut[i]) {
+				t.Fatalf("out[%d] differs under %s", i, sched.name)
+			}
+		}
+		for p := range probes {
+			if probes[p] != refProbes[p] {
+				t.Fatalf("player %d probes %d under %s, %d serially", p, probes[p], sched.name, refProbes[p])
+			}
+		}
 	}
 }
