@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // MaxPlaneBits bounds the per-value bit width of a Planes. Rating scales in
@@ -140,8 +141,10 @@ func (a Planes) L1(b Planes) int { return a.l1(b, math.MaxInt) }
 
 // L1Within reports whether a.L1(b) ≤ limit. It runs L1's kernel but stops
 // after the first 64-value word whose running total exceeds limit, so a
-// pair far apart — most pairs of a neighbor-graph sweep — costs one word
-// instead of the whole row. It panics on shape mismatch.
+// pair far apart costs one word instead of the whole row — in a
+// neighbor-graph sweep, the pairs its pivot bounds leave undecided and the
+// pairs of an input without cluster structure. It panics on shape
+// mismatch.
 func (a Planes) L1Within(b Planes, limit int) bool { return a.l1(b, limit) <= limit }
 
 // l1 is the one L1 kernel: it returns the running total as soon as it
@@ -253,13 +256,58 @@ func (pl Planes) Ints() []int {
 	return pl.AppendInts(make([]int, 0, pl.n))
 }
 
-// AppendInts appends the values to dst and returns it.
+// AppendInts appends the values to dst and returns it. It reads each
+// plane word once per 64 values and decodes them eight at a time: up to 8
+// planes, each plane's byte spreads through a table into one bit per byte
+// lane, so a uint64 holds eight whole values; wider values assemble bit by
+// bit. Neither path checks bounds or computes plane offsets per value.
 func (pl Planes) AppendInts(dst []int) []int {
-	for i := 0; i < pl.n; i++ {
-		dst = append(dst, pl.Get(i))
+	dst = slices.Grow(dst, pl.n)
+	out := dst[len(dst) : len(dst)+pl.n]
+	var pw [MaxPlaneBits]uint64
+	for wi := 0; wi < pl.stride; wi++ {
+		for l := 0; l < pl.k; l++ {
+			pw[l] = pl.words[l*pl.stride+wi]
+		}
+		vals := out[wi*wordBits : min(len(out), (wi+1)*wordBits)]
+		if pl.k > 8 {
+			for j := range vals {
+				v := 0
+				for l, w := range pw[:pl.k] {
+					v |= int(w>>uint(j)&1) << l
+				}
+				vals[j] = v
+			}
+			continue
+		}
+		for g := 0; g < len(vals); g += 8 {
+			var lanes uint64
+			for l, w := range pw[:pl.k] {
+				lanes |= spreadByte[uint8(w>>uint(g))] << l
+			}
+			if o := vals[g:]; len(o) >= 8 {
+				o = o[:8]
+				o[0], o[1], o[2], o[3] = int(lanes&0xFF), int(lanes>>8&0xFF), int(lanes>>16&0xFF), int(lanes>>24&0xFF)
+				o[4], o[5], o[6], o[7] = int(lanes>>32&0xFF), int(lanes>>40&0xFF), int(lanes>>48&0xFF), int(lanes>>56)
+			} else {
+				for i := range o {
+					o[i] = int(uint8(lanes >> (8 * uint(i))))
+				}
+			}
+		}
 	}
-	return dst
+	return dst[:len(dst)+pl.n]
 }
+
+// spreadByte[b] moves bit i of b to bit 8·i, the low bit of byte lane i.
+var spreadByte = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			t[b] |= uint64(b>>i&1) << (8 * i)
+		}
+	}
+	return t
+}()
 
 // FromInts builds a Planes over [0, scale] from an integer row. Values are
 // clamped into [0, scale].

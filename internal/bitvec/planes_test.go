@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,43 @@ func TestPlanesSetGetRoundTrip(t *testing.T) {
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("Ints()[%d] = %d, want %d", i, got[i], vals[i])
+		}
+	}
+}
+
+// TestPlanesIntsMatchesGet pins the word-level decode against a Get loop
+// across word and byte-group boundaries (lengths 0, 1, 63, 64, 65, 130)
+// and plane counts 1, 3, 8, 9 and 32 (both sides of the 8-plane byte-lane
+// path), with AppendInts keeping whatever dst already holds.
+func TestPlanesIntsMatchesGet(t *testing.T) {
+	rng := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		for _, k := range []int{1, 3, 8, 9, 32} {
+			pl := NewPlanes(n, k)
+			want := []int{-7, -8}
+			for i := 0; i < n; i++ {
+				v := int(next() & (1<<k - 1))
+				if i%5 == 0 {
+					v = 1<<k - 1 // every plane set
+				}
+				pl.Set(i, v)
+			}
+			for i := 0; i < n; i++ {
+				want = append(want, pl.Get(i))
+			}
+			got := pl.AppendInts([]int{-7, -8})
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: AppendInts = %v, want %v", n, k, got, want)
+			}
+			if ints := pl.Ints(); !slices.Equal(ints, want[2:]) || len(ints) != n {
+				t.Fatalf("n=%d k=%d: Ints = %v, want %v", n, k, ints, want[2:])
+			}
 		}
 	}
 }
@@ -297,4 +335,17 @@ func TestPlanesSubFrom(t *testing.T) {
 		}
 	}()
 	pl.SubFrom(3) // values up to 7 exceed the minuend
+}
+
+// BenchmarkPlanesInts decodes one rating row in the rating protocol's
+// shape: 2048 values on a 0..5 scale (k = 3 planes).
+func BenchmarkPlanesInts(b *testing.B) {
+	pl := NewPlanes(2048, 3)
+	for i := 0; i < pl.Len(); i++ {
+		pl.Set(i, i*5%8)
+	}
+	dst := make([]int, 0, pl.Len())
+	for b.Loop() {
+		dst = pl.AppendInts(dst[:0])
+	}
 }

@@ -72,6 +72,68 @@ func checkGraph(t *testing.T, name string, g Graph, want [][]int) {
 	}
 }
 
+// lineWorld places player p at point pos[p] of a line, so that both
+// distances are |pos[p] − pos[q]|: a thermometer vector (the first pos[p]
+// bits set) for Hamming, and a row filling pos[p] units into values of
+// capacity scale, one value after another, for L1. Buckets of nearby
+// points then hold edges between them, so the pivot bounds must accept,
+// reject and defer pairs that cross buckets.
+func lineWorld(pos []int) ([]bitvec.Vector, []bitvec.Planes) {
+	const scale = 7
+	top := slices.Max(append([]int{0}, pos...))
+	z := make([]bitvec.Vector, len(pos))
+	rows := make([]bitvec.Planes, len(pos))
+	for p, x := range pos {
+		z[p] = bitvec.New(top + 1)
+		rows[p] = bitvec.PlanesForScale(top/scale+1, scale)
+		for i := 0; i < x; i++ {
+			z[p].Set(i, true)
+		}
+		for o := 0; o < rows[p].Len(); o++ {
+			rows[p].Set(o, min(scale, max(0, x-o*scale)))
+		}
+	}
+	return z, rows
+}
+
+// linePositions returns the positions at(0), …, at(n−1).
+func linePositions(n int, at func(p int) int) []int {
+	pos := make([]int, n)
+	for p := range pos {
+		pos[p] = at(p)
+	}
+	return pos
+}
+
+// linePoints is a world of points on a line (lineWorld) with the threshold
+// it is swept at.
+type linePoints struct {
+	name      string
+	pos       []int
+	threshold int
+}
+
+// lineWorlds lists the line worlds the pivot-stage tests share. Each needs
+// at most maxPivots pivots at its threshold.
+func lineWorlds() []linePoints {
+	return []linePoints{
+		// Ids scattered along the line; edges cross buckets, and some
+		// pairs need the exact test.
+		{"line", linePositions(65, func(p int) int { return p * 37 % 65 * 3 }), 12},
+		// Two buckets of radius 10 whose pivots are 30 apart: their edge
+		// (10, 20) survives the bucket skip only through both radii.
+		{"chain", linePositions(12, func(p int) int { return p % 4 * 10 }), 10},
+		// Three distinct rows at threshold 0: radius-0 buckets of 100
+		// players, more than one tile each.
+		{"duplicates", linePositions(300, func(p int) int { return p * 7 % 3 * 9 }), 0},
+		// The farthest points tie in every round of the pivot choice.
+		{"tied", linePositions(130, func(p int) int { return p % 5 * 20 }), 5},
+		{"tied-wide", linePositions(130, func(p int) int { return p % 5 * 20 }), 25},
+		// Sixteen points far apart need exactly maxPivots pivots.
+		{"sixteen", linePositions(80, func(p int) int { return p % maxPivots * 30 }), 10},
+	}
+}
+
 // TestGraphBuildersAgree is the one table every graph producer answers
 // to: the exact Hamming sweep (through IndexSpec.BuildGraph), the L1 sweep
 // (BuildGraphL1On) and the LSH banding index, each into both
@@ -81,26 +143,39 @@ func checkGraph(t *testing.T, name string, g Graph, want [][]int) {
 // partial blocks, exact block boundaries and multi-block triangles; the
 // "identical" rows at threshold 0 give 32,640 edges, more than
 // sinkFlushAt, so one worker's buffer flushes mid-stream.
+//
+// The worlds also cover both paths of the exact sweep, and each names the
+// path it must take: planted clusters and the line worlds (lineWorlds:
+// edges across pivot buckets, duplicate rows at threshold 0, tied
+// farthest-first choices, exactly maxPivots pivots) take the pivot stage;
+// the larger uniform rows and 17 points far apart need more than maxPivots
+// pivots and take the plain block fallback.
 func TestGraphBuildersAgree(t *testing.T) {
 	type hammingWorld struct {
 		name      string
 		z         []bitvec.Vector
 		threshold int
+		path      string // "pivots", "fallback", or "" for either
 	}
 	type l1World struct {
 		name      string
 		rows      []bitvec.Planes
 		threshold int
+		path      string
 	}
 	var hw []hammingWorld
 	var lw []l1World
 	for _, n := range []int{0, 1, 2, 9, 63, 64, 65, 70, 128, 130, 257} {
 		rng := xrand.New(uint64(n))
+		uniformPath := ""
+		if n >= 128 {
+			uniformPath = "fallback"
+		}
 		// Near the median distance of 96-bit vectors: a dense, messy graph.
-		hw = append(hw, hammingWorld{fmt.Sprintf("uniform/n=%d", n), prefgen.Uniform(rng, n, 96).Truth, 40})
+		hw = append(hw, hammingWorld{fmt.Sprintf("uniform/n=%d", n), prefgen.Uniform(rng, n, 96).Truth, 40, uniformPath})
 		if n >= 2 {
 			in := prefgen.DiameterClusters(rng, n, 192, max(2, n/4), 4)
-			hw = append(hw, hammingWorld{fmt.Sprintf("planted/n=%d", n), in.Truth, 8})
+			hw = append(hw, hammingWorld{fmt.Sprintf("planted/n=%d", n), in.Truth, 8, "pivots"})
 		}
 		const m, scale = 40, 7
 		rows := make([]bitvec.Planes, n)
@@ -110,7 +185,16 @@ func TestGraphBuildersAgree(t *testing.T) {
 				rows[p].Set(o, rng.Intn(scale+1))
 			}
 		}
-		lw = append(lw, l1World{fmt.Sprintf("uniform/n=%d", n), rows, m * scale / 8})
+		lw = append(lw, l1World{fmt.Sprintf("uniform/n=%d", n), rows, m * scale / 8, uniformPath})
+	}
+	for _, n := range []int{0, 1, 2, 65} {
+		path := "pivots"
+		if n == 0 {
+			path = "fallback"
+		}
+		// Clusters of 16 within L1 6 of each other, about 75 apart.
+		rows := plantedRatingRows(xrand.New(uint64(n)^0x71), n, 40, 16, 3, 7)
+		lw = append(lw, l1World{fmt.Sprintf("planted/n=%d", n), rows, 12, path})
 	}
 	const big = 256 // big·(big−1)/2 = 32,640 edges > sinkFlushAt
 	same := make([]bitvec.Vector, big)
@@ -120,8 +204,27 @@ func TestGraphBuildersAgree(t *testing.T) {
 		sameRows[p] = bitvec.PlanesForScale(8, 5)
 		sameRows[p].Set(3, 4)
 	}
-	hw = append(hw, hammingWorld{"identical", same, 0})
-	lw = append(lw, l1World{"identical", sameRows, 0})
+	hw = append(hw, hammingWorld{"identical", same, 0, "pivots"})
+	lw = append(lw, l1World{"identical", sameRows, 0, "pivots"})
+	for _, w := range lineWorlds() {
+		z, rows := lineWorld(w.pos)
+		hw = append(hw, hammingWorld{w.name, z, w.threshold, "pivots"})
+		lw = append(lw, l1World{w.name, rows, w.threshold, "pivots"})
+	}
+	// One point more than maxPivots can cover takes the fallback.
+	z, rows := lineWorld(linePositions(3*(maxPivots+1), func(p int) int { return p % (maxPivots + 1) * 30 }))
+	hw = append(hw, hammingWorld{"seventeen", z, 10, "fallback"})
+	lw = append(lw, l1World{"seventeen", rows, 10, "fallback"})
+	checkPath := func(name string, n, threshold int, dist func(p, q int) int, want string) {
+		t.Helper()
+		got := "fallback"
+		if choosePivots(par.Serial(), n, threshold, dist) != nil {
+			got = "pivots"
+		}
+		if want != "" && got != want {
+			t.Fatalf("%s: the sweep took the %s path, want %s", name, got, want)
+		}
+	}
 
 	reps := map[string]GraphRep{"dense": RepDense, "sparse": RepSparse}
 	checkType := func(name string, g Graph, rep GraphRep) {
@@ -135,6 +238,7 @@ func TestGraphBuildersAgree(t *testing.T) {
 	for _, w := range hw {
 		n := len(w.z)
 		exact := bruteNeighbors(n, func(p, q int) bool { return w.z[p].Hamming(w.z[q]) <= w.threshold })
+		checkPath("exact "+w.name, n, w.threshold, func(p, q int) int { return w.z[p].Hamming(w.z[q]) }, w.path)
 		rng := func() *xrand.Stream { return xrand.New(uint64(n) ^ 0x5D) }
 		lshSpec := IndexSpec{Kind: "lsh"}
 		ref := lshSpec.BuildGraph(par.Serial(), w.z, w.threshold, rng())
@@ -163,6 +267,7 @@ func TestGraphBuildersAgree(t *testing.T) {
 	}
 	for _, w := range lw {
 		want := bruteNeighbors(len(w.rows), func(p, q int) bool { return w.rows[p].L1(w.rows[q]) <= w.threshold })
+		checkPath("l1 "+w.name, len(w.rows), w.threshold, func(p, q int) int { return w.rows[p].L1(w.rows[q]) }, w.path)
 		for gname, rep := range reps {
 			for ename, exec := range testExecs() {
 				name := fmt.Sprintf("l1 %s %s/%s", w.name, gname, ename)

@@ -11,9 +11,11 @@
 // BuildGraph and Build are pure functions of their inputs (they touch no
 // world or board state), so concurrent protocol runs — e.g. parallel
 // Byzantine repetitions, DESIGN.md §6 — may call them freely on their own
-// z-vectors. Within one run, the O(n²) pairwise sweep is itself
-// block-partitioned across the run's executor (sweepPairs, DESIGN.md §9),
-// and IndexSpec.BuildGraph picks how neighbors are discovered (index.go,
+// z-vectors. Within one run, the pairwise sweep is itself split into
+// tiles across the run's executor (sweepPairs, DESIGN.md §9); its pivot
+// stage decides most pairs of clustered inputs from triangle-inequality
+// bounds instead of distances (pivots.go, DESIGN.md §13). IndexSpec.
+// BuildGraph picks how neighbors are discovered (index.go,
 // DESIGN.md §13) — the exact sweep is the default and reference oracle,
 // the LSH banding index the sub-quadratic alternative. HOW the discovered
 // edges are stored is a second, orthogonal choice (DESIGN.md §16): Graph
@@ -98,37 +100,42 @@ func BuildGraph(z []bitvec.Vector, threshold int) *BitGraph {
 	return IndexSpec{Graph: "dense"}.BuildGraph(nil, z, threshold, nil).(*BitGraph)
 }
 
-// sweepPairs is the block-partitioned all-pairs sweep behind every exact
-// producer (the Hamming index and BuildGraphL1On). Rows are cut into
-// blocks of blockRows players, and each task owns one block pair (bi ≤ bj),
-// testing every pair p < q exactly once with within and emitting the pairs
-// it accepts through its worker's buffer (emitEdge) into the sink for rep.
-// Both sinks ingest an unordered edge set, so the schedule cannot affect
-// the result: the graph is a pure function of (n, within, rep) under any
-// executor (nil means parallel; par.Serial() gives the reference schedule
-// of DESIGN.md §9).
-func sweepPairs(exec *par.Runner, n int, rep GraphRep, within func(p, q int) bool) Graph {
-	nb := (n + blockRows - 1) / blockRows
-	type blockPair struct{ bi, bj int }
-	tasks := make([]blockPair, 0, nb*(nb+1)/2)
-	for bi := 0; bi < nb; bi++ {
-		for bj := bi; bj < nb; bj++ {
-			tasks = append(tasks, blockPair{bi, bj})
-		}
-	}
+// sweepPairs is the pair sweep behind every exact producer (the Hamming
+// index and BuildGraphL1On): it emits every pair p ≠ q with within(p, q),
+// each unordered pair once, through its worker's buffer (emitEdge) into the
+// sink for rep. dist is the exact metric within thresholds (within(p, q)
+// iff dist(p, q) ≤ threshold); the pivot stage (pivots.go) uses it to
+// decide most pairs from triangle-inequality bounds, so within runs only on
+// the pairs no bound settles. When the input needs more than maxPivots
+// pivots, the sweep falls back to plain blocks of blockRows players in id
+// order, testing every pair with within. Both sinks ingest an unordered
+// edge set, so neither the path nor the schedule can affect the result:
+// the graph is a pure function of (n, within, rep) under any executor (nil
+// means parallel; par.Serial() gives the reference schedule of DESIGN.md
+// §9).
+func sweepPairs(exec *par.Runner, n, threshold int, rep GraphRep, dist func(p, q int) int, within func(p, q int) bool) Graph {
 	sink := newGraphSink(n, rep)
+	ps := choosePivots(exec, n, threshold, dist)
+	var tasks []pairTile
+	if ps != nil {
+		tasks = ps.tiles(threshold)
+	} else {
+		tasks = appendTiles(nil, 0, n, 0, n, 0, 0)
+	}
 	bufs := make([][][2]int32, exec.Workers(len(tasks)))
-	exec.ForWorker(len(tasks), func(wk, t int) {
-		bi, bj := tasks[t].bi, tasks[t].bj
-		pHi := min(n, (bi+1)*blockRows)
-		qHi := min(n, (bj+1)*blockRows)
+	exec.ForWorker(len(tasks), func(wk, ti int) {
+		t := tasks[ti]
+		if ps != nil {
+			bufs[wk] = ps.sweepTile(t, threshold, within, sink, bufs[wk])
+			return
+		}
 		buf := bufs[wk]
-		for p := bi * blockRows; p < pHi; p++ {
-			qLo := bj * blockRows
-			if bi == bj {
+		for p := t.iLo; p < t.iHi; p++ {
+			qLo := t.jLo
+			if t.iLo == t.jLo {
 				qLo = p + 1
 			}
-			for q := qLo; q < qHi; q++ {
+			for q := qLo; q < t.jHi; q++ {
 				if within(p, q) {
 					buf = emitEdge(sink, buf, p, q)
 				}
@@ -137,6 +144,28 @@ func sweepPairs(exec *par.Runner, n int, rep GraphRep, within func(p, q int) boo
 		bufs[wk] = buf
 	})
 	return drainEdges(exec, sink, bufs)
+}
+
+// pairTile is one task of the pair sweep: the pairs of sweep positions
+// i ∈ [iLo, iHi), j ∈ [jLo, jHi), only j > i when the two ranges start
+// together. a and b name the pivot buckets the ranges lie in.
+type pairTile struct{ iLo, iHi, jLo, jHi, a, b int }
+
+// appendTiles cuts the pairs between position ranges [aLo, aHi) and
+// [bLo, bHi) of buckets a and b into blockRows × blockRows tiles, so the
+// rows one task reads stay cache-resident and the parallel work stays
+// balanced. Equal ranges give only the triangle of pairs i < j.
+func appendTiles(out []pairTile, aLo, aHi, bLo, bHi, a, b int) []pairTile {
+	for i := aLo; i < aHi; i += blockRows {
+		j0 := bLo
+		if aLo == bLo {
+			j0 = i
+		}
+		for j := j0; j < bHi; j += blockRows {
+			out = append(out, pairTile{i, min(i+blockRows, aHi), j, min(j+blockRows, bHi), a, b})
+		}
+	}
+	return out
 }
 
 func newBitGraph(n int) *BitGraph {

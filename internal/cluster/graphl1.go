@@ -2,9 +2,9 @@
 // rating substrate publishes bit-sliced rows (bitvec.Planes) instead of
 // binary vectors, and neighbors are pairs within an L1 — not Hamming —
 // threshold, so it cannot ride IndexSpec (whose LSH banding hashes Hamming
-// lanes). What it shares is everything but the distance test: the
-// block-pair sweep that computes every pair once (sweepPairs) and the
-// emission path that lets the same edge stream fill either the dense
+// lanes). What it shares is everything but the distance: the pair sweep
+// with its pivot stage (sweepPairs), which decides every pair once, and
+// the emission path that lets the same edge stream fill either the dense
 // BitGraph or the sparse CSRGraph.
 package cluster
 
@@ -17,15 +17,18 @@ import (
 
 // BuildGraphL1On builds the neighbor graph over bit-sliced rating rows:
 // players p and q are adjacent iff the L1 distance of their rows is at most
-// threshold. It is sweepPairs with an L1 predicate, so the graph is a pure
+// threshold. It is sweepPairs with the L1 metric, so the graph is a pure
 // function of (rows, threshold, rep) under every schedule (exec nil means
 // parallel).
 //
 // Row shapes are checked once, up front, so a malformed row panics on the
-// caller's goroutine naming the row. Each pair then runs
+// caller's goroutine naming the row. The pivot stage then takes the full
+// L1 distance (bitvec.Planes.L1) from every player to each of at most
+// maxPivots pivots, and its bounds decide most pairs from those: on the
+// rating protocol's planted inputs, every pair. Only the pairs no bound
+// settles, and every pair of an input the pivots cannot cover, run
 // bitvec.Planes.L1Within, which stops at the first 64-value word whose
-// running total passes the threshold: most pairs lie in different
-// clusters, far above it, and cost one word instead of the whole row.
+// running total passes the threshold.
 func BuildGraphL1On(exec *par.Runner, rows []bitvec.Planes, threshold int, rep GraphRep) Graph {
 	for p, row := range rows {
 		if row.Len() != rows[0].Len() || row.Bits() != rows[0].Bits() {
@@ -33,7 +36,8 @@ func BuildGraphL1On(exec *par.Runner, rows []bitvec.Planes, threshold int, rep G
 				p, row.Len(), row.Bits(), rows[0].Len(), rows[0].Bits()))
 		}
 	}
-	return sweepPairs(exec, len(rows), rep, func(p, q int) bool {
+	l1 := func(p, q int) int { return rows[p].L1(rows[q]) }
+	return sweepPairs(exec, len(rows), threshold, rep, l1, func(p, q int) bool {
 		return rows[p].L1Within(rows[q], threshold)
 	})
 }

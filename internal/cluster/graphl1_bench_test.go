@@ -40,17 +40,24 @@ func plantedRatingRows(rng *xrand.Stream, n, m, size, edits, scale int) []bitvec
 
 // BenchmarkBuildGraphL1 times the L1 neighbor-graph sweep in the shape of
 // the rating protocol's graph build at n = 2048: a 0..5 scale (k = 3
-// planes), planted clusters of n/8 players, about 10 words of sampled
-// objects per plane, and a threshold of about 76. Seven pairs in eight are
-// cross-cluster, so the sweep is dominated by pairs the early exit rejects
-// after one word.
+// planes), about 10 words of sampled objects per plane, and a threshold of
+// about 76. The dense and sparse rows plant clusters of n/8 players, so the
+// pivot stage skips the cross-cluster bucket pairs and its bounds accept
+// the clusters' own pairs. The uniform row has no cluster structure: it
+// pays for maxPivots pivots and then runs the plain block sweep, most of
+// whose pairs the early exit rejects after one word.
 func BenchmarkBuildGraphL1(b *testing.B) {
 	const n, m, scale, threshold = 2048, 620, 5, 76
-	rows := plantedRatingRows(xrand.New(2048), n, m, n/8, 16, scale)
-	for name, rep := range map[string]GraphRep{"dense": RepDense, "sparse": RepSparse} {
-		b.Run(name, func(b *testing.B) {
+	planted := plantedRatingRows(xrand.New(2048), n, m, n/8, 16, scale)
+	uniform := plantedRatingRows(xrand.New(2048), n, m, 1, 0, scale)
+	for _, c := range []struct {
+		name string
+		rows []bitvec.Planes
+		rep  GraphRep
+	}{{"dense", planted, RepDense}, {"sparse", planted, RepSparse}, {"uniform", uniform, RepDense}} {
+		b.Run(c.name, func(b *testing.B) {
 			for b.Loop() {
-				BuildGraphL1On(par.Parallel(), rows, threshold, rep)
+				BuildGraphL1On(par.Parallel(), c.rows, threshold, c.rep)
 			}
 		})
 	}

@@ -350,17 +350,19 @@ func ParseIndexSpec(s string) (IndexSpec, error) {
 }
 
 // BuildGraph builds the neighbor graph the spec names — the one dispatch
-// point every Hamming caller goes through. The exact kind runs the
-// block-pair sweep (sweepPairs) and consumes no randomness; "lsh" runs the
-// banding index on rng. Either fills the spec's representation. exec nil
+// point every Hamming caller goes through. The exact kind runs the pair
+// sweep with its pivot stage (sweepPairs) and consumes no randomness;
+// "lsh" runs the banding index on rng. Either fills the spec's
+// representation. exec nil
 // means the default parallel executor. An unknown Kind panics: specs
 // reaching protocol code went through ParseIndexSpec (or are zero), so it
 // is a programming error, not bad input.
 func (sp IndexSpec) BuildGraph(exec *par.Runner, z []bitvec.Vector, threshold int, rng *xrand.Stream) Graph {
 	switch {
 	case sp.IsExact():
-		return sweepPairs(exec, len(z), sp.Rep(), func(p, q int) bool {
-			return z[p].Hamming(z[q]) <= threshold
+		hamming := func(p, q int) int { return z[p].Hamming(z[q]) }
+		return sweepPairs(exec, len(z), threshold, sp.Rep(), hamming, func(p, q int) bool {
+			return hamming(p, q) <= threshold
 		})
 	case sp.Kind == "lsh":
 		return LSH{Bands: sp.Bands, Rows: sp.Rows}.BuildGraph(exec, z, threshold, rng, sp.Rep())

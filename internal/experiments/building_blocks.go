@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
@@ -43,7 +46,14 @@ func runE1(cfg Config) *tablefmt.Table {
 	if cfg.Quick {
 		ds = []int{32}
 	}
+	// The Claim 2 instance needs D < m/4 (m = n here): skip the diameters
+	// that do not fit and name them in the title.
+	var skipped []string
 	for _, d := range ds {
+		if d >= n/4 {
+			skipped = append(skipped, strconv.Itoa(d))
+			continue
+		}
 		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(d), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in, special := prefgen.AdversarialClaim2(rng.Split(1), n, n, cfg.B, d)
 			p0 := in.ClusterMembers(0)[0]
@@ -90,6 +100,9 @@ func runE1(cfg Config) *tablefmt.Table {
 			}
 		})
 		t.AddRow(d, float64(d)/4, agg["budget"], agg["aug"], agg["guess"])
+	}
+	if len(skipped) > 0 {
+		t.Title += fmt.Sprintf(" — skipped D=%s: Claim 2 needs D < m/4 = %d", strings.Join(skipped, ","), n/4)
 	}
 	return t
 }

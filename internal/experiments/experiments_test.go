@@ -34,6 +34,24 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestE1SkipsDiametersPastQuarterM runs E1 at n = 256, where the largest
+// diameter, 64, does not fit the Claim 2 instance (D < m/4): the row is
+// skipped and the title names it, instead of the generator panicking.
+func TestE1SkipsDiametersPastQuarterM(t *testing.T) {
+	e, _ := ByID("E1")
+	tb := e.Run(Config{N: 256, B: 8, Trials: 1, Seed: 99})
+	var ds []string
+	for _, row := range tb.Rows {
+		ds = append(ds, row[0])
+	}
+	if strings.Join(ds, ",") != "16,32" {
+		t.Fatalf("E1 at n=256 ran D = %v, want 16,32", ds)
+	}
+	if !strings.Contains(tb.Title, "skipped D=64") {
+		t.Fatalf("E1 title %q does not name the skipped D=64", tb.Title)
+	}
+}
+
 // TestAllExperimentsProduceTables smoke-runs every experiment at quick
 // scale and validates the table shape.
 func TestAllExperimentsProduceTables(t *testing.T) {
