@@ -201,7 +201,9 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 }
 
 // TestDuelStreamAllocFree: the word-level duel allocates nothing, on both
-// the identity and the batching (strided) paths.
+// the identity and the batching (strided) paths, and neither does a whole
+// Select over a general mapping whose probe cache fits inline (at most
+// cacheStack words).
 func TestDuelStreamAllocFree(t *testing.T) {
 	strided := stridedObjs(128, 5)
 	ident := identityObjs(128*5 - 1)
@@ -215,6 +217,192 @@ func TestDuelStreamAllocFree(t *testing.T) {
 			duelProbesStream(&ctx, a, b, rng, 13)
 		}); avg != 0 {
 			t.Fatalf("%s duel allocates %.1f times per run, want 0", name, avg)
+		}
+	}
+	for _, objs := range [][]int{stridedObjs(64*cacheStack, 2), groupObjs(3, 32, 640)} {
+		truth := w.TruthVector(1).Gather(objs)
+		var cands []bitvec.Vector
+		for i, flips := range []int{1, len(objs) / 2, len(objs) / 3, len(objs) / 4} {
+			cands = append(cands, flipped(truth, xrand.New(uint64(i)), flips))
+		}
+		rng := xrand.New(6)
+		if avg := testing.AllocsPerRun(50, func() {
+			Select(w, 1, objs, cands, 1, rng, Scaled())
+		}); avg != 0 {
+			t.Fatalf("Select over %d mapped positions allocates %.1f times per run, want 0", len(objs), avg)
+		}
+	}
+}
+
+// TestProbeCacheHoldsProbedTruth: after a tournament's duels, the probe
+// cache marks exactly the positions the duels fetched — their objects are
+// exactly the player's charged probe set — and holds each one's truth
+// bit, inline and in the heap spill, with and without repeated objects.
+func TestProbeCacheHoldsProbedTruth(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		objs   []int
+		worldM int
+	}{
+		{"group", groupObjs(8, 100, 2048), 2048},
+		{"repeated", repeatedObjs(9, 90, 200), 200},
+		{"spill", stridedObjs(700, 3), 2100},
+	} {
+		w := buildWorld(13, 2, tc.worldM)
+		truth := w.TruthVector(0).Gather(tc.objs)
+		a := flipped(truth, xrand.New(1), len(tc.objs)/5)
+		ctx := newDuelCtx(w, 0, tc.objs)
+		rng := xrand.New(3)
+		for i, flips := range []int{5, len(tc.objs) / 2, len(tc.objs) / 3, 2} {
+			duelProbesStream(&ctx, a, flipped(truth, xrand.New(uint64(i)+2), flips), rng, 12)
+		}
+		cachedObjs := make(map[int]bool)
+		for j, o := range tc.objs {
+			known, val := ctx.cached(j >> 6)
+			bit := uint64(1) << (uint(j) & 63)
+			if *known&bit == 0 {
+				continue
+			}
+			cachedObjs[o] = true
+			if (*val&bit != 0) != truth.Get(j) {
+				t.Fatalf("%s: position %d caches the wrong truth bit", tc.name, j)
+			}
+		}
+		set := probeSet(w, 0, tc.worldM)
+		if len(cachedObjs) == 0 || set.Count() != len(cachedObjs) {
+			t.Fatalf("%s: %d objects cached, %d probed", tc.name, len(cachedObjs), set.Count())
+		}
+		for o := range cachedObjs {
+			if !set.Get(o) {
+				t.Fatalf("%s: object %d cached but never probed", tc.name, o)
+			}
+		}
+	}
+}
+
+// selectSerial is Select with every duel on the bit-at-a-time duel —
+// no probe cache and no word batching — the whole-tournament oracle for
+// the per-tournament probe cache.
+func selectSerial(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int, rng *xrand.Stream, pr Params) int {
+	k := len(candidates)
+	if k == 0 {
+		return -1
+	}
+	if k == 1 {
+		return 0
+	}
+	budget := pairBudget(pr.SelectSampleFactor, w.N())
+	near := pr.KeepWithin * max(d, 1)
+	champ := 0
+	for i := 1; i < k; i++ {
+		if candidates[champ].Hamming(candidates[i]) <= near {
+			continue
+		}
+		agreeA, total := duelProbesSerial(w, p, objs, candidates[champ], candidates[i], rng, budget)
+		if total > 0 && 2*agreeA < total {
+			champ = i
+		}
+	}
+	return champ
+}
+
+// rselectSerial is RSelect on the bit-at-a-time duel, the oracle of
+// selectSerial's kind for the pairwise tournament.
+func rselectSerial(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng *xrand.Stream, pr Params) int {
+	k := len(candidates)
+	if k == 0 {
+		return -1
+	}
+	budget := pairBudget(pr.SampleFactor, w.N())
+	alive := make([]bool, k)
+	for i := range alive {
+		alive[i] = true
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k && alive[i]; j++ {
+			if !alive[j] {
+				continue
+			}
+			agreeA, total := duelProbesSerial(w, p, objs, candidates[i], candidates[j], rng, budget)
+			switch {
+			case total == 0:
+			case float64(agreeA) >= pr.EliminateFrac*float64(total):
+				alive[j] = false
+			case float64(total-agreeA) >= pr.EliminateFrac*float64(total):
+				alive[i] = false
+			}
+		}
+	}
+	for i, a := range alive {
+		if a {
+			return i
+		}
+	}
+	return 0
+}
+
+// probeSet returns the objects among the first m that player p has probed,
+// read off the ledger: charging an object p already knows costs nothing.
+// It charges every other object, so call it only after the run is done.
+func probeSet(w *world.World, p, m int) bitvec.Vector {
+	out := bitvec.New(m)
+	for o := 0; o < m; o++ {
+		before := w.Probes(p)
+		w.ChargeBit(p, o)
+		out.Set(o, w.Probes(p) == before)
+	}
+	return out
+}
+
+// TestTournamentCacheMatchesSerial: whole Select and RSelect tournaments
+// with the per-tournament probe cache choose what the cache-free,
+// bit-at-a-time tournaments choose, consume the same coins, and charge
+// every player the same probes on the same objects. Mappings are
+// SmallRadius-shaped groups, strided, unsorted with repeats, and shuffled,
+// at widths on both sides of the word boundaries and of the inline cache
+// (257 positions and up take the heap spill); budgets cover both the
+// sampled and the probe-everything duel.
+func TestTournamentCacheMatchesSerial(t *testing.T) {
+	const n = 5
+	params := []Params{Scaled(), Defaults(), {SampleFactor: 40, SelectSampleFactor: 40, EliminateFrac: 2.0 / 3.0, KeepWithin: 1}}
+	for _, width := range []int{1, 63, 64, 65, 256, 257, 1000} {
+		worldM := 4*width + 64
+		mappings := map[string][]int{
+			"group":    groupObjs(uint64(width), 2*width, worldM)[:width],
+			"strided":  stridedObjs(width, 3),
+			"shuffled": xrand.New(uint64(width)).Perm(worldM)[:width],
+		}
+		if width > 1 {
+			mappings["repeated"] = repeatedObjs(uint64(width), width, worldM)
+		}
+		for name, objs := range mappings {
+			for pi, pr := range params {
+				ws, wc := buildWorld(uint64(width)+3, n, worldM), buildWorld(uint64(width)+3, n, worldM)
+				truth := ws.TruthVector(0).Gather(objs)
+				var cands []bitvec.Vector
+				for i, flips := range []int{width / 2, 1, width / 3, width / 4, 2, width, width / 8, width / 2} {
+					cands = append(cands, flipped(truth, xrand.New(uint64(i)+9), min(flips, width)))
+				}
+				for p := 0; p < n; p++ {
+					rs, rc := xrand.New(uint64(p)+1), xrand.New(uint64(p)+1)
+					gotS, wantS := Select(wc, p, objs, cands, 1, rc, pr), selectSerial(ws, p, objs, cands, 1, rs, pr)
+					gotR, wantR := RSelect(wc, p, objs, cands, rc, pr), rselectSerial(ws, p, objs, cands, rs, pr)
+					if gotS != wantS || gotR != wantR {
+						t.Fatalf("%s/%d/params%d player %d: chose (%d,%d), serial (%d,%d)", name, width, pi, p, gotS, gotR, wantS, wantR)
+					}
+					if rc.Uint64() != rs.Uint64() {
+						t.Fatalf("%s/%d/params%d player %d: coin streams diverged", name, width, pi, p)
+					}
+					if wc.Probes(p) != ws.Probes(p) {
+						t.Fatalf("%s/%d/params%d player %d: charged %d probes, serial %d", name, width, pi, p, wc.Probes(p), ws.Probes(p))
+					}
+				}
+				for p := 0; p < n; p++ {
+					if !probeSet(wc, p, worldM).Equal(probeSet(ws, p, worldM)) {
+						t.Fatalf("%s/%d/params%d player %d: probed other objects than serial", name, width, pi, p)
+					}
+				}
+			}
 		}
 	}
 }

@@ -15,8 +15,10 @@
 // up instead — SmallRadius and the final CalculatePreferences step run one
 // independent Select/RSelect per player on the run's executor (DESIGN.md
 // §9) — while inside a duel the probes stream whole 64-object word-blocks
-// (duelProbesStream, DESIGN.md §17); the bit-at-a-time loop it replaced
-// is kept in the tests as its byte-identity oracle. Both functions take the
+// (duelProbesStream, DESIGN.md §17), and under a general object mapping
+// the positions a tournament has already probed come from its probe cache
+// (duelCtx); the bit-at-a-time loop both replaced is kept in the tests as
+// their byte-identity oracle. Both functions take the
 // read-only *world.World rather than a *world.Run because they only probe (a
 // player's private act) and never publish protocol state.
 package selection
@@ -122,17 +124,47 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 // duelCtx carries one tournament's duel state: the player's probe handle
 // (inside the wordProber), the object mapping with its identity-ness
 // precomputed once — an identity mapping lets the duel probe whole aligned
-// words — and the stack bitmap Floyd's rank sample is drawn into.
+// words — the stack bitmap Floyd's rank sample is drawn into, and, for a
+// general mapping, the tournament's probe cache.
+//
+// The cache holds two words per candidate word, in candidate-position
+// space: which positions this tournament has already probed (known) and
+// the truth bits those probes returned (val). It is filled only from the
+// tournament's own charged ProbeWord calls, so a cached position was
+// charged earlier in the same tournament and skipping its refetch changes
+// no probe count. The words live in the inline cache array up to
+// cacheStack candidate words; only wider mappings spill to a heap buffer.
+// Both are indexed, never sliced into each other — a slice into the
+// context's own array makes the context escape to the heap
+// (TestDuelStreamAllocFree pins that a Select allocates nothing).
 type duelCtx struct {
 	bp    wordProber
 	objs  []int
 	ident bool
 	rank  [maxRankBitmap / 64]uint64
+	cache [2 * cacheStack]uint64
+	spill []uint64
 }
+
+// cacheStack is the candidate word count (256 positions) up to which a
+// tournament's probe cache stays inline in its duelCtx.
+const cacheStack = 4
 
 // newDuelCtx returns player p's duel state over the object mapping objs.
 func newDuelCtx(w *world.World, p int, objs []int) duelCtx {
-	return duelCtx{bp: wordProber{pb: w.Prober(p)}, objs: objs, ident: identObjs(objs)}
+	ctx := duelCtx{bp: wordProber{pb: w.Prober(p)}, objs: objs, ident: identObjs(objs)}
+	if nw := (len(objs) + 63) / 64; !ctx.ident && nw > cacheStack {
+		ctx.spill = make([]uint64, 2*nw)
+	}
+	return ctx
+}
+
+// cached returns the known and val words of candidate word wi.
+func (ctx *duelCtx) cached(wi int) (known, val *uint64) {
+	if ctx.spill != nil {
+		return &ctx.spill[2*wi], &ctx.spill[2*wi+1]
+	}
+	return &ctx.cache[2*wi], &ctx.cache[2*wi+1]
 }
 
 // identObjs reports whether objs is the identity mapping (objs[j] == j) —
@@ -184,9 +216,12 @@ const maxRankBitmap = 4096
 // its set bits (deposit), giving the word's probe mask at once. Identity
 // object mappings (the final selection) fetch that mask with one bulk
 // ProbeWord and count agreements with one popcount; general mappings
-// batch through the wordProber. Probe charging is identical bit for bit:
-// ProbeWord charges exactly the newly learned objects of its mask, and
-// the masks cover exactly the serial path's probe set. Coins are
+// answer already-probed positions from the tournament's cache and batch
+// the rest through the wordProber. Probe charging is identical bit for
+// bit: ProbeWord charges exactly the newly learned objects of its mask,
+// the masks cover exactly the serial path's probe set, and a cached
+// position was charged by an earlier ProbeWord of the same tournament, so
+// skipping its refetch skips only a free re-probe. Coins are
 // identical because the Floyd sample is draw-for-draw the serial one and
 // no other branch consumes randomness.
 func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
@@ -204,7 +239,7 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 				ctx.probe(wi, x, aw)
 			}
 		}
-		ctx.bp.flush()
+		ctx.flush()
 		return ctx.bp.agree, d
 	}
 	rank := ctx.floyd(d, budget, rng)
@@ -222,7 +257,7 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 		}
 		seen += c
 	}
-	ctx.bp.flush()
+	ctx.flush()
 	return ctx.bp.agree, budget
 }
 
@@ -278,10 +313,13 @@ func deposit(r, x uint64) (out uint64) {
 }
 
 // probe charges the candidate positions set in mask within candidate word
-// wi and tallies how many agree with a, whose word wi is aw. A general
-// mapping stages each position's object in the wordProber: a new world
-// word, or an object already pending (a mapping that repeats an object),
-// flushes first, so every position is counted against its own bit of a.
+// wi and tallies how many agree with a, whose word wi is aw. An identity
+// mapping fetches the whole mask with one ProbeWord. A general mapping
+// answers the positions this tournament already probed from its cache
+// with one popcount and stages only the rest in the wordProber: a new
+// world word, or an object already pending (a mapping that repeats an
+// object), flushes first, so every position is counted against its own
+// bit of a, and each staged position remembers where its truth bit goes.
 func (ctx *duelCtx) probe(wi int, mask, aw uint64) {
 	bp := &ctx.bp
 	if ctx.ident {
@@ -289,41 +327,58 @@ func (ctx *duelCtx) probe(wi int, mask, aw uint64) {
 		bp.agree += bits.OnesCount64(^(tw ^ aw) & mask)
 		return
 	}
+	known, val := ctx.cached(wi)
+	have := mask & *known
+	bp.agree += bits.OnesCount64(^(*val ^ aw) & have)
+	need := mask &^ have
+	*known |= need
 	base := wi * 64
-	for ; mask != 0; mask &= mask - 1 {
-		k := bits.TrailingZeros64(mask)
+	for ; need != 0; need &= need - 1 {
+		k := bits.TrailingZeros64(need)
 		o := ctx.objs[base+k]
 		ow, sh := o>>6, uint(o)&63
 		if ow != bp.curW || bp.mask>>sh&1 != 0 {
-			bp.flush()
+			ctx.flush()
 			bp.curW = ow
 		}
 		bp.mask |= 1 << sh
 		bp.exp |= (aw >> uint(k) & 1) << sh
+		bp.pos[sh] = int32(base + k)
 	}
 }
 
-// wordProber batches the probes of a general (non-identity) object
-// mapping: consecutive positions whose objects share a 64-bit world word
-// accumulate into mask, with a's bits for them in exp, and fetch with a
-// single ProbeWord whose agreements are one popcount. Nothing is staged
-// per position, so the prober lives in the caller's duelCtx and the duel
-// allocates nothing (TestDuelStreamAllocFree).
-type wordProber struct {
-	pb        world.Prober
-	curW      int
-	mask, exp uint64
-	agree     int
-}
-
-// flush probes the pending word in bulk and tallies agreements with a.
-func (bp *wordProber) flush() {
+// flush probes the pending world word in bulk, tallies agreements with a,
+// and writes each returned truth bit back to its candidate position in
+// the cache (val starts zero and a position is staged at most once per
+// tournament, so only the set bits need writing).
+func (ctx *duelCtx) flush() {
+	bp := &ctx.bp
 	if bp.mask == 0 {
 		return
 	}
 	tw := bp.pb.ProbeWord(bp.curW, bp.mask)
 	bp.agree += bits.OnesCount64(^(tw ^ bp.exp) & bp.mask)
+	for t := tw & bp.mask; t != 0; t &= t - 1 {
+		j := int(bp.pos[bits.TrailingZeros64(t)])
+		_, val := ctx.cached(j >> 6)
+		*val |= 1 << (uint(j) & 63)
+	}
 	bp.mask, bp.exp = 0, 0
+}
+
+// wordProber batches the probes of a general (non-identity) object
+// mapping: consecutive positions whose objects share a 64-bit world word
+// accumulate into mask, with a's bits for them in exp and their candidate
+// positions in pos (indexed by world bit), and fetch with a single
+// ProbeWord whose agreements are one popcount. Nothing is staged on the
+// heap, so the prober lives in the caller's duelCtx and the duel
+// allocates nothing (TestDuelStreamAllocFree).
+type wordProber struct {
+	pb        world.Prober
+	curW      int
+	mask, exp uint64
+	pos       [64]int32
+	agree     int
 }
 
 // Select is the diameter-bounded selection protocol used by SmallRadius:

@@ -1,6 +1,8 @@
 package smallradius
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"collabscore/internal/adversary"
@@ -229,5 +231,43 @@ func TestSmallRadiusScheduleMatrix(t *testing.T) {
 				t.Fatalf("player %d probes %d under %s, %d serially", p, probes[p], sched.name, refProbes[p])
 			}
 		}
+	}
+}
+
+// TestProbeIdentityPin hashes what a fixed-seed SmallRadius run charges —
+// every player's probe count, then every player's set of probed objects —
+// over planted clusters with n/24 random liars. The hash was recorded
+// before the per-tournament probe cache and the elimination tree, and
+// both had to leave it unchanged: they decide nothing a player probes, only
+// how often the same answers are fetched and filtered.
+func TestProbeIdentityPin(t *testing.T) {
+	const n, m, b, d = 512, 512, 8, 6
+	const want uint64 = 0xfa1c50416fdf1bb0
+	rng := xrand.New(2026)
+	in := prefgen.DiameterClusters(rng.Split(1), n, m, n/b, d)
+	w := world.New(in.Truth)
+	adversary.Corrupt(w, n/24, rng.Split(2).Perm(n), func(int) world.Behavior { return adversary.RandomLiar{Seed: 5} })
+	Run(world.NewRun(w), rng.Split(3).Sample(m, 400), d, b, xrand.New(7), Scaled(n))
+	h := fnv.New64a()
+	var buf [8]byte
+	for p := 0; p < n; p++ {
+		binary.LittleEndian.PutUint64(buf[:], uint64(w.Probes(p)))
+		h.Write(buf[:])
+	}
+	// Charging an object a player already knows costs nothing, so this
+	// pass reads each probe set off the ledger (and charges the rest).
+	for p := 0; p < n; p++ {
+		for o := 0; o < m; o++ {
+			before := w.Probes(p)
+			w.ChargeBit(p, o)
+			buf[0] = 0
+			if w.Probes(p) == before {
+				buf[0] = 1
+			}
+			h.Write(buf[:1])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("probe hash %#x, want %#x", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package zeroradius
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,12 +11,58 @@ import (
 	"collabscore/internal/xrand"
 )
 
-// eliminateMap is the reference oracle for eliminate: the historical
+// eliminate is the survivor-filter elimination loop the per-merge tree
+// (elimTree) replaced, kept as its oracle (TestEliminationTreeMatchesEliminate):
+// while surviving candidates disagree somewhere, probe the first position
+// where a survivor differs from the first one and drop, in order, the
+// candidates that contradict the probe; the first survivor is the answer,
+// returned as-is.
+func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
+	if len(objs) == 0 {
+		return bitvec.New(0)
+	}
+	if len(cands) == 0 {
+		return bitvec.New(len(objs))
+	}
+	survivors := slices.Clone(cands)
+	for len(survivors) > 1 {
+		j := firstDisagreement(survivors)
+		if j < 0 {
+			break // all survivors identical on objs
+		}
+		truth := rc.Probe(p, objs[j])
+		k := 0
+		for _, c := range survivors {
+			if c.Get(j) == truth {
+				survivors[k] = c
+				k++
+			}
+		}
+		survivors = survivors[:k]
+	}
+	return survivors[0]
+}
+
+// firstDisagreement returns an index where at least two of the vectors
+// differ, or -1 if all vectors are identical: the first position where a
+// vector differs from vs[0], for the first such vector. FirstDiff scans
+// words and allocates nothing.
+func firstDisagreement(vs []bitvec.Vector) int {
+	base := vs[0]
+	for _, v := range vs[1:] {
+		if d := base.FirstDiff(v); d >= 0 {
+			return d
+		}
+	}
+	return -1
+}
+
+// eliminateMap is the reference oracle for eliminate: the older
 // version, which records every probe in a map and scores the survivors
 // against it, and keeps a guard for a probe that would empty the survivor
 // set. Both are dead work — a probe is taken where survivors disagree, so
 // it always keeps one, and the loop ends with survivors identical on objs —
-// and the production loop drops them; this copy pins that the result,
+// and eliminate drops them; this copy pins that the result,
 // down to the returned vector's storage, and the probe charges are the
 // same.
 func eliminateMap(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
@@ -104,12 +151,26 @@ func randomCands(rng *xrand.Stream, truth bitvec.Vector, objs []int, count int, 
 	return cands
 }
 
-// TestEliminateMatchesMapOracle pins the allocation-free eliminate to the
-// map-recording oracle on random candidate sets: empty, single, beyond the
-// stack buffer, and sets the player matches no candidate of. The returned
-// vector must be the oracle's very vector and the probe charges equal. Had
-// the oracle's every-candidate-eliminated guard ever fired, eliminate would
-// have emptied its survivors and panicked, so the test also pins that the
+// probeSet returns the objects among the first m that player p has probed,
+// read off the ledger: charging an object p already knows costs nothing.
+// It charges every other object, so call it only after the run is done.
+func probeSet(w *world.World, p, m int) bitvec.Vector {
+	out := bitvec.New(m)
+	for o := 0; o < m; o++ {
+		before := w.Probes(p)
+		w.ChargeBit(p, o)
+		out.Set(o, w.Probes(p) == before)
+	}
+	return out
+}
+
+// TestEliminateMatchesMapOracle pins the survivor-filter eliminate (the
+// elimination tree's own oracle) to the map-recording oracle on random
+// candidate sets: empty, single, up to 167 candidates, and sets the
+// player matches no candidate of. The returned vector must be the oracle's
+// very vector and the probe charges equal. Had the oracle's
+// every-candidate-eliminated guard ever fired, eliminate would have
+// emptied its survivors and panicked, so the test also pins that the
 // guard is unreachable.
 func TestEliminateMatchesMapOracle(t *testing.T) {
 	const n, m = 3, 200
@@ -121,7 +182,7 @@ func TestEliminateMatchesMapOracle(t *testing.T) {
 			j := rng.Intn(i + 1)
 			objs[i], objs[j] = objs[j], objs[i]
 		}
-		count := int(rawCount) % (eliminateStack + 40)
+		count := int(rawCount) % 168
 		cands := randomCands(rng, in.Truth[1], objs, count, miss)
 
 		wantW, gotW := world.New(in.Truth), world.New(in.Truth)
@@ -142,36 +203,117 @@ func TestEliminateMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// TestEliminateNoObjects pins the degenerate shapes: no objects yields an
-// empty vector and no candidates a zero vector, without probing.
+// stridedObjs returns the m objects 0, stride, 2·stride, ….
+func stridedObjs(m, stride int) []int {
+	out := make([]int, m)
+	for i := range out {
+		out[i] = i * stride
+	}
+	return out
+}
+
+// shuffledObjs returns k distinct objects of [0, m) in random order.
+func shuffledObjs(rng *xrand.Stream, m, k int) []int {
+	objs := rng.Sample(m, k)
+	for i := len(objs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		objs[i], objs[j] = objs[j], objs[i]
+	}
+	return objs
+}
+
+// TestEliminationTreeMatchesEliminate: every learner's walk of the
+// per-merge elimination tree is the survivor-filter loop it replaced —
+// the returned vector is the loop's very vector (same storage), and each
+// learner is charged the same probes on the same objects. Candidate sets
+// of size 0, 1, 2, 128, 129 and 300, drawn around one learner's truth and,
+// in miss mode, matching no learner; identity, strided and shuffled object
+// mappings, and no objects at all. The tree never has more than k−1
+// internal nodes.
+func TestEliminationTreeMatchesEliminate(t *testing.T) {
+	const n, m = 6, 640
+	rng := xrand.New(41)
+	in := prefgen.Uniform(rng.Split(1), n, m)
+	mappings := []struct {
+		name string
+		objs []int
+	}{
+		{"identity", identityObjs(m)},
+		{"identity-short", identityObjs(70)},
+		{"strided", stridedObjs(200, 3)},
+		{"shuffled", shuffledObjs(rng.Split(2), m, 150)},
+		{"empty", nil},
+	}
+	for _, mp := range mappings {
+		for _, count := range []int{0, 1, 2, 128, 129, 300} {
+			for _, miss := range []bool{false, true} {
+				crng := rng.Split(uint64(count), uint64(len(mp.objs)))
+				var cands []bitvec.Vector
+				if len(mp.objs) == 0 {
+					for range count {
+						cands = append(cands, bitvec.New(0))
+					}
+				} else {
+					cands = randomCands(crng, in.Truth[0], mp.objs, count, miss)
+				}
+				tree := newElimTree(cands)
+				if max(count-1, 0) < len(tree.nodes) {
+					t.Fatalf("%s/%d: %d internal nodes for %d candidates", mp.name, count, len(tree.nodes), count)
+				}
+				wantW, gotW := world.New(in.Truth), world.New(in.Truth)
+				wantRC, gotRC := world.NewRun(wantW), world.NewRun(gotW)
+				for p := 0; p < n; p++ {
+					want := eliminate(wantRC, p, mp.objs, cands)
+					got := tree.walk(gotRC, p, mp.objs)
+					if !got.Equal(want) || (count > 0 && len(mp.objs) > 0 && !bitvec.SameStorage(got, want)) {
+						t.Fatalf("%s/%d/miss=%v player %d: the walk returned a different vector", mp.name, count, miss, p)
+					}
+					if gotW.Probes(p) != wantW.Probes(p) {
+						t.Fatalf("%s/%d/miss=%v player %d: walk charged %d probes, loop %d",
+							mp.name, count, miss, p, gotW.Probes(p), wantW.Probes(p))
+					}
+				}
+				for p := 0; p < n; p++ {
+					if !probeSet(gotW, p, m).Equal(probeSet(wantW, p, m)) {
+						t.Fatalf("%s/%d/miss=%v player %d: walk probed other objects than the loop", mp.name, count, miss, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEliminateNoObjects pins the degenerate shapes of a tree walk: no
+// objects yields an empty vector and no candidates a zero vector, without
+// probing.
 func TestEliminateNoObjects(t *testing.T) {
 	in := prefgen.Uniform(xrand.New(2), 2, 64)
 	w := world.New(in.Truth)
 	rc := world.NewRun(w)
-	if v := eliminate(rc, 0, nil, []bitvec.Vector{bitvec.New(0)}); v.Len() != 0 {
+	if v := newElimTree([]bitvec.Vector{bitvec.New(0)}).walk(rc, 0, nil); v.Len() != 0 {
 		t.Fatalf("no objects: length %d", v.Len())
 	}
-	if v := eliminate(rc, 0, []int{3, 9}, nil); v.Len() != 2 || v.Count() != 0 {
+	if v := newElimTree(nil).walk(rc, 0, []int{3, 9}); v.Len() != 2 || v.Count() != 0 {
 		t.Fatalf("no candidates: %v", v)
 	}
 	if w.TotalProbes() != 0 {
-		t.Fatal("degenerate eliminate probed")
+		t.Fatal("degenerate walk probed")
 	}
 }
 
-// TestEliminateAllocFree guards the stack survivor buffer: up to
-// eliminateStack candidates, a warm elimination allocates nothing; above
-// it, exactly the one heap buffer.
+// TestEliminateAllocFree: a tree walk allocates nothing, whatever the
+// candidate count — the tree is built once per merge, and a learner only
+// follows it.
 func TestEliminateAllocFree(t *testing.T) {
 	const m = 256
 	rng := xrand.New(9)
 	in := prefgen.Uniform(rng.Split(1), 2, m)
 	rc := world.NewRun(world.New(in.Truth))
 	objs := identityObjs(m)
-	for _, tc := range []struct{ count, allocs int }{{eliminateStack, 0}, {eliminateStack + 1, 1}} {
-		cands := randomCands(rng, in.Truth[0], objs, tc.count, true)
-		if got := testing.AllocsPerRun(50, func() { eliminate(rc, 0, objs, cands) }); got != float64(tc.allocs) {
-			t.Fatalf("%d candidates: eliminate allocates %v times per run, want %d", tc.count, got, tc.allocs)
+	for _, count := range []int{128, 129, 300} {
+		tree := newElimTree(randomCands(rng, in.Truth[0], objs, count, true))
+		if got := testing.AllocsPerRun(50, func() { tree.walk(rc, 0, objs) }); got != 0 {
+			t.Fatalf("%d candidates: a walk allocates %v times per run, want 0", count, got)
 		}
 	}
 }

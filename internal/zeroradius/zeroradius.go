@@ -7,9 +7,13 @@
 // Each half solves its own subproblem; the halves then exchange results:
 // the vectors output by at least |P”|/(2B') players of the other half form
 // a candidate set, and each player disambiguates between candidates by
-// probing objects on which they disagree. Every such probe eliminates at
-// least one candidate, and there are at most 2B' candidates, so the merge
-// costs O(B') probes per level and O(B'·log n) probes overall (Theorem 4).
+// probing objects on which they disagree (Figure 1 step 5). Every such
+// probe eliminates at least one candidate, and there are at most 2B'
+// candidates, so the merge costs O(B') probes per level and O(B'·log n)
+// probes overall (Theorem 4). Which object a player probes next depends
+// only on the answers it has had, so step 5 is one binary decision tree
+// per merge, built once from the candidate set; each player walks it with
+// one probe per level.
 //
 // Dishonest players participate by publishing whatever vectors their
 // strategies dictate; they can inject at most a bounded number of candidate
@@ -19,7 +23,8 @@ package zeroradius
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
@@ -178,28 +183,43 @@ func pick(xs, idx []int) []int {
 // with the topK most supported ones whatever their support, ordered by
 // support descending, then Key. Equal vectors are one candidate; the one
 // returned is the first of them in pub.
+//
+// The tally hashes each vector's words into a chained table and compares
+// by Equal, and the tie order compares words (keyLess), so no Key string
+// is built.
 func Supported(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector {
+	if len(pub) == 0 {
+		return nil
+	}
 	type tally struct {
 		vec     bitvec.Vector
-		key     string
 		support int
+		next    int32 // next tally in the same chain, or -1
 	}
 	var all []tally
-	at := make(map[string]int)
+	mask := uint64(1)<<bits.Len(uint(2*len(pub)-1)) - 1
+	head := make([]int32, mask+1) // chain head + 1; 0 is an empty chain
 	for _, v := range pub {
-		k := v.Key()
-		if i, ok := at[k]; ok {
+		h := vecHash(v) & mask
+		i := head[h] - 1
+		for i >= 0 && !all[i].vec.Equal(v) {
+			i = all[i].next
+		}
+		if i >= 0 {
 			all[i].support++
 			continue
 		}
-		at[k] = len(all)
-		all = append(all, tally{vec: v, key: k, support: 1})
+		all = append(all, tally{vec: v, support: 1, next: head[h] - 1})
+		head[h] = int32(len(all))
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].support != all[j].support {
-			return all[i].support > all[j].support
+	slices.SortFunc(all, func(a, b tally) int {
+		if a.support != b.support {
+			return b.support - a.support
 		}
-		return all[i].key < all[j].key
+		if keyLess(a.vec, b.vec) {
+			return -1
+		}
+		return 1 // distinct vectors never tie
 	})
 	threshold = max(threshold, 1)
 	var out []bitvec.Vector
@@ -209,6 +229,45 @@ func Supported(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector
 		}
 	}
 	return out
+}
+
+// vecHash mixes v's length and words into the tally's chain index.
+func vecHash(v bitvec.Vector) uint64 {
+	h := uint64(v.Len()) * 0x9E3779B97F4A7C15
+	for wi := 0; wi < v.Words(); wi++ {
+		h = (h ^ v.Word(wi)) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
+	}
+	return h
+}
+
+// keyLess reports whether a.Key() < b.Key() without building either key.
+// A key is the words' little-endian bytes, then the length's four
+// little-endian bytes, so over the words both vectors have, the order is
+// that of the byte-reversed words; past them (only vectors of different
+// lengths get there) it compares the key bytes themselves.
+func keyLess(a, b bitvec.Vector) bool {
+	na, nb := a.Words(), b.Words()
+	for wi := range min(na, nb) {
+		if x, y := a.Word(wi), b.Word(wi); x != y {
+			return bits.ReverseBytes64(x) < bits.ReverseBytes64(y)
+		}
+	}
+	la, lb := 8*na+4, 8*nb+4
+	for i := 8 * min(na, nb); i < min(la, lb); i++ {
+		if x, y := keyByte(a, i), keyByte(b, i); x != y {
+			return x < y
+		}
+	}
+	return la < lb
+}
+
+// keyByte returns byte i of v.Key().
+func keyByte(v bitvec.Vector, i int) byte {
+	if wi := i / 8; wi < v.Words() {
+		return byte(v.Word(wi) >> (8 * uint(i%8)))
+	}
+	return byte(v.Len() >> (8 * uint(i-8*v.Words())))
 }
 
 // crossFill computes, for every player in learners, its vector over objs
@@ -223,8 +282,14 @@ func Supported(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector
 // top 2B' vectors by support. The candidate count stays O(B') — the probe
 // budget of the elimination loop is unchanged — and the elimination probes
 // discard any junk this lets in.
+//
+// Elimination (Figure 1 step 5) is one decision tree per merge: the
+// probe-to-disambiguate loop is deterministic given the probe answers, so
+// every honest learner of this merge walks the same tree over cands,
+// built once here, with one probe per internal node (elimTree).
 func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, bPrime int, pr Params) []bitvec.Vector {
 	cands := Supported(pub, float64(len(pub))/(pr.VoteDivisor*float64(bPrime)), 2*bPrime)
+	tree := newElimTree(cands)
 	return par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
 		p := learners[i]
 		if !rc.IsHonest(p) {
@@ -232,74 +297,117 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, b
 			// than running the elimination loop.
 			return rc.ReportVector(p, objs)
 		}
-		return eliminate(rc, p, objs, cands)
+		return tree.walk(rc, p, objs)
 	})
 }
 
-// eliminateStack is the candidate count up to which eliminate keeps its
-// survivor buffer on the stack; larger candidate sets (rare: the set is
-// O(B')) fall back to the heap.
-const eliminateStack = 128
+// elimTree is the probe-to-disambiguate loop of Figure 1 step 5 — while
+// surviving candidates disagree somewhere, probe such an object and drop
+// the candidates that contradict the probe — unrolled into a binary
+// decision tree over one candidate set.
+//
+// The loop takes the first position where a survivor differs from the
+// first survivor, probes it, and keeps the survivors that agree, in
+// order. Which survivors remain depends only on the answers so far, so
+// each tree node is one survivor set: an internal node holds
+// the position the loop probes there and one child per answer, and a leaf
+// holds the first survivor of a set that is down to one candidate or
+// identical on objs. Each probe splits its set into two non-empty parts
+// (the two survivors that differ there land on opposite sides), so the
+// tree has at most len(cands)−1 internal nodes, and a walk makes at most
+// that many probes. A player that matches no candidate (SmallRadius feeds
+// groups whose clusters have diameter ≈1, not 0, so it may deviate from
+// its cluster's modal vector) still ends at exactly one leaf: the
+// candidate its probes lead to. Under an exact zero-radius assumption that
+// is the player's own vector.
+type elimTree struct {
+	cands []bitvec.Vector
+	nodes []elimNode
+	// root is a node index, or ^i for the leaf holding cands[i].
+	root int32
+}
 
-// eliminate runs the probe-to-disambiguate loop of Figure 1 step 5 for one
-// player: while surviving candidates disagree somewhere, probe such an
-// object and drop the candidates that contradict the probe.
-//
-// Each probe is taken at a position where two survivors disagree, so it
-// keeps at least one survivor and drops at least one: the loop ends after
-// at most len(cands)-1 probes with one survivor, or with survivors that are
-// identical on objs, and the first of them is the answer. Under an exact
-// zero-radius assumption that is the player's own vector. A player that
-// matches no candidate (SmallRadius feeds groups whose clusters have
-// diameter ≈1, not 0, so it may deviate from its cluster's modal vector)
-// still ends with exactly one: the candidate its probes lead to.
-//
-// The winner is returned as-is: candidate vectors are shared, immutable
-// inputs, and every downstream consumer only reads them. eliminate runs
-// once per learner per merge and allocates nothing up to eliminateStack
-// candidates.
-func eliminate(rc *world.Run, p int, objs []int, cands []bitvec.Vector) bitvec.Vector {
+// elimNode is one internal node: the candidate position probed there and
+// the subtree for each answer (child[1] for true), each a node index or
+// ^i for the leaf holding cands[i].
+type elimNode struct {
+	pos   int32
+	child [2]int32
+}
+
+// newElimTree builds the elimination tree of cands by replaying the loop
+// on every branch: the first disagreement with the branch's first
+// survivor, then an order-preserving split on the probed position.
+func newElimTree(cands []bitvec.Vector) *elimTree {
+	t := &elimTree{cands: cands}
+	if len(cands) == 0 {
+		return t
+	}
+	idx := make([]int32, len(cands))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	t.root = t.build(idx, make([]int32, len(cands)))
+	return t
+}
+
+// build returns the subtree for the non-empty survivor set idx (candidate
+// indices in loop order); tmp is scratch of at least len(idx).
+func (t *elimTree) build(idx, tmp []int32) int32 {
+	first, j := t.cands[idx[0]], -1
+	for _, i := range idx[1:] {
+		if j = first.FirstDiff(t.cands[i]); j >= 0 {
+			break
+		}
+	}
+	if j < 0 {
+		return ^idx[0] // one survivor, or all identical on objs
+	}
+	// Stable split: the survivors with a 1 at j first, then the rest,
+	// each in loop order.
+	n1 := 0
+	for _, i := range idx {
+		if t.cands[i].Get(j) {
+			tmp[n1] = i
+			n1++
+		}
+	}
+	n0 := n1
+	for _, i := range idx {
+		if !t.cands[i].Get(j) {
+			tmp[n0] = i
+			n0++
+		}
+	}
+	copy(idx, tmp[:n0])
+	at := int32(len(t.nodes))
+	t.nodes = append(t.nodes, elimNode{pos: int32(j)})
+	c1 := t.build(idx[:n1], tmp)
+	c0 := t.build(idx[n1:], tmp)
+	t.nodes[at].child = [2]int32{c0, c1}
+	return at
+}
+
+// walk runs player p's elimination over objs: one probe per internal node
+// on the way down, on the same objects in the same order as the loop. The
+// winner is returned as-is: candidate vectors are shared, immutable
+// inputs, and every downstream consumer only reads them. A walk allocates
+// nothing except the empty vector of the degenerate shapes.
+func (t *elimTree) walk(rc *world.Run, p int, objs []int) bitvec.Vector {
 	if len(objs) == 0 {
 		return bitvec.New(0)
 	}
-	if len(cands) == 0 {
+	if len(t.cands) == 0 {
 		return bitvec.New(len(objs))
 	}
-	var buf [eliminateStack]bitvec.Vector
-	survivors := buf[:]
-	if len(cands) > eliminateStack {
-		survivors = make([]bitvec.Vector, len(cands))
-	}
-	survivors = survivors[:copy(survivors, cands)]
-	for len(survivors) > 1 {
-		j := firstDisagreement(survivors)
-		if j < 0 {
-			break // all survivors identical on objs
-		}
-		truth := rc.Probe(p, objs[j])
-		k := 0
-		for _, c := range survivors {
-			if c.Get(j) == truth {
-				survivors[k] = c
-				k++
-			}
-		}
-		survivors = survivors[:k]
-	}
-	return survivors[0]
-}
-
-// firstDisagreement returns an index where at least two of the vectors
-// differ, or -1 if all vectors are identical. FirstDiff scans words and
-// allocates nothing — this runs once per elimination probe per learner,
-// and materializing every difference (DiffIndices) just to take the first
-// was the elimination loop's main allocation.
-func firstDisagreement(vs []bitvec.Vector) int {
-	base := vs[0]
-	for _, v := range vs[1:] {
-		if d := base.FirstDiff(v); d >= 0 {
-			return d
+	at := t.root
+	for at >= 0 {
+		nd := &t.nodes[at]
+		if rc.Probe(p, objs[nd.pos]) {
+			at = nd.child[1]
+		} else {
+			at = nd.child[0]
 		}
 	}
-	return -1
+	return t.cands[^at]
 }

@@ -1,6 +1,7 @@
 package zeroradius
 
 import (
+	"sort"
 	"testing"
 
 	"collabscore/internal/adversary"
@@ -235,7 +236,8 @@ func TestScaledParamsStillRecover(t *testing.T) {
 // TestSupported: the one support tally orders by support descending, then
 // Key; clamps the threshold to ≥ 1; and admits the topK most supported
 // vectors whatever their support. It returns pub's own vectors, the first
-// of each equal run.
+// of each equal run — on random tallies exactly the vectors, in the order,
+// of the Key-string oracle supportedKey.
 func TestSupported(t *testing.T) {
 	// Length-8 vectors whose keys order by their single word: d < b.
 	a := bitvec.FromBits([]int{1, 1, 0, 0, 0, 0, 0, 0})
@@ -280,6 +282,89 @@ func TestSupported(t *testing.T) {
 	if got := Supported(nil, 1, 4); len(got) != 0 {
 		t.Fatalf("empty tally gave %d candidates", len(got))
 	}
+
+	// A key that is a prefix of another orders first: same first word,
+	// and the longer vector's second word starts with the shorter one's
+	// length bytes.
+	short, long := bitvec.New(7), bitvec.New(100)
+	short.SetWord(0, 5)
+	long.SetWord(0, 5)
+	long.SetWord(1, 7)
+	for _, pub := range [][]bitvec.Vector{{long, short}, {short, long}} {
+		got := Supported(pub, 1, 0)
+		if len(got) != 2 || !bitvec.SameStorage(got[0], short) {
+			t.Fatal("a key's proper prefix does not order first")
+		}
+	}
+
+	// The hashed tally against the Key-string oracle: support ties among
+	// many vectors, vectors of different lengths side by side (their keys
+	// order on the length bytes and on key bytes past the shorter key's
+	// words), and many distinct vectors against few repeats.
+	rng := xrand.New(17)
+	lengths := []int{1, 7, 8, 63, 64, 65, 128, 129, 256, 300}
+	for trial := 0; trial < 200; trial++ {
+		var pool []bitvec.Vector
+		for k := 1 + rng.Intn(60); k > 0; k-- {
+			v := bitvec.New(lengths[rng.Intn(len(lengths))])
+			for j := 0; j < v.Len(); j++ {
+				v.Set(j, rng.Intn(4) == 0)
+			}
+			if trial%3 == 0 && v.Len() > 0 { // low words equal, ties decided later
+				v.SetWord(0, 0)
+			}
+			pool = append(pool, v)
+		}
+		var pub []bitvec.Vector
+		for k := rng.Intn(400); k > 0; k-- {
+			pub = append(pub, pool[rng.Intn(len(pool))].Clone())
+		}
+		threshold, topK := float64(rng.Intn(6)), rng.Intn(8)
+		got, want := Supported(pub, threshold, topK), supportedKey(pub, threshold, topK)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d candidates, oracle %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if !bitvec.SameStorage(got[i], want[i]) {
+				t.Fatalf("trial %d: candidate %d is not the oracle's", trial, i)
+			}
+		}
+	}
+}
+
+// supportedKey is the Key-string tally Supported replaced, kept as its
+// oracle: support descending, ties by Key, the first equal vector of pub.
+func supportedKey(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector {
+	type tally struct {
+		vec     bitvec.Vector
+		key     string
+		support int
+	}
+	var all []tally
+	at := make(map[string]int)
+	for _, v := range pub {
+		k := v.Key()
+		if i, ok := at[k]; ok {
+			all[i].support++
+			continue
+		}
+		at[k] = len(all)
+		all = append(all, tally{vec: v, key: k, support: 1})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].support != all[j].support {
+			return all[i].support > all[j].support
+		}
+		return all[i].key < all[j].key
+	})
+	threshold = max(threshold, 1)
+	var out []bitvec.Vector
+	for i, c := range all {
+		if float64(c.support) >= threshold || i < topK {
+			out = append(out, c.vec)
+		}
+	}
+	return out
 }
 
 // stridedPerm returns every stride-th entry of a random permutation of
