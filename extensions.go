@@ -12,9 +12,7 @@ package collabscore
 import (
 	"fmt"
 
-	"collabscore/internal/bitvec"
 	"collabscore/internal/budgets"
-	"collabscore/internal/metrics"
 	"collabscore/internal/multival"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/xrand"
@@ -38,18 +36,7 @@ func (s *Simulation) RunWithCapacities(capacities []int) *Report {
 	pr.PhaseSerial = s.params.PhaseSerial
 	pr.PhaseWorkers = s.params.PhaseWorkers
 	pr.NeighborIndex = s.params.NeighborIndex
-	res := budgets.Run(s.w, s.rng.Split(14), pr)
-	es := metrics.Error(s.w, res.Output)
-	ps := metrics.Probes(s.w)
-	return &Report{
-		MaxError:    es.Max,
-		MeanError:   es.Mean,
-		MaxProbes:   ps.Max,
-		MeanProbes:  ps.Mean,
-		TotalProbes: ps.Total,
-		OptDiameter: s.instance.PlantedDiameter,
-		Outputs:     res.Output,
-	}
+	return s.report(budgets.Run(s.w, s.rng.Split(14), pr))
 }
 
 // TwoTierCapacities builds a capacity vector where a bigFrac fraction of
@@ -184,8 +171,7 @@ type RatingReport struct {
 // Run executes the generalized protocol with trusted shared coins.
 func (rs *RatingSimulation) Run() *RatingReport {
 	rs.w.ResetProbes()
-	res := multival.Run(rs.w, rs.rng.Split(10), rs.pr)
-	return rs.report(res.Output, res.NumClusters, 0, 0)
+	return rs.report(multival.Run(rs.w, rs.rng.Split(10), rs.pr))
 }
 
 // RunByzantine executes the leader-election wrapper with the given number
@@ -196,15 +182,18 @@ func (rs *RatingSimulation) RunByzantine(repetitions int) *RatingReport {
 		repetitions = 5
 	}
 	rs.w.ResetProbes()
-	res := multival.RunByzantine(rs.w, rs.rng.Split(11), nil, repetitions, rs.pr)
-	return rs.report(res.Output, res.NumClusters, res.HonestLeaders, res.Repetitions)
+	return rs.report(multival.RunByzantine(rs.w, rs.rng.Split(11), nil, repetitions, rs.pr))
 }
 
-func (rs *RatingSimulation) report(out []bitvec.Planes, clusters []int, leaders, reps int) *RatingReport {
-	es := multival.ErrorStats(rs.w, out)
-	rows := make([][]int, len(out))
-	for p, r := range out {
+func (rs *RatingSimulation) report(res *multival.Result) *RatingReport {
+	es := multival.ErrorStats(rs.w, res.Output)
+	rows := make([][]int, len(res.Output))
+	for p, r := range res.Output {
 		rows[p] = r.Ints()
+	}
+	var clusters []int
+	for _, it := range res.Iterations {
+		clusters = append(clusters, it.NumClusters)
 	}
 	return &RatingReport{
 		MaxL1Error:    es.Max,
@@ -212,9 +201,9 @@ func (rs *RatingSimulation) report(out []bitvec.Planes, clusters []int, leaders,
 		MaxProbes:     int(rs.w.MaxHonestProbes()),
 		MeanProbes:    rs.w.MeanHonestProbes(),
 		TotalProbes:   rs.w.TotalProbes(),
-		HonestLeaders: leaders,
-		Repetitions:   reps,
-		NumClusters:   append([]int(nil), clusters...),
+		HonestLeaders: res.HonestLeaders,
+		Repetitions:   res.Repetitions,
+		NumClusters:   clusters,
 		Outputs:       rows,
 	}
 }

@@ -1,6 +1,9 @@
 package collabscore
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestRunWithCapacities(t *testing.T) {
 	sim := NewSimulation(Config{Players: 512, Budget: 8, Seed: 31, FixedDiameter: 32})
@@ -15,6 +18,16 @@ func TestRunWithCapacities(t *testing.T) {
 	}
 	if rep.MaxProbes == 0 {
 		t.Fatal("no probes recorded")
+	}
+	// The report carries one iteration per guess of the ladder.
+	sim.Params().MinD, sim.Params().MaxD = 8, 64
+	rep = sim.RunWithCapacities(caps)
+	var ds []int
+	for _, it := range rep.Iterations {
+		ds = append(ds, it.D)
+	}
+	if want := []int{8, 16, 32, 64}; !slices.Equal(ds, want) {
+		t.Fatalf("report iterations ran guesses %v, want %v", ds, want)
 	}
 }
 

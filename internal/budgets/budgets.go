@@ -18,6 +18,13 @@
 // The accuracy analysis is untouched (cluster diameter still comes from the
 // edge threshold; majorities still ≥2/3 honest under the same corruption
 // cap), while the probe loads become capacity-weighted.
+//
+// Everything else is core's: Run is core's doubling loop (core.Iterate)
+// over the binary steps (core.BinarySteps) with SmallRadius at a
+// capacity-derived budget and the peel and share replaced, followed by a
+// per-player spot check among the guesses (core.SpotCheck on
+// core.SelectEach), and it returns core's result shape (core.Result) with
+// one core.IterationStats per guess.
 package budgets
 
 import (
@@ -95,16 +102,6 @@ func TwoTier(rng *xrand.Stream, n, smallCap, bigCap int, bigFrac float64) []int 
 	return out
 }
 
-// Result is the protocol output plus capacity bookkeeping.
-type Result struct {
-	Output []bitvec.Vector
-	// ClusterCapacity[j] is the total capacity of cluster j in the last
-	// diameter guess run — empty when that guess formed no clusters, even
-	// if an earlier guess did. NumClusters counts the same guess.
-	ClusterCapacity []int
-	NumClusters     int
-}
-
 // meanCapacity returns the average capacity, at least 1.
 func meanCapacity(capacity []int) int {
 	if len(capacity) == 0 {
@@ -121,87 +118,65 @@ func meanCapacity(capacity []int) int {
 	return m
 }
 
-// Run executes the capacity-aware protocol: diameter doubling, sampling,
-// SmallRadius on the sample, capacity-validated clustering, and
-// capacity-weighted work sharing, with a final spot check among the
+// Run executes the capacity-aware protocol on core's doubling loop
+// (core.Iterate over core.BinarySteps): sampling and SmallRadius at a
+// capacity-derived budget, the neighbor graph, the capacity-validated peel
+// and the capacity-weighted share, with a final spot check among the
 // guesses (core.SpotCheck, the RSelect analogue).
-func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
+func Run(w *world.World, shared *xrand.Stream, pr Params) *core.Result {
 	n, m := w.N(), w.M()
 	if len(pr.Capacity) != n {
 		panic("budgets: capacity vector must have one entry per player")
 	}
 	// The sample, SmallRadius diameter, edge threshold and redundancy use
-	// core's formulas over these factors.
+	// core's formulas over these factors; SmallRadius runs at the budget
+	// the mean capacity affords, and the zero SmallDThreshold leaves out
+	// core's easy case.
 	cp := core.Params{SampleFactor: pr.SampleFactor, SampleDiamFactor: 2,
-		EdgeFactor: pr.EdgeFactor, RedundancyFactor: pr.RedundancyFactor}
-	res := &Result{}
+		EdgeFactor: pr.EdgeFactor, RedundancyFactor: pr.RedundancyFactor,
+		NeighborIndex: pr.NeighborIndex, SR: pr.SR}
+	red := cp.Redundancy(n)
+	cp.B = max(1, n/max(1, m*red/meanCapacity(pr.Capacity)))
 	rc := world.NewRunOn(w, par.Sched(pr.PhaseSerial, pr.PhaseWorkers))
-	var candidates [][]bitvec.Vector
-	for gi, d := range core.Guesses(pr.MinD, pr.MaxD, n) {
-		candidates = append(candidates, runIteration(rc, d, shared.Split(uint64(gi), uint64(d)), cp, pr, res))
+	st := core.BinarySteps(rc, cp)
+	// A seed player and its alive neighbors form a cluster only when their
+	// total capacity can absorb the cluster's red·m probes.
+	st.Peel = func(g cluster.Graph) *cluster.Clustering { return buildByCapacity(g, pr.Capacity, m*red) }
+	st.Share = func(cl *cluster.Clustering, s *xrand.Stream, _ *core.IterationStats) []bitvec.Vector {
+		return weightedShare(rc, cl, s, pr.Capacity, red)
 	}
-	res.Output = par.MapOn(rc.Exec(), n, func(p int) bitvec.Vector {
-		if !w.IsHonest(p) {
-			return bitvec.New(m)
-		}
-		best := core.SpotCheck(shared.Split(0xFE11, uint64(p)), n, m, len(candidates), func(ci, o int) int {
-			if w.Probe(p, o) != candidates[ci][p].Get(o) {
+	cands, res := core.Iterate(shared, core.Guesses(pr.MinD, pr.MaxD, n), m, st)
+	res.Output = core.SelectEach(rc.Exec(), w, bitvec.New(m), cands, func(p int, col []bitvec.Vector) int {
+		return core.SpotCheck(shared.Split(0xFE11, uint64(p)), n, m, len(col), func(ci, o int) int {
+			if w.Probe(p, o) != col[ci].Get(o) {
 				return 1
 			}
 			return 0
 		})
-		return candidates[best][p]
 	})
 	return res
 }
 
-func runIteration(rc *world.Run, d int, shared *xrand.Stream, cp core.Params, pr Params, res *Result) []bitvec.Vector {
+// weightedShare is the capacity-weighted work sharing: each object of a
+// cluster j goes to red members drawn with probability proportional to
+// capacity on s.Split(0x5C, j).Split(o), and the cluster adopts the
+// majority of their reports. Players in no cluster share one zero vector;
+// every member shares its cluster's one majority vector, since candidates
+// are never mutated downstream.
+func weightedShare(rc *world.Run, cl *cluster.Clustering, s *xrand.Stream, capacity []int, red int) []bitvec.Vector {
 	n, m := rc.N(), rc.M()
-	red := cp.Redundancy(n)
-
-	// Sample and estimate sample preferences (same machinery as core).
-	rc.Pub.Phase = "sample"
-	sample := core.DrawSample(shared.Split(0x5A), m, cp.SampleProb(n, d))
-	rc.Pub.SetSample(sample)
-	rc.Pub.Phase = "smallradius"
-	srBudget := max(1, n/max(1, m*red/meanCapacity(pr.Capacity)))
-	z := smallradius.Run(rc, sample, cp.SampleDiameter(n), srBudget, shared.Split(0x5B), pr.SR)
-
-	// Neighbor graph as in core, through the NeighborIndex spec (the index
-	// stream split is a pure read of the shared coins, so the default exact
-	// path consumes exactly the coins it always did).
-	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, cp.EdgeThreshold(n), shared.Split(0x5D))
-
-	// Capacity-validated peeling: a seed player and its alive neighbors
-	// form a cluster only when their total capacity can absorb the work.
-	needed := m * red // total probes the cluster must provide
-	cl := buildByCapacity(g, pr.Capacity, needed)
-	res.NumClusters = len(cl.Clusters)
-	res.ClusterCapacity = res.ClusterCapacity[:0]
-	for _, members := range cl.Clusters {
-		t := 0
-		for _, p := range members {
-			t += pr.Capacity[p]
-		}
-		res.ClusterCapacity = append(res.ClusterCapacity, t)
-	}
-	rc.Pub.Clusters = cl.Clusters
-
-	// Capacity-weighted work sharing. Players in no cluster share one zero
-	// vector; candidates are never mutated downstream.
-	rc.Pub.Phase = "workshare"
 	out := make([]bitvec.Vector, n)
 	zero := bitvec.New(m)
 	for p := range out {
 		out[p] = zero
 	}
 	for j, members := range cl.Clusters {
-		clusterRng := shared.Split(0x5C, uint64(j))
+		clusterRng := s.Split(0x5C, uint64(j))
 		// Build the sampling weights once per cluster.
 		weights := make([]int, len(members))
 		total := 0
 		for i, p := range members {
-			total += pr.Capacity[p]
+			total += capacity[p]
 			weights[i] = total
 		}
 		bits := par.MapOn(rc.Exec(), m, func(o int) bool {
@@ -223,16 +198,10 @@ func runIteration(rc *world.Run, d int, shared *xrand.Stream, cp core.Params, pr
 				maj.Set(o, true)
 			}
 		}
-		// Every member shares the cluster's one immutable majority vector —
-		// candidates are never mutated downstream, so a per-member clone
-		// would be pure allocation (the same sharing as core's workshare).
 		for _, p := range members {
 			out[p] = maj
 		}
 	}
-	rc.Pub.SetSample(nil)
-	rc.Pub.Clusters = nil
-	rc.Pub.Phase = ""
 	return out
 }
 

@@ -1,11 +1,14 @@
 package budgets
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
+	"collabscore/internal/core"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -25,8 +28,8 @@ func TestUniformCapacityMatchesCore(t *testing.T) {
 	if es.Max > 2*d {
 		t.Fatalf("max error %d > %d", es.Max, 2*d)
 	}
-	if res.NumClusters == 0 {
-		t.Fatal("no clusters formed")
+	if len(res.Iterations) != 1 || res.Iterations[0].D != d || res.Iterations[0].NumClusters == 0 {
+		t.Fatalf("iterations %+v, want one guess at D=%d that forms clusters", res.Iterations, d)
 	}
 }
 
@@ -73,18 +76,33 @@ func TestLoadProportionalToCapacity(t *testing.T) {
 	}
 }
 
+// TestClusterCapacityMeetsNeed: every cluster the capacity peel forms on
+// a planted two-tier world holds at least the red·m probes it must
+// absorb, and a run on the same world forms clusters at its one guess.
 func TestClusterCapacityMeetsNeed(t *testing.T) {
 	const n, d = 512, 32
 	rng := xrand.New(9)
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
-	w := world.New(in.Truth)
-	pr := Scaled(n, Uniform(n, 64))
+	caps := TwoTier(rng.Split(5), n, 32, 256, 0.5)
+	pr := Scaled(n, caps)
 	pr.MinD, pr.MaxD = d, d
-	res := Run(w, rng.Split(2), pr)
-	for j, c := range res.ClusterCapacity {
-		if c <= 0 {
-			t.Fatalf("cluster %d capacity %d", j, c)
+	needed := n * core.Params{RedundancyFactor: pr.RedundancyFactor}.Redundancy(n)
+	cl := buildByCapacity(cluster.BuildGraph(in.Truth, 2*d), caps, needed)
+	if len(cl.Clusters) == 0 {
+		t.Fatal("the capacity peel formed no clusters")
+	}
+	for j, members := range cl.Clusters {
+		total := 0
+		for _, p := range members {
+			total += caps[p]
 		}
+		if total < needed {
+			t.Fatalf("cluster %d capacity %d < needed %d", j, total, needed)
+		}
+	}
+	res := Run(world.New(in.Truth), rng.Split(2), pr)
+	if len(res.Iterations) != 1 || res.Iterations[0].NumClusters == 0 {
+		t.Fatalf("iterations %+v, want one guess that forms clusters", res.Iterations)
 	}
 }
 
@@ -269,7 +287,7 @@ func TestNeighborIndexLSHMatchesExact(t *testing.T) {
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
 	caps := TwoTier(rng.Split(2), n, 32, 512, 0.25)
 
-	run := func(spec cluster.IndexSpec) (*Result, *world.World) {
+	run := func(spec cluster.IndexSpec) (*core.Result, *world.World) {
 		w := world.New(in.Truth)
 		pr := Scaled(n, caps)
 		pr.MinD, pr.MaxD = d, d
@@ -279,16 +297,8 @@ func TestNeighborIndexLSHMatchesExact(t *testing.T) {
 	ref, refW := run(cluster.IndexSpec{})
 	got, gotW := run(cluster.IndexSpec{Kind: "lsh"})
 
-	if got.NumClusters != ref.NumClusters {
-		t.Fatalf("LSH formed %d clusters, exact %d", got.NumClusters, ref.NumClusters)
-	}
-	if len(got.ClusterCapacity) != len(ref.ClusterCapacity) {
-		t.Fatalf("cluster capacity lists differ in length")
-	}
-	for j := range ref.ClusterCapacity {
-		if got.ClusterCapacity[j] != ref.ClusterCapacity[j] {
-			t.Fatalf("cluster %d capacity %d (lsh) vs %d (exact)", j, got.ClusterCapacity[j], ref.ClusterCapacity[j])
-		}
+	if !slices.Equal(got.Iterations, ref.Iterations) {
+		t.Fatalf("LSH iterations %+v, exact %+v", got.Iterations, ref.Iterations)
 	}
 	for p := 0; p < n; p++ {
 		if got.Output[p].Hamming(ref.Output[p]) != 0 {
@@ -310,7 +320,7 @@ func TestNeighborIndexSparseMatchesDense(t *testing.T) {
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
 	caps := TwoTier(rng.Split(2), n, 32, 512, 0.25)
 
-	run := func(spec cluster.IndexSpec) (*Result, *world.World) {
+	run := func(spec cluster.IndexSpec) (*core.Result, *world.World) {
 		w := world.New(in.Truth)
 		pr := Scaled(n, caps)
 		pr.MinD, pr.MaxD = d, d
@@ -321,17 +331,8 @@ func TestNeighborIndexSparseMatchesDense(t *testing.T) {
 		ref, refW := run(cluster.IndexSpec{Kind: kind, Graph: "dense"})
 		got, gotW := run(cluster.IndexSpec{Kind: kind, Graph: "sparse"})
 
-		if got.NumClusters != ref.NumClusters {
-			t.Fatalf("kind=%q: sparse formed %d clusters, dense %d", kind, got.NumClusters, ref.NumClusters)
-		}
-		if len(got.ClusterCapacity) != len(ref.ClusterCapacity) {
-			t.Fatalf("kind=%q: cluster capacity lists differ in length", kind)
-		}
-		for j := range ref.ClusterCapacity {
-			if got.ClusterCapacity[j] != ref.ClusterCapacity[j] {
-				t.Fatalf("kind=%q: cluster %d capacity %d (sparse) vs %d (dense)",
-					kind, j, got.ClusterCapacity[j], ref.ClusterCapacity[j])
-			}
+		if !slices.Equal(got.Iterations, ref.Iterations) {
+			t.Fatalf("kind=%q: sparse iterations %+v, dense %+v", kind, got.Iterations, ref.Iterations)
 		}
 		for p := 0; p < n; p++ {
 			if got.Output[p].Hamming(ref.Output[p]) != 0 {
@@ -353,7 +354,7 @@ func TestLSHScheduleMatrix(t *testing.T) {
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 32, d)
 	caps := TwoTier(rng.Split(2), n, 16, 256, 0.3)
 
-	var ref *Result
+	var ref *core.Result
 	for _, sched := range []struct {
 		serial  bool
 		workers int
@@ -373,6 +374,80 @@ func TestLSHScheduleMatrix(t *testing.T) {
 			if res.Output[p].Hamming(ref.Output[p]) != 0 {
 				t.Fatalf("schedule %+v: player %d output differs from serial", sched, p)
 			}
+		}
+	}
+}
+
+// pubSeen is the published state one report observed.
+type pubSeen struct {
+	phase              string
+	d                  int
+	sample, clustering bool
+}
+
+// pubRecorder is a dishonest behavior that reports the truth and logs the
+// published state every report sees, in report order under PhaseSerial.
+type pubRecorder struct {
+	mu  *sync.Mutex
+	log *[]pubSeen
+}
+
+func (r pubRecorder) Report(rc *world.Run, p, o int) bool {
+	r.mu.Lock()
+	*r.log = append(*r.log, pubSeen{rc.Pub.Phase, rc.Pub.TargetDiameter, rc.Pub.HasSample(), rc.Pub.Clusters != nil})
+	r.mu.Unlock()
+	return rc.PeekTruth(p, o)
+}
+
+// TestPublishedStatePerGuess: the capacity variant publishes the same
+// state to adversaries as core on the shared doubling loop. Over a
+// two-guess ladder every report sees TargetDiameter equal to its guess,
+// and each guess runs smallradius with the sample published (the sample
+// phase itself draws no reports), then workshare with the sample and the
+// clusters published.
+func TestPublishedStatePerGuess(t *testing.T) {
+	const n, b = 256, 8
+	ladder := []int{32, 64}
+	in := prefgen.DiameterClusters(xrand.New(71).Split(1), n, n, n/b, 16)
+	runs := map[string]func(w *world.World){
+		"core": func(w *world.World) {
+			pr := core.Scaled(n, b)
+			pr.MinD, pr.MaxD, pr.PhaseSerial = ladder[0], ladder[1], true
+			core.Run(w, xrand.New(72), pr)
+		},
+		"budgets": func(w *world.World) {
+			pr := Scaled(n, Uniform(n, 128))
+			pr.MinD, pr.MaxD, pr.PhaseSerial = ladder[0], ladder[1], true
+			Run(w, xrand.New(72), pr)
+		},
+	}
+	for name, run := range runs {
+		var mu sync.Mutex
+		var log []pubSeen
+		w := world.New(in.Truth)
+		for p := 0; p < n; p += 16 {
+			w.SetBehavior(p, pubRecorder{&mu, &log})
+		}
+		run(w)
+		type segment struct {
+			d     int
+			phase string
+		}
+		var segs []segment
+		for _, s := range log {
+			if want := s.phase == "workshare"; !s.sample || s.clustering != want {
+				t.Fatalf("%s: a report in phase %q at D=%d saw sample %v, clusters %v", name, s.phase, s.d, s.sample, s.clustering)
+			}
+			if len(segs) == 0 || segs[len(segs)-1] != (segment{s.d, s.phase}) {
+				segs = append(segs, segment{s.d, s.phase})
+			}
+		}
+		var want []segment
+		for _, d := range ladder {
+			want = append(want, segment{d, "smallradius"}, segment{d, "workshare"})
+		}
+		if !slices.Equal(segs, want) {
+			t.Fatalf("%s: reports saw (D, phase) runs %v, want %v", name, segs, want)
 		}
 	}
 }

@@ -2,10 +2,12 @@ package budgets
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
+	"collabscore/internal/core"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -69,14 +71,14 @@ func TestCapacityPeelAttachesLeftovers(t *testing.T) {
 // per-player spot check chooses among candidate vectors. The largest guess
 // alone is inaccurate here (its tiny sample merges every player into one
 // cluster), yet the chosen outputs stay O(D)-accurate, are identical under
-// every phase schedule, and the cluster bookkeeping describes that last
-// guess.
+// every phase schedule, and the run records one IterationStats per guess
+// of the ladder, identical under every schedule.
 func TestRunSelectsAmongGuesses(t *testing.T) {
 	const n, d = 256, 16
 	rng := xrand.New(41)
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 32, d)
 	caps := TwoTier(rng.Split(5), n, 32, 256, 0.5)
-	run := func(minD, maxD int, serial bool, workers int) (*Result, int) {
+	run := func(minD, maxD int, serial bool, workers int) (*core.Result, int) {
 		w := world.New(in.Truth)
 		pr := Scaled(n, caps)
 		pr.MinD, pr.MaxD = minD, maxD
@@ -88,7 +90,7 @@ func TestRunSelectsAmongGuesses(t *testing.T) {
 	if _, maxErr := run(64, 64, false, 0); maxErr <= 2*d {
 		t.Fatalf("largest guess alone has max error %d ≤ %d; the spot check would be untested", maxErr, 2*d)
 	}
-	var ref *Result
+	var ref *core.Result
 	for _, sched := range []struct {
 		serial  bool
 		workers int
@@ -97,13 +99,19 @@ func TestRunSelectsAmongGuesses(t *testing.T) {
 		if maxErr > 2*d {
 			t.Fatalf("schedule %+v: max error %d > %d", sched, maxErr, 2*d)
 		}
-		if len(res.ClusterCapacity) != res.NumClusters {
-			t.Fatalf("schedule %+v: %d cluster capacities for %d clusters",
-				sched, len(res.ClusterCapacity), res.NumClusters)
+		var ds []int
+		for _, it := range res.Iterations {
+			ds = append(ds, it.D)
+		}
+		if want := core.Guesses(2, 64, n); !slices.Equal(ds, want) {
+			t.Fatalf("schedule %+v: iterations ran guesses %v, want %v", sched, ds, want)
 		}
 		if ref == nil {
 			ref = res
 			continue
+		}
+		if !slices.Equal(res.Iterations, ref.Iterations) {
+			t.Fatalf("schedule %+v: iterations %+v differ from serial %+v", sched, res.Iterations, ref.Iterations)
 		}
 		for p := 0; p < n; p++ {
 			if !res.Output[p].Equal(ref.Output[p]) {

@@ -35,12 +35,12 @@ type ByzProtocol[T any] struct {
 	// Election configures Feige's lightest-bin tournament.
 	Election election.Params
 
-	// RunRep executes the full protocol for repetition it under an honest
-	// leader's unbiased shared coins, returning one output per player. It
-	// may record per-repetition statistics on st (Leader and HonestLeader
-	// are already set). RunRep must be safe for concurrent invocations with
-	// distinct it unless Serial is set.
-	RunRep func(it int, shared *xrand.Stream, st *RepetitionStats) []T
+	// RunRep executes the full protocol of one repetition under an honest
+	// leader's unbiased shared coins. The wrapper keeps its Output, and
+	// records its Iterations and board traffic on the repetition's
+	// RepetitionStats. RunRep must be safe for concurrent invocations
+	// unless Serial is set.
+	RunRep func(shared *xrand.Stream) *Outcome[T]
 	// Adversarial returns the worst-case outputs of a dishonest-leader
 	// repetition: the adversary controls the shared coins, which we model
 	// by letting it replace the repetition's candidates outright (strictly
@@ -63,14 +63,13 @@ type ByzProtocol[T any] struct {
 // order is irrelevant and fixed-seed outputs are byte-identical between the
 // serial and concurrent repetition schedules (DESIGN.md §6).
 //
-// It returns the selected outputs and the per-repetition statistics in
-// repetition order (Leader/HonestLeader always set, plus whatever RunRep
-// recorded).
-func RunByzantineOver[T any](w election.Roster, trueRng *xrand.Stream, pb ByzProtocol[T]) ([]T, []RepetitionStats) {
-	k := pb.Repetitions
-	if k < 1 {
-		k = 1
-	}
+// It returns the selected outputs with the per-repetition statistics in
+// repetition order (Leader/HonestLeader always set, plus each honest
+// repetition's Iterations and board traffic), merged in that order: the
+// honest-leader count, the last honest repetition's Iterations, and the
+// board totals — so every counter is independent of the schedule.
+func RunByzantineOver[T any](w election.Roster, trueRng *xrand.Stream, pb ByzProtocol[T]) *Outcome[T] {
+	k := max(pb.Repetitions, 1)
 
 	// Split every repetition's streams from the parent up front. Splitting
 	// is a pure read of the parent's state — concurrent Splits of one
@@ -84,18 +83,22 @@ func RunByzantineOver[T any](w election.Roster, trueRng *xrand.Stream, pb ByzPro
 		sharedRng[it] = trueRng.Split(0x5EED, uint64(it))
 	}
 
-	reps := make([]RepetitionStats, k)
+	res := &Outcome[T]{Repetitions: k, Reps: make([]RepetitionStats, k)}
 	outputs := make([][]T, k)
 	runRep := func(it int) {
-		st := &reps[it]
+		st := &res.Reps[it]
 		el := election.Run(w, elecRng[it], pb.Strategy, pb.Election)
 		st.Leader = el.Leader
 		if !w.IsHonest(el.Leader) {
 			outputs[it] = pb.Adversarial(it)
 			return
 		}
+		sub := pb.RunRep(sharedRng[it])
 		st.HonestLeader = true
-		outputs[it] = pb.RunRep(it, sharedRng[it], st)
+		st.Iterations = sub.Iterations
+		st.BoardWrites = sub.BoardWrites
+		st.BoardReads = sub.BoardReads
+		outputs[it] = sub.Output
 	}
 	if pb.Serial {
 		for it := 0; it < k; it++ {
@@ -104,5 +107,14 @@ func RunByzantineOver[T any](w election.Roster, trueRng *xrand.Stream, pb ByzPro
 	} else {
 		par.For(k, runRep)
 	}
-	return pb.SelectFinal(trueRng.Split(0xF17A1), outputs), reps
+	for _, st := range res.Reps {
+		if st.HonestLeader {
+			res.HonestLeaders++
+			res.Iterations = st.Iterations
+		}
+		res.BoardWrites += st.BoardWrites
+		res.BoardReads += st.BoardReads
+	}
+	res.Output = pb.SelectFinal(trueRng.Split(0xF17A1), outputs)
+	return res
 }

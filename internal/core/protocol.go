@@ -42,29 +42,8 @@ type RepetitionStats struct {
 	BoardReads  int64
 }
 
-// Result is the output of one protocol run.
-type Result struct {
-	// Output[p] is the predicted preference vector for player p (length m).
-	// Entries for dishonest players are meaningless.
-	Output []bitvec.Vector
-	// Iterations holds per-diameter-guess statistics. For honest-randomness
-	// runs it covers the single doubling loop; for Byzantine runs it holds
-	// the statistics of the last repetition that elected an honest leader
-	// (empty if every leader was dishonest — Reps has the full picture).
-	Iterations []IterationStats
-	// Reps holds per-repetition statistics (Byzantine runs only).
-	Reps []RepetitionStats
-	// HonestLeaders counts Byzantine repetitions that elected an honest
-	// leader (Byzantine runs only).
-	HonestLeaders int
-	// Repetitions is the number of Byzantine repetitions executed.
-	Repetitions int
-	// BoardWrites and BoardReads account the bulletin-board communication
-	// of the work-sharing phases (§8 raises communication cost as an open
-	// question; we measure it).
-	BoardWrites int64
-	BoardReads  int64
-}
+// Result is the output of one binary protocol run.
+type Result = Outcome[bitvec.Vector]
 
 // phaseExec returns the executor protocol phases run on: the serial
 // reference schedule when pr.PhaseSerial is set, the default parallel one
@@ -78,77 +57,47 @@ func phaseExec(pr Params) *par.Runner {
 // about preferences). Use RunByzantine for the full §7 protocol with
 // leader election.
 func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
-	res := &Result{}
 	rc := world.NewRunOn(w, phaseExec(pr))
-	candidates := runDoublingLoop(rc, shared, pr, res)
-	res.Output = finalSelect(w, rc.Exec(), shared, candidates, pr)
+	cands, res := Iterate(shared, pr.DiameterGuesses(rc.N()), rc.M(), BinarySteps(rc, pr))
+	res.Output = rselectEach(w, rc.Exec(), shared, cands, pr)
 	return res
 }
 
-// runDoublingLoop executes the diameter-doubling loop of Figure 2 and
-// returns the candidate table: candidates[gi][p] is player p's vector from
-// diameter guess gi.
-func runDoublingLoop(rc *world.Run, shared *xrand.Stream, pr Params, res *Result) [][]bitvec.Vector {
-	allObjs := identity(rc.M())
-	var candidates [][]bitvec.Vector
-	for gi, d := range pr.DiameterGuesses(rc.N()) {
-		cand, stats := runIteration(rc, allObjs, d, shared.Split(uint64(gi), uint64(d)), pr)
-		res.Iterations = append(res.Iterations, stats)
-		res.BoardWrites += stats.BoardWrites
-		res.BoardReads += stats.BoardReads
-		candidates = append(candidates, cand)
-	}
-	return candidates
-}
-
-// runIteration executes one diameter guess: sample, SmallRadius, cluster,
-// work-share (Figure 2 steps 1.b–1.e). It returns one candidate vector per
-// player over all m objects.
-func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr Params) ([]bitvec.Vector, IterationStats) {
+// BinarySteps returns the binary protocol's steps of the doubling loop
+// over rc: the easy case below SmallDThreshold·ln n on the full object set
+// (coins 0xF0), SmallRadius at budget pr.B on the sample (0x5B), the
+// NeighborIndex graph (0x5D), the greedy peel (cluster.Build) and the
+// board workshare (0x5C). The capacity variant (budgets) swaps in its own
+// peel and share.
+func BinarySteps(rc *world.Run, pr Params) Steps[bitvec.Vector] {
 	n, m := rc.N(), rc.M()
-	stats := IterationStats{D: d}
-	rc.Pub.TargetDiameter = d
-
-	// Easy case (§6.1): small diameter guesses run SmallRadius directly on
-	// the full object set.
-	if float64(d) < pr.SmallDThreshold*LnN(n) {
-		stats.UsedFullSR = true
-		rc.Pub.Phase = "smallradius-full"
-		return smallradius.Run(rc, allObjs, d, pr.B, shared.Split(0xF0), pr.SR), stats
+	return Steps[bitvec.Vector]{
+		Pub: &rc.Pub,
+		Easy: func(d int, s *xrand.Stream) []bitvec.Vector {
+			if float64(d) >= pr.SmallDThreshold*LnN(n) {
+				return nil
+			}
+			rc.Pub.Phase = "smallradius-full"
+			return smallradius.Run(rc, identity(m), d, pr.B, s.Split(0xF0), pr.SR)
+		},
+		Rate: func(d int) float64 { return pr.SampleProb(n, d) },
+		Estimate: func(sample []int, s *xrand.Stream) []bitvec.Vector {
+			return smallradius.Run(rc, sample, pr.SampleDiameter(n), pr.B, s.Split(0x5B), pr.SR)
+		},
+		Graph: func(z []bitvec.Vector, _ int, s *xrand.Stream) cluster.Graph {
+			return pr.NeighborIndex.BuildGraph(rc.Exec(), z, pr.EdgeThreshold(n), s.Split(0x5D))
+		},
+		Peel: func(g cluster.Graph) *cluster.Clustering { return cluster.Build(g, pr.MinClusterSize(n)) },
+		// Reports travel through the bulletin board: probers publish to
+		// their own lanes and every cluster member tallies the votes.
+		Share: func(cl *cluster.Clustering, s *xrand.Stream, st *IterationStats) []bitvec.Vector {
+			bd := board.New(n, m)
+			out := workShare(rc, bd, cl, s.Split(0x5C), pr)
+			st.BoardWrites = bd.WriteCount()
+			st.BoardReads = bd.ReadCount()
+			return out
+		},
 	}
-
-	// Step 1.b: shared random sample set S.
-	rc.Pub.Phase = "sample"
-	sample := DrawSample(shared.Split(0x5A), m, pr.SampleProb(n, d))
-	rc.Pub.SetSample(sample)
-	stats.SampleSize = len(sample)
-
-	// Step 1.c: SmallRadius on the sample.
-	rc.Pub.Phase = "smallradius"
-	z := smallradius.Run(rc, sample, pr.SampleDiameter(n), pr.B, shared.Split(0x5B), pr.SR)
-
-	// Step 1.d: neighbor graph and clusters, through the NeighborIndex spec
-	// (exact block sweep by default, LSH banding when the knob is set; the
-	// index stream is split from the shared coins, a pure read of their
-	// state).
-	g := pr.NeighborIndex.BuildGraph(rc.Exec(), z, pr.EdgeThreshold(n), shared.Split(0x5D))
-	cl := cluster.Build(g, pr.MinClusterSize(n))
-	rc.Pub.Clusters = cl.Clusters
-	stats.NumClusters = len(cl.Clusters)
-	stats.MinCluster = cl.MinClusterSize()
-	stats.Unassigned = len(cl.Unassigned())
-
-	// Step 1.e: share the probing work within each cluster. Reports travel
-	// through the bulletin board: probers publish to their own lanes and
-	// every cluster member tallies the published votes.
-	rc.Pub.Phase = "workshare"
-	bd := board.New(n, m)
-	out := workShare(rc, bd, cl, shared.Split(0x5C), pr)
-	stats.BoardWrites = bd.WriteCount()
-	stats.BoardReads = bd.ReadCount()
-	rc.Pub.SetSample(nil)
-	rc.Pub.Clusters = nil
-	return out, stats
 }
 
 // workShare assigns, for every cluster and every object, Redundancy
@@ -175,65 +124,38 @@ func runIteration(rc *world.Run, allObjs []int, d int, shared *xrand.Stream, pr 
 func workShare(rc *world.Run, bd *board.Board, cl *cluster.Clustering, shared *xrand.Stream, pr Params) []bitvec.Vector {
 	n, m := rc.N(), rc.M()
 	red := pr.Redundancy(n)
-	exec := rc.Exec()
-	out := make([]bitvec.Vector, n)
-	zero := bitvec.New(m)
-	for p := range out {
-		out[p] = zero // shared default for unassigned players (never mutated)
-	}
-	numCl := len(cl.Clusters)
-	if numCl == 0 || m == 0 {
-		return out
-	}
-	maxMembers := 0
-	for _, members := range cl.Clusters {
-		if len(members) > maxMembers {
-			maxMembers = len(members)
-		}
-	}
-	clusterStreams := make([]xrand.Stream, numCl)
-	for j := range clusterStreams {
-		clusterStreams[j] = shared.SplitValue(uint64(j))
-	}
-
-	// Publish phase, parallel over every (cluster, word-block) cell.
-	words := (m + 63) / 64
-	cells := numCl * words
-	scratches := make([]wsScratch, exec.Workers(cells))
-	for i := range scratches {
-		scratches[i].init(red, maxMembers)
-	}
-	exec.ForWorker(cells, func(wk, cell int) {
-		sc := &scratches[wk]
-		j, wb := cell/words, cell%words
-		members := cl.Clusters[j]
-		base := wb * 64
-		hi := base + 64
-		if hi > m {
-			hi = m
-		}
-		for o := base; o < hi; o++ {
-			rng := clusterStreams[j].SplitValue(uint64(o))
-			chosen := sc.chosen[:red]
-			for i := range chosen {
-				chosen[i] = rng.Intn(len(members))
+	ForCells(rc.Exec(), cl.Clusters, m, func(j int) xrand.Stream { return shared.SplitValue(uint64(j)) },
+		func(maxMembers int) *wsScratch {
+			return &wsScratch{
+				chosen:  make([]int, red),
+				written: make([]uint64, maxMembers),
+				touched: make([]int, 0, maxMembers),
 			}
-			bit := uint64(1) << uint(o-base)
-			for _, mi := range dedupInPlace(chosen) {
-				if sc.written[mi] == 0 {
-					sc.touched = append(sc.touched, mi)
+		},
+		func(sc *wsScratch, clRng *xrand.Stream, j, wb, base, hi int) {
+			members := cl.Clusters[j]
+			for o := base; o < hi; o++ {
+				rng := clRng.SplitValue(uint64(o))
+				chosen := sc.chosen[:red]
+				for i := range chosen {
+					chosen[i] = rng.Intn(len(members))
 				}
-				sc.written[mi] |= bit
+				bit := uint64(1) << uint(o-base)
+				for _, mi := range dedupInPlace(chosen) {
+					if sc.written[mi] == 0 {
+						sc.touched = append(sc.touched, mi)
+					}
+					sc.written[mi] |= bit
+				}
 			}
-		}
-		for _, mi := range sc.touched {
-			q := members[mi]
-			wmask := sc.written[mi]
-			bd.WriteWord(q, wb, wmask, rc.ReportWord(q, wb, wmask))
-			sc.written[mi] = 0
-		}
-		sc.touched = sc.touched[:0]
-	})
+			for _, mi := range sc.touched {
+				q := members[mi]
+				wmask := sc.written[mi]
+				bd.WriteWord(q, wb, wmask, rc.ReportWord(q, wb, wmask))
+				sc.written[mi] = 0
+			}
+			sc.touched = sc.touched[:0]
+		})
 
 	// Barrier: seal the board. The tally below reads the immutable view
 	// without locks, one majority word per (cluster, word-block) cell;
@@ -241,62 +163,35 @@ func workShare(rc *world.Run, bd *board.Board, cl *cluster.Clustering, shared *x
 	// with a written bit at an object vote there, and within a fresh
 	// per-iteration board those are exactly the object's dedup'd probers.
 	frozen := bd.Freeze()
-	majs := make([]bitvec.Vector, numCl)
+	majs := make([]bitvec.Vector, len(cl.Clusters))
 	for j := range majs {
 		majs[j] = bitvec.New(m)
 	}
-	exec.For(cells, func(cell int) {
+	words := (m + 63) / 64
+	rc.Exec().For(len(majs)*words, func(cell int) {
 		j, wb := cell/words, cell%words
 		majs[j].SetWord(wb, frozen.MajorityWord(wb, cl.Clusters[j]))
 	})
-	for j, members := range cl.Clusters {
-		for _, p := range members {
-			out[p] = majs[j]
-		}
-	}
-	return out
+	return Broadcast(n, bitvec.New(m), cl.Clusters, majs)
 }
 
 // wsScratch is one worker's reusable buffers for the workshare publish
 // loop: the per-object prober choices, each touched member's accumulated
-// 64-object assignment mask, and the list of touched member indices. A
-// worker resets its arena at the end of every cell, so no state crosses
-// cells and results stay schedule-independent (par.Runner.ForWorker).
+// 64-object assignment mask, and the list of touched member indices.
 type wsScratch struct {
 	chosen  []int    // red prober choices (member indices) for one object
 	written []uint64 // written[mi] = member mi's assignment mask, this block
 	touched []int    // member indices with written != 0, in first-touch order
 }
 
-func (sc *wsScratch) init(red, maxMembers int) {
-	sc.chosen = make([]int, red)
-	sc.written = make([]uint64, maxMembers)
-	sc.touched = make([]int, 0, maxMembers)
-}
-
-// finalSelect runs RSelect per honest player over its candidate vectors
-// (Figure 2 step 2), fanning out over players on the given executor.
-// candidates is indexed [candidate][player]; each player gathers its own
-// column. Each player's selection coins are split from the shared stream
-// by player id, so the outcome is schedule-independent.
-func finalSelect(w *world.World, exec *par.Runner, shared *xrand.Stream, candidates [][]bitvec.Vector, pr Params) []bitvec.Vector {
-	n, m := w.N(), w.M()
-	allObjs := identity(m)
-	out := make([]bitvec.Vector, n)
-	exec.For(n, func(p int) {
-		if !w.IsHonest(p) || len(candidates) == 0 {
-			out[p] = bitvec.New(m)
-			return
-		}
-		cands := make([]bitvec.Vector, len(candidates))
-		for ci := range candidates {
-			cands[ci] = candidates[ci][p]
-		}
-		rng := shared.Split(0xFE11, uint64(p))
-		idx := selection.RSelect(w, p, allObjs, cands, rng, pr.Sel)
-		out[p] = cands[idx]
+// rselectEach runs RSelect per honest player over its candidates (Figure 2
+// step 2) on SelectEach, with each player's coins split from shared by
+// player id.
+func rselectEach(w *world.World, exec *par.Runner, shared *xrand.Stream, cands [][]bitvec.Vector, pr Params) []bitvec.Vector {
+	allObjs := identity(w.M())
+	return SelectEach(exec, w, bitvec.New(w.M()), cands, func(p int, col []bitvec.Vector) int {
+		return selection.RSelect(w, p, allObjs, col, shared.Split(0xFE11, uint64(p)), pr.Sel)
 	})
-	return out
 }
 
 // RunByzantine executes the full §7 protocol: ByzIterations repetitions,
@@ -326,30 +221,14 @@ func finalSelect(w *world.World, exec *par.Runner, shared *xrand.Stream, candida
 // lightest-bin rushing).
 func RunByzantine(w *world.World, trueRng *xrand.Stream, binStrategy election.BinStrategy, pr Params) *Result {
 	n := w.N()
-	res := &Result{}
-	k := pr.ByzIterations
-	if k < 1 {
-		k = 1
-	}
-	res.Repetitions = k
-
-	output, reps := RunByzantineOver(w, trueRng, ByzProtocol[bitvec.Vector]{
-		Repetitions: k,
+	return RunByzantineOver(w, trueRng, ByzProtocol[bitvec.Vector]{
+		Repetitions: pr.ByzIterations,
 		Serial:      pr.ByzSerial,
 		Strategy:    binStrategy,
 		Election:    pr.Election,
-		RunRep: func(it int, shared *xrand.Stream, st *RepetitionStats) []bitvec.Vector {
-			// Honest leader: shared coins are unbiased. The repetition runs
-			// in its own execution context, leaving w itself read-only.
-			rc := world.NewRunOn(w, phaseExec(pr))
-			sub := &Result{}
-			cands := runDoublingLoop(rc, shared, pr, sub)
-			out := finalSelect(w, rc.Exec(), shared, cands, pr)
-			st.Iterations = sub.Iterations
-			st.BoardWrites = sub.BoardWrites
-			st.BoardReads = sub.BoardReads
-			return out
-		},
+		// Honest leader: shared coins are unbiased. The repetition runs in
+		// its own execution context, leaving w itself read-only.
+		RunRep: func(shared *xrand.Stream) *Result { return Run(w, shared, pr) },
 		Adversarial: func(int) []bitvec.Vector {
 			// Dishonest leader: adversarial coins. Worst-case model — the
 			// repetition's output is maximally wrong for every player.
@@ -362,25 +241,11 @@ func RunByzantine(w *world.World, trueRng *xrand.Stream, binStrategy election.Bi
 		SelectFinal: func(rng *xrand.Stream, outputs [][]bitvec.Vector) []bitvec.Vector {
 			// If every leader was dishonest (probability vanishing in k at
 			// the tolerated corruption level) all candidates are adversarial
-			// and the final selection cannot help; res.HonestLeaders exposes
+			// and the final selection cannot help; HonestLeaders exposes
 			// this to experiments.
-			return finalSelect(w, phaseExec(pr), rng, outputs, pr)
+			return rselectEach(w, phaseExec(pr), rng, outputs, pr)
 		},
 	})
-	res.Output = output
-	res.Reps = reps
-
-	// Deterministic merge in repetition order, independent of the schedule.
-	for it := 0; it < k; it++ {
-		st := &res.Reps[it]
-		if st.HonestLeader {
-			res.HonestLeaders++
-			res.Iterations = st.Iterations
-		}
-		res.BoardWrites += st.BoardWrites
-		res.BoardReads += st.BoardReads
-	}
-	return res
 }
 
 // identity returns [0, 1, …, m-1].

@@ -1,6 +1,7 @@
 package multival
 
 import (
+	"slices"
 	"testing"
 
 	"collabscore/internal/bitvec"
@@ -156,13 +157,8 @@ func TestLazyRatingProtocolMatchesDense(t *testing.T) {
 					t.Fatalf("%s/%s: player %d probes %d, reference %d", repr, sch.name, p, probes[p], refProbes[p])
 				}
 			}
-			if len(res.Ds) != len(ref.Ds) || len(res.NumClusters) != len(ref.NumClusters) {
-				t.Fatalf("%s/%s: iteration stats diverge", repr, sch.name)
-			}
-			for i := range res.Ds {
-				if res.Ds[i] != ref.Ds[i] || res.NumClusters[i] != ref.NumClusters[i] {
-					t.Fatalf("%s/%s: iteration %d stats diverge", repr, sch.name, i)
-				}
+			if !slices.Equal(res.Iterations, ref.Iterations) {
+				t.Fatalf("%s/%s: iteration stats %+v diverge from %+v", repr, sch.name, res.Iterations, ref.Iterations)
 			}
 		}
 	}

@@ -27,16 +27,19 @@
 // scales. The cluster work-sharing savings — the dominant term — transfer
 // unchanged.
 //
-// Since PR 5 the package runs on the same vectorized engine as the binary
-// protocol (DESIGN.md §12): rating rows are bit-sliced into
-// ⌈log₂(scale+1)⌉ bit-planes (bitvec.Planes) so L1 distances are word-level
-// plane arithmetic, the probe memo is a lock-free CAS bitset
-// (bitvec.Atomic) with bulk whole-word charging, phase loops fan out on
-// par.Runner schedules gated by Params.PhaseSerial/PhaseWorkers, and the
-// median work-share runs over (cluster, word-block) cells with per-worker
-// scratch arenas. Shared coins are split per (cluster, object) exactly as
-// before the vectorization, so fixed-seed outputs are identical under every
-// schedule.
+// The protocol runs on core's doubling loop (core.Iterate): this package
+// supplies only the rating steps — the publish on the sample, the L1 graph,
+// the greedy peel and the median share — and the L1 spot check that
+// selects among guesses (core.SelectEach), and RunByzantine is core's
+// generic §7 wrapper (core.RunByzantineOver), so ratings share core's
+// stream layout, per-guess statistics (core.IterationStats) and result
+// shape (Result = core.Outcome[bitvec.Planes]). Rating rows are bit-sliced
+// into ⌈log₂(scale+1)⌉ bit-planes (bitvec.Planes) so L1 distances are
+// word-level plane arithmetic, the probe memo is a lock-free CAS bitset
+// with bulk whole-word charging, and phase loops fan out on par.Runner
+// schedules gated by Params.PhaseSerial/PhaseWorkers with index-ordered
+// merges, so fixed-seed outputs are identical under every schedule
+// (DESIGN.md §12).
 package multival
 
 import (
@@ -348,29 +351,42 @@ func phaseExec(pr Params) *par.Runner {
 	return par.Sched(pr.PhaseSerial, pr.PhaseWorkers)
 }
 
-// Result is the protocol output.
-type Result struct {
-	// Output[p] is the predicted bit-sliced rating vector of player p.
-	Output []bitvec.Planes
-	// Ds lists the diameter guesses executed, and NumClusters[i] the
-	// number of clusters peeled at guess Ds[i], for instrumentation.
-	Ds          []int
-	NumClusters []int
-}
+// Result is the protocol output: one bit-sliced rating vector per player,
+// per-guess statistics, and the election bookkeeping of RunByzantine.
+type Result = core.Outcome[bitvec.Planes]
 
-// Run executes the generalized CalculatePreferences over the rating world.
-// Shared coins are split per phase, per cluster, and per object from the
-// given stream, so for a fixed seed the output is identical under every
-// schedule (PhaseSerial, fixed-width, parallel).
+// Run executes the generalized CalculatePreferences over the rating world,
+// on core's doubling loop (core.Iterate) with the rating steps: every
+// player publishes its sample ratings (ReportValues), the exact L1 graph
+// (cluster.BuildGraphL1On), the greedy peel and the median share, then an
+// L1 spot check among the guesses. Shared coins are split per phase, per
+// cluster, and per object from the given stream, so for a fixed seed the
+// output is identical under every schedule (PhaseSerial, fixed-width,
+// parallel).
 func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 	exec := phaseExec(pr)
-	res := &Result{}
-	var candidates [][]bitvec.Planes // per guess: one vector per player
-	for gi, d := range core.Guesses(pr.MinD, pr.MaxD, w.N()*w.scale) {
-		res.Ds = append(res.Ds, d)
-		candidates = append(candidates, runIteration(w, exec, d, shared.Split(uint64(gi), uint64(d)), pr, res))
-	}
-	res.Output = selectL1(w, exec, candidates, func(p int) *xrand.Stream {
+	n, m := w.N(), w.M()
+	rate := func(d int) float64 { return min(pr.SampleFactor*core.LnN(n)*float64(w.scale)/float64(d), 1) }
+	cands, res := core.Iterate(shared, core.Guesses(pr.MinD, pr.MaxD, n*w.scale), m, core.Steps[bitvec.Planes]{
+		// No rating behavior reads published state.
+		Pub:  &world.Public{},
+		Rate: rate,
+		Estimate: func(sample []int, _ *xrand.Stream) []bitvec.Planes {
+			return par.MapOn(exec, n, func(p int) bitvec.Planes { return w.ReportValues(p, sample) })
+		},
+		// A pair at true L1 distance d lands at ≈ rate·d on the sample, so
+		// the edge threshold is a small multiple of that.
+		Graph: func(z []bitvec.Planes, d int, _ *xrand.Stream) cluster.Graph {
+			return cluster.BuildGraphL1On(exec, z, max(1, int(pr.EdgeFactor*rate(d)*float64(d))), cluster.RepAuto)
+		},
+		Peel: func(g cluster.Graph) *cluster.Clustering {
+			return cluster.Build(g, core.Params{B: pr.B}.MinClusterSize(n))
+		},
+		Share: func(cl *cluster.Clustering, s *xrand.Stream, _ *core.IterationStats) []bitvec.Planes {
+			return medianShare(w, exec, cl, s, pr)
+		},
+	})
+	res.Output = selectL1(w, exec, cands, func(p int) *xrand.Stream {
 		return shared.Split(0xFE11, uint64(p))
 	})
 	return res
@@ -380,187 +396,117 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 // analogue; sampled L1 distances concentrate the same way): each honest
 // player keeps the candidate whose ratings disagree least, in probed L1
 // distance, with its own on a core.SpotCheck sample drawn from rng(p).
-// cands is indexed [candidate][player]; dishonest players get the zero
-// vector. Coins are per player, so the outcome is schedule-independent.
+// Coins are per player, so the outcome is schedule-independent.
 func selectL1(w *World, exec *par.Runner, cands [][]bitvec.Planes, rng func(p int) *xrand.Stream) []bitvec.Planes {
 	n, m := w.N(), w.M()
-	zero := bitvec.NewPlanes(m, w.k)
-	out := make([]bitvec.Planes, n)
-	exec.For(n, func(p int) {
-		if !w.IsHonest(p) {
-			out[p] = zero
-			return
-		}
-		best := core.SpotCheck(rng(p), n, m, len(cands), func(ci, o int) int {
-			d := cands[ci][p].Get(o) - w.Probe(p, o)
+	return core.SelectEach(exec, w, bitvec.NewPlanes(m, w.k), cands, func(p int, col []bitvec.Planes) int {
+		return core.SpotCheck(rng(p), n, m, len(col), func(ci, o int) int {
+			d := col[ci].Get(o) - w.Probe(p, o)
 			return max(d, -d)
 		})
-		out[p] = cands[best][p]
 	})
-	return out
 }
 
-// runIteration performs one diameter guess: sample, publish, cluster,
-// median work-share — all on the run's executor and the word-level data
-// path.
-func runIteration(w *World, exec *par.Runner, d int, shared *xrand.Stream, pr Params, res *Result) []bitvec.Planes {
+// medianShare shares the probing of every object within each cluster,
+// aggregated by median, over (cluster, word-block) cells — 64 objects per
+// cell — with per-worker scratch arenas (no allocation in the loop body).
+// For each object the per-(cluster, object) stream
+// s.SplitValue(0x5C, j).SplitValue(o) picks red probers with repetition
+// (exactly the scalar engine's draw order); each touched member's reports
+// for the whole block are fetched once, bit-sliced (bulk probes for honest
+// members), and the per-object counting median — equal to Median over the
+// same multiset — is accumulated a plane word at a time. Every member of a
+// cluster shares the cluster's one immutable median vector; candidates are
+// never mutated downstream, so a per-member clone would be pure
+// allocation.
+func medianShare(w *World, exec *par.Runner, cl *cluster.Clustering, shared *xrand.Stream, pr Params) []bitvec.Planes {
 	n, m := w.N(), w.M()
-	rate := min(pr.SampleFactor*core.LnN(n)*float64(w.scale)/float64(d), 1)
-	sample := core.DrawSample(shared.Split(0x5A), m, rate)
-
-	// Every player publishes its (claimed) ratings on the sample,
-	// bit-sliced; honest rows ride the bulk probe path.
-	published := make([]bitvec.Planes, n)
-	exec.For(n, func(p int) {
-		published[p] = w.ReportValues(p, sample)
-	})
-
-	// Neighbor graph on L1 sample distance: a pair at true L1 distance d
-	// lands at ≈ rate·d on the sample, so the edge threshold is a small
-	// multiple of that. The sweep rides the cluster.Graph seam like the
-	// binary path — block-partitioned over the executor, each pair's
-	// bit-sliced L1 computed once (the engine's private [][]int adjacency
-	// build computed every distance twice), filling the representation the
-	// size rule picks (cluster.RepAuto) — and the peel is the shared greedy one
-	// (cluster.Build). The scalar slice-of-slices peel this replaced
-	// survives in the tests as the reference oracle
-	// (TestGraphSeamMatchesScalarPeel).
-	threshold := int(pr.EdgeFactor * rate * float64(d))
-	if threshold < 1 {
-		threshold = 1
-	}
-	g := cluster.BuildGraphL1On(exec, published, threshold, cluster.RepAuto)
-	cl := cluster.Build(g, core.Params{B: pr.B}.MinClusterSize(n))
-	res.NumClusters = append(res.NumClusters, len(cl.Clusters))
-
-	// Median work sharing over (cluster, word-block) cells — 64 objects per
-	// cell — with per-worker scratch arenas (no allocation in the loop
-	// body). For each object the shared per-(cluster, object) stream picks
-	// red probers with repetition (exactly the scalar engine's draw order);
-	// each touched member's reports for the whole block are fetched once,
-	// bit-sliced (bulk probes for honest members), and the per-object
-	// counting median — equal to Median over the same multiset — is
-	// accumulated a plane word at a time. Every member of a cluster shares
-	// the cluster's one immutable median vector; candidates are never
-	// mutated downstream, so a per-member clone would be pure allocation.
 	red := int(pr.RedundancyFactor*core.LnN(n)) + 1
-	out := make([]bitvec.Planes, n)
-	zero := bitvec.NewPlanes(m, w.k)
-	for p := range out {
-		out[p] = zero // shared default for unassigned players (never mutated)
-	}
-	numCl := len(cl.Clusters)
-	if numCl == 0 || m == 0 {
-		return out
-	}
-	maxMembers := 0
-	for _, members := range cl.Clusters {
-		if len(members) > maxMembers {
-			maxMembers = len(members)
-		}
-	}
-	clusterStreams := make([]xrand.Stream, numCl)
-	for j := range clusterStreams {
-		clusterStreams[j] = shared.SplitValue(0x5C, uint64(j))
-	}
-	majs := make([]bitvec.Planes, numCl)
-	for j := range majs {
-		majs[j] = bitvec.NewPlanes(m, w.k)
-	}
-
-	words := (m + 63) / 64
-	cells := numCl * words
-	scratches := make([]mvScratch, exec.Workers(cells))
-	for i := range scratches {
-		scratches[i].init(red, maxMembers, w.k, w.scale)
-	}
-	exec.ForWorker(cells, func(wk, cell int) {
-		sc := &scratches[wk]
-		j, wb := cell/words, cell%words
-		members := cl.Clusters[j]
-		base := wb * 64
-		hi := base + 64
-		if hi > m {
-			hi = m
-		}
-		// Pass 1: shared coins choose each object's probers (member
-		// indices, with repetition — duplicates count twice in the median,
-		// as in the scalar engine), accumulating each touched member's
-		// 64-object fetch mask.
-		for o := base; o < hi; o++ {
-			rng := clusterStreams[j].SplitValue(uint64(o))
-			row := sc.picks[(o-base)*red : (o-base)*red+red]
-			bit := uint64(1) << uint(o-base)
-			for i := range row {
-				mi := rng.Intn(len(members))
-				row[i] = mi
-				if sc.mask[mi] == 0 {
-					sc.touched = append(sc.touched, mi)
+	majs := newPlanes(len(cl.Clusters), m, w.k)
+	core.ForCells(exec, cl.Clusters, m, func(j int) xrand.Stream { return shared.SplitValue(0x5C, uint64(j)) },
+		func(maxMembers int) *mvScratch {
+			return &mvScratch{
+				picks:   make([]int, 64*red),
+				mask:    make([]uint64, maxMembers),
+				vals:    make([]uint64, maxMembers*w.k),
+				touched: make([]int, 0, maxMembers),
+				counts:  make([]int, w.scale+1),
+				outw:    make([]uint64, w.k),
+			}
+		},
+		func(sc *mvScratch, clRng *xrand.Stream, j, wb, base, hi int) {
+			members := cl.Clusters[j]
+			// Pass 1: shared coins choose each object's probers (member
+			// indices, with repetition — duplicates count twice in the
+			// median, as in the scalar engine), accumulating each touched
+			// member's 64-object fetch mask.
+			for o := base; o < hi; o++ {
+				rng := clRng.SplitValue(uint64(o))
+				row := sc.picks[(o-base)*red : (o-base)*red+red]
+				bit := uint64(1) << uint(o-base)
+				for i := range row {
+					mi := rng.Intn(len(members))
+					row[i] = mi
+					if sc.mask[mi] == 0 {
+						sc.touched = append(sc.touched, mi)
+					}
+					sc.mask[mi] |= bit
 				}
-				sc.mask[mi] |= bit
 			}
-		}
-		// Pass 2: fetch each touched member's bit-sliced reports for the
-		// block — one bulk probe (two atomics) per honest (member, block).
-		for _, mi := range sc.touched {
-			w.ReportPlaneWords(members[mi], wb, sc.mask[mi], sc.vals[mi*w.k:mi*w.k+w.k])
-		}
-		// Pass 3: per-object counting median, accumulated into plane words.
-		for l := 0; l < w.k; l++ {
-			sc.outw[l] = 0
-		}
-		for o := base; o < hi; o++ {
-			b := uint(o - base)
-			for v := range sc.counts {
-				sc.counts[v] = 0
+			// Pass 2: fetch each touched member's bit-sliced reports for the
+			// block — one bulk probe (two atomics) per honest (member, block).
+			for _, mi := range sc.touched {
+				w.ReportPlaneWords(members[mi], wb, sc.mask[mi], sc.vals[mi*w.k:mi*w.k+w.k])
 			}
-			row := sc.picks[(o-base)*red : (o-base)*red+red]
-			for _, mi := range row {
-				v := 0
-				vals := sc.vals[mi*w.k : mi*w.k+w.k]
-				for l, wv := range vals {
-					v |= int(wv>>b&1) << l
+			// Pass 3: per-object counting median, accumulated into plane
+			// words.
+			for l := 0; l < w.k; l++ {
+				sc.outw[l] = 0
+			}
+			for o := base; o < hi; o++ {
+				b := uint(o - base)
+				for v := range sc.counts {
+					sc.counts[v] = 0
 				}
-				sc.counts[v]++
-			}
-			med, cum := 0, 0
-			target := (red - 1) / 2
-			for v, c := range sc.counts {
-				cum += c
-				if cum > target {
-					med = v
-					break
+				row := sc.picks[(o-base)*red : (o-base)*red+red]
+				for _, mi := range row {
+					v := 0
+					vals := sc.vals[mi*w.k : mi*w.k+w.k]
+					for l, wv := range vals {
+						v |= int(wv>>b&1) << l
+					}
+					sc.counts[v]++
+				}
+				med, cum := 0, 0
+				target := (red - 1) / 2
+				for v, c := range sc.counts {
+					cum += c
+					if cum > target {
+						med = v
+						break
+					}
+				}
+				for l := 0; l < w.k; l++ {
+					if med>>l&1 == 1 {
+						sc.outw[l] |= 1 << b
+					}
 				}
 			}
 			for l := 0; l < w.k; l++ {
-				if med>>l&1 == 1 {
-					sc.outw[l] |= 1 << b
-				}
+				majs[j].SetPlaneWord(l, wb, sc.outw[l])
 			}
-		}
-		for l := 0; l < w.k; l++ {
-			majs[j].SetPlaneWord(l, wb, sc.outw[l])
-		}
-		// Reset the arena: no state crosses cells, so results stay
-		// schedule-independent (par.Runner.ForWorker contract).
-		for _, mi := range sc.touched {
-			sc.mask[mi] = 0
-		}
-		sc.touched = sc.touched[:0]
-	})
-	for j, members := range cl.Clusters {
-		for _, p := range members {
-			out[p] = majs[j]
-		}
-	}
-	return out
+			for _, mi := range sc.touched {
+				sc.mask[mi] = 0
+			}
+			sc.touched = sc.touched[:0]
+		})
+	return core.Broadcast(n, bitvec.NewPlanes(m, w.k), cl.Clusters, majs)
 }
 
 // mvScratch is one worker's reusable buffers for the median work-share
 // loop: the per-object prober choices for a 64-object block, each touched
 // member's fetch mask and bit-sliced report words, the counting-median
-// histogram, and the accumulated output plane words. A worker resets its
-// arena at the end of every cell (par.Runner.ForWorker).
+// histogram, and the accumulated output plane words.
 type mvScratch struct {
 	picks   []int    // 64·red prober choices (member indices) for one block
 	mask    []uint64 // mask[mi] = member mi's fetch mask, this block
@@ -568,15 +514,6 @@ type mvScratch struct {
 	touched []int    // member indices with mask != 0, in first-touch order
 	counts  []int    // scale+1 counting-median histogram
 	outw    []uint64 // k accumulated median plane words
-}
-
-func (sc *mvScratch) init(red, maxMembers, k, scale int) {
-	sc.picks = make([]int, 64*red)
-	sc.mask = make([]uint64, maxMembers)
-	sc.vals = make([]uint64, maxMembers*k)
-	sc.touched = make([]int, 0, maxMembers)
-	sc.counts = make([]int, scale+1)
-	sc.outw = make([]uint64, k)
 }
 
 // clampRating forces reported ratings into [0, scale]; dishonest players

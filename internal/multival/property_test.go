@@ -1,6 +1,7 @@
 package multival
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,11 +135,11 @@ func TestPropertyRatingProbeConservation(t *testing.T) {
 	}
 }
 
-// TestByzantineClusterReporting pins the PR 5 bugfix: the wrapper's
-// NumClusters follows the documented convention (per-guess counts of the
-// last honest-leader repetition, merged in repetition order) and is empty
-// — not a silent stale zero — when every elected leader was dishonest,
-// while Reps always carries the full per-repetition picture.
+// TestByzantineClusterReporting: the wrapper's Iterations follow the
+// documented convention (the per-guess statistics of the last
+// honest-leader repetition, merged in repetition order) and are empty —
+// not a silent stale zero — when every elected leader was dishonest, while
+// Reps always carries the full per-repetition picture.
 func TestByzantineClusterReporting(t *testing.T) {
 	const n, m, b, d, scale = 128, 128, 8, 16, 5
 
@@ -152,8 +153,8 @@ func TestByzantineClusterReporting(t *testing.T) {
 	if res.HonestLeaders != 0 {
 		t.Fatalf("all-dishonest world elected %d honest leaders", res.HonestLeaders)
 	}
-	if len(res.NumClusters) != 0 || len(res.Ds) != 0 {
-		t.Fatalf("dishonest-only run reported cluster stats: %v / %v", res.NumClusters, res.Ds)
+	if len(res.Iterations) != 0 {
+		t.Fatalf("dishonest-only run reported iteration stats: %+v", res.Iterations)
 	}
 	if len(res.Reps) != 3 {
 		t.Fatalf("Reps has %d entries, want 3", len(res.Reps))
@@ -164,9 +165,9 @@ func TestByzantineClusterReporting(t *testing.T) {
 		}
 	}
 
-	// Honest world ⇒ every repetition reports, and the merged NumClusters
-	// equals the LAST repetition's counts regardless of completion order
-	// (serial and parallel schedules agree).
+	// Honest world ⇒ every repetition reports, and the merged Iterations
+	// equal the LAST repetition's regardless of completion order (serial
+	// and parallel schedules agree).
 	for _, serial := range []bool{true, false} {
 		truth, _ := Generate(xrand.New(64), n, m, n/b, d, scale)
 		w := NewWorld(truth, scale)
@@ -181,13 +182,8 @@ func TestByzantineClusterReporting(t *testing.T) {
 		if !last.HonestLeader || len(last.Iterations) == 0 {
 			t.Fatal("last repetition carries no stats")
 		}
-		if len(res.NumClusters) != len(last.Iterations) {
-			t.Fatalf("NumClusters has %d entries, want %d", len(res.NumClusters), len(last.Iterations))
-		}
-		for gi, is := range last.Iterations {
-			if res.NumClusters[gi] != is.NumClusters || res.Ds[gi] != is.D {
-				t.Fatalf("serial=%v: merged stats differ from last repetition at guess %d", serial, gi)
-			}
+		if !slices.Equal(res.Iterations, last.Iterations) {
+			t.Fatalf("serial=%v: merged iterations %+v differ from the last repetition's %+v", serial, res.Iterations, last.Iterations)
 		}
 	}
 }
