@@ -23,20 +23,15 @@ import (
 // Clusters form once their total capacity covers the shared probing work,
 // and probing assignments are drawn proportionally to capacity, so each
 // player's expected load tracks what it volunteered. The capacity slice
-// must have one entry per player. The run inherits the simulation's phase
-// schedule (Params().PhaseSerial/PhaseWorkers) and its neighbor index
-// (Config.NeighborIndex / Params().NeighborIndex).
+// must have one entry per player. The run takes every other constant from
+// the simulation's parameters (Params(), including Config.PaperConstants),
+// except the budget, which the mean capacity sets.
 func (s *Simulation) RunWithCapacities(capacities []int) *Report {
 	if len(capacities) != s.cfg.Players {
 		panic(fmt.Sprintf("collabscore: %d capacities for %d players", len(capacities), s.cfg.Players))
 	}
 	s.w.ResetProbes()
-	pr := budgets.Scaled(s.cfg.Players, capacities)
-	pr.MinD, pr.MaxD = s.params.MinD, s.params.MaxD
-	pr.PhaseSerial = s.params.PhaseSerial
-	pr.PhaseWorkers = s.params.PhaseWorkers
-	pr.NeighborIndex = s.params.NeighborIndex
-	return s.report(budgets.Run(s.w, s.rng.Split(14), pr))
+	return s.report(budgets.Run(s.w, s.rng.Split(14), s.params, capacities))
 }
 
 // TwoTierCapacities builds a capacity vector where a bigFrac fraction of

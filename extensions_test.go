@@ -130,3 +130,25 @@ func TestOffLadderDiameterRunsOneGuess(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetsReportBoardTraffic: the capacity variant shares its probing
+// through the bulletin board, so its report counts board writes and reads.
+func TestBudgetsReportBoardTraffic(t *testing.T) {
+	rep := Scenario{Config: Config{Players: 256, Seed: 104, FixedDiameter: 16}, ClusterSize: 32, Diameter: 16,
+		Protocol: ProtoBudgets, CapSmall: 32, CapBig: 256, CapBigFrac: 0.5}.Run()
+	if rep.CommWrites == 0 || rep.CommReads == 0 {
+		t.Fatalf("budgets board traffic %d writes, %d reads; want both > 0", rep.CommWrites, rep.CommReads)
+	}
+}
+
+// TestBaselineOffLadderDiameter: the AASP baseline runs core's ladder, so a
+// fixed diameter that is not a power of two runs exactly that guess — the
+// run probes, and its error stays within SmallRadius's 5·D.
+func TestBaselineOffLadderDiameter(t *testing.T) {
+	const d = 24
+	rep := Scenario{Config: Config{Players: 256, FixedDiameter: d}, ClusterSize: 32, Diameter: d,
+		Protocol: ProtoBaseline}.Run()
+	if rep.TotalProbes == 0 || rep.MaxError > 5*d {
+		t.Fatalf("baseline probes %d, max error %d; want > 0 probes, error ≤ %d", rep.TotalProbes, rep.MaxError, 5*d)
+	}
+}

@@ -25,10 +25,11 @@ type goldenCase struct {
 // goldenCases covers every production clustering and selection path at
 // n = 256: the honest protocol over the exact dense and the LSH sparse
 // lazy-truth configurations, the Byzantine wrapper under cluster hijackers,
-// the capacity peel over several diameter guesses (so the final spot check
-// runs), the Byzantine rating protocol, and the honest binary and rating
-// protocols over several diameter guesses (so RSelect and the L1 spot check
-// choose across guesses).
+// the capacity peel and weighted board share over several diameter guesses
+// (so RSelect chooses among them), the Byzantine rating protocol, the
+// honest binary and rating protocols over several diameter guesses (so
+// RSelect and the L1 spot check choose across guesses), and the AASP
+// baseline at an off-ladder fixed diameter.
 func goldenCases() []goldenCase {
 	const n = 256
 	return []goldenCase{
@@ -54,7 +55,7 @@ func goldenCases() []goldenCase {
 			sc: Scenario{Config: Config{Players: n, Seed: 104}, ClusterSize: 32, Diameter: 16,
 				Protocol: ProtoBudgets, CapSmall: 32, CapBig: 256, CapBigFrac: 0.5},
 			minD: 8, maxD: 32,
-			want: "fe63a62619a08b2b55bb3b4eff9734bd61f29101f5de348d0365689e34a52f0d",
+			want: "4bedcd3858d260682956362f5bc3d7476f157a81e2a70ce57fd10234031b39d4",
 		},
 		{
 			name: "ratings/exaggerators",
@@ -74,6 +75,12 @@ func goldenCases() []goldenCase {
 				Scale: 5, Protocol: ProtoRatings},
 			minD: 8, maxD: 64, trusted: true,
 			want: "4a3d954e906e5970c59caad10bcc6f27b2b194c2abb062a5485b18555dec90ca",
+		},
+		{
+			name: "baseline/off-ladder",
+			sc: Scenario{Config: Config{Players: n, Seed: 108, FixedDiameter: 24}, ClusterSize: 32, Diameter: 24,
+				Protocol: ProtoBaseline},
+			want: "0dd3c1a5bbb3b83e4754489fcf00fefa8488076b124c6c70d2cce6c05561bc38",
 		},
 	}
 }

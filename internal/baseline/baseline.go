@@ -6,7 +6,8 @@
 //     diameter-doubling loop with SmallRadius directly on the full object
 //     set. It needs O(B²·polylog n) probes and achieves only a
 //     B-approximation of the optimal error, and it has no defense against
-//     dishonest players.
+//     dishonest players. It is core's binary protocol with every guess on
+//     §6.1's easy path (AASPScaled), so it shares core's loop and RSelect.
 //   - ProbeAll: every player probes every object (the trivial optimum,
 //     n probes each).
 //   - RandomGuess: no probes, expected error m/2 per player.
@@ -15,69 +16,36 @@
 package baseline
 
 import (
+	"math"
+
 	"collabscore/internal/bitvec"
+	"collabscore/internal/cluster"
+	"collabscore/internal/core"
 	"collabscore/internal/par"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/selection"
-	"collabscore/internal/smallradius"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
 
-// AASPParams configures the [2,3]-style baseline.
-type AASPParams struct {
-	B   int
-	SR  smallradius.Params
-	Sel selection.Params
-	// MinD/MaxD restrict the doubling loop as in core.Params.
-	MinD, MaxD int
-}
-
-// AASPScaled returns simulation-scale parameters matching core.Scaled.
-func AASPScaled(n, b int) AASPParams {
-	return AASPParams{B: b, SR: smallradius.Scaled(n), Sel: selection.Defaults()}
+// AASPScaled returns the [2,3]-style baseline's parameters: core.Scaled
+// with an infinite SmallDThreshold, so every diameter guess runs
+// SmallRadius on the full object set, and the default RSelect constants.
+func AASPScaled(n, b int) core.Params {
+	pr := core.Scaled(n, b)
+	pr.SmallDThreshold = math.Inf(1)
+	pr.Sel = selection.Defaults()
+	return pr
 }
 
 // AASP runs the prior-work baseline: for each diameter guess D (doubling),
 // run SmallRadius over the entire object set with that diameter, then
-// RSelect among the resulting candidates. Its probe cost carries the full
-// D^{3/2} partition factor on all n objects for every guess, which is where
-// the B² (rather than B) dependence of [2,3] shows up.
-func AASP(w *world.World, shared *xrand.Stream, pr AASPParams) []bitvec.Vector {
-	n, m := w.N(), w.M()
-	rc := world.NewRun(w)
-	allObjs := make([]int, m)
-	for i := range allObjs {
-		allObjs[i] = i
-	}
-	lo, hi := pr.MinD, pr.MaxD
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi <= 0 {
-		hi = n
-	}
-	var candidates [][]bitvec.Vector // [diameter guess][player]
-	for d := 1; d <= n; d *= 2 {
-		if d < lo || d > hi {
-			continue
-		}
-		candidates = append(candidates, smallradius.Run(rc, allObjs, d, pr.B, shared.Split(uint64(len(candidates))), pr.SR))
-	}
-	out := make([]bitvec.Vector, n)
-	par.For(n, func(p int) {
-		if !w.IsHonest(p) || len(candidates) == 0 {
-			out[p] = bitvec.New(m)
-			return
-		}
-		cands := make([]bitvec.Vector, len(candidates))
-		for ci := range candidates {
-			cands[ci] = candidates[ci][p]
-		}
-		rng := shared.Split(0xBA5E, uint64(p))
-		out[p] = cands[selection.RSelect(w, p, allObjs, cands, rng, pr.Sel)]
-	})
-	return out
+// RSelect among the resulting candidates — core.Run under AASPScaled
+// parameters. Its probe cost carries the full D^{3/2} partition factor on
+// all n objects for every guess, which is where the B² (rather than B)
+// dependence of [2,3] shows up.
+func AASP(w *world.World, shared *xrand.Stream, pr core.Params) []bitvec.Vector {
+	return core.Run(w, shared, pr).Output
 }
 
 // ProbeAll has every honest player probe every object and output the truth
@@ -124,19 +92,9 @@ func RandomGuess(w *world.World, rng *xrand.Stream) []bitvec.Vector {
 func OptErrors(in *prefgen.Instance) []int {
 	n := in.N()
 	out := make([]int, n)
-	// Precompute exact diameters per planted cluster.
-	diam := make(map[int]int)
-	for c := range in.Centers {
-		members := in.ClusterMembers(c)
-		d := 0
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				if h := in.Truth[members[i]].Hamming(in.Truth[members[j]]); h > d {
-					d = h
-				}
-			}
-		}
-		diam[c] = d
+	diam := make([]int, len(in.Centers))
+	for c := range diam {
+		diam[c] = cluster.Diameter(in.Truth, in.ClusterMembers(c))
 	}
 	for p := 0; p < n; p++ {
 		if c := in.ClusterOf[p]; c >= 0 {

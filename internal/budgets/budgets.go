@@ -19,12 +19,12 @@
 // edge threshold; majorities still ≥2/3 honest under the same corruption
 // cap), while the probe loads become capacity-weighted.
 //
-// Everything else is core's: Run is core's doubling loop (core.Iterate)
-// over the binary steps (core.BinarySteps) with SmallRadius at a
-// capacity-derived budget and the peel and share replaced, followed by a
-// per-player spot check among the guesses (core.SpotCheck on
-// core.SelectEach), and it returns core's result shape (core.Result) with
-// one core.IterationStats per guess.
+// Everything else is core's: Run is core's binary protocol (core.Iterate
+// over core.BinarySteps, then core.RSelectEach) under the caller's
+// core.Params with four changes — the budget B comes from the mean
+// capacity, the §6.1 easy case is off, the peel is the capacity peel, and
+// the board share (core.BoardShare) draws probers by capacity. It returns
+// core's result shape (core.Result) with one core.IterationStats per guess.
 package budgets
 
 import (
@@ -32,52 +32,9 @@ import (
 	"collabscore/internal/cluster"
 	"collabscore/internal/core"
 	"collabscore/internal/par"
-	"collabscore/internal/smallradius"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
 )
-
-// Params configures the heterogeneous-budget protocol.
-type Params struct {
-	// Capacity[p] is the number of probes player p volunteers (its
-	// personal budget). Must be positive for every player.
-	Capacity []int
-	// SampleFactor / EdgeFactor / RedundancyFactor mirror core.Params.
-	SampleFactor     float64
-	EdgeFactor       float64
-	RedundancyFactor float64
-	// SR configures the SmallRadius run on the sample set; its budget
-	// parameter is derived from the mean capacity.
-	SR smallradius.Params
-	// MinD/MaxD restrict the diameter guesses.
-	MinD, MaxD int
-
-	// NeighborIndex selects the neighbor-discovery implementation of the
-	// clustering step, mirroring core.Params.NeighborIndex: zero value is
-	// the exact all-pairs sweep (byte-identical to the pre-seam behavior),
-	// Kind "lsh" the banding index (DESIGN.md §13).
-	NeighborIndex cluster.IndexSpec
-
-	// PhaseSerial forces the protocol's phase loops onto the
-	// single-threaded reference schedule; PhaseWorkers, when positive and
-	// PhaseSerial is unset, pins them to exactly that many workers. The
-	// flags mirror core.Params (DESIGN.md §9): phase loops fan out on
-	// pre-split streams with index-ordered merges, so fixed-seed output is
-	// byte-identical under every schedule.
-	PhaseSerial  bool
-	PhaseWorkers int
-}
-
-// Scaled returns simulation-scale parameters with the given capacities.
-func Scaled(n int, capacity []int) Params {
-	return Params{
-		Capacity:         capacity,
-		SampleFactor:     1,
-		EdgeFactor:       4,
-		RedundancyFactor: 1.5,
-		SR:               smallradius.Scaled(n),
-	}
-}
 
 // Uniform returns a capacity vector with every player at c.
 func Uniform(n, c int) []int {
@@ -118,106 +75,40 @@ func meanCapacity(capacity []int) int {
 	return m
 }
 
-// Run executes the capacity-aware protocol on core's doubling loop
-// (core.Iterate over core.BinarySteps): sampling and SmallRadius at a
-// capacity-derived budget, the neighbor graph, the capacity-validated peel
-// and the capacity-weighted share, with a final spot check among the
-// guesses (core.SpotCheck, the RSelect analogue).
-func Run(w *world.World, shared *xrand.Stream, pr Params) *core.Result {
+// Run executes the capacity-aware protocol on core's binary protocol:
+// capacity[p] is the number of probes player p volunteers. Sampling and
+// SmallRadius run at the budget the mean capacity affords, the neighbor
+// graph is core's, the capacity peel forms the clusters, and the board
+// share draws each object's probers in proportion to capacity, with core's
+// RSelect among the guesses. Every other constant comes from pr.
+func Run(w *world.World, shared *xrand.Stream, pr core.Params, capacity []int) *core.Result {
 	n, m := w.N(), w.M()
-	if len(pr.Capacity) != n {
+	if len(capacity) != n {
 		panic("budgets: capacity vector must have one entry per player")
 	}
-	// The sample, SmallRadius diameter, edge threshold and redundancy use
-	// core's formulas over these factors; SmallRadius runs at the budget
-	// the mean capacity affords, and the zero SmallDThreshold leaves out
-	// core's easy case.
-	cp := core.Params{SampleFactor: pr.SampleFactor, SampleDiamFactor: 2,
-		EdgeFactor: pr.EdgeFactor, RedundancyFactor: pr.RedundancyFactor,
-		NeighborIndex: pr.NeighborIndex, SR: pr.SR}
-	red := cp.Redundancy(n)
-	cp.B = max(1, n/max(1, m*red/meanCapacity(pr.Capacity)))
+	red := pr.Redundancy(n)
+	pr.B = max(1, n/max(1, m*red/meanCapacity(capacity)))
+	pr.SmallDThreshold = 0
 	rc := world.NewRunOn(w, par.Sched(pr.PhaseSerial, pr.PhaseWorkers))
-	st := core.BinarySteps(rc, cp)
+	st := core.BinarySteps(rc, pr)
 	// A seed player and its alive neighbors form a cluster only when their
 	// total capacity can absorb the cluster's red·m probes.
-	st.Peel = func(g cluster.Graph) *cluster.Clustering { return buildByCapacity(g, pr.Capacity, m*red) }
-	st.Share = func(cl *cluster.Clustering, s *xrand.Stream, _ *core.IterationStats) []bitvec.Vector {
-		return weightedShare(rc, cl, s, pr.Capacity, red)
-	}
-	cands, res := core.Iterate(shared, core.Guesses(pr.MinD, pr.MaxD, n), m, st)
-	res.Output = core.SelectEach(rc.Exec(), w, bitvec.New(m), cands, func(p int, col []bitvec.Vector) int {
-		return core.SpotCheck(shared.Split(0xFE11, uint64(p)), n, m, len(col), func(ci, o int) int {
-			if w.Probe(p, o) != col[ci].Get(o) {
-				return 1
+	st.Peel = func(g cluster.Graph) *cluster.Clustering { return buildByCapacity(g, capacity, m*red) }
+	st.Share = func(cl *cluster.Clustering, s *xrand.Stream, is *core.IterationStats) []bitvec.Vector {
+		cum := make([][]int, len(cl.Clusters))
+		for j, members := range cl.Clusters {
+			cum[j] = make([]int, len(members))
+			total := 0
+			for i, p := range members {
+				total += capacity[p]
+				cum[j][i] = total
 			}
-			return 0
-		})
-	})
+		}
+		return core.BoardShare(rc, cl, s, is, red, cum)
+	}
+	cands, res := core.Iterate(shared, pr.DiameterGuesses(n), m, st)
+	res.Output = core.RSelectEach(w, rc.Exec(), shared, cands, pr)
 	return res
-}
-
-// weightedShare is the capacity-weighted work sharing: each object of a
-// cluster j goes to red members drawn with probability proportional to
-// capacity on s.Split(0x5C, j).Split(o), and the cluster adopts the
-// majority of their reports. Players in no cluster share one zero vector;
-// every member shares its cluster's one majority vector, since candidates
-// are never mutated downstream.
-func weightedShare(rc *world.Run, cl *cluster.Clustering, s *xrand.Stream, capacity []int, red int) []bitvec.Vector {
-	n, m := rc.N(), rc.M()
-	out := make([]bitvec.Vector, n)
-	zero := bitvec.New(m)
-	for p := range out {
-		out[p] = zero
-	}
-	for j, members := range cl.Clusters {
-		clusterRng := s.Split(0x5C, uint64(j))
-		// Build the sampling weights once per cluster.
-		weights := make([]int, len(members))
-		total := 0
-		for i, p := range members {
-			total += capacity[p]
-			weights[i] = total
-		}
-		bits := par.MapOn(rc.Exec(), m, func(o int) bool {
-			rng := clusterRng.Split(uint64(o))
-			ones, zeros := 0, 0
-			for i := 0; i < red; i++ {
-				q := members[weightedPick(rng, weights, total)]
-				if rc.Report(q, o) {
-					ones++
-				} else {
-					zeros++
-				}
-			}
-			return ones > zeros
-		})
-		maj := bitvec.New(m)
-		for o, b := range bits {
-			if b {
-				maj.Set(o, true)
-			}
-		}
-		for _, p := range members {
-			out[p] = maj
-		}
-	}
-	return out
-}
-
-// weightedPick returns an index into the cumulative weight table.
-func weightedPick(rng *xrand.Stream, cumWeights []int, total int) int {
-	x := rng.Intn(total)
-	lo, hi := 0, len(cumWeights)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cumWeights[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // buildByCapacity peels clusters like §6.5 but admits a seed's neighborhood

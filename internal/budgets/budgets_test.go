@@ -21,9 +21,9 @@ func TestUniformCapacityMatchesCore(t *testing.T) {
 	rng := xrand.New(1)
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
 	w := world.New(in.Truth)
-	pr := Scaled(n, Uniform(n, 128))
+	pr := core.Scaled(n, 8)
 	pr.MinD, pr.MaxD = d, d
-	res := Run(w, rng.Split(2), pr)
+	res := Run(w, rng.Split(2), pr, Uniform(n, 128))
 	es := metrics.Error(w, res.Output)
 	if es.Max > 2*d {
 		t.Fatalf("max error %d > %d", es.Max, 2*d)
@@ -39,9 +39,9 @@ func TestTwoTierAccuracy(t *testing.T) {
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
 	w := world.New(in.Truth)
 	caps := TwoTier(rng.Split(5), n, 32, 512, 0.25)
-	pr := Scaled(n, caps)
+	pr := core.Scaled(n, 8)
 	pr.MinD, pr.MaxD = d, d
-	res := Run(w, rng.Split(2), pr)
+	res := Run(w, rng.Split(2), pr, caps)
 	es := metrics.Error(w, res.Output)
 	if es.Max > 2*d {
 		t.Fatalf("two-tier max error %d > %d", es.Max, 2*d)
@@ -56,9 +56,9 @@ func TestLoadProportionalToCapacity(t *testing.T) {
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
 	w := world.New(in.Truth)
 	caps := TwoTier(rng.Split(5), n, 16, 256, 0.5)
-	pr := Scaled(n, caps)
+	pr := core.Scaled(n, 8)
 	pr.MinD, pr.MaxD = d, d
-	Run(w, rng.Split(2), pr)
+	Run(w, rng.Split(2), pr, caps)
 	var bigTotal, bigN, smallTotal, smallN int64
 	for p := 0; p < n; p++ {
 		if caps[p] == 256 {
@@ -84,9 +84,9 @@ func TestClusterCapacityMeetsNeed(t *testing.T) {
 	rng := xrand.New(9)
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 64, d)
 	caps := TwoTier(rng.Split(5), n, 32, 256, 0.5)
-	pr := Scaled(n, caps)
+	pr := core.Scaled(n, 8)
 	pr.MinD, pr.MaxD = d, d
-	needed := n * core.Params{RedundancyFactor: pr.RedundancyFactor}.Redundancy(n)
+	needed := n * pr.Redundancy(n)
 	cl := buildByCapacity(cluster.BuildGraph(in.Truth, 2*d), caps, needed)
 	if len(cl.Clusters) == 0 {
 		t.Fatal("the capacity peel formed no clusters")
@@ -100,9 +100,33 @@ func TestClusterCapacityMeetsNeed(t *testing.T) {
 			t.Fatalf("cluster %d capacity %d < needed %d", j, total, needed)
 		}
 	}
-	res := Run(world.New(in.Truth), rng.Split(2), pr)
+	res := Run(world.New(in.Truth), rng.Split(2), pr, caps)
 	if len(res.Iterations) != 1 || res.Iterations[0].NumClusters == 0 {
 		t.Fatalf("iterations %+v, want one guess that forms clusters", res.Iterations)
+	}
+}
+
+// TestBoardTrafficRecorded: the capacity-weighted share publishes through
+// the bulletin board, so a run over several guesses records board writes
+// and reads, and the per-guess traffic sums to the run's totals.
+func TestBoardTrafficRecorded(t *testing.T) {
+	const n, d = 256, 16
+	rng := xrand.New(33)
+	in := prefgen.DiameterClusters(rng.Split(1), n, n, 32, d)
+	w := world.New(in.Truth)
+	pr := core.Scaled(n, 8)
+	pr.MinD, pr.MaxD = 8, 32
+	res := Run(w, rng.Split(2), pr, TwoTier(rng.Split(5), n, 32, 256, 0.5))
+	if res.BoardWrites == 0 || res.BoardReads == 0 {
+		t.Fatalf("board traffic %d writes, %d reads; want both > 0", res.BoardWrites, res.BoardReads)
+	}
+	var sumW, sumR int64
+	for _, it := range res.Iterations {
+		sumW += it.BoardWrites
+		sumR += it.BoardReads
+	}
+	if sumW != res.BoardWrites || sumR != res.BoardReads {
+		t.Fatalf("iteration sums (%d,%d) != totals (%d,%d)", sumW, sumR, res.BoardWrites, res.BoardReads)
 	}
 }
 
@@ -115,20 +139,7 @@ func TestPanicsOnBadCapacity(t *testing.T) {
 			t.Fatal("expected panic for short capacity vector")
 		}
 	}()
-	Run(w, rng.Split(2), Scaled(16, Uniform(8, 4)))
-}
-
-func TestWeightedPick(t *testing.T) {
-	rng := xrand.New(13)
-	// weights 1, 3 → cumulative [1, 4]; index 1 should win ~75%.
-	counts := [2]int{}
-	for i := 0; i < 10000; i++ {
-		counts[weightedPick(rng, []int{1, 4}, 4)]++
-	}
-	frac := float64(counts[1]) / 10000
-	if frac < 0.70 || frac > 0.80 {
-		t.Fatalf("weighted pick fraction %.3f, want ≈0.75", frac)
-	}
+	Run(w, rng.Split(2), core.Scaled(16, 4), Uniform(8, 4))
 }
 
 func TestTwoTierGenerator(t *testing.T) {
@@ -170,11 +181,11 @@ func TestBudgetsScheduleMatrixMatches(t *testing.T) {
 	var refProbes []int64
 	for _, sched := range schedules {
 		w := world.New(in.Truth)
-		pr := Scaled(n, caps)
+		pr := core.Scaled(n, 8)
 		pr.MinD, pr.MaxD = d, d
 		pr.PhaseSerial = sched.phaseSerial
 		pr.PhaseWorkers = sched.phaseWorkers
-		res := Run(w, rng.Split(2), pr)
+		res := Run(w, rng.Split(2), pr, caps)
 		probes := make([]int64, n)
 		for p := 0; p < n; p++ {
 			probes[p] = w.Probes(p)
@@ -216,11 +227,11 @@ func TestPropertyBudgetsProbeConservation(t *testing.T) {
 			phaseWorkers int
 		}{{true, 0}, {false, 3}, {false, 0}} {
 			w := world.New(in.Truth)
-			pr := Scaled(n, caps)
+			pr := core.Scaled(n, 8)
 			pr.MinD, pr.MaxD = d, d
 			pr.PhaseSerial = sched.phaseSerial
 			pr.PhaseWorkers = sched.phaseWorkers
-			Run(w, rng.Split(2), pr)
+			Run(w, rng.Split(2), pr, caps)
 			var total, honestMax int64
 			probes := make([]int64, n)
 			for p := 0; p < n; p++ {
@@ -261,9 +272,9 @@ func TestMajorityVectorShared(t *testing.T) {
 	rng := xrand.New(31)
 	in := prefgen.DiameterClusters(rng.Split(1), n, n, 32, d)
 	w := world.New(in.Truth)
-	pr := Scaled(n, Uniform(n, 128))
+	pr := core.Scaled(n, 8)
 	pr.MinD, pr.MaxD = d, d
-	res := Run(w, rng.Split(2), pr)
+	res := Run(w, rng.Split(2), pr, Uniform(n, 128))
 	shared := 0
 	for p := 0; p < n; p++ {
 		for q := p + 1; q < n; q++ {
@@ -289,10 +300,10 @@ func TestNeighborIndexLSHMatchesExact(t *testing.T) {
 
 	run := func(spec cluster.IndexSpec) (*core.Result, *world.World) {
 		w := world.New(in.Truth)
-		pr := Scaled(n, caps)
+		pr := core.Scaled(n, 8)
 		pr.MinD, pr.MaxD = d, d
 		pr.NeighborIndex = spec
-		return Run(w, xrand.New(6).Split(3), pr), w
+		return Run(w, xrand.New(6).Split(3), pr, caps), w
 	}
 	ref, refW := run(cluster.IndexSpec{})
 	got, gotW := run(cluster.IndexSpec{Kind: "lsh"})
@@ -322,10 +333,10 @@ func TestNeighborIndexSparseMatchesDense(t *testing.T) {
 
 	run := func(spec cluster.IndexSpec) (*core.Result, *world.World) {
 		w := world.New(in.Truth)
-		pr := Scaled(n, caps)
+		pr := core.Scaled(n, 8)
 		pr.MinD, pr.MaxD = d, d
 		pr.NeighborIndex = spec
-		return Run(w, xrand.New(6).Split(3), pr), w
+		return Run(w, xrand.New(6).Split(3), pr, caps), w
 	}
 	for _, kind := range []string{"", "lsh"} {
 		ref, refW := run(cluster.IndexSpec{Kind: kind, Graph: "dense"})
@@ -360,12 +371,12 @@ func TestLSHScheduleMatrix(t *testing.T) {
 		workers int
 	}{{true, 0}, {false, 0}, {false, 3}} {
 		w := world.New(in.Truth)
-		pr := Scaled(n, caps)
+		pr := core.Scaled(n, 8)
 		pr.MinD, pr.MaxD = d, d
 		pr.NeighborIndex = cluster.IndexSpec{Kind: "lsh", Bands: 12, Rows: 10}
 		pr.PhaseSerial = sched.serial
 		pr.PhaseWorkers = sched.workers
-		res := Run(w, xrand.New(8).Split(3), pr)
+		res := Run(w, xrand.New(8).Split(3), pr, caps)
 		if ref == nil {
 			ref = res
 			continue
@@ -416,9 +427,9 @@ func TestPublishedStatePerGuess(t *testing.T) {
 			core.Run(w, xrand.New(72), pr)
 		},
 		"budgets": func(w *world.World) {
-			pr := Scaled(n, Uniform(n, 128))
+			pr := core.Scaled(n, 8)
 			pr.MinD, pr.MaxD, pr.PhaseSerial = ladder[0], ladder[1], true
-			Run(w, xrand.New(72), pr)
+			Run(w, xrand.New(72), pr, Uniform(n, 128))
 		},
 	}
 	for name, run := range runs {

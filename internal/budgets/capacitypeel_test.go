@@ -68,7 +68,7 @@ func TestCapacityPeelAttachesLeftovers(t *testing.T) {
 }
 
 // TestRunSelectsAmongGuesses runs several diameter guesses, so the final
-// per-player spot check chooses among candidate vectors. The largest guess
+// per-player RSelect chooses among candidate vectors. The largest guess
 // alone is inaccurate here (its tiny sample merges every player into one
 // cluster), yet the chosen outputs stay O(D)-accurate, are identical under
 // every phase schedule, and the run records one IterationStats per guess
@@ -80,15 +80,15 @@ func TestRunSelectsAmongGuesses(t *testing.T) {
 	caps := TwoTier(rng.Split(5), n, 32, 256, 0.5)
 	run := func(minD, maxD int, serial bool, workers int) (*core.Result, int) {
 		w := world.New(in.Truth)
-		pr := Scaled(n, caps)
+		pr := core.Scaled(n, 8)
 		pr.MinD, pr.MaxD = minD, maxD
 		pr.PhaseSerial = serial
 		pr.PhaseWorkers = workers
-		res := Run(w, rng.Split(2), pr)
+		res := Run(w, rng.Split(2), pr, caps)
 		return res, metrics.Error(w, res.Output).Max
 	}
 	if _, maxErr := run(64, 64, false, 0); maxErr <= 2*d {
-		t.Fatalf("largest guess alone has max error %d ≤ %d; the spot check would be untested", maxErr, 2*d)
+		t.Fatalf("largest guess alone has max error %d ≤ %d; the final RSelect would be untested", maxErr, 2*d)
 	}
 	var ref *core.Result
 	for _, sched := range []struct {

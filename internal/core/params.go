@@ -189,29 +189,6 @@ func DrawSample(rng *xrand.Stream, m int, rate float64) []int {
 	return s
 }
 
-// SpotCheck is the per-player selection among k candidates shared by the
-// budget and rating variants (their RSelect analogue): it samples
-// min(m, 8·⌊ln n⌋) objects from rng and returns the candidate with the least
-// total miss(ci, o) over them, ties to the lowest index. A lone candidate
-// is returned without drawing or probing.
-func SpotCheck(rng *xrand.Stream, n, m, k int, miss func(ci, o int) int) int {
-	if k == 1 {
-		return 0
-	}
-	check := rng.Sample(m, min(m, 8*int(LnN(n))))
-	best, bestMiss := 0, math.MaxInt
-	for ci := 0; ci < k; ci++ {
-		total := 0
-		for _, o := range check {
-			total += miss(ci, o)
-		}
-		if total < bestMiss {
-			best, bestMiss = ci, total
-		}
-	}
-	return best
-}
-
 // SampleProb returns the per-object sample inclusion probability for
 // diameter guess d.
 func (pr Params) SampleProb(n, d int) float64 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"collabscore/internal/bitvec"
 	"collabscore/internal/board"
 	"collabscore/internal/cluster"
@@ -59,7 +61,7 @@ func phaseExec(pr Params) *par.Runner {
 func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
 	rc := world.NewRunOn(w, phaseExec(pr))
 	cands, res := Iterate(shared, pr.DiameterGuesses(rc.N()), rc.M(), BinarySteps(rc, pr))
-	res.Output = rselectEach(w, rc.Exec(), shared, cands, pr)
+	res.Output = RSelectEach(w, rc.Exec(), shared, cands, pr)
 	return res
 }
 
@@ -67,8 +69,8 @@ func Run(w *world.World, shared *xrand.Stream, pr Params) *Result {
 // over rc: the easy case below SmallDThreshold·ln n on the full object set
 // (coins 0xF0), SmallRadius at budget pr.B on the sample (0x5B), the
 // NeighborIndex graph (0x5D), the greedy peel (cluster.Build) and the
-// board workshare (0x5C). The capacity variant (budgets) swaps in its own
-// peel and share.
+// uniform board share (BoardShare). The capacity variant (budgets) swaps in
+// its own peel and capacity weights for the share.
 func BinarySteps(rc *world.Run, pr Params) Steps[bitvec.Vector] {
 	n, m := rc.N(), rc.M()
 	return Steps[bitvec.Vector]{
@@ -88,20 +90,28 @@ func BinarySteps(rc *world.Run, pr Params) Steps[bitvec.Vector] {
 			return pr.NeighborIndex.BuildGraph(rc.Exec(), z, pr.EdgeThreshold(n), s.Split(0x5D))
 		},
 		Peel: func(g cluster.Graph) *cluster.Clustering { return cluster.Build(g, pr.MinClusterSize(n)) },
-		// Reports travel through the bulletin board: probers publish to
-		// their own lanes and every cluster member tallies the votes.
-		Share: func(cl *cluster.Clustering, s *xrand.Stream, st *IterationStats) []bitvec.Vector {
-			bd := board.New(n, m)
-			out := workShare(rc, bd, cl, s.Split(0x5C), pr)
-			st.BoardWrites = bd.WriteCount()
-			st.BoardReads = bd.ReadCount()
-			return out
+		Share: func(cl *cluster.Clustering, s *xrand.Stream, is *IterationStats) []bitvec.Vector {
+			return BoardShare(rc, cl, s, is, pr.Redundancy(n), nil)
 		},
 	}
 }
 
-// workShare assigns, for every cluster and every object, Redundancy
-// randomly chosen cluster members to probe the object; the probers publish
+// BoardShare is the work-sharing step on a fresh bulletin board: probers
+// publish to their own lanes and every cluster member tallies the votes
+// (workShare on coins s.Split(0x5C)), recording the board traffic on is.
+// cum[j], when cum is non-nil, holds cluster j's cumulative member weights
+// and draws probers in proportion to them; nil draws them uniformly.
+func BoardShare(rc *world.Run, cl *cluster.Clustering, s *xrand.Stream, is *IterationStats, red int, cum [][]int) []bitvec.Vector {
+	bd := board.New(rc.N(), rc.M())
+	out := workShare(rc, bd, cl, s.Split(0x5C), red, cum)
+	is.BoardWrites = bd.WriteCount()
+	is.BoardReads = bd.ReadCount()
+	return out
+}
+
+// workShare assigns, for every cluster and every object, red randomly
+// chosen cluster members to probe the object — uniformly, or in proportion
+// to the cumulative weights cum[j] when cum is non-nil; the probers publish
 // their reports on the bulletin board, and each member of the cluster
 // adopts the majority of the published votes (Figure 2 step 1.e). Players
 // in no cluster receive zero vectors, which the final RSelect discards.
@@ -121,9 +131,8 @@ func BinarySteps(rc *world.Run, pr Params) Steps[bitvec.Vector] {
 // be pure allocation. Prober choice, published values (first-write-wins)
 // and majorities are pure functions of the split streams, so the output is
 // identical under any schedule; scratch arenas hold no cross-cell state.
-func workShare(rc *world.Run, bd *board.Board, cl *cluster.Clustering, shared *xrand.Stream, pr Params) []bitvec.Vector {
+func workShare(rc *world.Run, bd *board.Board, cl *cluster.Clustering, shared *xrand.Stream, red int, cum [][]int) []bitvec.Vector {
 	n, m := rc.N(), rc.M()
-	red := pr.Redundancy(n)
 	ForCells(rc.Exec(), cl.Clusters, m, func(j int) xrand.Stream { return shared.SplitValue(uint64(j)) },
 		func(maxMembers int) *wsScratch {
 			return &wsScratch{
@@ -134,11 +143,19 @@ func workShare(rc *world.Run, bd *board.Board, cl *cluster.Clustering, shared *x
 		},
 		func(sc *wsScratch, clRng *xrand.Stream, j, wb, base, hi int) {
 			members := cl.Clusters[j]
+			var weights []int
+			if cum != nil {
+				weights = cum[j]
+			}
 			for o := base; o < hi; o++ {
 				rng := clRng.SplitValue(uint64(o))
 				chosen := sc.chosen[:red]
 				for i := range chosen {
-					chosen[i] = rng.Intn(len(members))
+					if weights == nil {
+						chosen[i] = rng.Intn(len(members))
+					} else {
+						chosen[i] = weightedPick(&rng, weights)
+					}
 				}
 				bit := uint64(1) << uint(o-base)
 				for _, mi := range dedupInPlace(chosen) {
@@ -184,10 +201,19 @@ type wsScratch struct {
 	touched []int    // member indices with written != 0, in first-touch order
 }
 
-// rselectEach runs RSelect per honest player over its candidates (Figure 2
+// weightedPick returns the index i drawn with probability proportional to
+// its weight, from the cumulative weight table cum (cum[i] is the sum of
+// the first i+1 weights): the first i with cum[i] > x for a uniform x.
+func weightedPick(rng *xrand.Stream, cum []int) int {
+	i, _ := slices.BinarySearch(cum, rng.Intn(cum[len(cum)-1])+1)
+	return i
+}
+
+// RSelectEach runs RSelect per honest player over its candidates (Figure 2
 // step 2) on SelectEach, with each player's coins split from shared by
-// player id.
-func rselectEach(w *world.World, exec *par.Runner, shared *xrand.Stream, cands [][]bitvec.Vector, pr Params) []bitvec.Vector {
+// player id. It is the final selection of every binary protocol: core,
+// its Byzantine wrapper, the capacity variant and the AASP baseline.
+func RSelectEach(w *world.World, exec *par.Runner, shared *xrand.Stream, cands [][]bitvec.Vector, pr Params) []bitvec.Vector {
 	allObjs := identity(w.M())
 	return SelectEach(exec, w, bitvec.New(w.M()), cands, func(p int, col []bitvec.Vector) int {
 		return selection.RSelect(w, p, allObjs, col, shared.Split(0xFE11, uint64(p)), pr.Sel)
@@ -243,7 +269,7 @@ func RunByzantine(w *world.World, trueRng *xrand.Stream, binStrategy election.Bi
 			// the tolerated corruption level) all candidates are adversarial
 			// and the final selection cannot help; HonestLeaders exposes
 			// this to experiments.
-			return rselectEach(w, phaseExec(pr), rng, outputs, pr)
+			return RSelectEach(w, phaseExec(pr), rng, outputs, pr)
 		},
 	})
 }

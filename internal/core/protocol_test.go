@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"collabscore/internal/adversary"
-	"collabscore/internal/baseline"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -84,22 +83,6 @@ func TestIdenticalClustersNearExact(t *testing.T) {
 	es := metrics.Error(w, res.Output)
 	if es.Max > 4 {
 		t.Fatalf("identical clusters: max error %d", es.Max)
-	}
-}
-
-// TestRunTrivial pins the B = Ω(n/log n) trivial case of §6.1, served by
-// baseline.ProbeAll: every player probes every object and outputs its exact
-// preferences.
-func TestRunTrivial(t *testing.T) {
-	rng := xrand.New(4)
-	in := prefgen.Uniform(rng.Split(1), 32, 64)
-	w := world.New(in.Truth)
-	out := baseline.ProbeAll(w)
-	if es := metrics.Error(w, out); es.Max != 0 {
-		t.Fatalf("trivial run error %d", es.Max)
-	}
-	if metrics.Probes(w).Max != 64 {
-		t.Fatal("trivial run should probe all objects")
 	}
 }
 
@@ -282,38 +265,29 @@ func TestMixtureInstanceRuns(t *testing.T) {
 	}
 }
 
-// TestSpotCheckAndDrawSample pins the shared selection and sample helpers:
-// a lone candidate is returned without calling miss; otherwise every
-// candidate is scored on the same min(m, 8·⌊ln n⌋) distinct objects and
-// the least total miss wins, ties to the lowest index. DrawSample caps the
-// rate at 1 and never returns an empty sample.
-func TestSpotCheckAndDrawSample(t *testing.T) {
+// TestDrawSample pins the sample helper: DrawSample caps the rate at 1 and
+// never returns an empty sample.
+func TestDrawSample(t *testing.T) {
 	rng := xrand.New(5)
-	if got := SpotCheck(rng, 1000, 500, 1, func(int, int) int { panic("probed a lone candidate") }); got != 0 {
-		t.Fatalf("lone candidate: got %d", got)
-	}
-	const n, m = 1000, 500 // 8·⌊ln 1000⌋ = 48 checked objects
-	seen := make([]map[int]bool, 4)
-	for i := range seen {
-		seen[i] = map[int]bool{}
-	}
-	misses := []int{3, 1, 2, 1}
-	got := SpotCheck(rng, n, m, 4, func(ci, o int) int {
-		seen[ci][o] = true
-		return misses[ci]
-	})
-	if got != 1 {
-		t.Fatalf("SpotCheck = %d, want 1 (least miss, lowest index)", got)
-	}
-	for ci := range seen {
-		if len(seen[ci]) != 48 {
-			t.Fatalf("candidate %d scored on %d objects, want 48", ci, len(seen[ci]))
-		}
-	}
 	if s := DrawSample(rng, 10, 5); len(s) != 10 {
 		t.Fatalf("rate above 1: sample size %d, want all 10", len(s))
 	}
 	if s := DrawSample(rng, 10, 0); len(s) != 1 || s[0] != 0 {
 		t.Fatalf("empty draw: sample %v, want [0]", s)
+	}
+}
+
+// TestWeightedPick: the board share's capacity-weighted prober draw picks
+// each index in proportion to its weight.
+func TestWeightedPick(t *testing.T) {
+	rng := xrand.New(13)
+	// weights 1, 3 → cumulative [1, 4]; index 1 should win ~75%.
+	counts := [2]int{}
+	for i := 0; i < 10000; i++ {
+		counts[weightedPick(rng, []int{1, 4})]++
+	}
+	frac := float64(counts[1]) / 10000
+	if frac < 0.70 || frac > 0.80 {
+		t.Fatalf("weighted pick fraction %.3f, want ≈0.75", frac)
 	}
 }

@@ -274,9 +274,9 @@ func runE12(cfg Config) *tablefmt.Table {
 		in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
 		w := world.New(in.Truth)
 		caps := budgets.TwoTier(rng.Split(3), n, 16, 256, 0.5)
-		pr := budgets.Scaled(n, caps)
+		pr := core.Scaled(n, cfg.B)
 		pr.MinD, pr.MaxD = d, d
-		res := budgets.Run(w, rng.Split(2), pr)
+		res := budgets.Run(w, rng.Split(2), pr, caps)
 		es := metrics.Error(w, res.Output)
 		var bigT, bigN, smallT, smallN float64
 		for p := 0; p < n; p++ {

@@ -44,6 +44,7 @@ package multival
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -395,16 +396,38 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 // selectL1 is the final selection of Run and RunByzantine (the RSelect
 // analogue; sampled L1 distances concentrate the same way): each honest
 // player keeps the candidate whose ratings disagree least, in probed L1
-// distance, with its own on a core.SpotCheck sample drawn from rng(p).
+// distance, with its own on a spotCheck sample drawn from rng(p).
 // Coins are per player, so the outcome is schedule-independent.
 func selectL1(w *World, exec *par.Runner, cands [][]bitvec.Planes, rng func(p int) *xrand.Stream) []bitvec.Planes {
 	n, m := w.N(), w.M()
 	return core.SelectEach(exec, w, bitvec.NewPlanes(m, w.k), cands, func(p int, col []bitvec.Planes) int {
-		return core.SpotCheck(rng(p), n, m, len(col), func(ci, o int) int {
+		return spotCheck(rng(p), n, m, len(col), func(ci, o int) int {
 			d := col[ci].Get(o) - w.Probe(p, o)
 			return max(d, -d)
 		})
 	})
+}
+
+// spotCheck is one player's selection among k candidates: it samples
+// min(m, 8·⌊ln n⌋) objects from rng and returns the candidate with the least
+// total miss(ci, o) over them, ties to the lowest index. A lone candidate
+// is returned without drawing or probing.
+func spotCheck(rng *xrand.Stream, n, m, k int, miss func(ci, o int) int) int {
+	if k == 1 {
+		return 0
+	}
+	check := rng.Sample(m, min(m, 8*int(core.LnN(n))))
+	best, bestMiss := 0, math.MaxInt
+	for ci := 0; ci < k; ci++ {
+		total := 0
+		for _, o := range check {
+			total += miss(ci, o)
+		}
+		if total < bestMiss {
+			best, bestMiss = ci, total
+		}
+	}
+	return best
 }
 
 // medianShare shares the probing of every object within each cluster,

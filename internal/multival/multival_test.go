@@ -276,3 +276,32 @@ func TestGatherClone(t *testing.T) {
 		t.Fatal("Clone shares storage")
 	}
 }
+
+// TestSpotCheck pins the L1 selection's spot check: a lone candidate is
+// returned without calling miss; otherwise every candidate is scored on the
+// same min(m, 8·⌊ln n⌋) distinct objects and the least total miss wins,
+// ties to the lowest index.
+func TestSpotCheck(t *testing.T) {
+	rng := xrand.New(5)
+	if got := spotCheck(rng, 1000, 500, 1, func(int, int) int { panic("probed a lone candidate") }); got != 0 {
+		t.Fatalf("lone candidate: got %d", got)
+	}
+	const n, m = 1000, 500 // 8·⌊ln 1000⌋ = 48 checked objects
+	seen := make([]map[int]bool, 4)
+	for i := range seen {
+		seen[i] = map[int]bool{}
+	}
+	misses := []int{3, 1, 2, 1}
+	got := spotCheck(rng, n, m, 4, func(ci, o int) int {
+		seen[ci][o] = true
+		return misses[ci]
+	})
+	if got != 1 {
+		t.Fatalf("spotCheck = %d, want 1 (least miss, lowest index)", got)
+	}
+	for ci := range seen {
+		if len(seen[ci]) != 48 {
+			t.Fatalf("candidate %d scored on %d objects, want 48", ci, len(seen[ci]))
+		}
+	}
+}

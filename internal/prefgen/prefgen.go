@@ -75,25 +75,6 @@ func (in *Instance) ClusterMembers(c int) []int {
 	return out
 }
 
-// MaxPlantedClusterDiameter computes the exact maximum pairwise Hamming
-// distance within each planted cluster, returning the max over clusters.
-// It is O(n² m/64) and intended for tests and OPT oracles.
-func (in *Instance) MaxPlantedClusterDiameter() int {
-	mx := 0
-	for c := range in.Centers {
-		members := in.ClusterMembers(c)
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				d := in.Truth[members[i]].Hamming(in.Truth[members[j]])
-				if d > mx {
-					mx = d
-				}
-			}
-		}
-	}
-	return mx
-}
-
 // newInstance returns an Instance with n zeroed truth vectors of length m,
 // numCenters zeroed center vectors, and a ClusterOf slice of length n.
 func newInstance(n, m, numCenters int) *Instance {

@@ -3,8 +3,19 @@ package prefgen
 import (
 	"testing"
 
+	"collabscore/internal/cluster"
 	"collabscore/internal/xrand"
 )
+
+// maxPlantedDiameter returns the largest exact pairwise Hamming diameter
+// of any planted cluster of in.
+func maxPlantedDiameter(in *Instance) int {
+	mx := 0
+	for c := range in.Centers {
+		mx = max(mx, cluster.Diameter(in.Truth, in.ClusterMembers(c)))
+	}
+	return mx
+}
 
 func TestUniformShape(t *testing.T) {
 	in := Uniform(xrand.New(1), 50, 80)
@@ -31,7 +42,7 @@ func TestUniformShape(t *testing.T) {
 
 func TestIdenticalClustersZeroDiameter(t *testing.T) {
 	in := IdenticalClusters(xrand.New(2), 64, 100, 16)
-	if got := in.MaxPlantedClusterDiameter(); got != 0 {
+	if got := maxPlantedDiameter(in); got != 0 {
 		t.Fatalf("identical clusters have diameter %d", got)
 	}
 	if in.PlantedDiameter != 0 {
@@ -48,7 +59,7 @@ func TestIdenticalClustersZeroDiameter(t *testing.T) {
 func TestDiameterClustersBound(t *testing.T) {
 	const d = 10
 	in := DiameterClusters(xrand.New(3), 60, 200, 20, d)
-	if got := in.MaxPlantedClusterDiameter(); got > d {
+	if got := maxPlantedDiameter(in); got > d {
 		t.Fatalf("planted diameter %d exceeds bound %d", got, d)
 	}
 	// All players assigned.
@@ -97,7 +108,7 @@ func TestDiameterClustersPanics(t *testing.T) {
 func TestZipfClustersSkewAndBound(t *testing.T) {
 	const d = 6
 	in := ZipfClusters(xrand.New(7), 300, 100, 5, 1.2, d)
-	if got := in.MaxPlantedClusterDiameter(); got > d {
+	if got := maxPlantedDiameter(in); got > d {
 		t.Fatalf("Zipf cluster diameter %d > %d", got, d)
 	}
 	if len(in.ClusterMembers(0)) <= len(in.ClusterMembers(4)) {
@@ -143,7 +154,7 @@ func TestAdversarialClaim2Structure(t *testing.T) {
 	}
 	// Group diameter is at most 2d (disagreements only inside S... each
 	// member differs from base only on S).
-	if diam := in.MaxPlantedClusterDiameter(); diam > 2*d {
+	if diam := maxPlantedDiameter(in); diam > 2*d {
 		t.Fatalf("group diameter %d > %d", diam, 2*d)
 	}
 }

@@ -33,7 +33,9 @@ type Record struct {
 	// (both 0 for non-Byzantine protocols).
 	HonestLeaders int `json:"honest_leaders"`
 	Repetitions   int `json:"repetitions"`
-	// CommWrites/CommReads are the bulletin-board traffic totals.
+	// CommWrites/CommReads are the bulletin-board traffic totals of the
+	// binary protocols; ratings points read 0, which means not measured
+	// (the rating share does not use the binary board).
 	CommWrites int64 `json:"comm_writes"`
 	CommReads  int64 `json:"comm_reads"`
 	// Rounds is the point's synchronous-round complexity under the
