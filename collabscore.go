@@ -20,6 +20,11 @@
 //	report := sim.RunByzantine()
 //	fmt.Println(report)
 //
+// The same run as one declarative value is a Scenario, which the sweep
+// engine expands into grids. Scenario.Validate says whether a scenario can
+// run; NewSimulation, NewRatingSimulation and Scenario.Build/Run/Execute
+// panic with its message when it cannot.
+//
 // Lower-level building blocks (the bulletin board, ZeroRadius, SmallRadius,
 // RSelect/Select, Feige leader election, adversary strategies, preference
 // generators) live in internal packages and are exercised through this API,
@@ -36,6 +41,7 @@ import (
 	"collabscore/internal/cluster"
 	"collabscore/internal/core"
 	"collabscore/internal/metrics"
+	"collabscore/internal/multival"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -111,28 +117,74 @@ const (
 	HarshShifters
 )
 
+// strategyRow declares one Strategy: its name and its behavior on each
+// substrate, nil where it has none. binary returns, for the resolved
+// config, each corrupted player's behavior; rating returns the rating-scale
+// behavior for the simulation's seed and scale.
+type strategyRow struct {
+	name   string
+	binary func(cfg Config) perPlayer
+	rating func(seed uint64, scale int) multival.Behavior
+}
+
+// perPlayer gives corrupted player p its binary behavior.
+type perPlayer = func(p int) world.Behavior
+
+// every gives every corrupted player the same behavior.
+func every(b world.Behavior) perPlayer { return func(int) world.Behavior { return b } }
+
+// strategyTable holds every Strategy's row; String, ParseStrategy, the
+// capability checks and both Corrupt methods read it. A Colluders bloc
+// shares the one target its Corrupt call draws.
+var strategyTable = [...]strategyRow{
+	RandomLiar: {"random-liar",
+		func(cfg Config) perPlayer { return every(adversary.RandomLiar{Seed: cfg.Seed ^ 0xA11CE}) },
+		func(seed uint64, _ int) multival.Behavior { return multival.RandomRater{Seed: seed ^ 0xAA} }},
+	FlipAll: {"flip-all",
+		func(Config) perPlayer { return every(adversary.FlipAll{}) },
+		func(uint64, int) multival.Behavior { return multival.Inverter{} }},
+	Colluders: {"colluders",
+		func(cfg Config) perPlayer { return every(adversary.NewColluder(cfg.Seed^0xC0111DE, cfg.Objects)) }, nil},
+	ClusterHijackers: {"cluster-hijackers",
+		func(cfg Config) perPlayer {
+			return func(p int) world.Behavior { return adversary.ClusterHijacker{Victim: (p + 1) % cfg.Players} }
+		}, nil},
+	StrangeObjectAttackers: {"strange-object",
+		func(cfg Config) perPlayer { return every(adversary.StrangeObjectAttacker{Seed: cfg.Seed ^ 0x57A4E}) }, nil},
+	ZeroSpammers: {"zero-spam",
+		func(Config) perPlayer { return every(adversary.ZeroSpam{}) },
+		func(_ uint64, scale int) multival.Behavior { return multival.Shifter{Delta: -scale} }},
+	Exaggerators: {"exaggerators", nil,
+		func(uint64, int) multival.Behavior { return multival.Exaggerator{} }},
+	HarshShifters: {"harsh-shifters", nil,
+		func(_ uint64, scale int) multival.Behavior { return multival.Shifter{Delta: -(scale + 1) / 2} }},
+}
+
+// row returns the strategy's strategyTable row; an out-of-range strategy
+// gets the zero row, which has no name and no behavior.
+func (s Strategy) row() strategyRow {
+	if s < 0 || int(s) >= len(strategyTable) {
+		return strategyRow{}
+	}
+	return strategyTable[s]
+}
+
 // String returns the strategy name.
 func (s Strategy) String() string {
-	switch s {
-	case RandomLiar:
-		return "random-liar"
-	case FlipAll:
-		return "flip-all"
-	case Colluders:
-		return "colluders"
-	case ClusterHijackers:
-		return "cluster-hijackers"
-	case StrangeObjectAttackers:
-		return "strange-object"
-	case ZeroSpammers:
-		return "zero-spam"
-	case Exaggerators:
-		return "exaggerators"
-	case HarshShifters:
-		return "harsh-shifters"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
+	if name := s.row().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("strategy(%d)", int(s))
+}
+
+// ParseStrategy is the inverse of Strategy.String.
+func ParseStrategy(name string) (Strategy, error) {
+	for s, r := range strategyTable {
+		if r.name == name {
+			return Strategy(s), nil
+		}
+	}
+	return 0, fmt.Errorf("collabscore: unknown strategy %q", name)
 }
 
 // RatingCapable reports whether the strategy has a rating-scale behavior
@@ -140,23 +192,11 @@ func (s Strategy) String() string {
 // rating-protocol sweep points. RandomLiar, FlipAll and ZeroSpammers carry
 // their natural rating analogues (consistent random ratings, scale − truth,
 // always 0); Exaggerators and HarshShifters are rating-native.
-func (s Strategy) RatingCapable() bool {
-	switch s {
-	case RandomLiar, FlipAll, ZeroSpammers, Exaggerators, HarshShifters:
-		return true
-	}
-	return false
-}
+func (s Strategy) RatingCapable() bool { return s.row().rating != nil }
 
 // BinaryCapable reports whether the strategy has a binary-world behavior
 // (usable with Simulation.Corrupt and the binary protocols).
-func (s Strategy) BinaryCapable() bool {
-	switch s {
-	case Exaggerators, HarshShifters:
-		return false
-	}
-	return true
-}
+func (s Strategy) BinaryCapable() bool { return s.row().binary != nil }
 
 // Simulation is a configured world ready to run the protocol. Create one
 // with NewSimulation, optionally plant structure and corrupt players, then
@@ -174,34 +214,25 @@ type Simulation struct {
 
 // NewSimulation creates a simulation with uniform random preferences (no
 // planted structure). Call PlantClusters or PlantZipf to add structure
-// before running. It panics on nonsensical configs.
+// before running. It panics with Scenario.Validate's message on a config
+// that cannot run.
 func NewSimulation(cfg Config) *Simulation {
-	return Scenario{Config: cfg}.simulation()
+	sc := Scenario{Config: cfg}
+	sc.mustValidate()
+	return sc.simulation()
 }
 
-// resolveConfig validates the shape fields Config and RatingConfig share,
-// fills their defaults (Objects 0 → players, Budget 0 → 8), and parses the
-// truth-source spec. It panics on nonsensical values, naming the field.
+// resolveConfig fills the defaults of the shape fields Config and
+// RatingConfig share (Objects 0 → players, Budget 0 → 8) and parses the
+// truth-source spec, all of which Scenario.Validate has accepted.
 func resolveConfig(players, objects, budget int, truthSource string) (int, int, prefgen.SourceSpec) {
-	if players < 1 {
-		panic("collabscore: Players must be ≥ 1")
-	}
-	if objects < 0 {
-		panic(fmt.Sprintf("collabscore: Objects must be ≥ 0 (0 defaults to Players), got %d", objects))
-	}
-	if budget < 0 {
-		panic(fmt.Sprintf("collabscore: Budget must be ≥ 0 (0 defaults to 8), got %d", budget))
-	}
 	if objects == 0 {
 		objects = players
 	}
 	if budget == 0 {
 		budget = 8
 	}
-	spec, err := prefgen.ParseSourceSpec(truthSource)
-	if err != nil {
-		panic(fmt.Sprintf("collabscore: %v", err))
-	}
+	spec, _ := prefgen.ParseSourceSpec(truthSource) // validated at construction
 	return objects, budget, spec
 }
 
@@ -218,11 +249,7 @@ func (s *Simulation) rebuild() {
 		s.params.MinD = s.cfg.FixedDiameter
 		s.params.MaxD = s.cfg.FixedDiameter
 	}
-	spec, err := cluster.ParseIndexSpec(s.cfg.NeighborIndex)
-	if err != nil {
-		panic(fmt.Sprintf("collabscore: %v", err))
-	}
-	s.params.NeighborIndex = spec
+	s.params.NeighborIndex, _ = cluster.ParseIndexSpec(s.cfg.NeighborIndex) // validated at construction
 }
 
 // plantUniform installs uniform random preferences (no planted structure),
@@ -263,32 +290,15 @@ func (s *Simulation) PlantZipf(numClusters int, alpha float64, diameter int) *Si
 
 // Corrupt makes k randomly chosen players dishonest with the given
 // strategy. The paper's tolerance is Tolerance() players; corrupting more
-// voids the guarantees (useful for measuring degradation).
+// voids the guarantees (useful for measuring degradation). It panics for a
+// strategy with no binary behavior (Strategy.BinaryCapable).
 func (s *Simulation) Corrupt(k int, strat Strategy) *Simulation {
 	perm := s.rng.Split(4).Perm(s.cfg.Players)
-	n, m := s.cfg.Players, s.cfg.Objects
-	var mk func(p int) world.Behavior
-	switch strat {
-	case RandomLiar:
-		mk = func(p int) world.Behavior { return adversary.RandomLiar{Seed: s.cfg.Seed ^ 0xA11CE} }
-	case FlipAll:
-		mk = func(p int) world.Behavior { return adversary.FlipAll{} }
-	case Colluders:
-		c := adversary.NewColluder(s.cfg.Seed^0xC0111DE, m)
-		mk = func(p int) world.Behavior { return c }
-	case ClusterHijackers:
-		mk = func(p int) world.Behavior { return adversary.ClusterHijacker{Victim: (p + 1) % n} }
-	case StrangeObjectAttackers:
-		mk = func(p int) world.Behavior { return adversary.StrangeObjectAttacker{Seed: s.cfg.Seed ^ 0x57A4E} }
-	case ZeroSpammers:
-		mk = func(p int) world.Behavior { return adversary.ZeroSpam{} }
-	default:
-		if !strat.BinaryCapable() {
-			panic(fmt.Sprintf("collabscore: strategy %v is rating-scale only (use RatingSimulation.Corrupt)", strat))
-		}
-		panic(fmt.Sprintf("collabscore: unknown strategy %v", strat))
+	mk := strat.row().binary
+	if mk == nil {
+		panic(strat.noBehavior(false))
 	}
-	adversary.Corrupt(s.w, k, perm, mk)
+	adversary.Corrupt(s.w, k, perm, mk(s.cfg))
 	return s
 }
 
@@ -455,8 +465,7 @@ func (s *Simulation) RunBaseline() *Report {
 	s.w.ResetProbes()
 	pr := baseline.AASPScaled(s.cfg.Players, s.cfg.Budget)
 	pr.MinD, pr.MaxD = s.params.MinD, s.params.MaxD
-	out := baseline.AASP(s.w, s.rng.Split(12), pr)
-	return s.report(&core.Result{Output: out})
+	return s.report(core.Run(s.w, s.rng.Split(12), pr))
 }
 
 // RunProbeAll executes the trivial probe-everything baseline.

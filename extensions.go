@@ -77,8 +77,11 @@ type RatingSimulation struct {
 }
 
 // NewRatingSimulation creates a rating-scale simulation with planted taste
-// clusters of the given size and L1 diameter.
+// clusters of the given size and L1 diameter. It panics with
+// Scenario.Validate's message on a config that cannot run.
 func NewRatingSimulation(cfg RatingConfig, clusterSize, diameter int) *RatingSimulation {
+	Scenario{Config: Config{Players: cfg.Players, Objects: cfg.Objects, Budget: cfg.Budget, TruthSource: cfg.TruthSource},
+		ClusterSize: clusterSize, Diameter: diameter, Protocol: ProtoRatings, Scale: cfg.Scale}.mustValidate()
 	var spec prefgen.SourceSpec
 	cfg.Objects, cfg.Budget, spec = resolveConfig(cfg.Players, cfg.Objects, cfg.Budget, cfg.TruthSource)
 	if cfg.Scale == 0 {
@@ -107,21 +110,11 @@ func NewRatingSimulation(cfg RatingConfig, clusterSize, diameter int) *RatingSim
 // Exaggerators rate at the extremes, HarshShifters shift truth down by
 // half the scale.
 func (rs *RatingSimulation) Corrupt(k int, strat Strategy) *RatingSimulation {
-	var b multival.Behavior
-	switch strat {
-	case RandomLiar:
-		b = multival.RandomRater{Seed: rs.cfg.Seed ^ 0xAA}
-	case FlipAll:
-		b = multival.Inverter{}
-	case ZeroSpammers:
-		b = multival.Shifter{Delta: -rs.cfg.Scale}
-	case Exaggerators:
-		b = multival.Exaggerator{}
-	case HarshShifters:
-		b = multival.Shifter{Delta: -(rs.cfg.Scale + 1) / 2}
-	default:
-		panic(fmt.Sprintf("collabscore: strategy %v has no rating-scale behavior", strat))
+	mk := strat.row().rating
+	if mk == nil {
+		panic(strat.noBehavior(true))
 	}
+	b := mk(rs.cfg.Seed, rs.cfg.Scale)
 	perm := rs.rng.Split(2).Perm(rs.cfg.Players)
 	for i := 0; i < k && i < len(perm); i++ {
 		rs.w.SetBehavior(perm[i], b)

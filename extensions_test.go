@@ -143,12 +143,18 @@ func TestBudgetsReportBoardTraffic(t *testing.T) {
 
 // TestBaselineOffLadderDiameter: the AASP baseline runs core's ladder, so a
 // fixed diameter that is not a power of two runs exactly that guess — the
-// run probes, and its error stays within SmallRadius's 5·D.
+// run probes, its error stays within SmallRadius's 5·D, and its report
+// lists that one guess.
 func TestBaselineOffLadderDiameter(t *testing.T) {
 	const d = 24
 	rep := Scenario{Config: Config{Players: 256, FixedDiameter: d}, ClusterSize: 32, Diameter: d,
 		Protocol: ProtoBaseline}.Run()
 	if rep.TotalProbes == 0 || rep.MaxError > 5*d {
 		t.Fatalf("baseline probes %d, max error %d; want > 0 probes, error ≤ %d", rep.TotalProbes, rep.MaxError, 5*d)
+	}
+	// The report carries core's per-guess view: one guess, at d, on the
+	// full-SmallRadius path.
+	if len(rep.Iterations) != 1 || rep.Iterations[0].D != d || !rep.Iterations[0].FullSmallRadius {
+		t.Fatalf("baseline iterations %+v; want one full-SmallRadius guess at D = %d", rep.Iterations, d)
 	}
 }

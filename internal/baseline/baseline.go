@@ -31,21 +31,16 @@ import (
 // AASPScaled returns the [2,3]-style baseline's parameters: core.Scaled
 // with an infinite SmallDThreshold, so every diameter guess runs
 // SmallRadius on the full object set, and the default RSelect constants.
+// The baseline is core.Run under them: for each diameter guess D
+// (doubling), SmallRadius over the entire object set with that diameter,
+// then RSelect among the resulting candidates. Its probe cost carries the
+// full D^{3/2} partition factor on all n objects for every guess, which is
+// where the B² (rather than B) dependence of [2,3] shows up.
 func AASPScaled(n, b int) core.Params {
 	pr := core.Scaled(n, b)
 	pr.SmallDThreshold = math.Inf(1)
 	pr.Sel = selection.Defaults()
 	return pr
-}
-
-// AASP runs the prior-work baseline: for each diameter guess D (doubling),
-// run SmallRadius over the entire object set with that diameter, then
-// RSelect among the resulting candidates — core.Run under AASPScaled
-// parameters. Its probe cost carries the full D^{3/2} partition factor on
-// all n objects for every guess, which is where the B² (rather than B)
-// dependence of [2,3] shows up.
-func AASP(w *world.World, shared *xrand.Stream, pr core.Params) []bitvec.Vector {
-	return core.Run(w, shared, pr).Output
 }
 
 // ProbeAll has every honest player probe every object and output the truth

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"collabscore/internal/adversary"
+	"collabscore/internal/core"
 	"collabscore/internal/metrics"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -50,7 +51,7 @@ func TestAASPAccuracy(t *testing.T) {
 	w := world.New(in.Truth)
 	pr := AASPScaled(n, b)
 	pr.MinD, pr.MaxD = d, d
-	out := AASP(w, rng.Split(2), pr)
+	out := core.Run(w, rng.Split(2), pr).Output
 	es := metrics.Error(w, out)
 	// The baseline is a B-approximation; at a single correct guess it
 	// should stay within 5d (the SmallRadius bound).
@@ -71,7 +72,7 @@ func TestAASPCostsMoreThanCore(t *testing.T) {
 	w := world.New(in.Truth)
 	pr := AASPScaled(n, b)
 	pr.MinD, pr.MaxD = d, d
-	AASP(w, rng.Split(2), pr)
+	core.Run(w, rng.Split(2), pr)
 	if metrics.Probes(w).Max == 0 {
 		t.Fatal("AASP did not probe")
 	}

@@ -160,3 +160,24 @@ func TestE9ToleranceRow(t *testing.T) {
 func sscan(s string, v *float64) (int, error) {
 	return fmt.Sscan(s, v)
 }
+
+// TestE12RowsWithinBound asserts the substance of E12 at the small sizes
+// where a planted diameter past the separable one would break clustering:
+// every row's max error stays within the bound the row prints.
+func TestE12RowsWithinBound(t *testing.T) {
+	for _, n := range []int{256, 512} {
+		tb := runE12(Config{N: n, B: 8, Trials: 3, Seed: 2010})
+		for _, row := range tb.Rows {
+			var maxErr, bound float64
+			if _, err := sscan(row[2], &maxErr); err != nil {
+				t.Fatalf("unparseable err %q", row[2])
+			}
+			if _, err := sscan(row[3], &bound); err != nil {
+				t.Fatalf("unparseable bound %q", row[3])
+			}
+			if maxErr > bound {
+				t.Errorf("-n %d, %s: max err %v > bound %v", n, row[0], maxErr, bound)
+			}
+		}
+	}
+}

@@ -269,13 +269,15 @@ func runE12(cfg Config) *tablefmt.Table {
 	})
 	t.AddRow("multival (L1, median)", d, aggM["max"], 3*d, aggM["probes"], "-")
 
-	// Heterogeneous budgets.
+	// Heterogeneous budgets, planted inside the diameter the binary
+	// clustering can separate at n objects (core.Params.SeparableDiameter).
+	pr := core.Scaled(n, cfg.B)
+	db := min(d, pr.SeparableDiameter(n)/2)
+	pr.MinD, pr.MaxD = db, db
 	aggB := trialMeans(cfg.Trials, cfg.Seed+2, func(trial int, rng *xrand.Stream) map[string]float64 {
-		in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, d)
+		in := prefgen.DiameterClusters(rng.Split(1), n, n, n/cfg.B, db)
 		w := world.New(in.Truth)
 		caps := budgets.TwoTier(rng.Split(3), n, 16, 256, 0.5)
-		pr := core.Scaled(n, cfg.B)
-		pr.MinD, pr.MaxD = d, d
 		res := budgets.Run(w, rng.Split(2), pr, caps)
 		es := metrics.Error(w, res.Output)
 		var bigT, bigN, smallT, smallN float64
@@ -293,6 +295,6 @@ func runE12(cfg Config) *tablefmt.Table {
 			"max": float64(es.Max), "probes": float64(metrics.Probes(w).Max), "ratio": ratio,
 		}
 	})
-	t.AddRow("budgets (two-tier)", d, aggB["max"], 2*d, aggB["probes"], aggB["ratio"])
+	t.AddRow("budgets (two-tier)", db, aggB["max"], 2*db, aggB["probes"], aggB["ratio"])
 	return t
 }

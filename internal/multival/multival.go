@@ -317,14 +317,6 @@ func (w *World) ReportPlaneWords(p, wi int, mask uint64, dst []uint64) {
 type Params struct {
 	// B is the budget parameter (clusters of ≥ n/B − n/(3B) players).
 	B int
-	// SampleFactor f sets |S| ≈ f·ln(n)·n·scale/D for diameter guess D
-	// (sampling rate f·ln(n)·scale/D per object, capped at 1).
-	SampleFactor float64
-	// EdgeFactor e sets the neighbor threshold to e× the expected sampled
-	// L1 distance of a pair at the diameter guess (e·rate·D).
-	EdgeFactor float64
-	// RedundancyFactor r sets ⌈r·ln n⌉ probers per (cluster, object).
-	RedundancyFactor float64
 	// MinD/MaxD restrict the diameter-doubling loop (L1 diameters).
 	MinD, MaxD int
 
@@ -342,10 +334,21 @@ type Params struct {
 	ByzSerial bool
 }
 
-// Scaled returns simulation-scale constants mirroring core.Scaled.
-func Scaled(n, b int) Params {
-	return Params{B: b, SampleFactor: 0.5, EdgeFactor: 4, RedundancyFactor: 1.5}
-}
+// The rating protocol's simulation-scale constants, mirroring core.Scaled
+// (DESIGN.md §12): sampleFactor f sets |S| ≈ f·ln(n)·n·scale/D for
+// diameter guess D (sampling rate f·ln(n)·scale/D per object, capped at
+// 1); edgeFactor e sets the neighbor threshold to e× the expected sampled
+// L1 distance of a pair at the diameter guess (e·rate·D); and
+// redundancyFactor r sets ⌊r·ln n⌋+1 probers per (cluster, object).
+const (
+	sampleFactor     = 0.5
+	edgeFactor       = 4
+	redundancyFactor = 1.5
+)
+
+// Scaled returns the parameters for budget b; the rating constants are
+// fixed, so n does not enter.
+func Scaled(n, b int) Params { return Params{B: b} }
 
 // phaseExec resolves the schedule flags to the phase-loop executor.
 func phaseExec(pr Params) *par.Runner {
@@ -367,7 +370,7 @@ type Result = core.Outcome[bitvec.Planes]
 func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 	exec := phaseExec(pr)
 	n, m := w.N(), w.M()
-	rate := func(d int) float64 { return min(pr.SampleFactor*core.LnN(n)*float64(w.scale)/float64(d), 1) }
+	rate := func(d int) float64 { return min(sampleFactor*core.LnN(n)*float64(w.scale)/float64(d), 1) }
 	cands, res := core.Iterate(shared, core.Guesses(pr.MinD, pr.MaxD, n*w.scale), m, core.Steps[bitvec.Planes]{
 		// No rating behavior reads published state.
 		Pub:  &world.Public{},
@@ -378,13 +381,13 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 		// A pair at true L1 distance d lands at ≈ rate·d on the sample, so
 		// the edge threshold is a small multiple of that.
 		Graph: func(z []bitvec.Planes, d int, _ *xrand.Stream) cluster.Graph {
-			return cluster.BuildGraphL1On(exec, z, max(1, int(pr.EdgeFactor*rate(d)*float64(d))), cluster.RepAuto)
+			return cluster.BuildGraphL1On(exec, z, max(1, int(edgeFactor*rate(d)*float64(d))), cluster.RepAuto)
 		},
 		Peel: func(g cluster.Graph) *cluster.Clustering {
 			return cluster.Build(g, core.Params{B: pr.B}.MinClusterSize(n))
 		},
 		Share: func(cl *cluster.Clustering, s *xrand.Stream, _ *core.IterationStats) []bitvec.Planes {
-			return medianShare(w, exec, cl, s, pr)
+			return medianShare(w, exec, cl, s)
 		},
 	})
 	res.Output = selectL1(w, exec, cands, func(p int) *xrand.Stream {
@@ -442,9 +445,9 @@ func spotCheck(rng *xrand.Stream, n, m, k int, miss func(ci, o int) int) int {
 // cluster shares the cluster's one immutable median vector; candidates are
 // never mutated downstream, so a per-member clone would be pure
 // allocation.
-func medianShare(w *World, exec *par.Runner, cl *cluster.Clustering, shared *xrand.Stream, pr Params) []bitvec.Planes {
+func medianShare(w *World, exec *par.Runner, cl *cluster.Clustering, shared *xrand.Stream) []bitvec.Planes {
 	n, m := w.N(), w.M()
-	red := int(pr.RedundancyFactor*core.LnN(n)) + 1
+	red := int(redundancyFactor*core.LnN(n)) + 1
 	majs := newPlanes(len(cl.Clusters), m, w.k)
 	core.ForCells(exec, cl.Clusters, m, func(j int) xrand.Stream { return shared.SplitValue(0x5C, uint64(j)) },
 		func(maxMembers int) *mvScratch {

@@ -326,9 +326,9 @@ func rselectSerial(w *world.World, p int, objs []int, candidates []bitvec.Vector
 			agreeA, total := duelProbesSerial(w, p, objs, candidates[i], candidates[j], rng, budget)
 			switch {
 			case total == 0:
-			case float64(agreeA) >= pr.EliminateFrac*float64(total):
+			case float64(agreeA) >= eliminateFrac*float64(total):
 				alive[j] = false
-			case float64(total-agreeA) >= pr.EliminateFrac*float64(total):
+			case float64(total-agreeA) >= eliminateFrac*float64(total):
 				alive[i] = false
 			}
 		}
@@ -364,7 +364,7 @@ func probeSet(w *world.World, p, m int) bitvec.Vector {
 // sampled and the probe-everything duel.
 func TestTournamentCacheMatchesSerial(t *testing.T) {
 	const n = 5
-	params := []Params{Scaled(), Defaults(), {SampleFactor: 40, SelectSampleFactor: 40, EliminateFrac: 2.0 / 3.0, KeepWithin: 1}}
+	params := []Params{Scaled(), Defaults(), {SampleFactor: 40, SelectSampleFactor: 40, KeepWithin: 1}}
 	for _, width := range []int{1, 63, 64, 65, 256, 257, 1000} {
 		worldM := 4*width + 64
 		mappings := map[string][]int{

@@ -33,8 +33,7 @@ import (
 )
 
 // Params holds the tunable constants of the selection protocols. The paper
-// specifies Θ(log n) probes per candidate pair and a 2/3 elimination
-// threshold; Defaults follows it.
+// specifies Θ(log n) probes per candidate pair; Defaults follows it.
 type Params struct {
 	// SampleFactor scales the per-pair probe budget of RSelect: each pair
 	// probes ⌈SampleFactor · ln n⌉ randomly chosen differing objects.
@@ -43,18 +42,19 @@ type Params struct {
 	// runs a linear champion tournament and can therefore afford fewer
 	// probes per duel.
 	SelectSampleFactor float64
-	// EliminateFrac is the agreement fraction above which the losing
-	// candidate is eliminated in RSelect (paper: 2/3).
-	EliminateFrac float64
 	// KeepWithin (Select only): a challenger within KeepWithin·D of the
 	// current champion is skipped — either is acceptable under the
 	// diameter promise.
 	KeepWithin int
 }
 
+// eliminateFrac is the agreement fraction above which RSelect eliminates
+// the losing candidate of a duel (Figure 1's RSelect: 2/3).
+const eliminateFrac = 2.0 / 3.0
+
 // Defaults returns the paper's constants.
 func Defaults() Params {
-	return Params{SampleFactor: 6, SelectSampleFactor: 2, EliminateFrac: 2.0 / 3.0, KeepWithin: 4}
+	return Params{SampleFactor: 6, SelectSampleFactor: 2, KeepWithin: 4}
 }
 
 // Scaled returns simulation-scale budgets. Duels are cheap here because a
@@ -62,7 +62,7 @@ func Defaults() Params {
 // set it runs over), so Scaled buys reliability with a larger per-duel
 // budget and a tighter skip threshold instead of saving duel probes.
 func Scaled() Params {
-	return Params{SampleFactor: 1, SelectSampleFactor: 1.5, EliminateFrac: 2.0 / 3.0, KeepWithin: 1}
+	return Params{SampleFactor: 1, SelectSampleFactor: 1.5, KeepWithin: 1}
 }
 
 // pairBudget returns the number of probes used per candidate pair.
@@ -104,7 +104,7 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 			if !alive[j] || !alive[i] {
 				continue
 			}
-			winner := duel(&ctx, candidates[i], candidates[j], rng, budget, pr.EliminateFrac)
+			winner := duel(&ctx, candidates[i], candidates[j], rng, budget)
 			switch winner {
 			case 0: // i wins, j eliminated
 				alive[j] = false
@@ -181,15 +181,15 @@ func identObjs(objs []int) bool {
 
 // duel probes up to budget objects where a and b differ and returns
 // 0 if b should be eliminated, 1 if a should be eliminated, -1 to keep both.
-func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int, frac float64) int {
+func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) int {
 	agreeA, total := duelProbesStream(ctx, a, b, rng, budget)
 	if total == 0 {
 		return -1
 	}
-	if float64(agreeA) >= frac*float64(total) {
+	if float64(agreeA) >= eliminateFrac*float64(total) {
 		return 0
 	}
-	if float64(total-agreeA) >= frac*float64(total) {
+	if float64(total-agreeA) >= eliminateFrac*float64(total) {
 		return 1
 	}
 	return -1

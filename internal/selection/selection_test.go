@@ -202,10 +202,10 @@ func TestDuelEliminatesFarCandidate(t *testing.T) {
 	// truth vs its complement: truth must win every time.
 	ctx := newDuelCtx(w, 0, objs)
 	for i := 0; i < 10; i++ {
-		if duel(&ctx, truth, far, rng.Split(uint64(i)), 20, 2.0/3.0) != 0 {
+		if duel(&ctx, truth, far, rng.Split(uint64(i)), 20) != 0 {
 			t.Fatal("truth lost a duel against its complement")
 		}
-		if duel(&ctx, far, truth, rng.Split(uint64(i+50)), 20, 2.0/3.0) != 1 {
+		if duel(&ctx, far, truth, rng.Split(uint64(i+50)), 20) != 1 {
 			t.Fatal("complement won a duel against truth")
 		}
 	}
@@ -220,7 +220,7 @@ func TestDuelKeepsBothWhenAmbiguous(t *testing.T) {
 	objs := identityObjs(m)
 	truth := w.TruthVector(0)
 	ctx := newDuelCtx(w, 0, objs)
-	if duel(&ctx, truth, truth, xrand.New(18), 20, 2.0/3.0) != -1 {
+	if duel(&ctx, truth, truth, xrand.New(18), 20) != -1 {
 		t.Fatal("identical candidates should be kept")
 	}
 }

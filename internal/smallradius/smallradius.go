@@ -23,6 +23,15 @@ import (
 	"collabscore/internal/zeroradius"
 )
 
+// Figure 1's constants: s = ⌈subsetScale·D^SubsetExp⌉ groups per
+// repetition, ZeroRadius run at budget budgetMultiplier·B, and the group
+// vectors with support n/(supportDivisor·B) kept as candidates.
+const (
+	subsetScale      = 1
+	budgetMultiplier = 5
+	supportDivisor   = 5
+)
+
 // Params carries the protocol's tunable constants. The paper's asymptotic
 // constants make the polylog factors exceed n itself at laptop scale (see
 // DESIGN.md §4); Scaled returns a parameterization that preserves the
@@ -31,20 +40,14 @@ import (
 type Params struct {
 	// Repeats is the number of independent repetitions (paper: Θ(log n)).
 	Repeats int
-	// SubsetScale and SubsetExp set the number of groups:
-	// s = ⌈SubsetScale·D^SubsetExp⌉ (paper: 1·D^{3/2}). The structural
-	// requirement is s ≳ D so that a diameter-D cluster restricted to one
-	// group has diameter ≲ 1 — the zero-radius regime ZeroRadius needs.
-	SubsetScale float64
-	SubsetExp   float64
+	// SubsetExp sets the number of groups s = ⌈D^SubsetExp⌉ (paper: 3/2).
+	// The structural requirement is s ≳ D so that a diameter-D cluster
+	// restricted to one group has diameter ≲ 1 — the zero-radius regime
+	// ZeroRadius needs.
+	SubsetExp float64
 	// MinGroupObjects lowers s so that each group keeps at least this many
 	// objects; tiny groups degenerate ZeroRadius to probe-everything.
 	MinGroupObjects int
-	// BudgetMultiplier is the factor on B passed to ZeroRadius (paper: 5).
-	BudgetMultiplier int
-	// SupportDivisor sets the group-vector support threshold n/(SupportDivisor·B)
-	// (paper: 5).
-	SupportDivisor float64
 	// ZR configures the inner ZeroRadius runs.
 	ZR zeroradius.Params
 	// Sel configures the Select/RSelect calls.
@@ -54,14 +57,11 @@ type Params struct {
 // Paper returns the constants as stated in Figure 1.
 func Paper(n int) Params {
 	return Params{
-		Repeats:          int(math.Ceil(math.Log2(float64(n) + 2))),
-		SubsetScale:      1,
-		SubsetExp:        1.5,
-		MinGroupObjects:  1,
-		BudgetMultiplier: 5,
-		SupportDivisor:   5,
-		ZR:               zeroradius.Defaults(),
-		Sel:              selection.Defaults(),
+		Repeats:         int(math.Ceil(math.Log2(float64(n) + 2))),
+		SubsetExp:       1.5,
+		MinGroupObjects: 1,
+		ZR:              zeroradius.Defaults(),
+		Sel:             selection.Defaults(),
 	}
 }
 
@@ -71,7 +71,6 @@ func Paper(n int) Params {
 func Scaled(n int) Params {
 	p := Paper(n)
 	p.Repeats = 2
-	p.SubsetScale = 1
 	p.SubsetExp = 1 // s ≈ D: one expected intra-cluster difference per group
 	p.MinGroupObjects = 16
 	p.ZR = zeroradius.Scaled()
@@ -79,27 +78,14 @@ func Scaled(n int) Params {
 	return p
 }
 
-// groups partitions positions [0,len(objs)) into s groups using shared
-// randomness, returning the group index of each position.
+// numGroups returns the number of groups s a repetition partitions
+// numObjs objects into at diameter bound d.
 func (pr Params) numGroups(d, numObjs int) int {
-	if d < 1 {
-		d = 1
+	s := int(math.Ceil(subsetScale * math.Pow(float64(max(d, 1)), pr.SubsetExp)))
+	if pr.MinGroupObjects > 0 {
+		s = min(s, numObjs/pr.MinGroupObjects)
 	}
-	exp := pr.SubsetExp
-	if exp == 0 {
-		exp = 1.5
-	}
-	s := int(math.Ceil(pr.SubsetScale * math.Pow(float64(d), exp)))
-	if s < 1 {
-		s = 1
-	}
-	if pr.MinGroupObjects > 0 && s > numObjs/pr.MinGroupObjects {
-		s = numObjs / pr.MinGroupObjects
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(s, 1)
 }
 
 // Run executes SmallRadius for all players over the objects objs (global
@@ -182,9 +168,9 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 			for i, j := range positions {
 				groupObjs[i] = objs[j]
 			}
-			zr := zeroradius.Run(rc, allPlayers, groupObjs, pr.BudgetMultiplier*b, repRng.Split(uint64(g)), pr.ZR)
-			// U_g: vectors output by at least n/(SupportDivisor·B) players.
-			ui := zeroradius.Supported(zr, float64(n)/(pr.SupportDivisor*float64(b)), 0)
+			zr := zeroradius.Run(rc, allPlayers, groupObjs, budgetMultiplier*b, repRng.Split(uint64(g)), pr.ZR)
+			// U_g: vectors output by at least n/(supportDivisor·B) players.
+			ui := zeroradius.Supported(zr, float64(n)/(supportDivisor*float64(b)), 0)
 			return groupResult{positions: positions, objs: groupObjs, ui: ui, outputs: zr}
 		})
 

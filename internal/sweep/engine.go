@@ -76,8 +76,8 @@ func stopRequested(stop <-chan struct{}) bool {
 // Run executes every point not in opt.Done across the worker pool and
 // returns the fresh records in point order. Results are deterministic per
 // point (see the package comment); only completion order varies with the
-// schedule. Malformed points (unknown strategy/protocol names on points
-// that did not come from Expand) and sink write failures abort the run;
+// schedule. Malformed points (points that did not come from Expand and
+// whose Point.Scenario fails) and sink write failures abort the run;
 // panics in protocol code are recovered per point and surfaced through
 // Options.OnFailure (or one aggregate error when it is nil) — never by
 // crashing the pool. When Options.Stop closes mid-run the

@@ -5,6 +5,10 @@
 // supports resuming an interrupted sweep from its partial output file, and
 // aggregates results through internal/metrics. See DESIGN.md §11.
 //
+// A point exists only when collabscore.Scenario.Validate accepts its
+// scenario: Expand skips the combinations it refuses, and Point.Scenario
+// returns its error for points read back from files.
+//
 // Determinism contract: every point's seed is derived by splitting the
 // spec's root seed with the point's instance-defining coordinates
 // (xrand.SplitValue), so a point's result depends only on its own
@@ -74,7 +78,7 @@ type Spec struct {
 	// names); default ["random-liar"]. Honest points (dishonest = 0) are
 	// emitted once, not once per strategy. Strategies that have no
 	// behavior on a protocol's substrate (rating-only strategies on binary
-	// protocols and vice versa; Strategy.RatingCapable/BinaryCapable) are
+	// protocols and vice versa, which Scenario.Validate refuses) are
 	// skipped deterministically for that protocol's corrupted points.
 	Strategies []string `json:"strategies,omitempty"`
 	// Protocols names the protocol variants (collabscore.Protocol names);
@@ -249,8 +253,9 @@ func (pt Point) Key() string {
 }
 
 // Scenario converts the point to its collabscore scenario. It returns an
-// error for unknown strategy or protocol names (Expand never produces
-// those, but points can also arrive from JSONL files).
+// error for unknown planting, strategy or protocol names and for a
+// scenario that Scenario.Validate refuses (Expand never produces those,
+// but points can also arrive from JSONL files).
 func (pt Point) Scenario() (collabscore.Scenario, error) {
 	sc := collabscore.Scenario{
 		Config: collabscore.Config{
@@ -259,8 +264,14 @@ func (pt Point) Scenario() (collabscore.Scenario, error) {
 			Budget:         pt.Budget,
 			Seed:           pt.Seed,
 			PaperConstants: pt.PaperConstants,
+			NeighborIndex:  pt.NeighborIndex,
+			TruthSource:    pt.TruthSource,
 		},
-		Diameter: pt.Diameter,
+		Diameter:   pt.Diameter,
+		Scale:      pt.Scale,
+		CapSmall:   pt.Cap.Small,
+		CapBig:     pt.Cap.Big,
+		CapBigFrac: pt.Cap.BigFrac,
 	}
 	if pt.FixDiameter {
 		sc.Config.FixedDiameter = pt.Diameter
@@ -275,46 +286,19 @@ func (pt Point) Scenario() (collabscore.Scenario, error) {
 	default:
 		return sc, fmt.Errorf("sweep: unknown planting kind %q", pt.Plant.Kind)
 	}
+	var err error
 	if pt.Dishonest > 0 {
-		st, err := collabscore.ParseStrategy(pt.Strategy)
-		if err != nil {
+		if sc.Strategy, err = collabscore.ParseStrategy(pt.Strategy); err != nil {
 			return sc, err
 		}
 		sc.Dishonest = pt.Dishonest
-		sc.Strategy = st
 	}
-	proto, err := collabscore.ParseProtocol(pt.Protocol)
-	if err != nil {
+	if sc.Protocol, err = collabscore.ParseProtocol(pt.Protocol); err != nil {
 		return sc, err
 	}
-	sc.Protocol = proto
-	sc.Scale = pt.Scale
-	sc.CapSmall, sc.CapBig, sc.CapBigFrac = pt.Cap.Small, pt.Cap.Big, pt.Cap.BigFrac
-	// Validate the index here rather than letting the simulation panic on
-	// it later: like strategies and protocols, points from JSONL files can
-	// hold anything.
-	if _, err := cluster.ParseIndexSpec(pt.NeighborIndex); err != nil {
-		return sc, fmt.Errorf("sweep: %v", err)
-	}
-	sc.Config.NeighborIndex = pt.NeighborIndex
-	if _, err := prefgen.ParseSourceSpec(pt.TruthSource); err != nil {
-		return sc, fmt.Errorf("sweep: %v", err)
-	}
-	sc.Config.TruthSource = pt.TruthSource
-	// Substrate checks for points that did not come from Expand (JSONL
-	// files can hold anything): rating points need a cluster planting and a
-	// rating-capable strategy; binary points a binary-capable one.
-	if proto == collabscore.ProtoRatings {
-		if sc.ClusterSize <= 0 {
-			return sc, fmt.Errorf("sweep: ratings point %s needs a cluster planting", pt.Key())
-		}
-		if sc.Dishonest > 0 && !sc.Strategy.RatingCapable() {
-			return sc, fmt.Errorf("sweep: strategy %q has no rating-scale behavior", pt.Strategy)
-		}
-	} else if sc.Dishonest > 0 && !sc.Strategy.BinaryCapable() {
-		return sc, fmt.Errorf("sweep: strategy %q has no binary behavior", pt.Strategy)
-	}
-	return sc, nil
+	// Points from JSONL files can hold anything; refuse here what the
+	// scenario would panic on later.
+	return sc, sc.Validate()
 }
 
 // plantCode numbers planting kinds for seed-split tags.
@@ -423,7 +407,10 @@ func uniq[T comparable](xs []T) []T {
 // deterministically rather than erroring, so axes can mix scales freely:
 //
 //   - cluster size > players (prefgen cannot plant it);
-//   - dishonest > players (cannot corrupt more players than exist).
+//   - dishonest > players (cannot corrupt more players than exist);
+//   - points whose scenario collabscore.Scenario.Validate refuses (a
+//     rating point without a cluster planting, a strategy with no behavior
+//     on the protocol's substrate).
 //
 // Two normalizations prevent semantic duplicates: honest points
 // (dishonest = 0) are emitted for the first strategy only, with the
@@ -565,11 +552,6 @@ func Expand(sp Spec) ([]Point, error) {
 		collabscore.ProtoByzantine.String(): true,
 		budgetsName:                         true,
 	}
-	stratOf := make(map[string]collabscore.Strategy, len(strategies))
-	for _, name := range strategies {
-		st, _ := collabscore.ParseStrategy(name) // validated above
-		stratOf[name] = st
-	}
 	root := xrand.New(sp.Seed)
 
 	var out []Point
@@ -595,13 +577,8 @@ func Expand(sp Spec) ([]Point, error) {
 							}
 							for _, strat := range strats {
 								for _, proto := range protocols {
-									// Substrate-mismatched combinations are
-									// skipped deterministically: rating points
-									// need a cluster planting and a
-									// rating-capable strategy; other protocols
-									// a binary-capable one. The scale axis
-									// applies to rating points, the
-									// capacity-tier axis to budgets points;
+									// The scale axis applies to rating points,
+									// the capacity-tier axis to budgets points;
 									// each collapses to its zero value
 									// elsewhere, as does the neighbor-index
 									// axis on the non-clustering protocols.
@@ -612,23 +589,13 @@ func Expand(sp Spec) ([]Point, error) {
 									protoTiers := []CapTier{{}}
 									protoNidx := []string{""}
 									if proto == ratingsName {
-										if plant.Kind != "cluster" {
-											continue
-										}
-										if f > 0 && !stratOf[strat].RatingCapable() {
-											continue
-										}
 										protoScales = scales
-									} else {
-										if f > 0 && !stratOf[strat].BinaryCapable() {
-											continue
-										}
-										if proto == budgetsName {
-											protoTiers = tiers
-										}
-										if clusteringProto[proto] {
-											protoNidx = nidxes
-										}
+									}
+									if proto == budgetsName {
+										protoTiers = tiers
+									}
+									if clusteringProto[proto] {
+										protoNidx = nidxes
 									}
 									for _, scale := range protoScales {
 										for _, tier := range protoTiers {
@@ -655,6 +622,15 @@ func Expand(sp Spec) ([]Point, error) {
 														}
 														if f == 0 {
 															pt.Strategy = ""
+														}
+														// Combinations the scenario
+														// refuses (a rating point
+														// without a cluster planting, a
+														// strategy with no behavior on
+														// the protocol's substrate) are
+														// skipped.
+														if _, err := pt.Scenario(); err != nil {
+															continue
 														}
 														pt.Seed = pointSeed(root, &pt)
 														out = append(out, pt)

@@ -32,35 +32,38 @@ import (
 	"collabscore/internal/xrand"
 )
 
-// Params carries the protocol's tunable constants.
+// Figure 1's constants. The base case fires when min(|P|, |O|) is at most
+// baseFactor·B'·ln n: every player then probes every object directly.
+// Factor 2 keeps the recursion shallow enough that every leaf player-set
+// retains ≈2·ln n members of each size-|P|/B' cluster, so the probability
+// that a cluster publishes nothing at some merge is ≈n^{-2} — the whp
+// regime of Theorem 4 — and the base case costs at most 2·B'·ln n probes,
+// within the O(B'·log n) budget. A merge admits the vectors with support
+// |P”|/(voteDivisor·B').
+const (
+	baseFactor  = 2
+	voteDivisor = 2
+)
+
+// Params carries the protocol's one tunable constant.
 type Params struct {
-	// BaseFactor sets the recursion base case: when min(|P|, |O|) is at most
-	// BaseFactor·B'·ln n, every player probes every object directly.
-	BaseFactor float64
 	// BaseObjects, when positive, overrides the base-case threshold for the
 	// object dimension only. The paper's B'·log n base case already exceeds
 	// realistic object sets at laptop scale; a small absolute object base
 	// keeps the recursion (and its probe savings) alive there. The player
-	// dimension always keeps the BaseFactor·B'·ln n floor: leaf player sets
+	// dimension always keeps the baseFactor·B'·ln n floor: leaf player sets
 	// must retain Ω(log n) members of every size-|P|/B' cluster or the
 	// publisher side can lose a cluster's vector entirely.
 	BaseObjects int
-	// VoteDivisor sets the candidate support threshold |P''|/(VoteDivisor·B')
-	// (paper: 2).
-	VoteDivisor float64
 }
 
-// Defaults returns the paper's constants. BaseFactor 2 keeps the recursion
-// shallow enough that every leaf player-set retains ≈2·ln n members of each
-// size-|P|/B' cluster, so the probability that a cluster publishes nothing
-// at some merge is ≈n^{-2} — the whp regime of Theorem 4. The base case
-// then costs at most 2·B'·ln n probes, within the O(B'·log n) budget.
-func Defaults() Params { return Params{BaseFactor: 2, VoteDivisor: 2} }
+// Defaults returns the paper's constants: the base case on both dimensions.
+func Defaults() Params { return Params{} }
 
 // Scaled returns simulation-scale constants: a small absolute object-side
 // base case (the probe saver) with the same player-side floor as Defaults
 // (the concentration guard).
-func Scaled() Params { return Params{BaseFactor: 2, BaseObjects: 16, VoteDivisor: 2} }
+func Scaled() Params { return Params{BaseObjects: 16} }
 
 // Run executes ZeroRadius for every player in P over the objects objs
 // (global ids), with cluster-size bound B' (the protocol assumes each
@@ -91,16 +94,10 @@ func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, p
 // and the two recursive halves write disjoint fresh slices.
 func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params, out []bitvec.Vector, depth int) {
 	n := rc.N()
-	basePlayers := int(math.Ceil(pr.BaseFactor * float64(bPrime) * math.Log(float64(n)+2)))
-	if basePlayers < 2 {
-		basePlayers = 2
-	}
+	basePlayers := max(int(math.Ceil(baseFactor*float64(bPrime)*math.Log(float64(n)+2))), 2)
 	baseObjects := basePlayers
 	if pr.BaseObjects > 0 {
-		baseObjects = pr.BaseObjects
-	}
-	if baseObjects < 2 {
-		baseObjects = 2
+		baseObjects = max(pr.BaseObjects, 2)
 	}
 	if len(P) == 0 {
 		return
@@ -131,8 +128,8 @@ func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, p
 
 	// Cross-fill: players of each half learn the other half's objects from
 	// the vectors published by the other half's players.
-	cross0 := crossFill(rc, p0, o1, sub1, bPrime, pr) // P0 learns O1
-	cross1 := crossFill(rc, p1, o0, sub0, bPrime, pr) // P1 learns O0
+	cross0 := crossFill(rc, p0, o1, sub1, bPrime) // P0 learns O1
+	cross1 := crossFill(rc, p1, o0, sub0, bPrime) // P1 learns O0
 
 	// Assemble full vectors over objs for every player.
 	assemble := func(at []int, own []bitvec.Vector, ownPos []int, cross []bitvec.Vector, crossPos []int) {
@@ -275,8 +272,8 @@ func keyByte(v bitvec.Vector, i int) byte {
 // The result is aligned with learners.
 //
 // Candidate selection: the paper admits vectors with support
-// ≥ |publishers|/(VoteDivisor·B'), which bounds the candidate count by
-// VoteDivisor·B'. At simulation scale, deep recursion leaves can
+// ≥ |publishers|/(voteDivisor·B'), which bounds the candidate count by
+// voteDivisor·B'. At simulation scale, deep recursion leaves can
 // under-represent a cluster below that threshold, silently dropping its
 // true vector and corrupting the whole subtree; we therefore also admit the
 // top 2B' vectors by support. The candidate count stays O(B') — the probe
@@ -287,8 +284,8 @@ func keyByte(v bitvec.Vector, i int) byte {
 // probe-to-disambiguate loop is deterministic given the probe answers, so
 // every honest learner of this merge walks the same tree over cands,
 // built once here, with one probe per internal node (elimTree).
-func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, bPrime int, pr Params) []bitvec.Vector {
-	cands := Supported(pub, float64(len(pub))/(pr.VoteDivisor*float64(bPrime)), 2*bPrime)
+func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, bPrime int) []bitvec.Vector {
+	cands := Supported(pub, float64(len(pub))/(voteDivisor*float64(bPrime)), 2*bPrime)
 	tree := newElimTree(cands)
 	return par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
 		p := learners[i]

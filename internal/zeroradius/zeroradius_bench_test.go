@@ -34,8 +34,7 @@ func BenchmarkCrossFill(b *testing.B) {
 		pub[i] = pool[rng.Intn(len(pool))]
 	}
 	learners := identityObjs(n)
-	pr := Scaled()
 	for b.Loop() {
-		crossFill(rc, learners, objs, pub, bPrime, pr)
+		crossFill(rc, learners, objs, pub, bPrime)
 	}
 }

@@ -7,8 +7,10 @@ package collabscore
 // across a worker pool; see DESIGN.md §11.
 
 import (
+	"errors"
 	"fmt"
 
+	"collabscore/internal/cluster"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/xrand"
 )
@@ -43,46 +45,46 @@ const (
 	ProtoBudgets
 )
 
+// protocolTable declares each Protocol once: its name, used by grid specs
+// and JSONL records, and its runner on a built binary Simulation (nil for
+// ProtoRatings, which has none). String, ParseProtocol and Execute read it.
+var protocolTable = [...]struct {
+	name string
+	run  func(sc Scenario, s *Simulation) *Report
+}{
+	ProtoRun:         {"run", on((*Simulation).Run)},
+	ProtoByzantine:   {"byzantine", on((*Simulation).RunByzantine)},
+	ProtoBaseline:    {"baseline", on((*Simulation).RunBaseline)},
+	ProtoProbeAll:    {"probe-all", on((*Simulation).RunProbeAll)},
+	ProtoRandomGuess: {"random-guess", on((*Simulation).RunRandomGuess)},
+	ProtoRatings:     {"ratings", nil},
+	ProtoBudgets:     {"budgets", Scenario.runBudgets},
+}
+
+// on adapts a Simulation run method to a protocolTable runner.
+func on(run func(*Simulation) *Report) func(Scenario, *Simulation) *Report {
+	return func(_ Scenario, s *Simulation) *Report { return run(s) }
+}
+
+// known reports whether p is a declared protocol.
+func (p Protocol) known() bool { return p >= 0 && int(p) < len(protocolTable) }
+
 // String returns the protocol name used by grid specs and JSONL records.
 func (p Protocol) String() string {
-	switch p {
-	case ProtoRun:
-		return "run"
-	case ProtoByzantine:
-		return "byzantine"
-	case ProtoBaseline:
-		return "baseline"
-	case ProtoProbeAll:
-		return "probe-all"
-	case ProtoRandomGuess:
-		return "random-guess"
-	case ProtoRatings:
-		return "ratings"
-	case ProtoBudgets:
-		return "budgets"
-	default:
+	if !p.known() {
 		return fmt.Sprintf("protocol(%d)", int(p))
 	}
+	return protocolTable[p].name
 }
 
 // ParseProtocol is the inverse of Protocol.String.
-func ParseProtocol(s string) (Protocol, error) {
-	for _, p := range []Protocol{ProtoRun, ProtoByzantine, ProtoBaseline, ProtoProbeAll, ProtoRandomGuess, ProtoRatings, ProtoBudgets} {
-		if p.String() == s {
-			return p, nil
+func ParseProtocol(name string) (Protocol, error) {
+	for p, r := range protocolTable {
+		if r.name == name {
+			return Protocol(p), nil
 		}
 	}
-	return 0, fmt.Errorf("collabscore: unknown protocol %q", s)
-}
-
-// ParseStrategy is the inverse of Strategy.String.
-func ParseStrategy(s string) (Strategy, error) {
-	for _, st := range []Strategy{RandomLiar, FlipAll, Colluders, ClusterHijackers, StrangeObjectAttackers, ZeroSpammers, Exaggerators, HarshShifters} {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("collabscore: unknown strategy %q", s)
+	return 0, fmt.Errorf("collabscore: unknown protocol %q", name)
 }
 
 // Scenario fully describes one grid point: a Config plus planted structure,
@@ -131,11 +133,58 @@ type Scenario struct {
 	CapBigFrac float64
 }
 
+// Validate reports why the scenario cannot run, or nil when it can. It
+// holds every rule the public layer checks: NewSimulation,
+// NewRatingSimulation, Build, Run and Execute panic with its message. A
+// cluster size above Players is not among them; planting panics on it.
+func (sc Scenario) Validate() error {
+	switch {
+	case sc.Players < 1:
+		return errors.New("collabscore: Players must be ≥ 1")
+	case sc.Objects < 0:
+		return fmt.Errorf("collabscore: Objects must be ≥ 0 (0 defaults to Players), got %d", sc.Objects)
+	case sc.Budget < 0:
+		return fmt.Errorf("collabscore: Budget must be ≥ 0 (0 defaults to 8), got %d", sc.Budget)
+	case !sc.Protocol.known():
+		return fmt.Errorf("collabscore: unknown protocol %v", sc.Protocol)
+	}
+	ratings := sc.Protocol == ProtoRatings
+	if ratings && sc.ClusterSize <= 0 {
+		return errors.New("collabscore: ProtoRatings requires a cluster planting (ClusterSize > 0)")
+	}
+	if ratings && sc.Scale < 0 {
+		return fmt.Errorf("collabscore: Scale must be ≥ 0 (0 defaults to 5), got %d", sc.Scale)
+	}
+	if sc.Dishonest > 0 && (ratings && !sc.Strategy.RatingCapable() || !ratings && !sc.Strategy.BinaryCapable()) {
+		return errors.New(sc.Strategy.noBehavior(ratings))
+	}
+	if _, err := prefgen.ParseSourceSpec(sc.TruthSource); err != nil {
+		return fmt.Errorf("collabscore: %v", err)
+	}
+	if _, err := cluster.ParseIndexSpec(sc.NeighborIndex); err != nil {
+		return fmt.Errorf("collabscore: %v", err)
+	}
+	return nil
+}
+
+// mustValidate panics with Validate's message when the scenario cannot run.
+func (sc Scenario) mustValidate() {
+	if err := sc.Validate(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// noBehavior is the message refusing a strategy on a substrate where it
+// has no behavior.
+func (s Strategy) noBehavior(ratings bool) string {
+	if ratings {
+		return fmt.Sprintf("collabscore: strategy %v has no rating-scale behavior", s)
+	}
+	return fmt.Sprintf("collabscore: strategy %v has no binary behavior", s)
+}
+
 // ratingSimulation builds the scenario's RatingSimulation (ProtoRatings).
 func (sc Scenario) ratingSimulation() *RatingSimulation {
-	if sc.ClusterSize <= 0 {
-		panic("collabscore: ProtoRatings requires a cluster planting (ClusterSize > 0)")
-	}
 	cfg := sc.Config
 	rs := NewRatingSimulation(RatingConfig{
 		Players:       cfg.Players,
@@ -190,10 +239,10 @@ func (sc Scenario) ratingReport(rr *RatingReport) *Report {
 	}
 }
 
-// simulation builds the scenario's Simulation. The RNG splits are identical
-// to the fluent construction: Split is a pure read of the root stream, so
-// skipping the uniform instance that NewSimulation would generate before
-// planting changes no coins.
+// simulation builds the validated scenario's Simulation. The RNG splits
+// are identical to the fluent construction: Split is a pure read of the
+// root stream, so skipping the uniform instance that NewSimulation would
+// generate before planting changes no coins.
 func (sc Scenario) simulation() *Simulation {
 	cfg := sc.Config
 	var spec prefgen.SourceSpec
@@ -213,37 +262,23 @@ func (sc Scenario) simulation() *Simulation {
 	return s
 }
 
-// execute runs the scenario's protocol on the prepared simulation.
-func (sc Scenario) execute(s *Simulation) *Report {
-	switch sc.Protocol {
-	case ProtoRun:
-		return s.Run()
-	case ProtoByzantine:
-		return s.RunByzantine()
-	case ProtoBaseline:
-		return s.RunBaseline()
-	case ProtoProbeAll:
-		return s.RunProbeAll()
-	case ProtoRandomGuess:
-		return s.RunRandomGuess()
-	case ProtoBudgets:
-		small, big, frac := sc.capacities(s.cfg.Objects)
-		return s.RunWithCapacities(s.TwoTierCapacities(small, big, frac))
-	case ProtoRatings:
-		panic("collabscore: ProtoRatings has no binary Simulation; use Scenario.Run")
-	default:
-		panic(fmt.Sprintf("collabscore: unknown protocol %v", sc.Protocol))
-	}
+// runBudgets is ProtoBudgets' runner: the scenario's two-tier capacity
+// vector through RunWithCapacities.
+func (sc Scenario) runBudgets(s *Simulation) *Report {
+	small, big, frac := sc.capacities(s.cfg.Objects)
+	return s.RunWithCapacities(s.TwoTierCapacities(small, big, frac))
 }
 
 // Run builds the scenario on fresh allocations, runs it, and returns its
 // report. ProtoRatings points build a rating simulation, every other
-// protocol the binary one.
+// protocol the binary one. It panics with Validate's message on a scenario
+// that cannot run.
 func (sc Scenario) Run() *Report {
+	sc.mustValidate()
 	if sc.Protocol == ProtoRatings {
 		return sc.ratingReport(sc.ratingSimulation().RunByzantine(0))
 	}
-	return sc.execute(sc.simulation())
+	return protocolTable[sc.Protocol].run(sc, sc.simulation())
 }
 
 // Build constructs the scenario's configured Simulation — planted and
@@ -253,15 +288,26 @@ func (sc Scenario) Run() *Report {
 // those (Build panics rather than constructing a wrong-substrate world).
 // The pl argument is ignored (pass nil); it is removed together with Pool.
 func (sc Scenario) Build(pl *Pool) *Simulation {
+	sc.mustValidate()
 	if sc.Protocol == ProtoRatings {
-		panic("collabscore: ProtoRatings has no binary Simulation; use Scenario.Run")
+		panic(errNoBinary)
 	}
 	return sc.simulation()
 }
 
 // Execute runs the scenario's protocol variant on a Simulation built by
 // Build.
-func (sc Scenario) Execute(s *Simulation) *Report { return sc.execute(s) }
+func (sc Scenario) Execute(s *Simulation) *Report {
+	sc.mustValidate()
+	run := protocolTable[sc.Protocol].run
+	if run == nil {
+		panic(errNoBinary)
+	}
+	return run(sc, s)
+}
+
+// errNoBinary refuses a binary Simulation for a ProtoRatings scenario.
+const errNoBinary = "collabscore: ProtoRatings has no binary Simulation; use Scenario.Run"
 
 // Pool runs scenarios. It holds no state: Pool.Run(sc) is sc.Run().
 //

@@ -246,3 +246,96 @@ func TestScenarioCapacityDefaults(t *testing.T) {
 		}
 	}
 }
+
+// recovered runs f and returns what it panicked with (nil if it returned).
+func recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestValidateMatchesPanics: Validate refuses one scenario per rule, and
+// every public constructor that meets the scenario panics with exactly its
+// message — Run, Build and Execute always, NewSimulation when the rule is
+// about the Config alone, NewRatingSimulation when the rule is about what
+// a RatingConfig and a cluster planting carry. Every golden case
+// validates.
+func TestValidateMatchesPanics(t *testing.T) {
+	base := Config{Players: 16, Seed: 1}
+	with := func(f func(*Config)) Config { c := base; f(&c); return c }
+	cases := []struct {
+		name           string
+		sc             Scenario
+		binary, rating bool
+	}{
+		{"players", Scenario{Config: with(func(c *Config) { c.Players = 0 }), ClusterSize: 4}, true, true},
+		{"objects", Scenario{Config: with(func(c *Config) { c.Objects = -3 }), ClusterSize: 4}, true, true},
+		{"budget", Scenario{Config: with(func(c *Config) { c.Budget = -1 }), ClusterSize: 4}, true, true},
+		{"truth", Scenario{Config: with(func(c *Config) { c.TruthSource = "garbage" }), ClusterSize: 4}, true, true},
+		{"index", Scenario{Config: with(func(c *Config) { c.NeighborIndex = "garbage" }), ClusterSize: 4}, true, false},
+		{"protocol", Scenario{Config: base, Protocol: Protocol(len(protocolTable))}, false, false},
+		{"ratings-planting", Scenario{Config: base, Protocol: ProtoRatings}, false, true},
+		{"ratings-scale", Scenario{Config: base, ClusterSize: 4, Scale: -1, Protocol: ProtoRatings}, false, true},
+		{"binary-strategy", Scenario{Config: base, ClusterSize: 4, Dishonest: 2, Strategy: Exaggerators}, false, false},
+		{"rating-strategy", Scenario{Config: base, ClusterSize: 4, Dishonest: 2, Strategy: Colluders, Protocol: ProtoRatings}, false, false},
+		{"unknown-strategy", Scenario{Config: base, ClusterSize: 4, Dishonest: 2, Strategy: Strategy(-1)}, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.sc.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted the scenario")
+			}
+			sc := tc.sc
+			ctors := map[string]func(){
+				"Run":     func() { sc.Run() },
+				"Build":   func() { sc.Build(nil) },
+				"Execute": func() { sc.Execute(nil) },
+			}
+			if tc.binary {
+				ctors["NewSimulation"] = func() { NewSimulation(sc.Config) }
+			}
+			if tc.rating {
+				ctors["NewRatingSimulation"] = func() {
+					NewRatingSimulation(RatingConfig{Players: sc.Players, Objects: sc.Objects, Budget: sc.Budget,
+						Scale: sc.Scale, TruthSource: sc.TruthSource}, sc.ClusterSize, 2)
+				}
+			}
+			for name, f := range ctors {
+				if r := recovered(f); r != err.Error() {
+					t.Errorf("%s panicked with %v, want %q", name, r, err)
+				}
+			}
+		})
+	}
+	for _, c := range goldenCases() {
+		if err := c.sc.Validate(); err != nil {
+			t.Errorf("golden case %s: %v", c.name, err)
+		}
+	}
+}
+
+// TestStrategyTable: each strategy's capabilities are what Corrupt does.
+// On each substrate a capable strategy installs a dishonest behavior on
+// exactly k players and an incapable one panics; an out-of-range strategy
+// is capable of nothing.
+func TestStrategyTable(t *testing.T) {
+	const k = 5
+	for s := Strategy(-1); int(s) <= len(strategyTable); s++ {
+		sim := NewSimulation(Config{Players: 32, Seed: 1})
+		if r := recovered(func() { sim.Corrupt(k, s) }); (r == nil) != s.BinaryCapable() {
+			t.Errorf("%v: BinaryCapable %v, Corrupt panic %v", s, s.BinaryCapable(), r)
+		} else if r == nil && len(sim.World().DishonestPlayers()) != k {
+			t.Errorf("%v: binary Corrupt made %d players dishonest, want %d", s, len(sim.World().DishonestPlayers()), k)
+		}
+		rs := NewRatingSimulation(RatingConfig{Players: 32, Seed: 1}, 8, 2)
+		if r := recovered(func() { rs.Corrupt(k, s) }); (r == nil) != s.RatingCapable() {
+			t.Errorf("%v: RatingCapable %v, Corrupt panic %v", s, s.RatingCapable(), r)
+		} else if r == nil && len(rs.World().DishonestPlayers()) != k {
+			t.Errorf("%v: rating Corrupt made %d players dishonest, want %d", s, len(rs.World().DishonestPlayers()), k)
+		}
+		if inRange := s >= 0 && int(s) < len(strategyTable); !inRange && (s.BinaryCapable() || s.RatingCapable()) {
+			t.Errorf("out-of-range %v is capable", s)
+		}
+	}
+}
