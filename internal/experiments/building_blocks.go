@@ -223,7 +223,7 @@ func runE4(cfg Config) *tablefmt.Table {
 		agg := trialMeans(cfg.Trials, cfg.Seed+uint64(b), func(trial int, rng *xrand.Stream) map[string]float64 {
 			in := prefgen.IdenticalClusters(rng.Split(1), n, m, n/b)
 			w := world.New(in.Truth)
-			out := zeroradius.Run(world.NewRun(w), identityObjs(n), identityObjs(m), b, rng.Split(2), zeroradius.Scaled())
+			out, _ := zeroradius.Run(world.NewRun(w), identityObjs(n), identityObjs(m), b, rng.Split(2), zeroradius.Scaled())
 			exact := 0
 			for p := 0; p < n; p++ {
 				if in.Truth[p].Hamming(out[p]) == 0 {

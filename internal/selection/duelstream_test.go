@@ -226,10 +226,17 @@ func TestDuelStreamAllocFree(t *testing.T) {
 			cands = append(cands, flipped(truth, xrand.New(uint64(i)), flips))
 		}
 		rng := xrand.New(6)
-		if avg := testing.AllocsPerRun(50, func() {
-			Select(w, 1, objs, cands, 1, rng, Scaled())
-		}); avg != 0 {
-			t.Fatalf("Select over %d mapped positions allocates %.1f times per run, want 0", len(objs), avg)
+		bud := Scaled().SelectBudget(w.N())
+		known := make([]uint64, (len(objs)+63)/64)
+		for j := 0; j < len(objs); j += 3 {
+			known[j/64] |= 1 << (uint(j) % 64)
+		}
+		for _, seed := range []*Seed{nil, {Known: known, Truth: truth}} {
+			if avg := testing.AllocsPerRun(50, func() {
+				Select(w, 1, objs, cands, 1, rng, bud, seed)
+			}); avg != 0 {
+				t.Fatalf("Select over %d mapped positions (seeded %v) allocates %.1f times per run, want 0", len(objs), seed != nil, avg)
+			}
 		}
 	}
 }
@@ -385,10 +392,75 @@ func TestTournamentCacheMatchesSerial(t *testing.T) {
 				}
 				for p := 0; p < n; p++ {
 					rs, rc := xrand.New(uint64(p)+1), xrand.New(uint64(p)+1)
-					gotS, wantS := Select(wc, p, objs, cands, 1, rc, pr), selectSerial(ws, p, objs, cands, 1, rs, pr)
+					gotS, wantS := Select(wc, p, objs, cands, 1, rc, pr.SelectBudget(wc.N()), nil), selectSerial(ws, p, objs, cands, 1, rs, pr)
 					gotR, wantR := RSelect(wc, p, objs, cands, rc, pr), rselectSerial(ws, p, objs, cands, rs, pr)
 					if gotS != wantS || gotR != wantR {
 						t.Fatalf("%s/%d/params%d player %d: chose (%d,%d), serial (%d,%d)", name, width, pi, p, gotS, gotR, wantS, wantR)
+					}
+					if rc.Uint64() != rs.Uint64() {
+						t.Fatalf("%s/%d/params%d player %d: coin streams diverged", name, width, pi, p)
+					}
+					if wc.Probes(p) != ws.Probes(p) {
+						t.Fatalf("%s/%d/params%d player %d: charged %d probes, serial %d", name, width, pi, p, wc.Probes(p), ws.Probes(p))
+					}
+				}
+				for p := 0; p < n; p++ {
+					if !probeSet(wc, p, worldM).Equal(probeSet(ws, p, worldM)) {
+						t.Fatalf("%s/%d/params%d player %d: probed other objects than serial", name, width, pi, p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSeededSelectMatchesSerial: a Select seeded with positions the
+// player has already probed chooses what the cache-free serial Select
+// chooses on a twin world with the same probes behind it, consumes the
+// same coins, and leaves every player the same probe count and probe set.
+// The seed's truth vector holds random bits off its known positions,
+// which a seeded tournament must ignore. Mappings and widths are those of
+// TestTournamentCacheMatchesSerial up to the heap spill.
+func TestSeededSelectMatchesSerial(t *testing.T) {
+	const n = 5
+	params := []Params{Scaled(), Defaults(), {SelectSampleFactor: 40, KeepWithin: 1}}
+	for _, width := range []int{1, 63, 64, 65, 256, 257} {
+		worldM := 4*width + 64
+		mappings := map[string][]int{
+			"group":    groupObjs(uint64(width), 2*width, worldM)[:width],
+			"strided":  stridedObjs(width, 3),
+			"shuffled": xrand.New(uint64(width)).Perm(worldM)[:width],
+		}
+		if width > 1 {
+			mappings["repeated"] = repeatedObjs(uint64(width), width, worldM)
+		}
+		for name, objs := range mappings {
+			for pi, pr := range params {
+				ws, wc := buildWorld(uint64(width)+5, n, worldM), buildWorld(uint64(width)+5, n, worldM)
+				truth := ws.TruthVector(0).Gather(objs)
+				var cands []bitvec.Vector
+				for i, flips := range []int{width / 2, 1, width / 3, width / 4, 2, width, width / 8, width / 2} {
+					cands = append(cands, flipped(truth, xrand.New(uint64(i)+9), min(flips, width)))
+				}
+				bud := pr.SelectBudget(wc.N())
+				for p := 0; p < n; p++ {
+					// Pre-probe a random subset of positions in both worlds
+					// and seed from it, with noise off the known positions.
+					pick := xrand.New(uint64(100*p + width))
+					seed := Seed{Known: make([]uint64, (width+63)/64), Truth: bitvec.New(width)}
+					for j, o := range objs {
+						if pick.Intn(3) == 0 {
+							seed.Known[j/64] |= 1 << (uint(j) % 64)
+							seed.Truth.Set(j, wc.Probe(p, o))
+							ws.Probe(p, o)
+						} else {
+							seed.Truth.Set(j, pick.Bool())
+						}
+					}
+					rs, rc := xrand.New(uint64(p)+1), xrand.New(uint64(p)+1)
+					got, want := Select(wc, p, objs, cands, 1, rc, bud, &seed), selectSerial(ws, p, objs, cands, 1, rs, pr)
+					if got != want {
+						t.Fatalf("%s/%d/params%d player %d: chose %d, serial %d", name, width, pi, p, got, want)
 					}
 					if rc.Uint64() != rs.Uint64() {
 						t.Fatalf("%s/%d/params%d player %d: coin streams diverged", name, width, pi, p)

@@ -74,6 +74,19 @@ func pairBudget(factor float64, n int) int {
 	return k
 }
 
+// SelectBudget is Params resolved for Select in a run over n players: the
+// per-duel probe budget, which depends only on n and SelectSampleFactor,
+// and the skip factor. SmallRadius makes one per run (Params.SelectBudget)
+// for its many group Selects, so no tournament recomputes a logarithm.
+type SelectBudget struct {
+	duel, keepWithin int
+}
+
+// SelectBudget resolves pr for Select in a run over n players.
+func (pr Params) SelectBudget(n int) SelectBudget {
+	return SelectBudget{duel: pairBudget(pr.SelectSampleFactor, n), keepWithin: pr.KeepWithin}
+}
+
 // RSelect runs the randomized tournament of Figure 1 for player p over the
 // given candidates. Each candidate is a vector over objs (bit j of a
 // candidate corresponds to global object objs[j]). The returned index
@@ -129,11 +142,12 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 //
 // The cache holds two words per candidate word, in candidate-position
 // space: which positions this tournament has already probed (known) and
-// the truth bits those probes returned (val). It is filled only from the
-// tournament's own charged ProbeWord calls, so a cached position was
-// charged earlier in the same tournament and skipping its refetch changes
-// no probe count. The words live in the inline cache array up to
-// cacheStack candidate words; only wider mappings spill to a heap buffer.
+// the truth bits those probes returned (val). It starts from the
+// player's Seed, if any, and is filled from the tournament's own charged
+// ProbeWord calls, so a cached position was charged earlier to the same
+// player and skipping its refetch changes no probe count. The words live
+// in the inline cache array up to cacheStack candidate words; only wider
+// mappings spill to a heap buffer.
 // Both are indexed, never sliced into each other — a slice into the
 // context's own array makes the context escape to the heap
 // (TestDuelStreamAllocFree pins that a Select allocates nothing).
@@ -220,7 +234,8 @@ const maxRankBitmap = 4096
 // the rest through the wordProber. Probe charging is identical bit for
 // bit: ProbeWord charges exactly the newly learned objects of its mask,
 // the masks cover exactly the serial path's probe set, and a cached
-// position was charged by an earlier ProbeWord of the same tournament, so
+// position was charged earlier to the same player (by an earlier
+// ProbeWord of the tournament, or before it for a seeded one), so
 // skipping its refetch skips only a free re-probe. Coins are
 // identical because the Floyd sample is draw-for-draw the serial one and
 // no other branch consumes randomness.
@@ -395,8 +410,11 @@ type wordProber struct {
 // afford a Select per object group. (The paper leaves Select's pseudocode
 // to [2]; this variant satisfies the same contract.)
 //
+// A non-nil seed hands the tournament what p already knows of its truth
+// over objs (Seed); its positions start in the probe cache.
+//
 // Select returns -1 only if candidates is empty.
-func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int, rng *xrand.Stream, pr Params) int {
+func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int, rng *xrand.Stream, bud SelectBudget, seed *Seed) int {
 	k := len(candidates)
 	if k == 0 {
 		return -1
@@ -407,19 +425,38 @@ func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int
 	if d < 1 {
 		d = 1
 	}
-	budget := pairBudget(pr.SelectSampleFactor, w.N())
 	ctx := newDuelCtx(w, p, objs)
-	near := pr.KeepWithin * d
+	if seed != nil && !ctx.ident {
+		for wi, known := range seed.Known {
+			kw, val := ctx.cached(wi)
+			*kw, *val = known, known&seed.Truth.Word(wi)
+		}
+	}
+	near := bud.keepWithin * d
 	champ := 0
 	for i := 1; i < k; i++ {
 		if candidates[champ].Hamming(candidates[i]) <= near {
 			continue // equally acceptable; keep the incumbent
 		}
-		if duelMajority(&ctx, candidates[champ], candidates[i], rng, budget) == 1 {
+		if duelMajority(&ctx, candidates[champ], candidates[i], rng, bud.duel) == 1 {
 			champ = i
 		}
 	}
 	return champ
+}
+
+// Seed is what a player already knows of its own truth over a Select's
+// object mapping: bit j of Known marks position j (object objs[j]), and
+// Truth, indexed like objs, holds the player's truth bit at every marked
+// position (its other bits are ignored). Known has one word per
+// candidate word. Every marked position must already be charged to the
+// player — SmallRadius seeds from the positions the player's own
+// ZeroRadius run probed (zeroradius.Learned) — so answering it from the
+// cache skips only a free re-probe (DESIGN.md §17). An identity mapping
+// has no cache and ignores the seed.
+type Seed struct {
+	Known []uint64
+	Truth bitvec.Vector
 }
 
 // duelMajority probes up to budget differing objects and returns 0 if a

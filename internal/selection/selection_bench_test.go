@@ -70,8 +70,8 @@ func BenchmarkSelectGroup(b *testing.B) {
 	for _, flips := range []int{1, m / 2, m / 3, 3, m / 2, m / 4, m / 2, m / 3} {
 		cands = append(cands, flipped(truth, rng.Split(uint64(len(cands))), flips))
 	}
-	pr := Scaled()
+	bud := Scaled().SelectBudget(n)
 	for i := 0; b.Loop(); i++ {
-		Select(w, i%n, objs, cands, 1, rng, pr)
+		Select(w, i%n, objs, cands, 1, rng, bud, nil)
 	}
 }

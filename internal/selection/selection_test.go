@@ -113,11 +113,11 @@ func TestSelectEmptyAndSingle(t *testing.T) {
 	w := buildWorld(9, 2, 64)
 	objs := identityObjs(64)
 	rng := xrand.New(10)
-	if got := Select(w, 0, objs, nil, 4, rng, Defaults()); got != -1 {
+	if got := Select(w, 0, objs, nil, 4, rng, Defaults().SelectBudget(w.N()), nil); got != -1 {
 		t.Fatalf("empty candidates: got %d, want -1", got)
 	}
 	one := []bitvec.Vector{bitvec.New(64)}
-	if got := Select(w, 0, objs, one, 4, rng, Defaults()); got != 0 {
+	if got := Select(w, 0, objs, one, 4, rng, Defaults().SelectBudget(w.N()), nil); got != 0 {
 		t.Fatalf("single candidate: got %d, want 0", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestSelectHonorsDiameterPromise(t *testing.T) {
 			flipped(truth, rng.Split(3), 400),
 			flipped(truth, rng.Split(4), 200),
 		}
-		idx := Select(w, 0, objs, cands, d, rng.Split(5), pr)
+		idx := Select(w, 0, objs, cands, d, rng.Split(5), pr.SelectBudget(w.N()), nil)
 		bound := (pr.KeepWithin + 1) * d
 		if got := truth.Hamming(cands[idx]); got > bound {
 			t.Fatalf("trial %d: Select output at distance %d > bound %d", trial, got, bound)
@@ -162,7 +162,7 @@ func TestSelectSkipsCloseChallengers(t *testing.T) {
 		flipped(base, rng.Split(2), 3),
 		flipped(base, rng.Split(3), 2),
 	}
-	idx := Select(w, 0, objs, cands, d, rng.Split(4), Defaults())
+	idx := Select(w, 0, objs, cands, d, rng.Split(4), Defaults().SelectBudget(w.N()), nil)
 	if idx != 0 {
 		t.Fatalf("Select = %d, want incumbent 0", idx)
 	}
@@ -184,7 +184,7 @@ func TestSelectLinearProbeComplexity(t *testing.T) {
 	for i := range cands {
 		cands[i] = flipped(truth, rng.Split(uint64(i)), 100+30*i)
 	}
-	Select(w, 0, objs, cands, d, rng.Split(77), Defaults())
+	Select(w, 0, objs, cands, d, rng.Split(77), Defaults().SelectBudget(w.N()), nil)
 	budget := pairBudget(Defaults().SelectSampleFactor, w.N())
 	maxProbes := int64((k - 1) * budget)
 	if got := w.Probes(0); got > maxProbes {

@@ -107,6 +107,7 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 	}
 	exec := rc.Exec()
 	out := make([]bitvec.Vector, n)
+	sel := pr.Sel.SelectBudget(n)
 
 	// Dishonest players publish claims; compute once.
 	dishonest := rc.DishonestPlayers()
@@ -158,6 +159,7 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 			objs      []int           // global ids, computed once per group
 			ui        []bitvec.Vector // supported candidate vectors
 			outputs   []bitvec.Vector // by player id
+			learned   zeroradius.Learned
 		}
 		results := par.MapOn(exec, s, func(g int) groupResult {
 			positions := groupPositions[g]
@@ -168,16 +170,18 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 			for i, j := range positions {
 				groupObjs[i] = objs[j]
 			}
-			zr := zeroradius.Run(rc, allPlayers, groupObjs, budgetMultiplier*b, repRng.Split(uint64(g)), pr.ZR)
+			zr, learned := zeroradius.Run(rc, allPlayers, groupObjs, budgetMultiplier*b, repRng.Split(uint64(g)), pr.ZR)
 			// U_g: vectors output by at least n/(supportDivisor·B) players.
 			ui := zeroradius.Supported(zr, float64(n)/(supportDivisor*float64(b)), 0)
-			return groupResult{positions: positions, objs: groupObjs, ui: ui, outputs: zr}
+			return groupResult{positions: positions, objs: groupObjs, ui: ui, outputs: zr, learned: learned}
 		})
 
 		// Each honest player selects a vector per group and concatenates.
 		// The group object lists were computed once above (rebuilding them
 		// per (player, group) is pure allocation), and the per-player
-		// selection stream stays on the stack.
+		// selection stream stays on the stack. Each Select starts from
+		// what the player's own ZeroRadius run probed in the group: its
+		// learned positions and its output's (truth) bits there.
 		reps[rep] = par.MapOn(exec, len(honest), func(i int) bitvec.Vector {
 			p := honest[i]
 			full := bitvec.New(len(objs))
@@ -191,7 +195,8 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 				// this group) the player keeps its own ZeroRadius output.
 				chosen := res.outputs[p]
 				if len(res.ui) > 0 {
-					chosen = res.ui[selection.Select(rc.World, p, res.objs, res.ui, dGroup, &selRng, pr.Sel)]
+					seed := selection.Seed{Known: res.learned.Row(p), Truth: chosen}
+					chosen = res.ui[selection.Select(rc.World, p, res.objs, res.ui, dGroup, &selRng, sel, &seed)]
 				}
 				// Scatter the chosen vector into full, one Set per set bit.
 				for wi := 0; wi < chosen.Words(); wi++ {
@@ -212,7 +217,7 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 			cands[rep] = reps[rep][i]
 		}
 		selRng := shared.SplitValue(0xF1A7, uint64(p))
-		idx := selection.Select(rc.World, p, objs, cands, d, &selRng, pr.Sel)
+		idx := selection.Select(rc.World, p, objs, cands, d, &selRng, sel, nil)
 		if idx < 0 {
 			out[p] = bitvec.New(len(objs))
 			return

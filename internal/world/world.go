@@ -280,26 +280,36 @@ func (pr *Prober) ProbeWord(wi int, mask uint64) uint64 {
 // objs[j]). Runs of objects sharing a 64-bit word — the common case, since
 // protocol object lists are sorted — collapse into single ProbeWord calls
 // whose returned truth bits fill the run's outputs, so truth is read once
-// per run and the only allocation is the returned vector. Probe charging is
-// identical to calling Probe per object.
+// per run and the only allocation is the returned vector. One pass over
+// objs range-checks each object once and probes a run when the next word
+// starts. Probe charging is identical to calling Probe per object.
 func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
 	out := bitvec.New(len(objs))
-	for start := 0; start < len(objs); {
-		wi := w.objectWord(objs[start])
-		mask := uint64(0)
-		end := start
-		for ; end < len(objs) && w.objectWord(objs[end]) == wi; end++ {
-			mask |= 1 << (uint(objs[end]) % 64)
+	start, wi, mask := 0, -1, uint64(0)
+	for j, o := range objs {
+		if ow := w.objectWord(o); ow != wi {
+			w.probeRun(p, wi, mask, objs[start:j], out, start)
+			start, wi, mask = j, ow, 0
 		}
-		truth := w.ProbeWord(p, wi, mask)
-		for j := start; j < end; j++ {
-			if truth>>(uint(objs[j])%64)&1 == 1 {
-				out.Set(j, true)
-			}
-		}
-		start = end
+		mask |= 1 << (uint(o) % 64)
 	}
+	w.probeRun(p, wi, mask, objs[start:], out, start)
 	return out
+}
+
+// probeRun probes one of ProbeVector's runs — the objects run, all in
+// object word wi, whose bits make up mask — and sets their truth bits in
+// out from position at on. An empty run (mask 0) probes nothing.
+func (w *World) probeRun(p, wi int, mask uint64, run []int, out bitvec.Vector, at int) {
+	if mask == 0 {
+		return
+	}
+	truth := w.ProbeWord(p, wi, mask)
+	for k, o := range run {
+		if truth>>(uint(o)%64)&1 == 1 {
+			out.Set(at+k, true)
+		}
+	}
 }
 
 // objectWord returns the object word holding o, panicking on an

@@ -488,6 +488,25 @@ func TestProbeVectorMatchesReportVector(t *testing.T) {
 	}
 }
 
+// TestProbeVectorOutOfRange: an out-of-range object panics with the
+// object's own message, after the runs before it were probed and before
+// the run it would end is: on {3, 5, 70, m+2} objects 3 and 5 are
+// charged, 70 is not.
+func TestProbeVectorOutOfRange(t *testing.T) {
+	const m = 300
+	w := New(randTruth(1, m, 22))
+	defer func() {
+		want := fmt.Sprintf("world: object %d out of range [0,%d)", m+2, m)
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q", r, want)
+		}
+		if got := w.Probes(0); got != 2 {
+			t.Fatalf("charged %d probes before the panic, want 2", got)
+		}
+	}()
+	w.ProbeVector(0, []int{3, 5, 70, m + 2})
+}
+
 // TestProbeWordAllocFree: the bulk-probe hot path must not allocate
 // (satellite regression guard).
 func TestProbeWordAllocFree(t *testing.T) {

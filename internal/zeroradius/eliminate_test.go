@@ -225,11 +225,12 @@ func shuffledObjs(rng *xrand.Stream, m, k int) []int {
 // TestEliminationTreeMatchesEliminate: every learner's walk of the
 // per-merge elimination tree is the survivor-filter loop it replaced —
 // the returned vector is the loop's very vector (same storage), and each
-// learner is charged the same probes on the same objects. Candidate sets
-// of size 0, 1, 2, 128, 129 and 300, drawn around one learner's truth and,
-// in miss mode, matching no learner; identity, strided and shuffled object
-// mappings, and no objects at all. The tree never has more than k−1
-// internal nodes.
+// learner is charged the same probes on the same objects, which are
+// exactly the objects of the positions the walk marks in its learned
+// row. Candidate sets of size 0, 1, 2, 128, 129 and 300, drawn around one
+// learner's truth and, in miss mode, matching no learner; identity,
+// strided and shuffled object mappings, and no objects at all. The tree
+// never has more than k−1 internal nodes.
 func TestEliminationTreeMatchesEliminate(t *testing.T) {
 	const n, m = 6, 640
 	rng := xrand.New(41)
@@ -262,9 +263,10 @@ func TestEliminationTreeMatchesEliminate(t *testing.T) {
 				}
 				wantW, gotW := world.New(in.Truth), world.New(in.Truth)
 				wantRC, gotRC := world.NewRun(wantW), world.NewRun(gotW)
+				rows := newLearned(n, len(mp.objs))
 				for p := 0; p < n; p++ {
 					want := eliminate(wantRC, p, mp.objs, cands)
-					got := tree.walk(gotRC, p, mp.objs)
+					got := tree.walk(gotRC, p, mp.objs, rows.Row(p), identityObjs(len(mp.objs)))
 					if !got.Equal(want) || (count > 0 && len(mp.objs) > 0 && !bitvec.SameStorage(got, want)) {
 						t.Fatalf("%s/%d/miss=%v player %d: the walk returned a different vector", mp.name, count, miss, p)
 					}
@@ -274,8 +276,18 @@ func TestEliminationTreeMatchesEliminate(t *testing.T) {
 					}
 				}
 				for p := 0; p < n; p++ {
-					if !probeSet(gotW, p, m).Equal(probeSet(wantW, p, m)) {
+					want := probeSet(wantW, p, m)
+					if !probeSet(gotW, p, m).Equal(want) {
 						t.Fatalf("%s/%d/miss=%v player %d: walk probed other objects than the loop", mp.name, count, miss, p)
+					}
+					marked := bitvec.New(m)
+					for k, o := range mp.objs {
+						if rows.Row(p)[k/64]>>(uint(k)%64)&1 != 0 {
+							marked.Set(o, true)
+						}
+					}
+					if !marked.Equal(want) {
+						t.Fatalf("%s/%d/miss=%v player %d: walk marked other positions than it probed", mp.name, count, miss, p)
 					}
 				}
 			}
@@ -290,10 +302,10 @@ func TestEliminateNoObjects(t *testing.T) {
 	in := prefgen.Uniform(xrand.New(2), 2, 64)
 	w := world.New(in.Truth)
 	rc := world.NewRun(w)
-	if v := newElimTree([]bitvec.Vector{bitvec.New(0)}).walk(rc, 0, nil); v.Len() != 0 {
+	if v := newElimTree([]bitvec.Vector{bitvec.New(0)}).walk(rc, 0, nil, nil, nil); v.Len() != 0 {
 		t.Fatalf("no objects: length %d", v.Len())
 	}
-	if v := newElimTree(nil).walk(rc, 0, []int{3, 9}); v.Len() != 2 || v.Count() != 0 {
+	if v := newElimTree(nil).walk(rc, 0, []int{3, 9}, nil, nil); v.Len() != 2 || v.Count() != 0 {
 		t.Fatalf("no candidates: %v", v)
 	}
 	if w.TotalProbes() != 0 {
@@ -310,9 +322,10 @@ func TestEliminateAllocFree(t *testing.T) {
 	in := prefgen.Uniform(rng.Split(1), 2, m)
 	rc := world.NewRun(world.New(in.Truth))
 	objs := identityObjs(m)
+	row := make([]uint64, m/64)
 	for _, count := range []int{128, 129, 300} {
 		tree := newElimTree(randomCands(rng, in.Truth[0], objs, count, true))
-		if got := testing.AllocsPerRun(50, func() { tree.walk(rc, 0, objs) }); got != 0 {
+		if got := testing.AllocsPerRun(50, func() { tree.walk(rc, 0, objs, row, objs) }); got != 0 {
 			t.Fatalf("%d candidates: a walk allocates %v times per run, want 0", count, got)
 		}
 	}

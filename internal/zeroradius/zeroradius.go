@@ -75,37 +75,86 @@ func Scaled() Params { return Params{BaseObjects: 16} }
 // The result is aligned with P: out[i] is player P[i]'s output vector,
 // indexed like objs. Honest players in qualifying zero-radius clusters
 // receive their true preferences whp; other players receive best-effort
-// vectors.
+// vectors. The Learned table beside it, also aligned with P, marks where
+// each honest player's output is its own charged truth.
 //
 // The recursion's two halves and every per-player loop (base-case reports,
 // cross-fill elimination, vector assembly) fan out on rc's executor with
 // per-branch split streams and index-ordered merges, so fixed-seed output
 // is byte-identical under any schedule (DESIGN.md §9).
-func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params) []bitvec.Vector {
+func Run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params) ([]bitvec.Vector, Learned) {
 	if bPrime < 1 {
 		bPrime = 1
 	}
+	z := &zr{rc: rc, bPrime: bPrime}
+	z.basePlayers = max(int(math.Ceil(baseFactor*float64(bPrime)*math.Log(float64(rc.N())+2))), 2)
+	z.baseObjects = z.basePlayers
+	if pr.BaseObjects > 0 {
+		z.baseObjects = max(pr.BaseObjects, 2)
+	}
+	z.learned = newLearned(len(P), len(objs))
 	out := make([]bitvec.Vector, len(P))
-	run(rc, P, objs, bPrime, shared, pr, out, 0)
-	return out
+	if len(P) > 0 {
+		z.run(P, nil, objs, nil, shared, out, 0)
+	}
+	return out, z.learned
 }
 
-// run fills out, aligned with P. Every call writes only its own out slots,
-// and the two recursive halves write disjoint fresh slices.
-func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, pr Params, out []bitvec.Vector, depth int) {
-	n := rc.N()
-	basePlayers := max(int(math.Ceil(baseFactor*float64(bPrime)*math.Log(float64(n)+2))), 2)
-	baseObjects := basePlayers
-	if pr.BaseObjects > 0 {
-		baseObjects = max(pr.BaseObjects, 2)
-	}
-	if len(P) == 0 {
-		return
-	}
+// Learned is the table Run returns beside its outputs: one row of
+// ⌈len(objs)/64⌉ words per entry of P, bit j of row i set when P[i]'s
+// output bit j is the truth P[i] itself probed at objs[j]. Only honest
+// players learn, at two kinds of positions: their base-case leaf's
+// objects (every one probed) and the positions their elimination walks
+// probed (the winning candidate agrees with every answer on its path).
+// Every learned position is in the player's probe memo, so a later
+// protocol step that reads it from here instead of probing it again skips
+// only a free probe.
+type Learned struct {
+	words  []uint64
+	stride int
+}
+
+// newLearned returns an empty table of rows rows over width positions.
+func newLearned(rows, width int) Learned {
+	stride := (width + 63) / 64
+	return Learned{words: make([]uint64, rows*stride), stride: stride}
+}
+
+// Row returns P[i]'s learned words.
+func (l Learned) Row(i int) []uint64 {
+	return l.words[i*l.stride : (i+1)*l.stride : (i+1)*l.stride]
+}
+
+// zr is one Run's fixed state: the run, the cluster bound, the two
+// base-case thresholds and the learned table every recursion call writes.
+type zr struct {
+	rc                       *world.Run
+	bPrime                   int
+	basePlayers, baseObjects int
+	learned                  Learned
+}
+
+// run fills out, aligned with P. rows holds each player's row of the
+// learned table and pos each object's position in the top-level objs; the
+// top call passes nil for both, the identity (topOf). Every call writes only
+// its own out slots and its own players' learned rows, and the two
+// recursive halves write disjoint fresh slices.
+func (z *zr) run(P, rows, objs, pos []int, shared *xrand.Stream, out []bitvec.Vector, depth int) {
+	rc := z.rc
 	exec := rc.Exec()
-	if len(P) <= basePlayers || len(objs) <= baseObjects {
-		// Base case: every player reports every object directly.
-		exec.For(len(P), func(i int) { out[i] = rc.ReportVector(P[i], objs) })
+	if len(P) <= z.basePlayers || len(objs) <= z.baseObjects {
+		// Base case: every player reports every object directly; an
+		// honest report is a probe, so it learns every position.
+		exec.For(len(P), func(i int) {
+			out[i] = rc.ReportVector(P[i], objs)
+			if rc.IsHonest(P[i]) {
+				row := z.learned.Row(topOf(rows, i))
+				for k := range objs {
+					j := topOf(pos, k)
+					row[j>>6] |= 1 << (uint(j) & 63)
+				}
+			}
+		})
 		return
 	}
 
@@ -115,21 +164,38 @@ func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, p
 	nodeRng := shared.Split(uint64(depth), uint64(len(P)), uint64(len(objs)))
 	i0, i1 := splitHalf(nodeRng, len(P))
 	j0, j1 := splitHalf(nodeRng, len(objs))
-	p0, p1 := pick(P, i0), pick(P, i1)
-	o0, o1 := pick(objs, j0), pick(objs, j1)
+	// One buffer holds every half's picks: players and objects, then
+	// below the top also their rows and positions (the identity's picks
+	// are the halves themselves).
+	size := len(P) + len(objs)
+	if rows != nil {
+		size *= 2
+	}
+	buf := make([]int, size)
+	r0, r1, q0, q1 := i0, i1, j0, j1
+	if rows != nil {
+		r0, buf = pick(buf, rows, i0)
+		r1, buf = pick(buf, rows, i1)
+		q0, buf = pick(buf, pos, j0)
+		q1, buf = pick(buf, pos, j1)
+	}
+	p0, buf := pick(buf, P, i0)
+	p1, buf := pick(buf, P, i1)
+	o0, buf := pick(buf, objs, j0)
+	o1, _ := pick(buf, objs, j1)
 
 	// Recurse on both halves in parallel.
 	sub0 := make([]bitvec.Vector, len(p0))
 	sub1 := make([]bitvec.Vector, len(p1))
 	exec.Do(
-		func() { run(rc, p0, o0, bPrime, nodeRng.Split(0), pr, sub0, depth+1) },
-		func() { run(rc, p1, o1, bPrime, nodeRng.Split(1), pr, sub1, depth+1) },
+		func() { z.run(p0, r0, o0, q0, nodeRng.Split(0), sub0, depth+1) },
+		func() { z.run(p1, r1, o1, q1, nodeRng.Split(1), sub1, depth+1) },
 	)
 
 	// Cross-fill: players of each half learn the other half's objects from
 	// the vectors published by the other half's players.
-	cross0 := crossFill(rc, p0, o1, sub1, bPrime) // P0 learns O1
-	cross1 := crossFill(rc, p1, o0, sub0, bPrime) // P1 learns O0
+	cross0 := z.crossFill(p0, r0, o1, q1, sub1) // P0 learns O1
+	cross1 := z.crossFill(p1, r1, o0, q0, sub0) // P1 learns O0
 
 	// Assemble full vectors over objs for every player.
 	assemble := func(at []int, own []bitvec.Vector, ownPos []int, cross []bitvec.Vector, crossPos []int) {
@@ -144,35 +210,51 @@ func run(rc *world.Run, P []int, objs []int, bPrime int, shared *xrand.Stream, p
 	assemble(i1, sub1, j1, cross1, j0)
 }
 
+// topOf returns the top call's index of local index i under the map xs
+// (rows or pos): xs[i], or i itself for the top call's nil maps.
+func topOf(xs []int, i int) int {
+	if xs == nil {
+		return i
+	}
+	return xs[i]
+}
+
 // splitHalf partitions the positions [0, n) into two halves using
 // independent fair coins, guaranteeing both halves are non-empty (it moves
-// one position if needed).
+// one position if needed). Both halves share one n-slot buffer: a fills
+// it from the front and b from the back, then b is reversed into
+// ascending order.
 func splitHalf(rng *xrand.Stream, n int) (a, b []int) {
+	buf := make([]int, n)
+	na, nb := 0, n
 	for i := 0; i < n; i++ {
 		if rng.Bool() {
-			a = append(a, i)
+			buf[na] = i
+			na++
 		} else {
-			b = append(b, i)
+			nb--
+			buf[nb] = i
 		}
 	}
+	a, b = buf[:na:na], buf[na:]
+	slices.Reverse(b)
 	if len(a) == 0 && len(b) > 1 {
-		a = append(a, b[len(b)-1])
-		b = b[:len(b)-1]
+		a, b = b[len(b)-1:], b[:len(b)-1]
 	}
 	if len(b) == 0 && len(a) > 1 {
-		b = append(b, a[len(a)-1])
-		a = a[:len(a)-1]
+		a, b = a[:len(a)-1], a[len(a)-1:]
 	}
 	return a, b
 }
 
-// pick returns xs[idx[0]], xs[idx[1]], ….
-func pick(xs, idx []int) []int {
-	out := make([]int, len(idx))
+// pick writes xs[idx[0]], xs[idx[1]], … to the front of buf and returns
+// them and the rest of buf.
+func pick(buf, xs, idx []int) (picked, rest []int) {
+	picked, rest = buf[:len(idx):len(idx)], buf[len(idx):]
 	for k, i := range idx {
-		out[k] = xs[i]
+		picked[k] = xs[i]
 	}
-	return out
+	return picked, rest
 }
 
 // Supported tallies the distinct vectors of pub and returns those that at
@@ -189,31 +271,31 @@ func Supported(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector
 		return nil
 	}
 	type tally struct {
-		vec     bitvec.Vector
-		support int
+		first   int32 // index in pub of the vector's first entry
+		support int32
 		next    int32 // next tally in the same chain, or -1
 	}
 	var all []tally
 	mask := uint64(1)<<bits.Len(uint(2*len(pub)-1)) - 1
 	head := make([]int32, mask+1) // chain head + 1; 0 is an empty chain
-	for _, v := range pub {
+	for k, v := range pub {
 		h := vecHash(v) & mask
 		i := head[h] - 1
-		for i >= 0 && !all[i].vec.Equal(v) {
+		for i >= 0 && !pub[all[i].first].Equal(v) {
 			i = all[i].next
 		}
 		if i >= 0 {
 			all[i].support++
 			continue
 		}
-		all = append(all, tally{vec: v, support: 1, next: head[h] - 1})
+		all = append(all, tally{first: int32(k), support: 1, next: head[h] - 1})
 		head[h] = int32(len(all))
 	}
 	slices.SortFunc(all, func(a, b tally) int {
 		if a.support != b.support {
-			return b.support - a.support
+			return int(b.support - a.support)
 		}
-		if keyLess(a.vec, b.vec) {
+		if keyLess(pub[a.first], pub[b.first]) {
 			return -1
 		}
 		return 1 // distinct vectors never tie
@@ -222,7 +304,7 @@ func Supported(pub []bitvec.Vector, threshold float64, topK int) []bitvec.Vector
 	var out []bitvec.Vector
 	for i, c := range all {
 		if float64(c.support) >= threshold || i < topK {
-			out = append(out, c.vec)
+			out = append(out, pub[c.first])
 		}
 	}
 	return out
@@ -269,7 +351,9 @@ func keyByte(v bitvec.Vector, i int) byte {
 
 // crossFill computes, for every player in learners, its vector over objs
 // from the vectors pub that the other half's players published over objs.
-// The result is aligned with learners.
+// The result is aligned with learners. rows are the learners' rows of the
+// learned table and pos the objects' top-level positions, where each
+// honest walk marks the positions it probed.
 //
 // Candidate selection: the paper admits vectors with support
 // ≥ |publishers|/(voteDivisor·B'), which bounds the candidate count by
@@ -284,8 +368,9 @@ func keyByte(v bitvec.Vector, i int) byte {
 // probe-to-disambiguate loop is deterministic given the probe answers, so
 // every honest learner of this merge walks the same tree over cands,
 // built once here, with one probe per internal node (elimTree).
-func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, bPrime int) []bitvec.Vector {
-	cands := Supported(pub, float64(len(pub))/(voteDivisor*float64(bPrime)), 2*bPrime)
+func (z *zr) crossFill(learners, rows, objs, pos []int, pub []bitvec.Vector) []bitvec.Vector {
+	rc := z.rc
+	cands := Supported(pub, float64(len(pub))/(voteDivisor*float64(z.bPrime)), 2*z.bPrime)
 	tree := newElimTree(cands)
 	return par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
 		p := learners[i]
@@ -294,7 +379,7 @@ func crossFill(rc *world.Run, learners []int, objs []int, pub []bitvec.Vector, b
 			// than running the elimination loop.
 			return rc.ReportVector(p, objs)
 		}
-		return tree.walk(rc, p, objs)
+		return tree.walk(rc, p, objs, z.learned.Row(rows[i]), pos)
 	})
 }
 
@@ -386,11 +471,13 @@ func (t *elimTree) build(idx, tmp []int32) int32 {
 }
 
 // walk runs player p's elimination over objs: one probe per internal node
-// on the way down, on the same objects in the same order as the loop. The
-// winner is returned as-is: candidate vectors are shared, immutable
-// inputs, and every downstream consumer only reads them. A walk allocates
-// nothing except the empty vector of the degenerate shapes.
-func (t *elimTree) walk(rc *world.Run, p int, objs []int) bitvec.Vector {
+// on the way down, on the same objects in the same order as the loop. Each
+// probed position k is marked in row at bit pos[k]: the winner agrees
+// with every answer on its path, so its bits there are p's truth. The winner is returned as-is: candidate vectors are
+// shared, immutable inputs, and every downstream consumer only reads them.
+// A walk allocates nothing except the empty vector of the degenerate
+// shapes.
+func (t *elimTree) walk(rc *world.Run, p int, objs []int, row []uint64, pos []int) bitvec.Vector {
 	if len(objs) == 0 {
 		return bitvec.New(0)
 	}
@@ -400,6 +487,8 @@ func (t *elimTree) walk(rc *world.Run, p int, objs []int) bitvec.Vector {
 	at := t.root
 	for at >= 0 {
 		nd := &t.nodes[at]
+		j := pos[nd.pos]
+		row[j>>6] |= 1 << (uint(j) & 63)
 		if rc.Probe(p, objs[nd.pos]) {
 			at = nd.child[1]
 		} else {

@@ -34,7 +34,9 @@ func BenchmarkCrossFill(b *testing.B) {
 		pub[i] = pool[rng.Intn(len(pool))]
 	}
 	learners := identityObjs(n)
+	z := &zr{rc: rc, bPrime: bPrime, learned: newLearned(n, k)}
+	pos := identityObjs(k)
 	for b.Loop() {
-		crossFill(rc, learners, objs, pub, bPrime)
+		z.crossFill(learners, learners, objs, pos, pub)
 	}
 }

@@ -1,6 +1,7 @@
 package zeroradius
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,7 +28,7 @@ func allPlayers(n int) []int { return identityObjs(n) }
 func exactFraction(t *testing.T, w *world.World, in *prefgen.Instance, bPrime int, seed uint64, pr Params) (float64, int) {
 	t.Helper()
 	n, m := w.N(), w.M()
-	out := Run(world.NewRun(w), allPlayers(n), identityObjs(m), bPrime, xrand.New(seed), pr)
+	out, _ := Run(world.NewRun(w), allPlayers(n), identityObjs(m), bPrime, xrand.New(seed), pr)
 	exact, honest, maxErr := 0, 0, 0
 	for p := 0; p < n; p++ {
 		if !w.IsHonest(p) {
@@ -98,7 +99,7 @@ func TestSmallInputBaseCase(t *testing.T) {
 	rng := xrand.New(3)
 	in := prefgen.Uniform(rng.Split(1), n, m)
 	w := world.New(in.Truth)
-	out := Run(world.NewRun(w), allPlayers(n), identityObjs(m), 2, rng.Split(2), Defaults())
+	out, _ := Run(world.NewRun(w), allPlayers(n), identityObjs(m), 2, rng.Split(2), Defaults())
 	for p := 0; p < n; p++ {
 		if d := in.Truth[p].Hamming(out[p]); d != 0 {
 			t.Fatalf("base case player %d error %d", p, d)
@@ -111,11 +112,11 @@ func TestEmptyInputs(t *testing.T) {
 	rng := xrand.New(4)
 	in := prefgen.Uniform(rng.Split(1), 4, 8)
 	w := world.New(in.Truth)
-	out := Run(world.NewRun(w), nil, identityObjs(8), 2, rng.Split(2), Defaults())
+	out, _ := Run(world.NewRun(w), nil, identityObjs(8), 2, rng.Split(2), Defaults())
 	if len(out) != 0 {
 		t.Fatalf("no players should give empty output, got %d", len(out))
 	}
-	out = Run(world.NewRun(w), allPlayers(4), nil, 2, rng.Split(3), Defaults())
+	out, _ = Run(world.NewRun(w), allPlayers(4), nil, 2, rng.Split(3), Defaults())
 	for p, v := range out {
 		if v.Len() != 0 {
 			t.Fatalf("player %d got vector of length %d for no objects", p, v.Len())
@@ -131,7 +132,7 @@ func TestSubsetOfObjects(t *testing.T) {
 	in := prefgen.IdenticalClusters(rng.Split(1), n, m, 16)
 	w := world.New(in.Truth)
 	objs := []int{3, 17, 40, 41, 90, 100, 101, 120}
-	out := Run(world.NewRun(w), allPlayers(n), objs, 4, rng.Split(2), Defaults())
+	out, _ := Run(world.NewRun(w), allPlayers(n), objs, 4, rng.Split(2), Defaults())
 	for p := 0; p < n; p++ {
 		v := out[p]
 		if v.Len() != len(objs) {
@@ -189,7 +190,7 @@ func TestDeterminism(t *testing.T) {
 		rng := xrand.New(12)
 		in := prefgen.IdenticalClusters(rng.Split(1), n, m, 16)
 		w := world.New(in.Truth)
-		out := Run(world.NewRun(w), allPlayers(n), identityObjs(m), 4, rng.Split(2), Defaults())
+		out, _ := Run(world.NewRun(w), allPlayers(n), identityObjs(m), 4, rng.Split(2), Defaults())
 		sig := make(map[int]int, n)
 		for p, v := range out {
 			sig[p] = v.Count()
@@ -388,7 +389,7 @@ func TestOutputAlignedWithP(t *testing.T) {
 	w := world.New(in.Truth)
 	adversary.Corrupt(w, 12, rng.Split(3).Perm(n), func(int) world.Behavior { return adversary.FlipAll{} })
 	P := stridedPerm(rng.Split(4), n, 2)
-	out := Run(world.NewRun(w), P, identityObjs(m), b, rng.Split(5), Defaults())
+	out, _ := Run(world.NewRun(w), P, identityObjs(m), b, rng.Split(5), Defaults())
 	if len(out) != len(P) {
 		t.Fatalf("got %d outputs for %d players", len(out), len(P))
 	}
@@ -424,7 +425,7 @@ func TestZeroRadiusScheduleMatrix(t *testing.T) {
 	}{{"serial", par.Serial()}, {"fixed4", par.Fixed(4)}, {"parallel", par.Parallel()}} {
 		w := world.New(in.Truth)
 		adversary.Corrupt(w, 16, rng.Split(3).Perm(n), func(int) world.Behavior { return adversary.RandomLiar{Seed: 5} })
-		out := Run(world.NewRunOn(w, sched.exec), P, identityObjs(m), b, rng.Split(5), Scaled())
+		out, _ := Run(world.NewRunOn(w, sched.exec), P, identityObjs(m), b, rng.Split(5), Scaled())
 		probes := make([]int64, n)
 		for p := range probes {
 			probes[p] = w.Probes(p)
@@ -442,6 +443,59 @@ func TestZeroRadiusScheduleMatrix(t *testing.T) {
 			if probes[p] != refProbes[p] {
 				t.Fatalf("player %d probes %d under %s, %d serially", p, probes[p], sched.name, refProbes[p])
 			}
+		}
+	}
+}
+
+// TestLearnedPositionsAreChargedTruth: every position the Learned table
+// marks for an honest player is one the player has already been charged
+// for, and its output bit there is its truth; dishonest players learn
+// nothing. The run recurses three levels over a shuffled object subset
+// and a permuted player set, so rows and positions differ from ids and
+// walks at every level mark positions, and the table is the same under
+// the serial and a four-worker schedule.
+func TestLearnedPositionsAreChargedTruth(t *testing.T) {
+	const n, m, width, b = 384, 512, 200, 4
+	rng := xrand.New(23)
+	in := prefgen.IdenticalClusters(rng.Split(1), n, m, n/4)
+	objs := rng.Split(2).Perm(m)[:width]
+	P := stridedPerm(rng.Split(4), n, 1)
+	var ref Learned
+	for _, exec := range []*par.Runner{par.Serial(), par.Fixed(4)} {
+		w := world.New(in.Truth)
+		adversary.Corrupt(w, n/24, rng.Split(3).Perm(n), func(int) world.Behavior { return adversary.RandomLiar{Seed: 7} })
+		out, learned := Run(world.NewRunOn(w, exec), P, objs, b, rng.Split(5), Scaled())
+		partial := 0
+		for i, p := range P {
+			row := learned.Row(i)
+			count := 0
+			for j, o := range objs {
+				if row[j/64]>>(uint(j)%64)&1 == 0 {
+					continue
+				}
+				count++
+				if !w.IsHonest(p) {
+					t.Fatalf("dishonest player %d learned position %d", p, j)
+				}
+				before := w.Probes(p)
+				if w.ChargeBit(p, o); w.Probes(p) != before {
+					t.Fatalf("player %d learned position %d (object %d) without probing it", p, j, o)
+				}
+				if out[i].Get(j) != w.PeekTruth(p, o) {
+					t.Fatalf("player %d learned position %d, but its output there is not its truth", p, j)
+				}
+			}
+			if w.IsHonest(p) && count > 0 && count < width {
+				partial++
+			}
+		}
+		if partial < len(P)/2 {
+			t.Fatalf("only %d of %d rows learn some but not all positions", partial, len(P))
+		}
+		if ref.words == nil {
+			ref = learned
+		} else if !slices.Equal(ref.words, learned.words) {
+			t.Fatal("learned table differs between the serial and the four-worker schedule")
 		}
 	}
 }
