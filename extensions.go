@@ -47,7 +47,7 @@ type RatingConfig struct {
 	Players int
 	Objects int
 	// Scale is the maximum rating (ratings live in 0..Scale); 0 defaults
-	// to 5.
+	// to 5, and NewRatingSimulation refuses a Scale above MaxScale.
 	Scale int
 	// Budget is the parameter B (clusters of ~Players/Budget users).
 	Budget int

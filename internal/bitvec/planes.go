@@ -137,7 +137,7 @@ func (pl Planes) check(i int) {
 // conditionally negating exactly those lanes (bit-sliced two's complement)
 // gives |a−b|, and the total is the plane-weighted popcount Σ_ℓ 2^ℓ·pop(rℓ).
 // It panics on shape mismatch.
-func (a Planes) L1(b Planes) int { return a.l1(b, math.MaxInt) }
+func (a Planes) L1(b Planes) int { return a.l1(b, nil, math.MaxInt) }
 
 // L1Within reports whether a.L1(b) ≤ limit. It runs L1's kernel but stops
 // after the first 64-value word whose running total exceeds limit, so a
@@ -145,11 +145,28 @@ func (a Planes) L1(b Planes) int { return a.l1(b, math.MaxInt) }
 // neighbor-graph sweep, the pairs its pivot bounds leave undecided and the
 // pairs of an input without cluster structure. It panics on shape
 // mismatch.
-func (a Planes) L1Within(b Planes, limit int) bool { return a.l1(b, limit) <= limit }
+func (a Planes) L1Within(b Planes, limit int) bool { return a.l1(b, nil, limit) <= limit }
 
-// l1 is the one L1 kernel: it returns the running total as soon as it
-// exceeds limit after a word, and the exact L1 distance otherwise.
-func (a Planes) l1(b Planes, limit int) int {
+// MaskedL1 returns Σ |a_i − b_i| over the positions i whose bit is set in
+// mask, a bitmap of Stride() words (bit i%64 of word i/64). It runs L1's
+// kernel and counts only the masked lanes, so values outside the mask do
+// not matter — a spot check compares a candidate row with truth probed on
+// its check set alone. It panics on shape mismatch or a mask of the wrong
+// length.
+func (a Planes) MaskedL1(b Planes, mask []uint64) int {
+	if len(mask) != a.stride {
+		panic(fmt.Sprintf("bitvec: mask of %d words for %d-word planes", len(mask), a.stride))
+	}
+	return a.l1(b, mask, math.MaxInt)
+}
+
+// l1 is the one L1 kernel: over the lanes that mask keeps (every lane when
+// mask is nil), it returns the running total as soon as it exceeds limit
+// after a word, and the exact L1 distance otherwise. A masked word clears
+// its dropped lanes' differences and borrows after the subtract, so they
+// negate to zero; the unmasked path pays one predictable branch per word
+// for it.
+func (a Planes) l1(b Planes, mask []uint64, limit int) int {
 	if a.n != b.n || a.k != b.k {
 		panic(fmt.Sprintf("bitvec: planes shape mismatch %d×%d vs %d×%d", a.n, a.k, b.n, b.k))
 	}
@@ -165,6 +182,13 @@ func (a Planes) l1(b Planes, limit int) int {
 			diff[l&(MaxPlaneBits-1)] = x ^ borrow // l < k ≤ 32; the mask drops the bounds check
 			borrow = (^aw[i] & bw[i]) | (^x & borrow)
 			l++
+		}
+		if mask != nil {
+			keep := mask[wi]
+			for l := range diff[:a.k] {
+				diff[l] &= keep
+			}
+			borrow &= keep
 		}
 		// borrow now flags the lanes where a < b; negate exactly those.
 		neg := borrow

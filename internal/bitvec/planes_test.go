@@ -160,6 +160,45 @@ func TestPlanesL1WithinMatchesL1(t *testing.T) {
 	}
 }
 
+// TestPlanesMaskedL1MatchesScalar: MaskedL1 is the per-value distance
+// summed over the masked positions alone, on random rows over k = 1..5
+// planes, lengths that are and are not multiples of 64, and empty, full
+// and random masks; a mask of the wrong length panics.
+func TestPlanesMaskedL1MatchesScalar(t *testing.T) {
+	lengths := []int{0, 1, 63, 64, 65, 128, 130, 200, 256}
+	f := func(seed uint64, kSel, lenSel, maskSel uint8) bool {
+		k := 1 + int(kSel)%5
+		n := lengths[int(lenSel)%len(lengths)]
+		a, b := randomPlanes(n, k, seed), randomPlanes(n, k, ^seed)
+		mask := make([]uint64, a.Stride())
+		for wi := range mask {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			mask[wi] = [...]uint64{0, ^uint64(0), seed, seed & (seed >> 7)}[maskSel%4]
+		}
+		ref := 0
+		for i := 0; i < n; i++ {
+			if mask[i/64]>>(uint(i)%64)&1 == 1 {
+				d := a.Get(i) - b.Get(i)
+				ref += max(d, -d)
+			}
+		}
+		if got := a.MaskedL1(b, mask); got != ref {
+			t.Logf("k=%d n=%d: MaskedL1 = %d, reference %d", k, n, got, ref)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MaskedL1 accepted a 1-word mask for 2-word planes")
+		}
+	}()
+	NewPlanes(100, 3).MaskedL1(NewPlanes(100, 3), make([]uint64, 1))
+}
+
 func TestPlanesL1SelfAndPanic(t *testing.T) {
 	pl := FromInts([]int{1, 4, 2, 0, 5}, 5)
 	if pl.L1(pl) != 0 {

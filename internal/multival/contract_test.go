@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
 	"collabscore/internal/xrand"
 )
@@ -88,7 +89,7 @@ func TestRaterDeterminismContract(t *testing.T) {
 				// out-of-scale reports clamped identically).
 				for p := 0; p < w.N(); p++ {
 					objs := []int{0, 3, 17, 40, 63, 64, 99}
-					vals := w.ReportValues(p, objs)
+					vals := w.ReportValues(p, bitvec.CompileExtraction(objs, w.M()))
 					for j, o := range objs {
 						if vals.Get(j) != clampRating(first[p][o], w.Scale()) {
 							t.Fatalf("%s: ReportValues(%d) disagrees with Report at object %d under %s",

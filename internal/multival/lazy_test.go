@@ -82,7 +82,7 @@ func TestLazyRatingWorldMatchesDense(t *testing.T) {
 			}
 		}
 	}
-	objs := []int{5, 64, 65, 2, 129, 99, 64}
+	objs := bitvec.CompileExtraction([]int{5, 64, 65, 2, 129, 99, 64}, m)
 	if !lw.ProbeValues(6, objs).Equal(dw.ProbeValues(6, objs)) {
 		t.Fatal("ProbeValues mismatch")
 	}

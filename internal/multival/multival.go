@@ -198,51 +198,58 @@ func (w *World) Probe(p, o int) int {
 // Charging is identical to per-object Probe calls on the mask's objects.
 func (w *World) ProbePlaneWords(p, wi int, mask uint64, dst []uint64) {
 	mask = w.ChargeWord(p, wi, mask)
-	w.src.PlaneWords(p, wi, dst[:w.k])
+	w.planeWords(p, wi, dst[:w.k])
 	for l := 0; l < w.k; l++ {
 		dst[l] &= mask
 	}
 }
 
-// ProbeValues probes, as player p, every object in objs and returns the
-// true ratings bit-sliced and indexed like objs. Runs of objects sharing a
-// 64-bit word — the common case, since protocol object lists are sorted —
-// collapse into one ProbePlaneWords call, which charges the run and gathers
-// the word's planes; each object's bits are then shifted into the output
-// plane words, and the only allocation is the returned Planes. Probe charging is
-// identical to calling Probe per object. Every object is range-checked
-// before any is charged, so a bad list panics with the ledger untouched.
-func (w *World) ProbeValues(p int, objs []int) bitvec.Planes {
-	for _, o := range objs {
-		if o < 0 || o >= w.M() {
-			panic(fmt.Sprintf("multival: object %d out of range [0,%d)", o, w.M()))
-		}
+// planeWords reads player p's truth words at wi into dst. This package's
+// two sources are called directly, not through the interface, so dst does
+// not escape and the callers' per-word scratch stays on the stack; any
+// other source reads into a buffer of its own.
+func (w *World) planeWords(p, wi int, dst []uint64) {
+	switch src := w.src.(type) {
+	case *DensePlanes:
+		src.PlaneWords(p, wi, dst)
+	case *LazyPlanes:
+		src.PlaneWords(p, wi, dst)
+	default:
+		buf := make([]uint64, len(dst))
+		src.PlaneWords(p, wi, buf)
+		copy(dst, buf)
 	}
-	out := bitvec.NewPlanes(len(objs), w.k)
-	// in holds the charged truth words of the current object word; acc
-	// the output plane words being filled for objs[j&^63 : j+1].
-	var in, acc [bitvec.MaxPlaneBits]uint64
-	for j := 0; j < len(objs); {
-		wi := objs[j] / 64
-		end := j + 1
-		mask := uint64(1) << (uint(objs[j]) % 64)
-		for end < len(objs) && objs[end]/64 == wi {
-			mask |= 1 << (uint(objs[end]) % 64)
-			end++
+}
+
+// ProbeValues probes, as player p, every object of the compiled list g
+// and returns the true ratings bit-sliced and indexed like g's positions.
+// Each run of g (one object word, ascending objects) is one
+// ProbePlaneWords call, which charges the run and reads the word's planes,
+// and one compress per plane moves the run's bits into the output; the
+// only allocation is the returned Planes. Probe charging is identical to
+// calling Probe per object. Positions were range-checked when g was
+// compiled, against a source length this world must have.
+func (w *World) ProbeValues(p int, g *bitvec.Extraction) bitvec.Planes { return w.values(p, g, false) }
+
+// values gathers player p's values at the objects of g into a fresh
+// Planes, one word fetch per run: its behavior's reports
+// (ReportPlaneWords) when ask is set, its probed truth (ProbePlaneWords)
+// otherwise. The fetches are direct calls, so the word scratch stays on
+// the stack.
+func (w *World) values(p int, g *bitvec.Extraction, ask bool) bitvec.Planes {
+	if g.SourceLen() != w.M() {
+		panic(fmt.Sprintf("multival: list compiled for %d objects, world has %d", g.SourceLen(), w.M()))
+	}
+	out := bitvec.NewPlanes(g.Len(), w.k)
+	var in [bitvec.MaxPlaneBits]uint64
+	for r := 0; r < g.Runs(); r++ {
+		wi, mask := g.Run(r)
+		if ask {
+			w.ReportPlaneWords(p, wi, mask, in[:w.k])
+		} else {
+			w.ProbePlaneWords(p, wi, mask, in[:w.k])
 		}
-		w.ProbePlaneWords(p, wi, mask, in[:])
-		for ; j < end; j++ {
-			b, ob := uint(objs[j])%64, uint(j)%64
-			for l := 0; l < w.k; l++ {
-				acc[l] |= (in[l] >> b & 1) << ob
-			}
-			if ob == 63 || j == len(objs)-1 {
-				for l := 0; l < w.k; l++ {
-					out.SetPlaneWord(l, j/64, acc[l])
-					acc[l] = 0
-				}
-			}
-		}
+		g.Extract(out, r, in[:w.k])
 	}
 	return out
 }
@@ -271,20 +278,14 @@ func (w *World) SetBehavior(p int, b Behavior) {
 // Report asks p's behavior for its published rating of o.
 func (w *World) Report(p, o int) int { return w.behaviors[p].Report(w, p, o) }
 
-// ReportValues returns player p's reports for the given objects,
-// bit-sliced and indexed like objs. Honest players ride the bulk probe
-// path (ProbeValues, identical charging to per-object probes); dishonest
-// players are asked per object through their behavior, with out-of-scale
-// reports clamped — the bulletin board validates writes.
-func (w *World) ReportValues(p int, objs []int) bitvec.Planes {
-	if w.IsHonest(p) {
-		return w.ProbeValues(p, objs)
-	}
-	out := bitvec.NewPlanes(len(objs), w.k)
-	for j, o := range objs {
-		out.Set(j, clampRating(w.Report(p, o), w.scale))
-	}
-	return out
+// ReportValues returns player p's reports for the objects of the compiled
+// list g, bit-sliced and indexed like g's positions: one ReportPlaneWords
+// per run of g. Honest players ride the bulk probe path (identical
+// charging to per-object probes); dishonest players are asked per object
+// through their behavior, in list order, with out-of-scale reports
+// clamped — the bulletin board validates writes.
+func (w *World) ReportValues(p int, g *bitvec.Extraction) bitvec.Planes {
+	return w.values(p, g, !w.IsHonest(p))
 }
 
 // ReportPlaneWords writes player p's reports for the objects whose bits
@@ -375,8 +376,10 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 		// No rating behavior reads published state.
 		Pub:  &world.Public{},
 		Rate: rate,
+		// The sample is compiled once; every player's publish runs through it.
 		Estimate: func(sample []int, _ *xrand.Stream) []bitvec.Planes {
-			return par.MapOn(exec, n, func(p int) bitvec.Planes { return w.ReportValues(p, sample) })
+			g := bitvec.CompileExtraction(sample, m)
+			return par.MapOn(exec, n, func(p int) bitvec.Planes { return w.ReportValues(p, g) })
 		},
 		// A pair at true L1 distance d lands at ≈ rate·d on the sample, so
 		// the edge threshold is a small multiple of that.
@@ -402,32 +405,39 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 // distance, with its own on a spotCheck sample drawn from rng(p).
 // Coins are per player, so the outcome is schedule-independent.
 func selectL1(w *World, exec *par.Runner, cands [][]bitvec.Planes, rng func(p int) *xrand.Stream) []bitvec.Planes {
-	n, m := w.N(), w.M()
-	return core.SelectEach(exec, w, bitvec.NewPlanes(m, w.k), cands, func(p int, col []bitvec.Planes) int {
-		return spotCheck(rng(p), n, m, len(col), func(ci, o int) int {
-			d := col[ci].Get(o) - w.Probe(p, o)
-			return max(d, -d)
-		})
+	return core.SelectEach(exec, w, bitvec.NewPlanes(w.M(), w.k), cands, func(p int, col []bitvec.Planes) int {
+		return spotCheck(w, p, rng(p), col)
 	})
 }
 
-// spotCheck is one player's selection among k candidates: it samples
-// min(m, 8·⌊ln n⌋) objects from rng and returns the candidate with the least
-// total miss(ci, o) over them, ties to the lowest index. A lone candidate
-// is returned without drawing or probing.
-func spotCheck(rng *xrand.Stream, n, m, k int, miss func(ci, o int) int) int {
-	if k == 1 {
+// spotCheck is player p's selection among the candidates col: it samples
+// min(m, 8·⌊ln n⌋) objects from rng into a check bitmap, probes its truth
+// once per touched object word (ProbePlaneWords with the word's check
+// mask, so exactly the check objects are charged), and returns the
+// candidate with the least L1 distance to the truth on the check set
+// (Planes.MaskedL1), ties to the lowest index. A lone candidate is
+// returned without drawing or probing.
+func spotCheck(w *World, p int, rng *xrand.Stream, col []bitvec.Planes) int {
+	if len(col) == 1 {
 		return 0
 	}
-	check := rng.Sample(m, min(m, 8*int(core.LnN(n))))
-	best, bestMiss := 0, math.MaxInt
-	for ci := 0; ci < k; ci++ {
-		total := 0
-		for _, o := range check {
-			total += miss(ci, o)
+	m := w.M()
+	truth := bitvec.NewPlanes(m, w.k)
+	check := make([]uint64, truth.Stride())
+	rng.SampleBits(m, min(m, 8*int(core.LnN(w.N()))), check)
+	var tw [bitvec.MaxPlaneBits]uint64
+	for wi, mask := range check {
+		if mask != 0 {
+			w.ProbePlaneWords(p, wi, mask, tw[:])
+			for l, x := range tw[:w.k] {
+				truth.SetPlaneWord(l, wi, x)
+			}
 		}
-		if total < bestMiss {
-			best, bestMiss = ci, total
+	}
+	best, bestMiss := 0, math.MaxInt
+	for ci, c := range col {
+		if miss := c.MaskedL1(truth, check); miss < bestMiss {
+			best, bestMiss = ci, miss
 		}
 	}
 	return best

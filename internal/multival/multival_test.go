@@ -1,9 +1,11 @@
 package multival
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"collabscore/internal/bitvec"
 	"collabscore/internal/xrand"
 )
 
@@ -278,30 +280,30 @@ func TestGatherClone(t *testing.T) {
 }
 
 // TestSpotCheck pins the L1 selection's spot check: a lone candidate is
-// returned without calling miss; otherwise every candidate is scored on the
-// same min(m, 8·⌊ln n⌋) distinct objects and the least total miss wins,
-// ties to the lowest index.
+// returned without drawing or probing; otherwise every candidate is scored
+// on the same min(m, 8·⌊ln n⌋) distinct objects, exactly those objects are
+// charged, and the least total miss wins, ties to the lowest index.
 func TestSpotCheck(t *testing.T) {
+	const n, m, scale = 1000, 500, 5 // 8·⌊ln 1000⌋ = 48 checked objects
+
+	w := NewWorld(newPlanes(n, m, bitvec.PlaneBits(scale)), scale) // all-zero truth
 	rng := xrand.New(5)
-	if got := spotCheck(rng, 1000, 500, 1, func(int, int) int { panic("probed a lone candidate") }); got != 0 {
+	next := rng.Clone().Uint64()
+	if got := spotCheck(w, 0, rng, []bitvec.Planes{bitvec.NewPlanes(m, 3)}); got != 0 {
 		t.Fatalf("lone candidate: got %d", got)
 	}
-	const n, m = 1000, 500 // 8·⌊ln 1000⌋ = 48 checked objects
-	seen := make([]map[int]bool, 4)
-	for i := range seen {
-		seen[i] = map[int]bool{}
+	if w.Probes(0) != 0 || rng.Clone().Uint64() != next {
+		t.Fatalf("lone candidate: %d probes, stream moved %v", w.Probes(0), rng.Clone().Uint64() != next)
 	}
 	misses := []int{3, 1, 2, 1}
-	got := spotCheck(rng, n, m, 4, func(ci, o int) int {
-		seen[ci][o] = true
-		return misses[ci]
-	})
-	if got != 1 {
+	col := make([]bitvec.Planes, len(misses))
+	for ci, d := range misses {
+		col[ci] = bitvec.FromInts(slices.Repeat([]int{d}, m), scale)
+	}
+	if got := spotCheck(w, 1, rng, col); got != 1 {
 		t.Fatalf("spotCheck = %d, want 1 (least miss, lowest index)", got)
 	}
-	for ci := range seen {
-		if len(seen[ci]) != 48 {
-			t.Fatalf("candidate %d scored on %d objects, want 48", ci, len(seen[ci]))
-		}
+	if w.Probes(1) != 48 {
+		t.Fatalf("spot check charged %d objects, want 48", w.Probes(1))
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // probeValuesOracle is the per-object ProbeValues: one Probe (charge and
-// Rating read) and one Set per object. The word-gather ProbeValues must
-// match it in output, probe counts and memo.
+// Rating read) and one Set per object. The compiled-gather ProbeValues
+// must match it in output, probe counts and memo.
 func probeValuesOracle(w *World, p int, objs []int) bitvec.Planes {
 	out := bitvec.NewPlanes(len(objs), w.Bits())
 	for j, o := range objs {
@@ -31,7 +31,7 @@ func ratingWorldPair(lazy bool, n, m, scale int) (*World, *World) {
 	return NewWorld(truth, scale), NewWorld(truth, scale)
 }
 
-// TestProbeValuesMatchesPerObjectOracle pins the word-gather ProbeValues
+// TestProbeValuesMatchesPerObjectOracle pins the compiled-gather ProbeValues
 // against the per-object oracle on dense and lazy truth: sorted, unsorted
 // and duplicate object lists, an empty list, lists whose output's last word
 // is not full, and objects in the truth's short final word. After every
@@ -62,12 +62,13 @@ func TestProbeValuesMatchesPerObjectOracle(t *testing.T) {
 		w, oracle := ratingWorldPair(lazy, n, m, scale)
 		p := 0
 		for name, objs := range lists {
-			got, want := w.ProbeValues(p, objs), probeValuesOracle(oracle, p, objs)
+			g := bitvec.CompileExtraction(objs, m)
+			got, want := w.ProbeValues(p, g), probeValuesOracle(oracle, p, objs)
 			if !got.Equal(want) {
 				t.Fatalf("lazy=%v %s: ProbeValues = %v, oracle %v", lazy, name, got.Ints(), want.Ints())
 			}
 			// Probing the same list again is free on both sides.
-			w.ProbeValues(p, objs)
+			w.ProbeValues(p, g)
 			for q := 0; q < n; q++ {
 				if w.Probes(q) != oracle.Probes(q) {
 					t.Fatalf("lazy=%v %s: player %d charged %d, oracle %d", lazy, name, q, w.Probes(q), oracle.Probes(q))
@@ -90,7 +91,9 @@ func TestProbeValuesMatchesPerObjectOracle(t *testing.T) {
 
 // TestProbeValuesOutOfRangeChargesNothing: an out-of-range object anywhere
 // in the list panics before any word is charged, so the ledger is left as
-// it was — including when in-range objects precede the bad one.
+// it was — including when in-range objects precede the bad one. The
+// range check runs when the list is compiled, so the panic comes from
+// CompileExtraction.
 func TestProbeValuesOutOfRangeChargesNothing(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		w, _ := ratingWorldPair(lazy, 8, 200, 5)
@@ -103,7 +106,7 @@ func TestProbeValuesOutOfRangeChargesNothing(t *testing.T) {
 						t.Fatalf("lazy=%v %v: no panic", lazy, objs)
 					}
 				}()
-				w.ProbeValues(1, objs)
+				w.ProbeValues(1, bitvec.CompileExtraction(objs, w.M()))
 			}()
 			if got := w.TotalProbes(); got != before {
 				t.Fatalf("lazy=%v %v: TotalProbes %d after the panic, want %d", lazy, objs, got, before)
@@ -116,11 +119,76 @@ func TestProbeValuesOutOfRangeChargesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkProbeValues times the honest publish gather over m = 2048
-// objects, as in the ratings-2k workload: a sorted sample of about one
-// object in three (so runs share each object word), on a 0..5 scale, over
-// dense and lazy truth. Each op publishes one player's sample from a fresh
-// memo row.
+// TestProbeValuesRefusesForeignList: a list compiled for another object
+// count panics in ProbeValues and ReportValues before any word is charged.
+func TestProbeValuesRefusesForeignList(t *testing.T) {
+	w, _ := ratingWorldPair(false, 8, 200, 5)
+	g := bitvec.CompileExtraction([]int{0, 70, 140}, 201)
+	for name, f := range map[string]func(){
+		"ProbeValues":  func() { w.ProbeValues(1, g) },
+		"ReportValues": func() { w.ReportValues(1, g) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a list compiled for 201 objects", name)
+				}
+			}()
+			f()
+		}()
+		if w.TotalProbes() != 0 {
+			t.Fatalf("%s charged %d probes before panicking", name, w.TotalProbes())
+		}
+	}
+}
+
+// wrappedSource hides a source's concrete type, as a RatingSource defined
+// outside this package would.
+type wrappedSource struct{ RatingSource }
+
+// TestProbeValuesThroughOtherSource: a source the world does not know by
+// type is read through the interface and gives the same values and
+// charges as the dense source it wraps.
+func TestProbeValuesThroughOtherSource(t *testing.T) {
+	truth, _ := Generate(xrand.New(41), 8, 200, 4, 12, 5)
+	w, ref := NewWorldFrom(wrappedSource{NewDensePlanes(truth)}, 5), NewWorld(truth, 5)
+	g := bitvec.CompileExtraction([]int{3, 64, 65, 199, 7, 130}, 200)
+	if got, want := w.ProbeValues(2, g), ref.ProbeValues(2, g); !got.Equal(want) {
+		t.Fatalf("ProbeValues = %v, dense %v", got.Ints(), want.Ints())
+	}
+	if w.Probes(2) != ref.Probes(2) {
+		t.Fatalf("charged %d, dense %d", w.Probes(2), ref.Probes(2))
+	}
+}
+
+// TestPublishAllocatesOnlyOutput pins the publish's allocations: once the
+// player's memo row is installed, ProbeValues and an honest ReportValues
+// over a compiled list allocate the returned Planes and nothing else (the
+// per-word scratch stays on the stack), on dense and lazy truth.
+func TestPublishAllocatesOnlyOutput(t *testing.T) {
+	var objs []int
+	for o := 3; o < 200; o += 3 {
+		objs = append(objs, o)
+	}
+	g := bitvec.CompileExtraction(objs, 200)
+	for _, lazy := range []bool{false, true} {
+		w, _ := ratingWorldPair(lazy, 8, 200, 5)
+		w.ProbeValues(0, g)
+		if n := testing.AllocsPerRun(100, func() { w.ProbeValues(0, g) }); n != 1 {
+			t.Errorf("lazy=%v: ProbeValues allocates %v times per call, want 1", lazy, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { w.ReportValues(0, g) }); n != 1 {
+			t.Errorf("lazy=%v: honest ReportValues allocates %v times per call, want 1", lazy, n)
+		}
+	}
+}
+
+// BenchmarkProbeValues times the honest publish over m = 2048 objects, as
+// in the ratings-2k workload: a sorted sample of about one object in three
+// (so runs share each object word), on a 0..5 scale. "compile" is the
+// once-per-sample CompileExtraction; "gather" publishes one player's
+// sample through the compiled list from a fresh memo row, over dense and
+// lazy truth.
 func BenchmarkProbeValues(b *testing.B) {
 	const n, m, scale = 256, 2048, 5
 	var objs []int
@@ -130,10 +198,16 @@ func BenchmarkProbeValues(b *testing.B) {
 			objs = append(objs, o)
 		}
 	}
+	b.Run("compile", func(b *testing.B) {
+		for b.Loop() {
+			bitvec.CompileExtraction(objs, m)
+		}
+	})
+	g := bitvec.CompileExtraction(objs, m)
 	for _, lazy := range []bool{false, true} {
-		name := "dense"
+		name := "gather/dense"
 		if lazy {
-			name = "lazy"
+			name = "gather/lazy"
 		}
 		w, _ := ratingWorldPair(lazy, n, m, scale)
 		b.Run(name, func(b *testing.B) {
@@ -142,7 +216,7 @@ func BenchmarkProbeValues(b *testing.B) {
 				if p == 0 {
 					w.ResetProbes()
 				}
-				w.ProbeValues(p, objs)
+				w.ProbeValues(p, g)
 				p = (p + 1) % n
 			}
 		})

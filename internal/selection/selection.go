@@ -277,27 +277,18 @@ func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budge
 }
 
 // floyd draws Floyd's sample of budget distinct ranks in [0,d) —
-// draw-for-draw the serial oracle's coins — into a bitmap of ⌈d/64⌉
-// words: the duel's stack bitmap when d fits it, a heap one beyond.
-// Membership is one bit test and ascending rank order is bit order, so no
-// rank list is kept, rescanned or sorted. (Floyd's invariant makes the
-// fallback value j always fresh: earlier draws were bounded by earlier,
-// smaller j.)
+// draw-for-draw the serial oracle's coins (xrand.Stream.SampleBits) — into
+// a bitmap of ⌈d/64⌉ words: the duel's stack bitmap when d fits it, a heap
+// one beyond. Membership is one bit test and ascending rank order is bit
+// order, so no rank list is kept, rescanned or sorted.
 func (ctx *duelCtx) floyd(d, budget int, rng *xrand.Stream) []uint64 {
 	var rank []uint64
 	if rw := (d + 63) / 64; rw <= len(ctx.rank) {
 		rank = ctx.rank[:rw]
-		clear(rank)
 	} else {
 		rank = make([]uint64, rw)
 	}
-	for j := d - budget; j < d; j++ {
-		t := rng.Intn(j + 1)
-		if rank[t>>6]>>(uint(t)&63)&1 != 0 {
-			t = j
-		}
-		rank[t>>6] |= 1 << (uint(t) & 63)
-	}
+	rng.SampleBits(d, budget, rank)
 	return rank
 }
 

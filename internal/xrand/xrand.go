@@ -192,6 +192,31 @@ func (s *Stream) Sample(n, k int) []int {
 	return out
 }
 
+// SampleBits draws the same k distinct elements of [0,n) as Sample, with
+// the same coins draw for draw, as a bitmap: it clears the first ⌈n/64⌉
+// words of dst and sets bit t%64 of word t/64 for each drawn t. If k >= n
+// it sets all of [0,n) and draws nothing. Membership is one bit test and
+// ascending order is bit order, so there is no set to keep or list to
+// sort. (Floyd's invariant makes the fallback value j always fresh:
+// earlier draws were bounded by earlier, smaller j.)
+func (s *Stream) SampleBits(n, k int, dst []uint64) {
+	dst = dst[:(n+63)/64]
+	clear(dst)
+	if k >= n {
+		for t := 0; t < n; t += 64 {
+			dst[t/64] = ^uint64(0) >> uint(max(0, t+64-n))
+		}
+		return
+	}
+	for j := n - max(k, 0); j < n; j++ {
+		t := s.Intn(j + 1)
+		if dst[t>>6]>>(uint(t)&63)&1 != 0 {
+			t = j
+		}
+		dst[t>>6] |= 1 << (uint(t) & 63)
+	}
+}
+
 // SampleFrom returns k distinct uniform elements of the given slice,
 // in arbitrary order. If k >= len(set) it returns a copy of set.
 func (s *Stream) SampleFrom(set []int, k int) []int {

@@ -471,3 +471,35 @@ func TestCloneDivergesFromOriginalPosition(t *testing.T) {
 		t.Fatal("advancing the clone advanced the original")
 	}
 }
+
+// TestSampleBitsMatchesSample: the bitmap Floyd draws the same set as
+// Sample from the same coins, leaving the stream at the same next draw,
+// for n up to 300 and k ∈ {1, n/2, n−1}, plus k = 0, k = n and k > n (all
+// of [0,n), no draw); it clears the bitmap it is handed and sets no bit at
+// or past n in the ⌈n/64⌉ words it owns.
+func TestSampleBitsMatchesSample(t *testing.T) {
+	dst := make([]uint64, 5)
+	for n := 0; n <= 300; n++ {
+		for _, k := range []int{1, n / 2, n - 1, 0, n, n + 3} {
+			a := New(uint64(n*1000 + k))
+			b := a.Clone()
+			want := a.Sample(n, k)
+			for i := range dst {
+				dst[i] = ^uint64(0)
+			}
+			b.SampleBits(n, k, dst)
+			var got []int
+			for t := 0; t < (n+63)/64*64; t++ {
+				if dst[t/64]>>(uint(t)%64)&1 == 1 {
+					got = append(got, t)
+				}
+			}
+			if len(got) != len(want) || (len(got) > 0 && !slices.Equal(got, want)) {
+				t.Fatalf("n=%d k=%d: SampleBits %v, Sample %v", n, k, got, want)
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("n=%d k=%d: next draw differs", n, k)
+			}
+		}
+	}
+}

@@ -120,7 +120,8 @@ type Scenario struct {
 	Protocol Protocol
 
 	// Scale is the rating scale of ProtoRatings points (ratings in
-	// 0..Scale; 0 defaults to 5). Ignored by every other protocol.
+	// 0..Scale; 0 defaults to 5, at most MaxScale). Ignored by every other
+	// protocol.
 	Scale int
 
 	// CapSmall/CapBig/CapBigFrac describe the two-tier capacity vector of
@@ -132,6 +133,13 @@ type Scenario struct {
 	CapBig     int
 	CapBigFrac float64
 }
+
+// MaxScale is the largest rating scale a ProtoRatings scenario accepts.
+// The median share keeps one counter per rating value per worker, and a
+// rating takes ⌈log₂(Scale+1)⌉ bit-planes (at most 32), so a scale far
+// beyond any rating system would exhaust memory inside the run instead
+// of failing here.
+const MaxScale = 1<<16 - 1
 
 // Validate reports why the scenario cannot run, or nil when it can. It
 // holds every rule the public layer checks: NewSimulation,
@@ -152,8 +160,8 @@ func (sc Scenario) Validate() error {
 	if ratings && sc.ClusterSize <= 0 {
 		return errors.New("collabscore: ProtoRatings requires a cluster planting (ClusterSize > 0)")
 	}
-	if ratings && sc.Scale < 0 {
-		return fmt.Errorf("collabscore: Scale must be ≥ 0 (0 defaults to 5), got %d", sc.Scale)
+	if ratings && (sc.Scale < 0 || sc.Scale > MaxScale) {
+		return fmt.Errorf("collabscore: Scale must be in [0, %d] (0 defaults to 5), got %d", MaxScale, sc.Scale)
 	}
 	if sc.Dishonest > 0 && (ratings && !sc.Strategy.RatingCapable() || !ratings && !sc.Strategy.BinaryCapable()) {
 		return errors.New(sc.Strategy.noBehavior(ratings))

@@ -1,7 +1,9 @@
 package collabscore
 
 import (
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -312,6 +314,23 @@ func TestValidateMatchesPanics(t *testing.T) {
 		if err := c.sc.Validate(); err != nil {
 			t.Errorf("golden case %s: %v", c.name, err)
 		}
+	}
+}
+
+// TestValidateScaleBound: a ratings scenario's Scale is refused above
+// MaxScale, with an error naming the bound, and accepted at it. Only
+// Validate runs: a scenario at such a scale is never built.
+func TestValidateScaleBound(t *testing.T) {
+	sc := Scenario{Config: Config{Players: 16, Seed: 1}, ClusterSize: 4, Diameter: 2, Protocol: ProtoRatings}
+	for _, scale := range []int{MaxScale + 1, 1<<32 - 1, math.MaxInt} {
+		sc.Scale = scale
+		err := sc.Validate()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxScale)) {
+			t.Errorf("Scale %d: Validate = %v, want an error naming %d", scale, err, MaxScale)
+		}
+	}
+	if sc.Scale = MaxScale; sc.Validate() != nil {
+		t.Errorf("Scale %d refused: %v", MaxScale, sc.Validate())
 	}
 }
 
