@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
@@ -100,12 +101,13 @@ func TestBehaviorDeterminismContract(t *testing.T) {
 						}
 					}
 					// The bulk report paths must agree with the per-object
-					// path: honest players ride ProbeVector/ProbeWord,
+					// path: honest players ride ProbeWord (ReportVector
+					// through a compiled list, and ReportWord),
 					// dishonest ones are asked per object — both must
 					// reproduce the matrix.
 					for p := 0; p < n; p++ {
 						objs := []int{0, 3, 17, 40, 63}
-						vec := rc.ReportVector(p, objs)
+						vec := rc.ReportVector(p, bitvec.CompileExtraction(objs, rc.M()))
 						for j, o := range objs {
 							if vec.Get(j) != first[p][o] {
 								t.Fatalf("%s: ReportVector(%d) disagrees with Report at object %d under %s",

@@ -320,7 +320,9 @@ func (v Vector) OnesIndices() []int {
 }
 
 // Gather extracts the bits at the given positions into a new vector of
-// length len(idx). Position idx[j] of v becomes bit j of the result.
+// length len(idx). Position idx[j] of v becomes bit j of the result. Its
+// inverse, for a list compiled once and applied to many vectors, is
+// Extraction.Scatter.
 func (v Vector) Gather(idx []int) Vector {
 	out := New(len(idx))
 	for j, i := range idx {
@@ -329,17 +331,6 @@ func (v Vector) Gather(idx []int) Vector {
 		}
 	}
 	return out
-}
-
-// Scatter writes bit j of src into position idx[j] of v, for all j.
-// It panics if len(idx) != src.Len().
-func (v Vector) Scatter(idx []int, src Vector) {
-	if len(idx) != src.n {
-		panic("bitvec: scatter length mismatch")
-	}
-	for j, i := range idx {
-		v.Set(i, src.Get(j))
-	}
 }
 
 // Key returns a compact string usable as a map key: two vectors have equal

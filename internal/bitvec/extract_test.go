@@ -17,6 +17,23 @@ func extractOracle(src Planes, pos []int) Planes {
 	return out
 }
 
+// Scatter writes bit j of src into position idx[j] of v, for all j, one
+// Set per bit: the oracle of the compiled Extraction.Scatter. It panics if
+// len(idx) != src.Len().
+func (v Vector) Scatter(idx []int, src Vector) {
+	if len(idx) != src.n {
+		panic("bitvec: scatter length mismatch")
+	}
+	for j, i := range idx {
+		v.Set(i, src.Get(j))
+	}
+}
+
+// plane returns plane l of pl as a Vector sharing its words.
+func plane(pl Planes, l int) Vector {
+	return Vector{n: pl.n, words: pl.words[l*pl.stride : (l+1)*pl.stride]}
+}
+
 // extractAll applies e to src, handing each run its whole source word
 // (bits outside the run's mask included, which Extract must ignore).
 func extractAll(e *Extraction, src Planes) Planes {
@@ -28,6 +45,17 @@ func extractAll(e *Extraction, src Planes) Planes {
 			in[l] = src.PlaneWord(l, wi)
 		}
 		e.Extract(out, r, in)
+	}
+	return out
+}
+
+// extractVector gathers v through e a word at a time (ExtractWord),
+// handing each run its whole source word.
+func extractVector(e *Extraction, v Vector) Vector {
+	out := New(e.Len())
+	for r := 0; r < e.Runs(); r++ {
+		wi, _ := e.Run(r)
+		e.ExtractWord(out, r, v.Word(wi))
 	}
 	return out
 }
@@ -92,6 +120,52 @@ func TestExtractionMatchesPerBitOracle(t *testing.T) {
 	}
 }
 
+// TestScatterMatchesPerBitOracle pins the compiled scatter against
+// Vector.Scatter on every list of extractLists (empty, one position,
+// sorted, unsorted, duplicates, strided, descending, runs straddling
+// output words, every position, over a source with a short final word),
+// into a destination whose other bits are random and must survive, and
+// the one-plane gather against the per-bit Gather.
+func TestScatterMatchesPerBitOracle(t *testing.T) {
+	for name, pos := range extractLists() {
+		e := CompileExtraction(pos, 200)
+		src := plane(randomPlanes(len(pos), 1, uint64(len(pos))), 0)
+		got := plane(randomPlanes(200, 1, 7), 0)
+		want := got.Clone()
+		e.Scatter(got, src)
+		want.Scatter(pos, src)
+		if !got.Equal(want) {
+			t.Errorf("%s: scatter %v, oracle %v", name, got, want)
+		}
+		if g, w := extractVector(e, got), got.Gather(pos); !g.Equal(w) {
+			t.Errorf("%s: ExtractWord gather %v, Gather %v", name, g, w)
+		}
+	}
+}
+
+// TestScatterShapeCheck: a source or destination of the wrong length
+// panics before any word is written.
+func TestScatterShapeCheck(t *testing.T) {
+	e := CompileExtraction([]int{1, 5, 64}, 100)
+	for _, tc := range []struct{ dst, src int }{{100, 2}, {99, 3}} {
+		func() {
+			dst := New(tc.dst)
+			defer func() {
+				if recover() == nil || dst.Count() != 0 {
+					t.Errorf("dst %d, src %d: no panic, or bits written", tc.dst, tc.src)
+				}
+			}()
+			e.Scatter(dst, New(tc.src).Not())
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ExtractWord into a vector of the wrong length: no panic")
+		}
+	}()
+	e.ExtractWord(New(2), 0, ^uint64(0))
+}
+
 // TestExtractionRuns: a run is a maximal stretch of list entries in one
 // source word with strictly ascending positions, so a sorted list has one
 // run per touched word and a duplicate or a step back starts a new run.
@@ -148,8 +222,21 @@ func FuzzExtraction(f *testing.F) {
 			pos[j] = (int(data[2*j]) | int(data[2*j+1])<<8) % int(n)
 		}
 		src := randomPlanes(int(n), k, seed)
-		if got, want := extractAll(CompileExtraction(pos, int(n)), src), extractOracle(src, pos); !got.Equal(want) {
+		e := CompileExtraction(pos, int(n))
+		if got, want := extractAll(e, src), extractOracle(src, pos); !got.Equal(want) {
 			t.Fatalf("n=%d k=%d %v: extraction %v, oracle %v", n, k, pos, got.Ints(), want.Ints())
+		}
+		// Scatter after gather is the identity on the compiled positions
+		// and leaves every other position of the destination alone.
+		v := plane(src, 0)
+		bg := plane(randomPlanes(int(n), 1, ^seed), 0)
+		got, want := bg.Clone(), bg.Clone()
+		e.Scatter(got, extractVector(e, v))
+		for _, i := range pos {
+			want.Set(i, v.Get(i))
+		}
+		if !got.Equal(want) {
+			t.Fatalf("n=%d %v: scatter of the gather %v, want %v", n, pos, got, want)
 		}
 	})
 }

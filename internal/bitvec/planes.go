@@ -48,14 +48,31 @@ func PlaneBits(scale int) int {
 // NewPlanes returns a zeroed Planes of n values of k bits each. It panics
 // if n is negative or k is outside [1, 32].
 func NewPlanes(n, k int) Planes {
+	stride := planesStride(n, k)
+	return Planes{n: n, k: k, stride: stride, words: make([]uint64, k*stride)}
+}
+
+// PlanesIn returns a Planes of n values of k bits backed by the first
+// k·⌈n/64⌉ words of buf, which it does not clear: the values are whatever
+// those words hold. It lets a caller carve a Planes and other words out of
+// one allocation. It panics if buf is too short, or as NewPlanes does.
+func PlanesIn(buf []uint64, n, k int) Planes {
+	stride := planesStride(n, k)
+	if len(buf) < k*stride {
+		panic(fmt.Sprintf("bitvec: %d words for %d planes of %d values", len(buf), k, n))
+	}
+	return Planes{n: n, k: k, stride: stride, words: buf[: k*stride : k*stride]}
+}
+
+// planesStride checks a Planes shape and returns its words per plane.
+func planesStride(n, k int) int {
 	if n < 0 {
 		panic("bitvec: negative length")
 	}
 	if k < 1 || k > MaxPlaneBits {
 		panic(fmt.Sprintf("bitvec: plane count %d outside [1,%d]", k, MaxPlaneBits))
 	}
-	stride := (n + wordBits - 1) / wordBits
-	return Planes{n: n, k: k, stride: stride, words: make([]uint64, k*stride)}
+	return (n + wordBits - 1) / wordBits
 }
 
 // PlanesForScale returns a zeroed Planes sized for n values in [0, scale].
@@ -160,18 +177,27 @@ func (a Planes) MaskedL1(b Planes, mask []uint64) int {
 	return a.l1(b, mask, math.MaxInt)
 }
 
-// l1 is the one L1 kernel: over the lanes that mask keeps (every lane when
+// l1 is the L1 kernel: over the lanes that mask keeps (every lane when
 // mask is nil), it returns the running total as soon as it exceeds limit
 // after a word, and the exact L1 distance otherwise. A masked word clears
 // its dropped lanes' differences and borrows after the subtract, so they
 // negate to zero; the unmasked path pays one predictable branch per word
 // for it.
+//
+// The negate pass needs the final borrow, so the subtract keeps each
+// plane's difference in a stack array. Go zeroes it on every call, a
+// fixed cost of every pair an early exit decides in a word or two, so it
+// is kept to narrowPlanes words (64 bytes, four stores); wider values
+// take l1Wide.
 func (a Planes) l1(b Planes, mask []uint64, limit int) int {
 	if a.n != b.n || a.k != b.k {
 		panic(fmt.Sprintf("bitvec: planes shape mismatch %d×%d vs %d×%d", a.n, a.k, b.n, b.k))
 	}
+	if a.k > narrowPlanes {
+		return a.l1Wide(b, mask, limit)
+	}
 	aw, bw := a.words, b.words[:len(a.words)]
-	var diff [MaxPlaneBits]uint64
+	var diff [narrowPlanes]uint64
 	total := 0
 	for wi := 0; wi < a.stride; wi++ {
 		// Plane ℓ's word wi sits at aw[ℓ·stride+wi].
@@ -179,7 +205,7 @@ func (a Planes) l1(b Planes, mask []uint64, limit int) int {
 		l := 0
 		for i := wi; i < len(aw); i += a.stride {
 			x := aw[i] ^ bw[i]
-			diff[l&(MaxPlaneBits-1)] = x ^ borrow // l < k ≤ 32; the mask drops the bounds check
+			diff[l&(narrowPlanes-1)] = x ^ borrow // l < k ≤ 8; the mask drops the bounds check
 			borrow = (^aw[i] & bw[i]) | (^x & borrow)
 			l++
 		}
@@ -198,6 +224,45 @@ func (a Planes) l1(b Planes, mask []uint64, limit int) int {
 			r := t ^ carry
 			carry = t & carry
 			total += bits.OnesCount64(r) << l
+		}
+		if total > limit {
+			break
+		}
+	}
+	return total
+}
+
+// narrowPlanes is the widest value (8 bits, rating scales up to 255) whose
+// plane differences l1 keeps on the stack.
+const narrowPlanes = 8
+
+// l1Wide is l1 for values wider than narrowPlanes bits, with no scratch:
+// each word runs the borrow chain twice, first alone for the final borrow,
+// then again, negating each plane's difference as the chain produces it.
+func (a Planes) l1Wide(b Planes, mask []uint64, limit int) int {
+	aw, bw := a.words, b.words[:len(a.words)]
+	total := 0
+	for wi := 0; wi < a.stride; wi++ {
+		keep := ^uint64(0)
+		if mask != nil {
+			keep = mask[wi]
+		}
+		var borrow uint64
+		for i := wi; i < len(aw); i += a.stride {
+			borrow = (^aw[i] & bw[i]) | (^(aw[i] ^ bw[i]) & borrow)
+		}
+		neg := borrow & keep
+		carry := neg
+		borrow = 0
+		l := 0
+		for i := wi; i < len(aw); i += a.stride {
+			x := aw[i] ^ bw[i]
+			t := (x^borrow)&keep ^ neg
+			borrow = (^aw[i] & bw[i]) | (^x & borrow)
+			r := t ^ carry
+			carry = t & carry
+			total += bits.OnesCount64(r) << l
+			l++
 		}
 		if total > limit {
 			break

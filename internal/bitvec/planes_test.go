@@ -388,3 +388,57 @@ func BenchmarkPlanesInts(b *testing.B) {
 		dst = pl.AppendInts(dst[:0])
 	}
 }
+
+// TestPlanesL1WideMatchesScalar: values wider than narrowPlanes bits take
+// the scratch-free kernel; L1, L1Within and MaskedL1 there match the
+// per-value distance on random rows, with random masks, at k = 8 (the
+// widest narrow kernel) and k ∈ {9, 16, 32}.
+func TestPlanesL1WideMatchesScalar(t *testing.T) {
+	for _, k := range []int{narrowPlanes, 9, 16, 32} {
+		for _, n := range []int{0, 1, 64, 130, 200} {
+			seed := uint64(k*1000 + n)
+			a, b := randomPlanes(n, k, seed), randomPlanes(n, k, ^seed)
+			mask := randomPlanes(n, 1, seed+1).words
+			ref, masked := 0, 0
+			for i := 0; i < n; i++ {
+				d := a.Get(i) - b.Get(i)
+				ref += max(d, -d)
+				if mask[i/64]>>(uint(i)%64)&1 == 1 {
+					masked += max(d, -d)
+				}
+			}
+			if got := a.L1(b); got != ref {
+				t.Fatalf("k=%d n=%d: L1 = %d, reference %d", k, n, got, ref)
+			}
+			if got := a.MaskedL1(b, mask); got != masked {
+				t.Fatalf("k=%d n=%d: MaskedL1 = %d, reference %d", k, n, got, masked)
+			}
+			for _, lim := range []int{-1, 0, ref - 1, ref, ref + 1} {
+				if a.L1Within(b, lim) != (ref <= lim) {
+					t.Fatalf("k=%d n=%d: L1Within(%d) disagrees with distance %d", k, n, lim, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanesIn: a Planes carved out of a caller's buffer reads and writes
+// the buffer's first k·stride words and nothing past them, and a buffer
+// too short for the shape panics.
+func TestPlanesIn(t *testing.T) {
+	buf := make([]uint64, 3*2+1)
+	pl := PlanesIn(buf, 100, 3)
+	pl.Set(99, 5)
+	if buf[1] != 1<<35 || buf[3] != 0 || buf[5] != 1<<35 || buf[6] != 0 {
+		t.Fatalf("Set(99, 5) wrote %#x", buf)
+	}
+	if pl.Stride() != 2 || pl.Get(99) != 5 || cap(pl.words) != 6 {
+		t.Fatalf("stride %d, value %d, capacity %d", pl.Stride(), pl.Get(99), cap(pl.words))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PlanesIn accepted 5 words for 3 planes of 100 values")
+		}
+	}()
+	PlanesIn(buf[:5], 100, 3)
+}

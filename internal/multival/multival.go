@@ -411,7 +411,8 @@ func selectL1(w *World, exec *par.Runner, cands [][]bitvec.Planes, rng func(p in
 }
 
 // spotCheck is player p's selection among the candidates col: it samples
-// min(m, 8·⌊ln n⌋) objects from rng into a check bitmap, probes its truth
+// min(m, 8·⌊ln n⌋) objects from rng into a check bitmap (which shares one
+// allocation with the truth planes), probes its truth
 // once per touched object word (ProbePlaneWords with the word's check
 // mask, so exactly the check objects are charged), and returns the
 // candidate with the least L1 distance to the truth on the check set
@@ -422,8 +423,10 @@ func spotCheck(w *World, p int, rng *xrand.Stream, col []bitvec.Planes) int {
 		return 0
 	}
 	m := w.M()
-	truth := bitvec.NewPlanes(m, w.k)
-	check := make([]uint64, truth.Stride())
+	// One allocation holds the check bitmap and the truth planes after it.
+	stride := (m + 63) / 64
+	buf := make([]uint64, (1+w.k)*stride)
+	check, truth := buf[:stride], bitvec.PlanesIn(buf[stride:], m, w.k)
 	rng.SampleBits(m, min(m, 8*int(core.LnN(w.N()))), check)
 	var tw [bitvec.MaxPlaneBits]uint64
 	for wi, mask := range check {

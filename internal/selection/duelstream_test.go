@@ -178,7 +178,7 @@ func TestDuelStreamMatchesSerial(t *testing.T) {
 				a := truth.Clone()
 				b := flipped(truth, xrand.New(uint64(pb.flips)*3+1), pb.flips)
 				agreeS, totalS := duelProbesSerial(ws, 0, tc.objs, a, b, rs, budget)
-				agreeB, totalB := duelProbesStream(&ctxB, a, b, rb, budget)
+				agreeB, totalB := duelProbesStream(&ctxB, a, b, a.Hamming(b), rb, budget)
 				if agreeS != agreeB || totalS != totalB {
 					t.Fatalf("%s/%s budget=%d: stream (%d,%d) != serial (%d,%d)",
 						tc.name, pb.name, budget, agreeB, totalB, agreeS, totalS)
@@ -214,7 +214,7 @@ func TestDuelStreamAllocFree(t *testing.T) {
 		b := flipped(a, xrand.New(5), 60)
 		rng := xrand.New(4)
 		if avg := testing.AllocsPerRun(50, func() {
-			duelProbesStream(&ctx, a, b, rng, 13)
+			duelProbesStream(&ctx, a, b, a.Hamming(b), rng, 13)
 		}); avg != 0 {
 			t.Fatalf("%s duel allocates %.1f times per run, want 0", name, avg)
 		}
@@ -261,7 +261,8 @@ func TestProbeCacheHoldsProbedTruth(t *testing.T) {
 		ctx := newDuelCtx(w, 0, tc.objs)
 		rng := xrand.New(3)
 		for i, flips := range []int{5, len(tc.objs) / 2, len(tc.objs) / 3, 2} {
-			duelProbesStream(&ctx, a, flipped(truth, xrand.New(uint64(i)+2), flips), rng, 12)
+			b := flipped(truth, xrand.New(uint64(i)+2), flips)
+			duelProbesStream(&ctx, a, b, a.Hamming(b), rng, 12)
 		}
 		cachedObjs := make(map[int]bool)
 		for j, o := range tc.objs {
@@ -504,4 +505,12 @@ func TestDepositMatchesPopLoop(t *testing.T) {
 			t.Fatalf("deposit(%#x, %#x) = %#x, want %#x", r, x, got, want)
 		}
 	}
+}
+
+// newDuelCtx returns player p's duel state over the object mapping objs,
+// for tests that keep a context of their own across duels.
+func newDuelCtx(w *world.World, p int, objs []int) duelCtx {
+	var ctx duelCtx
+	ctx.init(w, p, objs)
+	return ctx
 }

@@ -104,7 +104,8 @@ func RSelect(w *world.World, p int, objs []int, candidates []bitvec.Vector, rng 
 		return 0
 	}
 	budget := pairBudget(pr.SampleFactor, w.N())
-	ctx := newDuelCtx(w, p, objs)
+	var ctx duelCtx
+	ctx.init(w, p, objs)
 	alive := make([]bool, k)
 	for i := range alive {
 		alive[i] = true
@@ -164,13 +165,15 @@ type duelCtx struct {
 // tournament's probe cache stays inline in its duelCtx.
 const cacheStack = 4
 
-// newDuelCtx returns player p's duel state over the object mapping objs.
-func newDuelCtx(w *world.World, p int, objs []int) duelCtx {
-	ctx := duelCtx{bp: wordProber{pb: w.Prober(p)}, objs: objs, ident: identObjs(objs)}
+// init makes the zero ctx player p's duel state over the object mapping
+// objs. It fills the caller's context in place: a context returned by
+// value is copied whole (its bitmaps are most of a kilobyte), once per
+// tournament.
+func (ctx *duelCtx) init(w *world.World, p int, objs []int) {
+	ctx.bp.pb, ctx.objs, ctx.ident = w.Prober(p), objs, identObjs(objs)
 	if nw := (len(objs) + 63) / 64; !ctx.ident && nw > cacheStack {
 		ctx.spill = make([]uint64, 2*nw)
 	}
-	return ctx
 }
 
 // cached returns the known and val words of candidate word wi.
@@ -196,7 +199,7 @@ func identObjs(objs []int) bool {
 // duel probes up to budget objects where a and b differ and returns
 // 0 if b should be eliminated, 1 if a should be eliminated, -1 to keep both.
 func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) int {
-	agreeA, total := duelProbesStream(ctx, a, b, rng, budget)
+	agreeA, total := duelProbesStream(ctx, a, b, a.Hamming(b), rng, budget)
 	if total == 0 {
 		return -1
 	}
@@ -215,7 +218,8 @@ func duel(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) int {
 // bitmap of the same shape.
 const maxRankBitmap = 4096
 
-// duelProbesStream probes up to budget objects on which a and b differ —
+// duelProbesStream probes up to budget of the d objects on which a and b
+// differ (d is their Hamming distance, which the caller has counted) —
 // all of them when there are at most budget, otherwise a uniform distinct
 // sample — and returns how many probed objects agreed with a, plus the
 // number probed. It is the word-level duel (DESIGN.md §17): the same
@@ -224,10 +228,11 @@ const maxRankBitmap = 4096
 // 64-bit word at a time.
 //
 // The pass structure mirrors the serial oracle — the word-parallel
-// Hamming count that sizes the rank sample, then one early-exiting walk of
-// the XOR words — but each XOR word is handled whole: the sampled ranks
-// that fall inside it are cut out of the rank bitmap and deposited onto
-// its set bits (deposit), giving the word's probe mask at once. Identity
+// Hamming count that sizes the rank sample (the caller's d), then one
+// early-exiting walk of the XOR words — but each XOR word is handled
+// whole: the sampled ranks that fall inside it are cut out of the rank
+// bitmap and deposited onto its set bits (deposit), giving the word's
+// probe mask at once. Identity
 // object mappings (the final selection) fetch that mask with one bulk
 // ProbeWord and count agreements with one popcount; general mappings
 // answer already-probed positions from the tournament's cache and batch
@@ -239,8 +244,7 @@ const maxRankBitmap = 4096
 // skipping its refetch skips only a free re-probe. Coins are
 // identical because the Floyd sample is draw-for-draw the serial one and
 // no other branch consumes randomness.
-func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) (agreeA, total int) {
-	d := a.Hamming(b)
+func duelProbesStream(ctx *duelCtx, a, b bitvec.Vector, d int, rng *xrand.Stream, budget int) (agreeA, total int) {
 	if d == 0 {
 		return 0, 0
 	}
@@ -306,13 +310,14 @@ func rankBits(rank []uint64, seen, c int) uint64 {
 // deposit places the low bits of r, in order, onto the set bits of x: bit
 // k of r keeps the k-th lowest set bit of x (a pure-Go PDEP; r must have
 // no bit at or above popcount(x)). It turns the ranks sampled inside one
-// XOR word into that word's probe mask in one pass over x's set bits.
+// XOR word into that word's probe mask in one pass over x's set bits,
+// selecting each without a branch (a sampled rank is a coin flip to the
+// branch predictor). x changes with every duel, so there are no move
+// masks worth compiling, as Extraction does for a fixed list.
 func deposit(r, x uint64) (out uint64) {
 	for ; r != 0; r >>= 1 {
 		low := x & -x
-		if r&1 != 0 {
-			out |= low
-		}
+		out |= low & -(r & 1)
 		x ^= low
 	}
 	return out
@@ -416,7 +421,8 @@ func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int
 	if d < 1 {
 		d = 1
 	}
-	ctx := newDuelCtx(w, p, objs)
+	var ctx duelCtx
+	ctx.init(w, p, objs)
 	if seed != nil && !ctx.ident {
 		for wi, known := range seed.Known {
 			kw, val := ctx.cached(wi)
@@ -426,10 +432,11 @@ func Select(w *world.World, p int, objs []int, candidates []bitvec.Vector, d int
 	near := bud.keepWithin * d
 	champ := 0
 	for i := 1; i < k; i++ {
-		if candidates[champ].Hamming(candidates[i]) <= near {
+		dist := candidates[champ].Hamming(candidates[i])
+		if dist <= near {
 			continue // equally acceptable; keep the incumbent
 		}
-		if duelMajority(&ctx, candidates[champ], candidates[i], rng, bud.duel) == 1 {
+		if duelMajority(&ctx, candidates[champ], candidates[i], dist, rng, bud.duel) == 1 {
 			champ = i
 		}
 	}
@@ -450,10 +457,11 @@ type Seed struct {
 	Truth bitvec.Vector
 }
 
-// duelMajority probes up to budget differing objects and returns 0 if a
-// wins the majority, 1 if b does (ties to the incumbent a).
-func duelMajority(ctx *duelCtx, a, b bitvec.Vector, rng *xrand.Stream, budget int) int {
-	agreeA, total := duelProbesStream(ctx, a, b, rng, budget)
+// duelMajority probes up to budget of the d objects where a and b differ
+// and returns 0 if a wins the majority, 1 if b does (ties to the incumbent
+// a).
+func duelMajority(ctx *duelCtx, a, b bitvec.Vector, d int, rng *xrand.Stream, budget int) int {
+	agreeA, total := duelProbesStream(ctx, a, b, d, rng, budget)
 	if total == 0 {
 		return 0
 	}

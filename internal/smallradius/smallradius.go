@@ -13,7 +13,6 @@ package smallradius
 
 import (
 	"math"
-	"math/bits"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/par"
@@ -111,9 +110,10 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 
 	// Dishonest players publish claims; compute once.
 	dishonest := rc.DishonestPlayers()
+	g := bitvec.CompileExtraction(objs, rc.M())
 	exec.For(len(dishonest), func(i int) {
 		p := dishonest[i]
-		out[p] = rc.ReportVector(p, objs)
+		out[p] = rc.ReportVector(p, g)
 	})
 
 	honest := rc.HonestPlayers()
@@ -155,10 +155,10 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 
 		// Per-group ZeroRadius over all players, in parallel across groups.
 		type groupResult struct {
-			positions []int
-			objs      []int           // global ids, computed once per group
-			ui        []bitvec.Vector // supported candidate vectors
-			outputs   []bitvec.Vector // by player id
+			positions *bitvec.Extraction // the group's positions within objs
+			objs      []int              // global ids, computed once per group
+			ui        []bitvec.Vector    // supported candidate vectors
+			outputs   []bitvec.Vector    // by player id
 			learned   zeroradius.Learned
 		}
 		results := par.MapOn(exec, s, func(g int) groupResult {
@@ -173,22 +173,23 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 			zr, learned := zeroradius.Run(rc, allPlayers, groupObjs, budgetMultiplier*b, repRng.Split(uint64(g)), pr.ZR)
 			// U_g: vectors output by at least n/(supportDivisor·B) players.
 			ui := zeroradius.Supported(zr, float64(n)/(supportDivisor*float64(b)), 0)
-			return groupResult{positions: positions, objs: groupObjs, ui: ui, outputs: zr, learned: learned}
+			return groupResult{positions: bitvec.CompileExtraction(positions, len(objs)), objs: groupObjs, ui: ui, outputs: zr, learned: learned}
 		})
 
 		// Each honest player selects a vector per group and concatenates.
-		// The group object lists were computed once above (rebuilding them
-		// per (player, group) is pure allocation), and the per-player
-		// selection stream stays on the stack. Each Select starts from
-		// what the player's own ZeroRadius run probed in the group: its
-		// learned positions and its output's (truth) bits there.
+		// The group object lists and position lists were computed and
+		// compiled once above (rebuilding them per (player, group) is pure
+		// allocation), and the per-player selection stream stays on the
+		// stack. Each Select starts from what the player's own ZeroRadius
+		// run probed in the group: its learned positions and its output's
+		// (truth) bits there.
 		reps[rep] = par.MapOn(exec, len(honest), func(i int) bitvec.Vector {
 			p := honest[i]
 			full := bitvec.New(len(objs))
 			selRng := repRng.SplitValue(0xC0FFEE, uint64(p))
 			for g := range results {
 				res := &results[g]
-				if len(res.positions) == 0 {
+				if res.positions == nil {
 					continue
 				}
 				// With no supported candidate (assumption violated for
@@ -198,12 +199,9 @@ func Run(rc *world.Run, objs []int, d, b int, shared *xrand.Stream, pr Params) [
 					seed := selection.Seed{Known: res.learned.Row(p), Truth: chosen}
 					chosen = res.ui[selection.Select(rc.World, p, res.objs, res.ui, dGroup, &selRng, sel, &seed)]
 				}
-				// Scatter the chosen vector into full, one Set per set bit.
-				for wi := 0; wi < chosen.Words(); wi++ {
-					for x := chosen.Word(wi); x != 0; x &= x - 1 {
-						full.Set(res.positions[wi*64+bits.TrailingZeros64(x)], true)
-					}
-				}
+				// Scatter the chosen vector into full through the group's
+				// compiled positions, one expand per run.
+				res.positions.Scatter(full, chosen)
 			}
 			return full
 		})

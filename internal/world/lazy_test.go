@@ -171,3 +171,67 @@ func TestLazyWorldWordMaskPanics(t *testing.T) {
 		}
 	}
 }
+
+// orderedLiar reports the opposite of the truth without probing and
+// records the objects it is asked about, in order.
+type orderedLiar struct{ asked *[]int }
+
+func (l orderedLiar) Report(rc *Run, p, o int) bool {
+	*l.asked = append(*l.asked, o)
+	return !rc.PeekTruth(p, o)
+}
+
+// TestReportVectorMatchesPerObject pins ReportVector over a compiled list
+// against the per-object reports it replaced, on dense and lazy worlds:
+// for honest players the same truth bits and the same per-player probe
+// counts as one Probe per object, for dishonest players their behavior's
+// reports, asked once per entry in list order, with nothing charged.
+func TestReportVectorMatchesPerObject(t *testing.T) {
+	lists := [][]int{
+		{299, 0, 64, 63, 128, 5, 200},   // unsorted, crossing words
+		{7, 7, 70, 7, 70, 70},           // duplicates, revisited words
+		{64, 65, 66, 127, 128, 129, 10}, // word-boundary runs
+		{},
+	}
+	var long []int
+	for o := 3; o < 300; o += 5 {
+		long = append(long, o)
+	}
+	lists = append(lists, long)
+	const liar = 4
+	for _, lazy := range []bool{false, true} {
+		worlds := [2]*World{}
+		asked := [2][]int{}
+		for i := range worlds {
+			dw, lw := lazyDensePair(11, 6, 300, 3, 12)
+			worlds[i] = dw
+			if lazy {
+				worlds[i] = lw
+			}
+			worlds[i].SetBehavior(liar, orderedLiar{&asked[i]})
+		}
+		compiled, oracle := NewRun(worlds[0]), NewRun(worlds[1])
+		for li, objs := range lists {
+			g := bitvec.CompileExtraction(objs, 300)
+			for p := 0; p < compiled.N(); p++ {
+				asked[0], asked[1] = asked[0][:0], asked[1][:0]
+				got := compiled.ReportVector(p, g)
+				want := bitvec.New(len(objs))
+				for j, o := range objs {
+					want.Set(j, oracle.Report(p, o))
+				}
+				if !got.Equal(want) {
+					t.Fatalf("lazy=%v list %d p=%d: ReportVector %v, per-object %v", lazy, li, p, got, want)
+				}
+				if fmt.Sprint(asked[0]) != fmt.Sprint(asked[1]) {
+					t.Fatalf("lazy=%v list %d: liar asked %v, per-object order %v", lazy, li, asked[0], asked[1])
+				}
+			}
+		}
+		for p := 0; p < compiled.N(); p++ {
+			if a, b := compiled.Probes(p), oracle.Probes(p); a != b || (p == liar) != (a == 0) {
+				t.Fatalf("lazy=%v player %d charged %d, per-object %d", lazy, p, a, b)
+			}
+		}
+	}
+}

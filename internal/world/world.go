@@ -141,22 +141,25 @@ func (rc *Run) Exec() *par.Runner {
 // the context of this run.
 func (rc *Run) Report(p, o int) bool { return rc.behaviors[p].Report(rc, p, o) }
 
-// ReportVector returns player p's reports for the given objects as a vector
-// indexed like objs (bit j corresponds to objs[j]). For honest players this
-// probes every listed object — on the word-level bulk path (ProbeVector),
-// which charges identically to per-object probing. Dishonest players are
-// asked per object, since their behaviors decide each report.
-func (rc *Run) ReportVector(p int, objs []int) bitvec.Vector {
-	if rc.honest[p] {
-		return rc.ProbeVector(p, objs)
+// ReportVector returns player p's reports for the objects of the compiled
+// list g, as a vector indexed like g's positions. Each run of g (one
+// object word, ascending objects) is fetched whole with ReportWord and
+// moved into place with one compress (Extraction.ExtractWord). An honest
+// player's fetch is one charged ProbeWord, which charges identically to
+// per-object probes; a dishonest player is asked per object through its
+// behavior, which over the runs in order is list order.
+// Positions were range-checked when g was compiled, against a source
+// length this world must have.
+func (rc *Run) ReportVector(p int, g *bitvec.Extraction) bitvec.Vector {
+	if g.SourceLen() != rc.m {
+		panic(fmt.Sprintf("world: list compiled for %d objects, world has %d", g.SourceLen(), rc.m))
 	}
-	v := bitvec.New(len(objs))
-	for j, o := range objs {
-		if rc.Report(p, o) {
-			v.Set(j, true)
-		}
+	out := bitvec.New(g.Len())
+	for r := range g.Runs() {
+		wi, mask := g.Run(r)
+		g.ExtractWord(out, r, rc.ReportWord(p, wi, mask))
 	}
-	return v
+	return out
 }
 
 // ReportWord returns player p's reports for the objects whose bits are set
@@ -273,52 +276,6 @@ func (pr *Prober) ProbeWord(wi int, mask uint64) uint64 {
 	}
 	chargeWord(pr.memo, pr.probes, wi, mask)
 	return pr.src.TruthBits(pr.p, wi, mask)
-}
-
-// ProbeVector probes, as player p, every object in objs and returns the
-// true preferences as a vector indexed like objs (bit j is the truth for
-// objs[j]). Runs of objects sharing a 64-bit word — the common case, since
-// protocol object lists are sorted — collapse into single ProbeWord calls
-// whose returned truth bits fill the run's outputs, so truth is read once
-// per run and the only allocation is the returned vector. One pass over
-// objs range-checks each object once and probes a run when the next word
-// starts. Probe charging is identical to calling Probe per object.
-func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
-	out := bitvec.New(len(objs))
-	start, wi, mask := 0, -1, uint64(0)
-	for j, o := range objs {
-		if ow := w.objectWord(o); ow != wi {
-			w.probeRun(p, wi, mask, objs[start:j], out, start)
-			start, wi, mask = j, ow, 0
-		}
-		mask |= 1 << (uint(o) % 64)
-	}
-	w.probeRun(p, wi, mask, objs[start:], out, start)
-	return out
-}
-
-// probeRun probes one of ProbeVector's runs — the objects run, all in
-// object word wi, whose bits make up mask — and sets their truth bits in
-// out from position at on. An empty run (mask 0) probes nothing.
-func (w *World) probeRun(p, wi int, mask uint64, run []int, out bitvec.Vector, at int) {
-	if mask == 0 {
-		return
-	}
-	truth := w.ProbeWord(p, wi, mask)
-	for k, o := range run {
-		if truth>>(uint(o)%64)&1 == 1 {
-			out.Set(at+k, true)
-		}
-	}
-}
-
-// objectWord returns the object word holding o, panicking on an
-// out-of-range object.
-func (w *World) objectWord(o int) int {
-	if o < 0 || o >= w.m {
-		panic(fmt.Sprintf("world: object %d out of range [0,%d)", o, w.m))
-	}
-	return o / 64
 }
 
 // PeekTruth returns v(p)_o without charging a probe. It exists for the

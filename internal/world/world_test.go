@@ -124,7 +124,7 @@ func TestReportDishonestLies(t *testing.T) {
 
 func TestReportVector(t *testing.T) {
 	w := twoByThree()
-	v := NewRun(w).ReportVector(0, []int{2, 0})
+	v := NewRun(w).ReportVector(0, bitvec.CompileExtraction([]int{2, 0}, w.M()))
 	// objs[0]=2 → truth 1; objs[1]=0 → truth 1
 	if !v.Get(0) || !v.Get(1) || v.Len() != 2 {
 		t.Fatalf("ReportVector = %v", v)
@@ -139,7 +139,7 @@ func TestReportVector(t *testing.T) {
 func TestReportVectorDishonest(t *testing.T) {
 	w := twoByThree()
 	w.SetBehavior(1, liar{})
-	v := NewRun(w).ReportVector(1, []int{2, 0, 1})
+	v := NewRun(w).ReportVector(1, bitvec.CompileExtraction([]int{2, 0, 1}, w.M()))
 	// truth of player 1 on objects 2, 0, 1 is 1, 0, 1; the liar flips it.
 	if v.Len() != 3 || v.Get(0) || !v.Get(1) || v.Get(2) {
 		t.Fatalf("dishonest ReportVector = %v", v)
@@ -463,6 +463,52 @@ func TestProberMatchesProbeWord(t *testing.T) {
 	}
 }
 
+// ProbeVector probes, as player p, every object in objs and returns the
+// true preferences as a vector indexed like objs (bit j is the truth for
+// objs[j]). It is the uncompiled oracle of an honest ReportVector. Runs of objects sharing a 64-bit word — the common case, since
+// protocol object lists are sorted — collapse into single ProbeWord calls
+// whose returned truth bits fill the run's outputs, so truth is read once
+// per run and the only allocation is the returned vector. One pass over
+// objs range-checks each object once and probes a run when the next word
+// starts. Probe charging is identical to calling Probe per object.
+func (w *World) ProbeVector(p int, objs []int) bitvec.Vector {
+	out := bitvec.New(len(objs))
+	start, wi, mask := 0, -1, uint64(0)
+	for j, o := range objs {
+		if ow := w.objectWord(o); ow != wi {
+			w.probeRun(p, wi, mask, objs[start:j], out, start)
+			start, wi, mask = j, ow, 0
+		}
+		mask |= 1 << (uint(o) % 64)
+	}
+	w.probeRun(p, wi, mask, objs[start:], out, start)
+	return out
+}
+
+// probeRun probes one of ProbeVector's runs — the objects run, all in
+// object word wi, whose bits make up mask — and sets their truth bits in
+// out from position at on. An empty run (mask 0) probes nothing.
+func (w *World) probeRun(p, wi int, mask uint64, run []int, out bitvec.Vector, at int) {
+	if mask == 0 {
+		return
+	}
+	truth := w.ProbeWord(p, wi, mask)
+	for k, o := range run {
+		if truth>>(uint(o)%64)&1 == 1 {
+			out.Set(at+k, true)
+		}
+	}
+}
+
+// objectWord returns the object word holding o, panicking on an
+// out-of-range object.
+func (w *World) objectWord(o int) int {
+	if o < 0 || o >= w.m {
+		panic(fmt.Sprintf("world: object %d out of range [0,%d)", o, w.m))
+	}
+	return o / 64
+}
+
 // TestProbeVectorMatchesReportVector: the bulk vector probe must agree
 // with per-object probing on scattered, unsorted object lists, and charge
 // identically.
@@ -488,23 +534,34 @@ func TestProbeVectorMatchesReportVector(t *testing.T) {
 	}
 }
 
-// TestProbeVectorOutOfRange: an out-of-range object panics with the
-// object's own message, after the runs before it were probed and before
-// the run it would end is: on {3, 5, 70, m+2} objects 3 and 5 are
-// charged, 70 is not.
-func TestProbeVectorOutOfRange(t *testing.T) {
+// TestReportVectorOutOfRange: an out-of-range object panics while its
+// list is compiled, with a message naming it, before any probe is charged
+// (the uncompiled ProbeVector charged the runs before it).
+func TestReportVectorOutOfRange(t *testing.T) {
 	const m = 300
 	w := New(randTruth(1, m, 22))
 	defer func() {
-		want := fmt.Sprintf("world: object %d out of range [0,%d)", m+2, m)
+		want := fmt.Sprintf("bitvec: position %d out of range [0,%d)", m+2, m)
 		if r := recover(); r != want {
 			t.Fatalf("panic %v, want %q", r, want)
 		}
-		if got := w.Probes(0); got != 2 {
-			t.Fatalf("charged %d probes before the panic, want 2", got)
+		if got := w.Probes(0); got != 0 {
+			t.Fatalf("charged %d probes before the panic, want 0", got)
 		}
 	}()
-	w.ProbeVector(0, []int{3, 5, 70, m + 2})
+	NewRun(w).ReportVector(0, bitvec.CompileExtraction([]int{3, 5, 70, m + 2}, m))
+}
+
+// TestReportVectorRefusesForeignList: a list compiled for another object
+// count panics before any probe is charged.
+func TestReportVectorRefusesForeignList(t *testing.T) {
+	w := New(randTruth(1, 300, 23))
+	defer func() {
+		if recover() == nil || w.Probes(0) != 0 {
+			t.Fatalf("no panic, or %d probes charged", w.Probes(0))
+		}
+	}()
+	NewRun(w).ReportVector(0, bitvec.CompileExtraction([]int{3}, 200))
 }
 
 // TestProbeWordAllocFree: the bulk-probe hot path must not allocate

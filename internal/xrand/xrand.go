@@ -121,15 +121,21 @@ func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with n <= 0")
 	}
-	// Lemire's multiply-shift rejection method for unbiased bounded ints.
-	bound := uint64(n)
 	for {
-		x := s.Uint64()
-		hi, lo := bits.Mul64(x, bound)
-		if lo >= bound || lo >= (-bound)%bound {
-			return int(hi)
+		if v, ok := lemire(s.Uint64(), uint64(n)); ok {
+			return int(v)
 		}
 	}
+}
+
+// lemire is one step of Lemire's multiply-shift rejection method for
+// unbiased bounded ints: it maps the 64-bit draw x to v in [0, bound) and
+// reports whether x is accepted. A rejected draw (one of the 2⁶⁴ mod bound
+// lowest products) is discarded and the caller draws again. The modulo is
+// computed only for the rare products whose low half falls below bound.
+func lemire(x, bound uint64) (v uint64, ok bool) {
+	hi, lo := bits.Mul64(x, bound)
+	return hi, lo >= bound || lo >= (-bound)%bound
 }
 
 // Float64 returns a uniform float in [0,1).
@@ -199,6 +205,11 @@ func (s *Stream) Sample(n, k int) []int {
 // ascending order is bit order, so there is no set to keep or list to
 // sort. (Floyd's invariant makes the fallback value j always fresh:
 // earlier draws were bounded by earlier, smaller j.)
+//
+// The loop keeps the stream state in a local variable and takes Floyd's
+// fallback without a branch (t += (j−t) & −hit, with hit the bit already
+// set at t), so the only branch left per draw is Lemire's rarely taken
+// rejection.
 func (s *Stream) SampleBits(n, k int, dst []uint64) {
 	dst = dst[:(n+63)/64]
 	clear(dst)
@@ -208,13 +219,18 @@ func (s *Stream) SampleBits(n, k int, dst []uint64) {
 		}
 		return
 	}
-	for j := n - max(k, 0); j < n; j++ {
-		t := s.Intn(j + 1)
-		if dst[t>>6]>>(uint(t)&63)&1 != 0 {
-			t = j
+	st := s.state
+	for j := uint64(n - max(k, 0)); j < uint64(n); j++ {
+		var t uint64
+		for ok := false; !ok; {
+			st += golden
+			t, ok = lemire(finalize(st), j+1)
 		}
-		dst[t>>6] |= 1 << (uint(t) & 63)
+		hit := dst[t>>6] >> (t & 63) & 1
+		t += (j - t) & -hit
+		dst[t>>6] |= 1 << (t & 63)
 	}
+	s.state = st
 }
 
 // SampleFrom returns k distinct uniform elements of the given slice,

@@ -503,3 +503,79 @@ func TestSampleBitsMatchesSample(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSampleBits: the bitmap Floyd equals Sample draw for draw — the same
+// set and the same next Uint64 — for n ∈ [0, 4096] and any k, negative k
+// and k > n included.
+func FuzzSampleBits(f *testing.F) {
+	f.Add(uint64(1), uint16(16), int16(10))
+	f.Add(uint64(2), uint16(2048), int16(56))
+	f.Add(uint64(3), uint16(0), int16(0))
+	f.Add(uint64(4), uint16(64), int16(-3))
+	f.Add(uint64(5), uint16(100), int16(300))
+	f.Fuzz(func(t *testing.T, seed uint64, nSel uint16, k16 int16) {
+		n, k := int(nSel)%4097, int(k16)
+		a := New(seed)
+		b := a.Clone()
+		want := a.Sample(n, k)
+		dst := make([]uint64, (n+63)/64)
+		for i := range dst {
+			dst[i] = ^uint64(0)
+		}
+		b.SampleBits(n, k, dst)
+		var got []int
+		for wi, x := range dst {
+			for ; x != 0; x &= x - 1 {
+				got = append(got, wi*64+bits.TrailingZeros64(x))
+			}
+		}
+		if len(got) != len(want) || (len(got) > 0 && !slices.Equal(got, want)) {
+			t.Fatalf("n=%d k=%d: SampleBits %v, Sample %v", n, k, got, want)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d k=%d: next draw differs", n, k)
+		}
+	})
+}
+
+// TestLemire: the shared rejection step accepts and maps like Lemire's
+// method. A draw of 0 lands on product 0, below 2⁶⁴ mod bound for any
+// bound that is not a power of two, so it is rejected; for a power of two
+// nothing is rejected and the value is the draw's top bits.
+func TestLemire(t *testing.T) {
+	for _, bound := range []uint64{3, 5, 6, 1000, 1<<40 + 1} {
+		if _, ok := lemire(0, bound); ok {
+			t.Errorf("lemire(0, %d) accepted; 2⁶⁴ mod %d = %d", bound, bound, -bound%bound)
+		}
+	}
+	for _, bound := range []uint64{1, 2, 64, 1 << 40} {
+		for _, x := range []uint64{0, 1, 1 << 63, ^uint64(0)} {
+			v, ok := lemire(x, bound)
+			if want, _ := bits.Mul64(x, bound); !ok || v != want {
+				t.Errorf("lemire(%#x, %d) = %d, %v; want %d, accepted", x, bound, v, ok, want)
+			}
+		}
+	}
+	// An accepted draw maps to hi(x·bound) < bound.
+	if v, ok := lemire(^uint64(0), 3); !ok || v != 2 {
+		t.Errorf("lemire(2⁶⁴−1, 3) = %d, %v; want 2, accepted", v, ok)
+	}
+	// Intn skips a rejected draw and returns the next accepted one. For
+	// bound 2⁶²+1 a quarter of all draws are rejected (2⁶⁴ mod bound is
+	// 2⁶²−3), so a stream soon reaches one.
+	const big = 1<<62 + 1
+	s := New(0)
+	for i := 0; ; i++ {
+		if _, ok := lemire(s.At(0), big); !ok {
+			break
+		}
+		s.Skip(1)
+		if i > 1000 {
+			t.Fatal("no rejected draw in 1000 for bound 2⁶²+1")
+		}
+	}
+	next, ok := lemire(s.At(1), big)
+	if got := s.Intn(big); !ok || uint64(got) != next {
+		t.Errorf("Intn(2⁶²+1) = %d after a rejected draw, want %d from the draw after it", got, next)
+	}
+}

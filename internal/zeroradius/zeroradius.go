@@ -143,15 +143,21 @@ func (z *zr) run(P, rows, objs, pos []int, shared *xrand.Stream, out []bitvec.Ve
 	rc := z.rc
 	exec := rc.Exec()
 	if len(P) <= z.basePlayers || len(objs) <= z.baseObjects {
-		// Base case: every player reports every object directly; an
-		// honest report is a probe, so it learns every position.
+		// Base case: every player reports every object directly, through
+		// the leaf's objects compiled once; an honest report is a probe,
+		// so it learns every position, all of them set in the leaf's mask.
+		g := bitvec.CompileExtraction(objs, rc.M())
+		leaf := make([]uint64, z.learned.stride)
+		for k := range objs {
+			j := topOf(pos, k)
+			leaf[j>>6] |= 1 << (uint(j) & 63)
+		}
 		exec.For(len(P), func(i int) {
-			out[i] = rc.ReportVector(P[i], objs)
+			out[i] = rc.ReportVector(P[i], g)
 			if rc.IsHonest(P[i]) {
 				row := z.learned.Row(topOf(rows, i))
-				for k := range objs {
-					j := topOf(pos, k)
-					row[j>>6] |= 1 << (uint(j) & 63)
+				for wi, x := range leaf {
+					row[wi] |= x
 				}
 			}
 		})
@@ -197,17 +203,20 @@ func (z *zr) run(P, rows, objs, pos []int, shared *xrand.Stream, out []bitvec.Ve
 	cross0 := z.crossFill(p0, r0, o1, q1, sub1) // P0 learns O1
 	cross1 := z.crossFill(p1, r1, o0, q0, sub0) // P1 learns O0
 
-	// Assemble full vectors over objs for every player.
-	assemble := func(at []int, own []bitvec.Vector, ownPos []int, cross []bitvec.Vector, crossPos []int) {
+	// Assemble full vectors over objs for every player: the two position
+	// halves are compiled once, and each player's vector is two scatters
+	// of a word-level expand per run.
+	h0, h1 := bitvec.CompileExtraction(j0, len(objs)), bitvec.CompileExtraction(j1, len(objs))
+	assemble := func(at []int, own []bitvec.Vector, ownPos *bitvec.Extraction, cross []bitvec.Vector, crossPos *bitvec.Extraction) {
 		exec.For(len(at), func(i int) {
 			v := bitvec.New(len(objs))
-			v.Scatter(ownPos, own[i])
-			v.Scatter(crossPos, cross[i])
+			ownPos.Scatter(v, own[i])
+			crossPos.Scatter(v, cross[i])
 			out[at[i]] = v
 		})
 	}
-	assemble(i0, sub0, j0, cross0, j1)
-	assemble(i1, sub1, j1, cross1, j0)
+	assemble(i0, sub0, h0, cross0, h1)
+	assemble(i1, sub1, h1, cross1, h0)
 }
 
 // topOf returns the top call's index of local index i under the map xs
@@ -372,12 +381,13 @@ func (z *zr) crossFill(learners, rows, objs, pos []int, pub []bitvec.Vector) []b
 	rc := z.rc
 	cands := Supported(pub, float64(len(pub))/(voteDivisor*float64(z.bPrime)), 2*z.bPrime)
 	tree := newElimTree(cands)
+	g := bitvec.CompileExtraction(objs, rc.M()) // the dishonest learners' report list
 	return par.MapOn(rc.Exec(), len(learners), func(i int) bitvec.Vector {
 		p := learners[i]
 		if !rc.IsHonest(p) {
 			// A dishonest player publishes its strategy's claims rather
 			// than running the elimination loop.
-			return rc.ReportVector(p, objs)
+			return rc.ReportVector(p, g)
 		}
 		return tree.walk(rc, p, objs, z.learned.Row(rows[i]), pos)
 	})
