@@ -265,6 +265,36 @@ func BenchmarkFrozenMajorityWord(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkFrozenMedianWords is BenchmarkFrozenMajorityWord's rating
+// sibling: one 64-object lower median over 64 voters per op on a
+// three-plane board (a 0..5 scale), bit-serial over the planes.
+func BenchmarkFrozenMedianWords(b *testing.B) {
+	const n, m, k = 64, 4096, 3
+	bd := board.NewPlanes(n, m, k)
+	rng := xrand.New(5)
+	vals := make([]uint64, k)
+	for p := 0; p < n; p++ {
+		for wi := 0; wi < m/64; wi++ {
+			for l := range vals {
+				vals[l] = rng.Uint64()
+			}
+			bd.WritePlanes(p, wi, rng.Uint64(), vals)
+		}
+	}
+	f := bd.Freeze()
+	players := make([]int, n)
+	for i := range players {
+		players[i] = i
+	}
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		f.MedianWords(i%(m/64), players, vals)
+		sink += vals[0]
+	}
+	_ = sink
+}
+
 // BenchmarkProbeThroughput measures the concurrent probe path (per-player
 // memoized counters) under parallel load.
 func BenchmarkProbeThroughput(b *testing.B) {

@@ -368,9 +368,8 @@ type Report struct {
 	// honest-randomness runs).
 	Reps []RepetitionInfo
 	// CommWrites / CommReads account bulletin-board traffic in the
-	// work-sharing phases (§8's communication-cost question) of the binary
-	// protocols. The rating protocol gathers its median reports without
-	// the binary board, so for ratings 0 means not measured.
+	// work-sharing phases (§8's communication-cost question). The AASP
+	// baseline shares nothing, so its traffic is 0.
 	CommWrites int64
 	CommReads  int64
 	// Iterations holds per-diameter-guess statistics: the single doubling

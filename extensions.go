@@ -147,6 +147,10 @@ type RatingReport struct {
 	// HonestLeaders / Repetitions report election outcomes (Byzantine runs).
 	HonestLeaders int
 	Repetitions   int
+	// CommWrites / CommReads account the bulletin-board traffic of the
+	// work-sharing phases, as Report's do.
+	CommWrites int64
+	CommReads  int64
 	// NumClusters holds the per-diameter-guess cluster counts of the run
 	// (for Byzantine runs: of the last honest-leader repetition; empty when
 	// every leader was dishonest).
@@ -191,6 +195,8 @@ func (rs *RatingSimulation) report(res *multival.Result) *RatingReport {
 		TotalProbes:   rs.w.TotalProbes(),
 		HonestLeaders: res.HonestLeaders,
 		Repetitions:   res.Repetitions,
+		CommWrites:    res.BoardWrites,
+		CommReads:     res.BoardReads,
 		NumClusters:   clusters,
 		Outputs:       rows,
 	}

@@ -141,6 +141,22 @@ func TestBudgetsReportBoardTraffic(t *testing.T) {
 	}
 }
 
+// TestRatingsReportBoardTraffic: the rating protocol shares its probing
+// through the bulletin board, so both its report shapes count board writes
+// and reads, and the Report a sweep records carries the RatingReport's.
+func TestRatingsReportBoardTraffic(t *testing.T) {
+	sc := Scenario{Config: Config{Players: 256, Seed: 105, FixedDiameter: 16}, ClusterSize: 32, Diameter: 16,
+		Scale: 5, Dishonest: 256 / 24, Strategy: Exaggerators, Protocol: ProtoRatings}
+	rr := sc.ratingSimulation().RunByzantine(0)
+	if rr.CommWrites == 0 || rr.CommReads == 0 {
+		t.Fatalf("RatingReport board traffic %d writes, %d reads; want both > 0", rr.CommWrites, rr.CommReads)
+	}
+	rep := sc.Run()
+	if rep.CommWrites != rr.CommWrites || rep.CommReads != rr.CommReads {
+		t.Fatalf("Report board traffic (%d,%d), RatingReport (%d,%d)", rep.CommWrites, rep.CommReads, rr.CommWrites, rr.CommReads)
+	}
+}
+
 // TestBaselineOffLadderDiameter: the AASP baseline runs core's ladder, so a
 // fixed diameter that is not a power of two runs exactly that guess — the
 // run probes, its error stays within SmallRadius's 5·D, and its report

@@ -61,7 +61,7 @@ func goldenCases() []goldenCase {
 			name: "ratings/exaggerators",
 			sc: Scenario{Config: Config{Players: n, Seed: 105, FixedDiameter: 16}, ClusterSize: 32, Diameter: 16,
 				Scale: 5, Dishonest: n / 24, Strategy: Exaggerators, Protocol: ProtoRatings},
-			want: "0646e0e9eda36cd5418650faaccb7a218f7f60ed55256b4e6b7e2e1f0e2c9353",
+			want: "4b71c5e8c6e0c43849d30d379cb34b7faf60eb3d271019b96ec99dff7025bd2d",
 		},
 		{
 			name: "run/multi-guess",
@@ -74,7 +74,7 @@ func goldenCases() []goldenCase {
 			sc: Scenario{Config: Config{Players: n, Seed: 107}, ClusterSize: 32, Diameter: 16,
 				Scale: 5, Protocol: ProtoRatings},
 			minD: 8, maxD: 64, trusted: true,
-			want: "4a3d954e906e5970c59caad10bcc6f27b2b194c2abb062a5485b18555dec90ca",
+			want: "c64625e44e6c2d2e6cbf5500339e68a5eed5b584e82b8ab826ac040c83959374",
 		},
 		{
 			name: "baseline/off-ladder",

@@ -72,12 +72,6 @@ func (v Vector) SetWord(wi int, w uint64) {
 	v.words[wi] = w & v.WordMask(wi)
 }
 
-// OrWord ORs the given bits into backing word wi, masking off bits past
-// Len. It panics if wi is out of range.
-func (v Vector) OrWord(wi int, w uint64) {
-	v.words[wi] |= w & v.WordMask(wi)
-}
-
 // WordMask returns the mask of valid (in-range) bits for backing word wi:
 // all ones except in the final word of a vector whose length is not a
 // multiple of 64. It panics if wi is out of range.

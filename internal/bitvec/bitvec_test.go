@@ -299,7 +299,7 @@ func TestStringTruncation(t *testing.T) {
 }
 
 // TestWordOps covers the word-level accessors the bulk probe and board
-// tally paths are built on: Word/SetWord/OrWord round-trips, tail masking,
+// tally paths are built on: Word/SetWord round-trips, tail masking,
 // and WordMask shapes.
 func TestWordOps(t *testing.T) {
 	v := New(130) // three words, 2-bit tail
@@ -316,10 +316,6 @@ func TestWordOps(t *testing.T) {
 	}
 	if v.Count() != bitsOn(0xDEADBEEF)+2 {
 		t.Fatalf("Count = %d after SetWord", v.Count())
-	}
-	v.OrWord(0, 0x10)
-	if v.Word(0) != 0xDEADBEEF|0x10 {
-		t.Fatalf("OrWord result = %#x", v.Word(0))
 	}
 	if v.WordMask(0) != ^uint64(0) || v.WordMask(2) != 0b11 {
 		t.Fatalf("WordMask = %#x, %#x", v.WordMask(0), v.WordMask(2))
@@ -451,7 +447,6 @@ func TestWordOpsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		sink = a.Word(3)
 		a.SetWord(3, sink|0xFF)
-		a.OrWord(4, 0xF0)
 		sink = a.WordMask(15)
 		sinkI = a.FirstDiff(b)
 		sinkI += a.Hamming(b)

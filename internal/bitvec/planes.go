@@ -96,6 +96,15 @@ func (pl Planes) SetPlaneWord(l, wi int, w uint64) {
 	pl.words[l*pl.stride+wi] = w & pl.wordMask(wi)
 }
 
+// Plane returns plane ℓ as a Vector sharing pl's storage: bit i of the
+// Vector is bit ℓ of value i, and writes through either show in both.
+func (pl Planes) Plane(l int) Vector {
+	if l < 0 || l >= pl.k {
+		panic(fmt.Sprintf("bitvec: plane %d outside [0,%d)", l, pl.k))
+	}
+	return Vector{n: pl.n, words: pl.words[l*pl.stride : (l+1)*pl.stride : (l+1)*pl.stride]}
+}
+
 // wordMask returns the valid-bit mask for word wi of any plane.
 func (pl Planes) wordMask(wi int) uint64 {
 	if wi == pl.stride-1 && pl.n%wordBits != 0 {

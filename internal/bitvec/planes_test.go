@@ -277,6 +277,37 @@ func TestPlanesWordLevelAccess(t *testing.T) {
 	}
 }
 
+// TestPlanesPlaneView: Plane(ℓ) is plane ℓ's bits as a Vector over the
+// same storage, and an out-of-range plane panics.
+func TestPlanesPlaneView(t *testing.T) {
+	const n, scale = 70, 5
+	pl := PlanesForScale(n, scale)
+	for i := 0; i < n; i++ {
+		pl.Set(i, i%(scale+1))
+	}
+	for l := 0; l < pl.Bits(); l++ {
+		v := pl.Plane(l)
+		if v.Len() != n {
+			t.Fatalf("plane %d has length %d", l, v.Len())
+		}
+		for i := 0; i < n; i++ {
+			if v.Get(i) != (pl.Get(i)>>l&1 == 1) {
+				t.Fatalf("plane %d bit %d differs", l, i)
+			}
+		}
+	}
+	pl.Plane(1).Set(0, true)
+	if pl.Get(0) != 2 {
+		t.Fatalf("write through the view: value %d, want 2", pl.Get(0))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("plane past Bits did not panic")
+		}
+	}()
+	pl.Plane(pl.Bits())
+}
+
 func TestAtomicTestAndSet(t *testing.T) {
 	a := NewAtomic(130)
 	if a.TestAndSet(129) {

@@ -15,38 +15,39 @@
 package board
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"collabscore/internal/bitvec"
 )
 
 // Board is a concurrent bulletin board over n players and m objects.
-// Entries are (player, object) → bit. Writing is idempotent per cell: the
-// first write wins, matching the model where an honest player publishes the
-// result of a probe once (re-publishing the same truth is harmless, and a
-// dishonest player gains nothing by flip-flopping because honest readers
-// snapshot).
+// Entries are (player, object) → a k-bit value, stored as k bit-planes (the
+// binary protocols' board is k = 1: one bit per entry). Writing is
+// idempotent per cell: the first write wins across all k planes, matching
+// the model where an honest player publishes the result of a probe once
+// (re-publishing the same truth is harmless, and a dishonest player gains
+// nothing by flip-flopping because honest readers snapshot).
 //
-// A board alternates between a publish phase (concurrent WriteWord calls,
+// A board alternates between a publish phase (concurrent WritePlanes calls,
 // each taking its lane's lock) and a tally phase. Calling Freeze at the
 // barrier between them seals the board and returns an immutable view whose
 // reads need no locks at all — the cheap fan-out read path of the
 // work-sharing tally (DESIGN.md §7).
 type Board struct {
-	n, m   int
-	lanes  []lane
+	n, m, k int
+	words   int // object words per lane, ⌈m/64⌉
+	// slab holds every lane: player p's object word wi is the 1+k words
+	// from cell(p, wi), its written mask and then its k value planes, so a
+	// write or a tally touches one stretch of memory per lane word.
+	slab   []uint64
+	locks  []sync.Mutex // one per lane
 	sealed atomic.Bool
 	writes counter
 	reads  counter
-}
-
-// lane is one player's region of the board.
-type lane struct {
-	mu      sync.Mutex
-	written bitvec.Vector
-	values  bitvec.Vector
 }
 
 // numStripes is the number of counter stripes; a power of two so the stripe
@@ -54,14 +55,11 @@ type lane struct {
 // repository targets.
 const numStripes = 32
 
-// counter is a striped event counter. Each board belongs to one work-sharing
-// phase of one protocol run, but within that phase the parallel loop hammers
-// the write/read totals from every worker goroutine at once, so a single atomic
-// word becomes a cache-line ping-pong hotspot (and with concurrent Byzantine
-// repetitions, every core is busy doing the same to its own repetition's
-// board). Each stripe lives on its own cache line; callers spread increments
-// by lane id and totals are summed on read (counts only need to be exact
-// between phases, which is when anyone reads them).
+// counter is a striped event counter: a share's parallel loop updates the
+// write/read totals from every worker at once, and one atomic word would
+// bounce its cache line between them. Each stripe has its own cache line;
+// callers spread increments by lane id, and totals are summed on read
+// (counts need only be exact between phases, when anyone reads them).
 type counter struct {
 	stripes [numStripes]paddedCount
 }
@@ -86,15 +84,56 @@ func (c *counter) total() int64 {
 	return t
 }
 
-// New creates an empty board for n players and m objects.
-func New(n, m int) *Board {
-	b := &Board{n: n, m: m, lanes: make([]lane, n)}
-	for i := range b.lanes {
-		b.lanes[i].written = bitvec.New(m)
-		b.lanes[i].values = bitvec.New(m)
+// New creates an empty one-plane board for n players and m objects: the
+// binary protocols' board, NewPlanes(n, m, 1).
+func New(n, m int) *Board { return NewPlanes(n, m, 1) }
+
+// NewPlanes creates an empty board for n players and m objects whose
+// values are k bit-planes wide, backed by one slab of n·(1+k)·⌈m/64⌉
+// words: the spare slab, cleared, if it is about that size, else a fresh
+// one. It panics if k is outside [1, bitvec.MaxPlaneBits].
+func NewPlanes(n, m, k int) *Board {
+	if k < 1 || k > bitvec.MaxPlaneBits {
+		panic(fmt.Sprintf("board: plane count %d outside [1,%d]", k, bitvec.MaxPlaneBits))
 	}
-	return b
+	words := (m + 63) / 64
+	size := n * words * (1 + k)
+	spare.Lock()
+	free := spare.slab.Value()
+	spare.slab = weak.Pointer[[]uint64]{}
+	spare.Unlock()
+	var slab []uint64
+	if free != nil && cap(*free) >= size && cap(*free) <= 2*size {
+		slab = (*free)[:size]
+		clear(slab)
+	} else {
+		slab = make([]uint64, size)
+	}
+	return &Board{n: n, m: m, k: k, words: words, slab: slab, locks: make([]sync.Mutex, n)}
 }
+
+// spare points at the slab of the last board released, unless a board has
+// taken it since. Reusing a slab that is still mapped and cached costs a
+// clear instead of a fresh slab's page faults and cache misses on first
+// writes. The pointer is weak, so the spare is not live memory: the next
+// garbage collection frees it, and the heap grows no larger than without it.
+var spare struct {
+	sync.Mutex
+	slab weak.Pointer[[]uint64]
+}
+
+// Release hands the board's slab to the next board built. Neither the
+// board nor its frozen view may be used afterwards.
+func (b *Board) Release() {
+	slab := b.slab
+	b.slab = nil
+	spare.Lock()
+	spare.slab = weak.Make(&slab)
+	spare.Unlock()
+}
+
+// cell returns the index in the slab of player p's object word wi.
+func (b *Board) cell(p, wi int) int { return (p*b.words + wi) * (1 + b.k) }
 
 // Players returns the number of player lanes.
 func (b *Board) Players() int { return b.n }
@@ -102,34 +141,58 @@ func (b *Board) Players() int { return b.n }
 // Objects returns the number of object columns.
 func (b *Board) Objects() int { return b.m }
 
-// WriteWord publishes player p's values for every object whose bit is set
-// in written, within object word wi (objects wi*64 … wi*64+63); bit j of
-// values is the value for object wi*64+j (bits of values outside written
-// are ignored). Cells keep first-write-wins semantics per object, and the
-// whole word costs one lane lock acquisition and one counter update: the
-// write count charges popcount(written), one write per cell in the mask
-// (bits past Objects() excluded). WriteWord is safe for concurrent use. It
-// panics if the board has been sealed by Freeze — publishing after the
-// tally barrier is a protocol-phase ordering bug. The sealed check happens
-// under the lane lock, so a write racing Freeze either completes before
-// the seal or panics; it can never mutate a lane the frozen view is
-// already reading.
-func (b *Board) WriteWord(p, wi int, written, values uint64) {
-	written &= b.lanes[p].written.WordMask(wi)
+// wordMask returns the valid-object mask of object word wi (all ones but in
+// a partial tail word). It panics if wi is not an object word.
+func (b *Board) wordMask(wi int) uint64 {
+	if uint(wi) >= uint(b.words) {
+		panic(fmt.Sprintf("board: object word %d outside [0,%d)", wi, b.words))
+	}
+	if r := b.m % 64; wi == b.words-1 && r != 0 {
+		return 1<<uint(r) - 1
+	}
+	return ^uint64(0)
+}
+
+// WritePlanes publishes player p's values for every object whose bit is
+// set in written, within object word wi (objects wi*64 … wi*64+63): bit j
+// of planes[l] is bit l of the value for object wi*64+j (bits outside
+// written are ignored; planes holds one word per plane). Cells keep
+// first-write-wins semantics per object across all planes; the word costs
+// one lane lock and one counter update, which charges one write per cell
+// in the mask (bits past Objects() excluded). WritePlanes is safe for
+// concurrent use. It panics unless planes has one word per plane, or if
+// Freeze has sealed the board — a protocol-phase ordering bug. The seal is
+// checked under the lane lock, so a write racing Freeze either completes
+// before the seal or panics; it never mutates a lane the frozen view reads.
+func (b *Board) WritePlanes(p, wi int, written uint64, planes []uint64) {
+	if len(planes) != b.k {
+		panic(fmt.Sprintf("board: %d value planes for a %d-plane board", len(planes), b.k))
+	}
+	written &= b.wordMask(wi)
 	if written == 0 {
 		return
 	}
-	ln := &b.lanes[p]
-	ln.mu.Lock()
+	c := b.slab[b.cell(p, wi):][:1+b.k]
+	mu := &b.locks[p]
+	mu.Lock()
 	if b.sealed.Load() {
-		ln.mu.Unlock()
-		panic("board: WriteWord after Freeze")
+		mu.Unlock()
+		panic("board: write after Freeze")
 	}
-	newBits := written &^ ln.written.Word(wi)
-	ln.written.OrWord(wi, newBits)
-	ln.values.OrWord(wi, values&newBits)
-	ln.mu.Unlock()
+	fresh := written &^ c[0]
+	c[0] |= fresh
+	for l, x := range planes {
+		c[1+l] |= x & fresh
+	}
+	mu.Unlock()
 	b.writes.addN(p, int64(bits.OnesCount64(written)))
+}
+
+// WriteWord is WritePlanes on a one-plane board: bit j of values is the
+// value for object wi*64+j.
+func (b *Board) WriteWord(p, wi int, written, values uint64) {
+	v := [1]uint64{values}
+	b.WritePlanes(p, wi, written, v[:])
 }
 
 // Frozen is an immutable view of a sealed board, produced by Freeze at the
@@ -150,11 +213,11 @@ type Frozen struct {
 // write panics under its lane lock.
 func (b *Board) Freeze() *Frozen {
 	b.sealed.Store(true)
-	for i := range b.lanes {
+	for i := range b.locks {
 		// The empty critical section is the barrier: it flushes any writer
 		// that entered its lane before the seal became visible.
-		b.lanes[i].mu.Lock()
-		b.lanes[i].mu.Unlock() //nolint:staticcheck // SA2001: intentional
+		b.locks[i].Lock()
+		b.locks[i].Unlock() //nolint:staticcheck // SA2001: intentional
 	}
 	return &Frozen{b: b}
 }
@@ -164,98 +227,154 @@ func (b *Board) Freeze() *Frozen {
 // is far beyond any board this repository builds.
 const tallyPlanes = 20
 
-// wordTally accumulates per-object vote counts for one 64-object word
-// across many player lanes in bit-sliced form: plane k holds bit k of each
-// object's running count. Adding a lane word is O(log count) word
-// operations instead of 64 per-object increments, which is what makes the
-// frozen tally word-level instead of cell-level. The zero value is an
-// empty tally; it lives on the caller's stack (no allocation).
-type wordTally struct {
-	ones  [tallyPlanes]uint64 // bit-sliced count of value-1 votes
-	total [tallyPlanes]uint64 // bit-sliced count of all votes
-	hiOne int                 // highest ones plane touched
-	hiTot int                 // highest total plane touched
+// tally is a bit-sliced counter over the 64 objects of one word: plane i
+// of p holds bit i of each object's count, in a fixed width of w planes.
+// Lane words are summed seven at a time into a small three-plane count,
+// which carry adds into p; both steps have a fixed length, so no carry
+// chain costs a data-dependent branch (DESIGN.md §7). A tally lives on the
+// caller's stack.
+type tally struct {
+	p [tallyPlanes]uint64
+	w int
 }
 
-// addPlane adds the set bits of x, interpreted as per-object increments,
-// into the bit-sliced counter p, returning the highest plane carried into.
-func addPlane(p *[tallyPlanes]uint64, hi int, x uint64) int {
-	k := 0
-	for carry := x; carry != 0; k++ {
-		p[k], carry = p[k]^carry, p[k]&carry
-	}
-	if k-1 > hi {
-		hi = k - 1
-	}
-	return hi
+// small is a bit-sliced count of up to 7 lane words in three planes, a
+// struct rather than an array so that it lives in registers.
+type small struct{ b0, b1, b2 uint64 }
+
+// plus returns s with one more lane word x counted.
+func (s small) plus(x uint64) small {
+	c := s.b0 & x
+	return small{s.b0 ^ x, s.b1 ^ c, s.b2 ^ s.b1&c}
 }
 
-// add accumulates one lane's word: written marks the objects the lane
-// voted on, vals the value-1 votes among them (vals ⊆ written).
-func (t *wordTally) add(written, vals uint64) {
-	if written == 0 {
-		return
-	}
-	t.hiTot = addPlane(&t.total, t.hiTot, written)
-	if vals != 0 {
-		t.hiOne = addPlane(&t.ones, t.hiOne, vals)
-	}
-}
-
-// counts returns the number of value-1 votes and total votes for object
-// bit b of the tallied word.
-func (t *wordTally) counts(b int) (ones, total int) {
-	for k := t.hiOne; k >= 0; k-- {
-		ones = ones<<1 | int((t.ones[k]>>uint(b))&1)
-	}
-	for k := t.hiTot; k >= 0; k-- {
-		total = total<<1 | int((t.total[k]>>uint(b))&1)
-	}
-	return ones, total
-}
-
-// majority returns the word whose bit b is set iff strictly more than half
-// of the votes for object bit b are ones (no votes → 0).
-func (t *wordTally) majority() uint64 {
-	var any uint64
-	for k := 0; k <= t.hiTot; k++ {
-		any |= t.total[k]
-	}
-	var maj uint64
-	for x := any; x != 0; x &= x - 1 {
-		b := bits.TrailingZeros64(x)
-		ones, total := t.counts(b)
-		if 2*ones > total {
-			maj |= 1 << uint(b)
+// carry adds the small count s into t.
+func (t *tally) carry(s small) {
+	in := [...]uint64{s.b0, s.b1, s.b2}
+	var c uint64
+	for i := range t.p[:t.w] {
+		var b uint64
+		if i < len(in) {
+			b = in[i]
 		}
+		a := t.p[i]
+		t.p[i] = a ^ b ^ c
+		c = a&b | c&(a^b)
 	}
-	return maj
 }
 
-// MajorityWord returns, for object word wi, the word whose bit b is set
-// iff strictly more than half of the players that published for object
-// wi*64+b published a 1 — the per-object ones > zeros rule of the
-// workshare tally, computed from whole lane words. Objects nobody
-// published for get 0. Allocation-free; reads are charged as one per
-// consulted lane word in a single counter update. The consulted set is
-// every player passed in (each lane word is loaded whether or not that
-// player published), so read counts measure the word-level protocol's
-// communication.
-func (f *Frozen) MajorityWord(wi int, players []int) uint64 {
-	var t wordTally
-	for _, p := range players {
-		ln := &f.b.lanes[p]
-		w := ln.written.Word(wi)
-		t.add(w, ln.values.Word(wi)&w)
+// geq returns the objects whose count in t is at least their count in u.
+func (t *tally) geq(u *tally) uint64 {
+	var gt, lt uint64
+	for i := t.w - 1; i >= 0; i-- {
+		gt |= t.p[i] &^ u.p[i] &^ lt
+		lt |= u.p[i] &^ t.p[i] &^ gt
 	}
-	f.b.reads.addN(wi, int64(len(players)))
-	return t.majority()
+	return ^lt
+}
+
+// sub subtracts u from t on the objects of mask, where t ≥ u.
+func (t *tally) sub(u *tally, mask uint64) {
+	var borrow uint64
+	for i := range t.p[:t.w] {
+		a, b := t.p[i], u.p[i]&mask
+		t.p[i] = a ^ b ^ borrow
+		borrow = ^a&(b|borrow) | b&borrow
+	}
+}
+
+// lowerHalf returns ⌊(t−1)/2⌋ per object, the rank of the lower median
+// among t values (garbage where t is 0).
+func (t *tally) lowerHalf() tally {
+	r := tally{w: t.w}
+	borrow := ^uint64(0)
+	for i := range t.p[:t.w] {
+		if i > 0 {
+			r.p[i-1] = t.p[i] ^ borrow
+		}
+		borrow &^= t.p[i]
+	}
+	return r
+}
+
+// MedianWords writes into dst (one word per plane) the values, for object
+// word wi, of the lower median of what the consulted players published:
+// for object wi*64+b, among the t players that wrote it, the value of rank
+// ⌊(t−1)/2⌋ in ascending order, and 0 where no player wrote. It runs
+// bit-serially from the top plane down on bit-sliced counters (DESIGN.md
+// §7): at plane l it counts, per object, the writers that agree with the
+// median's higher bits and have bit l clear; the median's bit l is 1
+// exactly where the remaining rank reaches that count, which then comes
+// off the rank. Allocation-free; it charges one read per player passed in,
+// published or not, in one counter update. It panics unless dst has one
+// word per plane.
+//
+// On a one-plane board this is the strict-majority rule: the lower median
+// of t values in {0, 1} is 1 exactly when the zeros number at most
+// ⌊(t−1)/2⌋, that is when 2·ones > t.
+func (f *Frozen) MedianWords(wi int, players []int, dst []uint64) {
+	b := f.b
+	if len(dst) != b.k {
+		panic(fmt.Sprintf("board: %d median planes for a %d-plane board", len(dst), b.k))
+	}
+	b.wordMask(wi)
+	b.reads.addN(wi, int64(len(players)))
+	// Every count is at most len(players), which fixes the tallies' width
+	// (at least the three planes of their pending count). The top plane's
+	// pass also counts the writers.
+	w := max(bits.Len(uint(len(players))), 3)
+	writers, zeros := tally{w: w}, tally{w: w}
+	k, lane, at := b.k, b.words*(1+b.k), wi*(1+b.k)
+	for i := 0; i < len(players); i += 7 {
+		var ws, zs small
+		for _, p := range players[i:min(i+7, len(players))] {
+			c := b.slab[p*lane+at:]
+			ws, zs = ws.plus(c[0]), zs.plus(c[0]&^c[k])
+		}
+		writers.carry(ws)
+		zeros.carry(zs)
+	}
+	var wrote uint64
+	for _, x := range writers.p[:w] {
+		wrote |= x
+	}
+	rank := writers.lowerHalf()
+	for l := k - 1; l >= 0; l-- {
+		if l < k-1 {
+			zeros = tally{w: w}
+			for i := 0; i < len(players); i += 7 {
+				var zs small
+				for _, p := range players[i:min(i+7, len(players))] {
+					c := b.slab[p*lane+at:]
+					agree := c[0]
+					for h := k - 1; h > l; h-- {
+						agree &^= c[1+h] ^ dst[h]
+					}
+					zs = zs.plus(agree &^ c[1+l])
+				}
+				zeros.carry(zs)
+			}
+		}
+		one := rank.geq(&zeros)
+		rank.sub(&zeros, one)
+		dst[l] = one & wrote
+	}
+}
+
+// MajorityWord is MedianWords on a one-plane board: the word whose bit b
+// is set iff strictly more than half of the players that published for
+// object wi*64+b published a 1 — the per-object ones > zeros rule of the
+// workshare tally. Objects nobody published for get 0.
+func (f *Frozen) MajorityWord(wi int, players []int) uint64 {
+	var d [1]uint64
+	f.MedianWords(wi, players, d[:])
+	return d[0]
 }
 
 // WriteCount returns the total number of cells written (communication
-// cost): WriteWord charges one write per cell in its mask.
+// cost): WritePlanes charges one write per cell in its mask.
 func (b *Board) WriteCount() int64 { return b.writes.total() }
 
-// ReadCount returns the total number of lane words read: MajorityWord
+// ReadCount returns the total number of lane words read: MedianWords
 // charges one read per player it consults.
 func (b *Board) ReadCount() int64 { return b.reads.total() }

@@ -1,6 +1,7 @@
 package board
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,12 +18,22 @@ func write(b *Board, p, o int, v bool) {
 	b.WriteWord(p, o/64, bit, val)
 }
 
-// cell reads player p's published value for object o straight from the
-// lane, uncounted: the per-cell reference the word-level API is checked
-// against.
+// cell reads player p's published bit for object o on a one-plane board.
 func cell(b *Board, p, o int) (value, ok bool) {
-	ln := &b.lanes[p]
-	return ln.values.Get(o), ln.written.Get(o)
+	v, ok := cellValue(b, p, o)
+	return v == 1, ok
+}
+
+// cellValue reads player p's published value for object o straight from
+// the lane, uncounted: the per-cell reference the word-level API is
+// checked against.
+func cellValue(b *Board, p, o int) (value int, ok bool) {
+	c := b.slab[b.cell(p, o/64):]
+	bit := uint(o % 64)
+	for l := 0; l < b.k; l++ {
+		value |= int(c[1+l]>>bit&1) << l
+	}
+	return value, c[0]>>bit&1 == 1
 }
 
 // votes is the per-cell tally reference: the published values for object o
@@ -364,27 +375,288 @@ func TestWordTallyMatchesVotes(t *testing.T) {
 	}
 }
 
-// TestMajorityWordAllocFree: the frozen word tally must not allocate.
+// TestMajorityWordAllocFree: the frozen word tallies must not allocate,
+// on a one-plane board (MajorityWord) or a three-plane one (MedianWords).
 func TestMajorityWordAllocFree(t *testing.T) {
 	const n, m = 64, 1024
-	b := New(n, m)
-	for p := 0; p < n; p++ {
-		for wi := 0; wi < (m+63)/64; wi++ {
-			b.WriteWord(p, wi, ^uint64(0), uint64(p)*0x9E3779B97F4A7C15)
-		}
-	}
-	f := b.Freeze()
 	players := make([]int, n)
 	for i := range players {
 		players[i] = i
 	}
-	var sink uint64
-	if a := testing.AllocsPerRun(100, func() {
-		for wi := 0; wi < (m+63)/64; wi++ {
-			sink += f.MajorityWord(wi, players)
+	for _, k := range []int{1, 3} {
+		b := randomBoard(uint64(k), n, m, k)
+		f := b.Freeze()
+		var sink uint64
+		dst := make([]uint64, k)
+		if a := testing.AllocsPerRun(100, func() {
+			for wi := 0; wi < (m+63)/64; wi++ {
+				if k == 1 {
+					sink += f.MajorityWord(wi, players)
+				} else {
+					f.MedianWords(wi, players, dst)
+					sink += dst[0]
+				}
+			}
+		}); a != 0 {
+			t.Fatalf("k=%d: word tally allocates %v times per run", k, a)
 		}
-	}); a != 0 {
-		t.Fatalf("word tally allocates %v times per run", a)
+		_ = sink
 	}
-	_ = sink
+}
+
+// median is the sort oracle of MedianWords: the lower median of xs (xs is
+// sorted in place), 0 for none.
+func median(xs []int) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	slices.Sort(xs)
+	return xs[(len(xs)-1)/2]
+}
+
+// lcg is a small deterministic generator for randomized boards.
+type lcg uint64
+
+func (s *lcg) next() uint64 {
+	*s = *s*6364136223846793005 + 1442695040888963407
+	x := uint64(*s)
+	return x ^ x>>29
+}
+
+// randomBoard returns an n-player board of k planes over m objects whose
+// lanes each publish, per object word, nothing, a random partial mask or
+// every object, with random values.
+func randomBoard(seed uint64, n, m, k int) *Board {
+	b := NewPlanes(n, m, k)
+	rng := lcg(seed)
+	vals := make([]uint64, k)
+	for p := 0; p < n; p++ {
+		for wi := 0; wi < b.words; wi++ {
+			var written uint64
+			switch rng.next() % 3 {
+			case 1:
+				written = rng.next() & rng.next()
+			case 2:
+				written = ^uint64(0)
+			}
+			for l := range vals {
+				vals[l] = rng.next()
+			}
+			b.WritePlanes(p, wi, written, vals)
+		}
+	}
+	return b
+}
+
+// checkMedians compares every object's MedianWords value over players
+// against the sort oracle on the players that wrote the object.
+func checkMedians(t *testing.T, b *Board, f *Frozen, players []int) {
+	t.Helper()
+	dst := make([]uint64, b.k)
+	var vals []int
+	for wi := 0; wi < b.words; wi++ {
+		f.MedianWords(wi, players, dst)
+		for bit := 0; bit < 64; bit++ {
+			got := 0
+			for l, x := range dst {
+				got |= int(x>>uint(bit)&1) << l
+			}
+			vals = vals[:0]
+			if o := wi*64 + bit; o < b.m {
+				for _, p := range players {
+					if v, ok := cellValue(b, p, o); ok {
+						vals = append(vals, v)
+					}
+				}
+			}
+			if want := median(vals); got != want {
+				t.Fatalf("k=%d, %d players, object %d: median %d, oracle %d over %v", b.k, len(players), wi*64+bit, got, want, vals)
+			}
+		}
+	}
+}
+
+// TestMedianWordsMatchesSortOracle pins the bit-serial median against the
+// sort oracle on random boards of 1, 2, 3 and 16 planes, with empty,
+// partial and full written masks, over odd and even consulted sets (so odd
+// and even vote counts), a lone player and nobody.
+func TestMedianWordsMatchesSortOracle(t *testing.T) {
+	const n, m = 23, 200
+	for _, k := range []int{1, 2, 3, 16} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			b := randomBoard(seed*97+uint64(k), n, m, k)
+			f := b.Freeze()
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			checkMedians(t, b, f, all)
+			checkMedians(t, b, f, all[:n-1])
+			checkMedians(t, b, f, []int{3, 17, 5, 11})
+			checkMedians(t, b, f, []int{int(seed)})
+			checkMedians(t, b, f, nil)
+		}
+	}
+}
+
+// wordTally is the per-bit strict-majority tally that MajorityWord
+// replaced: bit-sliced ones and totals, decoded object by object.
+type wordTally struct {
+	ones, total tally
+}
+
+// newWordTally returns an empty per-bit tally at full width.
+func newWordTally() wordTally {
+	return wordTally{ones: tally{w: tallyPlanes}, total: tally{w: tallyPlanes}}
+}
+
+// majority returns the word whose bit b is set iff strictly more than half
+// of the votes for object bit b are ones (no votes → 0).
+func (t *wordTally) majority() uint64 {
+	var maj uint64
+	for b := 0; b < 64; b++ {
+		var ones, total int
+		for k := tallyPlanes - 1; k >= 0; k-- {
+			ones = ones<<1 | int(t.ones.p[k]>>uint(b)&1)
+			total = total<<1 | int(t.total.p[k]>>uint(b)&1)
+		}
+		if 2*ones > total {
+			maj |= 1 << uint(b)
+		}
+	}
+	return maj
+}
+
+// TestMajorityWordMatchesPerBitTally: on a one-plane board the median is
+// the strict-majority rule, word for word against the per-bit tally.
+func TestMajorityWordMatchesPerBitTally(t *testing.T) {
+	const n, m = 40, 300
+	b := randomBoard(7, n, m, 1)
+	f := b.Freeze()
+	for size := 0; size <= n; size++ {
+		players := make([]int, size)
+		for i := range players {
+			players[i] = (i * 7) % n
+		}
+		for wi := 0; wi < b.words; wi++ {
+			wt := newWordTally()
+			for _, p := range players {
+				c := b.slab[b.cell(p, wi):]
+				wt.total.carry(small{b0: c[0]})
+				wt.ones.carry(small{b0: c[0] & c[1]})
+			}
+			if got, want := f.MajorityWord(wi, players), wt.majority(); got != want {
+				t.Fatalf("%d players, word %d: MajorityWord %064b, per-bit tally %064b", size, wi, got, want)
+			}
+		}
+	}
+}
+
+// TestFirstWriteWinsEveryPlane: a second write of other values changes no
+// plane of a written cell, while the cells it newly covers take its values.
+func TestFirstWriteWinsEveryPlane(t *testing.T) {
+	const k = 3
+	b := NewPlanes(1, 64, k)
+	b.WritePlanes(0, 0, 0b0011, []uint64{0b01, 0b10, 0b11})
+	b.WritePlanes(0, 0, 0b0111, []uint64{^uint64(0), 0, 0b100})
+	for o, want := range []int{0b101, 0b110, 0b101} {
+		if v, ok := cellValue(b, 0, o); !ok || v != want {
+			t.Fatalf("cell %d = (%d,%v), want (%d,true)", o, v, ok, want)
+		}
+	}
+	if _, ok := cellValue(b, 0, 3); ok {
+		t.Fatal("cell 3 written outside both masks")
+	}
+	if got := b.WriteCount(); got != 5 {
+		t.Fatalf("WriteCount = %d, want 5 (one per masked cell)", got)
+	}
+}
+
+// TestPlaneShapePanics: a plane count outside [1, MaxPlaneBits], a write
+// or a tally with the wrong number of plane words, and a tally word past
+// the objects all panic.
+func TestPlaneShapePanics(t *testing.T) {
+	b := NewPlanes(2, 70, 2)
+	for name, f := range map[string]func(){
+		"k=0":          func() { NewPlanes(1, 1, 0) },
+		"k too large":  func() { NewPlanes(1, 1, bitvec.MaxPlaneBits+1) },
+		"write planes": func() { b.WritePlanes(0, 0, 1, []uint64{1}) },
+		"write word":   func() { b.WriteWord(0, 0, 1, 1) },
+		"median dst":   func() { b.Freeze().MedianWords(0, []int{0}, make([]uint64, 1)) },
+		"median word":  func() { b.Freeze().MedianWords(2, []int{0}, make([]uint64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FuzzMedianWords checks MedianWords against the sort oracle on boards
+// built from the fuzz input: a plane count, a consulted-set mask, and
+// per-lane written masks and values.
+func FuzzMedianWords(f *testing.F) {
+	f.Add(uint8(3), uint16(0x7F), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(1), uint16(0xFFFF), []byte{0xFF, 0, 0xAA, 0x55})
+	f.Fuzz(func(t *testing.T, k uint8, consult uint16, data []byte) {
+		const n, m = 16, 70
+		kk := 1 + int(k)%16
+		b := NewPlanes(n, m, kk)
+		vals := make([]uint64, kk)
+		next := func() uint64 {
+			if len(data) == 0 {
+				return 0
+			}
+			x := uint64(data[0]) * 0x0101010101010101
+			x ^= x << uint(data[0]%17) // spread one byte across the word
+			data = data[1:]
+			return x
+		}
+		for p := 0; p < n; p++ {
+			for wi := 0; wi < b.words; wi++ {
+				written := next()
+				for l := range vals {
+					vals[l] = next()
+				}
+				b.WritePlanes(p, wi, written, vals)
+			}
+		}
+		var players []int
+		for p := 0; p < n; p++ {
+			if consult>>uint(p)&1 == 1 {
+				players = append(players, p)
+			}
+		}
+		checkMedians(t, b, b.Freeze(), players)
+	})
+}
+
+// TestReleaseClearsReusedSlab: a board built after another was released
+// starts empty whether or not it reuses the released slab, and the
+// released board can no longer be written.
+func TestReleaseClearsReusedSlab(t *testing.T) {
+	const n, m, k = 9, 130, 3
+	b := randomBoard(5, n, m, k)
+	b.Release()
+	fresh := NewPlanes(n, m, k)
+	for p := 0; p < n; p++ {
+		for o := 0; o < m; o++ {
+			if v, ok := cellValue(fresh, p, o); ok || v != 0 {
+				t.Fatalf("cell (%d,%d) of a new board = (%d,%v)", p, o, v, ok)
+			}
+		}
+	}
+	if fresh.WriteCount() != 0 || fresh.ReadCount() != 0 {
+		t.Fatal("a new board starts with traffic")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("write to a released board did not panic")
+		}
+	}()
+	b.WritePlanes(0, 0, 1, make([]uint64, k))
 }

@@ -104,7 +104,7 @@ func Run(w *world.World, shared *xrand.Stream, pr core.Params, capacity []int) *
 				cum[j][i] = total
 			}
 		}
-		return core.BoardShare(rc, cl, s, is, red, cum)
+		return core.BoardShare(core.BinaryDomain(rc), cl, s, is, red, cum)
 	}
 	cands, res := core.Iterate(shared, pr.DiameterGuesses(n), m, st)
 	res.Output = core.RSelectEach(w, rc.Exec(), shared, cands, pr)

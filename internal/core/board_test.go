@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"collabscore/internal/board"
+	"collabscore/internal/cluster"
 	"collabscore/internal/prefgen"
 	"collabscore/internal/world"
 	"collabscore/internal/xrand"
@@ -58,29 +60,33 @@ func TestFullSRIterationHasNoBoardTraffic(t *testing.T) {
 	}
 }
 
-// TestDedupInPlace covers the prober-deduplication helper: distinct values
-// in first-seen order, compacted into the input's own storage.
-func TestDedupInPlace(t *testing.T) {
-	in := []int{3, 1, 3, 2, 1, 3}
-	got := dedupInPlace(in)
-	want := []int{3, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("dedupInPlace = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dedupInPlace = %v, want %v", got, want)
+// TestShareWritesDistinctPicks: a member picked more than once for one
+// object is assigned it once, so a share's board writes equal its distinct
+// (member, object) picks, recomputed here from the same coins.
+func TestShareWritesDistinctPicks(t *testing.T) {
+	const n, b = 96, 8
+	w := byzWorld(77, n, b, false)
+	cl := &cluster.Clustering{Clusters: [][]int{{0, 1, 2, 3}, {4, 5, 6, 7, 8, 9, 10, 11}}}
+	red := Scaled(n, b).Redundancy(n)
+	bd := board.New(n, w.M())
+	workShare(BinaryDomain(world.NewRun(w)), bd, cl, xrand.New(5).Split(0x5C), red, nil)
+	var distinct, picks int64
+	for j, members := range cl.Clusters {
+		cs := xrand.New(5).Split(0x5C).SplitValue(uint64(j))
+		for o := 0; o < w.M(); o++ {
+			rng := cs.SplitValue(uint64(o))
+			seen := map[int]bool{}
+			for range red {
+				seen[rng.Intn(len(members))] = true
+				picks++
+			}
+			distinct += int64(len(seen))
 		}
 	}
-	if &got[0] != &in[0] {
-		t.Fatal("dedupInPlace did not compact in place")
+	if distinct == picks {
+		t.Fatal("no member was picked twice for an object; the check is vacuous")
 	}
-	if out := dedupInPlace(nil); len(out) != 0 {
-		t.Fatal("dedupInPlace(nil) not empty")
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		dedupInPlace(in[:3])
-	}); n != 0 {
-		t.Fatalf("dedupInPlace allocates %v times per run", n)
+	if got := bd.WriteCount(); got != distinct {
+		t.Fatalf("board writes %d, want %d distinct picks (of %d picks)", got, distinct, picks)
 	}
 }

@@ -340,7 +340,7 @@ func TestWorkShareSharesMajorityVector(t *testing.T) {
 		},
 	}
 	bd := board.New(n, w.M())
-	out := workShare(rc, bd, cl, xrand.New(seed).Split(0x5C), pr.Redundancy(n), nil)
+	out := workShare(BinaryDomain(rc), bd, cl, xrand.New(seed).Split(0x5C), pr.Redundancy(n), nil)
 
 	for j, members := range cl.Clusters {
 		for _, p := range members[1:] {

@@ -128,48 +128,3 @@ func SelectEach[T any](exec *par.Runner, w election.Roster, zero T, cands [][]T,
 	})
 	return out
 }
-
-// ForCells drives a work-sharing step over (cluster, word-block) cells —
-// 64 of the m objects per cell — on exec. It splits cluster j's stream once
-// as stream(j), makes one scratch per worker with newScratch(maxMembers),
-// maxMembers being the largest cluster's size, and calls
-// body(sc, rng, j, wb, base, hi) for cell (j, wb), whose objects are
-// [base, hi) and whose cluster stream is rng. A body must leave its
-// scratch as it found it, so no state crosses cells and the result is the
-// same under every schedule (par.Runner.ForWorker).
-func ForCells[S any](exec *par.Runner, clusters [][]int, m int, stream func(j int) xrand.Stream,
-	newScratch func(maxMembers int) S, body func(sc S, rng *xrand.Stream, j, wb, base, hi int)) {
-	maxMembers := 0
-	streams := make([]xrand.Stream, len(clusters))
-	for j, members := range clusters {
-		maxMembers = max(maxMembers, len(members))
-		streams[j] = stream(j)
-	}
-	words := (m + 63) / 64
-	cells := len(clusters) * words
-	scratches := make([]S, exec.Workers(cells))
-	for i := range scratches {
-		scratches[i] = newScratch(maxMembers)
-	}
-	exec.ForWorker(cells, func(wk, cell int) {
-		j, wb := cell/words, cell%words
-		body(scratches[wk], &streams[j], j, wb, wb*64, min(wb*64+64, m))
-	})
-}
-
-// Broadcast returns every player's candidate from a work-sharing step:
-// the members of cluster j all share vecs[j] and players in no cluster
-// share zero. Candidates are never mutated downstream, so a per-member
-// clone would be pure allocation.
-func Broadcast[T any](n int, zero T, clusters [][]int, vecs []T) []T {
-	out := make([]T, n)
-	for p := range out {
-		out[p] = zero
-	}
-	for j, members := range clusters {
-		for _, p := range members {
-			out[p] = vecs[j]
-		}
-	}
-	return out
-}

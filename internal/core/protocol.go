@@ -91,21 +91,45 @@ func BinarySteps(rc *world.Run, pr Params) Steps[bitvec.Vector] {
 		},
 		Peel: func(g cluster.Graph) *cluster.Clustering { return cluster.Build(g, pr.MinClusterSize(n)) },
 		Share: func(cl *cluster.Clustering, s *xrand.Stream, is *IterationStats) []bitvec.Vector {
-			return BoardShare(rc, cl, s, is, pr.Redundancy(n), nil)
+			return BoardShare(BinaryDomain(rc), cl, s, is, pr.Redundancy(n), nil)
 		},
 	}
 }
 
-// BoardShare is the work-sharing step on a fresh bulletin board: probers
-// publish to their own lanes and every cluster member tallies the votes
-// (workShare on coins s.Split(0x5C)), recording the board traffic on is.
-// cum[j], when cum is non-nil, holds cluster j's cumulative member weights
-// and draws probers in proportion to them; nil draws them uniformly.
-func BoardShare(rc *world.Run, cl *cluster.Clustering, s *xrand.Stream, is *IterationStats, red int, cum [][]int) []bitvec.Vector {
-	bd := board.New(rc.N(), rc.M())
-	out := workShare(rc, bd, cl, s.Split(0x5C), red, cum)
+// Domain is what a protocol family publishes and tallies in the board
+// share: Exec runs the share's phases, N players report on M objects, and
+// each value is K bit-planes wide (1 for the binary protocols). Report
+// writes player p's reports for the objects of mask in object word wi into
+// dst, one word per plane (honest players probe). Cand turns a cluster's
+// median planes, or zero planes for players in no cluster, into a candidate.
+type Domain[T any] struct {
+	Exec    *par.Runner
+	N, M, K int
+	Report  func(p, wi int, mask uint64, dst []uint64)
+	Cand    func(median bitvec.Planes) T
+}
+
+// BinaryDomain is the binary protocols' domain over rc: one plane, reports
+// through Run.ReportWord, and a cluster's median plane as its candidate.
+func BinaryDomain(rc *world.Run) Domain[bitvec.Vector] {
+	return Domain[bitvec.Vector]{
+		Exec: rc.Exec(), N: rc.N(), M: rc.M(), K: 1,
+		Report: func(p, wi int, mask uint64, dst []uint64) { dst[0] = rc.ReportWord(p, wi, mask) },
+		Cand:   func(median bitvec.Planes) bitvec.Vector { return median.Plane(0) },
+	}
+}
+
+// BoardShare is every protocol family's work-sharing step, on a fresh
+// board of dom.K planes: workShare on coins s.Split(0x5C), recording the
+// board traffic on is. cum[j], when cum is non-nil, holds cluster j's
+// cumulative member weights, and probers are drawn in proportion to them;
+// nil draws them uniformly.
+func BoardShare[T any](dom Domain[T], cl *cluster.Clustering, s *xrand.Stream, is *IterationStats, red int, cum [][]int) []T {
+	bd := board.NewPlanes(dom.N, dom.M, dom.K)
+	out := workShare(dom, bd, cl, s.Split(0x5C), red, cum)
 	is.BoardWrites = bd.WriteCount()
 	is.BoardReads = bd.ReadCount()
+	bd.Release()
 	return out
 }
 
@@ -113,92 +137,111 @@ func BoardShare(rc *world.Run, cl *cluster.Clustering, s *xrand.Stream, is *Iter
 // chosen cluster members to probe the object — uniformly, or in proportion
 // to the cumulative weights cum[j] when cum is non-nil; the probers publish
 // their reports on the bulletin board, and each member of the cluster
-// adopts the majority of the published votes (Figure 2 step 1.e). Players
-// in no cluster receive zero vectors, which the final RSelect discards.
+// adopts the median of the published values (Figure 2 step 1.e; for binary
+// values the median is the majority). Players in no cluster receive the
+// zero candidate, which the final selection discards.
 //
-// It runs as two fan-out phases separated by a board barrier (DESIGN.md
-// §7), both over (cluster, word-block) cells — 64 objects per cell — on
-// the word-level data path (DESIGN.md §10). The publish phase picks each
-// object's probers with shared coins split per (cluster, object) from
-// stack-value streams, dedups them with an in-place scan, accumulates each
-// prober's 64-object assignment mask in a per-worker scratch arena, and
-// flushes one report word (bulk probes for honest probers) and one board
-// word write per (prober, block) — a dishonest prober still cannot touch
-// other lanes. After Freeze seals the board, the tally phase computes each
-// cluster's per-object majorities a word at a time (Frozen.MajorityWord)
-// and every member shares the cluster's one immutable majority vector —
-// candidates are never mutated downstream, so the per-member clone would
-// be pure allocation. Prober choice, published values (first-write-wins)
-// and majorities are pure functions of the split streams, so the output is
-// identical under any schedule; scratch arenas hold no cross-cell state.
-func workShare(rc *world.Run, bd *board.Board, cl *cluster.Clustering, shared *xrand.Stream, red int, cum [][]int) []bitvec.Vector {
-	n, m := rc.N(), rc.M()
-	ForCells(rc.Exec(), cl.Clusters, m, func(j int) xrand.Stream { return shared.SplitValue(uint64(j)) },
-		func(maxMembers int) *wsScratch {
-			return &wsScratch{
-				chosen:  make([]int, red),
-				written: make([]uint64, maxMembers),
-				touched: make([]int, 0, maxMembers),
-			}
-		},
-		func(sc *wsScratch, clRng *xrand.Stream, j, wb, base, hi int) {
-			members := cl.Clusters[j]
-			var weights []int
-			if cum != nil {
-				weights = cum[j]
-			}
-			for o := base; o < hi; o++ {
-				rng := clRng.SplitValue(uint64(o))
-				chosen := sc.chosen[:red]
-				for i := range chosen {
-					if weights == nil {
-						chosen[i] = rng.Intn(len(members))
-					} else {
-						chosen[i] = weightedPick(&rng, weights)
-					}
-				}
-				bit := uint64(1) << uint(o-base)
-				for _, mi := range dedupInPlace(chosen) {
-					if sc.written[mi] == 0 {
-						sc.touched = append(sc.touched, mi)
-					}
-					sc.written[mi] |= bit
-				}
-			}
-			for _, mi := range sc.touched {
-				q := members[mi]
-				wmask := sc.written[mi]
-				bd.WriteWord(q, wb, wmask, rc.ReportWord(q, wb, wmask))
-				sc.written[mi] = 0
-			}
-			sc.touched = sc.touched[:0]
-		})
-
-	// Barrier: seal the board. The tally below reads the immutable view
-	// without locks, one majority word per (cluster, word-block) cell;
-	// distinct cells write distinct words of distinct vectors. Only lanes
-	// with a written bit at an object vote there, and within a fresh
-	// per-iteration board those are exactly the object's dedup'd probers.
-	frozen := bd.Freeze()
-	majs := make([]bitvec.Vector, len(cl.Clusters))
-	for j := range majs {
-		majs[j] = bitvec.New(m)
+// It runs as two fan-out phases over (cluster, word-block) cells — 64
+// objects per cell — separated by the board's Freeze barrier (DESIGN.md §7,
+// §10). The publish phase draws each object's probers with coins split per
+// (cluster, object) from stack-value streams and ORs each pick into its
+// prober's 64-object assignment mask in a per-worker scratch arena (so a
+// member picked twice for one object is assigned it once), then flushes
+// one report (bulk probes for honest probers) and one board write per
+// (prober, block). The tally phase computes each cluster's medians a word
+// at a time (Frozen.MedianWords), and every member shares the cluster's
+// one immutable candidate. Picks, published values (first-write-wins) and
+// medians are pure functions of the split streams, and a cell leaves its
+// scratch as it found it, so the output is identical under any schedule.
+func workShare[T any](dom Domain[T], bd *board.Board, cl *cluster.Clustering, shared *xrand.Stream, red int, cum [][]int) []T {
+	m, k := dom.M, dom.K
+	maxMembers := 0
+	streams := make([]xrand.Stream, len(cl.Clusters))
+	for j, members := range cl.Clusters {
+		maxMembers = max(maxMembers, len(members))
+		streams[j] = shared.SplitValue(uint64(j))
 	}
 	words := (m + 63) / 64
-	rc.Exec().For(len(majs)*words, func(cell int) {
+	cells := len(cl.Clusters) * words
+	scratches := make([]wsScratch, dom.Exec.Workers(cells))
+	for i := range scratches {
+		scratches[i] = wsScratch{
+			written: make([]uint64, maxMembers),
+			touched: make([]int, 0, maxMembers),
+			vals:    make([]uint64, k),
+		}
+	}
+	dom.Exec.ForWorker(cells, func(wk, cell int) {
+		sc := &scratches[wk]
 		j, wb := cell/words, cell%words
-		majs[j].SetWord(wb, frozen.MajorityWord(wb, cl.Clusters[j]))
+		base, hi := wb*64, min(wb*64+64, m)
+		members := cl.Clusters[j]
+		var weights []int
+		if cum != nil {
+			weights = cum[j]
+		}
+		for o := base; o < hi; o++ {
+			rng := streams[j].SplitValue(uint64(o))
+			bit := uint64(1) << uint(o-base)
+			for range red {
+				var mi int
+				if weights == nil {
+					mi = rng.Intn(len(members))
+				} else {
+					mi = weightedPick(&rng, weights)
+				}
+				if sc.written[mi] == 0 {
+					sc.touched = append(sc.touched, mi)
+				}
+				sc.written[mi] |= bit
+			}
+		}
+		for _, mi := range sc.touched {
+			q := members[mi]
+			dom.Report(q, wb, sc.written[mi], sc.vals)
+			bd.WritePlanes(q, wb, sc.written[mi], sc.vals)
+			sc.written[mi] = 0
+		}
+		sc.touched = sc.touched[:0]
 	})
-	return Broadcast(n, bitvec.New(m), cl.Clusters, majs)
+
+	// Barrier: seal the board. The tally reads the immutable view without
+	// locks, k median words per cell into distinct words. Only lanes with a
+	// written bit at an object vote there: that object's probers.
+	frozen := bd.Freeze()
+	meds := make([]bitvec.Planes, len(cl.Clusters))
+	for j := range meds {
+		meds[j] = bitvec.NewPlanes(m, k)
+	}
+	dom.Exec.For(cells, func(cell int) {
+		j, wb := cell/words, cell%words
+		var med [bitvec.MaxPlaneBits]uint64
+		frozen.MedianWords(wb, cl.Clusters[j], med[:k])
+		for l, x := range med[:k] {
+			meds[j].SetPlaneWord(l, wb, x)
+		}
+	})
+	out := make([]T, dom.N)
+	zero := dom.Cand(bitvec.NewPlanes(m, k))
+	for p := range out {
+		out[p] = zero
+	}
+	for j, members := range cl.Clusters {
+		c := dom.Cand(meds[j])
+		for _, p := range members {
+			out[p] = c
+		}
+	}
+	return out
 }
 
 // wsScratch is one worker's reusable buffers for the workshare publish
-// loop: the per-object prober choices, each touched member's accumulated
-// 64-object assignment mask, and the list of touched member indices.
+// loop: each touched member's accumulated 64-object assignment mask, the
+// list of touched member indices, and one report's plane words.
 type wsScratch struct {
-	chosen  []int    // red prober choices (member indices) for one object
 	written []uint64 // written[mi] = member mi's assignment mask, this block
 	touched []int    // member indices with written != 0, in first-touch order
+	vals    []uint64 // one report's k plane words
 }
 
 // weightedPick returns the index i drawn with probability proportional to
@@ -281,26 +324,4 @@ func identity(m int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// dedupInPlace compacts xs to its distinct values, preserving first-seen
-// order, and returns the compacted prefix of xs — no allocation. The
-// quadratic scan beats any map for the workshare's Redundancy-sized
-// slices (≈ 1.5·ln n elements), which is the only place this runs.
-func dedupInPlace(xs []int) []int {
-	k := 0
-	for _, x := range xs {
-		dup := false
-		for j := 0; j < k; j++ {
-			if xs[j] == x {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			xs[k] = x
-			k++
-		}
-	}
-	return xs[:k]
 }

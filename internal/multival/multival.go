@@ -16,10 +16,13 @@
 //     (cluster.BuildGraphL1On) in the size rule's representation — the
 //     LSH banding index hashes Hamming lanes, so there is no index knob;
 //  4. the probing of all m objects is shared within each cluster with
-//     Θ(log n)-fold redundancy, aggregated by MEDIAN — the median of
-//     Θ(log n) reports from a ≥2/3-honest cluster is within the honest
-//     rating spread even under adversarial manipulation (the rank
-//     statistics version of the majority argument in Lemma 13).
+//     Θ(log n)-fold redundancy on core's board share (core.BoardShare):
+//     probers publish their ratings on a bulletin board of bit-planes,
+//     and the cluster adopts each object's MEDIAN published rating — the
+//     median of Θ(log n) reports from a ≥2/3-honest cluster is within the
+//     honest rating spread even under adversarial manipulation (the rank
+//     statistics version of the majority argument in Lemma 13; on one
+//     plane the median is the binary protocols' majority).
 //
 // Probing the sample directly (instead of the binary SmallRadius recursion)
 // costs |S| probes per player; the binary machinery's probe savings rely on
@@ -29,12 +32,13 @@
 //
 // The protocol runs on core's doubling loop (core.Iterate): this package
 // supplies only the rating steps — the publish on the sample, the L1 graph,
-// the greedy peel and the median share — and the L1 spot check that
-// selects among guesses (core.SelectEach), and RunByzantine is core's
-// generic §7 wrapper (core.RunByzantineOver), so ratings share core's
-// stream layout, per-guess statistics (core.IterationStats) and result
-// shape (Result = core.Outcome[bitvec.Planes]). Rating rows are bit-sliced
-// into ⌈log₂(scale+1)⌉ bit-planes (bitvec.Planes) so L1 distances are
+// the greedy peel and the rating domain of the board share — and the L1
+// spot check that selects among guesses (core.SelectEach), and
+// RunByzantine is core's generic §7 wrapper (core.RunByzantineOver), so
+// ratings share core's stream layout, per-guess statistics
+// (core.IterationStats, board traffic included) and result shape
+// (Result = core.Outcome[bitvec.Planes]). Rating rows are bit-sliced into
+// ⌈log₂(scale+1)⌉ bit-planes (bitvec.Planes) so L1 distances are
 // word-level plane arithmetic, the probe memo is a lock-free CAS bitset
 // with bulk whole-word charging, and phase loops fan out on par.Runner
 // schedules gated by Params.PhaseSerial/PhaseWorkers with index-ordered
@@ -46,7 +50,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"collabscore/internal/bitvec"
 	"collabscore/internal/cluster"
@@ -93,16 +96,6 @@ func (a Ratings) Gather(idx []int) Ratings {
 		out[j] = a[i]
 	}
 	return out
-}
-
-// Median returns the lower median of xs (xs is modified by sorting). It is
-// the scalar reference of the counting median the work-share phase uses.
-func Median(xs []int) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Ints(xs)
-	return xs[(len(xs)-1)/2]
 }
 
 // Behavior decides what rating a player reports for an object.
@@ -283,7 +276,7 @@ func (w *World) Report(p, o int) int { return w.behaviors[p].Report(w, p, o) }
 // per run of g. Honest players ride the bulk probe path (identical
 // charging to per-object probes); dishonest players are asked per object
 // through their behavior, in list order, with out-of-scale reports
-// clamped — the bulletin board validates writes.
+// clamped as they are reported.
 func (w *World) ReportValues(p int, g *bitvec.Extraction) bitvec.Planes {
 	return w.values(p, g, !w.IsHonest(p))
 }
@@ -322,7 +315,7 @@ type Params struct {
 	MinD, MaxD int
 
 	// PhaseSerial forces the protocol's phase loops (publish, neighbor
-	// graph, median work-share, final selection) onto the single-threaded
+	// graph, board share, final selection) onto the single-threaded
 	// reference schedule; PhaseWorkers, when positive and PhaseSerial is
 	// unset, pins them to exactly that many workers (par.Fixed). Phase
 	// loops fan out on pre-split streams with index-ordered merges, so
@@ -338,13 +331,12 @@ type Params struct {
 // The rating protocol's simulation-scale constants, mirroring core.Scaled
 // (DESIGN.md §12): sampleFactor f sets |S| ≈ f·ln(n)·n·scale/D for
 // diameter guess D (sampling rate f·ln(n)·scale/D per object, capped at
-// 1); edgeFactor e sets the neighbor threshold to e× the expected sampled
-// L1 distance of a pair at the diameter guess (e·rate·D); and
-// redundancyFactor r sets ⌊r·ln n⌋+1 probers per (cluster, object).
+// 1), and edgeFactor e sets the neighbor threshold to e× the expected
+// sampled L1 distance of a pair at the diameter guess (e·rate·D). The
+// share's redundancy is core's, core.Scaled(n, B).Redundancy(n).
 const (
-	sampleFactor     = 0.5
-	edgeFactor       = 4
-	redundancyFactor = 1.5
+	sampleFactor = 0.5
+	edgeFactor   = 4
 )
 
 // Scaled returns the parameters for budget b; the rating constants are
@@ -363,14 +355,21 @@ type Result = core.Outcome[bitvec.Planes]
 // Run executes the generalized CalculatePreferences over the rating world,
 // on core's doubling loop (core.Iterate) with the rating steps: every
 // player publishes its sample ratings (ReportValues), the exact L1 graph
-// (cluster.BuildGraphL1On), the greedy peel and the median share, then an
-// L1 spot check among the guesses. Shared coins are split per phase, per
+// (cluster.BuildGraphL1On), the greedy peel and core's board share over
+// the rating planes (core.BoardShare), then an L1 spot check among the
+// guesses. Shared coins are split per phase, per
 // cluster, and per object from the given stream, so for a fixed seed the
 // output is identical under every schedule (PhaseSerial, fixed-width,
 // parallel).
 func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 	exec := phaseExec(pr)
 	n, m := w.N(), w.M()
+	red := core.Scaled(n, pr.B).Redundancy(n)
+	dom := core.Domain[bitvec.Planes]{
+		Exec: exec, N: n, M: m, K: w.k,
+		Report: w.ReportPlaneWords,
+		Cand:   func(median bitvec.Planes) bitvec.Planes { return median },
+	}
 	rate := func(d int) float64 { return min(sampleFactor*core.LnN(n)*float64(w.scale)/float64(d), 1) }
 	cands, res := core.Iterate(shared, core.Guesses(pr.MinD, pr.MaxD, n*w.scale), m, core.Steps[bitvec.Planes]{
 		// No rating behavior reads published state.
@@ -389,8 +388,8 @@ func Run(w *World, shared *xrand.Stream, pr Params) *Result {
 		Peel: func(g cluster.Graph) *cluster.Clustering {
 			return cluster.Build(g, core.Params{B: pr.B}.MinClusterSize(n))
 		},
-		Share: func(cl *cluster.Clustering, s *xrand.Stream, _ *core.IterationStats) []bitvec.Planes {
-			return medianShare(w, exec, cl, s)
+		Share: func(cl *cluster.Clustering, s *xrand.Stream, is *core.IterationStats) []bitvec.Planes {
+			return core.BoardShare(dom, cl, s, is, red, nil)
 		},
 	})
 	res.Output = selectL1(w, exec, cands, func(p int) *xrand.Stream {
@@ -446,117 +445,9 @@ func spotCheck(w *World, p int, rng *xrand.Stream, col []bitvec.Planes) int {
 	return best
 }
 
-// medianShare shares the probing of every object within each cluster,
-// aggregated by median, over (cluster, word-block) cells — 64 objects per
-// cell — with per-worker scratch arenas (no allocation in the loop body).
-// For each object the per-(cluster, object) stream
-// s.SplitValue(0x5C, j).SplitValue(o) picks red probers with repetition
-// (exactly the scalar engine's draw order); each touched member's reports
-// for the whole block are fetched once, bit-sliced (bulk probes for honest
-// members), and the per-object counting median — equal to Median over the
-// same multiset — is accumulated a plane word at a time. Every member of a
-// cluster shares the cluster's one immutable median vector; candidates are
-// never mutated downstream, so a per-member clone would be pure
-// allocation.
-func medianShare(w *World, exec *par.Runner, cl *cluster.Clustering, shared *xrand.Stream) []bitvec.Planes {
-	n, m := w.N(), w.M()
-	red := int(redundancyFactor*core.LnN(n)) + 1
-	majs := newPlanes(len(cl.Clusters), m, w.k)
-	core.ForCells(exec, cl.Clusters, m, func(j int) xrand.Stream { return shared.SplitValue(0x5C, uint64(j)) },
-		func(maxMembers int) *mvScratch {
-			return &mvScratch{
-				picks:   make([]int, 64*red),
-				mask:    make([]uint64, maxMembers),
-				vals:    make([]uint64, maxMembers*w.k),
-				touched: make([]int, 0, maxMembers),
-				counts:  make([]int, w.scale+1),
-				outw:    make([]uint64, w.k),
-			}
-		},
-		func(sc *mvScratch, clRng *xrand.Stream, j, wb, base, hi int) {
-			members := cl.Clusters[j]
-			// Pass 1: shared coins choose each object's probers (member
-			// indices, with repetition — duplicates count twice in the
-			// median, as in the scalar engine), accumulating each touched
-			// member's 64-object fetch mask.
-			for o := base; o < hi; o++ {
-				rng := clRng.SplitValue(uint64(o))
-				row := sc.picks[(o-base)*red : (o-base)*red+red]
-				bit := uint64(1) << uint(o-base)
-				for i := range row {
-					mi := rng.Intn(len(members))
-					row[i] = mi
-					if sc.mask[mi] == 0 {
-						sc.touched = append(sc.touched, mi)
-					}
-					sc.mask[mi] |= bit
-				}
-			}
-			// Pass 2: fetch each touched member's bit-sliced reports for the
-			// block — one bulk probe (two atomics) per honest (member, block).
-			for _, mi := range sc.touched {
-				w.ReportPlaneWords(members[mi], wb, sc.mask[mi], sc.vals[mi*w.k:mi*w.k+w.k])
-			}
-			// Pass 3: per-object counting median, accumulated into plane
-			// words.
-			for l := 0; l < w.k; l++ {
-				sc.outw[l] = 0
-			}
-			for o := base; o < hi; o++ {
-				b := uint(o - base)
-				for v := range sc.counts {
-					sc.counts[v] = 0
-				}
-				row := sc.picks[(o-base)*red : (o-base)*red+red]
-				for _, mi := range row {
-					v := 0
-					vals := sc.vals[mi*w.k : mi*w.k+w.k]
-					for l, wv := range vals {
-						v |= int(wv>>b&1) << l
-					}
-					sc.counts[v]++
-				}
-				med, cum := 0, 0
-				target := (red - 1) / 2
-				for v, c := range sc.counts {
-					cum += c
-					if cum > target {
-						med = v
-						break
-					}
-				}
-				for l := 0; l < w.k; l++ {
-					if med>>l&1 == 1 {
-						sc.outw[l] |= 1 << b
-					}
-				}
-			}
-			for l := 0; l < w.k; l++ {
-				majs[j].SetPlaneWord(l, wb, sc.outw[l])
-			}
-			for _, mi := range sc.touched {
-				sc.mask[mi] = 0
-			}
-			sc.touched = sc.touched[:0]
-		})
-	return core.Broadcast(n, bitvec.NewPlanes(m, w.k), cl.Clusters, majs)
-}
-
-// mvScratch is one worker's reusable buffers for the median work-share
-// loop: the per-object prober choices for a 64-object block, each touched
-// member's fetch mask and bit-sliced report words, the counting-median
-// histogram, and the accumulated output plane words.
-type mvScratch struct {
-	picks   []int    // 64·red prober choices (member indices) for one block
-	mask    []uint64 // mask[mi] = member mi's fetch mask, this block
-	vals    []uint64 // vals[mi·k : (mi+1)·k] = member mi's report planes
-	touched []int    // member indices with mask != 0, in first-touch order
-	counts  []int    // scale+1 counting-median histogram
-	outw    []uint64 // k accumulated median plane words
-}
-
-// clampRating forces reported ratings into [0, scale]; dishonest players
-// cannot inject out-of-scale values (the bulletin board validates writes).
+// clampRating forces reported ratings into [0, scale] at report time
+// (ReportPlaneWords, which ReportValues and the board share read through),
+// so no out-of-scale value reaches the sample or the board.
 func clampRating(r, scale int) int {
 	if r < 0 {
 		return 0

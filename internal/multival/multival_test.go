@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"collabscore/internal/bitvec"
+	"collabscore/internal/board"
+	"collabscore/internal/core"
 	"collabscore/internal/xrand"
 )
 
@@ -55,14 +57,39 @@ func TestL1PanicsOnMismatch(t *testing.T) {
 	Ratings{1}.L1(Ratings{1, 2})
 }
 
+// shareMedian is the rating share's tally of one object: each report is
+// published in its own lane of a board of PlaneBits(scale) planes, and the
+// frozen board's median is read back.
+func shareMedian(scale int, reports []int) int {
+	k := bitvec.PlaneBits(scale)
+	bd := board.NewPlanes(len(reports), 1, k)
+	players := make([]int, len(reports))
+	planes := make([]uint64, k)
+	for p, v := range reports {
+		for l := range planes {
+			planes[l] = uint64(v >> l & 1)
+		}
+		bd.WritePlanes(p, 0, 1, planes)
+		players[p] = p
+	}
+	bd.Freeze().MedianWords(0, players, planes)
+	v := 0
+	for l, x := range planes {
+		v |= int(x&1) << l
+	}
+	return v
+}
+
+// TestMedian: the share's tally is the lower median, and 0 with no
+// reports.
 func TestMedian(t *testing.T) {
-	if Median([]int{5, 1, 3}) != 3 {
+	if shareMedian(5, []int{5, 1, 3}) != 3 {
 		t.Fatal("odd median")
 	}
-	if Median([]int{4, 1, 3, 2}) != 2 {
+	if shareMedian(5, []int{4, 1, 3, 2}) != 2 {
 		t.Fatal("even (lower) median")
 	}
-	if Median(nil) != 0 {
+	if shareMedian(5, nil) != 0 {
 		t.Fatal("empty median")
 	}
 }
@@ -70,7 +97,7 @@ func TestMedian(t *testing.T) {
 func TestMedianRobustToOutliers(t *testing.T) {
 	// 7 honest reports of 5, 3 adversarial extremes: median must stay 5.
 	reports := []int{5, 5, 5, 5, 5, 5, 5, 10, 10, 0}
-	if m := Median(reports); m != 5 {
+	if m := shareMedian(10, reports); m != 5 {
 		t.Fatalf("median %d, want 5", m)
 	}
 }
@@ -249,6 +276,46 @@ func TestByzantineWrapperUnderAttack(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBoardTrafficRecorded: the rating share publishes on the bulletin
+// board, so Run and RunByzantine record writes and reads, and the per-guess
+// statistics sum to each repetition's totals and those to the run's.
+func TestBoardTrafficRecorded(t *testing.T) {
+	const n, m, b, d, scale = 256, 256, 8, 32, 5
+	truth, _ := Generate(xrand.New(31), n, m, n/b, d, scale)
+	w := NewWorld(truth, scale)
+	corrupt(w, n/(3*b), xrand.New(32), func(p int) Behavior { return Exaggerator{} })
+	pr := Scaled(n, b)
+	pr.MinD, pr.MaxD = d/2, d
+	sums := func(its []core.IterationStats) (wr, rd int64) {
+		for _, it := range its {
+			wr += it.BoardWrites
+			rd += it.BoardReads
+		}
+		return wr, rd
+	}
+	run := Run(w, xrand.New(33), pr)
+	byz := RunByzantine(w, xrand.New(34), nil, 3, pr)
+	for name, res := range map[string]*Result{"Run": run, "RunByzantine": byz} {
+		if res.BoardWrites == 0 || res.BoardReads == 0 {
+			t.Fatalf("%s: board traffic %d writes, %d reads; want both > 0", name, res.BoardWrites, res.BoardReads)
+		}
+	}
+	if wr, rd := sums(run.Iterations); wr != run.BoardWrites || rd != run.BoardReads {
+		t.Fatalf("Run: iteration sums (%d,%d) != totals (%d,%d)", wr, rd, run.BoardWrites, run.BoardReads)
+	}
+	var repW, repR int64
+	for i, rp := range byz.Reps {
+		if wr, rd := sums(rp.Iterations); wr != rp.BoardWrites || rd != rp.BoardReads {
+			t.Fatalf("repetition %d: iteration sums (%d,%d) != totals (%d,%d)", i, wr, rd, rp.BoardWrites, rp.BoardReads)
+		}
+		repW += rp.BoardWrites
+		repR += rp.BoardReads
+	}
+	if repW != byz.BoardWrites || repR != byz.BoardReads {
+		t.Fatalf("RunByzantine: repetition sums (%d,%d) != totals (%d,%d)", repW, repR, byz.BoardWrites, byz.BoardReads)
 	}
 }
 

@@ -33,9 +33,8 @@ type Record struct {
 	// (both 0 for non-Byzantine protocols).
 	HonestLeaders int `json:"honest_leaders"`
 	Repetitions   int `json:"repetitions"`
-	// CommWrites/CommReads are the bulletin-board traffic totals of the
-	// binary protocols; ratings points read 0, which means not measured
-	// (the rating share does not use the binary board).
+	// CommWrites/CommReads are the point's bulletin-board traffic totals
+	// (0 for the baseline, which shares nothing).
 	CommWrites int64 `json:"comm_writes"`
 	CommReads  int64 `json:"comm_reads"`
 	// Rounds is the point's synchronous-round complexity under the

@@ -135,10 +135,11 @@ type Scenario struct {
 }
 
 // MaxScale is the largest rating scale a ProtoRatings scenario accepts.
-// The median share keeps one counter per rating value per worker, and a
-// rating takes ⌈log₂(Scale+1)⌉ bit-planes (at most 32), so a scale far
-// beyond any rating system would exhaust memory inside the run instead
-// of failing here.
+// A rating takes ⌈log₂(Scale+1)⌉ bit-planes (at most 32) in every truth
+// row, candidate and board lane, and the board's median tally costs the
+// square of that per lane word, so MaxScale's 16 planes bound both far
+// beyond any rating system instead of letting a huge scale fail inside
+// the run.
 const MaxScale = 1<<16 - 1
 
 // Validate reports why the scenario cannot run, or nil when it can. It
@@ -244,6 +245,8 @@ func (sc Scenario) ratingReport(rr *RatingReport) *Report {
 		OptDiameter:   sc.Diameter,
 		HonestLeaders: rr.HonestLeaders,
 		Repetitions:   rr.Repetitions,
+		CommWrites:    rr.CommWrites,
+		CommReads:     rr.CommReads,
 	}
 }
 
