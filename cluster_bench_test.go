@@ -47,7 +47,8 @@ func BenchmarkBuildGraph(b *testing.B) {
 	// The shape of byz-exact-2k's graph: eight planted clusters, so the
 	// exact sweep's pivot stage skips the cross-cluster pairs and accepts
 	// the clusters' own. (n = 16384 plants 64 clusters, more than the
-	// stage's pivot cap, and its exact rows run the plain block sweep.)
+	// stage's pivot cap: each bucket then holds several clusters, and the
+	// bounds through its pivot reject the pairs between them.)
 	rows = append(rows, row{2048, specs[0]})
 	worlds := map[int]*prefgen.Instance{}
 	for _, r := range rows {

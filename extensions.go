@@ -170,15 +170,40 @@ func (rs *RatingSimulation) Run() *RatingReport {
 // of repetitions (≤0 defaults to 5). The wrapper itself is the generic §7
 // skeleton shared with the binary protocol (core.RunByzantineOver).
 func (rs *RatingSimulation) RunByzantine(repetitions int) *RatingReport {
+	return rs.report(rs.runByzantine(repetitions))
+}
+
+// runByzantine runs the wrapper and returns its raw result, for callers
+// that summarize it themselves (Scenario.Run).
+func (rs *RatingSimulation) runByzantine(repetitions int) *multival.Result {
 	if repetitions <= 0 {
 		repetitions = 5
 	}
 	rs.w.ResetProbes()
-	return rs.report(multival.RunByzantine(rs.w, rs.rng.Split(11), nil, repetitions, rs.pr))
+	return multival.RunByzantine(rs.w, rs.rng.Split(11), nil, repetitions, rs.pr)
+}
+
+// summary is the protocol-agnostic Report of a finished rating run:
+// MaxError/MeanError carry the L1 error, and Outputs stay nil, so it never
+// decodes the n·m output ratings. Scenario.Run returns it as is;
+// RatingSimulation.report adds the decoded rows.
+func (rs *RatingSimulation) summary(res *multival.Result) *Report {
+	es := multival.ErrorStats(rs.w, res.Output)
+	return &Report{
+		MaxError:      es.Max,
+		MeanError:     es.Mean,
+		MaxProbes:     rs.w.MaxHonestProbes(),
+		MeanProbes:    rs.w.MeanHonestProbes(),
+		TotalProbes:   rs.w.TotalProbes(),
+		HonestLeaders: res.HonestLeaders,
+		Repetitions:   res.Repetitions,
+		CommWrites:    res.BoardWrites,
+		CommReads:     res.BoardReads,
+	}
 }
 
 func (rs *RatingSimulation) report(res *multival.Result) *RatingReport {
-	es := multival.ErrorStats(rs.w, res.Output)
+	s := rs.summary(res)
 	rows := make([][]int, len(res.Output))
 	for p, r := range res.Output {
 		rows[p] = r.Ints()
@@ -188,15 +213,15 @@ func (rs *RatingSimulation) report(res *multival.Result) *RatingReport {
 		clusters = append(clusters, it.NumClusters)
 	}
 	return &RatingReport{
-		MaxL1Error:    es.Max,
-		MeanL1Error:   es.Mean,
-		MaxProbes:     int(rs.w.MaxHonestProbes()),
-		MeanProbes:    rs.w.MeanHonestProbes(),
-		TotalProbes:   rs.w.TotalProbes(),
-		HonestLeaders: res.HonestLeaders,
-		Repetitions:   res.Repetitions,
-		CommWrites:    res.BoardWrites,
-		CommReads:     res.BoardReads,
+		MaxL1Error:    s.MaxError,
+		MeanL1Error:   s.MeanError,
+		MaxProbes:     int(s.MaxProbes),
+		MeanProbes:    s.MeanProbes,
+		TotalProbes:   s.TotalProbes,
+		HonestLeaders: s.HonestLeaders,
+		Repetitions:   s.Repetitions,
+		CommWrites:    s.CommWrites,
+		CommReads:     s.CommReads,
 		NumClusters:   clusters,
 		Outputs:       rows,
 	}

@@ -92,8 +92,8 @@ func goldenDigest(c goldenCase) string {
 	put := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
 	var maxErr, total, maxProbes int64
 	if c.sc.Protocol == ProtoRatings {
-		// Scenario.Run drops rating rows from its Report; hash them from the
-		// rating report it is built from.
+		// Scenario.Run's Report carries no rating rows; hash them from the
+		// fluent rating report of the same world.
 		rs := c.sc.ratingSimulation()
 		if c.minD > 0 {
 			rs.Params().MinD, rs.Params().MaxD = c.minD, c.maxD

@@ -113,8 +113,7 @@ type linePoints struct {
 	threshold int
 }
 
-// lineWorlds lists the line worlds the pivot-stage tests share. Each needs
-// at most maxPivots pivots at its threshold.
+// lineWorlds lists the line worlds the pivot-stage tests share.
 func lineWorlds() []linePoints {
 	return []linePoints{
 		// Ids scattered along the line; edges cross buckets, and some
@@ -131,6 +130,9 @@ func lineWorlds() []linePoints {
 		{"tied-wide", linePositions(130, func(p int) int { return p % 5 * 20 }), 25},
 		// Sixteen points far apart need exactly maxPivots pivots.
 		{"sixteen", linePositions(80, func(p int) int { return p % maxPivots * 30 }), 10},
+		// One point more than maxPivots can cover joins a bucket 30 from
+		// its pivot, past the threshold.
+		{"seventeen", linePositions(3*(maxPivots+1), func(p int) int { return p % (maxPivots + 1) * 30 }), 10},
 	}
 }
 
@@ -144,38 +146,32 @@ func lineWorlds() []linePoints {
 // "identical" rows at threshold 0 give 32,640 edges, more than
 // sinkFlushAt, so one worker's buffer flushes mid-stream.
 //
-// The worlds also cover both paths of the exact sweep, and each names the
-// path it must take: planted clusters and the line worlds (lineWorlds:
-// edges across pivot buckets, duplicate rows at threshold 0, tied
-// farthest-first choices, exactly maxPivots pivots) take the pivot stage;
-// the larger uniform rows and 17 points far apart need more than maxPivots
-// pivots and take the plain block fallback.
+// The worlds also stress the pivot stage: the line worlds (lineWorlds)
+// put edges across pivot buckets, duplicate rows at threshold 0, tied
+// farthest-first choices and exactly maxPivots pivots; the larger uniform
+// rows, 17 points far apart and planted clusters with 1, 2 or 13 outliers
+// (outlierWorld) need more than maxPivots pivots, so some buckets keep a
+// radius above the threshold.
 func TestGraphBuildersAgree(t *testing.T) {
 	type hammingWorld struct {
 		name      string
 		z         []bitvec.Vector
 		threshold int
-		path      string // "pivots", "fallback", or "" for either
 	}
 	type l1World struct {
 		name      string
 		rows      []bitvec.Planes
 		threshold int
-		path      string
 	}
 	var hw []hammingWorld
 	var lw []l1World
 	for _, n := range []int{0, 1, 2, 9, 63, 64, 65, 70, 128, 130, 257} {
 		rng := xrand.New(uint64(n))
-		uniformPath := ""
-		if n >= 128 {
-			uniformPath = "fallback"
-		}
 		// Near the median distance of 96-bit vectors: a dense, messy graph.
-		hw = append(hw, hammingWorld{fmt.Sprintf("uniform/n=%d", n), prefgen.Uniform(rng, n, 96).Truth, 40, uniformPath})
+		hw = append(hw, hammingWorld{fmt.Sprintf("uniform/n=%d", n), prefgen.Uniform(rng, n, 96).Truth, 40})
 		if n >= 2 {
 			in := prefgen.DiameterClusters(rng, n, 192, max(2, n/4), 4)
-			hw = append(hw, hammingWorld{fmt.Sprintf("planted/n=%d", n), in.Truth, 8, "pivots"})
+			hw = append(hw, hammingWorld{fmt.Sprintf("planted/n=%d", n), in.Truth, 8})
 		}
 		const m, scale = 40, 7
 		rows := make([]bitvec.Planes, n)
@@ -185,16 +181,17 @@ func TestGraphBuildersAgree(t *testing.T) {
 				rows[p].Set(o, rng.Intn(scale+1))
 			}
 		}
-		lw = append(lw, l1World{fmt.Sprintf("uniform/n=%d", n), rows, m * scale / 8, uniformPath})
+		lw = append(lw, l1World{fmt.Sprintf("uniform/n=%d", n), rows, m * scale / 8})
 	}
 	for _, n := range []int{0, 1, 2, 65} {
-		path := "pivots"
-		if n == 0 {
-			path = "fallback"
-		}
 		// Clusters of 16 within L1 6 of each other, about 75 apart.
 		rows := plantedRatingRows(xrand.New(uint64(n)^0x71), n, 40, 16, 3, 7)
-		lw = append(lw, l1World{fmt.Sprintf("planted/n=%d", n), rows, 12, path})
+		lw = append(lw, l1World{fmt.Sprintf("planted/n=%d", n), rows, 12})
+	}
+	for _, k := range []int{1, 2, 13} {
+		z, rows := outlierWorld(8, k)
+		hw = append(hw, hammingWorld{fmt.Sprintf("outliers=%d", k), z, 8})
+		lw = append(lw, l1World{fmt.Sprintf("outliers=%d", k), rows, 12})
 	}
 	const big = 256 // big·(big−1)/2 = 32,640 edges > sinkFlushAt
 	same := make([]bitvec.Vector, big)
@@ -204,26 +201,12 @@ func TestGraphBuildersAgree(t *testing.T) {
 		sameRows[p] = bitvec.PlanesForScale(8, 5)
 		sameRows[p].Set(3, 4)
 	}
-	hw = append(hw, hammingWorld{"identical", same, 0, "pivots"})
-	lw = append(lw, l1World{"identical", sameRows, 0, "pivots"})
+	hw = append(hw, hammingWorld{"identical", same, 0})
+	lw = append(lw, l1World{"identical", sameRows, 0})
 	for _, w := range lineWorlds() {
 		z, rows := lineWorld(w.pos)
-		hw = append(hw, hammingWorld{w.name, z, w.threshold, "pivots"})
-		lw = append(lw, l1World{w.name, rows, w.threshold, "pivots"})
-	}
-	// One point more than maxPivots can cover takes the fallback.
-	z, rows := lineWorld(linePositions(3*(maxPivots+1), func(p int) int { return p % (maxPivots + 1) * 30 }))
-	hw = append(hw, hammingWorld{"seventeen", z, 10, "fallback"})
-	lw = append(lw, l1World{"seventeen", rows, 10, "fallback"})
-	checkPath := func(name string, n, threshold int, dist func(p, q int) int, want string) {
-		t.Helper()
-		got := "fallback"
-		if choosePivots(par.Serial(), n, threshold, dist) != nil {
-			got = "pivots"
-		}
-		if want != "" && got != want {
-			t.Fatalf("%s: the sweep took the %s path, want %s", name, got, want)
-		}
+		hw = append(hw, hammingWorld{w.name, z, w.threshold})
+		lw = append(lw, l1World{w.name, rows, w.threshold})
 	}
 
 	reps := map[string]GraphRep{"dense": RepDense, "sparse": RepSparse}
@@ -238,7 +221,6 @@ func TestGraphBuildersAgree(t *testing.T) {
 	for _, w := range hw {
 		n := len(w.z)
 		exact := bruteNeighbors(n, func(p, q int) bool { return w.z[p].Hamming(w.z[q]) <= w.threshold })
-		checkPath("exact "+w.name, n, w.threshold, func(p, q int) int { return w.z[p].Hamming(w.z[q]) }, w.path)
 		rng := func() *xrand.Stream { return xrand.New(uint64(n) ^ 0x5D) }
 		lshSpec := IndexSpec{Kind: "lsh"}
 		ref := lshSpec.BuildGraph(par.Serial(), w.z, w.threshold, rng())
@@ -267,7 +249,6 @@ func TestGraphBuildersAgree(t *testing.T) {
 	}
 	for _, w := range lw {
 		want := bruteNeighbors(len(w.rows), func(p, q int) bool { return w.rows[p].L1(w.rows[q]) <= w.threshold })
-		checkPath("l1 "+w.name, len(w.rows), w.threshold, func(p, q int) int { return w.rows[p].L1(w.rows[q]) }, w.path)
 		for gname, rep := range reps {
 			for ename, exec := range testExecs() {
 				name := fmt.Sprintf("l1 %s %s/%s", w.name, gname, ename)

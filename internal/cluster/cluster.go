@@ -12,9 +12,10 @@
 // world or board state), so concurrent protocol runs — e.g. parallel
 // Byzantine repetitions, DESIGN.md §6 — may call them freely on their own
 // z-vectors. Within one run, the pairwise sweep is itself split into
-// tiles across the run's executor (sweepPairs, DESIGN.md §9); its pivot
-// stage decides most pairs of clustered inputs from triangle-inequality
-// bounds instead of distances (pivots.go, DESIGN.md §13). IndexSpec.
+// tiles across the run's executor (sweepPairs, DESIGN.md §9), and every
+// tile goes through its pivot stage, which decides most pairs of clustered
+// inputs from triangle-inequality bounds instead of distances (pivots.go,
+// DESIGN.md §13). IndexSpec.
 // BuildGraph picks how neighbors are discovered (index.go,
 // DESIGN.md §13) — the exact sweep is the default and reference oracle,
 // the LSH banding index the sub-quadratic alternative. HOW the discovered
@@ -106,42 +107,20 @@ func BuildGraph(z []bitvec.Vector, threshold int) *BitGraph {
 // sink for rep. dist is the exact metric within thresholds (within(p, q)
 // iff dist(p, q) ≤ threshold); the pivot stage (pivots.go) uses it to
 // decide most pairs from triangle-inequality bounds, so within runs only on
-// the pairs no bound settles. When the input needs more than maxPivots
-// pivots, the sweep falls back to plain blocks of blockRows players in id
-// order, testing every pair with within. Both sinks ingest an unordered
-// edge set, so neither the path nor the schedule can affect the result:
-// the graph is a pure function of (n, within, rep) under any executor (nil
-// means parallel; par.Serial() gives the reference schedule of DESIGN.md
-// §9).
+// the pairs no bound settles. Both sinks ingest an unordered edge set, so
+// the schedule cannot affect the result: the graph is a pure function of
+// (n, within, rep) under any executor (nil means parallel; par.Serial()
+// gives the reference schedule of DESIGN.md §9).
 func sweepPairs(exec *par.Runner, n, threshold int, rep GraphRep, dist func(p, q int) int, within func(p, q int) bool) Graph {
 	sink := newGraphSink(n, rep)
-	ps := choosePivots(exec, n, threshold, dist)
-	var tasks []pairTile
-	if ps != nil {
-		tasks = ps.tiles(threshold)
-	} else {
-		tasks = appendTiles(nil, 0, n, 0, n, 0, 0)
+	if n < 2 {
+		return sink.finish(exec)
 	}
+	ps := choosePivots(exec, n, threshold, dist)
+	tasks := ps.tiles(threshold)
 	bufs := make([][][2]int32, exec.Workers(len(tasks)))
 	exec.ForWorker(len(tasks), func(wk, ti int) {
-		t := tasks[ti]
-		if ps != nil {
-			bufs[wk] = ps.sweepTile(t, threshold, within, sink, bufs[wk])
-			return
-		}
-		buf := bufs[wk]
-		for p := t.iLo; p < t.iHi; p++ {
-			qLo := t.jLo
-			if t.iLo == t.jLo {
-				qLo = p + 1
-			}
-			for q := qLo; q < t.jHi; q++ {
-				if within(p, q) {
-					buf = emitEdge(sink, buf, p, q)
-				}
-			}
-		}
-		bufs[wk] = buf
+		bufs[wk] = ps.sweepTile(tasks[ti], threshold, within, sink, bufs[wk])
 	})
 	return drainEdges(exec, sink, bufs)
 }

@@ -26,9 +26,8 @@ import (
 // L1 distance (bitvec.Planes.L1) from every player to each of at most
 // maxPivots pivots, and its bounds decide most pairs from those: on the
 // rating protocol's planted inputs, every pair. Only the pairs no bound
-// settles, and every pair of an input the pivots cannot cover, run
-// bitvec.Planes.L1Within, which stops at the first 64-value word whose
-// running total passes the threshold.
+// settles run bitvec.Planes.L1Within, which stops at the first 64-value
+// word whose running total passes the threshold.
 func BuildGraphL1On(exec *par.Runner, rows []bitvec.Planes, threshold int, rep GraphRep) Graph {
 	for p, row := range rows {
 		if row.Len() != rows[0].Len() || row.Bits() != rows[0].Bits() {

@@ -43,9 +43,10 @@ func plantedRatingRows(rng *xrand.Stream, n, m, size, edits, scale int) []bitvec
 // planes), about 10 words of sampled objects per plane, and a threshold of
 // about 76. The dense and sparse rows plant clusters of n/8 players, so the
 // pivot stage skips the cross-cluster bucket pairs and its bounds accept
-// the clusters' own pairs. The uniform row has no cluster structure: it
-// pays for maxPivots pivots and then runs the plain block sweep, most of
-// whose pairs the early exit rejects after one word.
+// the clusters' own pairs. The uniform row has no cluster structure: its
+// maxPivots buckets keep radii far above the threshold, so the bounds
+// decide few pairs, and the early exit rejects most of the rest after one
+// word.
 func BenchmarkBuildGraphL1(b *testing.B) {
 	const n, m, scale, threshold = 2048, 620, 5, 76
 	planted := plantedRatingRows(xrand.New(2048), n, m, n/8, 16, scale)

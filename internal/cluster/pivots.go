@@ -20,8 +20,8 @@ import (
 
 // maxPivots caps the pivot count. An input that needs more pivots than
 // this to put every player within the threshold of one has no cluster
-// structure at the threshold's scale, and the sweep falls back to plain
-// blocks.
+// structure at the threshold's scale; its buckets keep radii above the
+// threshold, and the bounds decide fewer of its pairs.
 const maxPivots = 16
 
 // pivotSet is the outcome of choosePivots: players grouped into one
@@ -43,35 +43,17 @@ type pivotSet struct {
 
 // choosePivots picks pivots farthest-first, starting at player 0: each
 // next pivot is the player farthest from every pivot so far (ties go to
-// the lowest id), until every player is within threshold of some pivot.
-// It returns nil when the input is empty or still needs more after
-// maxPivots pivots. Otherwise each player joins the bucket of its nearest
-// pivot (ties go to the earlier pivot), so every bucket's radius is at most
-// threshold. dist must be a metric; it is called concurrently on exec.
+// the lowest id), until every player is within threshold of some pivot or
+// there are maxPivots of them. Each player then joins the bucket of its
+// nearest pivot (ties go to the earlier pivot), so every bucket's radius
+// is at most threshold unless the cap was reached. n must be at least 1;
+// dist must be a metric; it is called concurrently on exec.
 func choosePivots(exec *par.Runner, n, threshold int, dist func(p, q int) int) *pivotSet {
-	if n == 0 {
-		return nil
-	}
 	var pivots []int
 	var byID [][]int // byID[c][p] = dist(pivot c, p)
 	nearest := make([]int, n)
-	for {
-		c, pv := len(pivots), 0
-		if c > 0 {
-			// The farthest player from its nearest pivot so far.
-			far := -1
-			for p, k := range nearest {
-				if d := byID[k][p]; d > far {
-					far, pv = d, p
-				}
-			}
-			if far <= threshold {
-				break
-			}
-			if c == maxPivots {
-				return nil
-			}
-		}
+	for pv := 0; ; {
+		c := len(pivots)
 		pivots = append(pivots, pv)
 		col := make([]int, n)
 		exec.For(n, func(p int) {
@@ -81,6 +63,16 @@ func choosePivots(exec *par.Runner, n, threshold int, dist func(p, q int) int) *
 			}
 		})
 		byID = append(byID, col)
+		// The farthest player from its nearest pivot so far.
+		far := -1
+		for p, k := range nearest {
+			if d := byID[k][p]; d > far {
+				far, pv = d, p
+			}
+		}
+		if far <= threshold || len(pivots) == maxPivots {
+			break
+		}
 	}
 
 	k := len(pivots)
@@ -138,9 +130,11 @@ func (ps *pivotSet) tiles(threshold int) []pairTile {
 // (emitEdge) and returning it. A pair (p, q) from buckets a and b is first
 // bounded through pivot a, then through pivot b: a sum within threshold
 // accepts it, a difference beyond threshold rejects it, and within runs
-// only when neither pivot decides. Each difference needs only one sign:
-// p lies within threshold of its own pivot a, so d(p,a) − d(q,a) can never
-// exceed threshold, and likewise d(q,b) − d(p,b).
+// only when neither pivot decides. Past the pivot cap a player can lie
+// beyond threshold of its own pivot, so pivot a's difference counts in
+// either direction. Pivot b's needs only one: q is no farther from b than
+// from a, and p no nearer to b than to a, so d(q,b) − d(p,b) ≤
+// d(q,a) − d(p,a), which pivot a has already found within threshold.
 func (ps *pivotSet) sweepTile(t pairTile, threshold int, within func(p, q int) bool, sink graphSink, buf [][2]int32) [][2]int32 {
 	da, db := ps.dist[t.a], ps.dist[t.b]
 	for i := t.iLo; i < t.iHi; i++ {
@@ -156,7 +150,7 @@ func (ps *pivotSet) sweepTile(t pairTile, threshold int, within func(p, q int) b
 				buf = emitEdge(sink, buf, p, ps.order[j])
 				continue
 			}
-			if qa-pa > threshold {
+			if max(pa-qa, qa-pa) > threshold {
 				continue
 			}
 			if t.a != t.b {

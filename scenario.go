@@ -232,24 +232,6 @@ func (sc Scenario) capacities(m int) (small, big int, frac float64) {
 	return small, big, frac
 }
 
-// ratingReport converts a rating run's report to the protocol-agnostic
-// Report shape the sweep engine consumes. MaxError/MeanError carry the L1
-// error; Outputs stay nil (rating rows live on RatingReport.Outputs).
-func (sc Scenario) ratingReport(rr *RatingReport) *Report {
-	return &Report{
-		MaxError:      rr.MaxL1Error,
-		MeanError:     rr.MeanL1Error,
-		MaxProbes:     int64(rr.MaxProbes),
-		MeanProbes:    rr.MeanProbes,
-		TotalProbes:   rr.TotalProbes,
-		OptDiameter:   sc.Diameter,
-		HonestLeaders: rr.HonestLeaders,
-		Repetitions:   rr.Repetitions,
-		CommWrites:    rr.CommWrites,
-		CommReads:     rr.CommReads,
-	}
-}
-
 // simulation builds the validated scenario's Simulation. The RNG splits
 // are identical to the fluent construction: Split is a pure read of the
 // root stream, so skipping the uniform instance that NewSimulation would
@@ -287,7 +269,10 @@ func (sc Scenario) runBudgets(s *Simulation) *Report {
 func (sc Scenario) Run() *Report {
 	sc.mustValidate()
 	if sc.Protocol == ProtoRatings {
-		return sc.ratingReport(sc.ratingSimulation().RunByzantine(0))
+		rs := sc.ratingSimulation()
+		r := rs.summary(rs.runByzantine(0))
+		r.OptDiameter = sc.Diameter
+		return r
 	}
 	return protocolTable[sc.Protocol].run(sc, sc.simulation())
 }

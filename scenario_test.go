@@ -3,6 +3,7 @@ package collabscore
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,9 +156,44 @@ func TestRatingScenarioMatchesFluent(t *testing.T) {
 	rrep := rs.RunByzantine(0)
 
 	if got.MaxError != rrep.MaxL1Error || got.MeanError != rrep.MeanL1Error ||
-		got.MaxProbes != int64(rrep.MaxProbes) || got.TotalProbes != rrep.TotalProbes ||
-		got.HonestLeaders != rrep.HonestLeaders || got.Repetitions != rrep.Repetitions {
+		got.MaxProbes != int64(rrep.MaxProbes) || got.MeanProbes != rrep.MeanProbes ||
+		got.TotalProbes != rrep.TotalProbes ||
+		got.HonestLeaders != rrep.HonestLeaders || got.Repetitions != rrep.Repetitions ||
+		got.CommWrites != rrep.CommWrites || got.CommReads != rrep.CommReads ||
+		got.OptDiameter != sc.Diameter || got.Outputs != nil {
 		t.Fatalf("rating scenario report differs from fluent construction:\n got %+v\nwant %+v", got, rrep)
+	}
+}
+
+// TestRatingScenarioSkipsOutputDecode pins that a ProtoRatings scenario
+// builds its Report straight from the run's result: it must not decode
+// the n·m output ratings that only RatingReport.Outputs carries, which
+// take n·m·8 bytes. The rest of a run's allocation varies by tens of
+// kilobytes with the parallel schedule, so the scenario path must come in
+// at least half of that below the fluent RunByzantine on the same world.
+func TestRatingScenarioSkipsOutputDecode(t *testing.T) {
+	const n = 256
+	sc := Scenario{
+		Config:      Config{Players: n, Seed: 43, FixedDiameter: 16},
+		ClusterSize: 32, Diameter: 16, Scale: 5,
+		Protocol: ProtoRatings,
+	}
+	alloc := func(run func()) uint64 {
+		runtime.GC() // the board's slab reuse must not favor either run
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var m int
+	fluent := alloc(func() {
+		rs := NewRatingSimulation(RatingConfig{Players: n, Scale: 5, Seed: 43, FixedDiameter: 16}, 32, 16)
+		m = len(rs.RunByzantine(0).Outputs[0])
+	})
+	scenario := alloc(func() { sc.Run() })
+	if scenario+uint64(n*m*8/2) > fluent {
+		t.Fatalf("the scenario path allocated %d bytes against the fluent run's %d, want at least %d less", scenario, fluent, n*m*8/2)
 	}
 }
 
